@@ -96,12 +96,17 @@ def _timed(runner) -> tuple[float, list]:
 def test_sweep_engine(full_traces, results_dir, engine_cache_dir):
     cache = SweepCache(engine_cache_dir / "figure2")
 
-    # Digests are memoized per trace: whichever leg computes them first
-    # would otherwise eat the whole hashing bill and skew its timing
-    # (ledger, pool and cache legs all need them).  Pay it once, as
-    # setup, so every leg measures only its own work.
+    # Digests, NET's head-arrival ranks, the occurrence index and the
+    # per-path columns are memoized per trace: whichever in-process leg
+    # computes them first would otherwise eat the whole bill and skew
+    # its timing (ledger, pool and cache legs all need digests; every
+    # serial leg replays both schemes).  Pay them once, as setup, so
+    # every leg measures only its own work.
     for trace in full_traces.values():
         trace_digest(trace)
+        trace.head_arrival_ranks()
+        trace.occurrence_index()
+        trace.static_columns()
 
     serial_s, serial = _timed(lambda: run_sweep(full_traces))
     registry = Registry()

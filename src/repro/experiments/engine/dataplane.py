@@ -275,12 +275,14 @@ class ArchiveHandle:
 class ReplayContext:
     """Memoized per-trace replay state shared by every cell.
 
-    Holds the trace plus the two cross-cell precomputations the sweep
-    needs: the 0.1% hot set and (via the trace's own cache) the
-    occurrence-index grouping.  One context exists per trace digest per
-    process — the parent for serial execution, each pool worker for
-    pooled execution — so the Figure 2 sweep computes nine hot sets per
-    process instead of one per 8-cell batch.
+    Holds the trace plus the cross-cell precomputations the sweep
+    needs: the 0.1% hot set and, via the trace's own cache, the
+    occurrence-index grouping and NET's head-arrival ranks (the memo
+    that lets every delay's NET cell answer by threshold).  One context
+    exists per trace digest per process — the parent for serial
+    execution, each pool worker for pooled execution — so the Figure 2
+    sweep computes nine hot sets and nine rank memos per process instead
+    of one per 8-cell batch or per NET cell.
     """
 
     __slots__ = ("trace", "_hot")

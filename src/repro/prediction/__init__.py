@@ -16,7 +16,6 @@ from repro.prediction.base import (
     OnlinePredictor,
     PredictionOutcome,
     occurrence_index_arrays,
-    remaining_after,
 )
 from repro.prediction.boa import BoaPredictor
 from repro.prediction.first_execution import FirstExecutionPredictor
@@ -33,5 +32,4 @@ __all__ = [
     "PathProfilePredictor",
     "PredictionOutcome",
     "occurrence_index_arrays",
-    "remaining_after",
 ]

@@ -146,14 +146,3 @@ def occurrence_index_arrays(
     starts = np.searchsorted(sorted_ids, np.arange(num_paths + 1), side="left")
     return order, starts
 
-
-def remaining_after(
-    order: np.ndarray,
-    starts: np.ndarray,
-    path_id: int,
-    time: int,
-) -> int:
-    """Executions of ``path_id`` at occurrence index ≥ ``time``."""
-    occurrences = order[starts[path_id] : starts[path_id + 1]]
-    cut = np.searchsorted(occurrences, time, side="left")
-    return int(len(occurrences) - cut)

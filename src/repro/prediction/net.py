@@ -25,17 +25,18 @@ Two models of what happens after the first selection are provided:
 Either way the counter population is bounded by the number of
 backward-branch targets (a fraction of |B|), against up to 2^|B| path
 counters for path-profile based prediction.
+
+Head counters only ever increase, so τ is a threshold: an occurrence
+executes from a hot head exactly when its head's counted-arrival rank
+(:meth:`PathTrace.head_arrival_ranks`, computed once per trace) exceeds
+τ.  Every delay replays the trace with one comparison per occurrence.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.prediction.base import (
-    OnlinePredictor,
-    PredictionOutcome,
-    remaining_after,
-)
+from repro.prediction.base import OnlinePredictor, PredictionOutcome
 from repro.trace.recorder import PathTrace
 
 
@@ -71,148 +72,49 @@ class NETPredictor(OnlinePredictor):
 
     # ------------------------------------------------------------------
     def run(self, trace: PathTrace) -> PredictionOutcome:
-        head_seq = trace.head_sequence()
-        if self.count_backward_arrivals_only:
-            counted = trace.backward_arrival_mask()
-        else:
-            counted = np.ones(len(head_seq), dtype=bool)
-
-        hot_time, num_heads, counted_heads = self._head_hot_times(
-            head_seq, counted
+        tau = self.delay
+        rank, arrivals = trace.head_arrival_ranks(
+            self.count_backward_arrivals_only
         )
-        if self.retire_heads:
-            predicted, times, captured = self._single_shot(trace, hot_time)
-        else:
-            predicted, times, captured = self._region_model(
-                trace, head_seq, hot_time
-            )
+        captured = np.bincount(
+            trace.path_ids[rank > tau], minlength=trace.num_paths
+        )
+        predicted = np.flatnonzero(captured)
+        captured = captured[predicted]
+        # A path has one head and its rank never decreases, so a path's
+        # hot occurrences are a suffix of its occurrences: the path is
+        # predicted at the first occurrence of that suffix.
+        order, starts = trace.occurrence_index()
+        times = order[starts[predicted + 1] - captured]
 
         by_time = np.argsort(times, kind="stable")
+        predicted = predicted[by_time]
+        times = times[by_time]
+        captured = captured[by_time]
+        if self.retire_heads:
+            # A retired head predicts only the tail executing when it
+            # turns hot, which is its earliest region-model prediction;
+            # that tail's captured flow is the same in both models.
+            _, first = np.unique(
+                trace.start_uids()[predicted], return_index=True
+            )
+            first.sort()
+            predicted, times, captured = (
+                predicted[first],
+                times[first],
+                captured[first],
+            )
+
         return PredictionOutcome(
             scheme=self.name,
-            delay=self.delay,
-            predicted_ids=predicted[by_time],
-            prediction_times=times[by_time],
-            captured=captured[by_time],
-            counter_space=num_heads,
-            profiling_ops=self._profiling_ops(
-                trace, counted_heads, predicted[by_time]
-            ),
+            delay=tau,
+            predicted_ids=predicted,
+            prediction_times=times,
+            captured=captured,
+            counter_space=len(arrivals),
+            # Each head performs at most τ+1 counter increments before
+            # turning hot; collecting a selected tail costs one
+            # incremental instrumentation step per block (paper §4.2).
+            profiling_ops=int(np.minimum(arrivals, tau + 1).sum())
+            + int(trace.blocks_per_path()[predicted].sum()),
         )
-
-    # ------------------------------------------------------------------
-    def _head_hot_times(
-        self, head_seq: np.ndarray, counted: np.ndarray
-    ) -> tuple[dict[int, int], int, np.ndarray]:
-        """Occurrence index at which each head turns hot.
-
-        Returns ``(hot_time, num_heads, counted_heads)`` where
-        ``hot_time`` maps head uid → index of its (τ+1)-th counted
-        arrival (heads that never reach it are absent), ``num_heads`` is
-        the number of heads with a counter (the NET counter space), and
-        ``counted_heads`` is the sequence of counted head arrivals.
-        """
-        tau = self.delay
-        counted_indices = np.flatnonzero(counted)
-        counted_heads = head_seq[counted_indices]
-        hot_time: dict[int, int] = {}
-        if not len(counted_heads):
-            return hot_time, 0, counted_heads
-
-        unique_heads, inverse = np.unique(counted_heads, return_inverse=True)
-        head_order = np.argsort(inverse, kind="stable")
-        head_starts = np.searchsorted(
-            inverse[head_order], np.arange(len(unique_heads) + 1), "left"
-        )
-        for h, uid in enumerate(unique_heads):
-            arrivals = counted_indices[
-                head_order[head_starts[h] : head_starts[h + 1]]
-            ]
-            if len(arrivals) > tau:
-                hot_time[int(uid)] = int(arrivals[tau])
-        return hot_time, len(unique_heads), counted_heads
-
-    # ------------------------------------------------------------------
-    def _region_model(
-        self,
-        trace: PathTrace,
-        head_seq: np.ndarray,
-        hot_time: dict[int, int],
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Capture every tail executing from a head after it turned hot."""
-        n = len(trace.path_ids)
-        empty = (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
-        if not n or not hot_time:
-            return empty
-
-        # hot_time per occurrence, via a dense head-uid lookup table.
-        max_uid = int(head_seq.max())
-        hot_lookup = np.full(max_uid + 1, n, dtype=np.int64)
-        for uid, time in hot_time.items():
-            hot_lookup[uid] = time
-        occurrence_hot = np.arange(n) >= hot_lookup[head_seq]
-
-        captured_per_path = np.bincount(
-            trace.path_ids[occurrence_hot], minlength=trace.num_paths
-        )
-        predicted = np.flatnonzero(captured_per_path > 0).astype(np.int64)
-
-        # Prediction time of a path: its first post-hot occurrence.
-        times_per_path = np.full(trace.num_paths, n, dtype=np.int64)
-        hot_indices = np.flatnonzero(occurrence_hot)
-        np.minimum.at(times_per_path, trace.path_ids[hot_indices], hot_indices)
-
-        return (
-            predicted,
-            times_per_path[predicted],
-            captured_per_path[predicted].astype(np.int64),
-        )
-
-    # ------------------------------------------------------------------
-    def _single_shot(
-        self, trace: PathTrace, hot_time: dict[int, int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One prediction per head: the tail executing at hot-time."""
-        order, starts = trace.occurrence_index()
-        predicted: list[int] = []
-        times: list[int] = []
-        captured: list[int] = []
-        for _, time in sorted(hot_time.items(), key=lambda item: item[1]):
-            path_id = int(trace.path_ids[time])
-            predicted.append(path_id)
-            times.append(time)
-            captured.append(remaining_after(order, starts, path_id, time))
-        return (
-            np.asarray(predicted, dtype=np.int64),
-            np.asarray(times, dtype=np.int64),
-            np.asarray(captured, dtype=np.int64),
-        )
-
-    # ------------------------------------------------------------------
-    def _profiling_ops(
-        self,
-        trace: PathTrace,
-        counted_heads: np.ndarray,
-        predicted_ids: np.ndarray,
-    ) -> int:
-        """Dynamic profiling operations under NET.
-
-        Each head performs at most τ+1 counter increments before turning
-        hot; collecting a selected tail costs one incremental
-        instrumentation step per block of the tail (paper §4.2).
-        """
-        tau = self.delay
-        if len(counted_heads):
-            _, arrivals_per_head = np.unique(counted_heads, return_counts=True)
-            increments = int(np.minimum(arrivals_per_head, tau + 1).sum())
-        else:
-            increments = 0
-        if len(predicted_ids):
-            collection = int(trace.blocks_per_path()[predicted_ids].sum())
-        else:
-            collection = 0
-        return increments + collection

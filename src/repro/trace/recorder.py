@@ -251,6 +251,53 @@ class PathTrace:
             self._cache["occ_starts"] = starts
         return self._cache["occ_order"], self._cache["occ_starts"]
 
+    def head_arrival_ranks(
+        self, count_backward_arrivals_only: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Counted arrivals per head, by occurrence and in total (cached).
+
+        Returns ``(rank, arrivals)``.  ``rank[i]`` (``int32``) is how
+        many counted arrivals occurrence ``i``'s head has had at or
+        before index ``i``; ``arrivals`` holds the total counted
+        arrivals of every head counted at least once (its length is
+        NET's counter space).  An arrival counts when it came via a
+        backward taken branch (:meth:`backward_arrival_mask`), or on
+        every path start when ``count_backward_arrivals_only`` is
+        False.  NET's head counters only ever increase, so every
+        prediction delay is a threshold on ``rank`` and all of them
+        share this one pass.
+        """
+        kind = "backward" if count_backward_arrivals_only else "all"
+        rank_key, arrivals_key = f"rank_{kind}", f"arrivals_{kind}"
+        if rank_key not in self._cache:
+            if count_backward_arrivals_only:
+                counted = self.backward_arrival_mask()
+            else:
+                counted = np.ones(len(self.path_ids), dtype=bool)
+            uids, head_of_path = np.unique(
+                self.start_uids(), return_inverse=True
+            )
+            num_heads = len(uids)
+            # The narrowest dtype lets the stable sort use radix sort.
+            heads = head_of_path.astype(np.min_scalar_type(num_heads))[
+                self.path_ids
+            ]
+            by_head = np.argsort(heads, kind="stable")
+            sorted_heads = heads[by_head]
+            # running[k]: counted arrivals among the first k occurrences
+            # in head-grouped order; before[h]: those of heads below h.
+            running = np.zeros(len(heads) + 1, dtype=np.int32)
+            np.cumsum(counted[by_head], dtype=np.int32, out=running[1:])
+            before = running[
+                np.searchsorted(sorted_heads, np.arange(num_heads + 1))
+            ]
+            rank = np.empty(len(heads), dtype=np.int32)
+            rank[by_head] = running[1:] - before[sorted_heads]
+            totals = np.diff(before)
+            self._cache[rank_key] = rank
+            self._cache[arrivals_key] = totals[totals > 0]
+        return self._cache[rank_key], self._cache[arrivals_key]
+
     # ------------------------------------------------------------------
     # Columnar form (the zero-copy data plane's exchange format)
     # ------------------------------------------------------------------

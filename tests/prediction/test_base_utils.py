@@ -1,8 +1,8 @@
-"""Occurrence-index helpers shared by the predictors."""
+"""Occurrence-index helper shared by the predictors."""
 
 import numpy as np
 
-from repro.prediction import occurrence_index_arrays, remaining_after
+from repro.prediction import occurrence_index_arrays
 
 
 def test_occurrence_index_arrays_groups_by_path():
@@ -24,17 +24,6 @@ def test_occurrence_index_arrays_handles_missing_paths():
     assert starts[5] - starts[4] == 0
 
 
-def test_remaining_after():
-    path_ids = np.array([0, 1, 0, 0, 1, 0])
-    order, starts = occurrence_index_arrays(path_ids, 2)
-    # Path 0 occurs at 0, 2, 3, 5.
-    assert remaining_after(order, starts, 0, 0) == 4
-    assert remaining_after(order, starts, 0, 1) == 3
-    assert remaining_after(order, starts, 0, 3) == 2
-    assert remaining_after(order, starts, 0, 6) == 0
-    assert remaining_after(order, starts, 1, 4) == 1
-
-
 def test_empty_sequence():
     order, starts = occurrence_index_arrays(np.array([], dtype=np.int64), 2)
     assert len(order) == 0
@@ -46,30 +35,3 @@ def test_single_occurrence_path():
     order, starts = occurrence_index_arrays(path_ids, 5)
     assert list(order) == [0]
     assert list(order[starts[3] : starts[4]]) == [0]
-    assert remaining_after(order, starts, 3, 0) == 1
-    assert remaining_after(order, starts, 3, 1) == 0
-
-
-def test_remaining_after_time_past_last_occurrence():
-    path_ids = np.array([0, 1, 0], dtype=np.int64)
-    order, starts = occurrence_index_arrays(path_ids, 2)
-    # Past the last occurrence (and past the trace end entirely).
-    assert remaining_after(order, starts, 0, 3) == 0
-    assert remaining_after(order, starts, 0, 10_000) == 0
-    assert remaining_after(order, starts, 1, 2) == 0
-
-
-def test_remaining_after_id_absent_from_trace():
-    path_ids = np.array([0, 0, 2], dtype=np.int64)
-    order, starts = occurrence_index_arrays(path_ids, 4)
-    # Paths 1 and 3 are interned but never occur: zero at any time.
-    for absent in (1, 3):
-        assert starts[absent] == starts[absent + 1]
-        assert remaining_after(order, starts, absent, 0) == 0
-        assert remaining_after(order, starts, absent, 99) == 0
-
-
-def test_empty_trace_remaining_after_any_path_is_zero():
-    order, starts = occurrence_index_arrays(np.array([], dtype=np.int64), 3)
-    for path_id in range(3):
-        assert remaining_after(order, starts, path_id, 0) == 0

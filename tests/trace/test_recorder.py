@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceError
+from repro.prediction import NETPredictor
 from repro.trace import (
     CFGWalker,
     PathTable,
@@ -15,6 +16,7 @@ from repro.trace import (
 )
 from repro.trace.recorder import STATIC_COLUMN_KEYS
 from tests.conftest import make_path
+from tests.prediction.test_net_kernel import assert_same_outcome
 
 
 def _two_path_trace() -> PathTrace:
@@ -112,23 +114,30 @@ def test_pickle_excludes_derived_cache():
 
     Regression for the pool-payload bloat bug: warming freqs and the
     occurrence index used to ship the whole derived-array cache with
-    every pickled trace.
+    every pickled trace.  NET's per-trace rank memo is derived state
+    too.
     """
     cold = _two_path_trace()
-    cold_size = len(pickle.dumps(cold))
 
     warm = _two_path_trace()
     warm.freqs()
     warm.occurrence_index()
     warm.static_columns()
     warm.backward_arrival_mask()
+    predictors = [
+        NETPredictor(1, count_backward_arrivals_only=flag)
+        for flag in (True, False)
+    ]
+    warm_outcomes = [predictor.run(warm) for predictor in predictors]
     assert warm._cache  # the warm-up actually populated it
-    assert len(pickle.dumps(warm)) == cold_size
+    assert pickle.dumps(warm) == pickle.dumps(cold)
 
     # The round-tripped trace works and re-derives everything.
     restored = pickle.loads(pickle.dumps(warm))
     assert restored._cache == {}
     assert np.array_equal(restored.freqs(), warm.freqs())
+    for predictor, outcome in zip(predictors, warm_outcomes):
+        assert_same_outcome(predictor.run(restored), outcome)
 
 
 def test_occurrence_index_matches_helper_and_is_cached():
