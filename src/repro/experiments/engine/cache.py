@@ -6,14 +6,19 @@ computes it.  The cache keys every :class:`~repro.experiments.sweep.SweepPoint`
 by a SHA-256 digest over exactly those inputs:
 
 * :func:`trace_digest` — the trace's name, its full path table (every
-  static attribute, via :func:`repro.trace.io.path_record`) and the raw
-  occurrence array.  Any change to the workload generator's output
-  changes the digest, so stale results can never be served for a
-  regenerated trace.  The occurrence array is canonicalized to an
-  explicit little-endian ``int64`` before hashing, so the digest is a
-  property of the trace's *content*, not of the host's byte order or of
-  how the dtype happens to be spelled (``int64`` vs ``>i8``) — caches
-  are portable between machines.
+  static attribute of every path: the table's columns, full-precision
+  histories and indirect-target lists, via
+  :meth:`repro.trace.path.PathTable.hash_into`) and the raw occurrence
+  array.  Any change to the workload generator's output changes the
+  digest, so stale results can never be served for a regenerated
+  trace.  Columns and occurrence array are canonicalized to explicit
+  little-endian dtypes before hashing, so the digest is a property of
+  the trace's *content*, not of the host's byte order or of how the
+  dtype happens to be spelled (``int64`` vs ``>i8``) — caches are
+  portable between machines.  (Digests taken before the table was
+  hashed by columns differ, so cache entries written then miss once
+  and are recomputed; the graph state still reaches them through its
+  recorded ``cache_key``.)
 * the scheme name and τ;
 * :data:`CODE_VERSION` — a manual tag naming the semantics of the
   predictor/metric pipeline.  Bump it whenever a change to the
@@ -54,7 +59,6 @@ import numpy as np
 
 from repro.experiments.sweep import SweepPoint
 from repro.obs.core import Registry
-from repro.trace.io import path_record
 from repro.trace.recorder import PathTrace
 
 logger = logging.getLogger(__name__)
@@ -107,12 +111,7 @@ def trace_digest(trace: PathTrace) -> str:
     hasher = hashlib.sha256()
     hasher.update(trace.name.encode("utf-8"))
     hasher.update(b"\x00")
-    table_blob = json.dumps(
-        [path_record(path) for path in trace.table],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    hasher.update(table_blob.encode("utf-8"))
+    trace.table.hash_into(hasher)
     hasher.update(b"\x00")
     ids = np.ascontiguousarray(trace.path_ids, dtype=_DIGEST_DTYPE)
     hasher.update(_DIGEST_DTYPE.str.encode("utf-8"))

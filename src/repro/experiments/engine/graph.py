@@ -105,12 +105,30 @@ def scale_tag(flow_scale: float) -> str:
 _spec_digest_memo: dict[tuple[str, float], str] = {}
 
 
+def _plain(value):
+    """``value`` as :func:`dataclasses.asdict` would give it to JSON.
+
+    The same fields, lists and dicts, without ``asdict``'s deep copy of
+    every leaf: planning digests a config with hundreds of regions on
+    every run.
+    """
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if dataclasses.is_dataclass(value):
+        return {
+            field.name: _plain(getattr(value, field.name))
+            for field in dataclasses.fields(value)
+        }
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
+
+
 def config_digest(config: WorkloadConfig) -> str:
     """Content digest of an explicit workload configuration."""
-    payload = {
-        "generator": GENERATOR_VERSION,
-        "config": dataclasses.asdict(config),
-    }
+    payload = {"generator": GENERATOR_VERSION, "config": _plain(config)}
     return _sha256(canonical_json(payload))
 
 
@@ -295,6 +313,9 @@ class GraphState:
     def __init__(self, path: str | pathlib.Path):
         self.path = pathlib.Path(path)
         self.nodes: dict[str, dict] = {}
+        #: Whether a node was recorded since the state was created or
+        #: loaded, i.e. whether :meth:`save` has anything new to write.
+        self.modified = False
 
     @classmethod
     def load(cls, path: str | pathlib.Path) -> "GraphState":
@@ -332,6 +353,7 @@ class GraphState:
 
     def record(self, name: str, entry: dict) -> None:
         self.nodes[name] = entry
+        self.modified = True
 
     def save(self) -> None:
         """Persist atomically (best-effort; a failed save only costs the

@@ -17,8 +17,9 @@ exactly the dirty subgraph:
    dirty cells through one :func:`~repro.experiments.engine.run_sweep`
    call (the sweep cache serves everything that is clean), rebuilds the
    dirty renders, serves the clean ones from the content-addressed
-   render store, and saves the state — so a warm no-op full repro is a
-   JSON read, ~700 key comparisons and stats, and eight file reads.
+   render store, and saves the state if it recorded a node — so a warm
+   no-op full repro is a JSON read, ~700 key comparisons and stats, and
+   eight file reads, and writes nothing.
 
 Correctness stance: the graph never *invents* results.  Every computed
 cell goes through the same ``run_sweep``/builder code paths as a
@@ -428,7 +429,9 @@ def run_targets(
                 text = stored
                 renders_served.inc()
             texts[target.name] = text
-    state.save()
+    # A no-op run recorded nothing: leave the state file untouched.
+    if state.modified:
+        state.save()
     return TargetRun(
         texts=texts,
         plan=plan,

@@ -26,10 +26,9 @@ FORMAT_VERSION = 1
 def path_record(path: Path) -> dict:
     """Canonical JSON-serializable record of one path.
 
-    Shared by the trace file format and the sweep-result cache's trace
-    digest: every static attribute that can influence a downstream
-    measurement is included, so two paths with equal records are
-    interchangeable for any experiment.
+    Every static attribute that can influence a downstream measurement
+    is included, so two paths with equal records are interchangeable
+    for any experiment.
     """
     signature = path.signature
     return {

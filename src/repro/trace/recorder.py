@@ -20,21 +20,7 @@ from repro.errors import TraceError
 from repro.trace.batch import EventBatch
 from repro.trace.events import BranchEvent
 from repro.trace.extractor import PathExtractor
-from repro.trace.path import PathTable
-
-
-#: Cache keys of the per-path static attribute columns, in the order
-#: the zero-copy trace archive serializes them (see
-#: :meth:`PathTrace.static_columns` and
-#: :mod:`repro.experiments.engine.dataplane`).
-STATIC_COLUMN_KEYS = (
-    "start_uids",
-    "instr",
-    "cond",
-    "indirect",
-    "blocks",
-    "ends_backward",
-)
+from repro.trace.path import STATIC_COLUMN_KEYS, PathTable
 
 
 class ColumnTable:
@@ -43,16 +29,29 @@ class ColumnTable:
     A column-restored trace (see :meth:`PathTrace.from_columns`) knows
     every *numeric* per-path attribute but carries no :class:`Path`
     objects — the replay pipeline (predictors, hot sets, quality
-    metrics) only ever consumes the columns.  Anything that genuinely
-    needs path structure (signatures, block lists, digests) must use
-    the original trace; asking this table for it fails loudly instead
-    of silently yielding wrong data.
+    metrics) only ever consumes the columns, which this table serves
+    through :meth:`static_columns` exactly as :class:`PathTable` does.
+    Anything that genuinely needs path structure (signatures, block
+    lists, digests) must use the original trace; asking this table for
+    it fails loudly instead of silently yielding wrong data.
     """
 
-    __slots__ = ("_num_paths",)
+    __slots__ = ("_num_paths", "_columns")
 
-    def __init__(self, num_paths: int):
+    def __init__(self, num_paths: int, columns: dict[str, np.ndarray]):
+        missing = [key for key in STATIC_COLUMN_KEYS if key not in columns]
+        if missing:
+            raise TraceError(
+                f"trace columns incomplete: missing {', '.join(missing)}"
+            )
+        for key in STATIC_COLUMN_KEYS:
+            if len(columns[key]) != num_paths:
+                raise TraceError(
+                    f"column {key!r} has {len(columns[key])} entries for "
+                    f"{num_paths} paths"
+                )
         self._num_paths = int(num_paths)
+        self._columns = {key: columns[key] for key in STATIC_COLUMN_KEYS}
 
     def __len__(self) -> int:
         return self._num_paths
@@ -67,6 +66,16 @@ class ColumnTable:
         raise TraceError(
             f"column-restored trace cannot resolve path {path_id}; it "
             "carries attribute columns only"
+        )
+
+    def static_columns(self) -> dict[str, np.ndarray]:
+        """The per-path attribute columns the trace was restored from."""
+        return self._columns
+
+    def hash_into(self, hasher) -> None:
+        raise TraceError(
+            "column-restored trace cannot be digested; it carries "
+            "attribute columns only"
         )
 
 
@@ -152,45 +161,31 @@ class PathTrace:
         )
 
     # ------------------------------------------------------------------
-    # Per-path static attribute arrays (indexed by path id)
+    # Per-path static attribute arrays (indexed by path id, read-only)
     # ------------------------------------------------------------------
-    def _per_path(self, key: str, getter) -> np.ndarray:
-        return self._cached(
-            key,
-            lambda: np.array(
-                [getter(path) for path in self.table], dtype=np.int64
-            ),
-        )
-
     def start_uids(self) -> np.ndarray:
         """Head block uid per path id."""
-        return self._per_path("start_uids", lambda p: p.start_uid)
+        return self.table.static_columns()["start_uids"]
 
     def instructions_per_path(self) -> np.ndarray:
         """Instruction count per path id (Dynamo cost model input)."""
-        return self._per_path("instr", lambda p: p.num_instructions)
+        return self.table.static_columns()["instr"]
 
     def cond_branches_per_path(self) -> np.ndarray:
         """Conditional branch count per path id (bit-tracing cost input)."""
-        return self._per_path("cond", lambda p: p.num_cond_branches)
+        return self.table.static_columns()["cond"]
 
     def indirect_branches_per_path(self) -> np.ndarray:
         """Indirect branch count per path id."""
-        return self._per_path("indirect", lambda p: p.num_indirect_branches)
+        return self.table.static_columns()["indirect"]
 
     def blocks_per_path(self) -> np.ndarray:
         """Block count per path id."""
-        return self._per_path("blocks", lambda p: p.num_blocks)
+        return self.table.static_columns()["blocks"]
 
     def ends_backward_per_path(self) -> np.ndarray:
         """Whether each path id ends with a backward taken branch."""
-        return self._cached(
-            "ends_backward",
-            lambda: np.array(
-                [path.ends_with_backward_branch for path in self.table],
-                dtype=bool,
-            ),
-        )
+        return self.table.static_columns()["ends_backward"]
 
     # ------------------------------------------------------------------
     # Derived sequences (one entry per occurrence)
@@ -302,22 +297,15 @@ class PathTrace:
     # Columnar form (the zero-copy data plane's exchange format)
     # ------------------------------------------------------------------
     def static_columns(self) -> dict[str, np.ndarray]:
-        """All per-path static attribute arrays, keyed by cache key.
+        """All per-path static attribute arrays, keyed by
+        :data:`STATIC_COLUMN_KEYS`.
 
-        The keys are :data:`STATIC_COLUMN_KEYS`; together with
-        :attr:`path_ids` and :attr:`name` these columns are everything
-        the replay pipeline reads, which is what makes the flat
-        :class:`~repro.experiments.engine.dataplane.TraceArchive`
+        Together with :attr:`path_ids` and :attr:`name` these columns
+        are everything the replay pipeline reads, which is what makes
+        the flat :class:`~repro.experiments.engine.dataplane.TraceArchive`
         serialization complete for sweep purposes.
         """
-        return {
-            "start_uids": self.start_uids(),
-            "instr": self.instructions_per_path(),
-            "cond": self.cond_branches_per_path(),
-            "indirect": self.indirect_branches_per_path(),
-            "blocks": self.blocks_per_path(),
-            "ends_backward": self.ends_backward_per_path(),
-        }
+        return dict(self.table.static_columns())
 
     @classmethod
     def from_columns(
@@ -336,21 +324,7 @@ class PathTrace:
         loudly.  Used by the sweep data plane to reconstruct traces in
         pool workers without ever pickling ``Path`` objects.
         """
-        missing = [key for key in STATIC_COLUMN_KEYS if key not in columns]
-        if missing:
-            raise TraceError(
-                f"trace columns incomplete: missing {', '.join(missing)}"
-            )
-        trace = cls(ColumnTable(num_paths), path_ids, name=name)
-        for key in STATIC_COLUMN_KEYS:
-            column = columns[key]
-            if len(column) != num_paths:
-                raise TraceError(
-                    f"column {key!r} has {len(column)} entries for "
-                    f"{num_paths} paths"
-                )
-            trace._cache[key] = column
-        return trace
+        return cls(ColumnTable(num_paths, columns), path_ids, name=name)
 
     # ------------------------------------------------------------------
     # Utilities

@@ -3,12 +3,13 @@
 The abstract experiments of the paper depend only on the *path sequence
 statistics* of a run — how many distinct paths exist, how they share
 heads, how skewed their frequencies are — not on the instructions behind
-them.  The :class:`PathFactory` builds families of
-:class:`repro.trace.Path` objects with consistent geometry (unique block
-uids and addresses per region, plausible per-path block/instruction
-counts, distinct bit-tracing signatures) so that every downstream
-consumer (predictors, metrics, overhead models, the Dynamo simulator)
-sees exactly what it would see from an extracted trace.
+them.  The :class:`PathFactory` appends families of paths with
+consistent geometry (unique block uids and addresses per region,
+plausible per-path block/instruction counts, distinct bit-tracing
+signatures) to a :class:`repro.trace.PathTable`, as columns, so that
+every downstream consumer (predictors, metrics, overhead models, the
+Dynamo simulator) sees exactly what it would see from an extracted
+trace.
 
 Block-uid and address ranges are allocated per region so that heads are
 genuine "targets of backward taken branches" in the address sense: every
@@ -20,11 +21,12 @@ studies behave.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.trace.path import Path, PathSignature, PathTable
+from repro.trace.path import PathTable
 
 #: Address stride between consecutive synthetic blocks.
 _BLOCK_SPACING = 4
@@ -40,13 +42,39 @@ class RegionGeometry:
     first_tail_address: int
 
 
-class PathFactory:
-    """Allocates uids/addresses and builds interned synthetic paths."""
+class _Family(NamedTuple):
+    """Paths a region asked for that are not in the table yet."""
 
-    def __init__(self, table: PathTable | None = None):
-        self.table = table if table is not None else PathTable()
+    geometry: RegionGeometry
+    variants: np.ndarray
+    num_blocks: np.ndarray
+    instructions_per_block: int
+    exit_path: bool
+
+
+class PathFactory:
+    """Allocates uids/addresses and builds a table of synthetic paths.
+
+    Regions ask for their paths while they are built and get the ids at
+    once, but the factory appends the paths to :attr:`table` only when
+    the table is next read, all of them in one bulk call: a surrogate
+    has thousands of regions of a few paths each, and one vectorized
+    pass over all of them costs less than one per region.
+    """
+
+    def __init__(self) -> None:
+        self._table = PathTable()
         self._next_uid = 0
         self._next_address = 0
+        self._staged: list[_Family] = []
+        self._staged_rows = 0
+
+    @property
+    def table(self) -> PathTable:
+        """The table, holding every path made so far."""
+        if self._staged:
+            self._append_staged()
+        return self._table
 
     def allocate_region(self, num_tail_blocks: int) -> RegionGeometry:
         """Reserve a head block plus ``num_tail_blocks`` body blocks."""
@@ -62,57 +90,43 @@ class PathFactory:
         self._next_address += (1 + num_tail_blocks) * _BLOCK_SPACING
         return geometry
 
+    def make_tail_paths(
+        self,
+        geometry: RegionGeometry,
+        variants: np.ndarray,
+        num_blocks: np.ndarray,
+        instructions_per_block: int = 3,
+    ) -> np.ndarray:
+        """Make tail variants of a region's loop; return their table ids.
+
+        Variant ``variants[j]`` has ``num_blocks[j]`` blocks: the head,
+        then body blocks chosen by the variant.  The variant doubles as
+        the signature's branch history, so distinct variants have
+        distinct signatures by construction.
+        """
+        return self._stage(
+            geometry, variants, num_blocks, instructions_per_block, False
+        )
+
     def make_tail_path(
         self,
         geometry: RegionGeometry,
         variant: int,
         num_blocks: int,
         instructions_per_block: int = 3,
-        cond_branches: int | None = None,
-        ends_backward: bool = True,
     ) -> int:
-        """Build and intern one tail variant of a region's loop.
-
-        ``variant`` selects which body blocks the path visits and doubles
-        as the signature's branch history, so distinct variants have
-        distinct signatures by construction.  Returns the table id.
-        """
-        if num_blocks < 1:
-            raise WorkloadError("a path needs at least one block")
-        if cond_branches is None:
-            cond_branches = max(num_blocks - 1, 1)
-        bit_count = max(cond_branches, variant.bit_length(), 1)
-        signature = PathSignature(
-            start_address=geometry.head_address,
-            history=variant,
-            bit_count=bit_count,
-            indirect_targets=(),
+        """Make one tail variant (see :meth:`make_tail_paths`)."""
+        ids = self._stage(
+            geometry, [variant], [num_blocks], instructions_per_block, False
         )
-        blocks = [geometry.head_uid]
-        for offset in range(num_blocks - 1):
-            blocks.append(
-                geometry.first_tail_uid + (variant + offset) % max(
-                    num_blocks * 2, 1
-                )
-            )
-        path = Path(
-            signature=signature,
-            blocks=tuple(blocks),
-            start_uid=geometry.head_uid,
-            num_instructions=num_blocks * instructions_per_block,
-            num_cond_branches=cond_branches,
-            num_indirect_branches=0,
-            ends_with_backward_branch=ends_backward,
-        )
-        return self.table.intern(path)
+        return int(ids[0])
 
     def make_exit_path(
         self,
         geometry: RegionGeometry,
-        num_blocks: int = 2,
         instructions_per_block: int = 3,
     ) -> int:
-        """Build the region's loop-exit/transition path.
+        """Make the region's loop-exit/transition path.
 
         The exit path starts at the region head (the loop test falls
         through) and runs to the next backward branch — in the region
@@ -120,25 +134,72 @@ class PathFactory:
         backward.  Its signature is distinguished from tail variants by
         an all-ones history one bit longer than any tail uses.
         """
-        signature = PathSignature(
-            start_address=geometry.head_address,
-            history=(1 << 62) - 1,
-            bit_count=62,
-            indirect_targets=(),
+        # Its blocks and sizes are those of a two-block variant-0 tail.
+        ids = self._stage(geometry, [0], [2], instructions_per_block, True)
+        return int(ids[0])
+
+    def _stage(
+        self,
+        geometry: RegionGeometry,
+        variants,
+        num_blocks,
+        instructions_per_block: int,
+        exit_path: bool,
+    ) -> np.ndarray:
+        num_blocks = np.asarray(num_blocks, dtype=np.int64)
+        first = len(self._table) + self._staged_rows
+        self._staged.append(
+            _Family(
+                geometry,
+                np.asarray(variants, dtype=np.int64),
+                num_blocks,
+                instructions_per_block,
+                exit_path,
+            )
         )
-        blocks = [geometry.head_uid]
-        for offset in range(num_blocks - 1):
-            blocks.append(geometry.first_tail_uid + offset)
-        path = Path(
-            signature=signature,
-            blocks=tuple(blocks),
-            start_uid=geometry.head_uid,
-            num_instructions=num_blocks * instructions_per_block,
-            num_cond_branches=1,
-            num_indirect_branches=0,
-            ends_with_backward_branch=True,
+        self._staged_rows += len(num_blocks)
+        return np.arange(first, first + len(num_blocks), dtype=np.int64)
+
+    def _append_staged(self) -> None:
+        """Build every staged path family and append them in one call."""
+        families, self._staged, self._staged_rows = self._staged, [], 0
+        num_blocks = np.concatenate([f.num_blocks for f in families])
+        if (num_blocks < 1).any():
+            raise WorkloadError("a path needs at least one block")
+        sizes = [len(f.num_blocks) for f in families]
+
+        def per_row(values) -> np.ndarray:
+            return np.repeat(np.array(values, dtype=np.int64), sizes)
+
+        head_uid = per_row([f.geometry.head_uid for f in families])
+        first_tail_uid = per_row([f.geometry.first_tail_uid for f in families])
+        head_address = per_row([f.geometry.head_address for f in families])
+        instructions = per_row([f.instructions_per_block for f in families])
+        exit_path = per_row([f.exit_path for f in families]).astype(bool)
+        variants = np.concatenate([f.variants for f in families])
+
+        cond_branches = np.maximum(num_blocks - 1, 1)
+        # frexp's exponent is int.bit_length() for integers below 2**53.
+        tail_bits = np.maximum(cond_branches, np.frexp(variants)[1])
+        # Block 0 of row j is the head; block k >= 1 is body block
+        # (variants[j] + k - 1) mod 2·num_blocks[j].
+        row_start = np.cumsum(num_blocks) - num_blocks
+        row = np.repeat(np.arange(len(num_blocks)), num_blocks)
+        k = np.arange(len(row)) - row_start[row]
+        blocks = first_tail_uid[row] + (variants[row] + k - 1) % (
+            2 * num_blocks[row]
         )
-        return self.table.intern(path)
+        blocks[row_start] = head_uid
+        self._table.append_rows(
+            start_address=head_address,
+            history=np.where(exit_path, (1 << 62) - 1, variants),
+            bit_count=np.where(exit_path, 62, tail_bits),
+            block_counts=num_blocks,
+            blocks=blocks,
+            num_instructions=num_blocks * instructions,
+            num_cond_branches=cond_branches,
+            ends_backward=True,
+        )
 
 
 def zipf_probabilities(count: int, skew: float) -> np.ndarray:

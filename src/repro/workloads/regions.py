@@ -106,22 +106,21 @@ class LoopRegion:
             num_tail_blocks=2 * int(block_counts.max())
         )
         self.head_uid = geometry.head_uid
-        self.tail_ids = np.array(
-            [
-                factory.make_tail_path(
-                    geometry,
-                    variant=j,
-                    num_blocks=int(block_counts[j]),
-                    instructions_per_block=spec.instr_per_block,
-                )
-                for j in range(spec.num_tails)
-            ],
-            dtype=np.int64,
+        self.tail_ids = factory.make_tail_paths(
+            geometry,
+            variants=np.arange(spec.num_tails),
+            num_blocks=block_counts,
+            instructions_per_block=spec.instr_per_block,
         )
         self.exit_id = factory.make_exit_path(
             geometry, instructions_per_block=spec.instr_per_block
         )
         self.tail_probs = zipf_probabilities(spec.num_tails, spec.tail_skew)
+        # Generator.choice(p=...) draws by searching this normalized CDF
+        # with uniform samples; computing it once per region keeps the
+        # random stream and skips choice's per-call validation of p.
+        self._tail_cdf = self.tail_probs.cumsum()
+        self._tail_cdf /= self._tail_cdf[-1]
         self._visited = False
 
     @property
@@ -139,9 +138,10 @@ class LoopRegion:
         """
         spec = self.spec
         iterations = 1 + self._rng.poisson(max(spec.iters_mean - 1.0, 0.0))
-        sampled = self._rng.choice(
-            self.tail_ids, size=int(iterations), p=self.tail_probs
-        )
+        draws = self._rng.random(int(iterations))
+        sampled = self.tail_ids[
+            self._tail_cdf.searchsorted(draws, side="right")
+        ]
         parts = [sampled]
         if not self._visited:
             self._visited = True

@@ -15,6 +15,7 @@ The tentpole guarantees under test:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -26,9 +27,11 @@ from repro.experiments.engine.graph import (
     GraphNode,
     GraphState,
     cell_node_name,
+    config_digest,
     render_node_name,
     spec_digest,
 )
+from repro.experiments.phases import phases_config
 from repro.experiments.targets import (
     build_graph,
     graph_state_path,
@@ -92,6 +95,21 @@ def test_spec_digest_tracks_generator_version(monkeypatch):
         graph_mod, "GENERATOR_VERSION", "workload-generator-v2"
     )
     assert spec_digest("compress", 1.0) != before
+
+
+@pytest.mark.parametrize("flow_scale", [0.02, 0.1, 1.0])
+def test_config_digest_matches_asdict_form(flow_scale):
+    """The shallow field walk hashes the JSON ``dataclasses.asdict``
+    gives, so graph states recorded before it stay valid."""
+    config = phases_config(flow_scale)
+    payload = {
+        "generator": graph_mod.GENERATOR_VERSION,
+        "config": dataclasses.asdict(config),
+    }
+    expected = hashlib.sha256(
+        graph_mod.canonical_json(payload).encode("utf-8")
+    ).hexdigest()
+    assert config_digest(config) == expected
 
 
 def test_merkle_key_propagates_through_deps():
@@ -167,6 +185,18 @@ def test_warm_plan_is_empty(graph_root):
     assert not plan.dirty
     assert plan.explain_lines() == []
     assert "0 dirty" in plan.summary()
+
+
+def test_noop_run_writes_nothing(graph_root):
+    """A run that records no node leaves the state file untouched."""
+    run_targets(PRIMED, flow_scale=SCALE, cache=_fresh_cache(graph_root))
+    state_file = graph_state_path(_fresh_cache(graph_root))
+    before = (state_file.read_bytes(), state_file.stat().st_mtime_ns)
+    warm = run_targets(
+        PRIMED, flow_scale=SCALE, cache=_fresh_cache(graph_root)
+    )
+    assert warm.executed_cells == warm.executed_renders == 0
+    assert (state_file.read_bytes(), state_file.stat().st_mtime_ns) == before
 
 
 def test_other_scale_plans_dirty_without_evicting_warm_state(graph_root):

@@ -8,12 +8,15 @@ and a stored point survives the write/read round-trip bit-exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import TraceError
 from repro.experiments.engine import (
     CODE_VERSION,
     SweepCache,
@@ -21,6 +24,7 @@ from repro.experiments.engine import (
     trace_digest,
 )
 from repro.experiments.sweep import SweepPoint
+from repro.trace.io import load_trace, save_trace
 from repro.trace.path import Path, PathSignature, PathTable
 from repro.trace.recorder import PathTrace
 
@@ -124,6 +128,145 @@ def test_digest_sensitive_to_name_and_sequence(inputs):
     assert trace_digest(base) != trace_digest(renamed)
     extended = _build_trace(name, num_paths, sequence + [0])
     assert trace_digest(base) != trace_digest(extended)
+
+
+# One path row: (start address, (bit count, history), blocks,
+# instructions, conditional branches, ends backward).  Rows are unique
+# by signature, as a table's rows must be.
+path_rows = st.lists(
+    st.tuples(
+        st.integers(0, 2**40),
+        st.integers(0, 64).flatmap(
+            lambda bits: st.tuples(st.just(bits), st.integers(0, 2**bits - 1))
+        ),
+        st.lists(st.integers(0, 2**40), min_size=1, max_size=6),
+        st.integers(0, 10_000),
+        st.integers(0, 64),
+        st.booleans(),
+    ),
+    max_size=12,
+    unique_by=lambda row: (row[0], row[1]),
+)
+
+
+def _interned(rows) -> PathTable:
+    table = PathTable()
+    for address, (bits, history), blocks, instr, cond, ends in rows:
+        table.intern(
+            Path(
+                signature=PathSignature(address, history, bits),
+                blocks=tuple(blocks),
+                start_uid=blocks[0],
+                num_instructions=instr,
+                num_cond_branches=cond,
+                num_indirect_branches=0,
+                ends_with_backward_branch=ends,
+            )
+        )
+    return table
+
+
+def _bulk(rows) -> PathTable:
+    table = PathTable()
+    table.append_rows(
+        start_address=[row[0] for row in rows],
+        history=np.array([row[1][1] for row in rows], dtype=np.uint64),
+        bit_count=[row[1][0] for row in rows],
+        block_counts=[len(row[2]) for row in rows],
+        blocks=[block for row in rows for block in row[2]],
+        num_instructions=[row[3] for row in rows],
+        num_cond_branches=[row[4] for row in rows],
+        ends_backward=[row[5] for row in rows],
+    )
+    return table
+
+
+@given(rows=path_rows, name=st.text(min_size=1, max_size=8), seed=st.integers())
+@_settings
+def test_digest_independent_of_how_the_table_was_built(rows, name, seed):
+    """Bulk rows, interned paths and a save/load round trip of either
+    are the same content, so they digest equally."""
+    ids = np.random.default_rng(seed % 2**32).integers(
+        0, max(len(rows), 1), size=20 if rows else 0
+    )
+    bulk = PathTrace(_bulk(rows), ids, name=name)
+    interned = PathTrace(_interned(rows), ids, name=name)
+    assert list(bulk.table) == list(interned.table)
+    expected = trace_digest(interned)
+    assert trace_digest(bulk) == expected
+    with tempfile.TemporaryDirectory() as root:
+        loaded = load_trace(save_trace(bulk, f"{root}/trace"))
+    assert trace_digest(loaded) == expected
+
+
+def _sensitivity_paths() -> list[Path]:
+    """Paths covering every attribute the digest must see, including a
+    history wider than 64 bits and indirect targets."""
+    wide = (1 << 99) | 0b1011
+    return [
+        Path(
+            signature=PathSignature(0, 0b101, 3),
+            blocks=(0, 1, 2),
+            start_uid=0,
+            num_instructions=9,
+            num_cond_branches=3,
+            num_indirect_branches=0,
+        ),
+        Path(
+            signature=PathSignature(40, wide, 100, indirect_targets=(8, 12)),
+            blocks=(10, 11, 12, 13),
+            start_uid=10,
+            num_instructions=12,
+            num_cond_branches=100,
+            num_indirect_branches=2,
+            ends_with_backward_branch=False,
+        ),
+    ]
+
+
+def _replace_signature(path: Path, **changes) -> Path:
+    return dataclasses.replace(
+        path, signature=dataclasses.replace(path.signature, **changes)
+    )
+
+
+FIELD_CHANGES = {
+    "wide history": lambda p: _replace_signature(
+        p, history=p.signature.history ^ (1 << 80)
+    ),
+    "indirect target": lambda p: _replace_signature(
+        p, indirect_targets=(8, 16)
+    ),
+    "block": lambda p: dataclasses.replace(p, blocks=(10, 11, 14, 13)),
+    "ends_backward": lambda p: dataclasses.replace(
+        p, ends_with_backward_branch=True
+    ),
+    "num_instructions": lambda p: dataclasses.replace(
+        p, num_instructions=13
+    ),
+}
+
+
+@pytest.mark.parametrize("change", FIELD_CHANGES.values(), ids=FIELD_CHANGES)
+def test_digest_sensitive_to_every_path_field(change):
+    def digest(paths: list[Path]) -> str:
+        table = PathTable()
+        for path in paths:
+            table.intern(path)
+        return trace_digest(PathTrace(table, [0, 1, 1], name="fields"))
+
+    paths = _sensitivity_paths()
+    assert digest(paths) == digest(_sensitivity_paths())
+    assert digest([paths[0], change(paths[1])]) != digest(paths)
+
+
+def test_digest_of_column_restored_trace_raises():
+    trace = _build_trace("restored", 3, [0, 1, 2, 1])
+    restored = PathTrace.from_columns(
+        trace.name, trace.num_paths, trace.path_ids, trace.static_columns()
+    )
+    with pytest.raises(TraceError, match="column-restored"):
+        trace_digest(restored)
 
 
 @given(

@@ -109,15 +109,42 @@ def test_summarize(fig1_program):
     assert "fig1" in summary.render()
 
 
+def _bulk_two_path_trace() -> PathTrace:
+    """``_two_path_trace``'s content, appended to its table in bulk."""
+    table = PathTable()
+    a, b = table.append_rows(
+        start_address=[0, 40],
+        history=[1, 0],
+        bit_count=1,
+        block_counts=[3, 2],
+        blocks=[0, 1, 2, 10, 11],
+        num_instructions=[9, 6],
+        num_cond_branches=1,
+        ends_backward=True,
+    )
+    return PathTrace(table, [a, b, a, a, b], name="two-path")
+
+
 def test_pickle_excludes_derived_cache():
     """A cache-warmed trace pickles to the same bytes as a cold one.
 
     Regression for the pool-payload bloat bug: warming freqs and the
     occurrence index used to ship the whole derived-array cache with
     every pickled trace.  NET's per-trace rank memo is derived state
-    too.
+    too, and so are the table's memoized paths, its signature index
+    and its static columns, whether its rows were interned or appended
+    in bulk.
     """
     cold = _two_path_trace()
+    assert pickle.dumps(_bulk_two_path_trace()) == pickle.dumps(cold)
+
+    for build in (_two_path_trace, _bulk_two_path_trace):
+        touched = build()
+        first = touched.table.path(0)
+        assert touched.table.lookup(first.signature) == 0
+        touched.table.static_columns()
+        assert touched.table.path(1) is touched.table.path(1)
+        assert pickle.dumps(touched) == pickle.dumps(cold)
 
     warm = _two_path_trace()
     warm.freqs()

@@ -63,6 +63,13 @@ def test_nested_region_structure():
     assert region.inner_exit_id in chunk
 
 
+def test_factory_rejects_blockless_paths():
+    factory = PathFactory()
+    factory.make_tail_path(factory.allocate_region(4), variant=0, num_blocks=0)
+    with pytest.raises(WorkloadError, match="at least one block"):
+        factory.table
+
+
 def test_build_region_dispatches():
     factory = PathFactory()
     assert isinstance(
