@@ -8,50 +8,34 @@ NET turns the speedups into slowdowns, live.
 Two legs:
 
 * ``test_mini_dynamo`` — the modeled-cycle scheme comparison (NET vs
-  path-profile steady-state speedups) on the default fragment tier;
+  path-profile steady-state speedups) on the default compiled tier;
 * ``test_tier_speedup`` — the *wall-clock* execution-tier comparison:
-  plain interpretation vs step-interpreted fragments vs
-  closure-compiled superblocks, proven digest- and counter-identical
-  before any timing is trusted.  Emits ``BENCH_dynamo.json`` and, at
-  full scale, gates a real ≥2x compiled-vs-interpreted-fragments floor
-  the way ``BENCH_events.json`` gates the columnar floor.
+  plain interpretation vs closure-compiled superblocks, proven
+  digest-identical before any timing is trusted.  Emits
+  ``BENCH_dynamo.json`` and, at full scale, gates a real ≥2x
+  compiled-vs-interpreter floor the way ``BENCH_events.json`` gates the
+  columnar floor.  (The compiled tier's counters and checkpoints are
+  proven equal to a step-by-step fragment replay in the test suite.)
 """
 
 import time
 
 from conftest import BENCH_FLOW_SCALE, emit, emit_json
 
-from repro.dynamo import DynamoVM
+from repro.dynamo import TIERS, DynamoVM
 from repro.experiments.report import fmt, render_table
 from repro.isa import run_to_completion
 from repro.isa.programs import ALL_PROGRAMS, demo_memory
 
 MAX_STEPS = 200_000_000
 
-#: Full-scale wall-clock floor: compiled fragments must run at least
-#: this much faster than step-interpreted fragments on every hot-loop
-#: program (measured 6.7–29x; the floor leaves margin for slow CI).
+#: Full-scale wall-clock floor: the compiled tier must run at least this
+#: much faster than plain interpretation on every hot-loop program
+#: (measured 6.6–37x; the floor leaves margin for slow CI).
 MIN_COMPILED_SPEEDUP = 2.0
 
 #: Every bundled program is loop-dominated enough to be gated.
 HOT_LOOP_PROGRAMS = tuple(sorted(ALL_PROGRAMS))
-
-#: VMStats fields that must agree exactly between the fragments and
-#: compiled tiers (the compiled-only link/compile counters excluded).
-SHARED_STAT_FIELDS = (
-    "interpreted_instructions",
-    "fragment_instructions",
-    "counter_bumps",
-    "shift_ops",
-    "table_ops",
-    "recorded_instructions",
-    "fragments_built",
-    "fragment_entries",
-    "fragment_completions",
-    "linked_transfers",
-    "guard_exits",
-    "flushes",
-)
 
 
 def run_all():
@@ -148,7 +132,7 @@ def run_tiers():
         memory = demo_memory(name, scale=BENCH_FLOW_SCALE)
         program = module.build()
         row = {"name": name, "tiers": {}}
-        for tier in ("interp", "fragments", "compiled"):
+        for tier in TIERS:
             vm, result, elapsed = _timed_run(program, memory, tier)
             stats = result.stats
             total = (
@@ -170,21 +154,12 @@ def test_tier_speedup(benchmark, results_dir):
     rows = benchmark.pedantic(run_tiers, rounds=1, iterations=1)
 
     # Correctness first: no timing is reported unless the compiled tier
-    # is digest-identical to both other tiers and counter-identical to
-    # the fragments tier, on every program.
+    # is digest-identical to plain interpretation on every program.
     for row in rows:
-        name = row["name"]
         tiers = row["tiers"]
         assert (
-            tiers["interp"]["digest"]
-            == tiers["fragments"]["digest"]
-            == tiers["compiled"]["digest"]
-        ), name
-        frag, comp = tiers["fragments"]["stats"], tiers["compiled"]["stats"]
-        for field_name in SHARED_STAT_FIELDS:
-            assert getattr(frag, field_name) == getattr(
-                comp, field_name
-            ), (name, field_name)
+            tiers["interp"]["digest"] == tiers["compiled"]["digest"]
+        ), row["name"]
 
     table_rows = []
     payload_programs = {}
@@ -193,19 +168,15 @@ def test_tier_speedup(benchmark, results_dir):
         name = row["name"]
         tiers = row["tiers"]
         interp_s = tiers["interp"]["seconds"]
-        frag_s = tiers["fragments"]["seconds"]
         comp_s = tiers["compiled"]["seconds"]
-        vs_frag = frag_s / comp_s if comp_s > 0 else float("inf")
         vs_interp = interp_s / comp_s if comp_s > 0 else float("inf")
-        speedups.append(vs_frag)
+        speedups.append(vs_interp)
         table_rows.append(
             [
                 name,
                 f"{tiers['compiled']['instructions']:,}",
                 fmt(tiers["interp"]["mips"], 2),
-                fmt(tiers["fragments"]["mips"], 2),
                 fmt(tiers["compiled"]["mips"], 2),
-                fmt(vs_frag, 2) + "x",
                 fmt(vs_interp, 2) + "x",
             ]
         )
@@ -216,12 +187,10 @@ def test_tier_speedup(benchmark, results_dir):
                     "seconds": tiers[tier]["seconds"],
                     "mips": tiers[tier]["mips"],
                 }
-                for tier in ("interp", "fragments", "compiled")
+                for tier in TIERS
             },
-            "speedup_compiled_vs_fragments": vs_frag,
             "speedup_compiled_vs_interp": vs_interp,
             "digest_identical": True,
-            "stats_identical": True,
             "compiled_fragments": (
                 tiers["compiled"]["stats"].fragments_compiled
             ),
@@ -235,16 +204,14 @@ def test_tier_speedup(benchmark, results_dir):
             "program",
             "instructions",
             "interp MIPS",
-            "fragments MIPS",
             "compiled MIPS",
-            "vs fragments",
             "vs interp",
         ],
         rows=table_rows,
         title=(
             "Execution tiers, wall clock (τ=20, scale="
             f"{BENCH_FLOW_SCALE:g}) · min {min_speedup:.2f}x, "
-            f"mean {mean_speedup:.2f}x compiled vs fragments"
+            f"mean {mean_speedup:.2f}x compiled vs interp"
         ),
     )
     emit(results_dir, "dynamo_tiers", text)
@@ -259,16 +226,16 @@ def test_tier_speedup(benchmark, results_dir):
             "min_compiled_speedup": MIN_COMPILED_SPEEDUP,
             "hot_loop_programs": list(HOT_LOOP_PROGRAMS),
             "programs": payload_programs,
-            "min_speedup_vs_fragments": min_speedup,
-            "mean_speedup_vs_fragments": mean_speedup,
+            "min_speedup_vs_interp": min_speedup,
+            "mean_speedup_vs_interp": mean_speedup,
         },
     )
 
     # At any scale the compiled tier must win in aggregate (per-program
     # smoke timings are too small to be stable, totals are not).
-    total_frag = sum(r["tiers"]["fragments"]["seconds"] for r in rows)
+    total_interp = sum(r["tiers"]["interp"]["seconds"] for r in rows)
     total_comp = sum(r["tiers"]["compiled"]["seconds"] for r in rows)
-    assert total_comp < total_frag, (total_comp, total_frag)
+    assert total_comp < total_interp, (total_comp, total_interp)
 
     # Full scale: the real wall-clock floor, per hot-loop program.
     if gate_armed:
@@ -276,7 +243,7 @@ def test_tier_speedup(benchmark, results_dir):
             if row["name"] not in HOT_LOOP_PROGRAMS:
                 continue
             tiers = row["tiers"]
-            vs_frag = (
-                tiers["fragments"]["seconds"] / tiers["compiled"]["seconds"]
+            vs_interp = (
+                tiers["interp"]["seconds"] / tiers["compiled"]["seconds"]
             )
-            assert vs_frag >= MIN_COMPILED_SPEEDUP, (row["name"], vs_frag)
+            assert vs_interp >= MIN_COMPILED_SPEEDUP, (row["name"], vs_interp)

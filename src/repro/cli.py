@@ -18,7 +18,7 @@ Commands
     Dynamo simulation cells for one benchmark.
 ``minidynamo [PROGRAM…]``
     Execute real ISA programs through the miniature Dynamo VM at a
-    chosen execution tier (``interp`` / ``fragments`` / ``compiled``)
+    chosen execution tier (``interp`` / ``compiled``)
     and report wall-clock MIPS and fragment-cache behaviour.
 ``save-trace BENCH FILE`` / ``trace-info FILE``
     Persist a benchmark trace / summarize a saved trace file.
@@ -856,8 +856,8 @@ def build_parser() -> argparse.ArgumentParser:
     minidynamo.add_argument(
         "--tier",
         choices=TIERS,
-        default="compiled",
-        help="execution tier (default: compiled)",
+        default=DEFAULT_CONFIG.tier,
+        help="execution tier (default: %(default)s)",
     )
     minidynamo.add_argument(
         "--scheme", choices=("net", "path-profile"), default="net"

@@ -1,11 +1,11 @@
 """Compiled fragment tier: closure-specialized superblocks with linking.
 
-The interpreted fragment tier (:meth:`repro.dynamo.vm.DynamoVM._run_fragment`)
-re-dispatches one :class:`~repro.dynamo.vm.VMStep` at a time — every hot
-instruction pays a step-object fetch, a kind string compare, operand
-attribute lookups and a call into the machine's semantics.  This module
-removes all of it: each recorded fragment is compiled, once, into a
-specialized Python closure whose body *is* the trace:
+Replaying a recorded fragment one :class:`~repro.dynamo.vm.VMStep` at a
+time makes every hot instruction pay a step-object fetch, a kind string
+compare, operand attribute lookups and a call into the machine's
+semantics — no faster than plain interpretation.  This module removes
+all of it: each recorded fragment is compiled, once, into a specialized
+Python closure whose body *is* the trace:
 
 * operands are pre-decoded into literal list indices and immediates at
   compile time — the closure only ever touches ``r[3]``, never
@@ -26,8 +26,9 @@ cell that points at the victim so a stale closure can never be entered.
 
 Correctness is proven, not assumed: :func:`state_digest` hashes the full
 architectural state (output, registers, memory, call stack) and the test
-suite requires compiled execution to be digest-identical — and
-counter-identical — to the interpreted fragment tier on every bundled
+suite requires compiled execution to be digest-identical to the plain
+interpreter, and counter- and checkpoint-identical to a step-by-step
+fragment replay kept there as the reference oracle, on every bundled
 ISA program (the PR 5 proof pattern applied to execution tiers).
 """
 

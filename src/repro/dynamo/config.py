@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 from repro.errors import DynamoError
 
-#: Execution tiers of the miniature Dynamo VM, slowest to fastest:
-#: ``interp`` runs the plain interpreter with no profiling at all,
-#: ``fragments`` interprets recorded fragments one VMStep at a time,
-#: ``compiled`` runs fragments as closure-specialized superblocks with
-#: direct fragment→fragment linking (see :mod:`repro.dynamo.compiler`).
-TIERS = ("interp", "fragments", "compiled")
+#: Execution tiers of the miniature Dynamo VM: ``interp`` runs the plain
+#: interpreter with no profiling at all (the baseline), ``compiled``
+#: profiles, records and runs fragments as closure-specialized
+#: superblocks with direct fragment→fragment linking (see
+#: :mod:`repro.dynamo.compiler`).
+TIERS = ("interp", "compiled")
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class DynamoConfig:
     bail_out_overhead: float = 0.02
     amortization: float = 40.0
     steady_state_fraction: float = 0.25
-    tier: str = "fragments"
+    tier: str = "compiled"
 
     def __post_init__(self) -> None:
         if self.tier not in TIERS:

@@ -20,29 +20,28 @@ executes real programs the way the paper's system does:
 5. plant **exit counters** on guard exits — Dynamo's secondary trace
    heads — so the working set's other hot tails materialize too.
 
-Fragment execution comes in three tiers (:data:`repro.dynamo.config.TIERS`):
+The VM runs in one of two tiers (:data:`repro.dynamo.config.TIERS`):
 
 ``interp``
     The honest baseline: plain interpretation, no profiling, no
     fragments.  What running the program costs without Dynamo.
-``fragments``
-    The default: recorded fragments are re-interpreted one
-    :class:`VMStep` at a time by :meth:`DynamoVM._run_fragment`.
 ``compiled``
-    Each fragment is additionally compiled — once — into a specialized
-    Python closure (:mod:`repro.dynamo.compiler`): operands pre-decoded,
-    straight-line arithmetic inlined, guards straightened into
-    early-return exit stubs, superblock back-edges looping inside the
-    closure, and completion/guard exits linked directly to the successor
-    fragment's closure so hot code never re-enters the dispatcher.
+    The default: each recorded fragment is compiled — once — into a
+    specialized Python closure (:mod:`repro.dynamo.compiler`): operands
+    pre-decoded, straight-line arithmetic inlined, guards straightened
+    into early-return exit stubs, superblock back-edges looping inside
+    the closure, and completion/guard exits linked directly to the
+    successor fragment's closure so hot code never re-enters the
+    dispatcher.
 
 Correctness is testable, not assumed: for every bundled program the VM's
 output must equal the plain interpreter's, whatever mix of interpreted
 and fragment execution produced it — and the compiled tier must be
-digest-identical (:meth:`DynamoVM.state_digest`) *and* counter-identical
-to the interpreted fragment tier.  The VM also keeps the same cycle
-accounting as the cost model, so measured speedups of real executions
-can be compared with the simulator's.
+digest-identical (:meth:`DynamoVM.state_digest`) to ``interp`` *and*
+counter- and checkpoint-identical to a pass-by-pass fragment replay
+(the reference oracle in the test suite).  The VM also keeps the same
+cycle accounting as the cost model, so measured speedups of real
+executions can be compared with the simulator's.
 """
 
 from __future__ import annotations
@@ -127,9 +126,9 @@ class VMStats:
     linked_transfers: int = 0
     guard_exits: int = 0
     flushes: int = 0
-    #: Compiled tier only: closures built over the run (survives flushes).
+    #: Closures built over the run (survives flushes; 0 under ``interp``).
     fragments_compiled: int = 0
-    #: Compiled tier only: superblock link cells patched / unpatched.
+    #: Superblock link cells patched / unpatched (0 under ``interp``).
     link_patches: int = 0
     link_unpatches: int = 0
 
@@ -196,7 +195,7 @@ class VMResult:
     output: list[int]
     stats: VMStats
     fragments: dict[int, VMFragment] = field(default_factory=dict)
-    #: Compiled tier: resident closures by head pc at run end.
+    #: Resident closures by head pc at run end (empty under ``interp``).
     compiled: dict[int, CompiledFragment] = field(default_factory=dict)
     #: Periodic (interpreted, fragment, shift-op, table-op) checkpoints.
     checkpoints: list[tuple[int, int, int, int]] = field(
@@ -266,9 +265,9 @@ class DynamoVM:
         policy) and restarts the counters.
     tier:
         Execution tier, one of :data:`repro.dynamo.config.TIERS`:
-        ``interp`` (plain interpreter, no profiling), ``fragments``
-        (step-interpreted fragments — the default) or ``compiled``
-        (closure-specialized superblocks with linking).
+        ``interp`` (plain interpreter, no profiling) or ``compiled``
+        (closure-specialized superblocks with linking).  Defaults to
+        ``DEFAULT_CONFIG.tier``.
     obs:
         Optional metrics registry; the VM's accounting is published
         under ``vm.*`` relative to it when a run finishes.  Without it
@@ -283,7 +282,7 @@ class DynamoVM:
         max_trace_instructions: int = DEFAULT_MAX_TRACE_INSTRUCTIONS,
         cache_budget_instructions: int = 60_000,
         memory_words: int = DEFAULT_MEMORY_WORDS,
-        tier: str = "fragments",
+        tier: str = DEFAULT_CONFIG.tier,
         obs: Registry | None = None,
     ):
         if delay < 0:
@@ -316,8 +315,8 @@ class DynamoVM:
 
         The PR 5 proof pattern applied to execution tiers: two runs that
         agree on this digest produced the same output, registers, memory
-        and call stack, whatever mix of interpreted, step-interpreted
-        and compiled execution got them there.
+        and call stack, whatever mix of interpreted and compiled
+        execution got them there.
         """
         return state_digest(self._machine)
 
@@ -354,9 +353,7 @@ class DynamoVM:
         cond_branches = COND_BRANCHES
         max_trace = self.max_trace_instructions
         stats = VMStats()
-        fragments: dict[int, VMFragment] = {}
-        compiled_tier = self.tier == "compiled"
-        ccache = CompiledCache() if compiled_tier else None
+        ccache = CompiledCache()
         occupancy = 0
         counters: dict[int, int] = {}
         hot: set[int] = set()
@@ -374,7 +371,7 @@ class DynamoVM:
 
         def bump(target_pc: int) -> None:
             nonlocal recording, recording_head
-            if target_pc in hot or target_pc in fragments:
+            if target_pc in hot or target_pc in ccache:
                 return
             count = counters.get(target_pc, 0) + 1
             counters[target_pc] = count
@@ -393,18 +390,14 @@ class DynamoVM:
             stats.recorded_instructions += len(trace)
             stats.fragments_built += 1
             if occupancy + fragment.num_instructions > self.cache_budget:
-                fragments.clear()
-                if ccache is not None:
-                    ccache.flush()
+                ccache.flush()
                 occupancy = 0
                 counters.clear()
                 hot.clear()
                 path_counts.clear()
                 stats.flushes += 1
-            fragments[fragment.head_pc] = fragment
             occupancy += fragment.num_instructions
-            if ccache is not None:
-                ccache.install(compile_fragment(machine, fragment))
+            ccache.install(compile_fragment(machine, fragment))
 
         def finish_recording(final_target: int) -> None:
             nonlocal recording, recording_head
@@ -421,7 +414,7 @@ class DynamoVM:
             key = (segment_head, tuple(segment_bits))
             count = path_counts.get(key, 0) + 1
             path_counts[key] = count
-            if count > self.delay and segment_head not in fragments:
+            if count > self.delay and segment_head not in ccache:
                 install(list(segment), segment_head, final_target)
             segment = []
             segment_head = final_target
@@ -441,15 +434,15 @@ class DynamoVM:
                 next_checkpoint += 2048
 
         def finish() -> VMResult:
-            if ccache is not None:
-                stats.fragments_compiled = ccache.compiles
-                stats.link_patches = ccache.link_patches
-                stats.link_unpatches = ccache.link_unpatches
+            stats.fragments_compiled = ccache.compiles
+            stats.link_patches = ccache.link_patches
+            stats.link_unpatches = ccache.link_unpatches
+            resident = ccache.resident()
             return VMResult(
                 output=state.output,
                 stats=stats,
-                fragments=fragments,
-                compiled=ccache.resident() if ccache is not None else {},
+                fragments={pc: cf.fragment for pc, cf in resident.items()},
+                compiled=resident,
                 checkpoints=checkpoints,
             )
 
@@ -458,122 +451,76 @@ class DynamoVM:
                 raise MachineLimitExceeded(steps)
             checkpoint()
 
-            if compiled_tier:
-                cf = ccache.get(state.pc)
-                if cf is not None and recording is None:
+            cf = ccache.get(state.pc)
+            if cf is not None and recording is None:
+                if path_profile:
+                    segment = []
+                    segment_bits = []
+                stats.fragment_entries += 1
+                while cf is not None:
+                    # Fuel runs out on the pass that reaches the next
+                    # checkpoint (or max_steps), so a self-looping
+                    # superblock returns there and every checkpoint
+                    # samples the counts a pass-by-pass replay would.
+                    linked, exit_pc, completed, executed, iters = cf.fn(
+                        min(max_steps, next_checkpoint) - steps
+                    )
+                    frag = cf.fragment
+                    frag.executions += iters
+                    stats.fragment_instructions += executed
+                    # Every pass charges the full fragment size even
+                    # when a guard exits early, and each internal
+                    # superblock back-edge is a completed, linked
+                    # execution that counted its own path.
+                    steps += iters * cf.num_instructions
+                    back_edges = iters - 1
+                    if back_edges:
+                        stats.linked_transfers += back_edges
+                        frag.completions += back_edges
+                        stats.fragment_completions += back_edges
+                        if path_profile:
+                            stats.shift_ops += cf.n_guard_conds * back_edges
+                            stats.table_ops += back_edges
+                    checkpoint()
+                    if steps >= max_steps:
+                        raise MachineLimitExceeded(steps)
+                    if exit_pc is None:
+                        # The halting pass never reaches its path end.
+                        return finish()
+                    state.pc = exit_pc
                     if path_profile:
+                        # The instrumented fragment counted its last
+                        # pass's path; the interpreter resumes a fresh
+                        # segment here.
+                        stats.shift_ops += cf.n_guard_conds
+                        stats.table_ops += 1
                         segment = []
+                        segment_head = exit_pc
                         segment_bits = []
-                    stats.fragment_entries += 1
-                    while cf is not None:
-                        linked, exit_pc, completed, executed, iters = cf.fn(
-                            max_steps - steps
-                        )
-                        frag = cf.fragment
-                        frag.executions += iters
-                        stats.fragment_instructions += executed
-                        # Accounting identity with the fragments tier:
-                        # every pass charges the full fragment size even
-                        # when a guard exits early, and each internal
-                        # superblock back-edge is a completed, linked
-                        # execution.
-                        steps += iters * cf.num_instructions
-                        back_edges = iters - 1
-                        if back_edges:
-                            stats.linked_transfers += back_edges
-                            frag.completions += back_edges
-                            stats.fragment_completions += back_edges
-                        checkpoint()
-                        if steps >= max_steps:
-                            raise MachineLimitExceeded(steps)
-                        if path_profile:
-                            # The halting pass never reaches its path
-                            # end; every other pass counted its own path
-                            # exactly like the fragments tier.
-                            passes = (
-                                iters if exit_pc is not None else back_edges
-                            )
-                            if passes:
-                                stats.shift_ops += cf.n_guard_conds * passes
-                                stats.table_ops += passes
-                        if exit_pc is None:
-                            return finish()
-                        state.pc = exit_pc
-                        if path_profile:
-                            segment = []
-                            segment_head = exit_pc
-                            segment_bits = []
-                        if completed:
-                            frag.completions += 1
-                            stats.fragment_completions += 1
-                            if linked is not None:
-                                stats.linked_transfers += 1
+                    if completed:
+                        frag.completions += 1
+                        stats.fragment_completions += 1
+                        if linked is not None:
+                            stats.linked_transfers += 1
+                        cf = linked
+                    else:
+                        frag.guard_exits += 1
+                        stats.guard_exits += 1
+                        if linked is EXIT_LOOKUP:
+                            linked = ccache.get(exit_pc)
+                        if linked is not None:
+                            # Exit-stub linking: Dynamo patches guard
+                            # exits to jump straight into the target
+                            # fragment — no dispatch, no interpreter.
+                            stats.linked_transfers += 1
                             cf = linked
                         else:
-                            frag.guard_exits += 1
-                            stats.guard_exits += 1
-                            if linked is EXIT_LOOKUP:
-                                linked = ccache.get(exit_pc)
-                            if linked is not None:
-                                stats.linked_transfers += 1
-                                cf = linked
-                            else:
-                                if not path_profile:
-                                    bump(exit_pc)
-                                cf = None
-                    continue
-            else:
-                fragment = fragments.get(state.pc)
-                if fragment is not None and recording is None:
-                    if path_profile:
-                        segment = []
-                        segment_bits = []
-                    stats.fragment_entries += 1
-                    while fragment is not None:
-                        exit_pc, completed = self._run_fragment(
-                            fragment, stats
-                        )
-                        steps += fragment.num_instructions
-                        checkpoint()
-                        if steps >= max_steps:
-                            raise MachineLimitExceeded(steps)
-                        if exit_pc is None:
-                            return finish()
-                        state.pc = exit_pc
-                        if path_profile:
-                            # The instrumented fragment counted its own
-                            # path; the interpreter resumes a fresh
-                            # segment here.
-                            stats.shift_ops += sum(
-                                1
-                                for step in fragment.steps
-                                if step.kind == "guard_cond"
-                            )
-                            stats.table_ops += 1
-                            segment = []
-                            segment_head = exit_pc
-                            segment_bits = []
-                        next_fragment = fragments.get(exit_pc)
-                        if not completed:
-                            if next_fragment is not None:
-                                # Exit-stub linking: Dynamo patches guard
-                                # exits to jump straight into the target
-                                # fragment — no dispatch, no interpreter.
-                                stats.linked_transfers += 1
-                                fragment = next_fragment
-                            else:
-                                if not path_profile:
-                                    # Cold exit: plant a secondary trace
-                                    # head (NET's exit counters).
-                                    bump(exit_pc)
-                                fragment = None
-                        else:
-                            fragment.completions += 1
-                            stats.fragment_completions += 1
-                            if next_fragment is not None:
-                                stats.linked_transfers += 1
-                            fragment = next_fragment
-                    continue
+                            if not path_profile:
+                                # Cold exit: plant a secondary trace
+                                # head (NET's exit counters).
+                                bump(exit_pc)
+                            cf = None
+                continue
 
             # ----------------------------------------------------------
             # Interpret one instruction.
@@ -783,86 +730,6 @@ class DynamoVM:
             final_target=final_target,
             created_at_step=at_step,
         )
-
-    # ------------------------------------------------------------------
-    def _run_fragment(
-        self, fragment: VMFragment, stats: VMStats
-    ) -> tuple[int | None, bool]:
-        """Execute a fragment; returns (exit pc or None-on-halt, completed).
-
-        ``completed`` is True when every guard passed and execution
-        reaches the fragment's final target (eligible for linking).
-        """
-        machine = self._machine
-        state = machine.state
-        # Hot-loop locals: one binding per fragment execution instead of
-        # one attribute walk per step.
-        regs = state.registers
-        memory = state.memory
-        call_stack = state.call_stack
-        execute = machine._execute_straightline
-        compare = machine._compare
-        fragment.executions += 1
-        executed = 0
-
-        for step in fragment.steps:
-            executed += 1
-            instr = step.instruction
-            kind = step.kind
-            if kind == "exec":
-                if instr.op is Op.CALL:
-                    call_stack.append(step.pc + 1)
-                    continue
-                # One store, no save/restore: every exit path below (and
-                # the dispatcher on return) overwrites state.pc anyway,
-                # and faults should report the faulting instruction.
-                state.pc = step.pc
-                execute(instr, regs, memory)
-                continue
-            if kind == "guard_cond":
-                taken = compare(instr.op, regs[instr.rs], regs[instr.rt])
-                if taken != step.expected_taken:
-                    fragment.guard_exits += 1
-                    stats.guard_exits += 1
-                    stats.fragment_instructions += executed
-                    return (
-                        instr.target if taken else step.pc + 1
-                    ), False
-                continue
-            if kind == "guard_target":
-                target = regs[instr.rs]
-                matched = target == step.expected_target
-                if not matched:
-                    # The recorded target was validated when the trace
-                    # was interpreted; only a diverging target needs the
-                    # leader check.
-                    machine._check_leader(
-                        target, "jr" if instr.op is Op.JR else "callr"
-                    )
-                if instr.op is Op.CALLR:
-                    call_stack.append(step.pc + 1)
-                if not matched:
-                    fragment.guard_exits += 1
-                    stats.guard_exits += 1
-                    stats.fragment_instructions += executed
-                    return target, False
-                continue
-            if kind == "guard_ret":
-                if not call_stack:
-                    stats.fragment_instructions += executed
-                    return None, False  # return from main: halt
-                target = call_stack.pop()
-                if target != step.expected_target:
-                    fragment.guard_exits += 1
-                    stats.guard_exits += 1
-                    stats.fragment_instructions += executed
-                    return target, False
-                continue
-            if kind == "halt":
-                stats.fragment_instructions += executed
-                return None, False
-        stats.fragment_instructions += executed
-        return fragment.final_target, True
 
 
 def run_mini_dynamo(

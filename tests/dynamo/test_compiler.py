@@ -2,15 +2,18 @@
 
 The contract under test is the PR 5 proof pattern applied to execution
 tiers: ``compiled`` must be digest-identical (output, registers, memory,
-call stack) to both other tiers and counter-identical to ``fragments``
-on every bundled program, under every cache/flush/trace-cap regime.
-Link patching (install, eviction, guard-exit retargeting, flush) is
-unit-tested against :class:`repro.dynamo.compiler.CompiledCache`.
+call stack) to ``interp`` and to the step-by-step fragment replay kept
+as the reference oracle (:mod:`tests.dynamo.replay_oracle`), and
+counter- and checkpoint-identical to that oracle, on every bundled
+program under every cache/flush/trace-cap regime.  Link patching
+(install, eviction, guard-exit retargeting, flush) is unit-tested
+against :class:`repro.dynamo.compiler.CompiledCache`.
 """
 
 import pytest
 
 from repro.dynamo import (
+    DEFAULT_CONFIG,
     TIERS,
     CompiledCache,
     DynamoConfig,
@@ -22,49 +25,34 @@ from repro.dynamo import (
 from repro.errors import DynamoError, MachineError, MachineLimitExceeded
 from repro.isa import assemble
 from repro.isa.machine import Machine
-from repro.isa.programs import ALL_PROGRAMS, demo_memory, rle, sort
-
-#: VMStats fields the fragments and compiled tiers must agree on
-#: exactly; the compiled-only counters (fragments_compiled,
-#: link_patches, link_unpatches) legitimately differ from zero.
-SHARED_STAT_FIELDS = (
-    "interpreted_instructions",
-    "fragment_instructions",
-    "counter_bumps",
-    "shift_ops",
-    "table_ops",
-    "recorded_instructions",
-    "fragments_built",
-    "fragment_entries",
-    "fragment_completions",
-    "linked_transfers",
-    "guard_exits",
-    "flushes",
-)
+from repro.isa.programs import ALL_PROGRAMS, demo_memory, rle, sort, stackvm
+from tests.dynamo.replay_oracle import assert_same_accounting, make_vm
 
 #: Small per-program inputs that still build and reuse fragments.
 SMALL_INPUT_SCALE = 0.2
 
+#: The production tiers plus the replay oracle.
+RUNS = TIERS + ("replay",)
+
 
 def _run_tier(program, memory, tier, **kwargs):
-    vm = DynamoVM(program, tier=tier, **kwargs)
+    vm = make_vm(program, tier, **kwargs)
     vm.load_memory(memory)
     result = vm.run(max_steps=50_000_000)
     return vm, result
 
 
 def assert_tier_identity(program, memory, **kwargs):
-    """All three tiers digest-equal; fragments == compiled on stats."""
+    """interp, replay and compiled digest-equal; compiled counts, and
+    checkpoints, exactly what the replay oracle does."""
     digests = {}
     results = {}
-    for tier in TIERS:
+    for tier in RUNS:
         vm, result = _run_tier(program, memory, tier, **kwargs)
         digests[tier] = vm.state_digest()
         results[tier] = result
-    assert digests["interp"] == digests["fragments"] == digests["compiled"]
-    frag, comp = results["fragments"].stats, results["compiled"].stats
-    for field in SHARED_STAT_FIELDS:
-        assert getattr(frag, field) == getattr(comp, field), field
+    assert digests["interp"] == digests["replay"] == digests["compiled"]
+    assert_same_accounting(results["replay"], results["compiled"])
     return results
 
 
@@ -111,18 +99,41 @@ def test_tiers_identical_under_short_traces():
 
 
 def test_compiled_respects_max_steps():
-    """The self-loop fuel check: both tiers stop on the same step."""
+    """The self-loop fuel check: compiled stops on the oracle's step."""
     program = rle.build()
     memory = rle.make_memory(seed=3, size=4000)
     for max_steps in (3000, 12345):
         outcomes = {}
-        for tier in ("fragments", "compiled"):
-            vm = DynamoVM(program, delay=5, tier=tier)
+        for tier in ("replay", "compiled"):
+            vm = make_vm(program, tier, delay=5)
             vm.load_memory(memory)
             with pytest.raises(MachineLimitExceeded) as err:
                 vm.run(max_steps=max_steps)
             outcomes[tier] = (err.value.args, vm.state_digest())
-        assert outcomes["fragments"] == outcomes["compiled"]
+        assert outcomes["replay"] == outcomes["compiled"]
+
+
+def test_checkpoints_sampled_inside_superblock_loops():
+    """Regression: a self-looping superblock used to run past several
+    2048-step checkpoints in one closure call, and to charge its
+    back-edge passes' path-profile ops after the checkpoint, so the
+    checkpoint series (and steady_rate) drifted from the replay tier's
+    (4.93845 instead of 4.92122 here)."""
+    kwargs = dict(
+        delay=29,
+        scheme="path-profile",
+        max_trace_instructions=32,
+        cache_budget_instructions=16,
+    )
+    memory = demo_memory("stackvm", scale=0.04)
+    results = {
+        tier: _run_tier(stackvm.build(), memory, tier, **kwargs)[1]
+        for tier in ("replay", "compiled")
+    }
+    assert_same_accounting(results["replay"], results["compiled"])
+    assert results["compiled"].steady_rate() == pytest.approx(
+        4.92122, abs=5e-6
+    )
 
 
 # ----------------------------------------------------------------------
@@ -143,12 +154,12 @@ loop:
 """
     program = assemble(source)
     errors = {}
-    for tier in ("fragments", "compiled"):
-        vm = DynamoVM(program, delay=0, tier=tier)
+    for tier in ("replay", "compiled"):
+        vm = make_vm(program, tier, delay=0)
         with pytest.raises(MachineError) as err:
             vm.run(max_steps=100_000)
         errors[tier] = str(err.value)
-    assert errors["fragments"] == errors["compiled"]
+    assert errors["replay"] == errors["compiled"]
     assert "division by zero at instruction" in errors["compiled"]
 
 
@@ -172,12 +183,12 @@ loop:
     program = assemble(grow)
     digests = {}
     outputs = {}
-    for tier in ("fragments", "compiled"):
-        vm = DynamoVM(program, delay=0, tier=tier)
+    for tier in ("replay", "compiled"):
+        vm = make_vm(program, tier, delay=0)
         result = vm.run(max_steps=100_000)
         digests[tier] = vm.state_digest()
         outputs[tier] = result.output
-    assert digests["fragments"] == digests["compiled"]
+    assert digests["replay"] == digests["compiled"]
     assert outputs["compiled"] == [39]
 
     fault = """
@@ -195,12 +206,12 @@ loop:
 """
     program = assemble(fault)
     errors = {}
-    for tier in ("fragments", "compiled"):
-        vm = DynamoVM(program, delay=0, tier=tier)
+    for tier in ("replay", "compiled"):
+        vm = make_vm(program, tier, delay=0)
         with pytest.raises(MachineError) as err:
             vm.run(max_steps=100_000)
         errors[tier] = str(err.value)
-    assert errors["fragments"] == errors["compiled"]
+    assert errors["replay"] == errors["compiled"]
 
 
 # ----------------------------------------------------------------------
@@ -218,8 +229,8 @@ loop:
 .endproc
 """
     program = assemble(source)
-    for tier in ("fragments", "compiled"):
-        vm = DynamoVM(program, delay=2, tier=tier)
+    for tier in ("replay", "compiled"):
+        vm = make_vm(program, tier, delay=2)
         result = vm.run(max_steps=100_000)
         # The loop fragment spins, then its guard fails and the halt
         # runs interpreted — or the halt lands inside a fragment; in
@@ -275,10 +286,20 @@ def test_interp_tier_never_profiles():
 # Tier knob validation and threading.
 def test_tier_validation():
     program = assemble(".proc main\n    halt\n.endproc")
-    with pytest.raises(DynamoError):
-        DynamoVM(program, tier="jit")
-    with pytest.raises(DynamoError):
-        DynamoConfig(tier="native")
+    assert TIERS == ("interp", "compiled")
+    # "fragments" (fragment replay) survives only as the test oracle.
+    for tier in ("jit", "fragments"):
+        with pytest.raises(DynamoError, match="unknown execution tier"):
+            DynamoVM(program, tier=tier)
+    for tier in ("native", "fragments"):
+        with pytest.raises(DynamoError, match="unknown execution tier"):
+            DynamoConfig(tier=tier)
+
+
+def test_default_tier_comes_from_the_config():
+    program = assemble(".proc main\n    halt\n.endproc")
+    assert DEFAULT_CONFIG.tier == "compiled"
+    assert DynamoVM(program).tier == DEFAULT_CONFIG.tier
 
 
 def test_config_tier_threads_through_system_and_wrapper():

@@ -1,5 +1,8 @@
 """Extension-study registry."""
 
+import hashlib
+import pathlib
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -24,6 +27,48 @@ def test_extended_ids():
         "eviction",
         "mini-dynamo",
     }
+
+
+#: ``repro extended mini-dynamo`` exactly as published: EXPERIMENTS.md's
+#: "Live mini-Dynamo" table.  The steady-state speedups are read off the
+#: VM's checkpoint series, so any drift in the VM's accounting shows here.
+PINNED_MINI_DYNAMO = """\
+Miniature Dynamo, live (τ=20)
+  program  NET steady %  path-profile steady %
+----------------------------------------------
+      rle         +12.4                  -53.3
+  stackvm         +17.6                   -9.5
+propagate         +17.6                   -0.2
+     sort         +14.7                  -19.9
+   matmul          +6.4                  -19.2
+hashtable         +17.6                  -15.2
+    lexer          +2.9                  -43.2"""
+PINNED_MINI_DYNAMO_SHA256 = (
+    "683a66a5733877c3bdcdc95a7566f9620b017987d52855df1684bbb4e40bfb4a"
+)
+
+
+def test_mini_dynamo_live_table_is_pinned():
+    text = run_extended("mini-dynamo")
+    assert text == PINNED_MINI_DYNAMO
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == PINNED_MINI_DYNAMO_SHA256
+    )
+    # EXPERIMENTS.md publishes the same numbers.
+    experiments = pathlib.Path(__file__).parents[2] / "EXPERIMENTS.md"
+    section = experiments.read_text().split("## Live mini-Dynamo")[1]
+    published = {}
+    for line in section.split("\n## ")[0].splitlines():
+        if line.startswith("| "):
+            cells = [
+                cell.strip().replace("\u2212", "-")  # typeset minus
+                for cell in line.strip("|").split("|")
+            ]
+            published[cells[0]] = cells[1:]
+    for line in PINNED_MINI_DYNAMO.splitlines()[3:]:
+        program, net, path_profile = line.split()
+        assert published[program] == [net, path_profile], program
 
 
 def test_unknown_extended_rejected():

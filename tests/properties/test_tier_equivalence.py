@@ -1,40 +1,26 @@
 """Property: execution tiers are interchangeable on every program.
 
 Hypothesis drives the whole regime space — program × prediction delay ×
-trace-length cap × cache budget (flush schedules) × scheme — and the
-three execution tiers must agree digest-exactly on the final machine
-state, with the fragments and compiled tiers also agreeing on every
-shared counter.  This is the PR 5 "prove it, don't eyeball it" pattern
-applied to the compiled superblock tier.
+trace-length cap × cache budget (flush schedules) × scheme.  The
+``interp`` and ``compiled`` tiers and the step-by-step replay oracle
+(:mod:`tests.dynamo.replay_oracle`) must agree digest-exactly on the
+final machine state, and ``compiled`` must match the oracle on every
+shared counter, the checkpoint series and the steady-state rate.  This
+is the PR 5 "prove it, don't eyeball it" pattern applied to the
+compiled superblock tier.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.dynamo import TIERS, DynamoVM
-from repro.errors import MachineLimitExceeded
+from repro.dynamo import TIERS
 from repro.isa.programs import ALL_PROGRAMS, demo_memory
+from tests.dynamo.replay_oracle import assert_same_accounting, make_vm
 
 MAX_STEPS = 30_000_000
 
 #: Small enough to run hundreds of times, big enough to loop hot.
 INPUT_SCALE = 0.04
-
-#: Shared VMStats fields that must match between fragments and compiled.
-SHARED_STAT_FIELDS = (
-    "interpreted_instructions",
-    "fragment_instructions",
-    "counter_bumps",
-    "shift_ops",
-    "table_ops",
-    "recorded_instructions",
-    "fragments_built",
-    "fragment_entries",
-    "fragment_completions",
-    "linked_transfers",
-    "guard_exits",
-    "flushes",
-)
 
 #: Programs and inputs are deterministic; build once per session.
 _PROGRAMS = {
@@ -45,21 +31,17 @@ _PROGRAMS = {
 
 def _run(name, tier, delay, max_trace, budget, scheme):
     program, memory = _PROGRAMS[name]
-    vm = DynamoVM(
+    vm = make_vm(
         program,
+        tier,
         delay=delay,
         scheme=scheme,
         max_trace_instructions=max_trace,
         cache_budget_instructions=budget,
-        tier=tier,
     )
     vm.load_memory(list(memory))
-    try:
-        result = vm.run(max_steps=MAX_STEPS)
-        stats = result.stats
-    except MachineLimitExceeded as err:  # pragma: no cover - safety net
-        result, stats = None, err.args
-    return vm.state_digest(), stats
+    result = vm.run(max_steps=MAX_STEPS)
+    return vm.state_digest(), result
 
 
 @settings(
@@ -75,22 +57,14 @@ def _run(name, tier, delay, max_trace, budget, scheme):
     scheme=st.sampled_from(["net", "net", "net", "path-profile"]),
 )
 def test_tiers_equivalent(name, delay, max_trace, budget, scheme):
+    regime = (name, delay, max_trace, budget, scheme)
     digests = {}
-    stats = {}
-    for tier in TIERS:
-        digests[tier], stats[tier] = _run(
+    results = {}
+    for tier in TIERS + ("replay",):
+        digests[tier], results[tier] = _run(
             name, tier, delay, max_trace, budget, scheme
         )
     assert (
-        digests["interp"] == digests["fragments"] == digests["compiled"]
-    ), (name, delay, max_trace, budget, scheme)
-    frag, comp = stats["fragments"], stats["compiled"]
-    for field in SHARED_STAT_FIELDS:
-        assert getattr(frag, field) == getattr(comp, field), (
-            name,
-            delay,
-            max_trace,
-            budget,
-            scheme,
-            field,
-        )
+        digests["interp"] == digests["replay"] == digests["compiled"]
+    ), regime
+    assert_same_accounting(results["replay"], results["compiled"], regime)

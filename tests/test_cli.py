@@ -361,7 +361,7 @@ def test_minidynamo(capsys):
 
 
 def test_minidynamo_tiers(capsys):
-    for tier in ("interp", "fragments"):
+    for tier in ("interp", "compiled"):
         assert main(
             [
                 "minidynamo",
@@ -376,6 +376,9 @@ def test_minidynamo_tiers(capsys):
         ) == 0
         out = capsys.readouterr().out
         assert f"tier={tier}" in out
+    with pytest.raises(SystemExit):
+        main(["minidynamo", "sort", "--tier", "fragments"])
+    assert "invalid choice: 'fragments'" in capsys.readouterr().err
 
 
 def test_minidynamo_metrics(capsys, tmp_path):
