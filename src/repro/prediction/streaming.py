@@ -4,9 +4,13 @@
 :class:`~repro.trace.recorder.PathTrace` in one vectorized pass — the
 right shape for sweeps, and the wrong one for a server that watches a
 program *while it executes*.  :class:`NETSession` is the online form:
-it consumes path occurrences one at a time as the extractor completes
-them, bumps head counters on backward arrivals, and announces a hot-path
-selection the moment a tail first executes from a hot head.
+it consumes each batch of path occurrences the extractor completes
+(:meth:`NETSession.observe_batch`), bumps head counters on backward
+arrivals, and announces a hot-path selection the moment a tail first
+executes from a hot head.  A 256-event batch completes about fifty
+occurrences, too few for the offline rank-and-threshold kernel to pay
+for its sorts, so the batch is applied by one plain loop whose state
+lives in locals.
 
 The session implements the paper's region model
 (``retire_heads=False``): once a head's counter exceeds the prediction
@@ -17,10 +21,13 @@ state is a pure function of the occurrences seen so far, and after the
 *whole* stream its :meth:`outcome` is byte-identical to
 ``NETPredictor(delay).run(trace)`` over the materialized trace.  That
 identity is what the serving property tests lean on to prove tenant
-isolation, and it is pinned directly by the streaming equivalence tests.
+isolation; a property test pins :meth:`~NETSession.observe_batch`,
+after every batch, to a per-occurrence reference session.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -76,54 +83,68 @@ class NETSession:
         self._collection_blocks = 0
 
     # ------------------------------------------------------------------
-    def observe(
+    def observe_batch(
         self,
-        path_id: int,
-        head_uid: int,
-        ends_backward: bool,
-        num_blocks: int,
-    ) -> bool:
-        """Feed one path occurrence; True if it triggered a selection.
+        path_ids: Sequence[int],
+        heads: Sequence[int],
+        ends_backward: Sequence[bool],
+        num_blocks: Sequence[int],
+    ) -> list[int]:
+        """Feed a batch of path occurrences; return the selecting ones.
 
-        ``head_uid``/``ends_backward``/``num_blocks`` are the occurring
-        path's static attributes (the stream equivalent of the trace's
-        per-path columns).  An occurrence arrives via a backward taken
-        branch exactly when the *previous* occurrence's path ended with
-        one — the session tracks that bit itself, so callers only
-        describe the current path.
+        ``heads``/``ends_backward``/``num_blocks`` are per-path tables
+        indexed by path id: each path's head uid, whether it ended with
+        a backward taken branch, and its block count (the stream
+        equivalent of the trace's per-path columns).  An occurrence
+        arrives via a backward taken branch exactly when the *previous*
+        occurrence's path ended with one — the session carries that bit
+        across batches itself.  Returns the positions within
+        ``path_ids`` whose occurrence triggered a selection, ascending.
+
+        The rule is applied one occurrence at a time, in order: a
+        counted arrival bumps its head's counter, and an occurrence is
+        hot exactly when its head has accumulated more than τ counted
+        arrivals by then — the streaming restatement of
+        ``index >= hot_time[head]``.  A hot occurrence of a path not yet
+        captured selects it.
         """
-        index = self._flow
-        self._flow = index + 1
-
-        counted = (
-            self._prev_ends_backward
-            if self.count_backward_arrivals_only
-            else True
-        )
-        self._prev_ends_backward = ends_backward
-
+        delay = self.delay
+        last_increment = delay + 1
+        count_all = not self.count_backward_arrivals_only
         counters = self._counters
-        if counted:
-            count = counters.get(head_uid, 0) + 1
-            counters[head_uid] = count
-            if count <= self.delay + 1:
-                self._increments += 1
-
-        # Hot exactly when the head has accumulated > τ counted
-        # arrivals by this occurrence — the streaming restatement of
-        # ``index >= hot_time[head]``.
-        if counters.get(head_uid, 0) <= self.delay:
-            return False
-
-        captured = self._captured.get(path_id)
-        if captured is None:
-            self._captured[path_id] = 1
-            self._predicted.append(path_id)
-            self._times.append(index)
-            self._collection_blocks += num_blocks
-            return True
-        self._captured[path_id] = captured + 1
-        return False
+        captured = self._captured
+        predicted = self._predicted
+        times = self._times
+        start = self._flow
+        prev_backward = self._prev_ends_backward
+        increments = 0
+        collection_blocks = 0
+        selected: list[int] = []
+        for position, path_id in enumerate(path_ids):
+            head = heads[path_id]
+            if prev_backward or count_all:
+                count = counters.get(head, 0) + 1
+                counters[head] = count
+                if count <= last_increment:
+                    increments += 1
+            else:
+                count = counters.get(head, 0)
+            prev_backward = ends_backward[path_id]
+            if count > delay:
+                hits = captured.get(path_id)
+                if hits is None:
+                    captured[path_id] = 1
+                    predicted.append(path_id)
+                    times.append(start + position)
+                    collection_blocks += num_blocks[path_id]
+                    selected.append(position)
+                else:
+                    captured[path_id] = hits + 1
+        self._flow = start + len(path_ids)
+        self._prev_ends_backward = bool(prev_backward)
+        self._increments += increments
+        self._collection_blocks += collection_blocks
+        return selected
 
     # ------------------------------------------------------------------
     # Durable state (serving checkpoints)

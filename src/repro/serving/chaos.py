@@ -229,7 +229,14 @@ class _InProcessDriver:
         return False  # in-process: the caller re-ingests directly
 
     def shutdown(self) -> None:
+        """Release the instance; safe after a kill or drain."""
         self.server.close()
+
+    def __enter__(self) -> "_InProcessDriver":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()
 
 
 class _TCPDriver(_InProcessDriver):
@@ -275,9 +282,12 @@ class _TCPDriver(_InProcessDriver):
         )
 
     def _stop_tcp(self) -> None:
+        if self.tcp is None:
+            return  # already stopped by a kill or drain
         self.client.close()
         self.tcp.shutdown()
         self.tcp.server_close()
+        self.tcp = None
 
     def kill(self) -> None:
         self._stop_tcp()
@@ -435,10 +445,11 @@ def run_chaos(
                     continue
                 record(tenant_id, seq, sels)
 
-    for tenant_id, stream in tenants.items():
-        driver.open(tenant_id, stream)
-
-    with registry.span("chaos.replay"):
+    # The driver holds WAL handles (and, over TCP, a serving thread);
+    # leaving the block releases them however the run ends.
+    with registry.span("chaos.replay"), driver:
+        for tenant_id, stream in tenants.items():
+            driver.open(tenant_id, stream)
         for step, (tenant_id, seq) in enumerate(schedule):
             for spec in config.faults.specs:
                 if not spec.fires(step, 0):
@@ -502,7 +513,6 @@ def run_chaos(
             )
             if fingerprints[tenant_id] != baseline[tenant_id]:
                 mismatched.append(tenant_id)
-        driver.shutdown()
 
     chaos_report = ChaosReport(
         tenants=len(tenants),

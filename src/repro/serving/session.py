@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cfg.program import Program
-from repro.errors import CheckpointError, ServingError
+from repro.errors import CheckpointError, ServingError, TraceError
 from repro.prediction.base import PredictionOutcome
 from repro.prediction.streaming import NETSession
 from repro.trace.batch import EventBatch
@@ -116,7 +116,7 @@ class TenantSession:
         )
         self._known_paths = 0
         # Per-path static attributes, appended as the table grows, so
-        # the per-occurrence hot loop never touches Path objects.
+        # the batch NET loop never touches Path objects.
         self._start_uids: list[int] = []
         self._ends_backward: list[bool] = []
         self._num_blocks: list[int] = []
@@ -148,44 +148,44 @@ class TenantSession:
 
     # ------------------------------------------------------------------
     def _observe(self, path_ids: list[int]) -> list[HotPathSelection]:
-        net = self._net
+        self._register_paths()
         table = self._extractor.table
+        net = self._net
+        start = net.flow
+        counters_before = net.counter_space
         start_uids = self._start_uids
-        ends_backward = self._ends_backward
-        num_blocks = self._num_blocks
+        selected = net.observe_batch(
+            path_ids, start_uids, self._ends_backward, self._num_blocks
+        )
+        self.state_bytes += COUNTER_BYTES * (
+            net.counter_space - counters_before
+        )
         selections: list[HotPathSelection] = []
-        for path_id in path_ids:
-            while self._known_paths < len(table):
-                path = table.path(self._known_paths)
-                start_uids.append(path.start_uid)
-                ends_backward.append(path.ends_with_backward_branch)
-                num_blocks.append(path.num_blocks)
-                self.state_bytes += (
-                    PATH_BYTES + BLOCK_BYTES * path.num_blocks
+        for position in selected:
+            path_id = path_ids[position]
+            path = table.path(path_id)
+            selections.append(
+                HotPathSelection(
+                    tenant_id=self.tenant_id,
+                    path_id=path_id,
+                    time=start + position,
+                    head_uid=start_uids[path_id],
+                    blocks=path.blocks,
+                    num_instructions=path.num_instructions,
                 )
-                self._known_paths += 1
-            head_uid = start_uids[path_id]
-            before = net.counter_space
-            if net.observe(
-                path_id,
-                head_uid,
-                ends_backward[path_id],
-                num_blocks[path_id],
-            ):
-                path = table.path(path_id)
-                selections.append(
-                    HotPathSelection(
-                        tenant_id=self.tenant_id,
-                        path_id=path_id,
-                        time=net.flow - 1,
-                        head_uid=head_uid,
-                        blocks=path.blocks,
-                        num_instructions=path.num_instructions,
-                    )
-                )
-            if net.counter_space != before:
-                self.state_bytes += COUNTER_BYTES
+            )
         return selections
+
+    def _register_paths(self) -> None:
+        """Append newly interned paths' static attributes and bytes."""
+        table = self._extractor.table
+        for path_id in range(self._known_paths, len(table)):
+            path = table.path(path_id)
+            self._start_uids.append(path.start_uid)
+            self._ends_backward.append(path.ends_with_backward_branch)
+            self._num_blocks.append(path.num_blocks)
+            self.state_bytes += PATH_BYTES + BLOCK_BYTES * path.num_blocks
+        self._known_paths = len(table)
 
     # ------------------------------------------------------------------
     # Durable state (serving checkpoints)
@@ -259,7 +259,7 @@ class TenantSession:
                 ),
             )
             table = session._extractor.table
-            for record in state["paths"]:
+            for number, record in enumerate(state["paths"]):
                 (
                     blocks,
                     start_address,
@@ -287,17 +287,13 @@ class TenantSession:
                     num_indirect_branches=int(num_indirect),
                     ends_with_backward_branch=bool(ends_backward),
                 )
-                table.intern(path)
-            # Re-register the per-path static attribute columns the hot
-            # loop reads, exactly as _observe would have grown them.
-            for path_id in range(len(table)):
-                path = table.path(path_id)
-                session._start_uids.append(path.start_uid)
-                session._ends_backward.append(
-                    path.ends_with_backward_branch
-                )
-                session._num_blocks.append(path.num_blocks)
-            session._known_paths = len(table)
+                if table.intern(path) != number:
+                    # A repeated signature would shift every later id.
+                    raise CheckpointError(
+                        f"invalid session snapshot: path record {number} "
+                        "duplicates an earlier path"
+                    )
+            session._register_paths()
             session._stream = session._extractor.resume_stream(
                 state["stream"]
             )
@@ -305,7 +301,14 @@ class TenantSession:
             session.events_ingested = int(state["events_ingested"])
             session.batches_ingested = int(state["batches_ingested"])
             session.state_bytes = int(state["state_bytes"])
-        except (KeyError, IndexError, TypeError, ValueError) as error:
+        except (
+            KeyError,
+            IndexError,
+            TypeError,
+            ValueError,
+            OverflowError,
+            TraceError,
+        ) as error:
             raise CheckpointError(
                 f"invalid session snapshot: {error!r}"
             ) from error

@@ -15,9 +15,12 @@ scalar :class:`~repro.trace.extractor.PathExtractor` (paper §3):
 Most segments end at a hard cut with neither a length overflow nor a
 call/return pair inside, so the implementation classifies all
 hard-to-hard regions vectorized and only walks the rare "complex"
-regions with a chained scan.  The cut list drives both the batched path
-extractor and the batched bit-tracing profiler, which is what keeps the
-two in exact agreement (they already agree scalar-to-scalar).
+regions with a chained scan.  Most batches hold no forward call at all;
+when their regions also fit ``max_blocks`` the hard cuts are the answer
+and the call/return search is skipped.  The cut list drives both the
+batched path extractor and the batched bit-tracing profiler, which is
+what keeps the two in exact agreement (they already agree
+scalar-to-scalar).
 """
 
 from __future__ import annotations
@@ -65,15 +68,19 @@ def find_cuts(
     hard = np.flatnonzero(backward | (dst == HALT_DST))
     fwd_call = np.flatnonzero((kind == CODE_CALL) & ~backward)
     no_max = max_blocks is None
-    if no_max and fwd_call.size == 0:
-        return hard  # only hard cuts can fire
-
-    fwd_ret = np.flatnonzero((kind == CODE_RETURN) & ~backward)
 
     # Region k spans (starts[k], ends[k]]: from just after one hard cut
     # to the next (the final region ends at n: no hard cut, the tail).
     starts = np.concatenate(([np.int64(-1)], hard))
     ends = np.concatenate((hard, [np.int64(n)]))
+    if fwd_call.size == 0 and (
+        no_max or int((ends - starts).max()) <= max_blocks
+    ):
+        # No return cut can fire and no region outgrows max_blocks:
+        # the all-simple case below, without the call/return search.
+        return hard
+
+    fwd_ret = np.flatnonzero((kind == CODE_RETURN) & ~backward)
 
     # First forward call strictly after each region start, then the
     # first forward return strictly after that call: if that return

@@ -39,6 +39,7 @@ from repro.errors import TraceError
 from repro.trace.batch import (
     CODE_FALLTHROUGH,
     CODE_INDIRECT,
+    CODE_KIND,
     CODE_TAKEN,
     EventBatch,
 )
@@ -270,20 +271,31 @@ class PathExtractor:
         was interning into (restored tables re-intern paths in their
         original order, so ids keep meaning the same paths).
         """
-        carry_dst = state["carry_dst"]
+        columns = [
+            np.asarray(state[name], dtype=np.int64)
+            for name in ("carry_dst", "carry_kind", "carry_backward")
+        ]
+        carry_dst, carry_kind, carry_backward = columns
+        # The carried events are validated as the wire decoder
+        # validates a batch: a bad code would otherwise flow silently
+        # into the next batch's cuts and memo keys.
+        if any(c.ndim != 1 or len(c) != len(carry_dst) for c in columns):
+            raise TraceError(
+                "carried event columns must be 1-D and of equal length"
+            )
+        if np.any((carry_kind < 0) | (carry_kind >= len(CODE_KIND))):
+            raise TraceError("carried events contain an unknown kind code")
+        if np.any((carry_backward != 0) & (carry_backward != 1)):
+            raise TraceError("carried backward flags must be 0 or 1")
         cursor = _BatchCursor(
             uid=int(state["uid"]),
             expect_src=int(state["expect_src"]),
             halted=bool(state["halted"]),
         )
-        if carry_dst:
-            cursor.carry_dst = np.asarray(carry_dst, dtype=np.int64)
-            cursor.carry_kind = np.asarray(
-                state["carry_kind"], dtype=np.uint8
-            )
-            cursor.carry_backward = np.asarray(
-                state["carry_backward"], dtype=np.uint8
-            ).astype(bool)
+        if len(carry_dst):
+            cursor.carry_dst = carry_dst
+            cursor.carry_kind = carry_kind.astype(np.uint8)
+            cursor.carry_backward = carry_backward.astype(bool)
         stream = PathStream(self, cursor)
         stream._finished = bool(state.get("finished", False))
         return stream
@@ -339,27 +351,36 @@ class PathExtractor:
 
         cuts = find_cuts(dst, kind, backward, self._max_blocks)
 
-        prev = -1
+        # Memo keys are slices of one byte copy of each column: the
+        # same bytes per-segment ``tobytes`` calls would produce.
+        width = dst.itemsize
+        dst_bytes = dst.tobytes()
+        kind_bytes = kind.tobytes()
+        begin = 0
         uid = cursor.uid
         memo = self._segment_memo
         intern = self._intern_segment
         ids = cursor.ids
-        for cut in cuts.tolist():
-            begin = prev + 1
-            dst_slice = dst[begin : cut + 1]
-            kind_slice = kind[begin : cut + 1]
-            marker = _END_BACKWARD if backward[cut] else _END_FORWARD
-            key = (uid, dst_slice.tobytes(), kind_slice.tobytes(), marker)
+        for cut, ends_backward, target in zip(
+            cuts.tolist(), backward[cuts].tolist(), dst[cuts].tolist()
+        ):
+            end = cut + 1
+            marker = _END_BACKWARD if ends_backward else _END_FORWARD
+            key = (
+                uid,
+                dst_bytes[begin * width : end * width],
+                kind_bytes[begin:end],
+                marker,
+            )
             path_id = memo.get(key)
             if path_id is None:
-                path_id = intern(uid, dst_slice, kind_slice, marker)
+                path_id = intern(uid, dst[begin:end], kind[begin:end], marker)
                 memo[key] = path_id
             ids.append(path_id)
-            prev = cut
-            uid = int(dst[cut])
+            begin = end
+            uid = target
 
         cursor.uid = uid
-        begin = prev + 1
         if not cursor.halted and begin < len(dst):
             # Events after the last cut stay buffered as the open
             # segment (copied: the slices would pin the whole batch).

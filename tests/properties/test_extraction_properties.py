@@ -15,6 +15,7 @@ from repro.profiling import BitTracingProfiler
 from repro.trace import (
     CFGWalker,
     EventBatch,
+    PathExtractor,
     RandomOracle,
     TripCountOracle,
     extract_paths,
@@ -140,3 +141,58 @@ def test_backward_ending_paths_start_next_at_branch_target(
     for previous, current in zip(occurrences, occurrences[1:]):
         if table.path(previous.path_id).ends_with_backward_branch:
             assert table.path(current.path_id).start_uid in heads
+
+
+@given(
+    program_seed=st.integers(0, 200),
+    oracle_seed=st.integers(0, 1000),
+    trips=st.integers(0, 8),
+    num_procedures=st.sampled_from([1, 3]),
+    max_blocks=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 256, None]),
+    data=st.data(),
+)
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_stream_feed_over_random_splits_matches_scalar(
+    program_seed, oracle_seed, trips, num_procedures, max_blocks, data
+):
+    """Feeding a stream in arbitrary pieces interns the same paths, in
+    the same order, as the scalar extractor.  One-procedure programs
+    make no calls (``find_cuts``'s hard-cut shortcut, or its fall-
+    through when a region outgrows ``max_blocks``); three-procedure
+    programs add call and return cuts.  Splits exercise the carry."""
+    program = generate_program(
+        seed=program_seed, num_procedures=num_procedures
+    )
+    trip_counts = {}
+    for name in program.procedures:
+        for header in procedure_loops(program, name).headers:
+            trip_counts[header] = trips
+    oracle = TripCountOracle(
+        RandomOracle(oracle_seed, default_bias=0.5), trip_counts
+    )
+    batch = EventBatch.concat(
+        list(
+            CFGWalker(program, oracle).walk_batched(
+                max_events=2_000, batch_size=2_000, truncate=True
+            )
+        )
+    )
+    scalar = PathExtractor(program, max_blocks=max_blocks)
+    expected = [
+        occurrence.path_id for occurrence in scalar.extract(iter(batch))
+    ]
+
+    splits = data.draw(st.lists(st.integers(0, len(batch)), max_size=16))
+    bounds = [0, *sorted(splits), len(batch)]
+    extractor = PathExtractor(program, max_blocks=max_blocks)
+    stream = extractor.stream()
+    ids = []
+    for begin, end in zip(bounds, bounds[1:]):
+        ids.extend(stream.feed(batch.slice(begin, end)))
+    ids.extend(stream.finish())
+    assert ids == expected
+    assert extractor.table.paths() == scalar.table.paths()

@@ -2,6 +2,7 @@
 byte-for-byte against an uninterrupted run of the same schedule."""
 
 import dataclasses
+import threading
 
 import pytest
 
@@ -104,3 +105,20 @@ def test_unknown_fault_kind_rejected(tmp_path):
     config = _with_plan(plan(FaultSpec(kind="pool_break", batch=2)))
     with pytest.raises(Exception, match="pool_break"):
         run_chaos(config, tmp_path)
+
+
+def test_failed_tcp_run_stops_its_server(tmp_path):
+    before = set(threading.enumerate())
+    config = _with_plan(
+        plan(FaultSpec(kind="pool_break", batch=2)), tcp=True
+    )
+    with pytest.raises(Exception, match="pool_break"):
+        run_chaos(config, tmp_path)
+    started = [
+        thread
+        for thread in threading.enumerate()
+        if thread not in before and thread.name == "serving-tcp"
+    ]
+    for thread in started:
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "the TCP server outlived the run"

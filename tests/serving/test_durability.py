@@ -209,7 +209,9 @@ def test_recover_scans_open_batch_close(tmp_path):
     shard.append({"k": "close", "t": "b"})
     store.close()
 
-    recovered = DurabilityStore(tmp_path, num_shards=1).recover()[0]
+    reopened = DurabilityStore(tmp_path, num_shards=1)
+    recovered = reopened.recover()[0]
+    reopened.close()
     assert set(recovered) == {"a"}  # closed tenants stay retired
     entry = recovered["a"]
     assert entry.program_name == "gen:7"
