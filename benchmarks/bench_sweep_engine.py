@@ -3,8 +3,8 @@ cold-parallel vs warm-cache, plus the observability overhead.
 
 One full-scale sweep is 9 benchmarks × 17 delays × 2 schemes = 306
 trace replays, historically the repo's hottest path.  This bench runs
-it three ways — serial replays, process-pool replays, and a rerun
-served entirely from the on-disk result cache — asserts all three
+it three ways — serial replays, replays on a two-thread pool, and a
+rerun served entirely from the on-disk result cache — asserts all three
 produce identical points, and records the timings in
 ``benchmarks/results/sweep_engine.txt``.
 
@@ -13,23 +13,6 @@ A second measurement times the same serial sweep with a live metrics
 the default null-registry run, and reports the overhead percentage.
 Observability is designed to publish at cell granularity, never per
 occurrence, so the overhead must stay in the low single digits.
-
-A third measurement times the parallel sweep with an explicit
-resilience policy (per-batch deadline armed, retries budgeted — the
-``--task-timeout``/``--max-retries`` configuration) against the plain
-parallel run.  On a healthy sweep the resilience machinery is pure
-bookkeeping — deadline arithmetic in the streaming wait loop — so its
-overhead must also stay small.
-
-PR 10 adds two legs.  *Adaptive* runs ``backend="adaptive"`` with a
-ledger warmed by the observed leg, so the cost model decides from real
-measurements; the gate is asymmetric by machine shape — on multiple
-CPUs adaptive must never lose to cold serial (speedup >= 1.0: the
-whole point of a cost model is to stop paying for parallelism that
-cannot win), and on one CPU the model must *select serial* and stay
-within a few percent of plain serial (the decision is the product;
-the overhead is prediction bookkeeping only).  *Remote* drives the
-sweep through two in-process TCP workers and must stay byte-identical.
 """
 
 from __future__ import annotations
@@ -39,52 +22,26 @@ import time
 
 from conftest import BENCH_FLOW_SCALE, emit, emit_json
 
-from repro.experiments.engine import (
-    CostLedger,
-    SweepCache,
-    run_sweep,
-    shared_memory_available,
-    trace_digest,
-)
-from repro.experiments.engine.remote import start_worker
+from repro.experiments.engine import SweepCache, run_sweep, trace_digest
 from repro.experiments.report import fmt, render_table
 from repro.obs import Registry
-from repro.resilience import RetryPolicy
 
-#: Process-pool size for the cold-parallel leg.
+#: Thread-pool size for the cold-parallel leg.
 WORKERS = 2
 
-#: On a multi-core box the zero-copy data plane must make the pool pay
-#: for itself: two workers at least 1.2x faster than cold serial.
+#: On a multi-core box the thread pool must pay for itself: two threads
+#: at least 1.2x faster than cold serial.  Cells spend most of their
+#: time in NumPy, which releases the GIL.
 MIN_PARALLEL_SPEEDUP_MULTI_CORE = 1.2
 
 #: On a single-core container true parallel speedup is physically
-#: impossible (two workers timeshare one CPU); the bar is instead a
-#: regression guard on pool overhead — the data plane must keep the
-#: timesharing penalty mild.
+#: impossible (two threads timeshare one CPU); the bar is instead a
+#: regression guard on pool overhead.
 MIN_PARALLEL_SPEEDUP_SINGLE_CORE = 0.6
 
 #: Generous ceiling for the observed-run overhead (the acceptance bar
 #: is < 5%; the assert leaves headroom so a noisy machine cannot flake).
 MAX_OBS_OVERHEAD_PERCENT = 25.0
-
-#: Ceiling for the resilient-vs-plain parallel overhead, equally padded
-#: against machine noise.
-MAX_RESILIENCE_OVERHEAD_PERCENT = 25.0
-
-#: A policy with every fault-handling feature armed; the deadline is
-#: far above any healthy batch, so nothing ever trips on this bench.
-RESILIENT = RetryPolicy(max_retries=2, task_timeout=600.0)
-
-#: Multi-CPU floor for the adaptive backend vs cold serial.  1.0 — the
-#: cost model may at worst match serial (by choosing it); it must never
-#: pick a configuration that loses to it.
-MIN_ADAPTIVE_SPEEDUP_MULTI_CORE = 1.0
-
-#: Single-CPU ceiling on adaptive overhead vs plain serial.  The model
-#: must select serial there, so the remaining cost is prediction and
-#: ledger bookkeeping only.
-MAX_ADAPTIVE_OVERHEAD_SINGLE_CORE_PERCENT = 5.0
 
 
 def _timed(runner) -> tuple[float, list]:
@@ -97,11 +54,10 @@ def test_sweep_engine(full_traces, results_dir, engine_cache_dir):
     cache = SweepCache(engine_cache_dir / "figure2")
 
     # Digests, NET's head-arrival ranks, the occurrence index and the
-    # per-path columns are memoized per trace: whichever in-process leg
-    # computes them first would otherwise eat the whole bill and skew
-    # its timing (ledger, pool and cache legs all need digests; every
-    # serial leg replays both schemes).  Pay them once, as setup, so
-    # every leg measures only its own work.
+    # per-path columns are memoized per trace: whichever leg computes
+    # them first would otherwise eat the whole bill and skew its timing
+    # (the cache legs need digests; every leg replays both schemes).
+    # Pay them once, as setup, so every leg measures only its own work.
     for trace in full_traces.values():
         trace_digest(trace)
         trace.head_arrival_ranks()
@@ -110,64 +66,22 @@ def test_sweep_engine(full_traces, results_dir, engine_cache_dir):
 
     serial_s, serial = _timed(lambda: run_sweep(full_traces))
     registry = Registry()
-    # The observed leg doubles as the ledger-warming leg: its per-cell
-    # measurements are what the adaptive leg predicts from.
-    ledger = CostLedger(engine_cache_dir / "bench-costs.json")
     observed_s, observed = _timed(
-        lambda: run_sweep(full_traces, obs=registry, ledger=ledger)
+        lambda: run_sweep(full_traces, obs=registry)
     )
     parallel_s, parallel = _timed(
         lambda: run_sweep(full_traces, workers=WORKERS)
     )
-    resilient_s, resilient = _timed(
-        lambda: run_sweep(full_traces, workers=WORKERS, resilience=RESILIENT)
-    )
-    plan_log: list = []
-    adaptive_s, adaptive = _timed(
-        lambda: run_sweep(
-            full_traces,
-            backend="adaptive",
-            workers=WORKERS,
-            ledger=CostLedger.load(ledger.path),
-            plan_log=plan_log,
-        )
-    )
-    servers = [start_worker()[0] for _ in range(WORKERS)]
-    try:
-        remote_s, remote_points = _timed(
-            lambda: run_sweep(
-                full_traces,
-                backend="remote",
-                remote=[f"127.0.0.1:{server.port}" for server in servers],
-            )
-        )
-    finally:
-        for server in servers:
-            server.shutdown()
-            server.server_close()
     cold_s, cold = _timed(lambda: run_sweep(full_traces, cache=cache))
     warm_s, warm = _timed(lambda: run_sweep(full_traces, cache=cache))
 
     assert observed == serial  # metrics never change results
     assert parallel == serial
-    assert resilient == serial  # fault handling never changes results
-    assert adaptive == serial  # backend choice never changes results
-    assert remote_points == serial  # the wire round-trip is lossless
     assert cold == serial
     assert warm == serial
 
-    decision = next(e for e in plan_log if e["event"] == "decision")
-    # Warm ledger: every prediction comes from a measurement, none from
-    # the cold-start default.
-    predict_sources = {
-        e["source"] for e in plan_log if e["event"] == "predict"
-    }
-    assert "default" not in predict_sources
-
     overhead_percent = 100.0 * (observed_s / serial_s - 1.0)
     assert overhead_percent < MAX_OBS_OVERHEAD_PERCENT
-    resilience_percent = 100.0 * (resilient_s / parallel_s - 1.0)
-    assert resilience_percent < MAX_RESILIENCE_OVERHEAD_PERCENT
     counters = registry.snapshot()["counters"]
     assert counters["sweep.cells_replayed"] == len(serial)
     # The warm leg replayed nothing: every cell was a cache hit.
@@ -183,53 +97,21 @@ def test_sweep_engine(full_traces, results_dir, engine_cache_dir):
         if cpu_count >= WORKERS
         else MIN_PARALLEL_SPEEDUP_SINGLE_CORE
     )
-    adaptive_speedup = serial_s / adaptive_s
-    adaptive_overhead_percent = 100.0 * (adaptive_s / serial_s - 1.0)
-    # Only hold the full calibrated workload to the speedup bars: at
-    # smoke scale pool spin-up dominates the replay work it amortizes.
+    # Only hold the full calibrated workload to the speedup bar: at
+    # smoke scale per-batch overhead dominates the replay work.
     if BENCH_FLOW_SCALE >= 1.0:
         assert parallel_speedup >= min_parallel_speedup, (
             f"cold parallel (workers={WORKERS}) ran at "
             f"{parallel_speedup:.2f}x cold serial on {cpu_count} CPU(s); "
             f"the floor is {min_parallel_speedup:.2f}x"
         )
-        if cpu_count > 1:
-            # The tightened adaptive gate: with real parallel headroom
-            # the cost model must never lose to cold serial.
-            assert adaptive_speedup >= MIN_ADAPTIVE_SPEEDUP_MULTI_CORE, (
-                f"adaptive backend chose {decision['backend']} and ran "
-                f"at {adaptive_speedup:.2f}x cold serial on "
-                f"{cpu_count} CPUs; the floor is "
-                f"{MIN_ADAPTIVE_SPEEDUP_MULTI_CORE:.2f}x"
-            )
-        else:
-            # One CPU: the correct decision IS serial, and making it
-            # must cost no more than prediction bookkeeping.
-            assert decision["backend"] == "serial", (
-                "on 1 CPU the cost model must select serial, chose "
-                f"{decision['backend']}"
-            )
-            assert adaptive_overhead_percent <= (
-                MAX_ADAPTIVE_OVERHEAD_SINGLE_CORE_PERCENT
-            ), (
-                "adaptive-selected serial ran "
-                f"{adaptive_overhead_percent:+.2f}% vs plain serial; "
-                "the ceiling is "
-                f"{MAX_ADAPTIVE_OVERHEAD_SINGLE_CORE_PERCENT:.1f}%"
-            )
 
     rows = [
         ["cold serial (null registry)", fmt(serial_s, 2), fmt(1.0, 2)],
         ["cold serial + metrics", fmt(observed_s, 2),
          fmt(serial_s / observed_s, 2)],
-        [f"cold parallel (workers={WORKERS})", fmt(parallel_s, 2),
-         fmt(serial_s / parallel_s, 2)],
-        [f"cold parallel + resilience (timeout={RESILIENT.task_timeout:g}s)",
-         fmt(resilient_s, 2), fmt(serial_s / resilient_s, 2)],
-        [f"adaptive (chose {decision['backend']}, warm ledger)",
-         fmt(adaptive_s, 2), fmt(adaptive_speedup, 2)],
-        [f"remote ({WORKERS} local TCP workers)", fmt(remote_s, 2),
-         fmt(serial_s / remote_s, 2)],
+        [f"cold parallel ({WORKERS} threads)", fmt(parallel_s, 2),
+         fmt(parallel_speedup, 2)],
         ["cold serial + cache fill", fmt(cold_s, 2),
          fmt(serial_s / cold_s, 2)],
         ["warm cache", fmt(warm_s, 2), fmt(serial_s / warm_s, 2)],
@@ -247,8 +129,6 @@ def test_sweep_engine(full_traces, results_dir, engine_cache_dir):
         )
         + f"\nmetrics overhead: {overhead_percent:+.2f}% "
         "(observed vs null registry)"
-        + f"\nresilience overhead: {resilience_percent:+.2f}% "
-        "(deadline-armed vs plain parallel)"
         + f"\n{cache.stats.render()}",
     )
     emit_json(
@@ -259,7 +139,6 @@ def test_sweep_engine(full_traces, results_dir, engine_cache_dir):
             "cpu_count": cpu_count,
             "flow_scale": BENCH_FLOW_SCALE,
             "workers": WORKERS,
-            "shared_memory": shared_memory_available(),
             "min_parallel_speedup": min_parallel_speedup,
             "speedup_gate_applied": BENCH_FLOW_SCALE >= 1.0,
             "modes": {
@@ -272,23 +151,6 @@ def test_sweep_engine(full_traces, results_dir, engine_cache_dir):
                     "seconds": parallel_s,
                     "speedup": parallel_speedup,
                 },
-                "cold_parallel_resilient": {
-                    "seconds": resilient_s,
-                    "speedup": serial_s / resilient_s,
-                },
-                "adaptive": {
-                    "seconds": adaptive_s,
-                    "speedup": adaptive_speedup,
-                    "chosen_backend": decision["backend"],
-                    "chosen_workers": decision["workers"],
-                    "predicted_ms": decision["predicted_ms"],
-                    "calibrated_dispatch": decision["calibrated"],
-                },
-                "remote": {
-                    "seconds": remote_s,
-                    "speedup": serial_s / remote_s,
-                    "workers": WORKERS,
-                },
                 "cold_serial_cache_fill": {
                     "seconds": cold_s,
                     "speedup": serial_s / cold_s,
@@ -298,17 +160,6 @@ def test_sweep_engine(full_traces, results_dir, engine_cache_dir):
                     "speedup": serial_s / warm_s,
                 },
             },
-            "overheads_percent": {
-                "metrics": overhead_percent,
-                "resilience": resilience_percent,
-                "adaptive_vs_serial": adaptive_overhead_percent,
-            },
-            "adaptive_gate": {
-                "applied": BENCH_FLOW_SCALE >= 1.0,
-                "min_speedup_multi_core": MIN_ADAPTIVE_SPEEDUP_MULTI_CORE,
-                "max_overhead_single_core_percent": (
-                    MAX_ADAPTIVE_OVERHEAD_SINGLE_CORE_PERCENT
-                ),
-            },
+            "overheads_percent": {"metrics": overhead_percent},
         },
     )

@@ -36,8 +36,7 @@ to collect metrics (phases, counters, timers, cache statistics — see
 one-line summary goes to stderr unless ``--quiet-metrics`` is given.
 Without the flag nothing is measured and nothing changes.
 
-Resilience: the sweep-running commands accept ``--task-timeout``,
-``--max-retries`` and ``--no-fallback-serial`` (see
+Resilience: the sweep-running commands accept ``--max-retries`` (see
 ``docs/resilience.md``).  Ctrl-C/SIGTERM exits with code 130 after
 draining completed work: every finished cell is already in the cache
 and the partial manifest is written with ``"interrupted": true``.
@@ -48,10 +47,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import pathlib
-import signal
 import sys
 import tempfile
-import threading
 import time
 
 from repro.dynamo import DEFAULT_CONFIG, TIERS, DynamoSystem
@@ -62,13 +59,7 @@ from repro.experiments import (
     run_experiment,
     run_targets,
 )
-from repro.experiments.engine import (
-    BACKENDS,
-    CostLedger,
-    SweepCache,
-    explain_lines,
-    run_sweep,
-)
+from repro.experiments.engine import SweepCache, run_sweep
 from repro.experiments.extended import EXTENDED_IDS, run_extended
 from repro.experiments.report import render_table
 from repro.metrics import counter_space, hot_path_set
@@ -128,42 +119,6 @@ def _engine_cache(
     return SweepCache(args.cache_dir, obs=obs)
 
 
-def _engine_ledger(args: argparse.Namespace) -> CostLedger | None:
-    """The cost ledger riding with the cache (``None`` with --no-cache).
-
-    Lives in the cache directory (``costs.json``) so warm runs predict
-    cell costs from the previous run's measurements.
-    """
-    if args.no_cache:
-        return None
-    return CostLedger.for_cache_dir(pathlib.Path(args.cache_dir))
-
-
-def _engine_kwargs(args: argparse.Namespace) -> dict:
-    """The scheduler knobs shared by the sweep-running commands.
-
-    ``--remote`` without an explicit ``--backend`` implies the remote
-    backend — naming worker addresses and not using them would be a
-    silent no-op.
-    """
-    backend = args.backend
-    if args.remote and backend is None:
-        backend = "remote"
-    return {
-        "backend": backend,
-        "remote": args.remote or None,
-        "ledger": _engine_ledger(args),
-    }
-
-
-def _print_plan_log(plan_log: list | None) -> None:
-    """Render scheduler explain events on stderr (``--explain``)."""
-    if not plan_log:
-        return
-    for line in explain_lines(plan_log):
-        print(f"scheduler: {line}", file=sys.stderr)
-
-
 def _metrics_registry(args: argparse.Namespace) -> Registry | None:
     """A live registry when the invocation asked for metrics.
 
@@ -178,11 +133,7 @@ def _metrics_registry(args: argparse.Namespace) -> Registry | None:
 
 def _resilience_policy(args: argparse.Namespace) -> RetryPolicy:
     """The sweep resilience policy the flags ask for."""
-    return RetryPolicy(
-        max_retries=args.max_retries,
-        task_timeout=args.task_timeout,
-        fallback_serial=not args.no_fallback_serial,
-    )
+    return RetryPolicy(max_retries=args.max_retries)
 
 
 def _run_recorder(args: argparse.Namespace) -> RunRecorder:
@@ -247,17 +198,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if cache is not None:
         # Incremental artifact graph: recompute only the dirty subgraph,
         # serve everything else from the cell cache and render store.
-        plan_log: list | None = [] if args.explain else None
         run = run_targets(
             args.names or None,
             flow_scale=args.flow_scale,
             workers=args.workers,
-            chunk_size=args.chunk_size,
             cache=cache,
             obs=registry,
             resilience=resilience,
-            plan_log=plan_log,
-            **_engine_kwargs(args),
         )
         for name in names:
             text = run.texts[name]
@@ -270,30 +217,24 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if args.explain:
             for line in run.plan.explain_lines():
                 print(line, file=sys.stderr)
-            _print_plan_log(plan_log)
     else:
         # --no-cache: the graph has nowhere to persist state, so fall
         # back to unconditional from-scratch recomputation.
-        plan_log = [] if args.explain else None
         for name in names:
             with obs.phase(f"experiment:{name}"):
                 text = run_experiment(
                     name,
                     flow_scale=args.flow_scale,
                     workers=args.workers,
-                    chunk_size=args.chunk_size,
                     cache=cache,
                     obs=registry,
                     resilience=resilience,
-                    plan_log=plan_log,
-                    **_engine_kwargs(args),
                 )
             print(text)
             print()
             if out_dir is not None:
                 out_dir.mkdir(parents=True, exist_ok=True)
                 (out_dir / f"{name}.txt").write_text(text + "\n")
-        _print_plan_log(plan_log)
     if cache is not None and cache.stats.lookups:
         print(cache.stats.render(), file=sys.stderr)
     _finish_metrics(args, registry, recorder)
@@ -317,20 +258,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             args.benchmark, flow_scale=args.flow_scale
         ).trace()
         cache = _engine_cache(args, registry)
-        plan_log = [] if args.explain else None
         kwargs = {
             "workers": args.workers,
-            "chunk_size": args.chunk_size,
             "cache": cache,
             "obs": registry,
             "resilience": _resilience_policy(args),
-            "plan_log": plan_log,
-            **_engine_kwargs(args),
         }
         if args.delays:
             kwargs["delays"] = tuple(args.delays)
         points = run_sweep({trace.name: trace}, **kwargs)
-    _print_plan_log(plan_log)
     rows = [
         [
             point.scheme,
@@ -438,41 +374,6 @@ def _cmd_minidynamo(args: argparse.Namespace) -> int:
         )
     )
     _finish_metrics(args, registry, recorder)
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    """Run one remote sweep worker until SIGTERM/SIGINT.
-
-    The parent (``repro sweep/run --backend remote --remote HOST:PORT``)
-    publishes traces by digest and dispatches cell batches over the
-    framed-TCP sweep protocol; the listening line is printed first and
-    flushed so a wrapper script can scrape the bound port.
-    """
-    from repro.experiments.engine.remote import start_worker
-
-    server, thread = start_worker(host=args.host, port=args.port)
-    print(
-        f"sweep worker {server.worker_id} listening on "
-        f"{args.host}:{server.port}",
-        flush=True,
-    )
-    stop = threading.Event()
-
-    def _stop(signum: int, frame: object) -> None:
-        stop.set()
-
-    signal.signal(signal.SIGTERM, _stop)
-    signal.signal(signal.SIGINT, _stop)
-    stop.wait()
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5.0)
-    print(
-        f"sweep worker drained: {server.batches_run} batches, "
-        f"{server.cells_run} cells",
-        file=sys.stderr,
-    )
     return 0
 
 
@@ -587,21 +488,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _timeout_type(text: str) -> float:
-    """Parse ``--task-timeout``; must be a positive number of seconds."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid float value: {text!r}"
-        ) from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"task timeout must be positive, got {value}"
-        )
-    return value
-
-
 def _retries_type(text: str) -> int:
     """Parse ``--max-retries``; must be a non-negative count."""
     try:
@@ -613,21 +499,6 @@ def _retries_type(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(
             f"max retries must be >= 0 (0 fails fast), got {value}"
-        )
-    return value
-
-
-def _chunk_size_type(text: str) -> int:
-    """Parse ``--chunk-size``: a positive cell count."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"chunk size must be >= 1, got {value}"
         )
     return value
 
@@ -679,17 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=_workers_type,
             default=0,
-            help="sweep worker processes (0 = serial, the default)",
-        )
-        p.add_argument(
-            "--chunk-size",
-            type=_chunk_size_type,
-            default=None,
-            metavar="CELLS",
-            help=(
-                "cells per parallel sweep batch (default: autotuned "
-                "from the sweep shape and worker count)"
-            ),
+            help="sweep worker threads (0 = serial, the default)",
         )
         p.add_argument(
             "--cache-dir",
@@ -702,51 +563,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="disable the sweep result cache",
         )
         p.add_argument(
-            "--task-timeout",
-            type=_timeout_type,
-            default=DEFAULT_POLICY.task_timeout,
-            metavar="SECONDS",
-            help=(
-                "abandon and retry a sweep batch running longer than "
-                "this (pool mode only; default: no timeout)"
-            ),
-        )
-        p.add_argument(
             "--max-retries",
             type=_retries_type,
             default=DEFAULT_POLICY.max_retries,
             metavar="N",
             help=(
-                "retries per failed/hung sweep batch before the run "
+                "retries per failed sweep batch before the run "
                 f"fails (default: {DEFAULT_POLICY.max_retries})"
-            ),
-        )
-        p.add_argument(
-            "--no-fallback-serial",
-            action="store_true",
-            help=(
-                "fail the sweep when the worker pool keeps dying "
-                "instead of degrading to in-process serial execution"
-            ),
-        )
-        p.add_argument(
-            "--backend",
-            choices=BACKENDS,
-            default=None,
-            help=(
-                "sweep execution backend (default: serial below "
-                "--workers 1, process pool above; 'adaptive' lets the "
-                "cost model choose; 'remote' needs --remote workers)"
-            ),
-        )
-        p.add_argument(
-            "--remote",
-            action="append",
-            default=None,
-            metavar="HOST:PORT",
-            help=(
-                "address of a running 'repro worker' process "
-                "(repeatable; implies and requires --backend remote)"
             ),
         )
 
@@ -813,28 +636,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="delay sweep on one benchmark")
     sweep.add_argument("benchmark", choices=BENCHMARK_ORDER)
     sweep.add_argument("--delays", type=int, nargs="+")
-    sweep.add_argument(
-        "--explain",
-        action="store_true",
-        help=(
-            "print the scheduler's plan on stderr: per-cell predicted "
-            "costs, chunking, the backend decision and any steals"
-        ),
-    )
     add_flow_scale(sweep)
     add_engine_flags(sweep)
     add_metrics_flags(sweep)
     sweep.set_defaults(handler=_cmd_sweep)
-
-    worker = sub.add_parser(
-        "worker",
-        help="run a remote sweep worker process over TCP",
-    )
-    worker.add_argument("--host", default="127.0.0.1")
-    worker.add_argument(
-        "--port", type=int, default=0, help="0 picks a free port"
-    )
-    worker.set_defaults(handler=_cmd_worker)
 
     dynamo = sub.add_parser("dynamo", help="Dynamo simulation cells")
     dynamo.add_argument("benchmark", choices=BENCHMARK_ORDER)

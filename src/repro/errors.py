@@ -138,37 +138,13 @@ class SweepExecutionError(ExperimentError):
 
 
 class WorkerCrashError(SweepExecutionError):
-    """A sweep worker died (or returned a corrupt result) past the retry
-    budget.
+    """A sweep batch crashed (or returned a corrupt result) past the
+    retry budget.
 
     Raised after the executor has exhausted its
-    :class:`~repro.resilience.RetryPolicy` for one batch, or when a
-    broken process pool cannot be recovered.  The original failure, if
-    any, is chained as ``__cause__``.
+    :class:`~repro.resilience.RetryPolicy` for one batch.  The original
+    failure is chained as ``__cause__``.
     """
-
-
-class BatchTimeoutError(SweepExecutionError):
-    """A sweep batch exceeded its per-task timeout past the retry budget.
-
-    ``timeout_seconds`` records the deadline each attempt was given.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        benchmark: str | None = None,
-        batch_index: int | None = None,
-        attempts: int | None = None,
-        timeout_seconds: float | None = None,
-    ):
-        self.timeout_seconds = timeout_seconds
-        super().__init__(
-            message,
-            benchmark=benchmark,
-            batch_index=batch_index,
-            attempts=attempts,
-        )
 
 
 class ServingError(ReproError):

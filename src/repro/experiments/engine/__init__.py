@@ -3,16 +3,10 @@
 Every Figure 2/3-style delay sweep funnels through
 :func:`~repro.experiments.engine.executor.run_sweep`, which decomposes
 the sweep into independent (benchmark, scheme, τ) tasks, serves cached
-cells from a content-addressed on-disk store, replays the rest — on a
-cost-model-chosen backend (serial / thread pool / process pool /
-remote workers, see :mod:`repro.experiments.engine.scheduler` and
-:mod:`repro.experiments.engine.remote`) — and reassembles the
-canonical result order.  See ``docs/sweep_engine.md`` for the design
-and the determinism and invalidation guarantees.
-
-The remote backend lives in :mod:`repro.experiments.engine.remote`
-and is imported lazily (it pulls in the serving transport); import it
-directly rather than from this package root.
+cells from a content-addressed on-disk store, replays the rest —
+in-process, or on a thread pool with ``workers > 0`` — and reassembles
+the canonical result order.  See ``docs/sweep_engine.md`` for the
+design and the determinism and invalidation guarantees.
 """
 
 from repro.experiments.engine.cache import (
@@ -23,14 +17,11 @@ from repro.experiments.engine.cache import (
     cache_key,
     trace_digest,
 )
-from repro.experiments.engine.dataplane import (
-    ArchiveHandle,
+from repro.experiments.engine.executor import (
     ReplayContext,
-    TraceArchive,
-    TraceDataPlane,
-    shared_memory_available,
+    cell_name,
+    run_sweep,
 )
-from repro.experiments.engine.executor import DEFAULT_CHUNK_SIZE, run_sweep
 from repro.experiments.engine.graph import (
     GENERATOR_VERSION,
     ArtifactGraph,
@@ -51,39 +42,12 @@ from repro.experiments.engine.planner import (
     group_by_benchmark,
     plan_sweep,
 )
-from repro.experiments.engine.scheduler import (
-    BACKENDS,
-    DEFAULT_CELL_MS,
-    LEDGER_FILENAME,
-    BackendDecision,
-    CostLedger,
-    CostModel,
-    DispatchModel,
-    PredictedCost,
-    StealingScheduler,
-    calibrate_dispatch,
-    cell_name,
-    choose_backend,
-    explain_lines,
-    predict_makespan,
-)
 
 __all__ = [
-    "BACKENDS",
     "CODE_VERSION",
-    "DEFAULT_CELL_MS",
-    "DEFAULT_CHUNK_SIZE",
     "GENERATOR_VERSION",
-    "LEDGER_FILENAME",
-    "ArchiveHandle",
     "ArtifactGraph",
-    "BackendDecision",
     "CacheStats",
-    "CostLedger",
-    "CostModel",
-    "DispatchModel",
-    "PredictedCost",
-    "StealingScheduler",
     "GraphNode",
     "GraphPlan",
     "GraphState",
@@ -93,23 +57,16 @@ __all__ = [
     "SweepCache",
     "SweepTask",
     "TargetSpec",
-    "TraceArchive",
-    "TraceDataPlane",
     "atomic_write_text",
     "autotune_chunk_size",
     "cache_key",
-    "calibrate_dispatch",
     "cell_name",
-    "choose_backend",
     "chunk_tasks",
     "config_digest",
-    "explain_lines",
     "group_by_benchmark",
     "plan_graph",
     "plan_sweep",
-    "predict_makespan",
     "run_sweep",
-    "shared_memory_available",
     "spec_digest",
     "trace_digest",
 ]

@@ -1,95 +1,58 @@
-"""Sweep execution: cache lookup, fault-tolerant parallel replay,
-deterministic assembly.
+"""Sweep execution: cache lookup, fault-tolerant replay, deterministic
+assembly.
 
 :func:`run_sweep` is the one entry point every delay sweep goes
 through.  It plans the (benchmark, scheme, τ) grid, serves whatever the
-cache already holds, and replays only the remaining cells on one of
-five backends: in-process **serial**, a **thread** pool, a **process**
-pool over the zero-copy data plane, **remote** ``repro worker``
-processes over TCP (:mod:`repro.experiments.engine.remote`), or
-**adaptive** — a cost model picks among the local backends from
-measured per-cell history (:mod:`repro.experiments.engine.scheduler`).
+cache already holds, and replays only the remaining cells in one of two
+ways: in-process when ``workers == 0`` (the default), or on a pool of
+``workers`` threads fed batches in canonical plan order.  Threads pay
+off because a cell spends most of its time in NumPy, which releases the
+GIL, and because every thread shares the sweep's per-trace memos.
 
 Determinism guarantee: each cell is a pure function of its trace and
-coordinates, computed by the same :func:`_run_cells` code path in every
-mode, and the output list is ordered by the planner's canonical index
-rather than by completion order.  Serial, parallel, remote, cached,
-*stolen* and *retried* runs of the same sweep therefore return *equal*
-point lists, and every rendered figure built from them is
-byte-identical — a property the equivalence test-suite locks down.
-
-Scheduling: parallel modes no longer drain a FIFO — pending batches are
-LPT-assigned to per-slot deques by predicted cost and idle slots
-*steal* from loaded ones (:class:`~repro.experiments.engine.scheduler.
-StealingScheduler`).  Steal decisions are pure functions of the
-predicted costs (or a scripted schedule in tests), logged per event,
-and never affect results.  Every completed cell's wall clock is
-recorded into the run manifest (``sweep.cell_ms`` histogram plus a
-``sweep.cell.<benchmark>:<scheme>:<τ>`` timer per cell) and folded into
-the persistent :class:`~repro.experiments.engine.scheduler.CostLedger`
-when one is supplied, so the next run's plan is driven by this run's
-measurements.
+coordinates, computed by the same :func:`_run_cells` code path in both
+modes, and the output list is ordered by the planner's canonical index
+rather than by completion order.  Serial, threaded, cached and
+*retried* runs of the same sweep therefore return *equal* point lists,
+and every rendered figure built from them is byte-identical — a
+property the equivalence test-suite locks down.
 
 Resilience (see :mod:`repro.resilience` and ``docs/resilience.md``):
-batches stream through the pool and every completed batch is written to
-the cache *immediately*, so an interrupted multi-hour sweep leaves a
-resumable cache rather than losing all replayed-but-unstored cells.  A
-:class:`~repro.resilience.RetryPolicy` bounds per-batch retries (with
-deterministic exponential backoff) and per-attempt timeouts; a broken
-process pool is respawned with its orphaned batches requeued, and past
-the restart budget the executor degrades to in-process serial execution
-instead of failing.  A lost *remote* worker fails its in-flight batch
-with the same :class:`~repro.errors.WorkerCrashError` a crashed pool
-worker produces — the batch requeues onto the surviving workers, and
-with every worker gone the sweep degrades to serial.  SIGINT/SIGTERM
-drain completed work, flush the cache, and raise
+every completed batch is written to the cache *immediately*, so an
+interrupted multi-hour sweep leaves a resumable cache rather than
+losing all replayed-but-unstored cells.  A
+:class:`~repro.resilience.RetryPolicy` bounds per-batch retries, spaced
+by deterministic exponential backoff; a batch that fails every attempt
+fails the sweep with a :class:`~repro.errors.WorkerCrashError` naming
+it.  SIGINT/SIGTERM stop the sweep at the next batch boundary and raise
 :class:`~repro.errors.SweepInterrupted` carrying the partial results.
 A :class:`~repro.resilience.FaultPlan` threads deterministic fault
-injection through :func:`_run_cells` (and through the remote pool for
-the ``lost_worker`` kind), so the whole failure matrix is testable
-without real process murder.
+injection through :func:`_run_cells`, so the failure matrix is
+testable without real failures.
 
 Observability: pass ``obs`` (a :class:`repro.obs.Registry`) and the
 engine accounts for itself under the ``sweep.`` prefix — cells planned
-/ cached / replayed, replay / hot-set / per-cell timers, the chosen
-backend, steal counts, and the resilience traffic (``retries`` /
-``timeouts`` / ``pool_restarts`` / ``fallback_serial``).  Pool workers
-measure into a local registry that travels back with their points and
-is merged as each batch completes, so parallel runs report the same
-totals as serial ones.  With no registry (the default) every instrument
-resolves to the shared null registry and the replay path is
-byte-for-byte the uninstrumented one.
+/ cached / replayed, batches, workers, chunk size, retries, and replay /
+hot-set / per-cell timers.  Each batch measures into a local registry
+that travels back with its points and is merged as the batch completes,
+so threaded runs report the same totals as serial ones.  With no
+registry (the default) every instrument resolves to the shared null
+registry and the replay path is byte-for-byte the uninstrumented one.
 """
 
 from __future__ import annotations
 
-import os
+import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
 from repro.errors import (
-    BatchTimeoutError,
     ExperimentError,
     ReproError,
     SweepInterrupted,
     WorkerCrashError,
 )
 from repro.experiments.engine.cache import SweepCache, cache_key, trace_digest
-from repro.experiments.engine.dataplane import (
-    ReplayContext,
-    TraceArchive,
-    TraceDataPlane,
-    install_worker_handles,
-    worker_context,
-)
 from repro.experiments.engine.planner import (
     SweepTask,
     autotune_chunk_size,
@@ -97,42 +60,63 @@ from repro.experiments.engine.planner import (
     group_by_benchmark,
     plan_sweep,
 )
-from repro.experiments.engine.scheduler import (
-    BACKENDS,
-    CELL_MS_BUCKETS,
-    CELL_TIMER_PREFIX,
-    DEFAULT_CELL_MS,
-    BackendDecision,
-    CostLedger,
-    CostModel,
-    DispatchModel,
-    StealingScheduler,
-    cell_name,
-    choose_backend,
-)
 from repro.experiments.sweep import (
     DEFAULT_DELAYS,
     SCHEMES,
     SweepPoint,
     make_predictor,
 )
+from repro.metrics.hotpaths import HotPathSet, hot_path_set
 from repro.metrics.quality import evaluate_prediction
 from repro.obs.core import Registry, get_registry
 from repro.resilience import DEFAULT_POLICY, FaultPlan, RetryPolicy
 from repro.resilience.signals import InterruptFlag, interrupt_guard
 from repro.trace.recorder import PathTrace
 
-#: Historical fixed chunk size, kept as the reference point the
-#: autotuner is benchmarked against.  ``run_sweep`` now defaults to
-#: ``chunk_size=None`` — per-benchmark autotuning via
-#: :func:`~repro.experiments.engine.planner.autotune_chunk_size` —
-#: because with the zero-copy data plane a batch no longer ships its
-#: trace, so chunking is purely a scheduling-granularity knob.
-DEFAULT_CHUNK_SIZE = 8
+#: Timer-name prefix of the per-cell manifest entries, relative to the
+#: engine registry (manifests show ``sweep.cell.*``).
+CELL_TIMER_PREFIX = "cell."
 
-#: Longest the scheduler blocks in one ``wait`` call; bounds how stale
-#: the interrupt flag and per-batch deadlines can get.
-_MAX_TICK_SECONDS = 0.5
+#: Histogram bucket upper bounds (milliseconds) for the ``cell_ms``
+#: distribution counters in run manifests.
+CELL_MS_BUCKETS = (1.0, 5.0, 25.0, 100.0, 500.0)
+
+#: Longest the main thread blocks waiting for a pooled batch; bounds
+#: how stale the interrupt flag can get.
+_POLL_SECONDS = 0.5
+
+
+def cell_name(benchmark: str, scheme: str, delay: int) -> str:
+    """A cell's human-readable coordinates, as its manifest timer names
+    them."""
+    return f"{benchmark}:{scheme}:{delay}"
+
+
+class ReplayContext:
+    """Memoized per-trace replay state shared by every cell.
+
+    Holds the trace plus the 0.1% hot set every cell's quality metrics
+    need; the trace's own cache memoizes the occurrence index and NET's
+    head-arrival ranks (the memo that lets every delay's NET cell
+    answer by threshold).  A sweep keeps one context per benchmark,
+    shared by all of that benchmark's batches and threads, so the
+    Figure 2 sweep computes nine hot sets instead of one per batch.
+    """
+
+    __slots__ = ("trace", "_hot", "_lock")
+
+    def __init__(self, trace: PathTrace):
+        self.trace = trace
+        self._hot: HotPathSet | None = None
+        self._lock = threading.Lock()
+
+    @property
+    def hot(self) -> HotPathSet:
+        """The trace's hot set, computed once, on first use."""
+        with self._lock:
+            if self._hot is None:
+                self._hot = hot_path_set(self.trace)
+            return self._hot
 
 
 def _run_cells(
@@ -147,8 +131,8 @@ def _run_cells(
 
     The context memoizes the per-trace precomputations (hot set,
     occurrence index): the first batch of a trace pays for them, every
-    later batch in the same process reuses them — the ``hot_set`` timer
-    records the true marginal cost, which is ~0 on reuse.
+    later batch reuses them — the ``hot_set`` timer records the true
+    marginal cost, which is ~0 on reuse.
 
     With ``observe`` the batch measures itself into a throwaway local
     registry and returns its snapshot alongside the points (relative
@@ -157,11 +141,11 @@ def _run_cells(
 
     The third element of the payload is each cell's wall-clock cost in
     milliseconds, measured unconditionally (two clock reads per cell)
-    so the parent can feed the cost ledger in every mode.
+    for the manifest's per-cell timers.
 
     ``faults`` is the deterministic fault-injection hook: planned
-    crashes/hangs fire before the replay, corruption mangles the
-    returned points, all keyed by ``(batch_index, attempt)`` so a
+    crashes and interrupts fire before the replay, corruption mangles
+    the returned points, all keyed by ``(batch_index, attempt)`` so a
     faulted run replays identically every time.
     """
     if faults is not None:
@@ -186,49 +170,14 @@ def _run_cells(
     return points, (obs.snapshot() if observe else None), cell_ms
 
 
-def _run_cells_by_digest(
-    digest: str,
-    cells: list[tuple[str, int]],
-    observe: bool = False,
-    faults: FaultPlan | None = None,
-    batch_index: int = 0,
-    attempt: int = 0,
-) -> tuple[list[SweepPoint], dict | None, list[float]]:
-    """Pool-worker entry point: resolve ``digest`` locally, then replay.
-
-    Top-level so the process pool can pickle it.  This is the zero-copy
-    data plane's receive side: the batch arrives carrying a digest and a
-    cell list (a few hundred bytes), and the worker's resident store
-    (:func:`repro.experiments.engine.dataplane.worker_context`) supplies
-    the trace — attached from shared memory and restored on the first
-    batch of each digest, memoized for every batch after.
-
-    The one-time attach/restore cost is spliced into the batch's
-    snapshot (``context_install`` timer, ``contexts_installed``
-    counter), so the parent's registry accounts for the data plane's
-    real per-worker overhead.
-    """
-    context, install_seconds = worker_context(digest)
-    points, snapshot, cell_ms = _run_cells(
-        context, cells, observe, faults, batch_index, attempt
-    )
-    if snapshot is not None and install_seconds is not None:
-        snapshot.setdefault("counters", {})["contexts_installed"] = 1
-        snapshot.setdefault("timers", {})["context_install"] = {
-            "total_seconds": install_seconds,
-            "count": 1,
-        }
-    return points, snapshot, cell_ms
-
-
 def _retryable(error: BaseException) -> bool:
     """Whether a failed attempt is worth repeating.
 
-    Crashed workers, timeouts and corrupt results are transient by
-    assumption; any other :class:`ReproError` is a deterministic
-    configuration problem that would fail identically on every retry.
+    Crashed batches and corrupt results are transient by assumption;
+    any other :class:`ReproError` is a deterministic configuration
+    problem that would fail identically on every retry.
     """
-    if isinstance(error, (WorkerCrashError, BatchTimeoutError)):
+    if isinstance(error, WorkerCrashError):
         return True
     return not isinstance(error, ReproError)
 
@@ -242,16 +191,14 @@ def _bucket_counter(ms: float) -> str:
 
 
 class _BatchRun:
-    """One batch's scheduling state: attempts used, deadlines, backoff."""
+    """One batch of a benchmark's cells, and the attempts it has used."""
 
-    __slots__ = ("batch", "order", "attempt", "deadline", "not_before")
+    __slots__ = ("batch", "order", "attempt")
 
     def __init__(self, batch: list[SweepTask], order: int):
         self.batch = batch
         self.order = order
         self.attempt = 0
-        self.deadline = float("inf")
-        self.not_before = 0.0
 
     @property
     def benchmark(self) -> str:
@@ -259,520 +206,159 @@ class _BatchRun:
 
 
 class _SweepRunner:
-    """Executes one sweep's pending batches under a resilience policy.
+    """Executes one sweep's pending batches under a retry policy.
 
-    Owns the streaming scheduler: batches flow through the pool (or the
-    in-process serial loop), every completed batch is validated, merged
-    into the run's observability registry, written to the cache, timed
-    into the cost ledger, and placed at its canonical index —
-    immediately, not after the pool joins.
-
-    ``mode`` selects the execution substrate: ``"serial"`` (in-process
-    loop), ``"thread"`` (ThreadPoolExecutor over parent contexts),
-    ``"process"`` (ProcessPoolExecutor over the shared-memory data
-    plane), or ``"remote"`` (a :class:`~repro.experiments.engine.
-    remote.RemoteWorkerPool`).  Pooled modes pull work from a
-    :class:`~repro.experiments.engine.scheduler.StealingScheduler`
-    instead of a FIFO: each pool slot runs its own LPT deque and steals
-    when idle.
+    Every batch goes through :meth:`_attempt` — compute, validate,
+    retry with deterministic backoff — on the main thread when
+    ``workers == 0`` and on a pool thread otherwise.  Only the main
+    thread touches shared state: :meth:`_complete` merges a finished
+    batch's metrics, writes it to the cache and places its points at
+    their canonical indices as soon as the batch finishes, not after
+    the sweep.
     """
 
     def __init__(
         self,
-        traces: dict[str, PathTrace],
         batches: list[list[SweepTask]],
+        contexts: dict[str, ReplayContext],
         policy: RetryPolicy,
         faults: FaultPlan | None,
         engine: Registry,
-        observe: bool,
         cache: SweepCache | None,
         keys: dict[int, str],
         results: list[SweepPoint | None],
-        total_cells: int,
         flag: InterruptFlag,
-        digests: dict[str, str] | None = None,
-        dataplane: TraceDataPlane | None = None,
-        mode: str = "process",
-        ledger: CostLedger | None = None,
-        flows: dict[str, int] | None = None,
-        remote=None,
-        plan_log: list | None = None,
     ):
-        self.traces = traces
-        self.runs = [_BatchRun(batch, order) for order, batch in enumerate(batches)]
+        self.runs = [
+            _BatchRun(batch, order) for order, batch in enumerate(batches)
+        ]
+        self.contexts = contexts
         self.policy = policy
         self.faults = faults
         self.engine = engine
-        self.observe = observe
+        self.observe = engine.enabled
         self.cache = cache
         self.keys = keys
         self.results = results
-        self.total_cells = total_cells
         self.flag = flag
-        self.digests = digests or {}
-        self.dataplane = dataplane
-        self.mode = mode
-        self.ledger = ledger
-        self.flows = flows or {}
-        self.remote = remote
-        self.plan_log = plan_log
-        #: Set by run_sweep for pooled modes; slot-addressed LPT deques.
-        self.scheduler: StealingScheduler | None = None
-        #: Benchmark → memoized in-process replay context; serial and
-        #: thread execution (including fallback-from-pool) compute each
-        #: trace's hot set and occurrence index once, not per batch.
-        self.contexts: dict[str, ReplayContext] = {}
-        #: Futures abandoned by a timeout whose worker is still burning
-        #: a pool slot on the stale attempt.
-        self.zombies: set[Future] = set()
 
-    # -- completion ----------------------------------------------------
-    def _validate(self, run: _BatchRun, payload) -> tuple[list, dict | None, list]:
-        """Check a batch result's shape against its plan."""
-        try:
-            points, snapshot, cell_ms = payload
-        except (TypeError, ValueError) as error:
-            raise WorkerCrashError(
-                "corrupt batch result: not a (points, snapshot, "
-                "cell_ms) triple",
-                benchmark=run.benchmark,
-                batch_index=run.order,
-                attempts=run.attempt + 1,
-            ) from error
+    def _validate(self, run: _BatchRun, points: list) -> None:
+        """Reject a batch result whose cells do not match its plan."""
         if len(points) != len(run.batch):
-            raise WorkerCrashError(
-                f"corrupt batch result: {len(points)} points for "
-                f"{len(run.batch)} cells",
-                benchmark=run.benchmark,
-                batch_index=run.order,
-                attempts=run.attempt + 1,
-            )
-        for task, point in zip(run.batch, points):
-            if point.scheme != task.scheme or point.delay != task.delay:
-                raise WorkerCrashError(
-                    "corrupt batch result: point coordinates do not "
-                    "match the plan",
-                    benchmark=run.benchmark,
-                    batch_index=run.order,
-                    attempts=run.attempt + 1,
-                )
-        return points, snapshot, cell_ms
+            problem = f"{len(points)} points for {len(run.batch)} cells"
+        elif any(
+            point.scheme != task.scheme or point.delay != task.delay
+            for task, point in zip(run.batch, points)
+        ):
+            problem = "point coordinates do not match the plan"
+        else:
+            return
+        raise WorkerCrashError(
+            f"corrupt batch result: {problem}",
+            benchmark=run.benchmark,
+            batch_index=run.order,
+            attempts=run.attempt + 1,
+        )
 
-    def _record_costs(self, run: _BatchRun, cell_ms: list) -> None:
-        """Fold a completed batch's timings into manifest + ledger."""
-        for task, ms in zip(run.batch, cell_ms):
+    def _attempt(self, run: _BatchRun) -> tuple[list, dict | None, list]:
+        """Compute one batch, retrying failures within the policy.
+
+        Runs on whichever thread executes the batch and touches only the
+        batch's own state, so pool threads never share anything mutable
+        beyond the per-trace memos.
+        """
+        context = self.contexts[run.benchmark]
+        cells = [task.cell for task in run.batch]
+        while True:
             try:
-                ms = float(ms)
-            except (TypeError, ValueError):
-                continue
-            seconds = ms / 1000.0
-            if self.observe:
+                points, snapshot, cell_ms = _run_cells(
+                    context,
+                    cells,
+                    self.observe,
+                    self.faults,
+                    run.order,
+                    run.attempt,
+                )
+                self._validate(run, points)
+                return points, snapshot, cell_ms
+            except Exception as error:
+                if not _retryable(error):
+                    raise
+                if run.attempt >= self.policy.max_retries:
+                    raise WorkerCrashError(
+                        "sweep batch failed on every attempt",
+                        benchmark=run.benchmark,
+                        batch_index=run.order,
+                        attempts=run.attempt + 1,
+                    ) from error
+                run.attempt += 1
+                time.sleep(
+                    self.policy.backoff_seconds(run.order, run.attempt)
+                )
+
+    def _complete(self, run: _BatchRun, outcome) -> None:
+        """Collect a batch via ``outcome()``; merge, cache and place it."""
+        try:
+            points, snapshot, cell_ms = outcome()
+        finally:
+            self.engine.counter("retries").inc(run.attempt)
+        if snapshot is not None:
+            # Batch measurements use relative names; merging through
+            # the child view re-prefixes them.
+            self.engine.merge(snapshot)
+        if self.observe:
+            for task, ms in zip(run.batch, cell_ms):
+                seconds = ms / 1000.0
                 self.engine.timer("cell_ms").observe(seconds)
                 self.engine.counter(_bucket_counter(ms)).inc()
                 self.engine.timer(
                     CELL_TIMER_PREFIX
                     + cell_name(task.benchmark, task.scheme, task.delay)
                 ).observe(seconds)
-            if self.ledger is not None:
-                self.ledger.record(
-                    self.keys.get(task.index),
-                    benchmark=task.benchmark,
-                    scheme=task.scheme,
-                    delay=task.delay,
-                    flow=self.flows.get(task.benchmark, 0),
-                    ms=ms,
-                )
-
-    def _complete(self, run: _BatchRun, payload) -> None:
-        """Validate, merge metrics, place results and flush the cache."""
-        points, snapshot, cell_ms = self._validate(run, payload)
-        if snapshot is not None:
-            # Worker measurements use batch-relative names; merging
-            # through the child view re-prefixes them.
-            self.engine.merge(snapshot)
-        self._record_costs(run, cell_ms)
         for task, point in zip(run.batch, points):
             self.results[task.index] = point
             if self.cache is not None:
                 self.cache.put(self.keys[task.index], point)
 
-    # -- failure handling ----------------------------------------------
-    def _retry_or_raise(
-        self,
-        run: _BatchRun,
-        error: BaseException | None,
-        waiting: list[_BatchRun],
-        timed_out: bool = False,
-    ) -> None:
-        """Schedule one more attempt, or raise the structured failure."""
-        if error is not None and not _retryable(error):
-            raise error
-        if run.attempt + 1 > self.policy.max_retries:
-            if timed_out:
-                raise BatchTimeoutError(
-                    "sweep batch timed out on every attempt",
-                    benchmark=run.benchmark,
-                    batch_index=run.order,
-                    attempts=run.attempt + 1,
-                    timeout_seconds=self.policy.task_timeout,
-                ) from error
-            raise WorkerCrashError(
-                "sweep batch failed on every attempt",
-                benchmark=run.benchmark,
-                batch_index=run.order,
-                attempts=run.attempt + 1,
-            ) from error
-        run.attempt += 1
-        self.engine.counter("retries").inc()
-        run.not_before = time.monotonic() + self.policy.backoff_seconds(
-            run.order, run.attempt
-        )
-        waiting.append(run)
-
-    def _interrupt(self) -> None:
+    def _check_interrupt(self) -> None:
         """Raise the structured interrupt with everything completed."""
+        if not self.flag.fired:
+            return
         self.engine.counter("interrupted").inc()
         partial = [point for point in self.results if point is not None]
         raise SweepInterrupted(
             partial=partial,
             completed=len(partial),
-            total=self.total_cells,
+            total=len(self.results),
             signal_name=self.flag.signal_name,
         )
 
-    def _check_interrupt(self) -> None:
-        if self.flag.fired:
-            self._interrupt()
-
-    # -- serial execution ----------------------------------------------
-    def _context(self, benchmark: str) -> ReplayContext:
-        """The parent-process replay context for ``benchmark``."""
-        context = self.contexts.get(benchmark)
-        if context is None:
-            context = ReplayContext(self.traces[benchmark])
-            self.contexts[benchmark] = context
-        return context
-
-    def _run_serial(self, runs: list[_BatchRun]) -> None:
-        """In-process execution with retries (timeouts cannot preempt)."""
-        for run in sorted(runs, key=lambda r: r.order):
-            context = self._context(run.benchmark)
-            cells = [task.cell for task in run.batch]
-            while True:
-                self._check_interrupt()
-                try:
-                    payload = _run_cells(
-                        context,
-                        cells,
-                        self.observe,
-                        self.faults,
-                        run.order,
-                        run.attempt,
-                    )
-                    self._complete(run, payload)
-                    break
-                except (SweepInterrupted, KeyboardInterrupt):
-                    raise
-                except Exception as error:
-                    waiting: list[_BatchRun] = []
-                    self._retry_or_raise(run, error, waiting)
-                    # No scheduler to wake us up: honor the backoff here.
-                    time.sleep(max(run.not_before - time.monotonic(), 0.0))
-
-    # -- pooled execution ----------------------------------------------
-    def _make_pool(self, workers: int):
-        """The execution substrate for this runner's mode.
-
-        Process pools get the archive handles installed in every worker
-        (re-run on each respawn after a pool death, so a respawned pool
-        is as trace-resident as the first one); thread pools share the
-        parent's memoized contexts; remote mode has no local pool at
-        all — lanes live in the :class:`RemoteWorkerPool`.
-        """
-        if self.mode == "thread":
-            return ThreadPoolExecutor(max_workers=workers)
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=install_worker_handles,
-            initargs=(self.dataplane.handles(),),
-        )
-
-    def _submit(self, pool, run: _BatchRun, slot: int) -> Future:
-        cells = [task.cell for task in run.batch]
-        if self.mode == "remote":
-            future = self.remote.submit(
-                slot,
-                self.digests[run.benchmark],
-                cells,
-                self.observe,
-                self.faults,
-                run.order,
-                run.attempt,
-            )
-        elif self.mode == "thread":
-            future = pool.submit(
-                _run_cells,
-                self._context(run.benchmark),
-                cells,
-                self.observe,
-                self.faults,
-                run.order,
-                run.attempt,
-            )
-        else:
-            # The batch carries a digest, not a trace: the worker's
-            # resident store supplies the data (_run_cells_by_digest).
-            future = pool.submit(
-                _run_cells_by_digest,
-                self.digests[run.benchmark],
-                cells,
-                self.observe,
-                self.faults,
-                run.order,
-                run.attempt,
-            )
-        if self.policy.task_timeout is not None:
-            run.deadline = time.monotonic() + self.policy.task_timeout
-        else:
-            run.deadline = float("inf")
-        return future
-
-    def _reap_zombies(self) -> None:
-        """Drop abandoned futures whose stale attempt finally finished."""
-        if not self.zombies:
-            return
-        finished = [future for future in self.zombies if future.done()]
-        if finished:
-            self.zombies.difference_update(finished)
-            self.engine.gauge("zombie_slots").set(len(self.zombies))
-
-    def _clear_zombies(self) -> None:
-        self.zombies.clear()
-        self.engine.gauge("zombie_slots").set(0)
-
-    def _tick(
-        self,
-        inflight: dict[Future, tuple[_BatchRun, int]],
-        waiting: list[_BatchRun],
-    ) -> float:
-        """How long the next ``wait`` may block."""
-        now = time.monotonic()
-        horizon = now + _MAX_TICK_SECONDS
-        for run, _slot in inflight.values():
-            horizon = min(horizon, run.deadline)
-        for run in waiting:
-            horizon = min(horizon, run.not_before)
-        return max(horizon - now, 0.01)
-
-    def _remaining(
-        self,
-        inflight: dict[Future, tuple[_BatchRun, int]],
-        waiting: list[_BatchRun],
-    ) -> list[_BatchRun]:
-        """Drain every unfinished batch for a serial takeover."""
-        remaining = list(self.scheduler.drain()) if self.scheduler else []
-        remaining.extend(waiting)
-        remaining.extend(run for run, _slot in inflight.values())
-        inflight.clear()
-        return remaining
-
-    def _handle_pool_break(
-        self,
-        victims: list[tuple[_BatchRun, BaseException]],
-        inflight: dict[Future, tuple[_BatchRun, int]],
-        free_slots: set[int],
-        waiting: list[_BatchRun],
-        restarts: int,
-    ) -> int:
-        """Account a pool death; requeue victims and orphaned batches."""
-        self.engine.counter("pool_restarts").inc()
-        restarts += 1
-        for run, error in victims:
-            self._retry_or_raise(run, error, waiting)
-        # The orphans did nothing wrong: requeue at the same attempt.
-        orphans = sorted(
-            (run for run, _slot in inflight.values()),
-            key=lambda r: r.order,
-        )
-        for _run, slot in inflight.values():
-            free_slots.add(slot)
-        inflight.clear()
-        for run in reversed(orphans):
-            self.scheduler.requeue(run)
-        # The zombies died with the pool; the respawn starts with every
-        # slot free.
-        self._clear_zombies()
-        return restarts
-
-    def _fallback_serial(
-        self,
-        inflight: dict[Future, tuple[_BatchRun, int]],
-        waiting: list[_BatchRun],
-        cause: BaseException | None,
-        why: str,
-    ) -> None:
-        if not self.policy.fallback_serial:
-            raise WorkerCrashError(
-                f"{why} and serial fallback is disabled"
-            ) from cause
-        self.engine.counter("fallback_serial").inc()
-        self._run_serial(self._remaining(inflight, waiting))
-
-    def _run_pooled(self, workers: int) -> None:
-        policy = self.policy
-        scheduler = self.scheduler
-        if scheduler is None:
-            scheduler = StealingScheduler(
-                self.runs,
-                [len(run.batch) * DEFAULT_CELL_MS for run in self.runs],
-                workers,
-            )
-            self.scheduler = scheduler
-        waiting: list[_BatchRun] = []
-        inflight: dict[Future, tuple[_BatchRun, int]] = {}
-        free_slots = set(range(workers))
-        restarts = 0
-        pool = self._make_pool(workers) if self.mode != "remote" else None
-        try:
-            while len(scheduler) or waiting or inflight:
-                self._check_interrupt()
-                self._reap_zombies()
-                now = time.monotonic()
-                due = [run for run in waiting if run.not_before <= now]
-                if due:
-                    waiting = [
-                        run for run in waiting if run.not_before > now
-                    ]
-                    for run in sorted(
-                        due, key=lambda r: r.order, reverse=True
-                    ):
-                        scheduler.requeue(run)
-                # Zombie workers still occupy pool slots: shrink the
-                # submit budget so live batches are not queued behind
-                # them (but never to zero — the pool's own queue keeps
-                # the sweep moving even fully zombified).
-                budget = max(1, workers - len(self.zombies))
-                broken: BrokenExecutor | None = None
-                lost_remote: WorkerCrashError | None = None
-                while (
-                    free_slots
-                    and len(inflight) < budget
-                    and broken is None
-                    and lost_remote is None
-                ):
-                    slot = min(free_slots)
-                    run = scheduler.take(slot)
-                    if run is None:
-                        break
-                    try:
-                        inflight[self._submit(pool, run, slot)] = (
-                            run,
-                            slot,
-                        )
-                        free_slots.discard(slot)
-                    except BrokenExecutor as error:
-                        # The pool died between completions; the batch
-                        # we tried to place is an orphan, not a victim.
-                        scheduler.requeue(run)
-                        broken = error
-                    except WorkerCrashError as error:
-                        # Remote mode with no lane left to submit to.
-                        scheduler.requeue(run)
-                        lost_remote = error
-                victims: list[tuple[_BatchRun, BaseException]] = []
-                if broken is None and lost_remote is None and inflight:
-                    done, _ = wait(
-                        set(inflight),
-                        timeout=self._tick(inflight, waiting),
-                        return_when=FIRST_COMPLETED,
-                    )
-                    for future in done:
-                        run, slot = inflight.pop(future)
-                        free_slots.add(slot)
-                        try:
-                            payload = future.result()
-                        except BrokenProcessPool as error:
-                            victims.append((run, error))
-                            continue
-                        except (SweepInterrupted, KeyboardInterrupt):
-                            raise
-                        except Exception as error:
-                            self._retry_or_raise(run, error, waiting)
-                            continue
-                        try:
-                            self._complete(run, payload)
-                        except WorkerCrashError as error:
-                            self._retry_or_raise(run, error, waiting)
-                    now = time.monotonic()
-                    for future, (run, slot) in list(inflight.items()):
-                        if run.deadline <= now:
-                            # Abandon the future; a late result from it
-                            # is never read.  Until the stale attempt
-                            # finishes, its worker is a zombie burning a
-                            # pool slot — tracked so the submit budget
-                            # shrinks accordingly.
-                            del inflight[future]
-                            free_slots.add(slot)
-                            self.zombies.add(future)
-                            self.engine.counter("zombies").inc()
-                            self.engine.gauge("zombie_slots").set(
-                                len(self.zombies)
-                            )
-                            self.engine.counter("timeouts").inc()
-                            self._retry_or_raise(
-                                run, None, waiting, timed_out=True
-                            )
-                elif (
-                    broken is None
-                    and lost_remote is None
-                    and waiting
-                ):
-                    pause = min(run.not_before for run in waiting) - now
-                    time.sleep(min(max(pause, 0.0), _MAX_TICK_SECONDS))
-                if lost_remote is not None:
-                    if self.remote is not None and self.remote.alive_count:
-                        # A lane died mid-submit but others survive:
-                        # the batch is already requeued, carry on.
-                        continue
-                    self._fallback_serial(
-                        inflight,
-                        waiting,
-                        lost_remote,
-                        "all remote sweep workers are lost",
-                    )
-                    return
-                if victims or broken is not None:
-                    if broken is not None:
-                        victims = []
-                    restarts = self._handle_pool_break(
-                        victims, inflight, free_slots, waiting, restarts
-                    )
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    if restarts > policy.max_pool_restarts:
-                        self._fallback_serial(
-                            inflight,
-                            waiting,
-                            None,
-                            f"process pool died {restarts} times",
-                        )
-                        return
-                    pool = self._make_pool(workers)
-                    free_slots = set(range(workers))
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-            self._clear_zombies()
-
     def run(self, workers: int) -> None:
-        if workers > 0 and self.mode != "serial":
-            self._run_pooled(workers)
-        else:
-            self._run_serial(self.runs)
-
-
-def _plan_note(plan_log: list | None, entry: dict) -> None:
-    if plan_log is not None:
-        plan_log.append(entry)
+        if workers == 0:
+            for run in self.runs:
+                self._check_interrupt()
+                self._complete(run, lambda: self._attempt(run))
+            return
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            # Submitted in canonical plan order: the pool's FIFO queue
+            # is the whole schedule.
+            inflight = {
+                pool.submit(self._attempt, run): run for run in self.runs
+            }
+            while inflight:
+                self._check_interrupt()
+                done, _ = wait(
+                    inflight,
+                    timeout=_POLL_SECONDS,
+                    return_when=FIRST_COMPLETED,
+                )
+                for future in sorted(done, key=lambda f: inflight[f].order):
+                    self._complete(inflight.pop(future), future.result)
+        finally:
+            # Queued batches are dropped; running ones cannot be
+            # stopped, so wait for them rather than leave them behind.
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def run_sweep(
@@ -781,15 +367,9 @@ def run_sweep(
     delays: tuple[int, ...] = DEFAULT_DELAYS,
     workers: int = 0,
     cache: SweepCache | None = None,
-    chunk_size: int | None = None,
     obs: Registry | None = None,
     resilience: RetryPolicy | None = None,
     faults: FaultPlan | None = None,
-    backend: str | None = None,
-    ledger: CostLedger | None = None,
-    remote=None,
-    steal_schedule=None,
-    plan_log: list | None = None,
 ) -> list[SweepPoint]:
     """Measure every (benchmark, scheme, τ) cell of a sweep.
 
@@ -799,81 +379,40 @@ def run_sweep(
         Benchmark name → trace; the iteration order fixes the output
         order (as in the historical serial sweep).
     workers:
-        Pool-size hint; ``0`` runs serially (legacy behavior) unless
-        ``backend`` says otherwise.  For ``backend="adaptive"`` it caps
-        the pool the cost model may choose (``0`` → the CPU count).
+        ``0`` (the default) replays in-process, one batch per
+        benchmark.  ``N > 0`` replays on a pool of ``N`` threads; each
+        benchmark's **pending** cells are split into batches sized by
+        :func:`~repro.experiments.engine.planner.autotune_chunk_size`.
+        Never affects results, only scheduling.
     cache:
         Optional :class:`SweepCache`.  Cached cells are served without
         replay; computed cells are stored back *as each batch completes*,
         so an interrupted sweep resumes from everything it finished.
         Hit/miss accounting accumulates on ``cache.stats``.
-    chunk_size:
-        Cells per scheduled unit of parallel work.  ``None`` (the
-        default) autotunes per benchmark from the **pending** (dirty)
-        cell count and the slot count (see
-        :func:`~repro.experiments.engine.planner.autotune_chunk_size`);
-        an explicit positive value pins the granularity.  Never affects
-        results, only scheduling.
     obs:
         Optional observability registry; engine metrics land under its
         ``sweep.`` prefix (see the module docstring).  ``None`` runs
         uninstrumented at zero cost.
     resilience:
         Optional :class:`~repro.resilience.RetryPolicy`; ``None`` uses
-        :data:`~repro.resilience.DEFAULT_POLICY` (bounded retries, no
-        timeout, pool respawn with serial fallback).
+        :data:`~repro.resilience.DEFAULT_POLICY` (bounded retries).
     faults:
         Optional :class:`~repro.resilience.FaultPlan` for deterministic
-        fault injection (tests and drills only).  The ``lost_worker``
-        kind fires in the remote backend's dispatch path; every other
-        kind fires inside :func:`_run_cells` wherever it runs.
-    backend:
-        ``None`` keeps the legacy rule (process pool iff ``workers >
-        0``); ``"serial"`` / ``"thread"`` / ``"process"`` force a
-        substrate; ``"remote"`` dispatches to ``repro worker``
-        processes (``remote`` must name them); ``"adaptive"`` lets the
-        cost model pick serial/thread/process from predicted costs and
-        the dispatch-overhead model.
-    ledger:
-        Optional :class:`~repro.experiments.engine.scheduler.
-        CostLedger`.  Completed cells are recorded into it (and it is
-        saved best-effort at the end of the sweep); predictions prefer
-        its measured entries.
-    remote:
-        Worker addresses (``["host:port", ...]``) or a ready
-        :class:`~repro.experiments.engine.remote.RemoteWorkerPool`;
-        required for ``backend="remote"``.
-    steal_schedule:
-        Test hook: a sequence of integers overriding the deterministic
-        steal-victim rule, so property tests can force any
-        interleaving.
-    plan_log:
-        Optional list the executor appends its scheduling decisions to
-        (per-cell predictions, chunking, the backend decision, LPT
-        assignment, steal events) — the machine-readable ``--explain``
-        feed.
+        fault injection (tests and drills only); it fires inside
+        :func:`_run_cells` in both modes.
 
     Raises
     ------
     SweepInterrupted
-        On SIGINT/SIGTERM, after draining completed batches and
-        flushing the cache; carries the partial results.
-    WorkerCrashError / BatchTimeoutError
+        On SIGINT/SIGTERM, after placing and caching every completed
+        batch; carries the partial results.
+    WorkerCrashError
         When one batch exhausts the policy's retry budget.
     """
     if workers < 0:
         raise ExperimentError(f"workers must be >= 0, got {workers}")
-    if backend is not None and backend not in BACKENDS:
-        raise ExperimentError(
-            f"unknown backend {backend!r}; known: " + ", ".join(BACKENDS)
-        )
-    if backend == "remote" and remote is None:
-        raise ExperimentError(
-            "backend='remote' needs remote= worker addresses or a pool"
-        )
     policy = resilience if resilience is not None else DEFAULT_POLICY
     engine = get_registry(obs).child("sweep")
-    observe = engine.enabled
     with engine.span("total"):
         tasks = plan_sweep(list(traces), schemes=schemes, delays=delays)
         engine.counter("runs").inc()
@@ -883,34 +422,18 @@ def run_sweep(
         engine.counter("cells_cached")
         engine.counter("cells_replayed")
         engine.counter("retries")
-        engine.counter("timeouts")
-        engine.counter("pool_restarts")
-        engine.counter("fallback_serial")
-        engine.counter("zombies")
-        engine.counter("steals")
-        engine.gauge("zombie_slots").set(0)
         results: list[SweepPoint | None] = [None] * len(tasks)
 
-        # Digests address the result cache, the data plane's shared
-        # memory residency, remote trace publication and the cost
-        # ledger's exact index — needed whenever any of them is in
-        # play.  trace_digest memoizes per trace object, so the cost is
-        # paid once no matter how many consumers ask.
-        digests: dict[str, str] = {}
-        if (
-            cache is not None
-            or workers > 0
-            or ledger is not None
-            or backend not in (None, "serial")
-        ):
+        keys: dict[int, str] = {}
+        pending = list(tasks)
+        if cache is not None:
+            # trace_digest memoizes per trace object, so repeated
+            # sweeps over the same traces pay for it once.
             with engine.span("digest"):
                 digests = {
                     name: trace_digest(trace)
                     for name, trace in traces.items()
                 }
-
-        keys: dict[int, str] = {}
-        if cache is not None:
             pending = []
             for task in tasks:
                 key = cache_key(
@@ -923,272 +446,57 @@ def run_sweep(
                 else:
                     results[task.index] = point
             engine.counter("cells_cached").inc(len(tasks) - len(pending))
-        else:
-            pending = list(tasks)
-            if digests and ledger is not None:
-                # No result cache, but the ledger still wants its
-                # digest-exact index.
-                for task in tasks:
-                    keys[task.index] = cache_key(
-                        digests[task.benchmark], task.scheme, task.delay
-                    )
 
-        flows = {name: trace.flow for name, trace in traces.items()}
-
-        mode: str
-        slots = 0
-        decision: BackendDecision | None = None
-        if backend is None:
-            mode = "process" if workers > 0 else "serial"
-        elif backend == "adaptive":
-            mode = "serial"  # provisional; decided below on the plan
-        else:
-            mode = backend
-
-        cpu = os.cpu_count() or 1
-        hint = workers if workers > 0 else cpu
-
-        # Cost predictions: wanted by the adaptive decision, by the LPT
-        # scheduler of every pooled mode, and by --explain.  The pure
-        # legacy serial path (no ledger, no plan log) skips them.
-        model: CostModel | None = None
-        predictions: dict[int, tuple[float, str]] = {}
-        if (
-            backend == "adaptive"
-            or mode != "serial"
-            or plan_log is not None
-            or ledger is not None
-        ):
-            model = CostModel(ledger)
-        if model is not None and pending:
-            with engine.span("predict"):
-                for task in pending:
-                    predicted = model.predict(
-                        benchmark=task.benchmark,
-                        scheme=task.scheme,
-                        delay=task.delay,
-                        flow=flows[task.benchmark],
-                        key=keys.get(task.index),
-                    )
-                    predictions[task.index] = predicted
-                    _plan_note(
-                        plan_log,
-                        {
-                            "event": "predict",
-                            "cell": cell_name(
-                                task.benchmark, task.scheme, task.delay
-                            ),
-                            "ms": round(predicted.ms, 3),
-                            "source": predicted.source,
-                        },
-                    )
-
-        def batch_cost(batch: list[SweepTask]) -> float:
-            if not predictions:
-                return len(batch) * DEFAULT_CELL_MS
-            return sum(
-                predictions[task.index].ms
-                for task in batch
-                if task.index in predictions
-            )
-
-        def chunk_groups(groups, slot_count: int) -> list[list[SweepTask]]:
-            batches: list[list[SweepTask]] = []
-            sizes = []
-            for name, group in groups.items():
-                # Sized on the *pending* cells of this benchmark only —
-                # cache hits never inflate the chunk size.
-                size = (
-                    chunk_size
-                    if chunk_size is not None
-                    else autotune_chunk_size(len(group), slot_count)
-                )
-                sizes.append(size)
-                _plan_note(
-                    plan_log,
-                    {
-                        "event": "chunk",
-                        "benchmark": name,
-                        "pending_cells": len(group),
-                        "chunk_size": size,
-                    },
-                )
-                batches.extend(chunk_tasks(group, size))
-            if sizes:
-                engine.gauge("chunk_size").set(max(sizes))
-            return batches
-
-        if pending:
-            groups = group_by_benchmark(pending)
-
-            if backend == "adaptive":
-                dispatch = DispatchModel.from_ledger(ledger)
-                tentative = chunk_groups(groups, hint)
-                decision = choose_backend(
-                    [batch_cost(batch) for batch in tentative],
-                    workers_hint=workers,
-                    dispatch=dispatch,
-                )
-                mode = decision.backend
-                slots = decision.workers
-                _plan_note(
-                    plan_log,
-                    {
-                        "event": "decision",
-                        "backend": mode,
-                        "workers": slots,
-                        "predicted_ms": {
-                            name: round(ms, 3)
-                            for name, ms in decision.predicted_ms.items()
-                        },
-                        "calibrated": dispatch.calibrated,
-                        "reason": decision.reason,
-                    },
-                )
-                engine.gauge("predicted_ms").set(
-                    decision.predicted_ms[mode]
-                )
-            elif mode == "remote":
-                slots = 0  # resolved once the pool is connected
-            elif mode in ("thread", "process"):
-                slots = hint
-
-            engine.counter(f"backend_{mode}").inc()
-
-            # One batch per benchmark when serial (one replay context
-            # per trace, like the historical loop); chunked batches when
-            # pooled so a single benchmark's cells can spread across
-            # slots.  With the data plane a batch ships only a digest,
-            # so the chunk size is a pure scheduling knob — autotuned
-            # per benchmark from the pending cells unless pinned.
-            dataplane: TraceDataPlane | None = None
-            remote_pool = None
-            own_remote = False
-            try:
-                if mode == "remote":
-                    from repro.experiments.engine.remote import (
-                        RemoteWorkerPool,
-                    )
-
-                    if isinstance(remote, RemoteWorkerPool):
-                        remote_pool = remote
-                    else:
-                        remote_pool = RemoteWorkerPool(
-                            remote,
-                            timeout=policy.task_timeout,
-                            obs=engine.child("remote"),
-                            faults=faults,
-                        )
-                        own_remote = True
-                    slots = remote_pool.slots
-                    with engine.span("publish"):
-                        for name in groups:
-                            remote_pool.register_trace(
-                                digests[name],
-                                TraceArchive.from_trace(
-                                    traces[name]
-                                ).to_bytes(),
-                            )
-
-                if mode == "serial" or slots < 1:
-                    mode = "serial"
-                    slots = 0
-                    batches = list(groups.values())
-                else:
-                    batches = chunk_groups(groups, slots)
-                engine.counter("batches").inc(len(batches))
-                engine.gauge("workers").set(slots)
-
-                if mode == "process":
-                    # Publish each pending benchmark's trace exactly
-                    # once; every batch then references it by digest.
-                    dataplane = TraceDataPlane(
-                        obs=engine.child("dataplane")
-                    )
-                    with engine.span("publish"):
-                        for name in groups:
-                            dataplane.publish(digests[name], traces[name])
-                with interrupt_guard() as flag:
-                    runner = _SweepRunner(
-                        traces=traces,
-                        batches=batches,
-                        policy=policy,
-                        faults=faults,
-                        engine=engine,
-                        observe=observe,
-                        cache=cache,
-                        keys=keys,
-                        results=results,
-                        total_cells=len(tasks),
-                        flag=flag,
-                        digests=digests,
-                        dataplane=dataplane,
-                        mode=mode,
-                        ledger=ledger,
-                        flows=flows,
-                        remote=remote_pool,
-                        plan_log=plan_log,
-                    )
-                    if mode != "serial":
-                        runner.scheduler = StealingScheduler(
-                            runner.runs,
-                            [
-                                batch_cost(run.batch)
-                                for run in runner.runs
-                            ],
-                            slots,
-                            steal_schedule=steal_schedule,
-                            events=plan_log
-                            if plan_log is not None
-                            else None,
-                        )
-                        _plan_note(
-                            plan_log,
-                            {
-                                "event": "assign",
-                                "slots": [
-                                    [run.order for run in queue]
-                                    for queue in (
-                                        runner.scheduler.assignment()
-                                    )
-                                ],
-                            },
-                        )
-                    try:
-                        runner.run(slots)
-                    except KeyboardInterrupt:
-                        # Signal arrived where the guard could not trap
-                        # it (non-main thread, or the operator's second
-                        # Ctrl-C).
-                        engine.counter("interrupted").inc()
-                        partial = [
-                            point for point in results if point is not None
-                        ]
-                        raise SweepInterrupted(
-                            partial=partial,
-                            completed=len(partial),
-                            total=len(tasks),
-                            signal_name=flag.signal_name,
-                        ) from None
-                    finally:
-                        if runner.scheduler is not None:
-                            engine.counter("steals").inc(
-                                runner.scheduler.steals
-                            )
-            finally:
-                # Releases every shared-memory segment and remote
-                # connection on *every* exit: normal completion, retry
-                # exhaustion, serial fallback, pool death,
-                # SweepInterrupted and raw KeyboardInterrupt.
-                if dataplane is not None:
-                    dataplane.close()
-                if own_remote and remote_pool is not None:
-                    remote_pool.close()
-                if ledger is not None:
-                    ledger.save()
-        else:
+        if not pending:
             engine.gauge("workers").set(0)
-            if ledger is not None:
-                ledger.save()
+            return [point for point in results if point is not None]
+
+        groups = group_by_benchmark(pending)
+        if workers == 0:
+            # One batch per benchmark, like the historical serial loop.
+            batches = list(groups.values())
+        else:
+            # Sized on each benchmark's *pending* cells only — cache
+            # hits never inflate the chunk size.
+            sizes = [
+                autotune_chunk_size(len(group), workers)
+                for group in groups.values()
+            ]
+            batches = [
+                batch
+                for group, size in zip(groups.values(), sizes)
+                for batch in chunk_tasks(group, size)
+            ]
+            engine.gauge("chunk_size").set(max(sizes))
+        engine.counter("batches").inc(len(batches))
+        engine.gauge("workers").set(workers)
+
+        with interrupt_guard() as flag:
+            runner = _SweepRunner(
+                batches=batches,
+                contexts={
+                    name: ReplayContext(traces[name]) for name in groups
+                },
+                policy=policy,
+                faults=faults,
+                engine=engine,
+                cache=cache,
+                keys=keys,
+                results=results,
+                flag=flag,
+            )
+            try:
+                runner.run(workers)
+            except KeyboardInterrupt:
+                # Signal arrived where the guard could not trap it
+                # (non-main thread, or the operator's second Ctrl-C).
+                engine.counter("interrupted").inc()
+                partial = [point for point in results if point is not None]
+                raise SweepInterrupted(
+                    partial=partial,
+                    completed=len(partial),
+                    total=len(tasks),
+                    signal_name=flag.signal_name,
+                ) from None
 
     return [point for point in results if point is not None]

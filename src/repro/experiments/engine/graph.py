@@ -45,14 +45,6 @@ cache) but its content digest — and therefore the render built from it
 The driver that executes a plan lives in
 :mod:`repro.experiments.targets`; this module is pure bookkeeping with
 no knowledge of how cells are computed.
-
-The same content-addressed cell identity does double duty in the
-scheduler: the cost ledger
-(:class:`~repro.experiments.engine.scheduler.CostLedger`) records each
-cell's measured wall-clock under its sweep-cache key, so a key that is
-*clean* here is exactly a key whose cost is *known* there — a planned
-dirty subgraph arrives at the executor with per-cell cost predictions
-already grounded in measurement.
 """
 
 from __future__ import annotations

@@ -80,9 +80,8 @@ def group_by_benchmark(
 ) -> dict[str, list[SweepTask]]:
     """Tasks bucketed per benchmark, preserving canonical order.
 
-    A batch of cells sharing one benchmark ships that benchmark's trace
-    to a worker exactly once, which keeps the serialization cost per
-    scheduled unit at one trace rather than one per cell.
+    Every batch the executor runs holds cells of one benchmark only, so
+    a batch replays on that benchmark's shared per-trace memos.
     """
     groups: dict[str, list[SweepTask]] = {}
     for task in tasks:
@@ -107,10 +106,10 @@ def chunk_tasks(
     ]
 
 
-#: Ceiling on the autotuned chunk size.  With the zero-copy data plane a
-#: batch ships only a digest, so a large chunk saves almost nothing on
-#: transfer but costs scheduling flexibility (and retry granularity — a
-#: faulted batch re-replays its whole chunk).
+#: Ceiling on the autotuned chunk size.  A thread-pool batch moves no
+#: data, so a large chunk saves almost nothing on dispatch but costs
+#: load balance (and retry granularity — a faulted batch re-replays its
+#: whole chunk).
 AUTOTUNE_MAX_CHUNK = 32
 
 #: Batches the autotuner aims to give each worker per benchmark, so the
@@ -131,11 +130,9 @@ def autotune_chunk_size(num_cells: int, workers: int) -> int:
     down).
 
     Targets :data:`AUTOTUNE_WAVES_PER_WORKER` batches per worker per
-    benchmark: enough slack for the scheduler to rebalance uneven batch
-    runtimes, without fragmenting the sweep into per-cell dispatch
-    overhead.  Shipping cost does not enter the trade-off — the data
-    plane moves a trace to a worker at most once regardless of how the
-    cells are chunked.
+    benchmark: enough slack for the pool's FIFO queue to even out
+    uneven batch runtimes, without fragmenting the sweep into per-cell
+    dispatch overhead.
     """
     if workers < 1:
         raise ExperimentError(f"autotune needs workers >= 1, got {workers}")

@@ -76,19 +76,17 @@ def build_figure2(
     delays: tuple[int, ...] = DEFAULT_DELAYS,
     workers: int = 0,
     cache: SweepCache | None = None,
-    chunk_size: int | None = None,
     obs: Registry | None = None,
     resilience: RetryPolicy | None = None,
 ) -> FigureCurves:
     """Sweep every benchmark with both schemes.
 
     The sweep runs on the engine: ``workers`` > 0 replays cells on a
-    process pool and ``cache`` serves previously computed cells — both
-    produce output identical to the serial, uncached sweep.
-    ``chunk_size`` pins the parallel scheduling granularity (``None``
-    autotunes).  ``obs`` reaches the engine's instrumentation (see
-    ``docs/observability.md``) and ``resilience`` its retry/timeout
-    policy (``docs/resilience.md``).
+    thread pool and ``cache`` serves previously computed cells — both
+    produce output identical to the serial, uncached sweep.  ``obs``
+    reaches the engine's instrumentation (see
+    ``docs/observability.md``) and ``resilience`` its retry policy
+    (``docs/resilience.md``).
     """
     if traces is None:
         traces = benchmark_traces(flow_scale=flow_scale)
@@ -97,7 +95,6 @@ def build_figure2(
         delays=delays,
         workers=workers,
         cache=cache,
-        chunk_size=chunk_size,
         obs=obs,
         resilience=resilience,
     )

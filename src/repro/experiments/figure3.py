@@ -21,7 +21,6 @@ def build_figure3(
     flow_scale: float = 1.0,
     workers: int = 0,
     cache: SweepCache | None = None,
-    chunk_size: int | None = None,
     obs: Registry | None = None,
     resilience: RetryPolicy | None = None,
 ) -> FigureCurves:
@@ -35,7 +34,6 @@ def build_figure3(
         flow_scale=flow_scale,
         workers=workers,
         cache=cache,
-        chunk_size=chunk_size,
         obs=obs,
         resilience=resilience,
     )

@@ -33,14 +33,9 @@ def _run_target(
     target: TargetSpec,
     flow_scale: float,
     workers: int,
-    chunk_size: int | None,
     cache: SweepCache | None,
     obs: Registry | None,
     resilience: RetryPolicy | None,
-    backend: str | None = None,
-    remote=None,
-    ledger=None,
-    plan_log: list | None = None,
 ) -> str:
     """Compute one target from scratch via its declaration."""
     if target.sweep:
@@ -51,13 +46,8 @@ def _run_target(
             traces,
             workers=workers,
             cache=cache,
-            chunk_size=chunk_size,
             obs=obs,
             resilience=resilience,
-            backend=backend,
-            remote=remote,
-            ledger=ledger,
-            plan_log=plan_log,
         )
         return target.render_points(points, DEFAULT_DELAYS)
     traces = (
@@ -83,21 +73,15 @@ def run_experiment(
     name: str,
     flow_scale: float = 1.0,
     workers: int = 0,
-    chunk_size: int | None = None,
     cache: SweepCache | None = None,
     obs: Registry | None = None,
     resilience: RetryPolicy | None = None,
-    backend: str | None = None,
-    remote=None,
-    ledger=None,
-    plan_log: list | None = None,
 ) -> str:
     """Regenerate one experiment and return its text rendering.
 
-    ``workers``, ``chunk_size``, ``cache``, ``obs``, ``resilience`` and
-    the scheduler knobs (``backend``, ``remote``, ``ledger``,
-    ``plan_log``) reach the sweep engine for the experiments in
-    :data:`SWEEP_EXPERIMENTS`; the others ignore them.
+    ``workers``, ``cache``, ``obs`` and ``resilience`` reach the sweep
+    engine for the experiments in :data:`SWEEP_EXPERIMENTS`; the others
+    ignore them.
     """
     try:
         target = TARGETS[name]
@@ -106,16 +90,4 @@ def run_experiment(
         raise ExperimentError(
             f"unknown experiment {name!r}; known: {known}"
         ) from None
-    return _run_target(
-        target,
-        flow_scale,
-        workers,
-        chunk_size,
-        cache,
-        obs,
-        resilience,
-        backend=backend,
-        remote=remote,
-        ledger=ledger,
-        plan_log=plan_log,
-    )
+    return _run_target(target, flow_scale, workers, cache, obs, resilience)

@@ -242,26 +242,18 @@ def run_targets(
     names: list[str] | None = None,
     flow_scale: float = 1.0,
     workers: int = 0,
-    chunk_size: int | None = None,
     cache: SweepCache | None = None,
     obs: Registry | None = None,
     resilience: RetryPolicy | None = None,
-    backend: str | None = None,
-    remote=None,
-    ledger=None,
-    plan_log: list | None = None,
 ) -> TargetRun:
     """Execute the dirty subgraph and return every requested artifact.
 
-    The engine parameters (``workers``, ``chunk_size``, ``resilience``,
-    ``backend``, ``remote``, ``ledger``) reach the one
+    The engine parameters (``workers``, ``resilience``) reach the one
     :func:`run_sweep` call that replays dirty cells; they never affect
-    results, only how the replay is scheduled.  ``plan_log`` collects
-    the scheduler's structured explain events (cost predictions,
-    backend decision, steals) for ``repro run --explain``.  ``obs``
-    lands the graph accounting under its ``graph.`` prefix
-    (``nodes_total`` / ``nodes_dirty`` / ``nodes_skipped`` /
-    ``cells_executed`` / ``renders_executed`` / ``renders_served``).
+    results, only how the replay is run.  ``obs`` lands the graph
+    accounting under its ``graph.`` prefix (``nodes_total`` /
+    ``nodes_dirty`` / ``nodes_skipped`` / ``cells_executed`` /
+    ``renders_executed`` / ``renders_served``).
     """
     registry = get_registry(obs).child("graph")
     with registry.span("plan"):
@@ -328,13 +320,8 @@ def run_targets(
                 sweep_traces,
                 workers=workers,
                 cache=cache,
-                chunk_size=chunk_size,
                 obs=obs,
                 resilience=resilience,
-                backend=backend,
-                remote=remote,
-                ledger=ledger,
-                plan_log=plan_log,
             )
             for point in points:
                 executed[(point.benchmark, point.scheme, point.delay)] = (

@@ -4,12 +4,10 @@ The sweep engine's failure story lives here, split from the executor so
 policy and mechanism stay testable on their own:
 
 * :mod:`repro.resilience.policy` — :class:`RetryPolicy`: bounded
-  retries, per-task timeouts, exponential backoff with deterministic
-  jitter, pool-restart budget and serial fallback.
+  retries with exponential backoff and deterministic jitter.
 * :mod:`repro.resilience.faults` — :class:`FaultPlan`/:class:`FaultSpec`:
-  deterministic injection of crashes, hangs, corrupt results, pool
-  deaths, lost remote workers and interrupts, keyed by (batch,
-  attempt).
+  deterministic injection of crashes, corrupt results and interrupts,
+  keyed by (batch, attempt).
 * :mod:`repro.resilience.signals` — :func:`interrupt_guard`: cooperative
   SIGINT/SIGTERM shutdown.
 
@@ -22,12 +20,9 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
-    break_pool_on,
     corrupt_on,
     crash_on,
-    hang_on,
     interrupt_on,
-    lose_worker_on,
     plan,
 )
 from repro.resilience.policy import DEFAULT_POLICY, RetryPolicy
@@ -41,12 +36,9 @@ __all__ = [
     "InjectedFault",
     "InterruptFlag",
     "RetryPolicy",
-    "break_pool_on",
     "corrupt_on",
     "crash_on",
-    "hang_on",
     "interrupt_guard",
     "interrupt_on",
-    "lose_worker_on",
     "plan",
 ]

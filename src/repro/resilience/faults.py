@@ -1,13 +1,12 @@
 """Deterministic fault injection for the sweep executor.
 
-Real worker failures — a crash, a hang, a process-pool death, a corrupt
-result — are timing-dependent and miserable to reproduce in tests.  This
-module replaces them with a *plan*: a picklable description of exactly
-which batch, on exactly which attempt, misbehaves in exactly which way.
-The executor threads the plan into :func:`~repro.experiments.engine.
-executor._run_cells`, so the fault fires inside the worker (or inside
-the in-process serial path) at the same point a real failure would,
-without any actual process murder.
+Real batch failures — a crash, a corrupt result, an operator's Ctrl-C
+— are timing-dependent and miserable to reproduce in tests.  This
+module replaces them with a *plan*: a description of exactly which
+batch, on exactly which attempt, misbehaves in exactly which way.  The
+executor threads the plan into :func:`~repro.experiments.engine.
+executor._run_cells`, so the fault fires inside the batch (on the main
+thread or a pool thread) at the same point a real failure would.
 
 Fault kinds
 -----------
@@ -15,30 +14,14 @@ Fault kinds
     Raise :class:`InjectedFault` before the batch computes anything.
     With ``times=k`` the batch is *flaky*: it fails on its first ``k``
     attempts and then succeeds — the shape retry logic exists for.
-``hang``
-    Sleep ``seconds`` before computing, long enough to trip the
-    executor's per-task timeout.
 ``corrupt``
     Compute normally but return a mangled result (one point dropped),
     exercising the executor's result validation.
-``pool_break``
-    Raise :class:`concurrent.futures.process.BrokenProcessPool`, which
-    the executor treats exactly like a real pool death: respawn,
-    requeue, and eventually degrade to serial execution.
 ``interrupt``
     Send ``SIGINT`` to the current process before computing — a
-    deterministic stand-in for the operator's Ctrl-C mid-sweep.  Only
-    meaningful for in-process (serial) execution, where the current
-    process is the one running the sweep.
-``lost_worker``
-    A remote sweep worker vanishes (container killed, network
-    partition) while holding the batch.  Fired *parent-side* by the
-    remote backend's dispatch path — the worker's connection is
-    severed and the batch fails with the same
-    :class:`~repro.errors.WorkerCrashError` a real loss produces, so
-    the requeue-onto-survivors machinery is exercised end to end.  The
-    generic :meth:`FaultPlan.before` hook ignores this kind; consumers
-    ask for it explicitly via :meth:`FaultPlan.fires_kind`.
+    deterministic stand-in for the operator's Ctrl-C mid-sweep.  The
+    handler runs on the main thread, which stops the sweep at its next
+    batch boundary.
 
 Every decision is a pure function of ``(batch_index, attempt)``, so a
 faulted run is as reproducible as a healthy one.
@@ -48,25 +31,17 @@ from __future__ import annotations
 
 import os
 import signal
-import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.errors import ExperimentError
 
 #: The misbehaviors a :class:`FaultSpec` can inject.
-FAULT_KINDS = (
-    "crash",
-    "hang",
-    "corrupt",
-    "pool_break",
-    "interrupt",
-    "lost_worker",
-)
+FAULT_KINDS = ("crash", "corrupt", "interrupt")
 
 
 class InjectedFault(RuntimeError):
-    """The stand-in exception a ``crash`` fault raises inside a worker."""
+    """The stand-in exception a ``crash`` fault raises inside a batch."""
 
 
 @dataclass(frozen=True)
@@ -76,27 +51,26 @@ class FaultSpec:
     ``batch`` is the batch's scheduling index (the executor numbers
     batches in canonical plan order).  ``times`` bounds how many
     attempts fire the fault: ``times=2`` fails attempts 0 and 1 and lets
-    attempt 2 succeed; ``times=None`` fires on every attempt.
+    attempt 2 succeed; ``times=None`` fires on every attempt.  ``kind``
+    must be one of :attr:`kinds`; a harness with its own vocabulary
+    subclasses and overrides it.
     """
+
+    kinds: ClassVar[tuple[str, ...]] = FAULT_KINDS
 
     kind: str
     batch: int
     times: int | None = 1
-    seconds: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
+        if self.kind not in self.kinds:
             raise ExperimentError(
                 f"unknown fault kind {self.kind!r}; known: "
-                + ", ".join(FAULT_KINDS)
+                + ", ".join(self.kinds)
             )
         if self.times is not None and self.times < 1:
             raise ExperimentError(
                 f"fault times must be >= 1 or None, got {self.times}"
-            )
-        if self.seconds < 0:
-            raise ExperimentError(
-                f"fault seconds must be >= 0, got {self.seconds}"
             )
 
     def fires(self, batch_index: int, attempt: int) -> bool:
@@ -108,13 +82,13 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A picklable set of :class:`FaultSpec` the executor consults.
+    """A set of :class:`FaultSpec` the executor consults.
 
-    ``before`` runs ahead of a batch's computation (crash / hang /
-    pool-break / interrupt kinds); ``after`` post-processes the computed
-    points (corrupt kind).  A plan with no matching spec is a no-op, so
-    production code paths can thread ``faults=None`` or an empty plan
-    at zero behavioral cost.
+    ``before`` runs ahead of a batch's computation (crash / interrupt
+    kinds); ``after`` post-processes the computed points (corrupt
+    kind).  A plan with no matching spec is a no-op, so production code
+    paths can thread ``faults=None`` or an empty plan at zero
+    behavioral cost.
     """
 
     specs: tuple[FaultSpec, ...] = ()
@@ -128,29 +102,8 @@ class FaultPlan:
                 raise InjectedFault(
                     f"injected crash: batch {batch_index}, attempt {attempt}"
                 )
-            if spec.kind == "pool_break":
-                raise BrokenProcessPool(
-                    f"injected pool death: batch {batch_index}, "
-                    f"attempt {attempt}"
-                )
-            if spec.kind == "hang":
-                time.sleep(spec.seconds)
             if spec.kind == "interrupt":
                 os.kill(os.getpid(), signal.SIGINT)
-
-    def fires_kind(
-        self, kind: str, batch_index: int, attempt: int
-    ) -> bool:
-        """Whether any spec of ``kind`` fires for one (batch, attempt).
-
-        The hook for faults that fire outside the shared replay path —
-        the remote backend consults ``fires_kind("lost_worker", ...)``
-        in its dispatch lane, where a real worker loss would surface.
-        """
-        return any(
-            spec.kind == kind and spec.fires(batch_index, attempt)
-            for spec in self.specs
-        )
 
     def corrupts(self, batch_index: int, attempt: int) -> bool:
         """Whether a ``corrupt`` fault fires for this attempt."""
@@ -171,31 +124,14 @@ def crash_on(batch: int, times: int | None = 1) -> FaultSpec:
     return FaultSpec(kind="crash", batch=batch, times=times)
 
 
-def hang_on(
-    batch: int, seconds: float, times: int | None = 1
-) -> FaultSpec:
-    """A batch that hangs ``seconds`` on its first ``times`` attempts."""
-    return FaultSpec(kind="hang", batch=batch, times=times, seconds=seconds)
-
-
 def corrupt_on(batch: int, times: int | None = 1) -> FaultSpec:
     """A batch that returns a mangled result on its first attempts."""
     return FaultSpec(kind="corrupt", batch=batch, times=times)
 
 
-def break_pool_on(batch: int, times: int | None = 1) -> FaultSpec:
-    """A batch that takes the whole process pool down with it."""
-    return FaultSpec(kind="pool_break", batch=batch, times=times)
-
-
 def interrupt_on(batch: int) -> FaultSpec:
     """A batch that delivers SIGINT to the sweep, as Ctrl-C would."""
     return FaultSpec(kind="interrupt", batch=batch, times=1)
-
-
-def lose_worker_on(batch: int, times: int | None = 1) -> FaultSpec:
-    """A remote worker that vanishes while holding this batch."""
-    return FaultSpec(kind="lost_worker", batch=batch, times=times)
 
 
 def plan(*specs: FaultSpec) -> FaultPlan:

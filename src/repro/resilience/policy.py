@@ -1,10 +1,8 @@
-"""Retry/timeout policy for fault-tolerant sweep execution.
+"""Retry policy for fault-tolerant sweep execution.
 
 A :class:`RetryPolicy` is an immutable description of how much failure
 the executor tolerates before giving up: how many times a batch may be
-retried, how long one attempt may run, how retries are spaced, and how
-many process-pool deaths are absorbed before degrading to in-process
-serial execution.
+retried and how retries are spaced.
 
 Backoff is exponential with **deterministic jitter**: the jitter
 fraction for (batch, attempt) is derived from a SHA-256 hash of the
@@ -33,54 +31,33 @@ def _jitter_fraction(seed: int, batch_index: int, attempt: int) -> float:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the sweep executor responds to failing, hanging or dying work.
+    """How the sweep executor responds to failing work.
 
     Parameters
     ----------
     max_retries:
         Retries per batch beyond the first attempt; ``0`` fails fast.
-    task_timeout:
-        Seconds one batch attempt may run before it is abandoned and
-        retried (``None`` disables timeouts).  Enforced only in pool
-        mode — an in-process batch cannot be preempted.
     backoff_base / backoff_cap:
         Retry *n* waits ``min(cap, base * 2**(n-1))`` seconds, scaled by
         a deterministic jitter factor in [0.5, 1.0).
     jitter_seed:
         Seed of the deterministic jitter; same seed → same schedule.
-    max_pool_restarts:
-        Process-pool deaths absorbed (respawn + requeue) before the
-        executor stops trusting the pool.
-    fallback_serial:
-        After the restart budget is spent, finish the remaining batches
-        in-process instead of failing the sweep.
     """
 
     max_retries: int = 2
-    task_timeout: float | None = None
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
     jitter_seed: int = 0
-    max_pool_restarts: int = 2
-    fallback_serial: bool = True
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ExperimentError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ExperimentError(
-                f"task_timeout must be positive, got {self.task_timeout}"
-            )
         if self.backoff_base < 0 or self.backoff_cap < self.backoff_base:
             raise ExperimentError(
                 "backoff must satisfy 0 <= backoff_base <= backoff_cap, "
                 f"got base={self.backoff_base}, cap={self.backoff_cap}"
-            )
-        if self.max_pool_restarts < 0:
-            raise ExperimentError(
-                f"max_pool_restarts must be >= 0, got {self.max_pool_restarts}"
             )
 
     def backoff_seconds(self, batch_index: int, attempt: int) -> float:
@@ -100,6 +77,6 @@ class RetryPolicy:
         )
 
 
-#: The executor's default: a couple of retries, no timeout, graceful
-#: degradation — resilient without changing any healthy run's behavior.
+#: The executor's default: a couple of retries — resilient without
+#: changing any healthy run's behavior.
 DEFAULT_POLICY = RetryPolicy()

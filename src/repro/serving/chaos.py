@@ -11,7 +11,8 @@ baseline.
 
 Fault vocabulary — a :class:`~repro.resilience.FaultPlan` keyed by the
 global schedule step, reusing the sweep executor's spec machinery with
-serving-specific meanings:
+serving-specific meanings (:class:`ChaosFault` adds ``hang``, which the
+sweep executor does not know):
 
 ``crash``
     Kill the server before the step (no drain, no final checkpoint —
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ServingError
 from repro.obs.core import Registry, get_registry
-from repro.resilience import FaultPlan, RetryPolicy
+from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
 from repro.serving.loadgen import TenantStream, build_stream
 from repro.serving.server import PredictionServer, ServerConfig
 from repro.serving.session import HotPathSelection
@@ -60,6 +61,12 @@ from repro.serving.transport import (
 
 #: The fault kinds the serving harness knows how to inject.
 SERVING_FAULT_KINDS = ("crash", "corrupt", "hang", "interrupt")
+
+
+class ChaosFault(FaultSpec):
+    """A fault spec in the serving harness's vocabulary."""
+
+    kinds = SERVING_FAULT_KINDS
 
 
 @dataclass(frozen=True)
@@ -464,14 +471,7 @@ def run_chaos(
                 elif spec.kind == "interrupt":
                     driver.drain()
                     recover()
-                elif spec.kind == "hang":
-                    pass  # handled below, around the step's ingest
-                else:
-                    raise ServingError(
-                        f"fault kind {spec.kind!r} has no serving "
-                        "meaning; known: "
-                        + ", ".join(SERVING_FAULT_KINDS)
-                    )
+                # A "hang" is handled below, around the step's ingest.
                 faults_fired.append((spec.kind, step))
 
             lost_ack = any(
@@ -550,8 +550,6 @@ def default_plan(steps: int) -> FaultPlan:
     """A representative plan scaled to the schedule length: a kill at
     ~25%, a torn tail at ~50%, a lost ack at ~65% and a rolling restart
     at ~80% of the run."""
-    from repro.resilience import FaultSpec
-
     points = {
         "crash": max(1, steps // 4),
         "corrupt": max(2, steps // 2),
@@ -560,7 +558,7 @@ def default_plan(steps: int) -> FaultPlan:
     }
     return FaultPlan(
         tuple(
-            FaultSpec(kind=kind, batch=step)
+            ChaosFault(kind=kind, batch=step)
             for kind, step in sorted(points.items())
         )
     )

@@ -175,8 +175,7 @@ class Path:
 
 
 #: Keys of the per-path static attribute columns a trace reads (see
-#: :meth:`PathTable.static_columns`), in the order the zero-copy trace
-#: archive serializes them (:mod:`repro.experiments.engine.dataplane`).
+#: :meth:`PathTable.static_columns`).
 STATIC_COLUMN_KEYS = (
     "start_uids",
     "instr",

@@ -20,63 +20,7 @@ from repro.errors import TraceError
 from repro.trace.batch import EventBatch
 from repro.trace.events import BranchEvent
 from repro.trace.extractor import PathExtractor
-from repro.trace.path import STATIC_COLUMN_KEYS, PathTable
-
-
-class ColumnTable:
-    """Table stand-in for a trace restored from flat attribute columns.
-
-    A column-restored trace (see :meth:`PathTrace.from_columns`) knows
-    every *numeric* per-path attribute but carries no :class:`Path`
-    objects — the replay pipeline (predictors, hot sets, quality
-    metrics) only ever consumes the columns, which this table serves
-    through :meth:`static_columns` exactly as :class:`PathTable` does.
-    Anything that genuinely needs path structure (signatures, block
-    lists, digests) must use the original trace; asking this table for
-    it fails loudly instead of silently yielding wrong data.
-    """
-
-    __slots__ = ("_num_paths", "_columns")
-
-    def __init__(self, num_paths: int, columns: dict[str, np.ndarray]):
-        missing = [key for key in STATIC_COLUMN_KEYS if key not in columns]
-        if missing:
-            raise TraceError(
-                f"trace columns incomplete: missing {', '.join(missing)}"
-            )
-        for key in STATIC_COLUMN_KEYS:
-            if len(columns[key]) != num_paths:
-                raise TraceError(
-                    f"column {key!r} has {len(columns[key])} entries for "
-                    f"{num_paths} paths"
-                )
-        self._num_paths = int(num_paths)
-        self._columns = {key: columns[key] for key in STATIC_COLUMN_KEYS}
-
-    def __len__(self) -> int:
-        return self._num_paths
-
-    def __iter__(self):
-        raise TraceError(
-            "column-restored trace carries no Path objects; use the "
-            "original trace for path-structure queries"
-        )
-
-    def path(self, path_id: int) -> None:
-        raise TraceError(
-            f"column-restored trace cannot resolve path {path_id}; it "
-            "carries attribute columns only"
-        )
-
-    def static_columns(self) -> dict[str, np.ndarray]:
-        """The per-path attribute columns the trace was restored from."""
-        return self._columns
-
-    def hash_into(self, hasher) -> None:
-        raise TraceError(
-            "column-restored trace cannot be digested; it carries "
-            "attribute columns only"
-        )
+from repro.trace.path import PathTable
 
 
 class PathTrace:
@@ -114,7 +58,7 @@ class PathTrace:
         # silently re-serve a stale digest (and poison the sweep cache).
         # Everything downstream only reads the array.
         self.path_ids.flags.writeable = False
-        self._cache: dict[str, np.ndarray] = {}
+        self._cache: dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # Pickling
@@ -124,10 +68,9 @@ class PathTrace:
 
         Every cached array is a pure function of the table and the
         occurrence sequence, so a receiver can always rebuild it.
-        Shipping the cache would silently bloat every process-pool
-        payload by whatever happened to be computed in the parent
-        (freqs, occurrence index, …) — for a warm trace, several times
-        the trace itself.
+        Shipping the cache would silently bloat every pickle by
+        whatever happened to be computed before (freqs, occurrence
+        index, …) — for a warm trace, several times the trace itself.
         """
         state = self.__dict__.copy()
         state["_cache"] = {}
@@ -235,16 +178,18 @@ class PathTrace:
         replaying this trace — the sweep engine's per-cell argsort used
         to be one of its hottest redundant computations.
         """
-        if "occ_order" not in self._cache:
+        index = self._cache.get("occurrence_index")
+        if index is None:
             order = np.argsort(self.path_ids, kind="stable")
             starts = np.searchsorted(
                 self.path_ids[order],
                 np.arange(len(self.table) + 1),
                 side="left",
             )
-            self._cache["occ_order"] = order
-            self._cache["occ_starts"] = starts
-        return self._cache["occ_order"], self._cache["occ_starts"]
+            # One store of the pair: a concurrent reader sees both
+            # arrays or neither.
+            index = self._cache["occurrence_index"] = (order, starts)
+        return index
 
     def head_arrival_ranks(
         self, count_backward_arrivals_only: bool = True
@@ -262,9 +207,13 @@ class PathTrace:
         prediction delay is a threshold on ``rank`` and all of them
         share this one pass.
         """
-        kind = "backward" if count_backward_arrivals_only else "all"
-        rank_key, arrivals_key = f"rank_{kind}", f"arrivals_{kind}"
-        if rank_key not in self._cache:
+        key = (
+            "arrival_ranks_backward"
+            if count_backward_arrivals_only
+            else "arrival_ranks_all"
+        )
+        ranks = self._cache.get(key)
+        if ranks is None:
             if count_backward_arrivals_only:
                 counted = self.backward_arrival_mask()
             else:
@@ -289,42 +238,18 @@ class PathTrace:
             rank = np.empty(len(heads), dtype=np.int32)
             rank[by_head] = running[1:] - before[sorted_heads]
             totals = np.diff(before)
-            self._cache[rank_key] = rank
-            self._cache[arrivals_key] = totals[totals > 0]
-        return self._cache[rank_key], self._cache[arrivals_key]
+            # One store of the pair, as in occurrence_index.
+            ranks = self._cache[key] = (rank, totals[totals > 0])
+        return ranks
 
-    # ------------------------------------------------------------------
-    # Columnar form (the zero-copy data plane's exchange format)
-    # ------------------------------------------------------------------
     def static_columns(self) -> dict[str, np.ndarray]:
         """All per-path static attribute arrays, keyed by
-        :data:`STATIC_COLUMN_KEYS`.
+        :data:`~repro.trace.path.STATIC_COLUMN_KEYS`.
 
         Together with :attr:`path_ids` and :attr:`name` these columns
-        are everything the replay pipeline reads, which is what makes
-        the flat :class:`~repro.experiments.engine.dataplane.TraceArchive`
-        serialization complete for sweep purposes.
+        are everything the replay pipeline reads.
         """
         return dict(self.table.static_columns())
-
-    @classmethod
-    def from_columns(
-        cls,
-        name: str,
-        num_paths: int,
-        path_ids: np.ndarray,
-        columns: dict[str, np.ndarray],
-    ) -> "PathTrace":
-        """Rebuild a replay-equivalent trace from flat attribute columns.
-
-        The result has a :class:`ColumnTable` instead of a real
-        :class:`PathTable`: every numeric accessor (frequencies, head
-        sequences, occurrence index, per-path sizes) returns exactly
-        what the original trace would, while structural queries fail
-        loudly.  Used by the sweep data plane to reconstruct traces in
-        pool workers without ever pickling ``Path`` objects.
-        """
-        return cls(ColumnTable(num_paths, columns), path_ids, name=name)
 
     # ------------------------------------------------------------------
     # Utilities

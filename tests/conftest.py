@@ -26,10 +26,10 @@ from repro.workloads import load_benchmark
 ENGINE_TEST_SCALE = 0.02
 
 
-#: Hard per-test ceiling.  The resilience suite deliberately hangs pool
-#: workers; a bug in the timeout/drain machinery must fail one test, not
-#: wedge the whole run until CI's job timeout.  Generous on purpose —
-#: the slowest legitimate test is well under a minute.
+#: Hard per-test ceiling.  A bug in the retry or drain machinery must
+#: fail one test, not wedge the whole run until CI's job timeout.
+#: Generous on purpose — the slowest legitimate test is well under a
+#: minute.
 TEST_TIMEOUT_SECONDS = 300
 
 

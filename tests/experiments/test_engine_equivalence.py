@@ -1,7 +1,7 @@
 """Engine equivalence: parallel ≡ serial ≡ legacy ≡ cached.
 
 The sweep engine's whole contract is that scheduling is invisible: a
-process-pool sweep, a cache-served sweep and the historical serial loop
+thread-pool sweep, a cache-served sweep and the historical serial loop
 all produce the same ``SweepPoint`` lists — and therefore byte-identical
 Figure 2/3 renders.  These tests pin that contract on every benchmark
 trace at reduced scale.
@@ -65,13 +65,12 @@ def test_parallel_identical_to_serial_for_every_benchmark(
 def test_parallel_identical_across_chunk_sizes(
     all_small_traces, serial_points
 ):
-    """Scheduling granularity must never leak into the results."""
-    for chunk_size in (1, 3, 64):
+    """Scheduling granularity must never leak into the results.  The
+    chunk size is autotuned from the thread count: 10 pending cells per
+    benchmark make chunks of 5, 2 and 1 cells at 1, 3 and 8 threads."""
+    for workers in (1, 3, 8):
         points = run_sweep(
-            all_small_traces,
-            delays=DELAYS,
-            workers=WORKERS,
-            chunk_size=chunk_size,
+            all_small_traces, delays=DELAYS, workers=workers
         )
         assert points == serial_points
 

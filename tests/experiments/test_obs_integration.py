@@ -5,6 +5,11 @@ from __future__ import annotations
 
 from repro.experiments import run_sweep
 from repro.experiments.engine import SweepCache
+from repro.experiments.engine.executor import CELL_TIMER_PREFIX
+from repro.experiments.engine.planner import (
+    AUTOTUNE_MAX_CHUNK,
+    autotune_chunk_size,
+)
 from repro.obs import Registry
 
 DELAYS = (10, 1_000)
@@ -93,3 +98,47 @@ def test_observed_sweep_is_byte_identical_and_counts_cache_traffic(
     assert warm_counters["sweep.cache.hits"] == cells
     assert warm_counters["sweep.cells_cached"] == cells
     assert warm_counters.get("sweep.cells_replayed", 0) == 0
+
+
+def test_run_sweep_records_cell_timers(all_small_traces):
+    """Every replayed cell gets its own manifest timer and lands in the
+    ``cell_ms`` distribution and its bucket counters."""
+    traces = _pair(all_small_traces)
+    registry = Registry()
+    points = run_sweep(traces, delays=DELAYS, obs=registry)
+    snapshot = registry.snapshot()
+    cell_timers = [
+        name
+        for name in snapshot["timers"]
+        if name.startswith("sweep." + CELL_TIMER_PREFIX)
+    ]
+    assert len(cell_timers) == len(points)
+    assert snapshot["timers"]["sweep.cell_ms"]["count"] == len(points)
+    buckets = [
+        name
+        for name in snapshot["counters"]
+        if name.startswith("sweep.cell_ms_le_")
+    ]
+    assert buckets, "cell_ms histogram buckets missing from manifest"
+
+
+def test_autotune_sizes_on_dirty_cells_only(all_small_traces, tmp_path):
+    """Regression: a warm cache must shrink the chunks to the pending
+    set, not size them on the full plan."""
+    compress = {"compress": all_small_traces["compress"]}
+    full_delays = tuple(range(1, 1 + 2 * AUTOTUNE_MAX_CHUNK))
+    run_sweep(compress, delays=full_delays, cache=SweepCache(tmp_path / "c"))
+    # Warm the cache, then dirty exactly three cells via new delays.
+    registry = Registry()
+    run_sweep(
+        compress,
+        delays=full_delays + (9_001, 9_002, 9_003),
+        cache=SweepCache(tmp_path / "c"),
+        workers=2,
+        obs=registry,
+    )
+    snapshot = registry.snapshot()
+    size = autotune_chunk_size(2 * 3, 2)  # 2 schemes x 3 new delays
+    assert size < AUTOTUNE_MAX_CHUNK
+    assert snapshot["gauges"]["sweep.chunk_size"] == size
+    assert snapshot["counters"]["sweep.batches"] == -(-6 // size)

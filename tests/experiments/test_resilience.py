@@ -2,12 +2,11 @@
 
 Locks down the acceptance matrix of the resilience layer: a batch that
 crashes twice then succeeds yields a sweep byte-identical to a
-fault-free serial run; a hung batch trips the timeout and is retried; a
-corrupt result is caught and retried; pool death is absorbed by respawn
-and, past the restart budget, by degrading to in-process serial
-execution; and an interrupt mid-sweep leaves a cache from which a rerun
-serves every completed cell without replay.  All of it deterministic —
-no real process murder, no flaky sleeps as synchronization.
+fault-free serial run; a corrupt result is caught and retried; a batch
+that fails every attempt fails the sweep with its coordinates; and an
+interrupt mid-sweep, serial or threaded, leaves a cache from which a
+rerun serves every completed cell without replay.  All of it
+deterministic — no real failures, no flaky sleeps as synchronization.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import (
-    BatchTimeoutError,
     ExperimentError,
     SweepInterrupted,
     WorkerCrashError,
@@ -25,10 +23,8 @@ from repro.experiments.engine import SweepCache
 from repro.obs import Registry
 from repro.resilience import (
     RetryPolicy,
-    break_pool_on,
     corrupt_on,
     crash_on,
-    hang_on,
     interrupt_on,
     plan,
 )
@@ -68,8 +64,6 @@ def test_flaky_batch_serial_byte_identical(trio, baseline):
     assert points == baseline
     counters = registry.snapshot()["counters"]
     assert counters["sweep.retries"] == 2
-    assert counters["sweep.timeouts"] == 0
-    assert counters["sweep.pool_restarts"] == 0
 
 
 def test_flaky_batch_parallel_byte_identical(trio, baseline):
@@ -128,126 +122,6 @@ def test_corrupt_result_exhausts_to_worker_crash(trio):
             faults=plan(corrupt_on(batch=0, times=None)),
         )
     assert "corrupt batch result" in str(excinfo.value.__cause__)
-
-
-def test_hung_batch_trips_timeout_and_is_retried(trio, baseline):
-    """The hang outlives the deadline; the retry completes the sweep.
-
-    One benchmark only: the abandoned sleeper keeps occupying a pool
-    slot, so the retry must land on the free worker immediately.
-    """
-    solo = {"compress": trio["compress"]}
-    registry = Registry()
-    points = run_sweep(
-        solo,
-        delays=DELAYS,
-        workers=2,
-        resilience=RetryPolicy(max_retries=2, task_timeout=0.5, **FAST),
-        faults=plan(hang_on(batch=0, seconds=3.0, times=1)),
-        obs=registry,
-    )
-    assert points == run_sweep(solo, delays=DELAYS)
-    counters = registry.snapshot()["counters"]
-    assert counters["sweep.timeouts"] >= 1
-    assert counters["sweep.retries"] >= 1
-
-
-def test_timed_out_batches_are_counted_as_zombies(trio, baseline):
-    """An abandoned attempt keeps burning a pool slot until it finishes;
-    the engine must account for it and drain the gauge by sweep end."""
-    solo = {"compress": trio["compress"]}
-    registry = Registry()
-    points = run_sweep(
-        solo,
-        delays=DELAYS,
-        workers=2,
-        resilience=RetryPolicy(max_retries=2, task_timeout=0.5, **FAST),
-        faults=plan(hang_on(batch=0, seconds=3.0, times=1)),
-        obs=registry,
-    )
-    assert points == run_sweep(solo, delays=DELAYS)
-    snapshot = registry.snapshot()
-    # One zombie per timeout: the counter is cumulative, the gauge is
-    # the live population and must read zero once the sweep is done.
-    assert snapshot["counters"]["sweep.zombies"] >= 1
-    assert snapshot["counters"]["sweep.zombies"] == (
-        snapshot["counters"]["sweep.timeouts"]
-    )
-    assert snapshot["gauges"]["sweep.zombie_slots"] == 0
-
-
-def test_clean_sweep_reports_zero_zombies(trio):
-    registry = Registry()
-    run_sweep(trio, delays=DELAYS, workers=2, obs=registry)
-    snapshot = registry.snapshot()
-    assert snapshot["counters"]["sweep.zombies"] == 0
-    assert snapshot["gauges"]["sweep.zombie_slots"] == 0
-
-
-def test_timeouts_exhaust_to_batch_timeout_error(trio):
-    with pytest.raises(BatchTimeoutError) as excinfo:
-        run_sweep(
-            trio,
-            delays=DELAYS,
-            workers=2,
-            resilience=RetryPolicy(max_retries=0, task_timeout=0.2, **FAST),
-            faults=plan(hang_on(batch=0, seconds=1.0, times=None)),
-        )
-    assert excinfo.value.timeout_seconds == 0.2
-
-
-def test_pool_death_respawns_and_completes(trio, baseline):
-    """One pool death: respawn, requeue orphans, finish identically."""
-    registry = Registry()
-    points = run_sweep(
-        trio,
-        delays=DELAYS,
-        workers=2,
-        resilience=RetryPolicy(
-            max_retries=3, max_pool_restarts=2, **FAST
-        ),
-        faults=plan(break_pool_on(batch=0, times=1)),
-        obs=registry,
-    )
-    assert points == baseline
-    counters = registry.snapshot()["counters"]
-    assert counters["sweep.pool_restarts"] == 1
-    assert counters["sweep.fallback_serial"] == 0
-
-
-def test_pool_death_degrades_to_serial_and_completes(trio, baseline):
-    """Past the restart budget the sweep finishes in-process."""
-    registry = Registry()
-    points = run_sweep(
-        trio,
-        delays=DELAYS,
-        workers=2,
-        resilience=RetryPolicy(
-            max_retries=5, max_pool_restarts=1, **FAST
-        ),
-        faults=plan(break_pool_on(batch=0, times=3)),
-        obs=registry,
-    )
-    assert points == baseline
-    counters = registry.snapshot()["counters"]
-    assert counters["sweep.pool_restarts"] == 2
-    assert counters["sweep.fallback_serial"] == 1
-
-
-def test_pool_death_without_fallback_fails(trio):
-    with pytest.raises(WorkerCrashError, match="serial fallback"):
-        run_sweep(
-            trio,
-            delays=DELAYS,
-            workers=2,
-            resilience=RetryPolicy(
-                max_retries=5,
-                max_pool_restarts=0,
-                fallback_serial=False,
-                **FAST,
-            ),
-            faults=plan(break_pool_on(batch=0, times=None)),
-        )
 
 
 def test_configuration_errors_are_not_retried(trio):
@@ -333,13 +207,10 @@ def test_faulted_retried_parallel_serial_all_equal(trio, baseline):
         trio,
         delays=DELAYS,
         workers=2,
-        resilience=RetryPolicy(
-            max_retries=4, task_timeout=5.0, max_pool_restarts=2, **FAST
-        ),
+        resilience=RetryPolicy(max_retries=4, **FAST),
         faults=plan(
             crash_on(batch=0, times=1),
             corrupt_on(batch=1, times=1),
-            break_pool_on(batch=2, times=1),
         ),
     )
     assert parallel == baseline
@@ -351,10 +222,55 @@ def test_clean_run_reports_zeroed_resilience_counters(trio):
     registry = Registry()
     run_sweep(trio, delays=DELAYS, obs=registry)
     counters = registry.snapshot()["counters"]
-    for name in (
-        "sweep.retries",
-        "sweep.timeouts",
-        "sweep.pool_restarts",
-        "sweep.fallback_serial",
-    ):
-        assert counters[name] == 0
+    assert counters["sweep.retries"] == 0
+
+
+def test_threaded_interrupt_leaves_resumable_cache(
+    all_small_traces, tmp_path
+):
+    """Ctrl-C under threads.  Which batches finish before the main
+    thread polls the flag depends on timing, so this checks invariants:
+    the partial results are exactly the completed cells, in canonical
+    order; the cache holds exactly those; and a warm rerun replays
+    exactly the rest."""
+    baseline = run_sweep(all_small_traces, delays=DELAYS)
+    index = {
+        (point.benchmark, point.scheme, point.delay): position
+        for position, point in enumerate(baseline)
+    }
+    cache = SweepCache(tmp_path / "cache")
+    with pytest.raises(SweepInterrupted) as excinfo:
+        run_sweep(
+            all_small_traces,
+            delays=DELAYS,
+            workers=2,
+            cache=cache,
+            faults=plan(interrupt_on(batch=1)),
+        )
+    stop = excinfo.value
+    assert stop.total == len(baseline)
+    assert stop.completed == len(stop.partial) < stop.total
+    positions = [
+        index[(point.benchmark, point.scheme, point.delay)]
+        for point in stop.partial
+    ]
+    assert positions == sorted(positions)
+    assert stop.partial == [baseline[position] for position in positions]
+    assert cache.stats.stores == stop.completed
+
+    warm_registry = Registry()
+    warm_cache = SweepCache(tmp_path / "cache")
+    points = run_sweep(
+        all_small_traces,
+        delays=DELAYS,
+        workers=2,
+        cache=warm_cache,
+        obs=warm_registry,
+    )
+    assert points == baseline
+    assert warm_cache.stats.hits == stop.completed
+    assert warm_cache.stats.misses == len(baseline) - stop.completed
+    counters = warm_registry.snapshot()["counters"]
+    assert counters["sweep.cells_replayed"] == (
+        len(baseline) - stop.completed
+    )

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TraceError
 from repro.experiments.engine import (
     CODE_VERSION,
     SweepCache,
@@ -258,15 +257,6 @@ def test_digest_sensitive_to_every_path_field(change):
     paths = _sensitivity_paths()
     assert digest(paths) == digest(_sensitivity_paths())
     assert digest([paths[0], change(paths[1])]) != digest(paths)
-
-
-def test_digest_of_column_restored_trace_raises():
-    trace = _build_trace("restored", 3, [0, 1, 2, 1])
-    restored = PathTrace.from_columns(
-        trace.name, trace.num_paths, trace.path_ids, trace.static_columns()
-    )
-    with pytest.raises(TraceError, match="column-restored"):
-        trace_digest(restored)
 
 
 @given(

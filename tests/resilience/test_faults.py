@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import pickle
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -12,10 +11,8 @@ from repro.resilience import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
-    break_pool_on,
     corrupt_on,
     crash_on,
-    lose_worker_on,
     plan,
 )
 
@@ -35,12 +32,6 @@ def test_crash_raises_injected_fault():
         faults.before(0, 0)
     faults.before(0, 1)  # second attempt is clean
     faults.before(1, 0)  # other batches clean
-
-
-def test_pool_break_raises_broken_process_pool():
-    faults = plan(break_pool_on(batch=1))
-    with pytest.raises(BrokenProcessPool):
-        faults.before(1, 0)
 
 
 def test_corrupt_drops_a_point():
@@ -69,29 +60,9 @@ def test_plan_is_picklable_for_pool_workers():
     [
         {"kind": "meteor", "batch": 0},
         {"kind": "crash", "batch": 0, "times": 0},
-        {"kind": "hang", "batch": 0, "seconds": -1.0},
+        {"kind": "hang", "batch": 0},
     ],
 )
 def test_invalid_specs_rejected(kwargs):
     with pytest.raises(ExperimentError):
         FaultSpec(**kwargs)
-
-
-def test_lost_worker_is_invisible_to_before_hook():
-    """The generic pre-compute hook must ignore parent-side kinds."""
-    scheme = plan(lose_worker_on(batch=1))
-    scheme.before(1, 0)  # no exception, no sleep, no signal
-
-
-def test_fires_kind_matches_planned_loss_only():
-    scheme = plan(lose_worker_on(batch=1, times=2))
-    assert scheme.fires_kind("lost_worker", 1, 0)
-    assert scheme.fires_kind("lost_worker", 1, 1)
-    assert not scheme.fires_kind("lost_worker", 1, 2)
-    assert not scheme.fires_kind("lost_worker", 0, 0)
-    assert not scheme.fires_kind("crash", 1, 0)
-
-
-def test_lost_worker_plan_is_picklable():
-    scheme = plan(lose_worker_on(batch=0, times=None))
-    assert pickle.loads(pickle.dumps(scheme)) == scheme

@@ -10,10 +10,8 @@ from repro.resilience import DEFAULT_POLICY, RetryPolicy
 
 
 def test_default_policy_is_benign():
-    """The default changes no healthy run: no timeout, fallback on."""
-    assert DEFAULT_POLICY.task_timeout is None
+    """The default changes no healthy run: it only retries failures."""
     assert DEFAULT_POLICY.max_retries >= 1
-    assert DEFAULT_POLICY.fallback_serial
 
 
 def test_backoff_is_deterministic():
@@ -49,11 +47,8 @@ def test_backoff_zeroth_attempt_is_free():
     "kwargs",
     [
         {"max_retries": -1},
-        {"task_timeout": 0},
-        {"task_timeout": -5.0},
         {"backoff_base": -0.1},
         {"backoff_base": 2.0, "backoff_cap": 1.0},
-        {"max_pool_restarts": -1},
     ],
 )
 def test_invalid_policies_rejected(kwargs):

@@ -14,7 +14,7 @@ from repro.serving import (
     run_chaos,
     schedule_steps,
 )
-from repro.serving.chaos import SERVING_FAULT_KINDS
+from repro.serving.chaos import SERVING_FAULT_KINDS, ChaosFault
 
 #: Small but non-trivial: 4 tenants x ~7 batches each.
 _CONFIG = ChaosConfig(
@@ -102,17 +102,24 @@ def test_report_to_dict_is_json_shaped(tmp_path):
 
 
 def test_unknown_fault_kind_rejected(tmp_path):
-    config = _with_plan(plan(FaultSpec(kind="pool_break", batch=2)))
     with pytest.raises(Exception, match="pool_break"):
-        run_chaos(config, tmp_path)
+        run_chaos(
+            _with_plan(plan(FaultSpec(kind="pool_break", batch=2))),
+            tmp_path,
+        )
 
 
-def test_failed_tcp_run_stops_its_server(tmp_path):
-    before = set(threading.enumerate())
-    config = _with_plan(
-        plan(FaultSpec(kind="pool_break", batch=2)), tcp=True
+def test_failed_tcp_run_stops_its_server(tmp_path, monkeypatch):
+    def fail(self):
+        raise RuntimeError("injected failure mid-run")
+
+    # A lost-ack fault reaches the driver while its server is up.
+    monkeypatch.setattr(
+        "repro.serving.chaos._TCPDriver.drop_next_ack", fail
     )
-    with pytest.raises(Exception, match="pool_break"):
+    before = set(threading.enumerate())
+    config = _with_plan(plan(ChaosFault(kind="hang", batch=2)), tcp=True)
+    with pytest.raises(Exception, match="injected failure"):
         run_chaos(config, tmp_path)
     started = [
         thread

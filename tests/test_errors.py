@@ -20,7 +20,6 @@ def test_all_errors_derive_from_repro_error():
         "ExperimentError",
         "SweepExecutionError",
         "WorkerCrashError",
-        "BatchTimeoutError",
         "SweepInterrupted",
     ):
         cls = getattr(errors, name)
@@ -67,14 +66,6 @@ def test_sweep_execution_error_carries_coordinates():
     bare = errors.WorkerCrashError("worker died")
     assert bare.benchmark is None
     assert str(bare) == "worker died"
-
-
-def test_batch_timeout_error_carries_deadline():
-    error = errors.BatchTimeoutError(
-        "too slow", benchmark="li", batch_index=0, timeout_seconds=1.5
-    )
-    assert error.timeout_seconds == 1.5
-    assert isinstance(error, errors.SweepExecutionError)
 
 
 def test_sweep_interrupted_carries_partial_results():

@@ -14,7 +14,7 @@ from repro.trace import (
     ScriptedOracle,
     record_path_trace,
 )
-from repro.trace.recorder import STATIC_COLUMN_KEYS
+from repro.trace.path import STATIC_COLUMN_KEYS
 from tests.conftest import make_path
 from tests.prediction.test_net_kernel import assert_same_outcome
 
@@ -190,53 +190,37 @@ def test_static_columns_cover_declared_keys():
         assert len(columns[key]) == trace.num_paths
 
 
-def test_from_columns_replays_identically():
-    original = _two_path_trace()
-    restored = PathTrace.from_columns(
-        original.name,
-        original.num_paths,
-        original.path_ids,
-        original.static_columns(),
-    )
-    assert restored.name == original.name
-    assert restored.flow == original.flow
-    assert restored.num_paths == original.num_paths
-    assert np.array_equal(restored.freqs(), original.freqs())
-    assert np.array_equal(restored.head_sequence(), original.head_sequence())
-    assert np.array_equal(
-        restored.backward_arrival_mask(), original.backward_arrival_mask()
-    )
-    assert restored.dynamic_head_uids() == original.dynamic_head_uids()
-    ro, rs = restored.occurrence_index()
-    oo, os_ = original.occurrence_index()
-    assert np.array_equal(ro, oo) and np.array_equal(rs, os_)
+class _ReenteringCache(dict):
+    """A memo dict that asks ``memo`` again right after its first store:
+    what a second thread arriving between two stores would see."""
+
+    def __init__(self, entries: dict, memo):
+        super().__init__(entries)
+        self.memo = memo
+        self.reentered = None
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        if self.reentered is None:
+            self.reentered = self.memo()
 
 
-def test_from_columns_validates_completeness_and_shape():
-    original = _two_path_trace()
-    columns = original.static_columns()
-    incomplete = {k: v for k, v in columns.items() if k != "instr"}
-    with pytest.raises(TraceError, match="missing instr"):
-        PathTrace.from_columns(
-            original.name, original.num_paths, original.path_ids, incomplete
-        )
-    short = dict(columns)
-    short["blocks"] = columns["blocks"][:-1]
-    with pytest.raises(TraceError, match="blocks"):
-        PathTrace.from_columns(
-            original.name, original.num_paths, original.path_ids, short
-        )
-
-
-def test_column_table_fails_structural_queries_loudly():
-    original = _two_path_trace()
-    restored = PathTrace.from_columns(
-        original.name,
-        original.num_paths,
-        original.path_ids,
-        original.static_columns(),
-    )
-    with pytest.raises(TraceError, match="column-restored"):
-        restored.table.path(0)
-    with pytest.raises(TraceError, match="column-restored"):
-        list(restored.table)
+@pytest.mark.parametrize(
+    "memo", ["occurrence_index", "head_arrival_ranks"]
+)
+def test_memo_is_whole_to_a_reader_between_stores(memo):
+    """Regression: each memo once stored its two arrays under two keys,
+    so a thread arriving between the stores found the first key, skipped
+    the build and failed on the missing second one."""
+    expected = getattr(_two_path_trace(), memo)()
+    trace = _two_path_trace()
+    # Warm the memo head_arrival_ranks builds on, so the first store
+    # the dict sees is the memo's own.
+    trace.backward_arrival_mask()
+    cache = _ReenteringCache(trace._cache, getattr(trace, memo))
+    trace._cache = cache
+    result = getattr(trace, memo)()
+    for got in (result, cache.reentered):
+        assert len(got) == len(expected)
+        for array, want in zip(got, expected):
+            assert np.array_equal(array, want)
