@@ -96,10 +96,9 @@ def trace_digest(trace: PathTrace) -> str:
     little- and big-endian hosts and for any equivalent dtype spelling
     of the occurrence array.
 
-    Memoized per trace object: the engine digests the same traces once
-    per ``run_sweep`` call (for cache addressing *and* for data-plane
-    residency keys), and hashing a long occurrence array is the kind of
-    per-run fixed cost the sweep loop should pay once.
+    Memoized per trace object: ``run_targets`` and ``run_sweep`` both
+    address cache entries by it, and hashing a long occurrence array is
+    the kind of per-run fixed cost the sweep loop should pay once.
     """
     memo = _digest_memo.get(trace)
     if (
@@ -301,9 +300,23 @@ class SweepCache:
         self.root = pathlib.Path(root)
         self.stats = CacheStats(obs)
 
+    @staticmethod
+    def entry_name(key: str) -> str:
+        """The file name of ``key``'s entry under the root."""
+        return f"{key}.json"
+
     def entry_path(self, key: str) -> pathlib.Path:
         """Where ``key``'s entry lives (whether or not it exists)."""
-        return self.root / f"{key}.json"
+        return self.root / self.entry_name(key)
+
+    def entry_names(self) -> set[str]:
+        """Every name in the root, from one listing: a key's entry
+        exists iff its :meth:`entry_name` is in the set.  An absent or
+        unlistable root lists nothing."""
+        try:
+            return set(os.listdir(self.root))
+        except OSError:
+            return set()
 
     def quarantine_path(self, key: str) -> pathlib.Path:
         """Where ``key``'s entry lands if it is found corrupt."""

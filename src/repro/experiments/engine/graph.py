@@ -18,8 +18,10 @@ graph in the DynaMake/Shake mold:
   the target's render version, and the keys of its dependency nodes.
 * :class:`GraphState` persists each node's key (and, for cells, the
   sweep-cache address of its result) next to the cache, so *cross-run*
-  no-op detection is a JSON read plus one ``stat`` per node — the
-  "do nothing fast" property: a warm full-repro run costs milliseconds.
+  no-op detection is a JSON read, one key per node, one listing of the
+  cache directory and one read per stored render (the text the run
+  serves) — the "do nothing fast" property: a warm full-repro run
+  costs milliseconds.
 * :func:`plan_graph` diffs the current graph against the stored state
   and says, per node, whether it is dirty and **why** (which input
   digest changed) — the substance behind ``repro run --dry-run`` and
@@ -34,7 +36,7 @@ cell      never built · any input digest changed · the recorded
           sweep-cache entry is missing on disk
 render    never built · any input digest changed (including a
           dependency cell's key) · the stored render text is
-          missing on disk
+          missing on disk or unreadable
 ========  =====================================================
 
 Note what is *not* a render-dirtying event: a cell whose cache entry
@@ -97,30 +99,37 @@ def scale_tag(flow_scale: float) -> str:
 _spec_digest_memo: dict[tuple[str, float], str] = {}
 
 
-def _plain(value):
+def _plain(value, memo: dict[int, object]):
     """``value`` as :func:`dataclasses.asdict` would give it to JSON.
 
     The same fields, lists and dicts, without ``asdict``'s deep copy of
-    every leaf: planning digests a config with hundreds of regions on
-    every run.
+    every leaf, and each distinct object walked once (``memo`` maps an
+    object's id to its plain form): a workload config repeats one
+    region spec hundreds of times.
     """
     if value is None or isinstance(value, (str, int, float)):
         return value
+    plain = memo.get(id(value))
+    if plain is not None:
+        return plain
     if dataclasses.is_dataclass(value):
-        return {
-            field.name: _plain(getattr(value, field.name))
+        plain = {
+            field.name: _plain(getattr(value, field.name), memo)
             for field in dataclasses.fields(value)
         }
-    if isinstance(value, (list, tuple)):
-        return [_plain(item) for item in value]
-    if isinstance(value, dict):
-        return {key: _plain(item) for key, item in value.items()}
-    return value
+    elif isinstance(value, (list, tuple)):
+        plain = [_plain(item, memo) for item in value]
+    elif isinstance(value, dict):
+        plain = {key: _plain(item, memo) for key, item in value.items()}
+    else:
+        return value
+    memo[id(value)] = plain
+    return plain
 
 
 def config_digest(config: WorkloadConfig) -> str:
     """Content digest of an explicit workload configuration."""
-    payload = {"generator": GENERATOR_VERSION, "config": _plain(config)}
+    payload = {"generator": GENERATOR_VERSION, "config": _plain(config, {})}
     return _sha256(canonical_json(payload))
 
 
@@ -334,14 +343,25 @@ class GraphState:
             if not isinstance(nodes, dict):
                 raise ValueError("nodes must be an object")
         except (ValueError, KeyError, TypeError) as error:
-            logger.warning(
-                "graph state: corrupt %s (%s); planning from scratch",
-                state.path,
-                error,
-            )
+            state._warn_corrupt(error)
             return state
-        state.nodes = nodes
+        # A record that is not an object plans as never built.
+        state.nodes = {
+            name: record
+            for name, record in nodes.items()
+            if isinstance(record, dict)
+        }
+        dropped = len(nodes) - len(state.nodes)
+        if dropped:
+            state._warn_corrupt(f"{dropped} node record(s) not an object")
         return state
+
+    def _warn_corrupt(self, error) -> None:
+        logger.warning(
+            "graph state: corrupt %s (%s); planning from scratch",
+            self.path,
+            error,
+        )
 
     def record(self, name: str, entry: dict) -> None:
         self.nodes[name] = entry
@@ -373,14 +393,10 @@ class RenderStore:
     def path_for(self, key: str) -> pathlib.Path:
         return self.root / f"{key}.txt"
 
-    def exists(self, key: str) -> bool:
-        return self.path_for(key).exists()
-
-    def get(self, key: str) -> str | None:
-        try:
-            return self.path_for(key).read_text(encoding="utf-8")
-        except OSError:
-            return None
+    def get(self, key: str) -> str:
+        """The stored text; raises ``OSError`` or ``UnicodeDecodeError``
+        when it is missing or unreadable."""
+        return self.path_for(key).read_text(encoding="utf-8")
 
     def put(self, key: str, text: str) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
@@ -411,6 +427,9 @@ class GraphPlan:
     """The full dirtiness verdict of one graph against its state."""
 
     statuses: dict[str, NodeStatus] = field(default_factory=dict)
+    #: Render node name → stored text, for every clean render: planning
+    #: reads it to know it is servable, and the run serves it.
+    texts: dict[str, str] = field(default_factory=dict)
 
     @property
     def dirty_cells(self) -> list[NodeStatus]:
@@ -479,10 +498,13 @@ def plan_graph(
 
     ``cache`` is the :class:`~repro.experiments.engine.cache.SweepCache`
     holding cell results.  The plan touches no workload and replays
-    nothing — its cost is one key comparison and one ``stat`` per node,
-    which is what keeps warm no-op runs in the milliseconds.
+    nothing.  It costs one key per node, one listing of the cache
+    directory (a clean cell's entry must be in it) and one read of each
+    clean render's stored text, which the run then serves: a render
+    that cannot be read or decoded plans dirty and is rebuilt.
     """
     plan = GraphPlan()
+    entries = cache.entry_names()
     for node in graph.nodes():
         key = graph.key(node.name)
         recorded = state.nodes.get(node.name)
@@ -503,16 +525,19 @@ def plan_graph(
                 )
             if not reasons:
                 reasons.append("node key changed")
+        elif node.kind == "cell":
+            cache_address = recorded.get("cache_key")
+            if not cache_address:
+                reasons.append("no cached result recorded")
+            elif cache.entry_name(cache_address) not in entries:
+                reasons.append("cache entry missing")
         else:
-            if node.kind == "cell":
-                cache_address = recorded.get("cache_key")
-                if not cache_address:
-                    reasons.append("no cached result recorded")
-                elif not cache.entry_path(cache_address).exists():
-                    reasons.append("cache entry missing")
-            else:
-                if not renders.exists(key):
-                    reasons.append("stored render missing")
+            try:
+                plan.texts[node.name] = renders.get(key)
+            except FileNotFoundError:
+                reasons.append("stored render missing")
+            except (OSError, UnicodeDecodeError):
+                reasons.append("stored render unreadable")
         plan.statuses[node.name] = NodeStatus(
             node=node, key=key, dirty=bool(reasons), reasons=tuple(reasons)
         )

@@ -16,10 +16,11 @@ exactly the dirty subgraph:
    for benchmarks with dirty cells or dirty direct renders, replays the
    dirty cells through one :func:`~repro.experiments.engine.run_sweep`
    call (the sweep cache serves everything that is clean), rebuilds the
-   dirty renders, serves the clean ones from the content-addressed
-   render store, and saves the state if it recorded a node — so a warm
-   no-op full repro is a JSON read, ~700 key comparisons and stats, and
-   eight file reads, and writes nothing.
+   dirty renders, serves the clean ones with the texts planning read
+   from the content-addressed render store, and saves the state if it
+   recorded a node — so a warm no-op full repro is a JSON read, one key
+   per node, one listing of the cache directory and eight render reads,
+   and writes nothing.
 
 Correctness stance: the graph never *invents* results.  Every computed
 cell goes through the same ``run_sweep``/builder code paths as a
@@ -114,9 +115,10 @@ def build_graph(
     """Instantiate the artifact graph for ``names`` at ``flow_scale``.
 
     Cell nodes are shared: every sweep target referencing the same
-    (benchmark, scheme, τ) adds the identical node, so regenerating
-    Figure 3 after Figure 2 plans zero new cells.  Node names embed the
-    flow scale — smoke and full runs never collide in the state file.
+    (benchmark, scheme, τ) depends on the one node built for it, so
+    regenerating Figure 3 after Figure 2 plans zero new cells.  Node
+    names embed the flow scale — smoke and full runs never collide in
+    the state file.
     """
     built = TargetGraph(graph=ArtifactGraph(), flow_scale=flow_scale)
     graph = built.graph
@@ -132,6 +134,9 @@ def build_graph(
                         cell_name = cell_node_name(
                             bench, scheme, delay, flow_scale
                         )
+                        deps.append(cell_name)
+                        if cell_name in built.cells:
+                            continue
                         graph.add(
                             GraphNode(
                                 name=cell_name,
@@ -145,7 +150,6 @@ def build_graph(
                             )
                         )
                         built.cells[cell_name] = (bench, scheme, int(delay))
-                        deps.append(cell_name)
             graph.add(
                 GraphNode(
                     name=render_name,
@@ -407,13 +411,7 @@ def run_targets(
                 executed_renders += 1
                 renders_executed.inc()
             else:
-                stored = renders.get(status.key)
-                if stored is None:
-                    raise ExperimentError(
-                        f"stored render for {node.name} disappeared "
-                        "mid-run; rerun to rebuild it"
-                    )
-                text = stored
+                text = plan.texts[node.name]
                 renders_served.inc()
             texts[target.name] = text
     # A no-op run recorded nothing: leave the state file untouched.

@@ -13,7 +13,7 @@ from repro.workloads.regions import (
     LoopRegion,
     NestedRegion,
     RegionSpec,
-    build_region,
+    build_run,
 )
 from repro.workloads.spec import (
     BENCHMARK_ORDER,
@@ -39,7 +39,7 @@ __all__ = [
     "WorkloadConfig",
     "WorkloadGenerator",
     "benchmark_spec",
-    "build_region",
+    "build_run",
     "load_benchmark",
     "zipf_probabilities",
 ]

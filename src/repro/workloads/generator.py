@@ -14,6 +14,7 @@ start-up and keeps Table 1/2 calibration deterministic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.trace.recorder import PathTrace
 from repro.workloads.pathmodel import PathFactory
-from repro.workloads.regions import RegionSpec, build_region
+from repro.workloads.regions import RegionSpec, build_run
 
 #: How many region choices to draw per RNG batch while scheduling.
 _CHOICE_BATCH = 4096
@@ -96,10 +97,15 @@ class WorkloadGenerator:
         config = self.config
         rng = np.random.default_rng(config.seed)
         factory = PathFactory()
-        regions = [
-            build_region(spec, factory, seed=config.seed * 1_000_003 + index)
-            for index, spec in enumerate(config.regions)
-        ]
+        # Region i is seeded with seed·1,000,003 + i; each run of equal
+        # consecutive specs is built in one pass.
+        regions: list = []
+        for spec, run in itertools.groupby(config.regions):
+            first = config.seed * 1_000_003 + len(regions)
+            count = sum(1 for _ in run)
+            regions.extend(
+                build_run(spec, factory, range(first, first + count))
+            )
 
         chunks: list[np.ndarray] = []
         emitted = 0

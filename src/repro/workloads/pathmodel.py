@@ -20,7 +20,6 @@ studies behave.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -28,34 +27,25 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.trace.path import PathTable
 
-#: Address stride between consecutive synthetic blocks.
+#: Address stride between consecutive synthetic blocks: a block's
+#: address is its uid times the stride.
 _BLOCK_SPACING = 4
 
 
-@dataclass(frozen=True)
-class RegionGeometry:
-    """Uid/address ranges reserved for one region's blocks."""
+class _Rows(NamedTuple):
+    """Staged paths not in the table yet, one entry per row."""
 
-    head_uid: int
-    head_address: int
-    first_tail_uid: int
-    first_tail_address: int
-
-
-class _Family(NamedTuple):
-    """Paths a region asked for that are not in the table yet."""
-
-    geometry: RegionGeometry
-    variants: np.ndarray
+    head_uid: np.ndarray
+    variant: np.ndarray
     num_blocks: np.ndarray
-    instructions_per_block: int
-    exit_path: bool
+    instructions_per_block: np.ndarray
+    exit_path: np.ndarray
 
 
 class PathFactory:
     """Allocates uids/addresses and builds a table of synthetic paths.
 
-    Regions ask for their paths while they are built and get the ids at
+    Regions stage their paths while they are built and get the ids at
     once, but the factory appends the paths to :attr:`table` only when
     the table is next read, all of them in one bulk call: a surrogate
     has thousands of regions of a few paths each, and one vectorized
@@ -65,8 +55,7 @@ class PathFactory:
     def __init__(self) -> None:
         self._table = PathTable()
         self._next_uid = 0
-        self._next_address = 0
-        self._staged: list[_Family] = []
+        self._staged: list[_Rows] = []
         self._staged_rows = 0
 
     @property
@@ -76,122 +65,75 @@ class PathFactory:
             self._append_staged()
         return self._table
 
-    def allocate_region(self, num_tail_blocks: int) -> RegionGeometry:
-        """Reserve a head block plus ``num_tail_blocks`` body blocks."""
-        if num_tail_blocks < 0:
-            raise WorkloadError("num_tail_blocks must be non-negative")
-        geometry = RegionGeometry(
-            head_uid=self._next_uid,
-            head_address=self._next_address,
-            first_tail_uid=self._next_uid + 1,
-            first_tail_address=self._next_address + _BLOCK_SPACING,
-        )
-        self._next_uid += 1 + num_tail_blocks
-        self._next_address += (1 + num_tail_blocks) * _BLOCK_SPACING
-        return geometry
+    def allocate(self, spans: np.ndarray) -> np.ndarray:
+        """Reserve consecutive uid ranges of ``spans`` blocks each.
 
-    def make_tail_paths(
-        self,
-        geometry: RegionGeometry,
-        variants: np.ndarray,
-        num_blocks: np.ndarray,
-        instructions_per_block: int = 3,
-    ) -> np.ndarray:
-        """Make tail variants of a region's loop; return their table ids.
-
-        Variant ``variants[j]`` has ``num_blocks[j]`` blocks: the head,
-        then body blocks chosen by the variant.  The variant doubles as
-        the signature's branch history, so distinct variants have
-        distinct signatures by construction.
+        Returns each range's first uid, its head block; the range's
+        other blocks are the region's body blocks.
         """
-        return self._stage(
-            geometry, variants, num_blocks, instructions_per_block, False
-        )
+        ends = self._next_uid + np.cumsum(spans, dtype=np.int64)
+        self._next_uid = int(ends[-1])
+        return ends - spans
 
-    def make_tail_path(
+    def stage(
         self,
-        geometry: RegionGeometry,
-        variant: int,
-        num_blocks: int,
-        instructions_per_block: int = 3,
-    ) -> int:
-        """Make one tail variant (see :meth:`make_tail_paths`)."""
-        ids = self._stage(
-            geometry, [variant], [num_blocks], instructions_per_block, False
-        )
-        return int(ids[0])
-
-    def make_exit_path(
-        self,
-        geometry: RegionGeometry,
-        instructions_per_block: int = 3,
-    ) -> int:
-        """Make the region's loop-exit/transition path.
-
-        The exit path starts at the region head (the loop test falls
-        through) and runs to the next backward branch — in the region
-        chain that is the following region's latch, so it still ends
-        backward.  Its signature is distinguished from tail variants by
-        an all-ones history one bit longer than any tail uses.
-        """
-        # Its blocks and sizes are those of a two-block variant-0 tail.
-        ids = self._stage(geometry, [0], [2], instructions_per_block, True)
-        return int(ids[0])
-
-    def _stage(
-        self,
-        geometry: RegionGeometry,
-        variants,
+        head_uid,
+        variant,
         num_blocks,
         instructions_per_block: int,
-        exit_path: bool,
+        exit_path,
     ) -> np.ndarray:
-        num_blocks = np.asarray(num_blocks, dtype=np.int64)
-        first = len(self._table) + self._staged_rows
-        self._staged.append(
-            _Family(
-                geometry,
-                np.asarray(variants, dtype=np.int64),
-                num_blocks,
-                instructions_per_block,
-                exit_path,
-            )
+        """Stage one path per element of the broadcast arguments.
+
+        Returns the paths' table ids, in the broadcast shape; the rows
+        are staged in C order.  A tail row of ``num_blocks`` blocks
+        runs from its head through body blocks chosen by its variant.
+        The variant doubles as the signature's branch history, so
+        distinct variants have distinct signatures by construction.  An
+        exit row is the region's loop-exit/transition path: it starts at
+        the head (the loop test falls through) and runs to the next
+        backward branch — in the region chain that is the following
+        region's latch, so it still ends backward.  Its signature is
+        distinguished from tail variants by an all-ones history one bit
+        longer than any tail uses.
+        """
+        columns = np.broadcast_arrays(
+            np.asarray(head_uid, dtype=np.int64),
+            np.asarray(variant, dtype=np.int64),
+            np.asarray(num_blocks, dtype=np.int64),
+            np.asarray(instructions_per_block, dtype=np.int64),
+            np.asarray(exit_path, dtype=bool),
         )
-        self._staged_rows += len(num_blocks)
-        return np.arange(first, first + len(num_blocks), dtype=np.int64)
+        shape = columns[0].shape
+        self._staged.append(_Rows(*(column.ravel() for column in columns)))
+        first = len(self._table) + self._staged_rows
+        rows = columns[0].size
+        self._staged_rows += rows
+        return np.arange(first, first + rows, dtype=np.int64).reshape(shape)
 
     def _append_staged(self) -> None:
-        """Build every staged path family and append them in one call."""
-        families, self._staged, self._staged_rows = self._staged, [], 0
-        num_blocks = np.concatenate([f.num_blocks for f in families])
+        """Build every staged row and append them in one call."""
+        staged, self._staged, self._staged_rows = self._staged, [], 0
+        head_uid, variants, num_blocks, instructions, exit_path = (
+            np.concatenate(column) for column in zip(*staged)
+        )
         if (num_blocks < 1).any():
             raise WorkloadError("a path needs at least one block")
-        sizes = [len(f.num_blocks) for f in families]
-
-        def per_row(values) -> np.ndarray:
-            return np.repeat(np.array(values, dtype=np.int64), sizes)
-
-        head_uid = per_row([f.geometry.head_uid for f in families])
-        first_tail_uid = per_row([f.geometry.first_tail_uid for f in families])
-        head_address = per_row([f.geometry.head_address for f in families])
-        instructions = per_row([f.instructions_per_block for f in families])
-        exit_path = per_row([f.exit_path for f in families]).astype(bool)
-        variants = np.concatenate([f.variants for f in families])
-
         cond_branches = np.maximum(num_blocks - 1, 1)
         # frexp's exponent is int.bit_length() for integers below 2**53.
         tail_bits = np.maximum(cond_branches, np.frexp(variants)[1])
         # Block 0 of row j is the head; block k >= 1 is body block
-        # (variants[j] + k - 1) mod 2·num_blocks[j].
+        # (variants[j] + k - 1) mod 2·num_blocks[j], counted from the
+        # block after the head.
         row_start = np.cumsum(num_blocks) - num_blocks
         row = np.repeat(np.arange(len(num_blocks)), num_blocks)
         k = np.arange(len(row)) - row_start[row]
-        blocks = first_tail_uid[row] + (variants[row] + k - 1) % (
+        blocks = head_uid[row] + 1 + (variants[row] + k - 1) % (
             2 * num_blocks[row]
         )
         blocks[row_start] = head_uid
         self._table.append_rows(
-            start_address=head_address,
+            start_address=head_uid * _BLOCK_SPACING,
             history=np.where(exit_path, (1 << 62) - 1, variants),
             bit_count=np.where(exit_path, 62, tail_bits),
             block_counts=num_blocks,

@@ -37,17 +37,16 @@ def phased_config(
     if num_phases < 2:
         raise WorkloadError("a phased workload needs at least two phases")
 
-    regions: list[RegionSpec] = []
-    for _ in range(num_phases * regions_per_phase + background_regions):
-        regions.append(
-            RegionSpec(
-                kind="loop",
-                num_tails=tails,
-                tail_skew=0.7,
-                iters_mean=iters_mean,
-                weight=1.0,
-            )
+    # One shared (frozen) spec for every region.
+    regions = [
+        RegionSpec(
+            kind="loop",
+            num_tails=tails,
+            tail_skew=0.7,
+            iters_mean=iters_mean,
+            weight=1.0,
         )
+    ] * (num_phases * regions_per_phase + background_regions)
 
     background_start = num_phases * regions_per_phase
     phases = []

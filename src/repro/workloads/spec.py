@@ -30,6 +30,7 @@ spaces stay cold relative to the threshold (see DESIGN.md §3).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from repro.errors import WorkloadError
@@ -64,27 +65,15 @@ def _expand_groups(groups: list[Group]) -> list[RegionSpec]:
 
     A region's weight is proportional to its group's share divided by the
     group size and the expected flow per visit, so each group's realized
-    flow approximates ``share × target_flow``.
+    flow approximates ``share × target_flow``.  A group's regions are
+    one shared (frozen) spec, repeated.
     """
     regions: list[RegionSpec] = []
     for group in groups:
         per_visit = _expected_flow_per_visit(group.spec)
         weight = group.share / (group.count * per_visit)
-        for _ in range(group.count):
-            regions.append(
-                RegionSpec(
-                    kind=group.spec.kind,
-                    num_tails=group.spec.num_tails,
-                    tail_skew=group.spec.tail_skew,
-                    iters_mean=group.spec.iters_mean,
-                    weight=weight,
-                    depth=group.spec.depth,
-                    outer_iters_mean=group.spec.outer_iters_mean,
-                    blocks_min=group.spec.blocks_min,
-                    blocks_max=group.spec.blocks_max,
-                    instr_per_block=group.spec.instr_per_block,
-                )
-            )
+        spec = dataclasses.replace(group.spec, weight=weight)
+        regions += [spec] * group.count
     return regions
 
 

@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
+import pathlib
+from typing import NamedTuple
 
 import pytest
 
@@ -33,6 +36,7 @@ from repro.experiments.engine.graph import (
 )
 from repro.experiments.phases import phases_config
 from repro.experiments.targets import (
+    TargetRun,
     build_graph,
     graph_state_path,
     render_store,
@@ -48,6 +52,23 @@ PRIMED = ["figure2", "table2"]
 SCALE = ENGINE_TEST_SCALE
 
 
+#: SHA-256 of ``graph/state.json`` after the cold run of :data:`PRIMED`.
+#: It holds 306 cell keys, 2 render keys and, as cache addresses, the
+#: nine surrogates' trace digests.  Changing it makes every user's cache
+#: plan dirty once, so a change to seeding, path staging, digests or key
+#: derivation must fail here rather than pass silently.
+PRIMED_STATE_SHA256 = (
+    "8c64fd2c2e0a1ba7ab860d20a269c86baf029c81fa7d74d545938fece91bed20"
+)
+
+
+class Primed(NamedTuple):
+    root: pathlib.Path
+    cold: TargetRun
+    #: SHA-256 of the state file right after the cold run.
+    state_sha256: str
+
+
 @pytest.fixture(scope="module")
 def graph_root(tmp_path_factory):
     """A cache root primed by one cold graph run of :data:`PRIMED`."""
@@ -55,7 +76,8 @@ def graph_root(tmp_path_factory):
     cold = run_targets(PRIMED, flow_scale=SCALE, cache=SweepCache(root))
     assert cold.executed_cells == 306
     assert cold.executed_renders == 2
-    return root, cold
+    state = graph_state_path(SweepCache(root)).read_bytes()
+    return Primed(root, cold, hashlib.sha256(state).hexdigest())
 
 
 def _fresh_cache(graph_root) -> SweepCache:
@@ -152,7 +174,7 @@ def test_sweep_targets_share_cell_nodes():
 
 
 def test_cold_results_match_from_scratch_run(graph_root):
-    _, cold = graph_root
+    cold = graph_root.cold
     # No cache at all: the purest from-scratch recomputation.
     assert cold.texts["figure2"] == run_experiment(
         "figure2", flow_scale=SCALE
@@ -161,7 +183,7 @@ def test_cold_results_match_from_scratch_run(graph_root):
 
 
 def test_warm_run_executes_nothing(graph_root):
-    _, cold = graph_root
+    cold = graph_root.cold
     registry = Registry()
     warm = run_targets(
         PRIMED, flow_scale=SCALE, cache=_fresh_cache(graph_root),
@@ -176,6 +198,12 @@ def test_warm_run_executes_nothing(graph_root):
     assert counters["graph.nodes_skipped"] == 308
     assert counters["graph.renders_served"] == 2
     assert counters["graph.cells_executed"] == 0
+
+
+def test_cold_state_file_is_pinned(graph_root):
+    """A cache filled by an earlier release stays warm: the cold run
+    writes the state file byte for byte as before."""
+    assert graph_root.state_sha256 == PRIMED_STATE_SHA256
 
 
 def test_warm_plan_is_empty(graph_root):
@@ -286,6 +314,30 @@ def test_missing_render_is_rebuilt_alone(graph_root):
     assert run.texts == graph_root[1].texts
 
 
+def test_undecodable_render_is_rebuilt_in_the_same_run(graph_root):
+    """A stored render that is not UTF-8 plans dirty: one run rebuilds
+    exactly that render, and the next run executes nothing."""
+    cache = _fresh_cache(graph_root)
+    state = GraphState.load(graph_state_path(cache))
+    render = render_node_name("table2", SCALE)
+    stored = render_store(cache).path_for(state.nodes[render]["key"])
+    stored.write_bytes(b"\xff\xfe not utf-8 \x80")
+
+    plan = plan_targets(PRIMED, flow_scale=SCALE, cache=cache).plan
+    assert [s.node.name for s in plan.dirty] == [render]
+    assert plan.statuses[render].reasons == ("stored render unreadable",)
+
+    run = run_targets(PRIMED, flow_scale=SCALE, cache=cache)
+    assert run.executed_cells == 0
+    assert run.executed_renders == 1
+    assert run.texts == graph_root.cold.texts
+    assert stored.read_text(encoding="utf-8") == graph_root.cold.texts[
+        "table2"
+    ]
+    again = run_targets(PRIMED, flow_scale=SCALE, cache=cache)
+    assert again.executed_cells == again.executed_renders == 0
+
+
 def test_code_version_bump_dirties_every_cell(graph_root, monkeypatch):
     """Bumping the engine's CODE_VERSION invalidates all sweep cells
     (and their renders) but leaves direct targets untouched."""
@@ -338,6 +390,26 @@ def test_corrupt_or_missing_state_plans_from_scratch(tmp_path):
     assert GraphState.load(poisoned).nodes == {}
     poisoned.write_text('{"state_format": 99, "nodes": {}}')
     assert GraphState.load(poisoned).nodes == {}
+    # A record that is not an object plans as never built; the others
+    # stay.
+    good = {"key": "abc", "inputs": {"a": "1"}}
+    for record in ("garbage", ["x"], 7, None):
+        poisoned.write_text(
+            json.dumps(
+                {
+                    "state_format": graph_mod.STATE_FORMAT,
+                    "nodes": {"cell:bad": record, "cell:good": good},
+                }
+            )
+        )
+        state = GraphState.load(poisoned)
+        assert state.nodes == {"cell:good": good}, record
+        graph = ArtifactGraph()
+        graph.add(GraphNode("cell:bad", "cell", {"a": "1"}))
+        plan = graph_mod.plan_graph(
+            graph, state, SweepCache(tmp_path / "cache"), None
+        )
+        assert plan.statuses["cell:bad"].reasons == ("never built",)
 
 
 def test_state_round_trip(tmp_path):

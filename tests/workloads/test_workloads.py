@@ -18,7 +18,7 @@ from repro.workloads import (
     zipf_probabilities,
 )
 from repro.workloads.pathmodel import PathFactory
-from repro.workloads.regions import LoopRegion, NestedRegion, build_region
+from repro.workloads.regions import LoopRegion, NestedRegion, build_run
 
 
 def test_zipf_probabilities():
@@ -45,7 +45,7 @@ def test_region_spec_counts():
 def test_loop_region_emits_designed_paths():
     factory = PathFactory()
     spec = RegionSpec(kind="loop", num_tails=4, iters_mean=30)
-    region = LoopRegion(spec, factory, seed=1)
+    (region,) = build_run(spec, factory, [1])
     chunk = region.emit()
     # First visit covers every tail once plus the exit path.
     assert set(region.tail_ids).issubset(set(chunk))
@@ -56,28 +56,28 @@ def test_loop_region_emits_designed_paths():
 def test_nested_region_structure():
     factory = PathFactory()
     spec = RegionSpec(kind="nest", depth=3, iters_mean=10, outer_iters_mean=2)
-    region = NestedRegion(spec, factory, seed=2)
+    (region,) = build_run(spec, factory, [2])
     chunk = region.emit()
-    assert len(region.head_uids) == 3
-    assert len(factory.table) == 4  # 2 descend + inner + exit
+    table = factory.table
+    heads = {table.path(path_id).start_uid for path_id in range(len(table))}
+    assert len(heads) == 3
+    assert len(table) == 4  # 2 descend + inner + exit
     assert region.inner_exit_id in chunk
 
 
 def test_factory_rejects_blockless_paths():
     factory = PathFactory()
-    factory.make_tail_path(factory.allocate_region(4), variant=0, num_blocks=0)
+    build_run(RegionSpec(blocks_min=0, blocks_max=0), factory, [0])
     with pytest.raises(WorkloadError, match="at least one block"):
         factory.table
 
 
-def test_build_region_dispatches():
+def test_build_run_dispatches():
     factory = PathFactory()
-    assert isinstance(
-        build_region(RegionSpec(kind="loop"), factory, 0), LoopRegion
-    )
-    assert isinstance(
-        build_region(RegionSpec(kind="nest"), factory, 0), NestedRegion
-    )
+    loops = build_run(RegionSpec(kind="loop"), factory, range(3))
+    assert [type(region) for region in loops] == [LoopRegion] * 3
+    nests = build_run(RegionSpec(kind="nest"), factory, range(3, 5))
+    assert [type(region) for region in nests] == [NestedRegion] * 2
 
 
 def test_generator_reaches_target_flow():
