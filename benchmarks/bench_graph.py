@@ -31,8 +31,9 @@ from repro.experiments.engine import SweepCache
 from repro.experiments.report import fmt, render_table
 
 #: Warm no-op ceiling at full scale.  The claim is "milliseconds"; the
-#: gate is deliberately padded (state read + ~700 key hashes + eight
-#: render reads) so a noisy machine cannot flake, while still being
+#: gate is deliberately padded (state read + 314 key hashes, one per
+#: node at every scale, + eight render reads) so a noisy machine cannot
+#: flake, while still being
 #: orders of magnitude below any path that regenerates a workload.
 MAX_WARM_NOOP_SECONDS = 2.0
 

@@ -18,9 +18,14 @@ every path end — and, because the scheme needs complete path frequencies
 even for paths flowing through cached code, the bit tracing stays live
 inside fragments (``instrument_fragments``).
 
-This model is O(flow) in numpy and exactly matches the event-level
-simulator in :mod:`repro.dynamo.system` on fragment structure; tests
-assert the cycle totals agree within tolerance.
+This model is O(flow) in numpy.  The event-level simulator
+(:meth:`repro.dynamo.system.DynamoSystem.run_detailed`) agrees with it
+exactly on fragments, emitted instructions and the interpretation,
+selection, dispatch and flush cycles, and up to float summation order
+on fragment execution and path-profile profiling.  NET profiling
+differs by design: this model charges a counter bump for a selecting
+occurrence that arrives by a backward branch at a head already hot,
+which the event-level NET does not (see ``docs/cost_model.md``).
 """
 
 from __future__ import annotations
@@ -45,85 +50,44 @@ def simulate_costs(
     config: DynamoConfig = DEFAULT_CONFIG,
     benchmark: str | None = None,
 ) -> DynamoRun:
-    """Run the vectorized cost model for one predictor outcome."""
-    n = len(trace.path_ids)
-    instr_per_path = trace.instructions_per_path()
-    cond_per_path = trace.cond_branches_per_path()
-    indirect_per_path = trace.indirect_branches_per_path()
+    """Run the vectorized cost model for one predictor outcome.
 
-    # Materialization time per path (+inf when never predicted).
-    never = n  # any index comparison against n is "never"
-    t_per_path = np.full(trace.num_paths, never, dtype=np.int64)
+    Each per-occurrence column (the instruction gather, the
+    materialization time and the cached mask) is built once.  Every
+    total is an exact integer — a dot product, a count of set mask
+    entries, or a per-path dot with :meth:`PathTrace.freqs` — made a
+    float only before its cost multiply.
+    """
+    n = len(trace.path_ids)
+    freqs = trace.freqs()
+    instr_per_path = trace.instructions_per_path()
+
+    # Materialization time per path (n, i.e. never, when not predicted);
+    # prediction times index the trace, so they are below n.
+    t_per_path = np.full(trace.num_paths, n, dtype=np.int64)
     if len(outcome.predicted_ids):
         t_per_path[outcome.predicted_ids] = outcome.prediction_times
-
     occ_instr = instr_per_path[trace.path_ids]
-    occ_profile_units = (cond_per_path + indirect_per_path)[trace.path_ids]
     t_occ = t_per_path[trace.path_ids]
-    index = np.arange(n, dtype=np.int64)
+    # The selecting occurrence is interpreted; every later one is cached.
+    cached = np.arange(n, dtype=np.int64) > t_occ
 
-    cached = index > t_occ
-    selecting = index == t_occ
-    interpreted = ~cached & ~selecting
-
-    tail_start = int(n * (1.0 - config.steady_state_fraction))
-    tail = index >= tail_start
-
-    executing = interpreted | selecting
-    interp_instr = float(occ_instr[executing].sum())
-    interpretation = interp_instr * config.interp_per_instr
-    interp_tail = (
-        float(occ_instr[executing & tail].sum()) * config.interp_per_instr
+    total_instr = int(np.dot(freqs, instr_per_path))
+    interpretation, profiling, fragment_execution, dispatch = _mode_cycles(
+        trace,
+        outcome.scheme,
+        config,
+        cached,
+        int(np.dot(occ_instr, cached)),
+        total_instr,
     )
-
-    # Scheme-specific profiling charges.
-    if outcome.scheme.startswith("net"):
-        arrivals = trace.backward_arrival_mask()
-        bumps = int((arrivals & executing).sum())
-        profiling = bumps * config.counter_cost
-        profiling_tail = (
-            int((arrivals & executing & tail).sum()) * config.counter_cost
-        )
-    else:
-        profiled = executing
-        if config.instrument_fragments:
-            profiled = np.ones(n, dtype=bool)
-        units = float(occ_profile_units[profiled].sum())
-        profiling = units * config.bit_cost + float(
-            profiled.sum()
-        ) * config.table_cost
-        profiled_tail = profiled & tail
-        profiling_tail = float(
-            occ_profile_units[profiled_tail].sum()
-        ) * config.bit_cost + float(profiled_tail.sum()) * config.table_cost
 
     emitted = (
         int(instr_per_path[outcome.predicted_ids].sum())
         if len(outcome.predicted_ids)
         else 0
     )
-    per_emit = config.select_per_instr + config.emit_per_instr
-    selection = emitted * per_emit
-    if len(outcome.predicted_ids):
-        late = outcome.prediction_times >= tail_start
-        selection_tail = (
-            float(instr_per_path[outcome.predicted_ids[late]].sum()) * per_emit
-        )
-    else:
-        selection_tail = 0.0
-
-    fragment_rate = config.native_per_instr * config.fragment_speedup
-    fragment_execution = float(occ_instr[cached].sum()) * fragment_rate
-    fragment_tail = float(occ_instr[cached & tail].sum()) * fragment_rate
-
-    # Cache entries: a cached occurrence whose predecessor was not cached.
-    prev_cached = np.empty(n, dtype=bool)
-    if n:
-        prev_cached[0] = False
-        prev_cached[1:] = cached[:-1]
-    entry_mask = cached & ~prev_cached
-    dispatch = int(entry_mask.sum()) * config.dispatch_cost
-    dispatch_tail = int((entry_mask & tail).sum()) * config.dispatch_cost
+    selection = emitted * (config.select_per_instr + config.emit_per_instr)
 
     flushes = max(
         0,
@@ -135,7 +99,7 @@ def simulate_costs(
         or outcome.num_predictions > config.bail_out_fragments
     )
 
-    native = native_cycles(trace, config)
+    native = float(total_instr) * config.native_per_instr
     breakdown = CycleBreakdown(
         interpretation=interpretation,
         profiling=profiling,
@@ -147,9 +111,10 @@ def simulate_costs(
 
     # Asymptotic steady-state rate: the run once every path that ever
     # materializes is resident.  Used to extend the short measured run to
-    # paper-scale lengths (see DynamoConfig.amortization); the measured
-    # tail quantities above feed the reported breakdown only.
-    steady_rate = _asymptotic_rate(trace, outcome, config)
+    # paper-scale lengths (see DynamoConfig.amortization).
+    steady_rate = _asymptotic_rate(
+        trace, outcome, config, t_per_path, t_occ, total_instr
+    )
 
     extension = max(config.amortization - 1.0, 0.0) * native
     native_total = native + extension
@@ -173,52 +138,74 @@ def simulate_costs(
     )
 
 
+def _mode_cycles(
+    trace: PathTrace,
+    scheme: str,
+    config: DynamoConfig,
+    cached: np.ndarray,
+    cached_instr: int,
+    total_instr: int,
+) -> tuple[float, float, float, float]:
+    """Interpretation, profiling, fragment and dispatch cycles.
+
+    ``cached`` marks the occurrences that run in the fragment cache and
+    ``cached_instr`` is their instruction total; every other occurrence
+    is interpreted and profiled by ``scheme`` (path-profile with
+    ``instrument_fragments`` profiles the cached ones too).
+    """
+    n = len(cached)
+    interpretation = float(total_instr - cached_instr) * config.interp_per_instr
+    if scheme.startswith("net"):
+        # A head-counter bump per backward arrival outside the cache.
+        bumps = np.count_nonzero(trace.backward_arrival_mask() > cached)
+        profiling = bumps * config.counter_cost
+    else:
+        units_per_path = (
+            trace.cond_branches_per_path() + trace.indirect_branches_per_path()
+        )
+        units = int(np.dot(trace.freqs(), units_per_path))
+        profiled = n
+        if not config.instrument_fragments:
+            units -= int(np.dot(units_per_path[trace.path_ids], cached))
+            profiled -= np.count_nonzero(cached)
+        profiling = (
+            float(units) * config.bit_cost + float(profiled) * config.table_cost
+        )
+    fragment_rate = config.native_per_instr * config.fragment_speedup
+    fragment_execution = float(cached_instr) * fragment_rate
+    # Cache entries: a cached occurrence whose predecessor was not cached.
+    entries = (
+        int(cached[0]) + np.count_nonzero(cached[1:] > cached[:-1]) if n else 0
+    )
+    dispatch = entries * config.dispatch_cost
+    return interpretation, profiling, fragment_execution, dispatch
+
+
 def _asymptotic_rate(
     trace: PathTrace,
     outcome: PredictionOutcome,
     config: DynamoConfig,
+    t_per_path: np.ndarray,
+    t_occ: np.ndarray,
+    total_instr: int,
 ) -> float:
     """Warm cycles per native cycle once every predicted path is cached.
 
     Occurrences of ever-predicted paths run in the fragment cache (plus
     dispatch at interpreter→cache entries); occurrences of never-predicted
     paths are interpreted forever, with the scheme's residual profiling.
+    ``t_per_path``/``t_occ`` are the materialization times
+    :func:`simulate_costs` built, ``n`` for a path never predicted.
     """
-    n = len(trace.path_ids)
+    n = len(t_occ)
     if n == 0:
         return 1.0
-    instr_per_path = trace.instructions_per_path()
-    occ_instr = instr_per_path[trace.path_ids]
-    occ_units = (
-        trace.cond_branches_per_path() + trace.indirect_branches_per_path()
-    )[trace.path_ids]
-
-    ever = np.zeros(trace.num_paths, dtype=bool)
-    if len(outcome.predicted_ids):
-        ever[outcome.predicted_ids] = True
-    ecached = ever[trace.path_ids]
-
-    cycles = float(occ_instr[ecached].sum()) * (
-        config.native_per_instr * config.fragment_speedup
+    ever_instr = int(
+        np.dot(trace.freqs(), trace.instructions_per_path() * (t_per_path < n))
     )
-    cycles += float(occ_instr[~ecached].sum()) * config.interp_per_instr
-
-    if outcome.scheme.startswith("net"):
-        arrivals = trace.backward_arrival_mask()
-        cycles += int((arrivals & ~ecached).sum()) * config.counter_cost
-    else:
-        profiled = (
-            np.ones(n, dtype=bool) if config.instrument_fragments else ~ecached
-        )
-        cycles += (
-            float(occ_units[profiled].sum()) * config.bit_cost
-            + float(profiled.sum()) * config.table_cost
-        )
-
-    prev = np.empty(n, dtype=bool)
-    prev[0] = False
-    prev[1:] = ecached[:-1]
-    cycles += int((ecached & ~prev).sum()) * config.dispatch_cost
-
-    native = float(occ_instr.sum()) * config.native_per_instr
+    interpretation, profiling, fragment_execution, dispatch = _mode_cycles(
+        trace, outcome.scheme, config, t_occ < n, ever_instr, total_instr
+    )
+    cycles = fragment_execution + interpretation + profiling + dispatch
+    native = float(total_instr) * config.native_per_instr
     return cycles / native if native > 0 else 1.0

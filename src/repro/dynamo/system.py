@@ -120,9 +120,16 @@ class DynamoSystem:
     ) -> DynamoRun:
         """Event-level simulation with an explicit fragment cache.
 
-        Semantics match :meth:`run`'s cost model occurrence for
-        occurrence; additionally models Dynamo's capacity flushes through
-        the real :class:`FragmentCache` and, when
+        Charges the execution modes of :meth:`run`'s cost model.  When
+        neither bails out (and without the flush heuristic or measured
+        sizes), the two agree exactly on fragments, emitted instructions
+        and interpretation, selection, dispatch and flush cycles, and up
+        to float summation order on fragment execution and path-profile
+        profiling.  NET profiling differs: here a selection at a head
+        already hot bumps no counter, where the cost model charges one
+        when it arrives by a backward branch (see
+        ``docs/cost_model.md``).  Additionally models Dynamo's capacity
+        flushes through the real :class:`FragmentCache` and, when
         ``flush_on_phase_change`` is set, the §6.1 prediction-rate flush
         heuristic (counters and cache restart after each flush).
 

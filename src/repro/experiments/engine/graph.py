@@ -78,9 +78,14 @@ GENERATOR_VERSION = "workload-generator-v1"
 STATE_FORMAT = 1
 
 
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))``, with
+#: the encoder built once instead of on every call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(value) -> str:
     """The one JSON spelling every digest in this module hashes."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(value)
 
 
 def _sha256(text: str) -> str:
@@ -99,38 +104,53 @@ def scale_tag(flow_scale: float) -> str:
 _spec_digest_memo: dict[tuple[str, float], str] = {}
 
 
-def _plain(value, memo: dict[int, object]):
-    """``value`` as :func:`dataclasses.asdict` would give it to JSON.
+def _asdict_json(value, memo: dict[int, str]) -> str:
+    """``canonical_json`` of ``value`` in its :func:`dataclasses.asdict`
+    form, built from the JSON of its parts.
 
-    The same fields, lists and dicts, without ``asdict``'s deep copy of
-    every leaf, and each distinct object walked once (``memo`` maps an
-    object's id to its plain form): a workload config repeats one
-    region spec hundreds of times.
+    A dataclass, or a list or tuple holding one, is spliced together
+    from its parts' texts, and each distinct such object is encoded once
+    (``memo`` maps its id to its text): a workload config repeats one
+    region spec hundreds of times.  Everything else goes to the stdlib
+    encoder whole, leaf containers included, since json sorts int dict
+    keys (the phase weights) numerically before spelling them as
+    strings.
     """
-    if value is None or isinstance(value, (str, int, float)):
-        return value
-    plain = memo.get(id(value))
-    if plain is not None:
-        return plain
+    text = memo.get(id(value))
+    if text is not None:
+        return text
     if dataclasses.is_dataclass(value):
-        plain = {
-            field.name: _plain(getattr(value, field.name), memo)
-            for field in dataclasses.fields(value)
-        }
-    elif isinstance(value, (list, tuple)):
-        plain = [_plain(item, memo) for item in value]
-    elif isinstance(value, dict):
-        plain = {key: _plain(item, memo) for key, item in value.items()}
+        text = _object_json(
+            {
+                field.name: getattr(value, field.name)
+                for field in dataclasses.fields(value)
+            },
+            memo,
+        )
+    elif isinstance(value, (list, tuple)) and any(
+        dataclasses.is_dataclass(item) for item in value
+    ):
+        text = "[" + ",".join(_asdict_json(item, memo) for item in value) + "]"
     else:
-        return value
-    memo[id(value)] = plain
-    return plain
+        return _ENCODER.encode(value)
+    memo[id(value)] = text
+    return text
+
+
+def _object_json(fields: dict[str, object], memo: dict[int, str]) -> str:
+    """``canonical_json`` of a str-keyed object whose values
+    :func:`_asdict_json` encodes."""
+    items = (
+        f"{_ENCODER.encode(name)}:{_asdict_json(value, memo)}"
+        for name, value in sorted(fields.items())
+    )
+    return "{" + ",".join(items) + "}"
 
 
 def config_digest(config: WorkloadConfig) -> str:
     """Content digest of an explicit workload configuration."""
-    payload = {"generator": GENERATOR_VERSION, "config": _plain(config, {})}
-    return _sha256(canonical_json(payload))
+    payload = {"generator": GENERATOR_VERSION, "config": config}
+    return _sha256(_object_json(payload, {}))
 
 
 def spec_digest(name: str, flow_scale: float) -> str:
@@ -153,10 +173,10 @@ def spec_digest(name: str, flow_scale: float) -> str:
         raise ExperimentError(f"unknown benchmark {name!r}") from None
     payload = {
         "generator": GENERATOR_VERSION,
-        "benchmark": dataclasses.asdict(spec),
+        "benchmark": spec,
         "flow_scale": scale_tag(flow_scale),
     }
-    digest = _sha256(canonical_json(payload))
+    digest = _sha256(_object_json(payload, {}))
     _spec_digest_memo[key] = digest
     return digest
 
@@ -187,7 +207,9 @@ class ArtifactGraph:
 
     def __init__(self) -> None:
         self._nodes: dict[str, GraphNode] = {}
-        self._keys: dict[str, str] = {}
+        #: node name → (key, ``canonical_json([name, key])``), the text a
+        #: dependent's payload splices in.
+        self._keys: dict[str, tuple[str, str]] = {}
 
     def add(self, node: GraphNode) -> GraphNode:
         """Insert ``node`` (idempotent: re-adding an identical node is a
@@ -229,18 +251,22 @@ class ArtifactGraph:
         keys of everything downstream, which is the whole invalidation
         story.
         """
-        memo = self._keys.get(name)
-        if memo is not None:
-            return memo
-        node = self._nodes[name]
-        payload = {
-            "kind": node.kind,
-            "inputs": node.inputs,
-            "deps": [[dep, self.key(dep)] for dep in node.deps],
-        }
-        digest = _sha256(canonical_json(payload))
-        self._keys[name] = digest
-        return digest
+        return self._entry(name)[0]
+
+    def _entry(self, name: str) -> tuple[str, str]:
+        entry = self._keys.get(name)
+        if entry is None:
+            node = self._nodes[name]
+            # canonical_json({"kind", "inputs", "deps": [[dep, key], …]}),
+            # assembled in its sorted key order from encoded parts.
+            deps = ",".join(self._entry(dep)[1] for dep in node.deps)
+            digest = _sha256(
+                f'{{"deps":[{deps}],"inputs":{canonical_json(node.inputs)},'
+                f'"kind":{canonical_json(node.kind)}}}'
+            )
+            pair = f"[{canonical_json(name)},{canonical_json(digest)}]"
+            entry = self._keys[name] = (digest, pair)
+        return entry
 
 
 def cell_node_name(

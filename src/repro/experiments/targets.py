@@ -48,6 +48,7 @@ from repro.experiments.engine.graph import (
     GraphNode,
     GraphPlan,
     GraphState,
+    NodeStatus,
     RenderStore,
     TargetSpec,
     cell_node_name,
@@ -122,34 +123,17 @@ def build_graph(
     """
     built = TargetGraph(graph=ArtifactGraph(), flow_scale=flow_scale)
     graph = built.graph
+    # benchmark → its cell names, named and added on first use.
+    grid: dict[str, list[str]] = {}
     for name in names:
         target = target_for(name)
         render_name = render_node_name(name, flow_scale)
         if target.sweep:
             deps = []
             for bench in target.benchmarks:
-                workload = spec_digest(bench, flow_scale)
-                for scheme in SCHEMES:
-                    for delay in DEFAULT_DELAYS:
-                        cell_name = cell_node_name(
-                            bench, scheme, delay, flow_scale
-                        )
-                        deps.append(cell_name)
-                        if cell_name in built.cells:
-                            continue
-                        graph.add(
-                            GraphNode(
-                                name=cell_name,
-                                kind="cell",
-                                inputs={
-                                    "workload": workload,
-                                    "scheme": scheme,
-                                    "delay": str(int(delay)),
-                                    "code": CODE_VERSION,
-                                },
-                            )
-                        )
-                        built.cells[cell_name] = (bench, scheme, int(delay))
+                if bench not in grid:
+                    grid[bench] = _add_cells(built, bench)
+                deps.extend(grid[bench])
             graph.add(
                 GraphNode(
                     name=render_name,
@@ -176,6 +160,30 @@ def build_graph(
             )
         built.renders[render_name] = name
     return built
+
+
+def _add_cells(built: TargetGraph, bench: str) -> list[str]:
+    """Add ``bench``'s scheme × τ cell nodes to ``built``; their names."""
+    workload = spec_digest(bench, built.flow_scale)
+    names = []
+    for scheme in SCHEMES:
+        for delay in DEFAULT_DELAYS:
+            cell_name = cell_node_name(bench, scheme, delay, built.flow_scale)
+            built.graph.add(
+                GraphNode(
+                    name=cell_name,
+                    kind="cell",
+                    inputs={
+                        "workload": workload,
+                        "scheme": scheme,
+                        "delay": str(int(delay)),
+                        "code": CODE_VERSION,
+                    },
+                )
+            )
+            built.cells[cell_name] = (bench, scheme, int(delay))
+            names.append(cell_name)
+    return names
 
 
 def graph_state_path(cache: SweepCache) -> pathlib.Path:
@@ -269,10 +277,19 @@ def run_targets(
         planned.plan,
     )
     graph = built.graph
+    dirty_cells: list[NodeStatus] = []
+    dirty_renders: list[NodeStatus] = []
+    for status in plan.statuses.values():
+        if status.dirty:
+            if status.node.kind == "cell":
+                dirty_cells.append(status)
+            else:
+                dirty_renders.append(status)
+    num_dirty = len(dirty_cells) + len(dirty_renders)
     registry.counter("runs").inc()
     registry.counter("nodes_total").inc(len(graph))
-    registry.counter("nodes_dirty").inc(len(plan.dirty))
-    registry.counter("nodes_skipped").inc(plan.clean_count)
+    registry.counter("nodes_dirty").inc(num_dirty)
+    registry.counter("nodes_skipped").inc(len(plan.statuses) - num_dirty)
 
     # --- Which benchmarks must regenerate traces ---------------------
     # Dirty cells force a sweep over their benchmark; dirty *direct*
@@ -281,11 +298,11 @@ def run_targets(
     # and promoted into the run set if the read fails, so one pass
     # covers cache rot without a second planning round.
     run_benchmarks = {
-        built.cells[status.node.name][0] for status in plan.dirty_cells
+        built.cells[status.node.name][0] for status in dirty_cells
     }
     promoted: set[str] = set()
     fetched: dict[str, SweepPoint] = {}
-    for status in plan.dirty_renders:
+    for status in dirty_renders:
         target = TARGETS[built.renders[status.node.name]]
         if not target.sweep:
             continue
@@ -305,7 +322,7 @@ def run_targets(
             else:
                 fetched[cell_name] = point
     trace_benchmarks = set(run_benchmarks)
-    for status in plan.dirty_renders:
+    for status in dirty_renders:
         target = TARGETS[built.renders[status.node.name]]
         if not target.sweep:
             trace_benchmarks.update(target.benchmarks)
@@ -356,7 +373,7 @@ def run_targets(
     # ones plus any clean cell promoted because its cached point could
     # not be read back.  (Inside run_sweep the remaining clean cells of
     # a promoted benchmark are cache hits, not replays.)
-    executed_cells = len(plan.dirty_cells) + len(promoted)
+    executed_cells = len(dirty_cells) + len(promoted)
     registry.counter("cells_executed").inc(executed_cells)
 
     def point_for(cell_name: str) -> SweepPoint:

@@ -1,10 +1,10 @@
 """Golden-file regression tests for the experiment renders.
 
-``render_table1``/``render_table2``/``render_figure4`` output over the
-full benchmark set (at the reduced engine test scale) is compared
-byte-for-byte against files committed under ``tests/experiments/golden/``.
-Engine refactors therefore cannot silently change what an experiment
-prints.
+``render_table1``/``render_table2``/``render_figure4`` output and the
+full Figure 5 artifact over the full benchmark set (at the reduced
+engine test scale) are compared byte-for-byte against files committed
+under ``tests/experiments/golden/``.  Engine and cost-model refactors
+therefore cannot silently change what an experiment prints.
 
 When a change is intentional, regenerate the files with::
 
@@ -27,6 +27,8 @@ from repro.experiments import (
     render_table1,
     render_table2,
 )
+from repro.experiments.figure5 import _figure5_text
+from tests.conftest import ENGINE_TEST_SCALE
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -59,3 +61,13 @@ def test_render_matches_golden(
     name, build, render, all_small_traces, update_goldens
 ):
     _check_golden(name, render(build(traces=all_small_traces)), update_goldens)
+
+
+def test_figure5_matches_golden(all_small_traces, update_goldens):
+    """The figure5 target's whole text: the speedup table plus the four
+    bail-out lines, i.e. every Dynamo cost-model cell it prints."""
+    _check_golden(
+        "figure5",
+        _figure5_text(all_small_traces, ENGINE_TEST_SCALE),
+        update_goldens,
+    )

@@ -36,6 +36,7 @@ from repro.experiments.engine.graph import (
 )
 from repro.experiments.phases import phases_config
 from repro.experiments.targets import (
+    TARGETS,
     TargetRun,
     build_graph,
     graph_state_path,
@@ -119,19 +120,63 @@ def test_spec_digest_tracks_generator_version(monkeypatch):
     assert spec_digest("compress", 1.0) != before
 
 
+def _reference_digest(payload) -> str:
+    """SHA-256 of the canonical JSON spelling, from the stdlib alone."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _reference_config_digest(config) -> str:
+    return _reference_digest(
+        {
+            "generator": graph_mod.GENERATOR_VERSION,
+            "config": dataclasses.asdict(config),
+        }
+    )
+
+
 @pytest.mark.parametrize("flow_scale", [0.02, 0.1, 1.0])
 def test_config_digest_matches_asdict_form(flow_scale):
-    """The shallow field walk hashes the JSON ``dataclasses.asdict``
+    """The spliced encoding hashes the JSON ``dataclasses.asdict``
     gives, so graph states recorded before it stay valid."""
     config = phases_config(flow_scale)
-    payload = {
-        "generator": graph_mod.GENERATOR_VERSION,
-        "config": dataclasses.asdict(config),
-    }
-    expected = hashlib.sha256(
-        graph_mod.canonical_json(payload).encode("utf-8")
-    ).hexdigest()
-    assert config_digest(config) == expected
+    assert config_digest(config) == _reference_config_digest(config)
+
+
+@pytest.mark.parametrize("flow_scale", [0.02, 0.1, 1.0])
+def test_every_node_key_matches_merkle_reference(flow_scale, monkeypatch):
+    """Every key of the eight-target graph, and the workload digests
+    its nodes consume, equal a reference built with ``json.dumps`` and
+    ``hashlib`` from the node declarations: a cache filled by an earlier
+    release stays warm at every scale."""
+    monkeypatch.setattr(graph_mod, "_spec_digest_memo", {})
+    for name, spec in BENCHMARKS.items():
+        assert spec_digest(name, flow_scale) == _reference_digest(
+            {
+                "generator": graph_mod.GENERATOR_VERSION,
+                "benchmark": dataclasses.asdict(spec),
+                "flow_scale": repr(float(flow_scale)),
+            }
+        ), name
+        config = spec.config(flow_scale)
+        # Several distinct region specs, each repeated: the splice path.
+        assert 1 < len({id(region) for region in config.regions}) < len(
+            config.regions
+        )
+        assert config_digest(config) == _reference_config_digest(config)
+
+    built = build_graph(list(TARGETS), flow_scale)
+    assert len(built.graph) == 314
+    reference: dict[str, str] = {}
+    for node in built.graph.nodes():
+        reference[node.name] = _reference_digest(
+            {
+                "kind": node.kind,
+                "inputs": node.inputs,
+                "deps": [[dep, reference[dep]] for dep in node.deps],
+            }
+        )
+        assert built.graph.key(node.name) == reference[node.name], node.name
 
 
 def test_merkle_key_propagates_through_deps():
