@@ -71,6 +71,28 @@ def test_mini_dynamo_live_table_is_pinned():
         assert published[program] == [net, path_profile], program
 
 
+#: SHA-256 of ``run_extended(name)``: the hardware comparison and the
+#: §4 overhead table, byte for byte.  Both run a real event stream
+#: (the ISA machine, the CFG walker) through every consumer of it.
+PINNED_EXTENDED_SHA256 = {
+    "hardware": (
+        "09cd04de9060bf40799c410728888b74e755ee454f1e710035d0a48863c2100d"
+    ),
+    "overhead": (
+        "784e2a85b487dcbb866003562d0f0bd49cf82c39382c3bff1f1566465329c377"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_EXTENDED_SHA256))
+def test_extended_table_is_pinned(name):
+    text = run_extended(name)
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == PINNED_EXTENDED_SHA256[name]
+    )
+
+
 def test_unknown_extended_rejected():
     with pytest.raises(ExperimentError):
         run_extended("warpdrive")
