@@ -9,8 +9,6 @@ first-execution) scored with the §3 metrics.
 Run:  python examples/compare_schemes.py
 """
 
-import itertools
-
 from repro.cfg import generate_program, procedure_loops
 from repro.experiments.report import render_table
 from repro.metrics import evaluate_prediction, hot_path_set
@@ -23,6 +21,7 @@ from repro.prediction import (
 from repro.profiling import compare_schemes
 from repro.trace import (
     CFGWalker,
+    EventBatch,
     RandomOracle,
     TripCountOracle,
     record_path_trace,
@@ -40,8 +39,9 @@ def main() -> None:
     oracle = TripCountOracle(RandomOracle(2, default_bias=0.5), trip_counts)
     # Nested 40-trip loops can run a long time; profile the first
     # million transfers (profilers are stream-oriented anyway).
-    events = list(
-        itertools.islice(CFGWalker(program, oracle).walk(), 1_000_000)
+    walker = CFGWalker(program, oracle)
+    events = EventBatch.concat(
+        list(walker.walk_batched(max_events=1_000_000, truncate=True))
     )
     print(f"executed {len(events):,} control transfers\n")
 
@@ -54,7 +54,7 @@ def main() -> None:
         title="Profiling overhead (paper §2/§4)",
     ))
 
-    trace = record_path_trace(program, iter(events), name="generated")
+    trace = record_path_trace(program, events, name="generated")
     hot = hot_path_set(trace, fraction=0.001)
     print(f"\n0.1% hot set: {hot.num_hot} of {trace.num_paths} paths, "
           f"{hot.captured_flow_percent:.1f}% of flow\n")

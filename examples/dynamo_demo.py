@@ -46,7 +46,7 @@ def main() -> None:
     print(f"running {program.name!r} "
           f"({program.num_instructions} instructions) ...")
     events, machine = run_to_completion(program, memory, max_steps=10**7)
-    trace = record_path_trace(program.cfg, iter(events), name="rle")
+    trace = record_path_trace(program.cfg, events, name="rle")
     print(summarize(trace).render(), "\n")
 
     # Optimize the actual fragments: Dynamo's "lightweight optimization"

@@ -22,7 +22,7 @@ from repro.cfg.dot import program_to_dot
 from repro.cfg.edge import Edge, EdgeKind
 from repro.cfg.generators import GeneratorParams, generate_program
 from repro.cfg.procedure import Procedure
-from repro.cfg.program import Program, single_block_program
+from repro.cfg.program import Program
 from repro.cfg.spanning_tree import (
     BallLarusNumbering,
     number_procedure,
@@ -53,7 +53,6 @@ __all__ = [
     "number_procedure",
     "number_program",
     "procedure_loops",
-    "single_block_program",
     "total_static_paths",
     "validate_program",
 ]

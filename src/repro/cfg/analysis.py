@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cfg.block import BasicBlock, BranchKind
+from repro.cfg.block import BranchKind
 from repro.cfg.procedure import Procedure
 from repro.cfg.program import Program
 from repro.errors import CFGError
@@ -266,7 +266,3 @@ def topological_order(dag: dict[int, list[int]], entry: int) -> list[int]:
     order.reverse()
     return order
 
-
-def block_map(proc: Procedure) -> dict[int, BasicBlock]:
-    """uid → block map for one procedure."""
-    return {block.uid: block for block in proc.blocks}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cfg.block import BasicBlock, BranchKind, Terminator
+from repro.cfg.block import BasicBlock, BranchKind
 from repro.cfg.edge import Edge, EdgeKind
 from repro.cfg.procedure import Procedure
 from repro.errors import CFGError
@@ -302,18 +302,3 @@ class Program:
             f"{len(self.backward_branch_targets())} backward-branch targets"
         )
 
-
-def single_block_program(size: int = 4) -> Program:
-    """A minimal one-block program, useful as a test fixture."""
-    proc = Procedure("main")
-    proc.add(
-        BasicBlock(
-            proc_name="main",
-            label="entry",
-            size=size,
-            terminator=Terminator(BranchKind.HALT),
-        )
-    )
-    program = Program(name="single")
-    program.add_procedure(proc)
-    return program.finalize()

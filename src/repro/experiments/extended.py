@@ -47,9 +47,8 @@ def overhead_rows(
 ) -> tuple[list[OverheadRow], int]:
     """Every profiler's cost figures over one generated-program run.
 
-    The event stream is generated and consumed columnar-ly (batched
-    walker, batched profilers); the rows are identical to the object
-    pipeline's, which the event-pipeline benchmark asserts.
+    The walker's event batches feed every profiler; the tier-1 suite
+    checks each profiler against a one-event-at-a-time reference.
     """
     program = generate_program(seed=seed, num_procedures=4)
     trip_counts = {}
@@ -172,8 +171,8 @@ def hardware_rows() -> tuple[list[HardwareRow], list[TraceCacheRow]]:
                 )
             )
         cache = TraceCache()
-        cache_stats = cache.simulate(iter(events), program.cfg.entry_block.uid)
-        trace = record_path_trace(program.cfg, iter(events))
+        cache_stats = cache.simulate(events, program.cfg.entry_block.uid)
+        trace = record_path_trace(program.cfg, events)
         hot = hot_path_set(trace, fraction=0.001)
         net = evaluate_prediction(trace, hot, NETPredictor(10).run(trace))
         cache_rows.append(
@@ -372,7 +371,6 @@ def run_extended(name: str, flow_scale: float = 1.0) -> str:
         )
     if name == "mini-dynamo":
         from repro.dynamo.vm import DynamoVM
-        from repro.isa import run_to_completion
         from repro.isa.programs import ALL_PROGRAMS, stackvm as _stackvm
 
         inputs = {

@@ -1,8 +1,8 @@
 """Hardware prediction schemes from the paper's related work (§7).
 
 Branch-direction predictors (static, bimodal, gshare, two-level
-adaptive) and a trace-cache model, all consuming the same branch-event
-streams as the software profilers — so one trace quantifies both the
+adaptive) and a trace-cache model, all consuming the same event batches
+as the software profilers — so one trace quantifies both the
 hardware schemes' per-branch accuracy and the software schemes' hot-path
 quality, making the paper's "different problem, invisible state"
 argument measurable.

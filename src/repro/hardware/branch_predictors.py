@@ -6,9 +6,9 @@ Rahmeh, McFarling's gshare) — and argues they answer a *different*
 question: per-branch direction accuracy for fetch bandwidth, not hot
 path identification, and their state is architecturally invisible to a
 dynamic compiler.  These models make the comparison concrete: they
-consume the same branch-event streams as the software profilers, so one
-trace yields both per-branch accuracy (here) and hot-path prediction
-quality (:mod:`repro.prediction`).
+consume the same event batches as the software profilers, so one trace
+yields both per-branch accuracy (here) and hot-path prediction quality
+(:mod:`repro.prediction`).
 
 All predictors share the ``predict → update`` interface over
 conditional-branch events; unconditional transfers are ignored, exactly
@@ -18,11 +18,10 @@ as a direction predictor would.
 from __future__ import annotations
 
 import abc
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.errors import ReproError
-from repro.trace.events import BranchEvent
+from repro.trace.batch import CODE_FALLTHROUGH, CODE_TAKEN, EventBatch
 
 
 @dataclass
@@ -91,18 +90,23 @@ class BranchPredictor(abc.ABC):
     def table_bits(self) -> int:
         """Hardware state in bits (the space analog of counter space)."""
 
-    def simulate(self, events: Iterable[BranchEvent]) -> BranchPredictionStats:
-        """Run over an event stream, scoring conditional branches."""
+    def simulate(self, events: EventBatch) -> BranchPredictionStats:
+        """Run over an event stream, scoring conditional branches.
+
+        A conditional branch is a taken or fall-through event; its pc
+        is the event's source block.
+        """
         stats = BranchPredictionStats(scheme=self.name)
-        for event in events:
-            bit = event.history_bit
-            if bit is None:
-                continue
-            taken = bool(bit)
+        kind = events.kind
+        conditional = (kind == CODE_TAKEN) | (kind == CODE_FALLTHROUGH)
+        for pc, taken in zip(
+            events.src[conditional].tolist(),
+            (kind[conditional] == CODE_TAKEN).tolist(),
+        ):
             stats.conditional_branches += 1
-            if self.predict(event.src) == taken:
+            if self.predict(pc) == taken:
                 stats.correct += 1
-            self.update(event.src, taken)
+            self.update(pc, taken)
         stats.table_bits = self.table_bits
         return stats
 
@@ -215,7 +219,7 @@ class StaticTakenPredictor(BranchPredictor):
 
 
 def compare_branch_predictors(
-    events: list[BranchEvent],
+    events: EventBatch,
 ) -> list[BranchPredictionStats]:
     """Simulate the standard predictor zoo over one event stream."""
     predictors: list[BranchPredictor] = [
@@ -224,4 +228,4 @@ def compare_branch_predictors(
         GSharePredictor(),
         TwoLevelAdaptivePredictor(),
     ]
-    return [predictor.simulate(iter(events)) for predictor in predictors]
+    return [predictor.simulate(events) for predictor in predictors]

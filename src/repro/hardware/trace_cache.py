@@ -16,11 +16,17 @@ completed line is installed (direct-mapped by start block).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import ReproError
-from repro.trace.events import HALT_DST, BranchEvent
+from repro.trace.batch import (
+    CODE_FALLTHROUGH,
+    CODE_TAKEN,
+    HALT_DST,
+    EventBatch,
+)
 
 
 @dataclass(frozen=True)
@@ -108,7 +114,7 @@ class TraceCache:
         self.stats.resident_lines = len(self._sets)
 
     # ------------------------------------------------------------------
-    def simulate(self, events: Iterable[BranchEvent], entry_uid: int) -> TraceCacheStats:
+    def simulate(self, events: EventBatch, entry_uid: int) -> TraceCacheStats:
         """Fetch-simulate an event stream.
 
         At each fetch point the cache is probed with the current block;
@@ -117,18 +123,23 @@ class TraceCache:
         whole).  On a miss, a fill buffer collects blocks/outcomes until
         the line limits are reached and installs the line.
         """
-        blocks: list[int] = [entry_uid]
-        outcomes: list[int] = []
-        # Materialize the block/outcome streams first.
-        for event in events:
-            bit = event.history_bit
-            if bit is not None:
-                outcomes.append((len(blocks) - 1, bit))
-            if event.dst == HALT_DST:
-                break
-            blocks.append(event.dst)
-
-        outcome_at = dict(outcomes)
+        # Materialize the block/outcome streams first: the blocks
+        # entered up to the halt, and the outcome (1 taken, 0 not) of
+        # the conditional branch ending block ``i``.
+        halts = np.flatnonzero(events.dst == HALT_DST)
+        stop = int(halts[0]) if halts.size else len(events)
+        dst = events.dst[:stop]
+        kind = events.kind[:stop]
+        blocks: list[int] = [entry_uid, *dst.tolist()]
+        conditional = np.flatnonzero(
+            (kind == CODE_TAKEN) | (kind == CODE_FALLTHROUGH)
+        )
+        outcome_at = dict(
+            zip(
+                conditional.tolist(),
+                (kind[conditional] == CODE_TAKEN).astype(int).tolist(),
+            )
+        )
         position = 0
         while position < len(blocks):
             self.stats.fetches += 1

@@ -2,10 +2,11 @@
 
 The machine executes an :class:`repro.isa.AssembledProgram` and *emits a
 branch event for every control transfer* — including fall-throughs across
-block boundaries — so its event stream feeds the path extractor exactly
-like the CFG walker's.  This is the "emulation" profiling channel the
-paper describes: a system like Dynamo observes the program through
-interpretation and collects NET counters for free while doing so.
+block boundaries — as columnar event batches, so its event stream feeds
+the path extractor exactly like the CFG walker's.  This is the
+"emulation" profiling channel the paper describes: a system like Dynamo
+observes the program through interpretation and collects NET counters
+for free while doing so.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from repro.cfg.edge import EdgeKind
 from repro.errors import MachineError, MachineLimitExceeded
 from repro.isa.assembler import AssembledProgram
 from repro.isa.instructions import COND_BRANCHES, NUM_REGISTERS, Op
@@ -27,10 +27,10 @@ from repro.trace.batch import (
     CODE_RETURN,
     CODE_STRAIGHT,
     CODE_TAKEN,
+    HALT_DST,
     EventBatch,
     EventBatchBuilder,
 )
-from repro.trace.events import HALT_DST, BranchEvent, halt_event
 
 #: Default data memory size in words.
 DEFAULT_MEMORY_WORDS = 1 << 16
@@ -51,7 +51,7 @@ class MachineState:
 
 
 class Machine:
-    """Executes an assembled program, yielding branch events.
+    """Executes an assembled program, yielding event batches.
 
     Parameters
     ----------
@@ -81,102 +81,20 @@ class Machine:
         self._grow_memory(base + len(values) - 1)
         self.state.memory[base : base + len(values)] = list(values)
 
-    def run(self, max_steps: int = 10_000_000) -> Iterator[BranchEvent]:
-        """Execute until HALT, yielding one event per control transfer.
-
-        Raises :class:`MachineLimitExceeded` if the step budget runs out
-        and :class:`MachineError` on faults (bad addresses, division by
-        zero, return with an empty call stack, …).
-        """
-        state = self.state
-        program = self.program
-        instructions = program.instructions
-        block_of = program.block_of
-        regs = state.registers
-        memory = state.memory
-
-        def event(dst_index: int, kind: EdgeKind) -> BranchEvent:
-            src_block = block_of[state.pc]
-            dst_block = block_of[dst_index]
-            backward = (
-                kind not in (EdgeKind.FALLTHROUGH, EdgeKind.STRAIGHT)
-                and dst_index <= state.pc
-            )
-            return BranchEvent(
-                src=src_block, dst=dst_block, kind=kind, backward=backward
-            )
-
-        while True:
-            if state.steps >= max_steps:
-                raise MachineLimitExceeded(state.steps)
-            if not 0 <= state.pc < len(instructions):
-                raise MachineError(f"pc {state.pc} outside the program")
-            instr = instructions[state.pc]
-            state.steps += 1
-            op = instr.op
-
-            if op in COND_BRANCHES:
-                if self._compare(op, regs[instr.rs], regs[instr.rt]):
-                    yield event(instr.target, EdgeKind.TAKEN)
-                    state.pc = instr.target
-                else:
-                    yield event(state.pc + 1, EdgeKind.FALLTHROUGH)
-                    state.pc += 1
-                continue
-            if op is Op.JMP:
-                yield event(instr.target, EdgeKind.JUMP)
-                state.pc = instr.target
-                continue
-            if op is Op.JR:
-                target = regs[instr.rs]
-                self._check_leader(target, "jr")
-                yield event(target, EdgeKind.INDIRECT)
-                state.pc = target
-                continue
-            if op is Op.CALL:
-                state.call_stack.append(state.pc + 1)
-                yield event(instr.target, EdgeKind.CALL)
-                state.pc = instr.target
-                continue
-            if op is Op.CALLR:
-                target = regs[instr.rs]
-                self._check_leader(target, "callr")
-                state.call_stack.append(state.pc + 1)
-                yield event(target, EdgeKind.CALL)
-                state.pc = target
-                continue
-            if op is Op.RET:
-                if not state.call_stack:
-                    yield halt_event(block_of[state.pc])
-                    return
-                target = state.call_stack.pop()
-                yield event(target, EdgeKind.RETURN)
-                state.pc = target
-                continue
-            if op is Op.HALT:
-                yield halt_event(block_of[state.pc])
-                return
-
-            self._execute_straightline(instr, regs, memory)
-            next_pc = state.pc + 1
-            if next_pc >= len(instructions):
-                raise MachineError("execution ran past the last instruction")
-            if block_of[next_pc] != block_of[state.pc]:
-                yield event(next_pc, EdgeKind.STRAIGHT)
-            state.pc = next_pc
-
     def run_batched(
         self,
         max_steps: int = 10_000_000,
         batch_size: int = 1 << 16,
         obs: Registry | None = None,
     ) -> Iterator[EventBatch]:
-        """Execute like :meth:`run`, yielding columnar event batches.
+        """Execute until HALT, yielding columnar event batches.
 
-        Event-for-event identical to :meth:`run` (same machine state
-        transitions, same fault behaviour), but control transfers are
-        appended to flat buffers instead of yielding one
-        :class:`BranchEvent` object each.  ``obs`` publishes the same
+        One event per control transfer, the halt event last; every
+        batch but the last holds ``batch_size`` events.  Raises
+        :class:`MachineLimitExceeded` if the step budget runs out and
+        :class:`MachineError` on faults (bad addresses, division by
+        zero, a jump to a non-leader, …).  A return with an empty call
+        stack halts the program.  ``obs`` publishes the same
         ``tracegen.*`` instruments as ``CFGWalker.walk_batched``.
         """
         if batch_size < 1:
@@ -395,7 +313,7 @@ class Machine:
             self.state.output.append(regs[instr.rs])
         elif op is Op.NOP:
             pass
-        else:  # pragma: no cover - control ops handled in run()
+        else:  # pragma: no cover - control ops handled in run_batched()
             raise MachineError(f"unexpected opcode {op.value!r}")
 
     def _check_memory(self, address: int) -> None:
@@ -408,7 +326,7 @@ class Machine:
     def _grow_memory(self, address: int) -> None:
         """Extend the backing list (in place) to cover ``address``.
 
-        In place matters: ``run`` and the Dynamo VM hold direct
+        In place matters: ``run_batched`` and the Dynamo VM hold direct
         references to ``state.memory``, so the list object must never
         be replaced.
         """
@@ -421,10 +339,10 @@ def run_to_completion(
     program: AssembledProgram,
     memory_image: list[int] | None = None,
     max_steps: int = 10_000_000,
-) -> tuple[list[BranchEvent], Machine]:
-    """Run a program and return (events, machine) for inspection."""
+) -> tuple[EventBatch, Machine]:
+    """Run a program and return (events as one batch, machine)."""
     machine = Machine(program)
     if memory_image:
         machine.load_memory(memory_image)
-    events = list(machine.run(max_steps=max_steps))
+    events = EventBatch.concat(list(machine.run_batched(max_steps=max_steps)))
     return events, machine

@@ -21,8 +21,7 @@ from repro.cfg.program import Program
 from repro.cfg.spanning_tree import BallLarusNumbering, number_program
 from repro.profiling.base import Profiler, ProfileReport
 from repro.profiling.counters import CounterTable
-from repro.trace.batch import CODE_CALL, CODE_RETURN, EventBatch
-from repro.trace.events import HALT_DST, BranchEvent
+from repro.trace.batch import CODE_CALL, CODE_RETURN, HALT_DST, EventBatch
 
 
 class BallLarusProfiler(Profiler):
@@ -80,8 +79,8 @@ class BallLarusProfiler(Profiler):
             self._increment_ops += 1
         return register
 
-    def _end_path(self, last_uid: int, restart_uid: int | None) -> None:
-        """Close the current activation's path and optionally restart."""
+    def _end_path(self, last_uid: int) -> None:
+        """Close the current activation's path at ``last_uid``."""
         if not self._stack:
             return
         proc_name, register, _ = self._stack[-1]
@@ -90,55 +89,8 @@ class BallLarusProfiler(Profiler):
             proc_name, last_uid, numbering.virtual_exit, register
         )
         self._counters.bump((proc_name, register))
-        if restart_uid is not None:
-            self._stack[-1][1] = self._apply(
-                proc_name, numbering.virtual_entry, restart_uid, 0
-            )
-            self._stack[-1][2] = restart_uid
 
     # ------------------------------------------------------------------
-    def observe(self, event: BranchEvent) -> None:
-        if not self._started:
-            self._started = True
-            self._enter_procedure(event.src)
-
-        if event.dst == HALT_DST:
-            self._end_path(event.src, None)
-            self._stack.clear()
-            return
-
-        src_block = self._program.block_by_uid(event.src)
-        term_kind = src_block.terminator.kind
-
-        if event.is_call:
-            # The caller's path pauses across the call (Ball–Larus paths
-            # are intraprocedural); a fresh activation begins.
-            self._enter_procedure(event.dst)
-            return
-        if event.is_return or term_kind is BranchKind.RETURN:
-            # The returning activation's path ends at the return.
-            self._end_path(event.src, None)
-            if self._stack:
-                self._stack.pop()
-            if self._stack:
-                proc_name, register, current = self._stack[-1]
-                self._stack[-1][1] = self._apply(
-                    proc_name, current, event.dst, register
-                )
-                self._stack[-1][2] = event.dst
-            return
-        if event.backward:
-            # Forward paths end at backward branches; the branch target
-            # starts the next path of the same activation.
-            self._end_path(event.src, event.dst)
-            return
-
-        proc_name, register, _ = self._stack[-1]
-        self._stack[-1][1] = self._apply(
-            proc_name, event.src, event.dst, register
-        )
-        self._stack[-1][2] = event.dst
-
     def _edge_tables(
         self, codes: np.ndarray, stride: int
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -197,15 +149,18 @@ class BallLarusProfiler(Profiler):
         return self._virtual_tables
 
     def observe_batch(self, batch: EventBatch) -> None:
-        """Batch path: vectorized activation spans, scalar stack events.
+        """Vectorized activation spans, one Python step per stack event.
 
         Only halt/call/return events change the activation stack; the
-        Python loop visits just those.  Everything in between — chord
-        accumulation over plain edges and the backward-branch path ends
-        of the top activation — reduces to prefix-sum differences plus
-        dense virtual-entry/exit lookups, with path counts bumped from
-        a per-span ``np.unique``.  The resulting profile is identical
-        to the scalar one.
+        Python loop visits just those.  A call pauses the caller's path
+        (Ball–Larus paths are intraprocedural) and starts a fresh
+        activation; a return, or any transfer out of a RETURN block,
+        ends the returning activation's path; halt ends every path.
+        Everything in between — chord accumulation over plain edges and
+        the backward-branch path ends of the top activation, whose
+        targets start the activation's next path — reduces to
+        prefix-sum differences plus dense virtual-entry/exit lookups,
+        with path counts bumped from a per-span ``np.unique``.
         """
         n = len(batch)
         if n == 0:
@@ -299,12 +254,12 @@ class BallLarusProfiler(Profiler):
             d = int(dst[j])
             kd = int(kind[j])
             if d == HALT_DST:
-                self._end_path(s, None)
+                self._end_path(s)
                 stack.clear()
             elif kd == CODE_CALL:
                 self._enter_procedure(d)
             else:  # return edge, or a RETURN-terminated source block
-                self._end_path(s, None)
+                self._end_path(s)
                 if stack:
                     stack.pop()
                 if stack:
@@ -319,7 +274,7 @@ class BallLarusProfiler(Profiler):
         # Close any paths still open at stream end.
         while self._stack:
             _, _, current = self._stack[-1]
-            self._end_path(current, None)
+            self._end_path(current)
             self._stack.pop()
         return ProfileReport(
             scheme=self.name,

@@ -1,7 +1,8 @@
 """Shared interface of the concrete profilers.
 
-A profiler consumes a :class:`repro.trace.BranchEvent` stream and builds a
-frequency distribution over its profiling unit (paths, edges, blocks…).
+A profiler consumes a stream of columnar
+:class:`~repro.trace.batch.EventBatch` batches and builds a frequency
+distribution over its profiling unit (paths, edges, blocks…).
 Each profiler reports the two cost figures the paper compares schemes on:
 counter space and dynamic profiling operations.
 """
@@ -13,7 +14,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.trace.batch import EventBatch
-from repro.trace.events import BranchEvent
 
 
 @dataclass(frozen=True)
@@ -45,45 +45,31 @@ class ProfileReport:
 
 
 class Profiler(abc.ABC):
-    """Base class: feed events, then ask for the report."""
+    """Base class: feed event batches, then ask for the report."""
 
     #: Scheme name used in reports.
     name: str = "abstract"
 
     @abc.abstractmethod
-    def observe(self, event: BranchEvent) -> None:
-        """Process one branch event."""
+    def observe_batch(self, batch: EventBatch) -> None:
+        """Process the next batch of the stream.
+
+        The report depends only on the stream, not on how it was split
+        into batches.
+        """
 
     @abc.abstractmethod
     def report(self) -> ProfileReport:
         """Finalize and return the profile."""
 
-    def observe_batch(self, batch: EventBatch) -> None:
-        """Process one columnar event batch.
-
-        The default bridges to :meth:`observe` event by event;
-        profilers with a vectorized batch path override this.  Either
-        way the resulting report is identical to the scalar one.
-        """
-        for event in batch:
-            self.observe(event)
-
-    def run(
-        self,
-        events: Iterable[BranchEvent] | EventBatch | Iterable[EventBatch],
-    ) -> ProfileReport:
+    def run(self, events: EventBatch | Iterable[EventBatch]) -> ProfileReport:
         """Convenience: observe a whole stream and report.
 
-        Accepts the classic event iterable, a single columnar
-        :class:`~repro.trace.batch.EventBatch`, or an iterable of
-        batches forming one stream.
+        Accepts one :class:`~repro.trace.batch.EventBatch` or an
+        iterable of batches forming one stream.
         """
         if isinstance(events, EventBatch):
-            self.observe_batch(events)
-            return self.report()
-        for item in events:
-            if isinstance(item, EventBatch):
-                self.observe_batch(item)
-            else:
-                self.observe(item)
+            events = (events,)
+        for batch in events:
+            self.observe_batch(batch)
         return self.report()

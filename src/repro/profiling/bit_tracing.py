@@ -8,8 +8,11 @@ to bump the path's counter.  No preparatory static analysis is needed —
 the advantage over Ball–Larus numbering the paper highlights — at the
 price of per-branch shift operations on *every* branch.
 
-Path-end detection follows the interprocedural forward-path definition,
-shared with :mod:`repro.trace.extractor` (and tested to agree with it).
+Path-end detection follows the interprocedural forward-path definition:
+segments end where :func:`repro.trace.columnar.find_cuts` cuts, as in
+:mod:`repro.trace.extractor` (and tested to agree with it).  A batch
+replays only the first occurrence of each distinct segment through a
+register; recurring segments hit a memo.
 """
 
 from __future__ import annotations
@@ -20,14 +23,13 @@ from repro.cfg.program import Program
 from repro.profiling.base import Profiler, ProfileReport
 from repro.profiling.counters import CounterTable
 from repro.trace.batch import (
-    CODE_CALL,
     CODE_FALLTHROUGH,
     CODE_INDIRECT,
     CODE_TAKEN,
+    HALT_DST,
     EventBatch,
 )
 from repro.trace.columnar import find_cuts
-from repro.trace.events import HALT_DST, BranchEvent
 from repro.trace.path import PathSignature, SignatureRegister
 
 
@@ -48,38 +50,21 @@ class BitTracingProfiler(Profiler):
         self._program = program
         self._max_blocks = max_blocks
         self._counters = CounterTable("paths")
-        self._register: SignatureRegister | None = None
-        self._blocks_in_path = 1
-        self._open_calls = 0
         self._shift_ops = 0
         self._started = False
-        # Columnar-mode state: the open segment's start uid and its
-        # events so far, carried between observe_batch calls.
-        self._batch_mode = False
         self._batch_halted = False
+        # The open segment's start uid and its events so far, carried
+        # between observe_batch calls.
         self._seg_uid: int | None = None
         self._carry_dst: np.ndarray | None = None
         self._carry_kind: np.ndarray | None = None
         self._carry_backward: np.ndarray | None = None
         self._sig_memo: dict[tuple, PathSignature] = {}
 
-    def _start(self, uid: int) -> None:
-        address = self._program.block_by_uid(uid).address
-        self._register = SignatureRegister(address)
-        self._blocks_in_path = 1
-        self._open_calls = 0
-
-    def _finish(self) -> None:
-        if self._register is None:
-            return
-        signature: PathSignature = self._register.snapshot()
-        self._counters.bump(signature)
-        self._register = None
-
     def _bump_segment(
         self, uid: int, dst_seg: np.ndarray, kind_seg: np.ndarray
     ) -> None:
-        """Bump the signature of one segment (columnar mode).
+        """Bump the signature of one segment.
 
         The signature only depends on the start uid, the kind codes and
         the indirect targets, so recurring segments hit a memo instead
@@ -108,68 +93,19 @@ class BitTracingProfiler(Profiler):
                 )
         return register.snapshot()
 
-    def _drain_batch_state(self) -> None:
-        """Rebuild the scalar register from the open columnar segment.
-
-        Called when :meth:`observe` follows columnar batches, so mixing
-        representations stays exact.  Shift ops were already counted
-        when the carried events arrived, so the replay does not recount
-        them.
-        """
-        self._batch_mode = False
-        if self._seg_uid is None:
-            # Halted (or tail already flushed): scalar register is None.
-            self._carry_dst = None
-            self._carry_kind = None
-            self._carry_backward = None
-            return
-        register = SignatureRegister(
-            self._program.block_by_uid(self._seg_uid).address
-        )
-        open_calls = 0
-        blocks = 1
-        if self._carry_dst is not None:
-            for kc, dc in zip(
-                self._carry_kind.tolist(), self._carry_dst.tolist()
-            ):
-                if kc == CODE_TAKEN:
-                    register.shift(1)
-                elif kc == CODE_FALLTHROUGH:
-                    register.shift(0)
-                elif kc == CODE_INDIRECT and dc != HALT_DST:
-                    register.record_indirect(
-                        self._program.block_by_uid(dc).address
-                    )
-                if kc == CODE_CALL:
-                    open_calls += 1
-                blocks += 1
-        self._register = register
-        self._open_calls = open_calls
-        self._blocks_in_path = blocks
-        self._seg_uid = None
-        self._carry_dst = None
-        self._carry_kind = None
-        self._carry_backward = None
-
     def observe_batch(self, batch: EventBatch) -> None:
-        """Columnar path: segment with find_cuts, bump memoized signatures.
+        """Segment with find_cuts and bump memoized signatures.
 
-        Produces exactly the scalar profile: shift-op accounting is a
-        vectorized count, and each cut segment bumps the same signature
-        the register would have accumulated.  Events after a halt are
-        ignored (the trace has ended).
+        Every conditional branch costs one shift and every indirect
+        branch one target append (a vectorized count); each cut segment
+        bumps the signature its register would have accumulated.
+        Events after a halt are ignored (the trace has ended).
         """
-        if self._started and not self._batch_mode:
-            # A scalar register is open; bridge event-by-event.
-            for event in batch:
-                self.observe(event)
-            return
         if self._batch_halted or len(batch) == 0:
             return
         if not self._started:
             self._started = True
             self._seg_uid = int(batch.src[0])
-        self._batch_mode = True
 
         dst = batch.dst
         kind = batch.kind
@@ -221,52 +157,10 @@ class BitTracingProfiler(Profiler):
             self._carry_kind = kind[begin:].copy()
             self._carry_backward = backward[begin:].copy()
 
-    def observe(self, event: BranchEvent) -> None:
-        if self._batch_mode:
-            self._drain_batch_state()
-        if not self._started:
-            self._started = True
-            self._start(event.src)
-
-        bit = event.history_bit
-        if bit is not None:
-            self._register.shift(bit)
-            self._shift_ops += 1
-        if event.is_indirect and event.dst != HALT_DST:
-            self._register.record_indirect(
-                self._program.block_by_uid(event.dst).address
-            )
-            self._shift_ops += 1
-
-        if event.dst == HALT_DST:
-            self._finish()
-            return
-        if event.backward:
-            self._finish()
-            self._start(event.dst)
-            return
-        if event.is_call:
-            self._open_calls += 1
-        elif event.is_return and self._open_calls > 0:
-            self._finish()
-            self._start(event.dst)
-            return
-
-        if (
-            self._max_blocks is not None
-            and self._blocks_in_path >= self._max_blocks
-        ):
-            # The overflowing transfer ends the path; its target starts
-            # the next one (same rule as the extractor).
-            self._finish()
-            self._start(event.dst)
-        else:
-            self._blocks_in_path += 1
-
     def report(self) -> ProfileReport:
-        if self._batch_mode and self._seg_uid is not None:
-            # Flush the open columnar segment (the path in flight when
-            # the stream ended), mirroring the scalar register flush.
+        if self._seg_uid is not None:
+            # Flush the open segment: the path in flight when the
+            # stream ended.
             dst_tail = (
                 self._carry_dst
                 if self._carry_dst is not None
@@ -282,7 +176,6 @@ class BitTracingProfiler(Profiler):
             self._carry_dst = None
             self._carry_kind = None
             self._carry_backward = None
-        self._finish()
         return ProfileReport(
             scheme=self.name,
             frequencies={key: count for key, count in self._counters.items()},

@@ -12,8 +12,7 @@ import numpy as np
 
 from repro.profiling.base import Profiler, ProfileReport
 from repro.profiling.counters import CounterTable
-from repro.trace.batch import EventBatch
-from repro.trace.events import HALT_DST, BranchEvent
+from repro.trace.batch import HALT_DST, EventBatch
 
 
 class BlockProfiler(Profiler):
@@ -26,11 +25,6 @@ class BlockProfiler(Profiler):
         if entry_uid is not None:
             # The entry block is entered once without a branch event.
             self._counters.bump(entry_uid)
-
-    def observe(self, event: BranchEvent) -> None:
-        if event.dst == HALT_DST:
-            return
-        self._counters.bump(event.dst)
 
     def observe_batch(self, batch: EventBatch) -> None:
         """Vectorized: count distinct destinations in one pass."""

@@ -44,13 +44,13 @@ class CounterTable:
     def bump_many(
         self, keys: Iterable[Hashable], amounts: Iterable[int]
     ) -> None:
-        """Apply many increments in one call, with scalar accounting.
+        """Apply many increments in one call, with per-bump accounting.
 
         Equivalent to ``bump(key, 1)`` repeated ``amount`` times for
         each pair — ``updates`` grows by the *total* increment count and
         ``high_water`` by the final table size (exact, because a bump
-        sequence only ever grows the table) — so batched profilers
-        report the same cost figures as their scalar loops.
+        sequence only ever grows the table) — so a batched profiler
+        reports the cost figures of one bump per profiled event.
         """
         counts = self._counts
         total = 0

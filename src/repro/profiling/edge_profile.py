@@ -12,8 +12,7 @@ import numpy as np
 
 from repro.profiling.base import Profiler, ProfileReport
 from repro.profiling.counters import CounterTable
-from repro.trace.batch import EventBatch
-from repro.trace.events import HALT_DST, BranchEvent
+from repro.trace.batch import HALT_DST, EventBatch
 
 
 class EdgeProfiler(Profiler):
@@ -23,11 +22,6 @@ class EdgeProfiler(Profiler):
 
     def __init__(self) -> None:
         self._counters = CounterTable("edges")
-
-    def observe(self, event: BranchEvent) -> None:
-        if event.dst == HALT_DST:
-            return
-        self._counters.bump((event.src, event.dst))
 
     def observe_batch(self, batch: EventBatch) -> None:
         """Vectorized: encode (src, dst) pairs, count distinct codes."""

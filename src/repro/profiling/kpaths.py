@@ -20,8 +20,7 @@ import numpy as np
 
 from repro.profiling.base import Profiler, ProfileReport
 from repro.profiling.counters import CounterTable
-from repro.trace.batch import CODE_CALL, CODE_RETURN, EventBatch
-from repro.trace.events import HALT_DST, BranchEvent
+from repro.trace.batch import CODE_CALL, CODE_RETURN, HALT_DST, EventBatch
 
 
 def _window_ranks(codes: np.ndarray, k: int) -> np.ndarray:
@@ -81,26 +80,15 @@ class KBoundedPathProfiler(Profiler):
         self._counters = CounterTable("k-paths")
         self._queue_ops = 0
 
-    def observe(self, event: BranchEvent) -> None:
-        if event.dst == HALT_DST:
-            self._window.clear()
-            return
-        if self.intraprocedural and (event.is_call or event.is_return):
-            self._window.clear()
-            return
-        self._window.append((event.src, event.dst))
-        self._queue_ops += 1
-        if len(self._window) == self.k:
-            self._counters.bump(tuple(self._window))
-
     def observe_batch(self, batch: EventBatch) -> None:
         """Vectorized sliding windows over the batch's branch pairs.
 
         Window resets (halt, and call/return in intraprocedural mode)
         split the kept pairs into runs; every length-``k`` window fully
         inside one run — including windows straddling the carried-over
-        deque from the previous batch — bumps its counter, with the
-        same ``queue_ops``/``updates`` accounting as the scalar loop.
+        deque from the previous batch — bumps its counter.  Each kept
+        pair costs one queue op and each counted window one table
+        update, as the per-branch queue of an instrumented binary.
         """
         n = len(batch)
         if n == 0:

@@ -9,6 +9,7 @@ counter for reference.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,6 @@ from repro.profiling.counters import CounterTable
 from repro.profiling.edge_profile import EdgeProfiler
 from repro.profiling.kpaths import KBoundedPathProfiler
 from repro.trace.batch import EventBatch
-from repro.trace.events import BranchEvent
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,6 @@ class HeadCounterProfiler(Profiler):
     def __init__(self) -> None:
         self._counters = CounterTable("heads")
 
-    def observe(self, event: BranchEvent) -> None:
-        if event.backward:
-            self._counters.bump(event.dst)
-
     def observe_batch(self, batch: EventBatch) -> None:
         """Vectorized: count distinct backward-branch targets."""
         heads = batch.dst[batch.backward]
@@ -73,17 +69,18 @@ class HeadCounterProfiler(Profiler):
 
 def compare_schemes(
     program: Program,
-    events: list[BranchEvent] | EventBatch | list[EventBatch],
+    events: EventBatch | Iterable[EventBatch],
     k: int = 8,
 ) -> list[OverheadRow]:
     """Run every profiling scheme over ``events`` and tabulate costs.
 
-    ``events`` must be materialized (a list of events, one columnar
-    :class:`~repro.trace.batch.EventBatch`, or a list of batches)
-    because each profiler consumes the stream once.  The rows are
-    exactly equal whichever representation carries the stream; the
-    columnar forms run the profilers' vectorized batch paths.
+    ``events`` is one :class:`~repro.trace.batch.EventBatch` or an
+    iterable of batches forming one stream; an iterator is read into a
+    list first, because every profiler consumes the whole stream.  The
+    rows do not depend on how the stream is split into batches.
     """
+    if not isinstance(events, EventBatch):
+        events = list(events)
     profilers = [
         BitTracingProfiler(program),
         BallLarusProfiler(program),

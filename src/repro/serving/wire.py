@@ -12,7 +12,7 @@ followed by the four columns back to back::
     8       4     event count n (u32)
     12      8*n   src column      (i64)
     12+8n   8*n   dst column      (i64)
-    12+16n  1*n   kind column     (u8, KIND_CODE values)
+    12+16n  1*n   kind column     (u8, CODE_* values)
     12+17n  1*n   backward column (u8, strictly 0 or 1)
 
 Decoding is zero-copy over the input buffer (numpy views into the

@@ -2,59 +2,45 @@
 
 The pipeline is::
 
-    Program  --walker/ISA-->  BranchEvent stream
-             --PathExtractor-->  PathOccurrence stream
+    Program  --CFGWalker/ISA Machine-->  EventBatch stream
+             --PathExtractor-->  path ids (one per occurrence)
              --record_path_trace-->  PathTrace (ids + PathTable)
 
 Workload surrogates may synthesize a :class:`PathTrace` directly from a
 stochastic path model; everything downstream is agnostic to the origin.
 """
 
-from repro.trace.batch import EventBatch, EventBatchBuilder
+from repro.trace.batch import HALT_DST, EventBatch, EventBatchBuilder
 from repro.trace.columnar import find_cuts
-from repro.trace.events import HALT_DST, BranchEvent, halt_event
-from repro.trace.extractor import (
-    PathExtractor,
-    PathOccurrence,
-    PathStream,
-    extract_paths,
-)
+from repro.trace.extractor import PathExtractor, PathStream
 from repro.trace.io import load_trace, save_trace
 from repro.trace.path import Path, PathSignature, PathTable, SignatureRegister
 from repro.trace.recorder import PathTrace, record_path_trace
 from repro.trace.stats import TraceSummary, summarize
 from repro.trace.walker import (
-    BlockRandomOracle,
     BranchOracle,
     CFGWalker,
     RandomOracle,
-    ScriptedOracle,
     TripCountOracle,
 )
 
 __all__ = [
     "HALT_DST",
-    "BlockRandomOracle",
-    "BranchEvent",
     "BranchOracle",
     "CFGWalker",
     "EventBatch",
     "EventBatchBuilder",
     "Path",
     "PathExtractor",
-    "PathOccurrence",
     "PathSignature",
     "PathStream",
     "PathTable",
     "PathTrace",
     "RandomOracle",
-    "ScriptedOracle",
     "SignatureRegister",
     "TraceSummary",
     "TripCountOracle",
-    "extract_paths",
     "find_cuts",
-    "halt_event",
     "load_trace",
     "save_trace",
     "record_path_trace",

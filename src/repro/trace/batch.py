@@ -1,30 +1,30 @@
 """Columnar branch-event batches: the event stream as numpy columns.
 
-:class:`BranchEvent` objects are the reference representation of a
-trace, but moving one Python object per control transfer costs millions
-of allocations on the workloads the §4 overhead comparison and the
-extended experiments run.  :class:`EventBatch` stores the same stream as
-four contiguous numpy columns (``src``, ``dst``, ``kind``, ``backward``)
-so producers (``Machine.run_batched``, ``CFGWalker.walk_batched``) can
-fill flat buffers in a tight loop and consumers (the path extractor,
-the §4 profilers) can segment and count with vectorized masks.
+A program execution is viewed as the sequence of its control transfers.
+One event records one transfer between two basic blocks, together with
+the classification the path extractor needs: the edge kind
+(taken/fall-through/jump/indirect/call/return) and whether the transfer
+is *backward* in the address space.  Fall-through "transfers" of
+conditional branches are explicit events (they carry the 0 history
+bit); straight-line execution inside a block produces no events.
 
-The bridge is lossless in both directions: ``EventBatch.from_events``
-packs any event iterable, and iterating a batch yields the exact
-:class:`BranchEvent` objects it was packed from.  Edge kinds travel as
-small integer codes (:data:`KIND_CODE` / :data:`CODE_KIND`); the codes
-are an in-memory encoding, not a serialization format.
+:class:`EventBatch` stores a run of events as four contiguous numpy
+columns (``src``, ``dst``, ``kind``, ``backward``), so producers
+(``Machine.run_batched``, ``CFGWalker.walk_batched``) fill flat buffers
+in a tight loop and consumers (the path extractor, the §4 profilers,
+the hardware models) segment and count with vectorized masks.  Edge
+kinds travel as small integer codes (``CODE_*`` / :data:`CODE_KIND`);
+the codes are an in-memory encoding, not a serialization format.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.cfg.edge import EdgeKind
 from repro.errors import TraceError
-from repro.trace.events import BranchEvent
 
 #: Dense integer codes for :class:`~repro.cfg.edge.EdgeKind`, in a fixed
 #: order so batches built by different producers agree.
@@ -35,17 +35,6 @@ CODE_JUMP = 3
 CODE_INDIRECT = 4
 CODE_CALL = 5
 CODE_RETURN = 6
-
-#: EdgeKind -> code.
-KIND_CODE: dict[EdgeKind, int] = {
-    EdgeKind.TAKEN: CODE_TAKEN,
-    EdgeKind.FALLTHROUGH: CODE_FALLTHROUGH,
-    EdgeKind.STRAIGHT: CODE_STRAIGHT,
-    EdgeKind.JUMP: CODE_JUMP,
-    EdgeKind.INDIRECT: CODE_INDIRECT,
-    EdgeKind.CALL: CODE_CALL,
-    EdgeKind.RETURN: CODE_RETURN,
-}
 
 #: code -> EdgeKind (indexable by code).
 CODE_KIND: tuple[EdgeKind, ...] = (
@@ -58,6 +47,10 @@ CODE_KIND: tuple[EdgeKind, ...] = (
     EdgeKind.RETURN,
 )
 
+#: Destination uid of the halt event that ends a trace: the synthetic
+#: ``CODE_JUMP`` transfer out of the block whose terminator halted.
+HALT_DST = -1
+
 
 class EventBatch:
     """A run of branch events as four aligned columns.
@@ -66,11 +59,13 @@ class EventBatch:
     ----------
     src / dst:
         ``int64`` block uids, one entry per event (``dst`` is
-        :data:`~repro.trace.events.HALT_DST` for halt events).
+        :data:`HALT_DST` for the halt event).
     kind:
-        ``uint8`` edge-kind codes (:data:`KIND_CODE`).
+        ``uint8`` edge-kind codes (the ``CODE_*`` constants).
     backward:
-        ``bool`` backward-taken-branch flags.
+        ``bool`` flags: whether each transfer is a *backward taken
+        branch* in the paper's sense, its target address not exceeding
+        the branch instruction's.  Fall-through transfers never are.
     """
 
     __slots__ = ("src", "dst", "kind", "backward")
@@ -98,38 +93,6 @@ class EventBatch:
                 )
         if n and self.kind.max() >= len(CODE_KIND):
             raise TraceError("event batch contains an unknown kind code")
-
-    # ------------------------------------------------------------------
-    # Bridges to and from the object stream
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_events(cls, events: Iterable[BranchEvent]) -> "EventBatch":
-        """Pack an event iterable into columns (lossless)."""
-        src: list[int] = []
-        dst: list[int] = []
-        kind: list[int] = []
-        backward: list[bool] = []
-        code = KIND_CODE
-        for event in events:
-            src.append(event.src)
-            dst.append(event.dst)
-            kind.append(code[event.kind])
-            backward.append(event.backward)
-        return cls(src, dst, kind, backward)
-
-    def to_events(self) -> list[BranchEvent]:
-        """Unpack into a list of :class:`BranchEvent` (lossless)."""
-        return list(self)
-
-    def __iter__(self) -> Iterator[BranchEvent]:
-        kinds = CODE_KIND
-        for s, d, k, b in zip(
-            self.src.tolist(),
-            self.dst.tolist(),
-            self.kind.tolist(),
-            self.backward.tolist(),
-        ):
-            yield BranchEvent(src=s, dst=d, kind=kinds[k], backward=b)
 
     # ------------------------------------------------------------------
     # Combinators

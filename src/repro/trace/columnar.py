@@ -1,15 +1,15 @@
 """Vectorized segmentation of columnar event streams.
 
 :func:`find_cuts` locates every path-ending event in an
-:class:`~repro.trace.batch.EventBatch` using the same rules as the
-scalar :class:`~repro.trace.extractor.PathExtractor` (paper §3):
+:class:`~repro.trace.batch.EventBatch` by the paper's §3 segmentation
+rules (see :mod:`repro.trace.extractor`):
 
 * **hard cuts** — backward taken transfers and the halt event — are a
   single mask;
 * **return cuts** — a forward return closing an in-path forward call —
-  follow from the positions of forward calls and forward returns: the
-  extractor's ``open_calls`` counter never decrements within a segment,
-  so the first forward return after the first forward call *is* the cut;
+  follow from the positions of forward calls and forward returns: a
+  segment's count of open in-path calls never decrements within it, so
+  the first forward return after the first forward call *is* the cut;
 * **max-length cuts** fall at a fixed offset from the segment start.
 
 Most segments end at a hard cut with neither a length overflow nor a
@@ -18,9 +18,8 @@ hard-to-hard regions vectorized and only walks the rare "complex"
 regions with a chained scan.  Most batches hold no forward call at all;
 when their regions also fit ``max_blocks`` the hard cuts are the answer
 and the call/return search is skipped.  The cut list drives both the
-batched path extractor and the batched bit-tracing profiler, which is
-what keeps the two in exact agreement (they already agree
-scalar-to-scalar).
+path extractor and the bit-tracing profiler, which is what keeps the
+two in exact agreement.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from repro.trace.batch import CODE_CALL, CODE_RETURN
-from repro.trace.events import HALT_DST
+from repro.trace.batch import CODE_CALL, CODE_RETURN, HALT_DST
 
 #: Sentinel "no candidate" index, larger than any real event index.
 _NO_CUT = np.iinfo(np.int64).max
@@ -54,7 +52,7 @@ def find_cuts(
     """Indices of every segment-ending event, ascending.
 
     The columns must already be truncated at the first halt event (the
-    scalar extractor stops consuming there).  A segment starting right
+    stream ends there).  A segment starting right
     after cut ``p`` (or at ``p = -1`` for the stream head) ends at the
     smallest index among: the next hard cut (backward or halt), the
     first forward return preceded by a forward call within the segment,

@@ -10,7 +10,8 @@ Implements the paper's path definition (§3):
     if not earlier."
 
 Operationally the extractor partitions the event stream into consecutive
-segments.  A segment ends when
+segments (:func:`repro.trace.columnar.find_cuts` finds the ends).  A
+segment ends when
 
 * a backward taken transfer executes (of any kind — conditional, jump,
   indirect, call or return); the transfer belongs to the ending segment
@@ -29,7 +30,7 @@ metrics rely on (and that the property tests assert).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,19 +42,11 @@ from repro.trace.batch import (
     CODE_INDIRECT,
     CODE_KIND,
     CODE_TAKEN,
+    HALT_DST,
     EventBatch,
 )
 from repro.trace.columnar import find_cuts
-from repro.trace.events import HALT_DST, BranchEvent
-from repro.trace.path import Path, PathSignature, PathTable, SignatureRegister
-
-
-@dataclass(frozen=True, slots=True)
-class PathOccurrence:
-    """One dynamic execution of a path: the path id plus its position."""
-
-    path_id: int
-    index: int
+from repro.trace.path import Path, PathSignature, PathTable
 
 
 #: Segment-memo markers distinguishing how a segment ended (two
@@ -79,7 +72,7 @@ class _BatchCursor:
 
 
 class PathExtractor:
-    """Stateful segmenter turning branch events into path occurrences.
+    """Stateful segmenter turning branch events into path ids.
 
     Parameters
     ----------
@@ -105,123 +98,12 @@ class PathExtractor:
         self._program = program
         self.table = table if table is not None else PathTable()
         self._max_blocks = max_blocks
-        # Batched extraction interns whole segments through this memo:
-        # a segment's path (and thus its table id) is a pure function of
+        # Extraction interns whole segments through this memo: a
+        # segment's path (and thus its table id) is a pure function of
         # (start uid, event targets, event kinds, how it ended), so a
         # byte-string key resolves repeated segments without rebuilding
-        # Path objects.  See :meth:`extract_batch`.
+        # Path objects.  See :meth:`extract_batch_ids`.
         self._segment_memo: dict[tuple, int] = {}
-
-    def extract(
-        self, events: Iterable[BranchEvent], start_uid: int | None = None
-    ) -> Iterator[PathOccurrence]:
-        """Yield one :class:`PathOccurrence` per completed segment.
-
-        ``start_uid`` overrides the initial block (defaults to the program
-        entry).  The final, possibly unterminated segment is emitted when
-        the event stream ends.
-        """
-        program = self._program
-        current_uid = (
-            start_uid if start_uid is not None else program.entry_block.uid
-        )
-        occurrence_index = 0
-
-        blocks: list[int] = [current_uid]
-        register = SignatureRegister(program.block_by_uid(current_uid).address)
-        open_calls = 0
-        ends_backward = False
-
-        def flush() -> PathOccurrence:
-            nonlocal blocks, register, open_calls, ends_backward
-            nonlocal occurrence_index
-            path = self._make_path(blocks, register.snapshot(), ends_backward)
-            occurrence = PathOccurrence(
-                path_id=self.table.intern(path), index=occurrence_index
-            )
-            occurrence_index += 1
-            blocks = []
-            open_calls = 0
-            ends_backward = False
-            return occurrence
-
-        def start_segment(uid: int) -> None:
-            nonlocal blocks, register
-            blocks = [uid]
-            register = SignatureRegister(program.block_by_uid(uid).address)
-
-        for event in events:
-            if blocks and event.src != blocks[-1]:
-                raise TraceError(
-                    f"event source {event.src} does not match current "
-                    f"block {blocks[-1]}"
-                )
-
-            bit = event.history_bit
-            if bit is not None:
-                register.shift(bit)
-            if event.is_indirect:
-                if event.dst != HALT_DST:
-                    register.record_indirect(
-                        program.block_by_uid(event.dst).address
-                    )
-
-            if event.dst == HALT_DST:
-                ends_backward = False
-                yield flush()
-                return
-
-            if event.backward:
-                ends_backward = True
-                yield flush()
-                start_segment(event.dst)
-                continue
-
-            if event.is_call:
-                open_calls += 1
-            elif event.is_return:
-                if open_calls > 0:
-                    # Forward return closing an in-path call: the path
-                    # terminates at the return branch.
-                    ends_backward = False
-                    yield flush()
-                    start_segment(event.dst)
-                    continue
-
-            if (
-                self._max_blocks is not None
-                and len(blocks) >= self._max_blocks
-            ):
-                # The overflowing transfer terminates the segment; its
-                # target block opens the next one, keeping the partition
-                # invariant (each block in exactly one segment).
-                ends_backward = False
-                yield flush()
-                start_segment(event.dst)
-            else:
-                blocks.append(event.dst)
-
-        if blocks:
-            ends_backward = False
-            yield flush()
-
-    # ------------------------------------------------------------------
-    # Columnar (batched) extraction
-    # ------------------------------------------------------------------
-    def extract_batch(
-        self, batch: EventBatch, start_uid: int | None = None
-    ) -> list[PathOccurrence]:
-        """Vectorized :meth:`extract` over one complete columnar stream.
-
-        Produces exactly the occurrences (and interns exactly the paths,
-        in the same order) that :meth:`extract` would over the same
-        events — the equivalence the digest tests pin down.
-        """
-        ids = self.extract_batch_ids(batch, start_uid=start_uid)
-        return [
-            PathOccurrence(path_id=path_id, index=index)
-            for index, path_id in enumerate(ids.tolist())
-        ]
 
     def extract_batch_ids(
         self,
@@ -309,7 +191,7 @@ class PathExtractor:
         backward = batch.backward
 
         # Truncate at the first halt: the stream ends there, and events
-        # beyond it are never even validated by the scalar extractor.
+        # beyond it are never even validated.
         halts = np.flatnonzero(dst == HALT_DST)
         if halts.size:
             end = int(halts[0]) + 1
@@ -319,10 +201,8 @@ class PathExtractor:
             backward = backward[:end]
             cursor.halted = True
 
-        # Continuity validation, the batch form of the scalar "event
-        # source does not match current block" check: every event's src
-        # must be the previous event's dst (the first continuing from
-        # the open segment).
+        # Continuity validation: every event's src must be the previous
+        # event's dst (the first continuing from the open segment).
         if int(src[0]) != cursor.expect_src:
             raise TraceError(
                 f"event source {int(src[0])} does not match current "
@@ -389,7 +269,8 @@ class PathExtractor:
             cursor.carry_backward = backward[begin:].copy()
 
     def _flush_tail(self, cursor: _BatchCursor) -> None:
-        """Emit the final, unterminated segment (scalar always does)."""
+        """Emit the final, unterminated segment (a stream always has one
+        unless it halted)."""
         if cursor.carry_dst is None:
             dst_slice = np.empty(0, dtype=np.int64)
             kind_slice = np.empty(0, dtype=np.uint8)
@@ -417,11 +298,11 @@ class PathExtractor:
         kind_slice: np.ndarray,
         marker: int,
     ) -> int:
-        """Rebuild one segment's Path scalar-style and intern it.
+        """Rebuild one segment's Path and intern it.
 
-        Runs once per *distinct* segment (memo misses only); the block
-        list, signature bits and indirect targets are reconstructed
-        exactly as the scalar extractor's shift register builds them.
+        Runs once per *distinct* segment (memo misses only): the block
+        list, signature bits and indirect targets are replayed event by
+        event, exactly as a signature register shifts them in.
         """
         program = self._program
         dsts = dst_slice.tolist()
@@ -484,7 +365,7 @@ class PathStream:
     inside it; events after the last cut stay buffered as the open
     segment until a later batch (or :meth:`finish`) closes them.
     :meth:`finish` ends the stream, emitting the final unterminated
-    segment exactly as the one-shot extractors do.
+    segment exactly as :meth:`PathExtractor.extract_batch_ids` does.
 
     The stream shares its extractor's path table and segment memo, so
     ids are directly comparable with any other extraction over the same
@@ -523,8 +404,8 @@ class PathStream:
             raise TraceError("cannot feed a finished path stream")
         cursor = self._cursor
         if not cursor.halted:
-            # The scalar extractor stops consuming at halt; events past
-            # it are ignored, not validated.
+            # The stream ends at its halt; events past it are ignored,
+            # not validated.
             self._extractor._consume_batch(batch, cursor)
         return self._drain()
 
@@ -578,14 +459,3 @@ class PathStream:
             ),
         }
 
-
-def extract_paths(
-    program: Program,
-    events: Iterable[BranchEvent],
-    table: PathTable | None = None,
-    max_blocks: int | None = 256,
-) -> tuple[list[PathOccurrence], PathTable]:
-    """Materialize the full occurrence list for an event stream."""
-    extractor = PathExtractor(program, table=table, max_blocks=max_blocks)
-    occurrences = list(extractor.extract(events))
-    return occurrences, extractor.table

@@ -10,7 +10,6 @@ stochastic path model.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable
 
 import numpy as np
@@ -18,7 +17,6 @@ import numpy as np
 from repro.cfg.program import Program
 from repro.errors import TraceError
 from repro.trace.batch import EventBatch
-from repro.trace.events import BranchEvent
 from repro.trace.extractor import PathExtractor
 from repro.trace.path import PathTable
 
@@ -287,35 +285,18 @@ class PathTrace:
 
 def record_path_trace(
     program: Program,
-    events: Iterable[BranchEvent] | EventBatch | Iterable[EventBatch],
+    events: EventBatch | Iterable[EventBatch],
     name: str = "trace",
     table: PathTable | None = None,
     max_blocks: int | None = 256,
 ) -> PathTrace:
     """Run the extractor over ``events`` and materialize a path trace.
 
-    ``events`` may be the classic :class:`BranchEvent` iterable, a
-    single columnar :class:`~repro.trace.batch.EventBatch`, or an
-    iterable of batches forming one stream (e.g. the output of
-    ``CFGWalker.walk_batched``).  Both representations of the same
-    stream produce digest-identical traces; the columnar form goes
-    through the vectorized extractor and is dramatically faster.
+    ``events`` is one columnar :class:`~repro.trace.batch.EventBatch`
+    or an iterable of batches forming one stream (e.g. the output of
+    ``CFGWalker.walk_batched``); any split of the same stream records
+    the same trace.
     """
     extractor = PathExtractor(program, table=table, max_blocks=max_blocks)
-    if isinstance(events, EventBatch):
-        ids = extractor.extract_batch_ids(events)
-        return PathTrace(extractor.table, ids, name=name)
-    iterator = iter(events)
-    first = next(iterator, None)
-    if isinstance(first, EventBatch):
-        ids = extractor.extract_batch_ids(
-            itertools.chain([first], iterator)
-        )
-        return PathTrace(extractor.table, ids, name=name)
-    stream = () if first is None else itertools.chain([first], iterator)
-    scalar_ids = [
-        occurrence.path_id for occurrence in extractor.extract(stream)
-    ]
-    return PathTrace(
-        extractor.table, np.asarray(scalar_ids, dtype=np.int64), name=name
-    )
+    ids = extractor.extract_batch_ids(events)
+    return PathTrace(extractor.table, ids, name=name)

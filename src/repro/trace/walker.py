@@ -3,9 +3,10 @@
 The walker is the bridge between static programs and dynamic traces when
 no real ISA-level code exists: it executes a :class:`repro.cfg.Program`
 block by block, asking a :class:`BranchOracle` to resolve every
-conditional, indirect and call decision, and emits the resulting
-:class:`BranchEvent` stream.  Oracles are deterministic given their seed,
-so every trace in the test-suite and the experiments is reproducible.
+conditional, indirect and call decision, and emits the resulting branch
+events as columnar :class:`~repro.trace.batch.EventBatch` batches.
+Oracles are deterministic given their seed, so every trace in the
+test-suite and the experiments is reproducible.
 """
 
 from __future__ import annotations
@@ -16,10 +17,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Protocol
 
-import numpy as np
-
 from repro.cfg.block import BasicBlock, BranchKind
-from repro.cfg.edge import EdgeKind
 from repro.cfg.program import Program
 from repro.errors import MachineLimitExceeded, TraceError
 from repro.obs.core import Registry, get_registry
@@ -31,10 +29,10 @@ from repro.trace.batch import (
     CODE_RETURN,
     CODE_STRAIGHT,
     CODE_TAKEN,
+    HALT_DST,
     EventBatch,
     EventBatchBuilder,
 )
-from repro.trace.events import HALT_DST, BranchEvent, halt_event
 
 
 class BranchOracle(Protocol):
@@ -72,51 +70,6 @@ class RandomOracle:
         return self._rng.randrange(arity)
 
 
-class BlockRandomOracle:
-    """Random oracle drawing its uniforms in vectorized blocks.
-
-    Behaves like :class:`RandomOracle` (per-block taken bias, seeded
-    determinism) but sources randomness from a numpy generator refilled
-    ``block_size`` draws at a time — the per-decision cost is one array
-    read instead of a ``random.Random`` call.  Decisions depend only on
-    the order they are requested in, so the same oracle instance drives
-    :meth:`CFGWalker.walk` and :meth:`CFGWalker.walk_batched` to the
-    exact same trace.  (The stream differs from ``RandomOracle`` with
-    the same seed: the underlying generators differ.)
-    """
-
-    def __init__(
-        self,
-        seed: int,
-        bias: dict[int, float] | None = None,
-        default_bias: float = 0.5,
-        block_size: int = 4096,
-    ):
-        if block_size < 1:
-            raise TraceError("block_size must be positive")
-        self._rng = np.random.default_rng(seed)
-        self._bias = dict(bias or {})
-        self._default_bias = default_bias
-        self._block_size = block_size
-        self._uniforms: list[float] = []
-        self._cursor = 0
-
-    def _next_uniform(self) -> float:
-        if self._cursor >= len(self._uniforms):
-            self._uniforms = self._rng.random(self._block_size).tolist()
-            self._cursor = 0
-        value = self._uniforms[self._cursor]
-        self._cursor += 1
-        return value
-
-    def decide_cond(self, block: BasicBlock) -> bool:
-        probability = self._bias.get(block.uid, self._default_bias)
-        return self._next_uniform() < probability
-
-    def decide_multiway(self, block: BasicBlock, arity: int) -> int:
-        return min(int(self._next_uniform() * arity), arity - 1)
-
-
 class TripCountOracle:
     """Loop-aware oracle: bounded trip counts over a random base oracle.
 
@@ -151,50 +104,11 @@ class TripCountOracle:
         return self._base.decide_multiway(block, arity)
 
 
-class ScriptedOracle:
-    """Replays a fixed list of decisions; raises when the script runs dry.
-
-    Conditional decisions consume booleans; multiway decisions consume
-    integers.  Used by unit tests to force exact control-flow sequences.
-    """
-
-    def __init__(self, decisions: list[bool | int]):
-        self._decisions = list(decisions)
-        self._cursor = 0
-
-    def _next(self) -> bool | int:
-        if self._cursor >= len(self._decisions):
-            raise TraceError("scripted oracle ran out of decisions")
-        value = self._decisions[self._cursor]
-        self._cursor += 1
-        return value
-
-    def decide_cond(self, block: BasicBlock) -> bool:
-        value = self._next()
-        if not isinstance(value, bool):
-            raise TraceError(
-                f"expected a boolean decision for {block}, got {value!r}"
-            )
-        return value
-
-    def decide_multiway(self, block: BasicBlock, arity: int) -> int:
-        value = self._next()
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TraceError(
-                f"expected an integer decision for {block}, got {value!r}"
-            )
-        if not 0 <= value < arity:
-            raise TraceError(
-                f"multiway decision {value} out of range [0, {arity})"
-            )
-        return value
-
-
 @dataclass(frozen=True, slots=True)
 class _TerminatorTables:
-    """Dense per-uid terminator data for the batched walk loop.
+    """Dense per-uid terminator data for the walk loop.
 
-    Everything :meth:`CFGWalker._step` recomputes per event — edge
+    Everything the loop would otherwise look up per event — terminator
     kinds, static targets, backwardness — resolved once per program
     into flat lists indexed by block uid.
     """
@@ -211,7 +125,7 @@ class _TerminatorTables:
 
 
 class CFGWalker:
-    """Executes a program under an oracle, yielding branch events."""
+    """Executes a program under an oracle, yielding event batches."""
 
     def __init__(self, program: Program, oracle: BranchOracle):
         if not program.finalized:
@@ -220,35 +134,6 @@ class CFGWalker:
         self._oracle = oracle
         self._tables: _TerminatorTables | None = None
 
-    def walk(self, max_events: int | None = None) -> Iterator[BranchEvent]:
-        """Yield events until HALT (inclusive) or ``max_events``.
-
-        A return from the entry procedure with an empty call stack is
-        treated as program termination (a halt event is emitted).
-        Raises :class:`MachineLimitExceeded` when the budget runs out
-        before the program halts.
-        """
-        program = self._program
-        block = program.entry_block
-        call_stack: list[int] = []
-        emitted = 0
-
-        def budget_ok() -> bool:
-            return max_events is None or emitted < max_events
-
-        while True:
-            if not budget_ok():
-                raise MachineLimitExceeded(emitted)
-            event, next_uid = self._step(block, call_stack)
-            emitted += 1
-            yield event
-            if next_uid is None:
-                return
-            block = program.block_by_uid(next_uid)
-
-    # ------------------------------------------------------------------
-    # Columnar (batched) walking
-    # ------------------------------------------------------------------
     def walk_batched(
         self,
         max_events: int | None = None,
@@ -256,19 +141,21 @@ class CFGWalker:
         truncate: bool = False,
         obs: Registry | None = None,
     ) -> Iterator[EventBatch]:
-        """Yield the :meth:`walk` event stream as columnar batches.
+        """Yield the program's event stream as columnar batches.
 
-        Event-for-event identical to :meth:`walk` under the same oracle
-        (oracle decisions are requested in the same order), but the hot
-        loop appends four scalars to flat buffers instead of building a
-        :class:`BranchEvent` per transfer, with per-block terminator
-        data resolved once up front.
+        Runs from the entry block until HALT (the halt event included),
+        one event per executed terminator.  A return from the entry
+        procedure with an empty call stack is treated as program
+        termination (a halt event is emitted).  The hot loop appends
+        four scalars to flat buffers, with per-block terminator data
+        resolved once up front; every batch but the last holds
+        ``batch_size`` events.
 
-        ``truncate=True`` ends the stream cleanly at ``max_events``
-        (like ``islice`` over :meth:`walk`) instead of raising
-        :class:`MachineLimitExceeded`.  ``obs`` publishes ``tracegen.*``
-        instruments: events and batches produced, generation time, and
-        events/second.
+        Raises :class:`MachineLimitExceeded` when ``max_events`` run
+        out before the program halts; ``truncate=True`` instead ends
+        the stream cleanly after ``max_events`` events.  ``obs``
+        publishes ``tracegen.*`` instruments: events and batches
+        produced, generation time, and events/second.
         """
         if batch_size < 1:
             raise TraceError("batch_size must be positive")
@@ -431,50 +318,3 @@ class CFGWalker:
                 )
         self._tables = tables
         return tables
-
-    def _step(
-        self, block: BasicBlock, call_stack: list[int]
-    ) -> tuple[BranchEvent, int | None]:
-        """Execute one terminator; return (event, next block uid or None)."""
-        program = self._program
-        term = block.terminator
-        src_addr = block.branch_address
-
-        def make(dst_uid: int, kind: EdgeKind) -> tuple[BranchEvent, int]:
-            dst = program.block_by_uid(dst_uid)
-            backward = (
-                kind not in (EdgeKind.FALLTHROUGH, EdgeKind.STRAIGHT)
-                and dst.address <= src_addr
-            )
-            return (
-                BranchEvent(
-                    src=block.uid, dst=dst_uid, kind=kind, backward=backward
-                ),
-                dst_uid,
-            )
-
-        if term.kind is BranchKind.COND:
-            if self._oracle.decide_cond(block):
-                return make(block.taken_uid, EdgeKind.TAKEN)
-            return make(block.fallthrough_uid, EdgeKind.FALLTHROUGH)
-        if term.kind is BranchKind.JUMP:
-            return make(block.taken_uid, EdgeKind.JUMP)
-        if term.kind is BranchKind.INDIRECT:
-            index = self._oracle.decide_multiway(block, len(block.target_uids))
-            return make(block.target_uids[index], EdgeKind.INDIRECT)
-        if term.kind is BranchKind.CALL:
-            call_stack.append(block.fallthrough_uid)
-            return make(block.taken_uid, EdgeKind.CALL)
-        if term.kind is BranchKind.ICALL:
-            index = self._oracle.decide_multiway(block, len(block.target_uids))
-            call_stack.append(block.fallthrough_uid)
-            return make(block.target_uids[index], EdgeKind.CALL)
-        if term.kind is BranchKind.RETURN:
-            if not call_stack:
-                return halt_event(block.uid), None
-            return make(call_stack.pop(), EdgeKind.RETURN)
-        if term.kind is BranchKind.FALLTHROUGH:
-            return make(block.fallthrough_uid, EdgeKind.STRAIGHT)
-        if term.kind is BranchKind.HALT:
-            return halt_event(block.uid), None
-        raise TraceError(f"unknown terminator kind {term.kind!r}")

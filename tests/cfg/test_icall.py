@@ -3,7 +3,10 @@
 import pytest
 
 from repro.cfg import BranchKind, EdgeKind, ProgramBuilder
-from repro.trace import CFGWalker, ScriptedOracle, record_path_trace
+from repro.trace import CFGWalker, record_path_trace
+from repro.trace.batch import CODE_CALL, CODE_RETURN
+from tests.conftest import walk_batch
+from tests.trace.event_oracle import ScriptedOracle
 
 
 @pytest.fixture()
@@ -40,10 +43,8 @@ def test_icall_edges_are_call_edges(icall_program):
 def test_walker_dispatches_icalls(icall_program):
     # Call f, loop again, call g, exit.
     decisions = [0, True, 1, False]
-    events = list(
-        CFGWalker(icall_program, ScriptedOracle(decisions)).walk(1000)
-    )
-    call_targets = [e.dst for e in events if e.is_call]
+    events = walk_batch(icall_program, ScriptedOracle(decisions), 1000)
+    call_targets = events.dst[events.kind == CODE_CALL].tolist()
     f0 = icall_program.procedures["f"].block("f0").uid
     g0 = icall_program.procedures["g"].block("g0").uid
     assert call_targets == [f0, g0]
@@ -51,7 +52,8 @@ def test_walker_dispatches_icalls(icall_program):
 
 def test_icall_paths_record_callee_blocks(icall_program):
     decisions = [0, True, 1, False]
-    events = CFGWalker(icall_program, ScriptedOracle(decisions)).walk(1000)
+    walker = CFGWalker(icall_program, ScriptedOracle(decisions))
+    events = walker.walk_batched(1000)
     trace = record_path_trace(icall_program, events, name="icalls")
     all_blocks = {
         uid for path in trace.table for uid in path.blocks
@@ -65,8 +67,6 @@ def test_returns_from_icall_are_backward(icall_program):
     """Callees are laid out after main, so returns are backward taken
     branches and terminate paths per §3."""
     decisions = [0, False]
-    events = list(
-        CFGWalker(icall_program, ScriptedOracle(decisions)).walk(1000)
-    )
-    returns = [e for e in events if e.is_return]
-    assert returns and all(e.backward for e in returns)
+    events = walk_batch(icall_program, ScriptedOracle(decisions), 1000)
+    returns = events.backward[events.kind == CODE_RETURN]
+    assert returns.size and returns.all()

@@ -16,6 +16,7 @@ import pytest
 
 from repro.cfg import ProgramBuilder
 from repro.experiments.data import benchmark_traces
+from repro.trace import CFGWalker, EventBatch
 from repro.trace.path import Path, PathSignature, PathTable
 from repro.trace.recorder import PathTrace
 from repro.workloads import load_benchmark
@@ -109,6 +110,12 @@ def call_program():
     helper.block("h2", size=4).fallthrough("h3")
     helper.block("h3", size=1).ret()
     return builder.build()
+
+
+def walk_batch(program, oracle, max_events: int | None = None) -> EventBatch:
+    """The walker's whole event stream under ``oracle``, as one batch."""
+    walker = CFGWalker(program, oracle)
+    return EventBatch.concat(list(walker.walk_batched(max_events)))
 
 
 def make_path(

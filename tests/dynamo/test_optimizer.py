@@ -18,7 +18,7 @@ from repro.trace import record_path_trace
 def _trace_of(source, memory=None):
     program = assemble(source)
     events, _ = run_to_completion(program, memory)
-    return program, record_path_trace(program.cfg, iter(events))
+    return program, record_path_trace(program.cfg, events)
 
 
 def test_straightening_removes_jumps():
@@ -132,7 +132,7 @@ def test_unknown_block_rejected():
 def test_measured_speedups_on_real_programs():
     program = rle.build()
     events, _ = run_to_completion(program, rle.make_memory(seed=1, size=2000))
-    trace = record_path_trace(program.cfg, iter(events))
+    trace = record_path_trace(program.cfg, events)
     fragments = measure_fragment_speedups(program, trace.table.paths())
     assert len(fragments) == trace.num_paths
     for fragment in fragments.values():
@@ -148,7 +148,7 @@ def test_measured_sizes_feed_the_simulator():
     program = stackvm.build()
     memory = stackvm.make_memory(stackvm.sum_program(400))
     events, _ = run_to_completion(program, memory)
-    trace = record_path_trace(program.cfg, iter(events))
+    trace = record_path_trace(program.cfg, events)
     sizes = measured_fragment_sizes(program, trace)
     system = DynamoSystem(DynamoConfig(amortization=100.0))
     modelled = system.run_detailed(trace, "net", 10)

@@ -13,7 +13,10 @@ from repro.hardware import (
 )
 from repro.isa import run_to_completion
 from repro.isa.programs import rle, sort
-from repro.trace import CFGWalker, ScriptedOracle
+from repro.trace import EventBatch
+from repro.trace.batch import CODE_JUMP
+from tests.conftest import walk_batch
+from tests.trace.event_oracle import ScriptedOracle
 
 
 def _loop_events(fig1_program, iterations=200):
@@ -21,9 +24,7 @@ def _loop_events(fig1_program, iterations=200):
     for _ in range(iterations):
         decisions += [True, True]
     decisions += [False, False]
-    return list(
-        CFGWalker(fig1_program, ScriptedOracle(decisions)).walk(10_000)
-    )
+    return walk_batch(fig1_program, ScriptedOracle(decisions), 10_000)
 
 
 def test_validation():
@@ -39,7 +40,7 @@ def test_validation():
 
 def test_bimodal_learns_a_steady_loop(fig1_program):
     events = _loop_events(fig1_program)
-    stats = BimodalPredictor().simulate(iter(events))
+    stats = BimodalPredictor().simulate(events)
     # Two conditionals per iteration, both always taken until the exit.
     assert stats.accuracy_percent > 97.0
     assert stats.conditional_branches == 2 * 201
@@ -47,7 +48,7 @@ def test_bimodal_learns_a_steady_loop(fig1_program):
 
 def test_static_taken_on_loops(fig1_program):
     events = _loop_events(fig1_program)
-    stats = StaticTakenPredictor().simulate(iter(events))
+    stats = StaticTakenPredictor().simulate(events)
     assert stats.accuracy_percent > 98.0
     assert stats.table_bits == 0
 
@@ -58,11 +59,9 @@ def test_two_level_learns_alternation(fig1_program):
     for index in range(300):
         decisions += [index % 2 == 0, True]
     decisions += [True, False, False]
-    events = list(
-        CFGWalker(fig1_program, ScriptedOracle(decisions)).walk(10_000)
-    )
-    bimodal = BimodalPredictor().simulate(iter(events))
-    two_level = TwoLevelAdaptivePredictor().simulate(iter(events))
+    events = walk_batch(fig1_program, ScriptedOracle(decisions), 10_000)
+    bimodal = BimodalPredictor().simulate(events)
+    two_level = TwoLevelAdaptivePredictor().simulate(events)
     # The alternating pattern defeats per-branch counters but is
     # perfectly learnable from local history.
     assert two_level.accuracy_percent > bimodal.accuracy_percent + 10
@@ -91,25 +90,16 @@ def test_predictor_zoo_on_real_program():
 def test_trace_cache_warms_up_on_loops(fig1_program):
     events = _loop_events(fig1_program, iterations=400)
     cache = TraceCache(max_blocks=4, max_branches=2)
-    stats = cache.simulate(iter(events), fig1_program.entry_block.uid)
+    stats = cache.simulate(events, fig1_program.entry_block.uid)
     assert stats.hit_rate_percent > 80.0
     assert stats.lines_installed >= 1
 
 
 def test_trace_cache_line_limits():
     cache = TraceCache(max_blocks=3, max_branches=1)
-    program_events = []
-    from repro.cfg.edge import EdgeKind
-    from repro.trace.events import BranchEvent
-
     # A straight chain of 9 blocks (jumps only): lines of 3 blocks.
-    for index in range(9):
-        program_events.append(
-            BranchEvent(
-                src=index, dst=index + 1, kind=EdgeKind.JUMP, backward=False
-            )
-        )
-    stats = cache.simulate(iter(program_events), 0)
+    chain = EventBatch(range(9), range(1, 10), [CODE_JUMP] * 9, [False] * 9)
+    cache.simulate(chain, 0)
     for line in cache._sets.values():
         assert len(line.blocks) <= 3
 
@@ -118,7 +108,7 @@ def test_trace_cache_on_rle():
     program = rle.build()
     events, _ = run_to_completion(program, rle.make_memory(seed=1, size=2000))
     cache = TraceCache()
-    stats = cache.simulate(iter(events), program.cfg.entry_block.uid)
+    stats = cache.simulate(events, program.cfg.entry_block.uid)
     assert stats.fetches > 0
     assert 0 <= stats.hit_rate_percent <= 100
     assert "trace-cache" in stats.render()

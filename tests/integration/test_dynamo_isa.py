@@ -17,7 +17,7 @@ def _trace(module, **kwargs):
     program = module.build()
     memory = module.make_memory(**kwargs)
     events, _ = run_to_completion(program, memory, max_steps=30_000_000)
-    return record_path_trace(program.cfg, iter(events), name=program.name)
+    return record_path_trace(program.cfg, events, name=program.name)
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,7 @@ def rle_trace():
     program = rle.build()
     memory = rle.make_memory(seed=3, size=4000)
     events, _ = run_to_completion(program, memory)
-    return record_path_trace(program.cfg, iter(events), name="rle")
+    return record_path_trace(program.cfg, events, name="rle")
 
 
 def test_rle_has_dominant_hot_paths(rle_trace):
@@ -42,7 +42,7 @@ def test_boa_on_interpreter_workload():
     program = stackvm.build()
     bytecode = stackvm.sum_program(300)
     events, _ = run_to_completion(program, stackvm.make_memory(bytecode))
-    trace = record_path_trace(program.cfg, iter(events), name="vm")
+    trace = record_path_trace(program.cfg, events, name="vm")
     hot = hot_path_set(trace, fraction=0.001)
     net = evaluate_prediction(trace, hot, NETPredictor(10).run(trace))
     boa = evaluate_prediction(trace, hot, BoaPredictor(10).run(trace))
@@ -56,7 +56,7 @@ def test_sort_trace_prediction_quality():
     program = sort.build()
     memory = sort.make_memory(seed=5, size=300)
     events, _ = run_to_completion(program, memory)
-    trace = record_path_trace(program.cfg, iter(events), name="sort")
+    trace = record_path_trace(program.cfg, events, name="sort")
     hot = hot_path_set(trace, fraction=0.001)
     quality = evaluate_prediction(trace, hot, NETPredictor(20).run(trace))
     assert quality.hit_rate > 80

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import MachineError, MachineLimitExceeded
 from repro.isa import Machine, assemble, run_to_completion
-from repro.trace.events import HALT_DST
+from repro.trace.batch import CODE_CALL, CODE_INDIRECT, CODE_RETURN, HALT_DST
 
 
 def _run(source, memory=None, max_steps=100_000):
@@ -25,7 +25,7 @@ def test_arithmetic_and_out():
 """
     events, machine = _run(source)
     assert machine.state.output == [42, 36]
-    assert events[-1].dst == HALT_DST
+    assert events.dst[-1] == HALT_DST
 
 
 def test_memory_roundtrip():
@@ -55,8 +55,8 @@ loop:
 .endproc
 """
     events, _ = _run(source)
-    backward = [e for e in events if e.backward]
-    assert len(backward) == 3  # taken three times for r1=3,2,1
+    # taken three times for r1=3,2,1
+    assert int(events.backward.sum()) == 3
 
 
 def test_division_by_zero_faults():
@@ -122,8 +122,8 @@ def test_call_and_ret_events():
 .endproc
 """
     events, machine = _run(source)
-    kinds = [e.kind.value for e in events]
-    assert "call" in kinds and "return" in kinds
+    kinds = set(events.kind.tolist())
+    assert CODE_CALL in kinds and CODE_RETURN in kinds
     assert machine.state.output == [9]
 
 
@@ -135,7 +135,7 @@ def test_ret_with_empty_stack_halts():
 .endproc
 """
     events, _ = _run(source)
-    assert events[-1].dst == HALT_DST
+    assert events.dst[-1] == HALT_DST
 
 
 def test_indirect_dispatch():
@@ -152,7 +152,7 @@ there:
 """
     events, machine = _run(source)
     assert machine.state.output == [3]
-    assert any(e.kind.value == "indirect" for e in events)
+    assert (events.kind == CODE_INDIRECT).any()
 
 
 def test_event_stream_feeds_extractor():
@@ -169,7 +169,7 @@ loop:
 """
     program = assemble(source)
     events, _ = run_to_completion(program)
-    trace = record_path_trace(program.cfg, iter(events), name="tiny")
+    trace = record_path_trace(program.cfg, events, name="tiny")
     assert trace.flow >= 2
     assert trace.freqs().sum() == trace.flow
 
@@ -184,7 +184,7 @@ def test_memory_allocation_is_lazy():
     """The backing list grows on demand instead of pre-allocating 64K."""
     machine = Machine(assemble(".proc main\n    halt\n.endproc"))
     assert machine.state.memory == []
-    list(machine.run())
+    list(machine.run_batched())
     assert machine.state.memory == []  # no loads or stores, no growth
 
 
@@ -219,14 +219,15 @@ def test_memory_cap_still_enforced_despite_laziness():
 """
     machine = Machine(assemble(source), memory_words=16)
     with pytest.raises(MachineError):
-        list(machine.run())
+        list(machine.run_batched())
     capped = Machine(assemble(source), memory_words=16)
     with pytest.raises(MachineError):
         capped.load_memory([0] * 20)
 
 
 def test_memory_growth_is_in_place():
-    """run() holds a direct reference; growth must never rebind the list."""
+    """run_batched() holds a direct reference; growth must never rebind
+    the list."""
     source = """
 .proc main
     li r1, 50
@@ -238,6 +239,6 @@ def test_memory_growth_is_in_place():
 """
     machine = Machine(assemble(source))
     backing = machine.state.memory
-    list(machine.run())
+    list(machine.run_batched())
     assert machine.state.memory is backing
     assert machine.state.output == [50]

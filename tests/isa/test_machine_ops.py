@@ -3,6 +3,7 @@
 import pytest
 
 from repro.isa import assemble, run_to_completion
+from repro.trace.batch import CODE_CALL
 
 
 def _outputs(body: str, memory=None) -> list[int]:
@@ -118,7 +119,7 @@ def test_callr_indirect_call():
 """
     events, machine = run_to_completion(assemble(source))
     assert machine.state.output == [77]
-    assert any(e.is_call for e in events)
+    assert (events.kind == CODE_CALL).any()
 
 
 def test_conditional_coverage():

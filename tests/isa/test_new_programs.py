@@ -84,7 +84,7 @@ def test_new_programs_produce_rich_traces():
     program = hashtable.build()
     memory = hashtable.make_memory(seed=3, num_ops=1200)
     events, _ = run_to_completion(program, memory, max_steps=20_000_000)
-    trace = record_path_trace(program.cfg, iter(events), name="hashtable")
+    trace = record_path_trace(program.cfg, events, name="hashtable")
     hot = hot_path_set(trace, fraction=0.001)
     # Vortex-like shape: several warm paths rather than one kernel.
     assert trace.num_paths >= 6

@@ -4,6 +4,7 @@ import pytest
 
 from repro.isa import run_to_completion
 from repro.isa.programs import matmul, propagate, rle, sort, stackvm
+from repro.trace.batch import CODE_INDIRECT
 
 
 def _check(program, memory, expected, max_steps=20_000_000):
@@ -51,7 +52,7 @@ def test_stackvm_uses_indirect_dispatch():
     events, _ = run_to_completion(
         stackvm.build(), stackvm.make_memory(bytecode)
     )
-    assert any(e.kind.value == "indirect" for e in events)
+    assert (events.kind == CODE_INDIRECT).any()
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -99,7 +100,7 @@ def test_programs_produce_extractable_traces():
     memory = sort.make_memory(seed=1, size=80)
     program = sort.build()
     events, _ = run_to_completion(program, memory)
-    trace = record_path_trace(program.cfg, iter(events), name="sort")
+    trace = record_path_trace(program.cfg, events, name="sort")
     summary = summarize(trace)
     assert summary.num_paths >= 4
     assert summary.num_unique_heads >= 2

@@ -1,15 +1,17 @@
-"""Every profiler's batch path must equal its scalar path exactly.
+"""Every profiler's batch path must equal its scalar reference exactly.
 
 ``compare_schemes`` and the §4 cost tables are only trustworthy if the
 vectorized ``observe_batch`` implementations produce byte-for-byte the
-reports the scalar ``observe`` loop does — same frequencies, same
+reports a one-event-at-a-time ``observe`` loop does
+(:mod:`tests.profiling.profiler_oracle`) — same frequencies, same
 counter space, same operation counts — for any chunking of the stream,
-and even when scalar and columnar consumption are mixed mid-stream.
+including one-event batches mixed with bulk ones.
 """
 
 import pytest
 
 from repro.cfg import generate_program, procedure_loops
+from repro.experiments.engine.cache import trace_digest
 from repro.profiling import (
     BallLarusProfiler,
     BitTracingProfiler,
@@ -24,24 +26,41 @@ from repro.trace import (
     EventBatch,
     RandomOracle,
     TripCountOracle,
+    record_path_trace,
 )
+from tests.profiling.profiler_oracle import SCALAR, scalar_report
+from tests.trace.event_oracle import segment_paths, walk_events
 
-PROFILER_FACTORIES = {
-    "bit-tracing": lambda program: BitTracingProfiler(program),
-    "bit-tracing-short": lambda program: BitTracingProfiler(
-        program, max_blocks=7
+#: name -> (profiler class, its constructor arguments for a program).
+PROFILERS = {
+    "bit-tracing": (BitTracingProfiler, lambda program: {"program": program}),
+    "bit-tracing-short": (
+        BitTracingProfiler,
+        lambda program: {"program": program, "max_blocks": 7},
     ),
-    "ball-larus": lambda program: BallLarusProfiler(program),
-    "kpaths-inter": lambda program: KBoundedPathProfiler(k=8),
-    "kpaths-intra": lambda program: KBoundedPathProfiler(
-        k=3, intraprocedural=True
+    "ball-larus": (BallLarusProfiler, lambda program: {"program": program}),
+    "kpaths-inter": (
+        KBoundedPathProfiler,
+        lambda program: {"k": 8, "intraprocedural": False},
     ),
-    "edge": lambda program: EdgeProfiler(),
-    "block": lambda program: BlockProfiler(
-        entry_uid=program.entry_block.uid
+    "kpaths-intra": (
+        KBoundedPathProfiler,
+        lambda program: {"k": 3, "intraprocedural": True},
     ),
-    "net-heads": lambda program: HeadCounterProfiler(),
+    "edge": (EdgeProfiler, lambda program: {}),
+    "block": (
+        BlockProfiler,
+        lambda program: {"entry_uid": program.entry_block.uid},
+    ),
+    "net-heads": (HeadCounterProfiler, lambda program: {}),
 }
+
+
+def _profiler(name, program, scalar=False):
+    cls, arguments = PROFILERS[name]
+    if scalar:
+        cls = SCALAR[cls]
+    return cls(**arguments(program))
 
 
 def _events(seed=11, trips=8):
@@ -51,7 +70,7 @@ def _events(seed=11, trips=8):
         for header in procedure_loops(program, name).headers:
             trip_counts[header] = trips
     oracle = TripCountOracle(RandomOracle(3, default_bias=0.5), trip_counts)
-    return program, list(CFGWalker(program, oracle).walk(500_000))
+    return program, walk_events(program, oracle, 500_000)
 
 
 def _chunks(batch, size):
@@ -66,54 +85,105 @@ def stream():
     return _events()
 
 
-@pytest.mark.parametrize("name", sorted(PROFILER_FACTORIES))
+@pytest.mark.parametrize("name", sorted(PROFILERS))
 def test_batch_reports_equal_scalar_reports(name, stream):
     program, events = stream
-    factory = PROFILER_FACTORIES[name]
-    scalar = factory(program).run(iter(events))
+    scalar = scalar_report(_profiler(name, program, scalar=True), events)
 
-    batch = EventBatch.from_events(events)
-    assert factory(program).run(batch) == scalar
-    assert factory(program).run(iter(_chunks(batch, 613))) == scalar
-    assert factory(program).run(iter(_chunks(batch, 3))) == scalar
+    assert _profiler(name, program).run(events) == scalar
+    assert _profiler(name, program).run(iter(_chunks(events, 613))) == scalar
+    assert _profiler(name, program).run(iter(_chunks(events, 3))) == scalar
 
 
-@pytest.mark.parametrize("name", sorted(PROFILER_FACTORIES))
+@pytest.mark.parametrize("name", sorted(PROFILERS))
 def test_mixed_scalar_and_batch_consumption(name, stream):
+    """One-event batches (the batch form of a scalar ``observe``) and
+    bulk batches, mixed in either order, report like the oracle."""
     program, events = stream
-    factory = PROFILER_FACTORIES[name]
-    scalar = factory(program).run(iter(events))
+    scalar = scalar_report(_profiler(name, program, scalar=True), events)
     split = len(events) // 3
 
-    # Scalar prefix, then the remainder as one batch.
-    mixed = factory(program)
-    for event in events[:split]:
-        mixed.observe(event)
-    mixed.observe_batch(EventBatch.from_events(events[split:]))
+    # One event per batch for a prefix, then the remainder as one batch.
+    mixed = _profiler(name, program)
+    for index in range(split):
+        mixed.observe_batch(events.slice(index, index + 1))
+    mixed.observe_batch(events.slice(split, len(events)))
     assert mixed.report() == scalar
 
-    # Batch prefix, then the remainder event by event.
-    mixed = factory(program)
-    mixed.observe_batch(EventBatch.from_events(events[:split]))
-    for event in events[split:]:
-        mixed.observe(event)
+    # A bulk prefix, then the remainder one event per batch.
+    mixed = _profiler(name, program)
+    mixed.observe_batch(events.slice(0, split))
+    for index in range(split, len(events)):
+        mixed.observe_batch(events.slice(index, index + 1))
     assert mixed.report() == scalar
+
+
+def _row_tuples(rows):
+    """Overhead rows (or profile reports) as comparable tuples."""
+    return [
+        (row.scheme, row.counter_space, row.profiling_ops, row.num_units)
+        for row in rows
+    ]
+
+
+def _scalar_rows(program, events):
+    """compare_schemes' line-up, each profiler in its scalar form."""
+    return _row_tuples(
+        scalar_report(SCALAR[cls](**arguments), events)
+        for cls, arguments in (
+            (BitTracingProfiler, {"program": program}),
+            (BallLarusProfiler, {"program": program}),
+            (KBoundedPathProfiler, {"k": 8}),
+            (EdgeProfiler, {}),
+            (BlockProfiler, {"entry_uid": program.entry_block.uid}),
+            (HeadCounterProfiler, {}),
+        )
+    )
 
 
 def test_compare_schemes_rows_identical_across_representations(stream):
     program, events = stream
-    from_list = compare_schemes(program, events)
-    batch = EventBatch.from_events(events)
-    assert compare_schemes(program, batch) == from_list
-    assert compare_schemes(program, _chunks(batch, 919)) == from_list
+    rows = compare_schemes(program, events)
+    assert compare_schemes(program, _chunks(events, 919)) == rows
+    assert compare_schemes(program, iter(_chunks(events, 919))) == rows
+    assert _row_tuples(rows) == _scalar_rows(program, events)
+
+
+def test_overhead_workload_matches_oracles():
+    """The §4 overhead study's stream (``overhead_rows`` and the
+    event-pipeline bench), walked in batches: the same paths as the
+    scalar segmenter, the same rows as the scalar profilers, and every
+    profiler's report equal to its oracle's in chunks of 613 and 3.
+    Unlike ``stream`` (one call), this run makes dozens of calls and
+    returns."""
+    program = generate_program(seed=25, num_procedures=4)
+    trip_counts = {}
+    for name in program.procedures:
+        for header in procedure_loops(program, name).headers:
+            trip_counts[header] = 25
+    oracle = TripCountOracle(RandomOracle(5, default_bias=0.5), trip_counts)
+    walker = CFGWalker(program, oracle)
+    batches = list(walker.walk_batched(max_events=20_000, truncate=True))
+    events = EventBatch.concat(batches)
+    assert trace_digest(record_path_trace(program, iter(batches))) == (
+        trace_digest(segment_paths(program, events))
+    )
+    rows = compare_schemes(program, events)
+    assert _row_tuples(rows) == _scalar_rows(program, events)
+    for name in sorted(PROFILERS):
+        scalar = scalar_report(_profiler(name, program, scalar=True), events)
+        for size in (613, 3):
+            chunks = _chunks(events, size)
+            assert _profiler(name, program).run(chunks) == scalar, name
 
 
 def test_bit_tracing_batch_ignores_events_after_halt(stream):
     program, events = stream
-    scalar = BitTracingProfiler(program).run(iter(events))
-    batch = EventBatch.from_events(events)
+    scalar = scalar_report(
+        _profiler("bit-tracing", program, scalar=True), events
+    )
     profiler = BitTracingProfiler(program)
-    profiler.observe_batch(batch)
+    profiler.observe_batch(events)
     # The stream halted; later batches must not change the profile.
-    profiler.observe_batch(batch.slice(0, 5))
+    profiler.observe_batch(events.slice(0, 5))
     assert profiler.report() == scalar

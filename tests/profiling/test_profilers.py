@@ -11,12 +11,9 @@ from repro.profiling import (
     KBoundedPathProfiler,
     compare_schemes,
 )
-from repro.trace import (
-    CFGWalker,
-    RandomOracle,
-    TripCountOracle,
-    record_path_trace,
-)
+from repro.trace import RandomOracle, TripCountOracle, record_path_trace
+from tests.conftest import walk_batch
+from tests.trace.event_oracle import ScriptedOracle
 
 
 def _events(seed=11, trips=12, max_events=500_000):
@@ -26,14 +23,14 @@ def _events(seed=11, trips=12, max_events=500_000):
         for header in procedure_loops(program, name).headers:
             trip_counts[header] = trips
     oracle = TripCountOracle(RandomOracle(3, default_bias=0.5), trip_counts)
-    return program, list(CFGWalker(program, oracle).walk(max_events))
+    return program, walk_batch(program, oracle, max_events)
 
 
 @pytest.mark.parametrize("seed", [11, 12, 14])
 def test_bit_tracing_agrees_with_extractor(seed):
     program, events = _events(seed=seed)
-    trace = record_path_trace(program, iter(events))
-    report = BitTracingProfiler(program).run(iter(events))
+    trace = record_path_trace(program, events)
+    report = BitTracingProfiler(program).run(events)
     freqs = trace.freqs()
     by_signature = {
         path.signature: int(freqs[i])
@@ -43,23 +40,19 @@ def test_bit_tracing_agrees_with_extractor(seed):
 
 
 def test_bit_tracing_counts_every_branch(fig1_program):
-    from repro.trace import ScriptedOracle
-
     decisions = [True, True, False, False]
-    events = list(
-        CFGWalker(fig1_program, ScriptedOracle(decisions)).walk(100)
-    )
-    report = BitTracingProfiler(fig1_program).run(iter(events))
+    events = walk_batch(fig1_program, ScriptedOracle(decisions), 100)
+    report = BitTracingProfiler(fig1_program).run(events)
     # 4 conditional outcomes shifted + one table update per path (2 paths).
     assert report.profiling_ops == 4 + 2
 
 
 def test_ball_larus_total_flow_matches_path_ends(seed=11):
     program, events = _events(seed=seed)
-    report = BallLarusProfiler(program).run(iter(events))
+    report = BallLarusProfiler(program).run(events)
     # Every count is positive and decodable.
     profiler = BallLarusProfiler(program)
-    profiler.run(iter(events))
+    profiler.run(events)
     for key, count in report.frequencies.items():
         assert count > 0
         blocks = profiler.decode(key)
@@ -71,40 +64,32 @@ def test_ball_larus_total_flow_matches_path_ends(seed=11):
 def test_ball_larus_static_space_upper_bounds_dynamic():
     program, events = _events(seed=12)
     profiler = BallLarusProfiler(program)
-    report = profiler.run(iter(events))
+    report = profiler.run(events)
     assert report.counter_space <= profiler.static_path_space
 
 
 def test_ball_larus_fewer_ops_than_bit_tracing():
     """Spanning-tree placement instruments only chords."""
     program, events = _events(seed=11)
-    bl = BallLarusProfiler(program).run(iter(events))
-    bt = BitTracingProfiler(program).run(iter(events))
+    bl = BallLarusProfiler(program).run(events)
+    bt = BitTracingProfiler(program).run(events)
     assert bl.profiling_ops < bt.profiling_ops
 
 
 def test_kbounded_window_semantics(fig1_program):
-    from repro.trace import ScriptedOracle
-
     decisions = [True, True, True, True, False, False]
-    events = list(
-        CFGWalker(fig1_program, ScriptedOracle(decisions)).walk(100)
-    )
-    report = KBoundedPathProfiler(k=2).run(iter(events))
+    events = walk_batch(fig1_program, ScriptedOracle(decisions), 100)
+    report = KBoundedPathProfiler(k=2).run(events)
     # Windows slide per branch: total counted windows = branches - k + 1
     # (no call/return resets in fig1; halt event is skipped).
-    branch_events = [e for e in events if e.dst != -1]
-    assert report.total_count == len(branch_events) - 2 + 1
+    branch_events = int((events.dst != -1).sum())
+    assert report.total_count == branch_events - 2 + 1
 
 
 def test_kbounded_resets_on_calls(call_program):
-    from repro.trace import ScriptedOracle
-
-    events = list(
-        CFGWalker(call_program, ScriptedOracle([True, False])).walk(100)
-    )
-    intra = KBoundedPathProfiler(k=3, intraprocedural=True).run(iter(events))
-    inter = KBoundedPathProfiler(k=3, intraprocedural=False).run(iter(events))
+    events = walk_batch(call_program, ScriptedOracle([True, False]), 100)
+    intra = KBoundedPathProfiler(k=3, intraprocedural=True).run(events)
+    inter = KBoundedPathProfiler(k=3, intraprocedural=False).run(events)
     assert inter.total_count >= intra.total_count
 
 
@@ -114,13 +99,9 @@ def test_kbounded_rejects_bad_k():
 
 
 def test_edge_profiler_counts_transfers(fig1_program):
-    from repro.trace import ScriptedOracle
-
     decisions = [True, True, False, False]
-    events = list(
-        CFGWalker(fig1_program, ScriptedOracle(decisions)).walk(100)
-    )
-    report = EdgeProfiler().run(iter(events))
+    events = walk_batch(fig1_program, ScriptedOracle(decisions), 100)
+    report = EdgeProfiler().run(events)
     assert report.total_count == len(events) - 1  # halt skipped
     main = fig1_program.procedures["main"]
     d_to_a = (main.block("D").uid, main.block("A").uid)
@@ -128,15 +109,11 @@ def test_edge_profiler_counts_transfers(fig1_program):
 
 
 def test_block_profiler_counts_entries(fig1_program):
-    from repro.trace import ScriptedOracle
-
     decisions = [True, True, False, False]
-    events = list(
-        CFGWalker(fig1_program, ScriptedOracle(decisions)).walk(100)
-    )
+    events = walk_batch(fig1_program, ScriptedOracle(decisions), 100)
     report = BlockProfiler(
         entry_uid=fig1_program.entry_block.uid
-    ).run(iter(events))
+    ).run(events)
     main = fig1_program.procedures["main"]
     assert report.frequencies[main.block("A").uid] == 2
 

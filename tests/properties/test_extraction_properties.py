@@ -2,8 +2,10 @@
 
 For arbitrary generated programs and random decision streams, the
 extractor must (a) partition every executed block into exactly one path,
-(b) start every non-initial path where the previous one handed off, and
-(c) produce signatures that agree with the bit-tracing profiler.
+(b) start every non-initial path where the previous one handed off,
+(c) produce signatures that agree with the bit-tracing profiler, and
+(d) intern the same paths, in the same order, as the one-event-at-a-time
+segmenter of :mod:`tests.trace.event_oracle` for any split of the stream.
 """
 
 import numpy as np
@@ -18,9 +20,10 @@ from repro.trace import (
     PathExtractor,
     RandomOracle,
     TripCountOracle,
-    extract_paths,
     record_path_trace,
 )
+from tests.conftest import walk_batch
+from tests.trace.event_oracle import segment_paths
 
 _settings = settings(
     max_examples=25,
@@ -41,8 +44,7 @@ def _bounded_events(program_seed: int, oracle_seed: int, trips: int):
     oracle = TripCountOracle(
         RandomOracle(oracle_seed, default_bias=0.5), trip_counts
     )
-    events = list(CFGWalker(program, oracle).walk(max_events=100_000))
-    return program, events
+    return program, walk_batch(program, oracle, 100_000)
 
 
 @given(
@@ -53,11 +55,11 @@ def _bounded_events(program_seed: int, oracle_seed: int, trips: int):
 @_settings
 def test_paths_partition_block_entries(program_seed, oracle_seed, trips):
     program, events = _bounded_events(program_seed, oracle_seed, trips)
-    occurrences, table = extract_paths(program, iter(events))
-    block_entries = 1 + sum(1 for event in events if event.dst != -1)
+    trace = record_path_trace(program, events)
+    block_entries = 1 + int(np.count_nonzero(events.dst != -1))
     total_path_blocks = sum(
-        table.path(occurrence.path_id).num_blocks
-        for occurrence in occurrences
+        trace.table.path(path_id).num_blocks
+        for path_id in trace.path_ids.tolist()
     )
     assert total_path_blocks == block_entries
 
@@ -71,11 +73,11 @@ def test_paths_partition_block_entries(program_seed, oracle_seed, trips):
 def test_consecutive_paths_chain(program_seed, oracle_seed, trips):
     """Each path starts at the block the previous transfer targeted."""
     program, events = _bounded_events(program_seed, oracle_seed, trips)
-    occurrences, table = extract_paths(program, iter(events))
-    paths = [table.path(o.path_id) for o in occurrences]
+    trace = record_path_trace(program, events)
+    paths = [trace.table.path(i) for i in trace.path_ids.tolist()]
     # Rebuild the block-entry sequence and compare against concatenation.
     entered = [program.entry_block.uid]
-    entered += [event.dst for event in events if event.dst != -1]
+    entered += events.dst[events.dst != -1].tolist()
     concatenated = [uid for path in paths for uid in path.blocks]
     assert concatenated == entered
 
@@ -90,12 +92,12 @@ def test_bit_tracing_equals_extractor_frequencies(
     program_seed, oracle_seed, trips
 ):
     program, events = _bounded_events(program_seed, oracle_seed, trips)
-    occurrences, table = extract_paths(program, iter(events))
+    trace = record_path_trace(program, events)
     frequencies = {}
-    for occurrence in occurrences:
-        signature = table.path(occurrence.path_id).signature
+    for path_id in trace.path_ids.tolist():
+        signature = trace.table.path(path_id).signature
         frequencies[signature] = frequencies.get(signature, 0) + 1
-    report = BitTracingProfiler(program).run(iter(events))
+    report = BitTracingProfiler(program).run(events)
     assert report.frequencies == frequencies
 
 
@@ -109,11 +111,10 @@ def test_bit_tracing_equals_extractor_frequencies(
 def test_batched_extraction_partitions_block_entries(
     program_seed, oracle_seed, trips, chunk
 ):
-    """The columnar extractor obeys the same partition invariant as the
-    scalar one for any chunking of the stream: every executed block
-    lands in exactly one path."""
-    program, events = _bounded_events(program_seed, oracle_seed, trips)
-    batch = EventBatch.from_events(events)
+    """The extractor obeys the partition invariant for any chunking of
+    the stream (every executed block lands in exactly one path), and
+    agrees with the scalar segmenter."""
+    program, batch = _bounded_events(program_seed, oracle_seed, trips)
     chunks = [
         batch.slice(start, start + chunk)
         for start in range(0, len(batch), chunk)
@@ -122,7 +123,7 @@ def test_batched_extraction_partitions_block_entries(
     block_entries = 1 + int(np.count_nonzero(batch.dst != -1))
     total_path_blocks = int(trace.blocks_per_path()[trace.path_ids].sum())
     assert total_path_blocks == block_entries
-    scalar = record_path_trace(program, iter(events))
+    scalar = segment_paths(program, batch)
     assert np.array_equal(trace.path_ids, scalar.path_ids)
 
 
@@ -136,11 +137,12 @@ def test_backward_ending_paths_start_next_at_branch_target(
     program_seed, oracle_seed, trips
 ):
     program, events = _bounded_events(program_seed, oracle_seed, trips)
-    occurrences, table = extract_paths(program, iter(events))
+    trace = record_path_trace(program, events)
+    occurrences = trace.path_ids.tolist()
     heads = program.backward_branch_targets()
     for previous, current in zip(occurrences, occurrences[1:]):
-        if table.path(previous.path_id).ends_with_backward_branch:
-            assert table.path(current.path_id).start_uid in heads
+        if trace.table.path(previous).ends_with_backward_branch:
+            assert trace.table.path(current).start_uid in heads
 
 
 @given(
@@ -160,7 +162,7 @@ def test_stream_feed_over_random_splits_matches_scalar(
     program_seed, oracle_seed, trips, num_procedures, max_blocks, data
 ):
     """Feeding a stream in arbitrary pieces interns the same paths, in
-    the same order, as the scalar extractor.  One-procedure programs
+    the same order, as the scalar segmenter.  One-procedure programs
     make no calls (``find_cuts``'s hard-cut shortcut, or its fall-
     through when a region outgrows ``max_blocks``); three-procedure
     programs add call and return cuts.  Splits exercise the carry."""
@@ -181,10 +183,8 @@ def test_stream_feed_over_random_splits_matches_scalar(
             )
         )
     )
-    scalar = PathExtractor(program, max_blocks=max_blocks)
-    expected = [
-        occurrence.path_id for occurrence in scalar.extract(iter(batch))
-    ]
+    scalar = segment_paths(program, batch, max_blocks=max_blocks)
+    expected = scalar.path_ids.tolist()
 
     splits = data.draw(st.lists(st.integers(0, len(batch)), max_size=16))
     bounds = [0, *sorted(splits), len(batch)]

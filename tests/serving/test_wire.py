@@ -15,8 +15,7 @@ from repro.serving.wire import (
     decode_batch,
     encode_batch,
 )
-from repro.trace.batch import CODE_KIND, EventBatch
-from repro.trace.events import HALT_DST
+from repro.trace.batch import CODE_KIND, HALT_DST, EventBatch
 
 
 def _batches_equal(a: EventBatch, b: EventBatch) -> bool:

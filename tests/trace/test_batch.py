@@ -1,6 +1,8 @@
-"""Columnar event batches: bridges, validation, batched producers."""
+"""Columnar event batches: validation, builders, batched producers.
 
-import itertools
+The producers are checked against the one-transfer-at-a-time walker
+and machine loop of :mod:`tests.trace.event_oracle`.
+"""
 
 import numpy as np
 import pytest
@@ -11,14 +13,15 @@ from repro.isa import Machine, assemble
 from repro.isa.programs import rle
 from repro.obs import Registry
 from repro.trace import (
-    BlockRandomOracle,
+    HALT_DST,
     CFGWalker,
     EventBatch,
     EventBatchBuilder,
     RandomOracle,
     TripCountOracle,
 )
-from repro.trace.events import HALT_DST
+from repro.trace.batch import CODE_INDIRECT, CODE_RETURN
+from tests.trace.event_oracle import machine_events, walk_events
 
 
 def _bounded_walker(program_seed=3, oracle_seed=7, trips=4):
@@ -36,21 +39,9 @@ def _bounded_walker(program_seed=3, oracle_seed=7, trips=4):
     return program, CFGWalker(program, oracle)
 
 
-def _batch_events(batches):
-    return list(itertools.chain.from_iterable(batches))
-
-
 # ----------------------------------------------------------------------
 # EventBatch container
 # ----------------------------------------------------------------------
-def test_round_trip_is_lossless():
-    _, walker = _bounded_walker()
-    events = list(walker.walk(100_000))
-    batch = EventBatch.from_events(events)
-    assert batch.to_events() == events
-    assert len(batch) == len(events)
-
-
 def test_columns_must_be_one_dimensional():
     with pytest.raises(TraceError, match="must be 1-D"):
         EventBatch(np.zeros((2, 2), np.int64), [0, 0], [0, 0], [False, False])
@@ -142,12 +133,26 @@ def test_builder_rejects_bad_capacity():
 # Batched CFG walking
 # ----------------------------------------------------------------------
 def test_walk_batched_matches_walk():
-    _, scalar_walker = _bounded_walker()
-    _, batched_walker = _bounded_walker()
-    events = list(scalar_walker.walk(100_000))
-    batches = list(batched_walker.walk_batched(max_events=100_000))
-    assert _batch_events(batches) == events
+    """A run with every transfer kind — calls, forward and backward
+    returns, indirect jumps — equals the per-terminator oracle."""
+    program = generate_program(seed=19, num_procedures=3)
+    trip_counts = {}
+    for name in program.procedures:
+        for header in procedure_loops(program, name).headers:
+            trip_counts[header] = 9
+
+    def oracle():
+        return TripCountOracle(RandomOracle(7, default_bias=0.5), trip_counts)
+
+    events = walk_events(program, oracle(), 500_000)
+    walker = CFGWalker(program, oracle())
+    batches = list(walker.walk_batched(max_events=500_000, batch_size=997))
+    assert EventBatch.concat(batches) == events
     assert batches[-1].dst[-1] == HALT_DST
+    returns = events.kind == CODE_RETURN
+    assert (events.backward & returns).any()
+    assert (~events.backward & returns).any()
+    assert (events.kind == CODE_INDIRECT).any()
 
 
 def test_walk_batched_respects_batch_size():
@@ -166,11 +171,12 @@ def test_walk_batched_rejects_bad_batch_size(fig1_program):
 
 
 def test_walk_batched_truncate_matches_islice(fig1_program):
-    scalar = CFGWalker(fig1_program, RandomOracle(0, default_bias=1.0))
+    oracle = RandomOracle(0, default_bias=1.0)
     batched = CFGWalker(fig1_program, RandomOracle(0, default_bias=1.0))
-    events = list(itertools.islice(scalar.walk(), 50))
+    events = walk_events(fig1_program, oracle, 50, truncate=True)
     batches = list(batched.walk_batched(max_events=50, truncate=True))
-    assert _batch_events(batches) == events
+    assert len(events) == 50
+    assert EventBatch.concat(batches) == events
 
 
 def test_walk_batched_budget_raises_like_walk(fig1_program):
@@ -188,20 +194,6 @@ def test_walk_batched_publishes_tracegen_instruments():
     assert counters["tracegen.batches"] == len(batches)
 
 
-def test_block_random_oracle_self_consistent():
-    program, _ = _bounded_walker()
-    scalar = CFGWalker(program, BlockRandomOracle(17, default_bias=0.6))
-    batched = CFGWalker(program, BlockRandomOracle(17, default_bias=0.6))
-    events = list(scalar.walk(100_000))
-    batches = list(batched.walk_batched(max_events=100_000))
-    assert _batch_events(batches) == events
-
-
-def test_block_random_oracle_rejects_bad_block_size():
-    with pytest.raises(TraceError, match="block_size"):
-        BlockRandomOracle(0, block_size=0)
-
-
 # ----------------------------------------------------------------------
 # Batched ISA machine
 # ----------------------------------------------------------------------
@@ -209,12 +201,12 @@ def test_run_batched_matches_run():
     memory = rle.make_memory(seed=0, size=200)
     scalar = Machine(rle.build())
     scalar.load_memory(memory)
-    events = list(scalar.run())
+    events = machine_events(scalar)
 
     batched = Machine(rle.build())
     batched.load_memory(memory)
     batches = list(batched.run_batched(batch_size=997))
-    assert _batch_events(batches) == events
+    assert EventBatch.concat(batches) == events
     assert batched.state.output == scalar.state.output
 
 
@@ -222,6 +214,8 @@ def test_run_batched_budget_raises_like_run():
     program = assemble(".proc main\nloop:\n    jmp loop\n.endproc")
     with pytest.raises(MachineLimitExceeded):
         list(Machine(program).run_batched(max_steps=100))
+    with pytest.raises(MachineLimitExceeded):
+        machine_events(Machine(program), max_steps=100)
 
 
 def test_run_batched_rejects_bad_batch_size():

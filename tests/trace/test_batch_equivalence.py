@@ -1,9 +1,12 @@
-"""Batched extraction must be digest-identical to the scalar extractor.
+"""Extraction and event production must match the scalar oracles.
 
 The columnar pipeline (``EventBatch`` → ``find_cuts`` → segment memo)
 re-derives the paper's §3 segmentation; these tests pin it to the
-scalar reference on every bundled ISA program and on generated CFG
-workloads, across chunk boundaries and every ``max_blocks`` regime.
+one-event-at-a-time segmenter of :mod:`tests.trace.event_oracle` on
+every bundled ISA program and on generated CFG workloads, across chunk
+boundaries and every ``max_blocks`` regime.  The machine's batched
+event stream is pinned to the oracle's one-instruction-at-a-time loop
+on the same programs.
 """
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 from repro.cfg import generate_program, procedure_loops
 from repro.errors import TraceError
 from repro.experiments.engine.cache import trace_digest
-from repro.isa import run_to_completion
+from repro.isa import Machine, run_to_completion
 from repro.isa.programs import (
     hashtable,
     lexer,
@@ -29,6 +32,11 @@ from repro.trace import (
     RandomOracle,
     TripCountOracle,
     record_path_trace,
+)
+from tests.trace.event_oracle import (
+    machine_events,
+    segment_paths,
+    walk_events,
 )
 
 #: Every bundled ISA program with a small input (name, assembled, memory).
@@ -57,7 +65,21 @@ def _cfg_events(seed=19, trips=9):
         for header in procedure_loops(program, name).headers:
             trip_counts[header] = trips
     oracle = TripCountOracle(RandomOracle(7, default_bias=0.5), trip_counts)
-    return program, list(CFGWalker(program, oracle).walk(500_000))
+    return program, walk_events(program, oracle, 500_000)
+
+
+@pytest.mark.parametrize(
+    "name,module,make_memory", ISA_RUNS, ids=[r[0] for r in ISA_RUNS]
+)
+def test_isa_machine_events_match_oracle(name, module, make_memory):
+    assembled = module.build()
+    memory = make_memory(module)
+    events, machine = run_to_completion(assembled, memory)
+    reference = Machine(assembled)
+    reference.load_memory(memory)
+    assert events == machine_events(reference)
+    assert machine.state.output == reference.state.output
+    assert machine.state.steps == reference.state.steps
 
 
 @pytest.mark.parametrize(
@@ -68,10 +90,9 @@ def test_isa_programs_extract_digest_identically(name, module, make_memory):
     events, _ = run_to_completion(assembled, make_memory(module))
     program = assembled.cfg
 
-    scalar = record_path_trace(program, iter(events))
-    batch = EventBatch.from_events(events)
-    whole = record_path_trace(program, batch)
-    chunked = record_path_trace(program, iter(_chunks(batch, 777)))
+    scalar = segment_paths(program, events)
+    whole = record_path_trace(program, events)
+    chunked = record_path_trace(program, iter(_chunks(events, 777)))
 
     assert trace_digest(whole) == trace_digest(scalar)
     assert trace_digest(chunked) == trace_digest(scalar)
@@ -86,9 +107,8 @@ def test_isa_batched_paths_partition_block_entries(
     assembled = module.build()
     events, _ = run_to_completion(assembled, make_memory(module))
     program = assembled.cfg
-    batch = EventBatch.from_events(events)
-    trace = record_path_trace(program, iter(_chunks(batch, 509)))
-    block_entries = 1 + int(np.count_nonzero(batch.dst != -1))
+    trace = record_path_trace(program, iter(_chunks(events, 509)))
+    block_entries = 1 + int(np.count_nonzero(events.dst != -1))
     total_path_blocks = int(trace.blocks_per_path()[trace.path_ids].sum())
     assert total_path_blocks == block_entries
 
@@ -96,21 +116,20 @@ def test_isa_batched_paths_partition_block_entries(
 @pytest.mark.parametrize("max_blocks", [256, 7, 1, None])
 def test_generated_cfg_extraction_agrees_per_max_blocks(max_blocks):
     program, events = _cfg_events()
-    scalar = record_path_trace(
-        program, iter(events), max_blocks=max_blocks
-    )
-    batch = EventBatch.from_events(events)
+    scalar = segment_paths(program, events, max_blocks=max_blocks)
     chunked = record_path_trace(
-        program, iter(_chunks(batch, 97)), max_blocks=max_blocks
+        program, iter(_chunks(events, 97)), max_blocks=max_blocks
     )
     assert trace_digest(chunked) == trace_digest(scalar)
 
 
 def test_empty_stream_yields_single_entry_path(fig1_program):
-    scalar = record_path_trace(fig1_program, iter([]))
+    scalar = segment_paths(fig1_program, EventBatch.empty())
     batched = record_path_trace(fig1_program, EventBatch.empty())
-    assert scalar.flow == batched.flow == 1
+    no_batches = record_path_trace(fig1_program, iter([]))
+    assert scalar.flow == batched.flow == no_batches.flow == 1
     assert trace_digest(batched) == trace_digest(scalar)
+    assert trace_digest(no_batches) == trace_digest(scalar)
     (path,) = list(batched.table)
     assert path.blocks == (fig1_program.entry_block.uid,)
 
@@ -124,7 +143,7 @@ def test_batch_continuity_validated_at_stream_head(fig1_program):
 
 def test_batch_continuity_validated_mid_batch(fig1_program):
     walker = CFGWalker(fig1_program, RandomOracle(0, default_bias=0.5))
-    batch = EventBatch.from_events(walker.walk(10_000))
+    batch = EventBatch.concat(list(walker.walk_batched(10_000)))
     src = batch.src.copy()
     src[2] = 99  # break the src/dst chain
     broken = EventBatch(src, batch.dst, batch.kind, batch.backward)
@@ -134,13 +153,9 @@ def test_batch_continuity_validated_mid_batch(fig1_program):
 
 def test_extract_batch_occurrences_match_scalar(fig1_program):
     walker = CFGWalker(fig1_program, RandomOracle(4, default_bias=0.5))
-    events = list(walker.walk(10_000))
-    scalar = PathExtractor(fig1_program)
-    scalar_occurrences = list(scalar.extract(iter(events)))
-    batched = PathExtractor(fig1_program)
-    batch_occurrences = batched.extract_batch(
-        EventBatch.from_events(events)
-    )
-    assert [
-        (o.path_id, o.index) for o in batch_occurrences
-    ] == [(o.path_id, o.index) for o in scalar_occurrences]
+    events = EventBatch.concat(list(walker.walk_batched(10_000)))
+    scalar = segment_paths(fig1_program, events)
+    extractor = PathExtractor(fig1_program)
+    ids = extractor.extract_batch_ids(events)
+    assert ids.tolist() == scalar.path_ids.tolist()
+    assert extractor.table.paths() == scalar.table.paths()

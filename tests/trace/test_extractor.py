@@ -3,19 +3,17 @@
 import pytest
 
 from repro.errors import TraceError
-from repro.trace import (
-    CFGWalker,
-    PathExtractor,
-    ScriptedOracle,
-    extract_paths,
-)
+from repro.trace import EventBatch, PathExtractor, record_path_trace
+from repro.trace.batch import CODE_JUMP
+from tests.conftest import walk_batch
+from tests.trace.event_oracle import ScriptedOracle
 
 
 def _run(program, decisions, max_blocks=256):
-    events = CFGWalker(program, ScriptedOracle(decisions)).walk(
-        max_events=10_000
-    )
-    return extract_paths(program, events, max_blocks=max_blocks)
+    """(path id per occurrence, table) of one scripted walk."""
+    events = walk_batch(program, ScriptedOracle(decisions), 10_000)
+    trace = record_path_trace(program, events, max_blocks=max_blocks)
+    return trace.path_ids.tolist(), trace.table
 
 
 def test_fig1_single_iteration_paths(fig1_program):
@@ -25,13 +23,13 @@ def test_fig1_single_iteration_paths(fig1_program):
         fig1_program, [True, True, False, False]
     )
     assert len(occurrences) == 2
-    first = table.path(occurrences[0].path_id)
+    first = table.path(occurrences[0])
     labels = [fig1_program.block_by_uid(u).label for u in first.blocks]
     assert labels == ["A", "B", "D"]
     assert first.ends_with_backward_branch
     assert first.signature.bits == "11"  # A taken, D taken
 
-    second = table.path(occurrences[1].path_id)
+    second = table.path(occurrences[1])
     labels = [fig1_program.block_by_uid(u).label for u in second.blocks]
     assert labels == ["A", "C", "D", "exit"]
     assert not second.ends_with_backward_branch
@@ -41,14 +39,10 @@ def test_fig1_single_iteration_paths(fig1_program):
 def test_fig1_paths_partition_flow(fig1_program):
     decisions = [True, True, False, True, True, True, False, False]
     occurrences, table = _run(fig1_program, decisions)
-    total_blocks = sum(
-        table.path(o.path_id).num_blocks for o in occurrences
-    )
+    total_blocks = sum(table.path(o).num_blocks for o in occurrences)
     # Walk independently to count block entries.
-    events = list(
-        CFGWalker(fig1_program, ScriptedOracle(decisions)).walk(10_000)
-    )
-    block_entries = 1 + sum(1 for e in events if e.dst != -1)
+    events = walk_batch(fig1_program, ScriptedOracle(decisions), 10_000)
+    block_entries = 1 + int((events.dst != -1).sum())
     assert total_blocks == block_entries
 
 
@@ -56,7 +50,7 @@ def test_forward_call_terminates_path_at_return(call_program):
     # entry -> loop(call helper) -> h0 taken -> h1 -> h3 ret -> post
     # not taken -> done halt.
     occurrences, table = _run(call_program, [True, False])
-    paths = [table.path(o.path_id) for o in occurrences]
+    paths = [table.path(o) for o in occurrences]
     labels = [
         [call_program.block_by_uid(u).label for u in p.blocks]
         for p in paths
@@ -72,7 +66,7 @@ def test_forward_call_terminates_path_at_return(call_program):
 
 def test_signature_records_call_free_branches_only(call_program):
     occurrences, table = _run(call_program, [True, False])
-    first = table.path(occurrences[0].path_id)
+    first = table.path(occurrences[0])
     # One conditional executed inside the path (h0); call/jump/fallthrough
     # contribute no bits.
     assert first.signature.bits == "1"
@@ -91,25 +85,16 @@ def test_max_blocks_forces_partition(fig1_program):
     # The cap may only increase the number of segments.
     assert len(occurrences_capped) >= len(occurrences_free)
     # Partition invariant still holds.
-    total = sum(
-        table_capped.path(o.path_id).num_blocks for o in occurrences_capped
-    )
-    events = list(
-        CFGWalker(fig1_program, ScriptedOracle(decisions)).walk(10_000)
-    )
-    assert total == 1 + sum(1 for e in events if e.dst != -1)
+    total = sum(table_capped.path(o).num_blocks for o in occurrences_capped)
+    events = walk_batch(fig1_program, ScriptedOracle(decisions), 10_000)
+    assert total == 1 + int((events.dst != -1).sum())
 
 
 def test_extractor_rejects_mismatched_events(fig1_program):
-    from repro.cfg.edge import EdgeKind
-    from repro.trace.events import BranchEvent
-
     extractor = PathExtractor(fig1_program)
-    bogus = [
-        BranchEvent(src=99, dst=0, kind=EdgeKind.JUMP, backward=False)
-    ]
+    bogus = EventBatch([99], [0], [CODE_JUMP], [False])
     with pytest.raises(TraceError):
-        list(extractor.extract(iter(bogus)))
+        extractor.extract_batch_ids(bogus)
 
 
 def test_extractor_max_blocks_validation(fig1_program):
@@ -121,6 +106,4 @@ def test_same_paths_intern_to_same_ids(fig1_program):
     decisions = [True, True, True, True, False, False]
     occurrences, _ = _run(fig1_program, decisions)
     # Two identical loop iterations -> same path id twice.
-    assert occurrences[0].path_id == occurrences[1].path_id
-    assert occurrences[0].index == 0
-    assert occurrences[1].index == 1
+    assert occurrences[0] == occurrences[1]

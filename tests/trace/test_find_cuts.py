@@ -10,13 +10,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.trace.batch import CODE_CALL, CODE_KIND, CODE_RETURN
+from repro.trace.batch import CODE_CALL, CODE_KIND, CODE_RETURN, HALT_DST
 from repro.trace.columnar import find_cuts
-from repro.trace.events import HALT_DST
 
 
 def reference_cuts(dst, kind, backward, max_blocks):
-    """The scalar extractor's segmentation rule, one event at a time."""
+    """The §3 segmentation rule, one event at a time (as
+    :func:`tests.trace.event_oracle.segment_paths` applies it)."""
     cuts = []
     blocks = 1
     open_calls = 0

@@ -11,12 +11,12 @@ from repro.trace import (
     CFGWalker,
     PathTable,
     PathTrace,
-    ScriptedOracle,
     record_path_trace,
 )
 from repro.trace.path import STATIC_COLUMN_KEYS
 from tests.conftest import make_path
 from tests.prediction.test_net_kernel import assert_same_outcome
+from tests.trace.event_oracle import ScriptedOracle
 
 
 def _two_path_trace() -> PathTrace:
@@ -28,7 +28,8 @@ def _two_path_trace() -> PathTrace:
 
 def test_record_matches_extraction(fig1_program):
     decisions = [True, True, True, True, False, False]
-    events = CFGWalker(fig1_program, ScriptedOracle(decisions)).walk(1000)
+    walker = CFGWalker(fig1_program, ScriptedOracle(decisions))
+    events = walker.walk_batched(1000)
     trace = record_path_trace(fig1_program, events, name="fig1")
     assert trace.flow == 3  # two loop iterations + the exit path
     assert trace.freqs().sum() == 3
@@ -100,7 +101,8 @@ def test_summarize(fig1_program):
     from repro.trace import summarize
 
     decisions = [True, True, True, True, False, False]
-    events = CFGWalker(fig1_program, ScriptedOracle(decisions)).walk(1000)
+    walker = CFGWalker(fig1_program, ScriptedOracle(decisions))
+    events = walker.walk_batched(1000)
     trace = record_path_trace(fig1_program, events, name="fig1")
     summary = summarize(trace)
     assert summary.flow == 3

@@ -5,12 +5,14 @@ import pytest
 from repro.cfg import ProgramBuilder
 from repro.errors import MachineLimitExceeded, TraceError
 from repro.trace import (
+    HALT_DST,
     CFGWalker,
     RandomOracle,
-    ScriptedOracle,
     TripCountOracle,
 )
-from repro.trace.events import HALT_DST
+from repro.trace.batch import CODE_CALL, CODE_INDIRECT
+from tests.conftest import walk_batch
+from tests.trace.event_oracle import ScriptedOracle
 
 
 def test_walker_requires_finalized_program():
@@ -21,25 +23,23 @@ def test_walker_requires_finalized_program():
 
 
 def test_walk_emits_halt_last(fig1_program):
-    events = list(
-        CFGWalker(fig1_program, ScriptedOracle([False, False])).walk(100)
-    )
-    assert events[-1].dst == HALT_DST
+    events = walk_batch(fig1_program, ScriptedOracle([False, False]), 100)
+    assert events.dst[-1] == HALT_DST
 
 
 def test_walk_budget(fig1_program):
     oracle = RandomOracle(0, default_bias=1.0)  # loops forever
     with pytest.raises(MachineLimitExceeded):
-        list(CFGWalker(fig1_program, oracle).walk(max_events=50))
+        list(CFGWalker(fig1_program, oracle).walk_batched(max_events=50))
 
 
 def test_trip_count_oracle_bounds_loops(fig1_program):
     main = fig1_program.procedures["main"]
     d_uid = main.block("D").uid
     oracle = TripCountOracle(RandomOracle(0), {d_uid: 3})
-    events = list(CFGWalker(fig1_program, oracle).walk(10_000))
-    backward = [e for e in events if e.backward]
-    assert len(backward) == 3  # exactly three loop-back transfers
+    events = walk_batch(fig1_program, oracle, 10_000)
+    # exactly three loop-back transfers
+    assert int(events.backward.sum()) == 3
 
 
 def test_trip_count_oracle_resets(call_program):
@@ -49,11 +49,10 @@ def test_trip_count_oracle_resets(call_program):
     oracle = TripCountOracle(
         RandomOracle(1, default_bias=0.5), {post: 2}
     )
-    events = list(CFGWalker(call_program, oracle).walk(10_000))
+    events = walk_batch(call_program, oracle, 10_000)
     # post taken twice -> loop runs 3 times -> helper entered 3 times.
-    calls = [e for e in events if e.is_call]
-    assert len(calls) == 3
-    assert all(e.dst == helper_head for e in calls)
+    calls = events.dst[events.kind == CODE_CALL].tolist()
+    assert calls == [helper_head] * 3
 
 
 def test_trip_count_rejects_negative():
@@ -77,9 +76,9 @@ def test_trip_count_zero_trips_exits_immediately(fig1_program):
 
 def test_scripted_oracle_type_checks(fig1_program):
     with pytest.raises(TraceError):
-        list(CFGWalker(fig1_program, ScriptedOracle([1])).walk(100))
+        walk_batch(fig1_program, ScriptedOracle([1]), 100)
     with pytest.raises(TraceError):  # runs out of decisions
-        list(CFGWalker(fig1_program, ScriptedOracle([True])).walk(100))
+        walk_batch(fig1_program, ScriptedOracle([True]), 100)
 
 
 def test_scripted_oracle_exhaustion_message(fig1_program):
@@ -104,8 +103,8 @@ def test_scripted_oracle_multiway_type_and_range_errors(fig1_program):
 
 
 def test_random_oracle_determinism(fig1_program):
-    events_a = list(CFGWalker(fig1_program, RandomOracle(9)).walk(1000))
-    events_b = list(CFGWalker(fig1_program, RandomOracle(9)).walk(1000))
+    events_a = walk_batch(fig1_program, RandomOracle(9), 1000)
+    events_b = walk_batch(fig1_program, RandomOracle(9), 1000)
     assert events_a == events_b
 
 
@@ -122,10 +121,8 @@ def test_indirect_walks_cover_targets():
     program = builder.build()
     top = program.procedures["main"].block("top").uid
     oracle = TripCountOracle(RandomOracle(3), {top: 50})
-    events = list(CFGWalker(program, oracle).walk(100_000))
-    indirect_targets = {
-        e.dst for e in events if e.kind.value == "indirect"
-    }
+    events = walk_batch(program, oracle, 100_000)
+    indirect_targets = set(events.dst[events.kind == CODE_INDIRECT].tolist())
     arms = {
         program.procedures["main"].block(f"arm{i}").uid for i in range(3)
     }
