@@ -1,11 +1,5 @@
-"""Offline profile analyses (paper §3's coverage analogy and §7's
-edge-vs-path showdown)."""
+"""Offline profile analyses (paper §7's edge-vs-path showdown)."""
 
-from repro.analysis.coverage import (
-    CoverageCurve,
-    coverage_curve,
-    oracle_hit_rate,
-)
 from repro.analysis.edge_vs_path import (
     ShowdownResult,
     edge_profile_of,
@@ -14,11 +8,8 @@ from repro.analysis.edge_vs_path import (
 )
 
 __all__ = [
-    "CoverageCurve",
     "ShowdownResult",
-    "coverage_curve",
     "edge_profile_of",
     "edge_vs_path_showdown",
     "estimate_path_freqs",
-    "oracle_hit_rate",
 ]

@@ -18,7 +18,6 @@ from repro.cfg.analysis import (
 )
 from repro.cfg.block import BasicBlock, BranchKind, Terminator
 from repro.cfg.builder import ProgramBuilder
-from repro.cfg.dot import program_to_dot
 from repro.cfg.edge import Edge, EdgeKind
 from repro.cfg.generators import GeneratorParams, generate_program
 from repro.cfg.procedure import Procedure
@@ -27,7 +26,6 @@ from repro.cfg.spanning_tree import (
     BallLarusNumbering,
     number_procedure,
     number_program,
-    total_static_paths,
 )
 from repro.cfg.validate import validate_program
 
@@ -47,12 +45,10 @@ __all__ = [
     "compute_dominators",
     "dominator_back_edges",
     "generate_program",
-    "program_to_dot",
     "intraprocedural_successors",
     "natural_loops",
     "number_procedure",
     "number_program",
     "procedure_loops",
-    "total_static_paths",
     "validate_program",
 ]

@@ -39,9 +39,6 @@ class BranchKind(enum.Enum):
     HALT = "halt"
 
 
-#: Terminator kinds that transfer control to one statically-known label.
-DIRECT_KINDS = frozenset({BranchKind.JUMP, BranchKind.CALL})
-
 #: Terminator kinds whose target is chosen at run time.
 INDIRECT_KINDS = frozenset({BranchKind.INDIRECT, BranchKind.ICALL})
 

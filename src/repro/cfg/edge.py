@@ -47,18 +47,3 @@ class Edge:
     kind: EdgeKind
     backward: bool
     interprocedural: bool = False
-
-    @property
-    def is_taken_transfer(self) -> bool:
-        """Whether traversing the edge corresponds to a *taken* branch.
-
-        Fall-through and straight-line edges are the only not-taken
-        transfers; everything else (jumps, taken conditionals, calls,
-        returns, indirect jumps) actively redirects control.
-        """
-        return self.kind not in (EdgeKind.FALLTHROUGH, EdgeKind.STRAIGHT)
-
-    @property
-    def contributes_history_bit(self) -> bool:
-        """Whether the edge adds a 0/1 bit to a bit-tracing signature."""
-        return self.kind in (EdgeKind.TAKEN, EdgeKind.FALLTHROUGH)

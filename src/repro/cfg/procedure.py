@@ -57,21 +57,6 @@ class Procedure:
                 return candidate
         raise CFGError(f"no block labelled {label!r} in procedure {self.name!r}")
 
-    def has_block(self, label: str) -> bool:
-        """Whether a block labelled ``label`` exists."""
-        return any(candidate.label == label for candidate in self.blocks)
-
-    def layout_successor(self, block: BasicBlock) -> BasicBlock | None:
-        """The block physically following ``block``, or ``None`` at the end."""
-        for index, candidate in enumerate(self.blocks):
-            if candidate is block:
-                if index + 1 < len(self.blocks):
-                    return self.blocks[index + 1]
-                return None
-        raise CFGError(
-            f"block {block.label!r} is not part of procedure {self.name!r}"
-        )
-
     def _labels(self) -> set[str]:
         return {block.label for block in self.blocks}
 

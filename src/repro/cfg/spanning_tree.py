@@ -276,15 +276,3 @@ def number_program(program: Program) -> dict[str, BallLarusNumbering]:
         name: number_procedure(program, proc)
         for name, proc in program.procedures.items()
     }
-
-
-def total_static_paths(program: Program) -> int:
-    """Sum of Ball–Larus path counts over all procedures.
-
-    This is the *static* path space size — the worst-case counter table
-    size for an array-based path profiler (paper §4: "may be 2^|B| in the
-    worst case").
-    """
-    return sum(
-        numbering.num_paths for numbering in number_program(program).values()
-    )

@@ -20,17 +20,10 @@ from repro.dynamo.optimizer import (
     OptimizedFragment,
     TraceInstruction,
     TraceOptimizer,
-    measure_fragment_speedups,
 )
 from repro.dynamo.stats import CycleBreakdown, DynamoRun
 from repro.dynamo.system import SCHEMES, DynamoSystem, measured_fragment_sizes
-from repro.dynamo.vm import (
-    DynamoVM,
-    VMFragment,
-    VMResult,
-    VMStats,
-    run_mini_dynamo,
-)
+from repro.dynamo.vm import DynamoVM, VMFragment, VMResult, VMStats
 
 __all__ = [
     "DEFAULT_CONFIG",
@@ -50,13 +43,11 @@ __all__ = [
     "OptimizedFragment",
     "TraceInstruction",
     "TraceOptimizer",
-    "measure_fragment_speedups",
     "DynamoVM",
     "VMFragment",
     "VMResult",
     "VMStats",
     "measured_fragment_sizes",
-    "run_mini_dynamo",
     "native_cycles",
     "simulate_costs",
 ]

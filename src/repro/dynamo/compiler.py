@@ -21,8 +21,8 @@ Python closure whose body *is* the trace:
 
 Linking is maintained by :class:`CompiledCache`: installing a fragment
 patches every resident completion link and guard-exit stub that targets
-its head (guard-exit retargeting), and eviction/flush unpatches every
-cell that points at the victim so a stale closure can never be entered.
+its head (guard-exit retargeting), and a flush unpatches every link
+cell so a stale closure can never be entered.
 
 Correctness is proven, not assumed: :func:`state_digest` hashes the full
 architectural state (output, registers, memory, call stack) and the test
@@ -327,9 +327,8 @@ class CompiledCache:
     The linking invariant: a completion link cell (``succ_cell``) or a
     static guard-exit cell holds a :class:`CompiledFragment` *iff* that
     fragment is currently resident at the cell's target pc.  Installing
-    patches, evicting and flushing unpatch — closures consult only their
-    cells, so the invariant is what makes dispatcher-free transfers
-    safe.
+    patches and flushing unpatches — closures consult only their cells,
+    so the invariant is what makes dispatcher-free transfers safe.
     """
 
     def __init__(self):
@@ -338,7 +337,7 @@ class CompiledCache:
         self.compiles = 0
         #: Link cells patched to a resident fragment.
         self.link_patches = 0
-        #: Link cells cleared on flush/eviction.
+        #: Link cells cleared on flush or on replacing a resident head.
         self.link_unpatches = 0
 
     # ------------------------------------------------------------------
@@ -395,15 +394,6 @@ class CompiledCache:
                 if exit_pc == head and cell[0] is None:
                     cell[0] = compiled
                     self.link_patches += 1
-
-    def evict(self, head_pc: int) -> CompiledFragment | None:
-        """Remove one fragment, unpatching every link that targets it."""
-        compiled = self._resident.pop(head_pc, None)
-        if compiled is None:
-            return None
-        self._unlink_references_to(compiled)
-        self._unlink_outgoing(compiled)
-        return compiled
 
     def flush(self) -> None:
         """Drop everything, clearing every link cell first."""

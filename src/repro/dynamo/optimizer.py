@@ -229,10 +229,3 @@ class TraceOptimizer:
                 needed.discard(writes)
             needed.update(reads)
 
-
-def measure_fragment_speedups(
-    program: AssembledProgram, paths: list[Path]
-) -> dict[tuple[int, ...], OptimizedFragment]:
-    """Optimize every path; keyed by block sequence."""
-    optimizer = TraceOptimizer(program)
-    return {path.blocks: optimizer.optimize(path) for path in paths}

@@ -80,14 +80,6 @@ class DynamoRun:
             return 0.0
         return 100.0 * (self.native_cycles / self.dynamo_cycles - 1.0)
 
-    @property
-    def cached_flow_fraction(self) -> float:
-        """Fraction of cycles spent in the fragment cache."""
-        total = self.breakdown.total
-        if total <= 0:
-            return 0.0
-        return self.breakdown.fragment_execution / total
-
     def render(self) -> str:
         """One-line report form."""
         tag = " BAIL-OUT" if self.bailed_out else ""

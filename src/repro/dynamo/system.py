@@ -17,11 +17,7 @@ from repro.dynamo.costmodel import native_cycles, simulate_costs
 from repro.dynamo.flush import PredictionRateMonitor
 from repro.dynamo.fragment import Fragment, FragmentCache
 from repro.dynamo.stats import CycleBreakdown, DynamoRun
-from repro.dynamo.vm import (
-    DEFAULT_MAX_TRACE_INSTRUCTIONS,
-    DynamoVM,
-    VMResult,
-)
+from repro.dynamo.vm import DynamoVM, VMResult
 from repro.errors import DynamoError
 from repro.isa.assembler import AssembledProgram
 from repro.obs.core import Registry, get_registry
@@ -71,8 +67,6 @@ class DynamoSystem:
         memory: list[int] | None = None,
         scheme: str = "net",
         delay: int = 50,
-        tier: str | None = None,
-        max_trace_instructions: int = DEFAULT_MAX_TRACE_INSTRUCTIONS,
         max_steps: int = 10_000_000,
     ) -> VMResult:
         """Execute a real ISA program under the miniature Dynamo.
@@ -81,18 +75,17 @@ class DynamoSystem:
         trace, this actually runs ``program`` through
         :class:`~repro.dynamo.vm.DynamoVM`.  The fragment-cache budget
         and the execution tier come from this system's
-        :class:`DynamoConfig` (``tier=`` overrides the config per
-        call), and the VM's accounting lands under ``dynamo.vm.*``.
+        :class:`DynamoConfig`, and the VM's accounting lands under
+        ``dynamo.vm.*``.
         """
         vm = DynamoVM(
             program,
             delay=delay,
             scheme=scheme,
-            max_trace_instructions=max_trace_instructions,
             cache_budget_instructions=(
                 self.config.cache_budget_instructions
             ),
-            tier=tier if tier is not None else self.config.tier,
+            tier=self.config.tier,
             obs=self._obs,
         )
         if memory:

@@ -132,27 +132,6 @@ class VMStats:
     link_patches: int = 0
     link_unpatches: int = 0
 
-    def cycles(self, config: DynamoConfig) -> float:
-        """Dynamo cycles under the shared cost model."""
-        return (
-            self.interpreted_instructions * config.interp_per_instr
-            + self.fragment_instructions
-            * config.native_per_instr
-            * config.fragment_speedup
-            + self.counter_bumps * config.counter_cost
-            + self.shift_ops * config.bit_cost
-            + self.table_ops * config.table_cost
-            + self.recorded_instructions
-            * (config.select_per_instr + config.emit_per_instr)
-            + self.fragment_entries * config.dispatch_cost
-            + self.flushes * config.flush_penalty
-        )
-
-    def native_cycles(self, config: DynamoConfig) -> float:
-        """What the same instruction stream costs natively."""
-        total = self.interpreted_instructions + self.fragment_instructions
-        return total * config.native_per_instr
-
     @property
     def cached_fraction(self) -> float:
         """Share of instructions executed inside fragments."""
@@ -201,13 +180,6 @@ class VMResult:
     checkpoints: list[tuple[int, int, int, int]] = field(
         default_factory=list
     )
-
-    def speedup_percent(self, config: DynamoConfig = DEFAULT_CONFIG) -> float:
-        """Raw short-run speedup over native (warm-up included)."""
-        dynamo = self.stats.cycles(config)
-        if dynamo <= 0:
-            return 0.0
-        return 100.0 * (self.stats.native_cycles(config) / dynamo - 1.0)
 
     def steady_rate(self, config: DynamoConfig = DEFAULT_CONFIG) -> float:
         """Warm Dynamo cycles per native cycle, from the run's tail.
@@ -731,30 +703,3 @@ class DynamoVM:
             created_at_step=at_step,
         )
 
-
-def run_mini_dynamo(
-    program: AssembledProgram,
-    memory: list[int] | None = None,
-    delay: int = 50,
-    max_steps: int = 10_000_000,
-    config: DynamoConfig = DEFAULT_CONFIG,
-    obs: Registry | None = None,
-    tier: str | None = None,
-    scheme: str = "net",
-) -> VMResult:
-    """Convenience wrapper: run ``program`` under the miniature Dynamo.
-
-    The execution tier defaults to ``config.tier``; pass ``tier=`` to
-    override per call.
-    """
-    vm = DynamoVM(
-        program,
-        delay=delay,
-        scheme=scheme,
-        cache_budget_instructions=config.cache_budget_instructions,
-        tier=tier if tier is not None else config.tier,
-        obs=obs,
-    )
-    if memory:
-        vm.load_memory(memory)
-    return vm.run(max_steps=max_steps)

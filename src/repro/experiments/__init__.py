@@ -1,8 +1,11 @@
 """Experiment drivers: one module per paper table/figure.
 
-``run_experiment("table1")`` … ``run_experiment("figure5")`` regenerate
-the paper's evaluation artifacts; ``claims`` recomputes the §5.1 headline
-numbers and ``phases`` runs the §6.1 phase-change study.
+``run_targets`` builds the paper's evaluation artifacts (``table1`` …
+``figure5``, the §5.1 headline ``claims`` and the §6.1 ``phases``
+study) through the incremental artifact graph.  ``run_experiment``
+recomputes one of them from scratch: it serves ``repro run
+--no-cache`` and is the reference the graph equivalence tests compare
+against.
 """
 
 from repro.experiments.claims import (
@@ -25,7 +28,7 @@ from repro.experiments.figure2 import (
     build_figure2,
     render_figure2,
 )
-from repro.experiments.figure3 import build_figure3, render_figure3
+from repro.experiments.figure3 import render_figure3
 from repro.experiments.figure4 import Figure4Bar, build_figure4, render_figure4
 from repro.experiments.figure5 import (
     FIGURE5_DELAYS,
@@ -87,7 +90,6 @@ __all__ = [
     "bail_out_report",
     "benchmark_traces",
     "build_figure2",
-    "build_figure3",
     "build_figure4",
     "build_figure5",
     "build_table1",

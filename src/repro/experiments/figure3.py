@@ -7,36 +7,9 @@ percentage of cold flow inadvertently included in the prediction set
 
 from __future__ import annotations
 
-from repro.experiments.engine import SweepCache
 from repro.experiments.engine.graph import TargetSpec
-from repro.experiments.figure2 import FigureCurves, build_figure2, render_panel
-from repro.obs.core import Registry
-from repro.resilience import RetryPolicy
-from repro.trace.recorder import PathTrace
+from repro.experiments.figure2 import FigureCurves, render_panel
 from repro.workloads.spec import BENCHMARK_ORDER
-
-
-def build_figure3(
-    traces: dict[str, PathTrace] | None = None,
-    flow_scale: float = 1.0,
-    workers: int = 0,
-    cache: SweepCache | None = None,
-    obs: Registry | None = None,
-    resilience: RetryPolicy | None = None,
-) -> FigureCurves:
-    """Figure 3 shares Figure 2's sweep; build (or reuse) it.
-
-    With a shared ``cache``, rebuilding Figure 3 right after Figure 2
-    performs zero trace replays — every cell is a cache hit.
-    """
-    return build_figure2(
-        traces=traces,
-        flow_scale=flow_scale,
-        workers=workers,
-        cache=cache,
-        obs=obs,
-        resilience=resilience,
-    )
 
 
 def render_figure3(curves: FigureCurves) -> str:

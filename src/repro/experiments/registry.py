@@ -1,9 +1,10 @@
 """Experiment registry: one entry per paper table/figure.
 
 ``run_experiment(name)`` regenerates any table or figure and returns its
-text rendering; ``EXPERIMENT_IDS`` lists what is available.  The
-benchmark harness and the examples go through this registry so there is
-exactly one code path per experiment.
+text rendering; ``EXPERIMENT_IDS`` lists what is available.  It serves
+``repro run --no-cache``, where the artifact graph has nowhere to keep
+its state, and it is the from-scratch reference that the graph
+equivalence tests compare every graph-built artifact against.
 
 The registry is *derived* from the target declarations (each experiment
 module's ``TARGET``, collected in :mod:`repro.experiments.targets`):

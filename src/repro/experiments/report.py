@@ -1,7 +1,7 @@
-"""Plain-text rendering of tables and series.
+"""Plain-text rendering of tables.
 
-The benchmark harness prints the same rows and series the paper reports;
-these helpers keep the formatting consistent across experiments.
+The benchmark harness prints the same rows the paper reports; these
+helpers keep the formatting consistent across experiments.
 """
 
 from __future__ import annotations
@@ -42,24 +42,6 @@ def fmt(value: float, digits: int = 1) -> str:
     return f"{value:.{digits}f}"
 
 
-def fmt_pct(value: float, digits: int = 1) -> str:
-    """Format a percentage."""
-    return f"{value:.{digits}f}%"
-
-
 def fmt_signed_pct(value: float, digits: int = 1) -> str:
     """Format a signed percentage (speedups)."""
     return f"{value:+.{digits}f}%"
-
-
-def render_series(
-    name: str,
-    points: Sequence[tuple[float, float]],
-    x_label: str = "x",
-    y_label: str = "y",
-) -> str:
-    """One named (x, y) series as aligned text."""
-    lines = [f"{name}  ({x_label} -> {y_label})"]
-    for x, y in points:
-        lines.append(f"  {x:>10.3f}  {y:>10.3f}")
-    return "\n".join(lines)

@@ -40,11 +40,6 @@ class BranchPredictionStats:
             return 0.0
         return 100.0 * self.correct / self.conditional_branches
 
-    @property
-    def mispredictions(self) -> int:
-        """Mispredicted conditional branches."""
-        return self.conditional_branches - self.correct
-
     def render(self) -> str:
         """One-line report form."""
         return (

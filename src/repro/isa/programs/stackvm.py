@@ -183,22 +183,6 @@ def sum_program(k: int) -> list[int]:
     return code
 
 
-def fib_program(k: int) -> list[int]:
-    """Bytecode computing the k-th Fibonacci number iteratively."""
-    code: list[int] = []
-    code += [OP_PUSH, 0, OP_STORE, 2]          # a = 0
-    code += [OP_PUSH, 1, OP_STORE, 3]          # b = 1
-    code += [OP_PUSH, k, OP_STORE, 4]          # i = k
-    loop_offset = len(code)
-    code += [OP_LOAD, 2, OP_LOAD, 3, OP_ADD, OP_STORE, 5]   # t = a + b
-    code += [OP_LOAD, 3, OP_STORE, 2]                        # a = b
-    code += [OP_LOAD, 5, OP_STORE, 3]                        # b = t
-    code += [OP_LOAD, 4, OP_PUSH, -1, OP_ADD, OP_STORE, 4]   # i -= 1
-    code += [OP_LOAD, 4, OP_JNZ, loop_offset]
-    code += [OP_LOAD, 2, OP_OUT, OP_HALT]
-    return code
-
-
 def make_memory(bytecode: list[int]) -> list[int]:
     """A memory image with ``bytecode`` placed at :data:`BC_BASE`."""
     image = [0] * (BC_BASE + len(bytecode))

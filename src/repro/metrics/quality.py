@@ -49,11 +49,6 @@ class PredictionQuality:
         return self.total_flow - self.hot_flow
 
     @property
-    def num_predicted_cold(self) -> int:
-        """Predictions that fell on cold paths."""
-        return self.num_predicted - self.num_predicted_hot
-
-    @property
     def hit_rate(self) -> float:
         """``HitRate(P) = Hits(P) / freq(HotPath_h) × 100``."""
         if self.hot_flow == 0:
@@ -98,11 +93,6 @@ class PredictionQuality:
         if self.total_flow == 0:
             return 0.0
         return 100.0 * self.profiled_flow / self.total_flow
-
-    @property
-    def predicted_flow_percent(self) -> float:
-        """Predicted flow as a percentage of total flow."""
-        return 100.0 - self.profiled_flow_percent
 
     def render(self) -> str:
         """One-line report form."""

@@ -12,7 +12,7 @@ manifest schema.
   per-worker measurements.
 * :mod:`repro.obs.manifest` — the machine-readable JSON run manifest
   (argv, git revision, wall times, per-phase counters).
-* :mod:`repro.obs.report` — human-facing one-line and block renderings.
+* :mod:`repro.obs.report` — the human-facing one-line summary.
 """
 
 from repro.obs.core import (
@@ -31,7 +31,7 @@ from repro.obs.manifest import (
     git_revision,
     write_manifest,
 )
-from repro.obs.report import render_block, render_summary
+from repro.obs.report import render_summary
 
 __all__ = [
     "MANIFEST_FORMAT",
@@ -45,7 +45,6 @@ __all__ = [
     "build_manifest",
     "get_registry",
     "git_revision",
-    "render_block",
     "render_summary",
     "write_manifest",
 ]

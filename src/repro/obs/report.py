@@ -2,8 +2,7 @@
 
 The JSON manifest (:mod:`repro.obs.manifest`) is the machine interface;
 this module renders the same registry for people: a one-line summary
-suitable for stderr after a CLI run, and a small indented block for
-debugging sessions.
+suitable for stderr after a CLI run.
 """
 
 from __future__ import annotations
@@ -49,37 +48,3 @@ def render_summary(registry: Registry, wall_seconds: float | None = None) -> str
         if len(counters) > 8:
             parts[-1] += f", … ({len(counters) - 8} more)"
     return "metrics: " + (" | ".join(parts) if parts else "nothing recorded")
-
-
-def render_block(registry: Registry) -> str:
-    """A small multi-line rendering of every non-zero instrument."""
-    snapshot = registry.snapshot()
-    lines = []
-    if snapshot["phases"]:
-        lines.append("phases:")
-        for name in snapshot["phases"]:
-            record = snapshot["timers"].get(f"phase.{name}", {})
-            lines.append(
-                f"  {name}: {_fmt_seconds(record.get('total_seconds', 0.0))}"
-            )
-    if snapshot["counters"]:
-        lines.append("counters:")
-        for name, value in snapshot["counters"].items():
-            lines.append(f"  {name}: {value:,}")
-    if snapshot["gauges"]:
-        lines.append("gauges:")
-        for name, value in snapshot["gauges"].items():
-            lines.append(f"  {name}: {value:g}")
-    timers = {
-        name: record
-        for name, record in snapshot["timers"].items()
-        if not name.startswith("phase.")
-    }
-    if timers:
-        lines.append("timers:")
-        for name, record in timers.items():
-            lines.append(
-                f"  {name}: {_fmt_seconds(record['total_seconds'])} "
-                f"over {record['count']:,} observations"
-            )
-    return "\n".join(lines) if lines else "nothing recorded"

@@ -58,7 +58,7 @@ class BallLarusProfiler(Profiler):
         self._started = False
         # Batch-path lookup tables: a dense per-uid "terminator is
         # RETURN" mask, a per-edge-code (increment, is_chord) cache,
-        # and dense virtual-entry/exit increment tables.
+        # and dense virtual-exit increment tables.
         self._return_term: np.ndarray | None = None
         self._edge_cache: dict[int, tuple[int, bool]] = {}
         self._virtual_tables: tuple[np.ndarray, ...] | None = None
@@ -120,32 +120,30 @@ class BallLarusProfiler(Profiler):
             chord[i] = entry[1]
         return inc[inverse], chord[inverse]
 
-    def _virtual_edge_tables(self) -> tuple[np.ndarray, ...]:
-        """Dense per-uid virtual-entry/exit (increment, is_chord) tables."""
+    def _virtual_exit_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense per-uid virtual-exit ``(increment, is_chord)`` tables.
+
+        A path that ends at a backward branch leaves through its
+        source's edge to the virtual exit, which may be a chord.  The
+        next path enters its head through an edge from the virtual
+        entry, which needs no table: the spanning tree keeps every such
+        edge into a loop head, and the only chords out of the virtual
+        entry lead to the entry block of a single-path procedure, with
+        increment 0, where no back edge lands.
+        """
         if self._virtual_tables is None:
             blocks = self._program.blocks
-            n = len(blocks)
-            entry_inc = np.zeros(n, np.int64)
-            entry_chord = np.zeros(n, bool)
-            exit_inc = np.zeros(n, np.int64)
-            exit_chord = np.zeros(n, bool)
+            exit_inc = np.zeros(len(blocks), np.int64)
+            exit_chord = np.zeros(len(blocks), bool)
             for uid, block in enumerate(blocks):
                 numbering = self._numberings[block.proc_name]
-                chords = self._chords[block.proc_name]
-                inc = chords.get((numbering.virtual_entry, uid))
-                if inc is not None:
-                    entry_inc[uid] = inc
-                    entry_chord[uid] = True
-                inc = chords.get((uid, numbering.virtual_exit))
+                inc = self._chords[block.proc_name].get(
+                    (uid, numbering.virtual_exit)
+                )
                 if inc is not None:
                     exit_inc[uid] = inc
                     exit_chord[uid] = True
-            self._virtual_tables = (
-                entry_inc,
-                entry_chord,
-                exit_inc,
-                exit_chord,
-            )
+            self._virtual_tables = (exit_inc, exit_chord)
         return self._virtual_tables
 
     def observe_batch(self, batch: EventBatch) -> None:
@@ -159,8 +157,8 @@ class BallLarusProfiler(Profiler):
         Everything in between — chord accumulation over plain edges and
         the backward-branch path ends of the top activation, whose
         targets start the activation's next path — reduces to
-        prefix-sum differences plus dense virtual-entry/exit lookups,
-        with path counts bumped from a per-span ``np.unique``.
+        prefix-sum differences plus a dense virtual-exit lookup, with
+        path counts bumped from a per-span ``np.unique``.
         """
         n = len(batch)
         if n == 0:
@@ -177,9 +175,7 @@ class BallLarusProfiler(Profiler):
                 bool,
             )
         return_term = self._return_term
-        entry_inc, entry_chord, exit_inc, exit_chord = (
-            self._virtual_edge_tables()
-        )
+        exit_inc, exit_chord = self._virtual_exit_tables()
         special = (
             (dst == HALT_DST)
             | (kind == CODE_CALL)
@@ -217,15 +213,13 @@ class BallLarusProfiler(Profiler):
                 )
                 return
             ends_src = src[cuts]
-            starts_dst = dst[cuts]
             # Path i runs from its start (span entry, or the restart
-            # after cut i-1) to cut i; its register is the start's
-            # entry value plus plain chords plus the virtual exit.
-            entry_part = np.empty(len(cuts), np.int64)
-            entry_part[0] = top[1]
-            entry_part[1:] = entry_inc[starts_dst[:-1]]
+            # after cut i-1) to cut i; its register is the top's value
+            # for path 0 (0 after a restart) plus plain chords plus the
+            # virtual exit.
             base = np.concatenate(([cum_inc[begin]], cum_inc[cuts[:-1]]))
-            regs = entry_part + (cum_inc[cuts] - base) + exit_inc[ends_src]
+            regs = cum_inc[cuts] - base + exit_inc[ends_src]
+            regs[0] += top[1]
             uniq, counts = np.unique(regs, return_counts=True)
             proc_name = top[0]
             self._counters.bump_many(
@@ -234,16 +228,11 @@ class BallLarusProfiler(Profiler):
             )
             last = int(cuts[-1])
             ops = int(cum_chords[last] - cum_chords[begin])
-            ops += int(np.count_nonzero(entry_chord[starts_dst[:-1]]))
             ops += int(np.count_nonzero(exit_chord[ends_src]))
             # Restart after the last cut, then the trailing plain run.
-            restart = int(starts_dst[-1])
-            ops += int(entry_chord[restart])
             ops += int(cum_chords[end] - cum_chords[last + 1])
             self._increment_ops += ops
-            top[1] = int(entry_inc[restart]) + int(
-                cum_inc[end] - cum_inc[last + 1]
-            )
+            top[1] = int(cum_inc[end] - cum_inc[last + 1])
             top[2] = int(dst[end - 1])
 
         pos = 0

@@ -39,10 +39,6 @@ class ProfileReport:
         """Sum over all unit counts."""
         return sum(self.frequencies.values())
 
-    def hottest(self, n: int = 10) -> list[tuple[object, int]]:
-        """The ``n`` most frequent units, descending."""
-        return sorted(self.frequencies.items(), key=lambda kv: -kv[1])[:n]
-
 
 class Profiler(abc.ABC):
     """Base class: feed event batches, then ask for the report."""

@@ -126,19 +126,6 @@ class ChaosReport:
         """Whether every tenant matched the uninterrupted baseline."""
         return not self.mismatched
 
-    def to_dict(self) -> dict:
-        return {
-            "tenants": self.tenants,
-            "steps": self.steps,
-            "faults_fired": [list(f) for f in self.faults_fired],
-            "restarts": self.restarts,
-            "replayed_batches": self.replayed_batches,
-            "duplicates_acked": self.duplicates_acked,
-            "truncated_bytes": self.truncated_bytes,
-            "equivalent": self.equivalent,
-            "mismatched": list(self.mismatched),
-        }
-
 
 # ----------------------------------------------------------------------
 # Fingerprints

@@ -365,13 +365,6 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         raise ServingError(f"unknown opcode {op}")
 
 
-def serve_forever(
-    server: ServingTCPServer, poll_interval: float = 0.5
-) -> None:
-    """Run the accept loop until ``shutdown`` (or KeyboardInterrupt)."""
-    server.serve_forever(poll_interval=poll_interval)
-
-
 def serve_until_drained(
     server: ServingTCPServer,
     drain_timeout: float | None = None,

@@ -222,9 +222,9 @@ class PathTable:
     :meth:`append_rows`.  :meth:`path` materializes a :class:`Path` on
     demand and memoizes it; :meth:`lookup` and :meth:`intern` share a
     signature index built on first use.  Memoized paths, the index and
-    the derived columns are rebuilt on demand and never pickled.
-    Several threads may read a table at once; appending needs a single
-    writer with no concurrent readers.
+    the derived columns are rebuilt on demand.  Several threads may
+    read a table at once; appending needs a single writer with no
+    concurrent readers.
     """
 
     def __init__(self) -> None:
@@ -553,20 +553,3 @@ class PathTable:
             f"{row}:{history:x}" for row, history in sorted(self._wide.items())
         )
         hasher.update(f"wide:{wide}\x00".encode("ascii"))
-
-    # ------------------------------------------------------------------
-    # Pickling
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """The stored columns only; everything else is derived."""
-        columns = self._columns()
-        return {
-            "columns": {key: columns[key] for key in _COLUMNS},
-            "wide": dict(sorted(self._wide.items())),
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__()
-        self._store(state["columns"])
-        self._wide = dict(state["wide"])
-        self._grow(len(state["columns"]["block_counts"]))

@@ -59,29 +59,6 @@ class PathTrace:
         self._cache: dict[str, object] = {}
 
     # ------------------------------------------------------------------
-    # Pickling
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Pickle without the derived-array cache.
-
-        Every cached array is a pure function of the table and the
-        occurrence sequence, so a receiver can always rebuild it.
-        Shipping the cache would silently bloat every pickle by
-        whatever happened to be computed before (freqs, occurrence
-        index, …) — for a warm trace, several times the trace itself.
-        """
-        state = self.__dict__.copy()
-        state["_cache"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Unpickling materializes a fresh, writeable array; restore the
-        # immutability invariant __init__ establishes.
-        self.path_ids.flags.writeable = False
-        self._cache = {}
-
-    # ------------------------------------------------------------------
     # Sizes
     # ------------------------------------------------------------------
     @property
@@ -256,16 +233,6 @@ class PathTrace:
         """A sub-trace sharing the table (used by phase experiments)."""
         return PathTrace(
             self.table, self.path_ids[start:stop], name=f"{self.name}[{start}:{stop}]"
-        )
-
-    def concat(self, other: "PathTrace") -> "PathTrace":
-        """Concatenate two traces that share one table."""
-        if other.table is not self.table:
-            raise TraceError("can only concatenate traces sharing a table")
-        return PathTrace(
-            self.table,
-            np.concatenate([self.path_ids, other.path_ids]),
-            name=f"{self.name}+{other.name}",
         )
 
     def _cached(self, key: str, builder) -> np.ndarray:

@@ -1,17 +1,13 @@
-"""Offline analyses: coverage curves and the edge-vs-path showdown."""
+"""Offline analyses: the edge-vs-path showdown."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import (
-    coverage_curve,
     edge_profile_of,
     edge_vs_path_showdown,
     estimate_path_freqs,
-    oracle_hit_rate,
 )
-from repro.errors import ReproError
-from repro.metrics import hot_path_set
 from repro.trace.path import PathTable
 from repro.trace.recorder import PathTrace
 from tests.conftest import make_path
@@ -24,43 +20,6 @@ def _trace():
     c = make_path(table, 40, "1", (10, 11))
     ids = [a] * 600 + [b] * 300 + [c] * 100
     return PathTrace(table, np.array(ids), name="tri"), (a, b, c)
-
-
-def test_coverage_curve_monotone():
-    trace, _ = _trace()
-    curve = coverage_curve(trace)
-    values = curve.cumulative_percent
-    assert values[0] == pytest.approx(60.0)
-    assert values[-1] == pytest.approx(100.0)
-    assert list(values) == sorted(values)
-
-
-def test_coverage_queries():
-    trace, _ = _trace()
-    curve = coverage_curve(trace)
-    assert curve.coverage_at(2) == pytest.approx(90.0)
-    assert curve.paths_for_coverage(90.0) == 2
-    assert curve.coverage_at(0) == 0.0
-    assert curve.coverage_at(99) == pytest.approx(100.0)
-
-
-def test_coverage_empty_trace_rejected():
-    table = PathTable()
-    make_path(table, 0, "1", (0, 1))
-    with pytest.raises(ReproError):
-        coverage_curve(PathTrace(table, []))
-
-
-def test_oracle_identity_with_hit_rate():
-    """Top-N coverage == zero-delay oracle hit rate (paper §3 analogy)."""
-    trace, _ = _trace()
-    hot = hot_path_set(trace, fraction=0.05)
-    curve = coverage_curve(trace)
-    for n in (1, 2, 3):
-        coverage_flow = curve.coverage_at(n) / 100.0 * trace.flow
-        assert oracle_hit_rate(trace, n, hot.hot_flow) == pytest.approx(
-            100.0 * coverage_flow / hot.hot_flow
-        )
 
 
 def test_edge_profile_weights():

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.cfg import (
-    ProgramBuilder,
     generate_program,
     number_procedure,
     number_program,
-    total_static_paths,
 )
 from repro.errors import CFGError
 
@@ -65,14 +63,3 @@ def test_path_id_rejects_bad_sequences(fig1_program):
     )
     with pytest.raises(CFGError):
         numbering.path_id([0, 1])  # neither starts at entry nor ends at exit
-
-
-def test_total_static_paths_sums_procedures():
-    builder = ProgramBuilder("two")
-    main = builder.procedure("main")
-    main.block("a", size=1).cond(taken="b", fallthrough="c")
-    main.block("b", size=1).fallthrough("d")
-    main.block("c", size=1).fallthrough("d")
-    main.block("d", size=1).halt()
-    program = builder.build()
-    assert total_static_paths(program) == 2  # the diamond's two paths

@@ -6,7 +6,6 @@ from repro.dynamo import (
     DynamoConfig,
     DynamoSystem,
     TraceOptimizer,
-    measure_fragment_speedups,
     measured_fragment_sizes,
 )
 from repro.errors import ReproError
@@ -133,7 +132,10 @@ def test_measured_speedups_on_real_programs():
     program = rle.build()
     events, _ = run_to_completion(program, rle.make_memory(seed=1, size=2000))
     trace = record_path_trace(program.cfg, events)
-    fragments = measure_fragment_speedups(program, trace.table.paths())
+    optimizer = TraceOptimizer(program)
+    fragments = {
+        path.blocks: optimizer.optimize(path) for path in trace.table.paths()
+    }
     assert len(fragments) == trace.num_paths
     for fragment in fragments.values():
         assert 0 < fragment.optimized_instructions

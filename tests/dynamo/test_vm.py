@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dynamo import DynamoVM, run_mini_dynamo
+from repro.dynamo import DynamoSystem, DynamoVM
 from repro.errors import DynamoError, MachineLimitExceeded
 from repro.isa import assemble, run_to_completion
 from repro.isa.programs import ALL_PROGRAMS, propagate, rle, sort, stackvm
@@ -30,7 +30,9 @@ def test_vm_output_equals_native(name):
     else:
         memory = module.make_memory(seed=5)
     program = module.build()
-    result = run_mini_dynamo(program, memory, delay=15, max_steps=60_000_000)
+    result = DynamoSystem().run_vm(
+        program, memory, delay=15, max_steps=60_000_000
+    )
     assert result.output == _native_output(program, memory), name
 
 
@@ -38,7 +40,7 @@ def test_vm_output_equals_native(name):
 def test_vm_correct_across_delays(delay):
     memory = sort.make_memory(seed=2, size=200)
     program = sort.build()
-    result = run_mini_dynamo(
+    result = DynamoSystem().run_vm(
         program, memory, delay=delay, max_steps=60_000_000
     )
     assert result.output == _native_output(program, memory)
@@ -47,7 +49,7 @@ def test_vm_correct_across_delays(delay):
 def test_vm_builds_fragments_and_caches_execution():
     memory = rle.make_memory(seed=3, size=8000)
     program = rle.build()
-    result = run_mini_dynamo(program, memory, delay=10)
+    result = DynamoSystem().run_vm(program, memory, delay=10)
     assert result.stats.fragments_built >= 2
     assert result.stats.cached_fraction > 0.9
     assert result.stats.linked_transfers > 0
@@ -56,7 +58,7 @@ def test_vm_builds_fragments_and_caches_execution():
 def test_vm_high_delay_stays_interpreted():
     memory = rle.make_memory(seed=3, size=300)
     program = rle.build()
-    result = run_mini_dynamo(program, memory, delay=10**6)
+    result = DynamoSystem().run_vm(program, memory, delay=10**6)
     assert result.stats.fragments_built == 0
     assert result.stats.cached_fraction == 0.0
     assert result.output == _native_output(program, memory)
@@ -68,7 +70,9 @@ def test_vm_guard_exits_spawn_secondary_fragments():
     bytecode = stackvm.sum_program(800)
     memory = stackvm.make_memory(bytecode)
     program = stackvm.build()
-    result = run_mini_dynamo(program, memory, delay=10, max_steps=60_000_000)
+    result = DynamoSystem().run_vm(
+        program, memory, delay=10, max_steps=60_000_000
+    )
     assert result.stats.guard_exits > 0
     assert result.stats.fragments_built >= 3
     assert result.output == _native_output(program, memory)
@@ -77,7 +81,9 @@ def test_vm_guard_exits_spawn_secondary_fragments():
 def test_vm_steady_state_speedup_positive():
     memory = propagate.make_memory(seed=3, sweeps=120)
     program = propagate.build()
-    result = run_mini_dynamo(program, memory, delay=20, max_steps=60_000_000)
+    result = DynamoSystem().run_vm(
+        program, memory, delay=20, max_steps=60_000_000
+    )
     assert result.steady_speedup_percent() > 5.0
     assert 0 < result.steady_rate() < 1.0
 
@@ -113,7 +119,7 @@ test:
 .endproc
 """
     program = assemble(source)
-    result = run_mini_dynamo(program, delay=10)
+    result = DynamoSystem().run_vm(program, delay=10)
     assert result.fragments
     fragment = next(iter(result.fragments.values()))
     # The on-trace jmp disappeared; the loop branch became a guard.
@@ -135,7 +141,7 @@ loop:
 .endproc
 """
     program = assemble(source)
-    result = run_mini_dynamo(program, delay=10)
+    result = DynamoSystem().run_vm(program, delay=10)
     fragment = next(iter(result.fragments.values()))
     li_count = sum(
         1

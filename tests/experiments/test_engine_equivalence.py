@@ -13,7 +13,6 @@ import pytest
 
 from repro.experiments import (
     build_figure2,
-    build_figure3,
     render_figure2,
     render_figure3,
     run_sweep,
@@ -82,13 +81,6 @@ def test_figure2_and_figure3_renders_byte_identical(all_small_traces):
     )
     assert render_figure2(parallel) == render_figure2(serial)
     assert render_figure3(parallel) == render_figure3(serial)
-
-
-def test_figure3_defaults_match_figure2_defaults(all_small_traces):
-    """build_figure3 shares build_figure2's sweep, engine kwargs included."""
-    fig2 = build_figure2(traces=all_small_traces, workers=WORKERS)
-    fig3 = build_figure3(traces=all_small_traces, workers=WORKERS)
-    assert fig3.points == fig2.points
 
 
 def test_cached_rerun_identical_and_replay_free(

@@ -2,9 +2,7 @@
 
 from repro.experiments.report import (
     fmt,
-    fmt_pct,
     fmt_signed_pct,
-    render_series,
     render_table,
 )
 
@@ -31,14 +29,5 @@ def test_render_table_without_title():
 
 def test_fmt_helpers():
     assert fmt(3.14159, 2) == "3.14"
-    assert fmt_pct(50.0) == "50.0%"
     assert fmt_signed_pct(1.25) == "+1.2%"
     assert fmt_signed_pct(-1.25) == "-1.2%"
-
-
-def test_render_series():
-    text = render_series("s", [(1.0, 2.0), (3.0, 4.0)], "x", "y")
-    lines = text.splitlines()
-    assert lines[0].startswith("s")
-    assert "x -> y" in lines[0]
-    assert len(lines) == 3

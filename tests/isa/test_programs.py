@@ -4,6 +4,15 @@ import pytest
 
 from repro.isa import run_to_completion
 from repro.isa.programs import matmul, propagate, rle, sort, stackvm
+from repro.isa.programs.stackvm import (
+    OP_ADD,
+    OP_HALT,
+    OP_JNZ,
+    OP_LOAD,
+    OP_OUT,
+    OP_PUSH,
+    OP_STORE,
+)
 from repro.trace.batch import CODE_INDIRECT
 
 
@@ -40,9 +49,25 @@ def test_stackvm_sum(k):
     assert stackvm.reference(bytecode) == [k * (k + 1) // 2]
 
 
+def _fib_program(k: int) -> list[int]:
+    """Bytecode computing the k-th Fibonacci number iteratively."""
+    code: list[int] = []
+    code += [OP_PUSH, 0, OP_STORE, 2]          # a = 0
+    code += [OP_PUSH, 1, OP_STORE, 3]          # b = 1
+    code += [OP_PUSH, k, OP_STORE, 4]          # i = k
+    loop_offset = len(code)
+    code += [OP_LOAD, 2, OP_LOAD, 3, OP_ADD, OP_STORE, 5]   # t = a + b
+    code += [OP_LOAD, 3, OP_STORE, 2]                        # a = b
+    code += [OP_LOAD, 5, OP_STORE, 3]                        # b = t
+    code += [OP_LOAD, 4, OP_PUSH, -1, OP_ADD, OP_STORE, 4]   # i -= 1
+    code += [OP_LOAD, 4, OP_JNZ, loop_offset]
+    code += [OP_LOAD, 2, OP_OUT, OP_HALT]
+    return code
+
+
 @pytest.mark.parametrize("k", [1, 2, 30])
 def test_stackvm_fib(k):
-    bytecode = stackvm.fib_program(k)
+    bytecode = _fib_program(k)
     expected = stackvm.reference(bytecode)
     _check(stackvm.build(), stackvm.make_memory(bytecode), expected)
 

@@ -9,7 +9,6 @@ from repro.obs import (
     Registry,
     RunRecorder,
     build_manifest,
-    render_block,
     render_summary,
     write_manifest,
 )
@@ -85,10 +84,3 @@ def test_render_summary_is_one_line():
 
 def test_render_summary_empty_registry():
     assert render_summary(Registry()) == "metrics: nothing recorded"
-
-
-def test_render_block_lists_sections():
-    text = render_block(_instrumented_registry())
-    assert "counters:" in text
-    assert "sweep.cache.hits: 300" in text
-    assert "timers:" in text

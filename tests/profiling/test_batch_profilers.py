@@ -8,10 +8,13 @@ counter space, same operation counts — for any chunking of the stream,
 including one-event batches mixed with bulk ones.
 """
 
+import numpy as np
 import pytest
 
-from repro.cfg import generate_program, procedure_loops
+from repro.cfg import generate_program, number_program, procedure_loops
 from repro.experiments.engine.cache import trace_digest
+from repro.isa import run_to_completion
+from repro.isa.programs import ALL_PROGRAMS, demo_memory
 from repro.profiling import (
     BallLarusProfiler,
     BitTracingProfiler,
@@ -28,6 +31,7 @@ from repro.trace import (
     TripCountOracle,
     record_path_trace,
 )
+from repro.trace.batch import CODE_CALL, CODE_RETURN
 from tests.profiling.profiler_oracle import SCALAR, scalar_report
 from tests.trace.event_oracle import segment_paths, walk_events
 
@@ -175,6 +179,56 @@ def test_overhead_workload_matches_oracles():
         for size in (613, 3):
             chunks = _chunks(events, size)
             assert _profiler(name, program).run(chunks) == scalar, name
+
+
+def _isa_stream(name):
+    """A bundled ISA program's ``run_batched`` stream of a few thousand
+    events (matmul's size knob is coarse, so it runs at a larger
+    scale)."""
+    assembled = ALL_PROGRAMS[name].build()
+    scale = 0.2 if name == "matmul" else 0.05
+    events, _ = run_to_completion(assembled, demo_memory(name, scale))
+    return assembled.cfg, events
+
+
+def _nonzero_exit_chord_sources(program):
+    """Blocks whose edge to the virtual exit is a chord with a nonzero
+    increment."""
+    sources = set()
+    for numbering in number_program(program).values():
+        chords = set(numbering.chord_indices)
+        for edge in numbering.edges:
+            if (
+                edge.index in chords
+                and edge.dst == numbering.virtual_exit
+                and numbering.increments[edge.index]
+            ):
+                sources.add(edge.src)
+    return sorted(sources)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_PROGRAMS))
+def test_ball_larus_isa_streams_equal_scalar_reports(name):
+    """A path that ends at a backward branch leaves through its tail's
+    edge to the virtual exit.  In every ISA program some of those edges
+    are chords with nonzero increments, so the batch path's virtual-exit
+    terms change the counted path ids; the stream must end paths there
+    for this check to cover them."""
+    program, events = _isa_stream(name)
+    path_ends = (
+        events.backward
+        & (events.kind != CODE_CALL)
+        & (events.kind != CODE_RETURN)
+    )
+    tails = _nonzero_exit_chord_sources(program)
+    assert np.isin(events.src[path_ends], tails).any()
+    scalar = scalar_report(
+        _profiler("ball-larus", program, scalar=True), events
+    )
+    assert _profiler("ball-larus", program).run(events) == scalar
+    for size in (613, 3):
+        chunks = iter(_chunks(events, size))
+        assert _profiler("ball-larus", program).run(chunks) == scalar
 
 
 def test_bit_tracing_batch_ignores_events_after_halt(stream):

@@ -89,18 +89,6 @@ def test_no_faults_is_a_clean_durable_run(tmp_path):
     assert report.faults_fired == ()
 
 
-def test_report_to_dict_is_json_shaped(tmp_path):
-    steps = schedule_steps(_CONFIG)
-    config = _with_plan(plan(FaultSpec(kind="interrupt", batch=steps // 3)))
-    report = run_chaos(config, tmp_path)
-    payload = report.to_dict()
-    assert payload["equivalent"] is True
-    assert payload["tenants"] == config.num_tenants
-    assert payload["faults_fired"] == [["interrupt", steps // 3]]
-    assert payload["mismatched"] == []
-    assert len(report.fingerprints) == config.num_tenants
-
-
 def test_unknown_fault_kind_rejected(tmp_path):
     with pytest.raises(Exception, match="pool_break"):
         run_chaos(

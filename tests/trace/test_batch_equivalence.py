@@ -33,6 +33,7 @@ from repro.trace import (
     TripCountOracle,
     record_path_trace,
 )
+from repro.trace.batch import CODE_CALL, CODE_RETURN
 from tests.trace.event_oracle import (
     machine_events,
     segment_paths,
@@ -159,3 +160,35 @@ def test_extract_batch_occurrences_match_scalar(fig1_program):
     ids = extractor.extract_batch_ids(events)
     assert ids.tolist() == scalar.path_ids.tolist()
     assert extractor.table.paths() == scalar.table.paths()
+
+
+def test_forward_return_cut_in_a_client_stream():
+    """The return cut — a forward return closing a call made inside the
+    path — on a whole stream.  A program's own streams never fire it:
+    inside a path every transfer goes to a higher address, so the return
+    that closes an in-path call is backward.  A serving client's stream
+    can, because ``decode_batch`` only range-checks the ``kind`` and
+    ``backward`` columns.  Here the forward call at event 177 returns at
+    event 182 with no cut in between; clearing that return's backward
+    bit turns its hard cut into a return cut.  Chunks of 7 and 1 carry
+    the call into the batch that holds the return."""
+    program = generate_program(seed=0, num_procedures=3)
+    trip_counts = {}
+    for name in program.procedures:
+        for header in procedure_loops(program, name).headers:
+            trip_counts[header] = 4
+    oracle = TripCountOracle(RandomOracle(0, default_bias=0.5), trip_counts)
+    events = walk_events(program, oracle, 500_000)
+    assert events.kind[177] == CODE_CALL and not events.backward[177]
+    assert events.kind[182] == CODE_RETURN and events.backward[182]
+    assert not events.backward[178:182].any()
+
+    backward = events.backward.copy()
+    backward[182] = False
+    client = EventBatch(events.src, events.dst, events.kind, backward)
+    expected = trace_digest(segment_paths(program, client))
+    assert expected != trace_digest(segment_paths(program, events))
+    assert trace_digest(record_path_trace(program, client)) == expected
+    for size in (613, 7, 1):
+        chunks = iter(_chunks(client, size))
+        assert trace_digest(record_path_trace(program, chunks)) == expected

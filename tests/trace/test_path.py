@@ -191,8 +191,6 @@ def test_append_rows_rejects_a_signature_already_interned(indirect_targets):
 
 
 def test_interned_and_appended_rows_share_one_id_space():
-    import pickle
-
     table = PathTable()
     wide = PathSignature.from_bits(8, "1" + "0" * 99, indirect_targets=(4,))
     interned = Path(
@@ -208,9 +206,6 @@ def test_interned_and_appended_rows_share_one_id_space():
     assert _append_two(table).tolist() == [1, 2]
     assert table.intern(table.path(2)) == 2
     assert table.static_columns()["start_uids"].tolist() == [5, 0, 10]
-    restored = pickle.loads(pickle.dumps(table))
-    assert restored.paths() == table.paths()
-    assert restored.path(0).signature == wide
 
 
 def test_racing_first_reads_store_each_interned_row_once():

