@@ -503,6 +503,21 @@ def _retries_type(text: str) -> int:
     return value
 
 
+def _program_type(name: str) -> str:
+    """Parse one ``minidynamo`` program name.
+
+    Checked here, not with ``choices``: argparse on Python 3.11 checks
+    an empty ``nargs="*"`` list against ``choices`` as one value and
+    rejects it.
+    """
+    if name not in ALL_PROGRAMS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from "
+            f"{', '.join(sorted(ALL_PROGRAMS))})"
+        )
+    return name
+
+
 def _workers_type(text: str) -> int:
     """Parse ``--workers``, rejecting negative pool sizes at parse time.
 
@@ -655,8 +670,10 @@ def build_parser() -> argparse.ArgumentParser:
     minidynamo.add_argument(
         "programs",
         nargs="*",
-        choices=sorted(ALL_PROGRAMS),
-        help="programs to run (default: all)",
+        type=_program_type,
+        metavar="PROGRAM",
+        help=f"programs to run: {', '.join(sorted(ALL_PROGRAMS))} "
+        "(default: all)",
     )
     minidynamo.add_argument(
         "--tier",

@@ -15,9 +15,15 @@ Python closure whose body *is* the trace:
 * guards are straightened into early-``return`` exit stubs that carry
   their (statically known, where possible) exit pc;
 * a fragment whose final target is its own head spins inside the closure
-  — the superblock back-edge never re-enters the dispatcher — and
-  completed fragments hand the dispatcher a *direct reference* to their
-  successor's closure through patched link cells.
+  — the superblock back-edge never leaves it;
+* every exit returns its successor's closure, read from a patched link
+  cell or, for an indirect jump, call or return, looked up in the
+  resident map, so :class:`~repro.dynamo.vm.DynamoVM` moves from one
+  fragment to the next with a single call;
+* every exit counts itself in the closure's own cells, so no per-pass
+  bookkeeping runs between two linked fragments: the VM derives its
+  totals from these counters when it needs them
+  (:meth:`CompiledFragment.tally`).
 
 Linking is maintained by :class:`CompiledCache`: installing a fragment
 patches every resident completion link and guard-exit stub that targets
@@ -40,17 +46,11 @@ from repro.errors import DynamoError, MachineError
 from repro.isa.instructions import Op
 
 __all__ = [
-    "EXIT_LOOKUP",
     "CompiledCache",
     "CompiledFragment",
     "compile_fragment",
     "state_digest",
 ]
-
-#: Sentinel returned as the ``linked`` slot of a dynamic guard exit
-#: (indirect jump / call / return targets are only known at run time, so
-#: the dispatcher must consult the cache instead of a patched cell).
-EXIT_LOOKUP = object()
 
 #: Comparison source for each branch op, and its negation (used to turn
 #: an expected-taken guard into a straightened early-exit test).
@@ -93,20 +93,18 @@ def _zero_fault(what: str, pc: int) -> None:
 class CompiledFragment:
     """One fragment compiled to a specialized closure.
 
-    ``fn(fuel)`` executes the fragment body (looping internally over its
-    own back-edge while ``fuel`` instruction-steps remain) and returns
-    ``(linked, exit_pc, completed, executed, iters)``:
+    ``fn(fuel)`` runs body passes and returns ``(successor, fuel)``.
+    *Fuel* is the number of steps left before the VM's next checkpoint
+    or its step limit; every pass spends the full fragment size, even
+    one that leaves at an early guard.  A self-linked superblock loops
+    while fuel remains.  ``successor`` is the resident
+    :class:`CompiledFragment` at the taken exit, or ``None`` when the
+    exit is cold or the pass halts; then the closure has recorded the
+    exit in :attr:`CompiledCache.last_exit`.
 
-    * ``linked`` — the successor :class:`CompiledFragment` patched into
-      the taken exit's link cell, ``None`` when the exit is cold, or
-      :data:`EXIT_LOOKUP` when the exit target is dynamic;
-    * ``exit_pc`` — where interpretation resumes (``None`` on halt);
-    * ``completed`` — True when every guard passed and execution reached
-      the fragment's final target;
-    * ``executed`` — instruction-steps actually executed (partial bodies
-      stop at their failing guard);
-    * ``iters`` — body passes taken inside the closure (> 1 only for a
-      self-linked superblock).
+    Each pass adds one to the counter of the exit it takes, a cell of
+    the closure: one counter for completions (a superblock's back-edge
+    passes among them), one per guard exit and one per halt.
     """
 
     __slots__ = (
@@ -120,10 +118,12 @@ class CompiledFragment:
         "loop_cell",
         "static_exits",
         "source",
+        "_completed",
+        "_exits",
     )
 
     def __init__(self, fragment, fn, succ_cell, loop_cell, static_exits,
-                 n_guard_conds, source):
+                 n_guard_conds, source, exits):
         self.fragment = fragment
         self.head_pc = fragment.head_pc
         self.final_target = fragment.final_target
@@ -134,22 +134,61 @@ class CompiledFragment:
         self.loop_cell = loop_cell
         self.static_exits = static_exits
         self.source = source
+        cells = dict(zip(fn.__code__.co_freevars, fn.__closure__))
+        self._completed = cells["completed"]
+        #: (counter cell, steps executed at the exit, whether it halts).
+        self._exits = [
+            (cells[name], done, halts) for name, done, halts in exits
+        ]
+
+    def tally(self) -> int:
+        """Copy the exit counters into :attr:`fragment`'s counts.
+
+        Returns the instructions those passes executed: the whole body
+        for a completion, the steps up to the exit for a guard exit or a
+        halt.
+        """
+        completions = self._completed.cell_contents
+        instructions = completions * self.num_instructions
+        guard_exits = halts = 0
+        for cell, done, halt in self._exits:
+            taken = cell.cell_contents
+            instructions += taken * done
+            if halt:
+                halts += taken
+            else:
+                guard_exits += taken
+        fragment = self.fragment
+        fragment.executions = completions + guard_exits + halts
+        fragment.completions = completions
+        fragment.guard_exits = guard_exits
+        return instructions
 
 
-def compile_fragment(machine, fragment) -> CompiledFragment:
+def compile_fragment(machine, fragment, cache) -> CompiledFragment:
     """Compile a recorded :class:`~repro.dynamo.vm.VMFragment`.
 
     The generated closure captures the machine's register list, memory
     list, call stack and output buffer as cells (all four are grown in
     place by the machine, never replaced, so the references stay valid
-    for the life of the run) plus one link cell per static exit.
+    for the life of the run), one link cell per static exit, and
+    ``cache``'s resident map and exit record (:class:`CompiledCache`),
+    where it looks up dynamic exits and records where it leaves.
     """
     state = machine.state
     lines: list[str] = []
     emit = lines.append
     static_exits: list[tuple[int, list]] = []
+    #: (counter name, steps executed at the exit, whether it halts).
+    exits: list[tuple[str, int, bool]] = []
     n_guard_conds = 0
     n = fragment.num_instructions
+
+    def exit_stub(done, successor, halts=False, pad=" " * 12) -> None:
+        name = f"exit{len(exits)}"
+        exits.append((name, done, halts))
+        emit(f"{pad}{name} += 1")
+        emit(f"{pad}return {successor}, fuel")
 
     for index, step in enumerate(fragment.steps):
         instr = step.instruction
@@ -170,10 +209,7 @@ def compile_fragment(machine, fragment) -> CompiledFragment:
                 cmp_src = _CMP[op]
             static_exits.append((exit_pc, cell))
             emit(f"        if r[{instr.rs}] {cmp_src} r[{instr.rt}]:")
-            emit(
-                f"            return ({name}[0], {exit_pc}, False, "
-                f"executed + {done}, iters)"
-            )
+            exit_stub(done, f"{name}[0] or leave({exit_pc}, True)")
         elif step.kind == "guard_target":
             what = "jr" if op is Op.JR else "callr"
             emit(f"        t = r[{instr.rs}]")
@@ -183,61 +219,45 @@ def compile_fragment(machine, fragment) -> CompiledFragment:
                 emit("        else:")
                 emit(f"            check_leader(t, {what!r})")
                 emit(f"            push({step.pc + 1})")
-                emit(
-                    f"            return (LOOKUP, t, False, "
-                    f"executed + {done}, iters)"
-                )
             else:
                 emit(f"        if t != {step.expected_target}:")
                 emit(f"            check_leader(t, {what!r})")
-                emit(
-                    f"            return (LOOKUP, t, False, "
-                    f"executed + {done}, iters)"
-                )
+            exit_stub(done, "lookup(t) or leave(t, True)")
         elif step.kind == "guard_ret":
             emit("        if not stack:")
-            emit(
-                f"            return (None, None, False, "
-                f"executed + {done}, iters)"
-            )
+            exit_stub(done, "leave(None, False)", halts=True)
             emit("        t = pop()")
             emit(f"        if t != {step.expected_target}:")
-            emit(
-                f"            return (LOOKUP, t, False, "
-                f"executed + {done}, iters)"
-            )
+            exit_stub(done, "lookup(t) or leave(t, True)")
         elif step.kind == "halt":
-            emit(
-                f"        return (None, None, False, "
-                f"executed + {done}, iters)"
-            )
+            exit_stub(done, "leave(None, False)", halts=True, pad=" " * 8)
         else:  # pragma: no cover - _compile only emits the kinds above
             raise DynamoError(f"cannot compile step kind {step.kind!r}")
 
-    body = "\n".join(lines)
+    counters = ["completed"] + [name for name, _, _ in exits]
     params = [
         "r", "mem", "stack", "push", "pop", "out", "check_leader",
-        "ld_slow", "st_slow", "zero_fault", "LOOKUP", "LOOP", "SUCC",
-        "_len",
+        "ld_slow", "st_slow", "zero_fault", "lookup", "leave", "LOOP",
+        "SUCC", "_len",
     ] + [f"X{i}" for i in range(len(static_exits))]
+    # The body is generated at 8-space depth; re-indent it.
+    body = "\n".join("    " + line if line.strip() else line
+                     for line in lines)
     source = (
         f"def _make({', '.join(params)}):\n"
+        f"    {' = '.join(counters)} = 0\n"
         f"    def _fragment(fuel):\n"
-        f"        executed = 0\n"
-        f"        iters = 0\n"
+        f"        nonlocal {', '.join(counters)}\n"
         f"        while True:\n"
-        f"            iters += 1\n"
-        # The while-body below is generated at 8-space depth; re-indent.
-        + "\n".join("    " + line if line.strip() else line
-                    for line in body.splitlines())
-        + "\n"
-        f"            executed += {n}\n"
+        f"            fuel -= {n}\n"
+        f"{body}\n"
+        f"            completed += 1\n"
         # Superblock back-edge: a self-linked fragment loops without
-        # returning while the step budget allows another full pass.
-        f"            if LOOP[0] and executed < fuel:\n"
+        # returning while fuel allows another pass.
+        f"            if LOOP[0] and fuel > 0:\n"
         f"                continue\n"
-        f"            return (SUCC[0], {fragment.final_target}, True, "
-        f"executed, iters)\n"
+        f"            return SUCC[0] or leave({fragment.final_target}, "
+        f"False), fuel\n"
         f"    return _fragment\n"
     )
     namespace: dict = {}
@@ -266,7 +286,8 @@ def compile_fragment(machine, fragment) -> CompiledFragment:
         ld_slow,
         st_slow,
         _zero_fault,
-        EXIT_LOOKUP,
+        cache._resident.get,
+        cache.leave,
         loop_cell,
         succ_cell,
         len,
@@ -274,7 +295,7 @@ def compile_fragment(machine, fragment) -> CompiledFragment:
     fn = namespace["_make"](*args)
     return CompiledFragment(
         fragment, fn, succ_cell, loop_cell, static_exits, n_guard_conds,
-        source,
+        source, exits,
     )
 
 
@@ -327,12 +348,17 @@ class CompiledCache:
     The linking invariant: a completion link cell (``succ_cell``) or a
     static guard-exit cell holds a :class:`CompiledFragment` *iff* that
     fragment is currently resident at the cell's target pc.  Installing
-    patches and flushing unpatches — closures consult only their cells,
-    so the invariant is what makes dispatcher-free transfers safe.
+    patches and flushing unpatches — closures follow their cells without
+    checking them, so the invariant is what makes dispatcher-free
+    transfers safe.  Dynamic exits look their target up in the resident
+    map instead.
     """
 
     def __init__(self):
         self._resident: dict[int, CompiledFragment] = {}
+        #: Where control last left the cache: the exit pc (``None`` for
+        #: a halt) and whether a guard exit, not a completion, took it.
+        self.last_exit: tuple[int | None, bool] = (None, False)
         #: Closures built over the cache's lifetime (survives flushes).
         self.compiles = 0
         #: Link cells patched to a resident fragment.
@@ -354,6 +380,14 @@ class CompiledCache:
     def resident(self) -> dict[int, CompiledFragment]:
         """Snapshot of the resident fragments by head pc."""
         return dict(self._resident)
+
+    def leave(self, exit_pc: int | None, guard: bool) -> None:
+        """Record a cold exit or a halt (see :attr:`last_exit`).
+
+        Closures call it on their way out and return its ``None`` as
+        their successor.
+        """
+        self.last_exit = (exit_pc, guard)
 
     # ------------------------------------------------------------------
     def install(self, compiled: CompiledFragment) -> None:

@@ -16,7 +16,8 @@ executes real programs the way the paper's system does:
    jumps/calls guard on their recorded target, returns guard on the
    recorded continuation;
 4. **execute fragments natively**, chaining fragment→fragment transfers
-   without dispatch (linking);
+   through patched links without returning to the dispatcher's
+   accounting (linking);
 5. plant **exit counters** on guard exits — Dynamo's secondary trace
    heads — so the working set's other hot tails materialize too.
 
@@ -30,9 +31,11 @@ The VM runs in one of two tiers (:data:`repro.dynamo.config.TIERS`):
     specialized Python closure (:mod:`repro.dynamo.compiler`): operands
     pre-decoded, straight-line arithmetic inlined, guards straightened
     into early-return exit stubs, superblock back-edges looping inside
-    the closure, and completion/guard exits linked directly to the
-    successor fragment's closure so hot code never re-enters the
-    dispatcher.
+    the closure.  Every exit returns the successor fragment's closure,
+    so a linked transfer costs one call from a two-line loop in
+    :meth:`DynamoVM._run`, and counts itself in the closure's cells;
+    the VM derives its totals from those counters at checkpoints,
+    flushes and the end of the run.
 
 Correctness is testable, not assumed: for every bundled program the VM's
 output must equal the plain interpreter's, whatever mix of interpreted
@@ -49,7 +52,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.dynamo.compiler import (
-    EXIT_LOOKUP,
     CompiledCache,
     CompiledFragment,
     compile_fragment,
@@ -340,6 +342,27 @@ class DynamoVM:
         segment_head = state.pc
         segment_bits: list[int] = []
         path_counts: dict[tuple, int] = {}
+        # Fragment passes are counted by the closures' exit counters
+        # (CompiledFragment.tally); ``flushed`` keeps the totals of
+        # fragments a flush dropped, in tally()'s order.
+        flushed = (0, 0, 0, 0, 0)
+        cold_exits = 0
+
+        def tally() -> tuple[int, int, int, int, int]:
+            """Fragment-side totals so far: instructions, completions,
+            guard exits, non-halting passes and those passes' path-profile
+            shift ops (each pass counts its own path).  Also brings each
+            resident fragment's own counts up to date."""
+            instructions, completions, guard_exits, passes, shifts = flushed
+            for cf in ccache.resident().values():
+                instructions += cf.tally()
+                frag = cf.fragment
+                completions += frag.completions
+                guard_exits += frag.guard_exits
+                done = frag.completions + frag.guard_exits
+                passes += done
+                shifts += done * cf.n_guard_conds
+            return instructions, completions, guard_exits, passes, shifts
 
         def bump(target_pc: int) -> None:
             nonlocal recording, recording_head
@@ -355,13 +378,14 @@ class DynamoVM:
                 recording_head = target_pc
 
         def install(trace, head_pc, final_target) -> None:
-            nonlocal occupancy
+            nonlocal occupancy, flushed
             if len(trace) < 2:
                 return
             fragment = self._compile(trace, head_pc, final_target, steps)
             stats.recorded_instructions += len(trace)
             stats.fragments_built += 1
             if occupancy + fragment.num_instructions > self.cache_budget:
+                flushed = tally()
                 ccache.flush()
                 occupancy = 0
                 counters.clear()
@@ -369,7 +393,7 @@ class DynamoVM:
                 path_counts.clear()
                 stats.flushes += 1
             occupancy += fragment.num_instructions
-            ccache.install(compile_fragment(machine, fragment))
+            ccache.install(compile_fragment(machine, fragment, ccache))
 
         def finish_recording(final_target: int) -> None:
             nonlocal recording, recording_head
@@ -392,20 +416,41 @@ class DynamoVM:
             segment_head = final_target
             segment_bits = []
 
-        def checkpoint() -> None:
+        def checkpoint(last_pass: CompiledFragment | None = None) -> None:
+            """Sample the counts at each 2048-step boundary reached.
+
+            ``last_pass`` is the fragment whose non-halting pass reached
+            the boundary: a pass-by-pass replay charges that pass's path
+            after the sample, so it is left out.
+            """
             nonlocal next_checkpoint
+            instructions, _, _, passes, shifts = tally()
+            if not path_profile:
+                passes = shifts = 0
+            elif last_pass is not None:
+                passes -= 1
+                shifts -= last_pass.n_guard_conds
+            sample = (
+                stats.interpreted_instructions,
+                instructions,
+                stats.shift_ops + shifts,
+                stats.table_ops + passes,
+            )
             while steps >= next_checkpoint:
-                checkpoints.append(
-                    (
-                        stats.interpreted_instructions,
-                        stats.fragment_instructions,
-                        stats.shift_ops,
-                        stats.table_ops,
-                    )
-                )
+                checkpoints.append(sample)
                 next_checkpoint += 2048
 
         def finish() -> VMResult:
+            instructions, completions, guard_exits, passes, shifts = tally()
+            stats.fragment_instructions = instructions
+            stats.fragment_completions = completions
+            stats.guard_exits = guard_exits
+            # Every non-halting pass moves to a resident fragment unless
+            # it left cold.
+            stats.linked_transfers = passes - cold_exits
+            if path_profile:
+                stats.shift_ops += shifts
+                stats.table_ops += passes
             stats.fragments_compiled = ccache.compiles
             stats.link_patches = ccache.link_patches
             stats.link_unpatches = ccache.link_unpatches
@@ -421,7 +466,8 @@ class DynamoVM:
         while True:
             if steps >= max_steps:
                 raise MachineLimitExceeded(steps)
-            checkpoint()
+            if steps >= next_checkpoint:
+                checkpoint()
 
             cf = ccache.get(state.pc)
             if cf is not None and recording is None:
@@ -429,69 +475,38 @@ class DynamoVM:
                     segment = []
                     segment_bits = []
                 stats.fragment_entries += 1
-                while cf is not None:
-                    # Fuel runs out on the pass that reaches the next
-                    # checkpoint (or max_steps), so a self-looping
-                    # superblock returns there and every checkpoint
-                    # samples the counts a pass-by-pass replay would.
-                    linked, exit_pc, completed, executed, iters = cf.fn(
-                        min(max_steps, next_checkpoint) - steps
-                    )
-                    frag = cf.fragment
-                    frag.executions += iters
-                    stats.fragment_instructions += executed
-                    # Every pass charges the full fragment size even
-                    # when a guard exits early, and each internal
-                    # superblock back-edge is a completed, linked
-                    # execution that counted its own path.
-                    steps += iters * cf.num_instructions
-                    back_edges = iters - 1
-                    if back_edges:
-                        stats.linked_transfers += back_edges
-                        frag.completions += back_edges
-                        stats.fragment_completions += back_edges
-                        if path_profile:
-                            stats.shift_ops += cf.n_guard_conds * back_edges
-                            stats.table_ops += back_edges
-                    checkpoint()
+                # Each closure returns the next one, so a linked transfer
+                # is one call.  Fuel runs out on the pass that reaches the
+                # next checkpoint (or max_steps), so every checkpoint
+                # samples the counts a pass-by-pass replay would.
+                while True:
+                    limit = min(max_steps, next_checkpoint)
+                    fuel = limit - steps
+                    while fuel > 0 and cf is not None:
+                        last = cf
+                        cf, fuel = cf.fn(fuel)
+                    steps = limit - fuel
+                    if fuel > 0:
+                        break
+                    halted = cf is None and ccache.last_exit[0] is None
+                    checkpoint(None if halted else last)
                     if steps >= max_steps:
                         raise MachineLimitExceeded(steps)
-                    if exit_pc is None:
-                        # The halting pass never reaches its path end.
-                        return finish()
-                    state.pc = exit_pc
-                    if path_profile:
-                        # The instrumented fragment counted its last
-                        # pass's path; the interpreter resumes a fresh
-                        # segment here.
-                        stats.shift_ops += cf.n_guard_conds
-                        stats.table_ops += 1
-                        segment = []
-                        segment_head = exit_pc
-                        segment_bits = []
-                    if completed:
-                        frag.completions += 1
-                        stats.fragment_completions += 1
-                        if linked is not None:
-                            stats.linked_transfers += 1
-                        cf = linked
-                    else:
-                        frag.guard_exits += 1
-                        stats.guard_exits += 1
-                        if linked is EXIT_LOOKUP:
-                            linked = ccache.get(exit_pc)
-                        if linked is not None:
-                            # Exit-stub linking: Dynamo patches guard
-                            # exits to jump straight into the target
-                            # fragment — no dispatch, no interpreter.
-                            stats.linked_transfers += 1
-                            cf = linked
-                        else:
-                            if not path_profile:
-                                # Cold exit: plant a secondary trace
-                                # head (NET's exit counters).
-                                bump(exit_pc)
-                            cf = None
+                    if cf is None:
+                        break
+                exit_pc, guard = ccache.last_exit
+                if exit_pc is None:
+                    # The halting pass never reaches its path end.
+                    return finish()
+                cold_exits += 1
+                state.pc = exit_pc
+                if path_profile:
+                    # The interpreter resumes a fresh segment here.
+                    segment_head = exit_pc
+                elif guard:
+                    # Cold guard exit: plant a secondary trace head
+                    # (NET's exit counters).
+                    bump(exit_pc)
                 continue
 
             # ----------------------------------------------------------

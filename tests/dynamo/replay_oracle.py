@@ -251,15 +251,25 @@ def make_vm(program, tier: str, **kwargs) -> DynamoVM:
     return DynamoVM(program, tier=tier, **kwargs)
 
 
+def fragment_counts(result: VMResult) -> dict[int, tuple[int, int, int]]:
+    """``{head pc: (executions, completions, guard exits)}`` of the
+    fragments resident at the end of the run."""
+    return {
+        pc: (frag.executions, frag.completions, frag.guard_exits)
+        for pc, frag in result.fragments.items()
+    }
+
+
 def assert_same_accounting(reference: VMResult, result: VMResult, context=()):
     """``result`` counts exactly what the replay ``reference`` counted.
 
-    Every shared counter, the whole checkpoint series and the
-    steady-state rate derived from it.
+    Every shared counter, each resident fragment's own counts, the
+    whole checkpoint series and the steady-state rate derived from it.
     """
     for name in SHARED_STAT_FIELDS:
         assert getattr(result.stats, name) == getattr(
             reference.stats, name
         ), (*context, name)
+    assert fragment_counts(result) == fragment_counts(reference), context
     assert result.checkpoints == reference.checkpoints, context
     assert result.steady_rate() == reference.steady_rate(), context

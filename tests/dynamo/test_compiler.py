@@ -316,8 +316,9 @@ def test_config_tier_threads_through_system_and_wrapper():
 
 # ----------------------------------------------------------------------
 # CompiledCache link-patching units.
-def _make_compiled(machine, head_pc, final_target, n_ops=2):
-    """A tiny synthetic fragment (NOP bodies) compiled for ``machine``."""
+def _make_compiled(machine, cache, head_pc, final_target, n_ops=2):
+    """A tiny synthetic fragment (NOP bodies) compiled for ``machine``
+    against ``cache``."""
     from repro.dynamo.vm import VMFragment, VMStep
     from repro.isa.instructions import Instruction, Op
 
@@ -335,7 +336,7 @@ def _make_compiled(machine, head_pc, final_target, n_ops=2):
         final_target=final_target,
         created_at_step=0,
     )
-    return compile_fragment(machine, fragment)
+    return compile_fragment(machine, fragment, cache)
 
 
 @pytest.fixture
@@ -345,8 +346,8 @@ def machine():
 
 def test_install_patches_completion_links(machine):
     cache = CompiledCache()
-    a = _make_compiled(machine, 10, 20)
-    b = _make_compiled(machine, 20, 10)
+    a = _make_compiled(machine, cache, 10, 20)
+    b = _make_compiled(machine, cache, 20, 10)
     cache.install(a)
     assert a.succ_cell[0] is None  # b not resident yet
     cache.install(b)
@@ -358,16 +359,36 @@ def test_install_patches_completion_links(machine):
 
 def test_install_self_loop_sets_loop_cell(machine):
     cache = CompiledCache()
-    loop = _make_compiled(machine, 30, 30)
+    loop = _make_compiled(machine, cache, 30, 30)
     cache.install(loop)
     assert loop.succ_cell[0] is loop
     assert loop.loop_cell[0] is True
 
 
+def test_closures_return_successor_and_count_exits(machine):
+    """One call per linked transfer: a closure returns its successor and
+    the fuel left, and counts the pass in its own exit counter."""
+    cache = CompiledCache()
+    a = _make_compiled(machine, cache, 10, 20)
+    loop = _make_compiled(machine, cache, 20, 20)
+    cache.install(a)
+    # Cold completion: no successor, and the exit is recorded.
+    assert a.fn(9) == (None, 7)
+    assert cache.last_exit == (20, False)
+    cache.install(loop)
+    assert a.fn(9) == (loop, 7)
+    # The superblock spins while fuel remains: 7 -> 5 -> 3 -> 1 -> -1.
+    assert loop.fn(7) == (loop, -1)
+    assert a.tally() == 2 * 2
+    assert loop.tally() == 4 * 2
+    assert (a.fragment.executions, a.fragment.completions) == (2, 2)
+    assert (loop.fragment.executions, loop.fragment.guard_exits) == (4, 0)
+
+
 def test_flush_unlinks_everything(machine):
     cache = CompiledCache()
-    loop = _make_compiled(machine, 10, 10)
-    other = _make_compiled(machine, 20, 10)
+    loop = _make_compiled(machine, cache, 10, 10)
+    other = _make_compiled(machine, cache, 20, 10)
     cache.install(loop)
     cache.install(other)
     assert other.succ_cell[0] is loop

@@ -349,6 +349,19 @@ def test_minidynamo(capsys):
     assert "rle" in out
 
 
+def test_minidynamo_runs_every_program_by_default(capsys):
+    """No program names means all of them, as the help says.  On Python
+    3.11 argparse used to reject the empty list as an invalid choice."""
+    from repro.isa.programs import ALL_PROGRAMS
+
+    assert main(["minidynamo", "--scale", "0.02", "--quiet-metrics"]) == 0
+    rows = capsys.readouterr().out.splitlines()[3:]
+    assert [row.split()[0] for row in rows] == sorted(ALL_PROGRAMS)
+    with pytest.raises(SystemExit):
+        main(["minidynamo", "rle", "quake"])
+    assert "invalid choice: 'quake'" in capsys.readouterr().err
+
+
 def test_minidynamo_tiers(capsys):
     for tier in ("interp", "compiled"):
         assert main(
