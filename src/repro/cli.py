@@ -7,11 +7,12 @@ Commands
 ``inspect BENCH``
     Trace summary, Table 1/2 cells and counter space of one benchmark.
 ``experiment NAME [NAME…]`` (alias: ``run``)
-    Regenerate paper tables/figures (optionally into an output dir).
-    With a cache directory this runs through the incremental artifact
-    graph — only cells whose inputs changed are recomputed; ``--dry-run``
-    lists what a real run would execute and why, ``--explain`` reports
-    it after running (see ``docs/sweep_engine.md``).
+    Regenerate paper tables/figures (optionally into an output dir)
+    through the incremental artifact graph — only cells whose inputs
+    changed are recomputed, and ``--no-cache`` recomputes everything in
+    a throwaway cache; ``--dry-run`` lists what a real run would execute
+    and why, ``--explain`` reports it after running (see
+    ``docs/sweep_engine.md``).
 ``sweep BENCH``
     Prediction-delay sweep of both schemes on one benchmark.
 ``dynamo BENCH``
@@ -45,6 +46,7 @@ and the partial manifest is written with ``"interrupted": true``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import pathlib
 import sys
@@ -52,13 +54,8 @@ import tempfile
 import time
 
 from repro.dynamo import DEFAULT_CONFIG, TIERS, DynamoSystem
-from repro.errors import ReproError, SweepInterrupted
-from repro.experiments import (
-    EXPERIMENT_IDS,
-    plan_targets,
-    run_experiment,
-    run_targets,
-)
+from repro.errors import ExperimentError, ReproError, SweepInterrupted
+from repro.experiments import EXPERIMENT_IDS, plan_targets, run_targets
 from repro.experiments.engine import SweepCache, run_sweep
 from repro.experiments.extended import EXTENDED_IDS, run_extended
 from repro.experiments.report import render_table
@@ -105,18 +102,14 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _engine_cache(
-    args: argparse.Namespace, registry: Registry | None = None
-) -> SweepCache | None:
-    """The sweep cache the flags ask for (``None`` with ``--no-cache``).
+def _engine_cache(root: str, registry: Registry | None) -> SweepCache:
+    """The sweep cache under ``root``.
 
     With a live metrics registry the cache's accounting is mounted at
     ``sweep.cache.*`` so it lands in the run manifest.
     """
-    if args.no_cache:
-        return None
     obs = registry.child("sweep.cache") if registry is not None else None
-    return SweepCache(args.cache_dir, obs=obs)
+    return SweepCache(root, obs=obs)
 
 
 def _metrics_registry(args: argparse.Namespace) -> Registry | None:
@@ -180,62 +173,55 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     names = args.names or list(EXPERIMENT_IDS)
     registry = _metrics_registry(args)
     recorder = _run_recorder(args)
-    obs = get_registry(registry)
-    cache = _engine_cache(args, registry)
-    resilience = _resilience_policy(args)
     if args.dry_run:
+        if args.no_cache:
+            raise ExperimentError(
+                "--dry-run plans against the graph state in a cache "
+                "directory; it cannot run with --no-cache"
+            )
         # Plan only: stdout lists exactly the nodes a real run would
         # execute and why (empty when everything is clean); the one-line
         # plan summary goes to stderr so stdout stays machine-checkable.
         plan = plan_targets(
-            args.names or None, args.flow_scale, cache
+            args.names or None,
+            args.flow_scale,
+            cache=_engine_cache(args.cache_dir, registry),
         ).plan
         for line in plan.explain_lines():
             print(line)
         print(plan.summary(), file=sys.stderr)
         _finish_metrics(args, registry, recorder)
         return 0
-    if cache is not None:
-        # Incremental artifact graph: recompute only the dirty subgraph,
-        # serve everything else from the cell cache and render store.
+    # Recompute only the dirty subgraph; serve everything else from the
+    # cell cache and render store.  --no-cache runs the graph over a
+    # throwaway cache: every node is dirty, and nothing outlives the run.
+    root = (
+        tempfile.TemporaryDirectory()
+        if args.no_cache
+        else contextlib.nullcontext(args.cache_dir)
+    )
+    with root as cache_dir:
+        cache = _engine_cache(cache_dir, registry)
         run = run_targets(
             args.names or None,
             flow_scale=args.flow_scale,
             workers=args.workers,
             cache=cache,
             obs=registry,
-            resilience=resilience,
+            resilience=_resilience_policy(args),
         )
-        for name in names:
-            text = run.texts[name]
-            print(text)
-            print()
-            if out_dir is not None:
-                out_dir.mkdir(parents=True, exist_ok=True)
-                (out_dir / f"{name}.txt").write_text(text + "\n")
-        print(run.plan.summary(), file=sys.stderr)
-        if args.explain:
-            for line in run.plan.explain_lines():
-                print(line, file=sys.stderr)
-    else:
-        # --no-cache: the graph has nowhere to persist state, so fall
-        # back to unconditional from-scratch recomputation.
-        for name in names:
-            with obs.phase(f"experiment:{name}"):
-                text = run_experiment(
-                    name,
-                    flow_scale=args.flow_scale,
-                    workers=args.workers,
-                    cache=cache,
-                    obs=registry,
-                    resilience=resilience,
-                )
-            print(text)
-            print()
-            if out_dir is not None:
-                out_dir.mkdir(parents=True, exist_ok=True)
-                (out_dir / f"{name}.txt").write_text(text + "\n")
-    if cache is not None and cache.stats.lookups:
+    for name in names:
+        text = run.texts[name]
+        print(text)
+        print()
+        if out_dir is not None:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / f"{name}.txt").write_text(text + "\n")
+    print(run.plan.summary(), file=sys.stderr)
+    if args.explain:
+        for line in run.plan.explain_lines():
+            print(line, file=sys.stderr)
+    if cache.stats.lookups:
         print(cache.stats.render(), file=sys.stderr)
     _finish_metrics(args, registry, recorder)
     return 0
@@ -257,7 +243,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         trace = load_benchmark(
             args.benchmark, flow_scale=args.flow_scale
         ).trace()
-        cache = _engine_cache(args, registry)
+        cache = (
+            None if args.no_cache else _engine_cache(args.cache_dir, registry)
+        )
         kwargs = {
             "workers": args.workers,
             "cache": cache,
@@ -575,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--no-cache",
             action="store_true",
-            help="disable the sweep result cache",
+            help="keep no sweep cache: recompute every cell",
         )
         p.add_argument(
             "--max-retries",

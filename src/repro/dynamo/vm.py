@@ -382,6 +382,10 @@ class DynamoVM:
             if len(trace) < 2:
                 return
             fragment = self._compile(trace, head_pc, final_target, steps)
+            if not fragment.steps:
+                # A trace of jmps only straightens to nothing: a pass
+                # would spend no fuel, so the chain would never return.
+                return
             stats.recorded_instructions += len(trace)
             stats.fragments_built += 1
             if occupancy + fragment.num_instructions > self.cache_budget:

@@ -2,10 +2,11 @@
 
 ``run_targets`` builds the paper's evaluation artifacts (``table1`` …
 ``figure5``, the §5.1 headline ``claims`` and the §6.1 ``phases``
-study) through the incremental artifact graph.  ``run_experiment``
-recomputes one of them from scratch: it serves ``repro run
---no-cache`` and is the reference the graph equivalence tests compare
-against.
+study; :data:`EXPERIMENT_IDS` lists them) through the incremental
+artifact graph, the only driver there is: ``repro run`` keeps the
+graph's state in a cache directory, and ``repro run --no-cache`` runs
+the same graph over a throwaway one.  Each builder takes the traces
+(or sweep curves) it computes over.
 """
 
 from repro.experiments.claims import (
@@ -43,11 +44,6 @@ from repro.experiments.phases import (
     render_phase_report,
     run_phase_experiment,
 )
-from repro.experiments.registry import (
-    EXPERIMENT_IDS,
-    SWEEP_EXPERIMENTS,
-    run_experiment,
-)
 from repro.experiments.report import render_table
 from repro.experiments.sweep import (
     DEFAULT_DELAYS,
@@ -60,6 +56,7 @@ from repro.experiments.sweep import (
 from repro.experiments.table1 import Table1Row, build_table1, render_table1
 from repro.experiments.table2 import Table2Row, build_table2, render_table2
 from repro.experiments.targets import (
+    EXPERIMENT_IDS,
     TARGETS,
     TargetRun,
     build_graph,
@@ -71,7 +68,6 @@ __all__ = [
     "DEFAULT_DELAYS",
     "EXPERIMENT_IDS",
     "FIGURE5_DELAYS",
-    "SWEEP_EXPERIMENTS",
     "TARGETS",
     "CacheStats",
     "ClaimResult",
@@ -109,7 +105,6 @@ __all__ = [
     "render_table",
     "render_table1",
     "render_table2",
-    "run_experiment",
     "run_phase_experiment",
     "run_sweep",
     "run_targets",

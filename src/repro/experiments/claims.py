@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 from repro.errors import ExperimentError
 from repro.experiments.engine.graph import TargetSpec
-from repro.experiments.figure2 import FigureCurves, build_figure2
+from repro.experiments.figure2 import FigureCurves
 from repro.experiments.report import fmt, render_table
 from repro.experiments.sweep import SweepPoint, interpolate_at_profiled
-from repro.trace.recorder import PathTrace
 from repro.workloads.spec import BENCHMARK_ORDER
 
 
@@ -72,14 +71,8 @@ def profiled_needed_for_noise(
     return curve[-1].profiled_flow_percent if curve else 0.0
 
 
-def evaluate_claims(
-    traces: dict[str, PathTrace] | None = None,
-    curves: FigureCurves | None = None,
-    flow_scale: float = 1.0,
-) -> list[ClaimResult]:
-    """Recompute the three §5.1 claims."""
-    if curves is None:
-        curves = build_figure2(traces=traces, flow_scale=flow_scale)
+def evaluate_claims(curves: FigureCurves) -> list[ClaimResult]:
+    """Recompute the three §5.1 claims from the Figure 2/3 sweep."""
     results = []
 
     for scheme in ("path-profile", "net"):

@@ -20,7 +20,13 @@ from repro.errors import ExperimentError
 from repro.experiments.report import fmt, render_table
 from repro.hardware import TraceCache, compare_branch_predictors
 from repro.isa import run_to_completion
-from repro.isa.programs import hashtable, lexer, sort
+from repro.isa.programs import (
+    ALL_PROGRAMS,
+    demo_memory,
+    hashtable,
+    lexer,
+    sort,
+)
 from repro.metrics import (
     FlushOnSpike,
     NeverRetire,
@@ -370,30 +376,19 @@ def run_extended(name: str, flow_scale: float = 1.0) -> str:
             title="Edge vs path profiles (§7 showdown)",
         )
     if name == "mini-dynamo":
-        from repro.dynamo.vm import DynamoVM
-        from repro.isa.programs import ALL_PROGRAMS, stackvm as _stackvm
-
-        inputs = {
-            "rle": lambda m: m.make_memory(seed=3, size=20_000),
-            "stackvm": lambda m: m.make_memory(_stackvm.sum_program(2_000)),
-            "propagate": lambda m: m.make_memory(seed=3, sweeps=120),
-            "sort": lambda m: m.make_memory(seed=3, size=400),
-            "matmul": lambda m: m.make_memory(seed=3, k=20),
-            "hashtable": lambda m: m.make_memory(seed=3, num_ops=6_000),
-            "lexer": lambda m: m.make_memory(seed=3, size=30_000),
-        }
+        system = DynamoSystem()
         rows = []
         for bench, module in ALL_PROGRAMS.items():
-            memory = inputs[bench](module)
+            memory = demo_memory(bench)
             program = module.build()
             _, machine = run_to_completion(
                 program, memory, max_steps=60_000_000
             )
             cells = [bench]
             for scheme in ("net", "path-profile"):
-                vm = DynamoVM(program, delay=20, scheme=scheme)
-                vm.load_memory(memory)
-                result = vm.run(max_steps=60_000_000)
+                result = system.run_vm(
+                    program, memory, scheme, delay=20, max_steps=60_000_000
+                )
                 correct = result.output == machine.state.output
                 cells.append(
                     f"{result.steady_speedup_percent():+.1f}"

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.data import benchmark_traces
-from repro.experiments.engine import SweepCache, run_sweep
+from repro.experiments.engine import run_sweep
 from repro.experiments.engine.graph import TargetSpec
 from repro.experiments.report import fmt, render_table
 from repro.experiments.sweep import (
@@ -20,8 +19,6 @@ from repro.experiments.sweep import (
     average_curve,
     scheme_curve,
 )
-from repro.obs.core import Registry
-from repro.resilience import RetryPolicy
 from repro.trace.recorder import PathTrace
 from repro.workloads.spec import BENCHMARK_ORDER
 
@@ -71,33 +68,16 @@ class FigureCurves:
 
 
 def build_figure2(
-    traces: dict[str, PathTrace] | None = None,
-    flow_scale: float = 1.0,
+    traces: dict[str, PathTrace],
     delays: tuple[int, ...] = DEFAULT_DELAYS,
-    workers: int = 0,
-    cache: SweepCache | None = None,
-    obs: Registry | None = None,
-    resilience: RetryPolicy | None = None,
 ) -> FigureCurves:
-    """Sweep every benchmark with both schemes.
+    """Sweep every benchmark in ``traces`` with both schemes.
 
-    The sweep runs on the engine: ``workers`` > 0 replays cells on a
-    thread pool and ``cache`` serves previously computed cells — both
-    produce output identical to the serial, uncached sweep.  ``obs``
-    reaches the engine's instrumentation (see
-    ``docs/observability.md``) and ``resilience`` its retry policy
-    (``docs/resilience.md``).
+    A serial, uncached :func:`~repro.experiments.engine.run_sweep`; the
+    artifact graph calls the engine itself, with the CLI's engine
+    flags, and renders the points it gets back.
     """
-    if traces is None:
-        traces = benchmark_traces(flow_scale=flow_scale)
-    points = run_sweep(
-        traces,
-        delays=delays,
-        workers=workers,
-        cache=cache,
-        obs=obs,
-        resilience=resilience,
-    )
+    points = run_sweep(traces, delays=delays)
     return FigureCurves(points=points, delays=delays)
 
 

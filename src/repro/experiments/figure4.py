@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.data import benchmark_traces
 from repro.experiments.engine.graph import TargetSpec
 from repro.experiments.report import fmt, render_table
 from repro.experiments.table2 import Table2Row, build_table2
@@ -41,13 +40,8 @@ class Figure4Bar:
     paper_ratio: float
 
 
-def build_figure4(
-    traces: dict[str, PathTrace] | None = None,
-    flow_scale: float = 1.0,
-) -> list[Figure4Bar]:
+def build_figure4(traces: dict[str, PathTrace]) -> list[Figure4Bar]:
     """Per-benchmark bars plus the Average bar."""
-    if traces is None:
-        traces = benchmark_traces(flow_scale=flow_scale)
     rows: list[Table2Row] = build_table2(traces)
     bars = [
         Figure4Bar(

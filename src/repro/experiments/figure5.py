@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dynamo.config import DEFAULT_CONFIG, DynamoConfig
 from repro.dynamo.stats import DynamoRun
 from repro.dynamo.system import DynamoSystem
-from repro.experiments.data import benchmark_traces
 from repro.experiments.engine.graph import TargetSpec
 from repro.experiments.report import fmt_signed_pct, render_table
 from repro.trace.recorder import PathTrace
@@ -38,17 +36,11 @@ class Figure5Cell:
 
 
 def build_figure5(
-    traces: dict[str, PathTrace] | None = None,
-    config: DynamoConfig = DEFAULT_CONFIG,
-    flow_scale: float = 1.0,
+    traces: dict[str, PathTrace],
     delays: tuple[int, ...] = FIGURE5_DELAYS,
 ) -> list[Figure5Cell]:
     """All cells: per benchmark, scheme and delay, plus averages."""
-    if traces is None:
-        traces = benchmark_traces(
-            names=list(DYNAMO_BENCHMARKS), flow_scale=flow_scale
-        )
-    system = DynamoSystem(config)
+    system = DynamoSystem()
     cells: list[Figure5Cell] = []
     for name in DYNAMO_BENCHMARKS:
         if name not in traces:
@@ -91,22 +83,13 @@ def build_figure5(
     return cells
 
 
-def bail_out_report(
-    traces: dict[str, PathTrace] | None = None,
-    config: DynamoConfig = DEFAULT_CONFIG,
-    flow_scale: float = 1.0,
-) -> list[DynamoRun]:
+def bail_out_report(traces: dict[str, PathTrace]) -> list[DynamoRun]:
     """Demonstrate the bail-outs of the excluded benchmarks at τ = 50."""
-    excluded = [
-        name for name in BENCHMARK_ORDER if name not in DYNAMO_BENCHMARKS
-    ]
-    if traces is None:
-        traces = benchmark_traces(names=excluded, flow_scale=flow_scale)
-    system = DynamoSystem(config)
+    system = DynamoSystem()
     return [
         system.run(traces[name], "net", 50)
-        for name in excluded
-        if name in traces
+        for name in BENCHMARK_ORDER
+        if name not in DYNAMO_BENCHMARKS and name in traces
     ]
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.data import benchmark_traces
 from repro.experiments.engine.graph import TargetSpec
 from repro.experiments.report import fmt, render_table
 from repro.metrics.hotpaths import hot_path_set
@@ -51,13 +50,8 @@ def table1_row(name: str, trace: PathTrace) -> Table1Row:
     )
 
 
-def build_table1(
-    traces: dict[str, PathTrace] | None = None,
-    flow_scale: float = 1.0,
-) -> list[Table1Row]:
-    """All nine rows, in the paper's order."""
-    if traces is None:
-        traces = benchmark_traces(flow_scale=flow_scale)
+def build_table1(traces: dict[str, PathTrace]) -> list[Table1Row]:
+    """One row per benchmark in ``traces``, in the paper's order."""
     return [
         table1_row(name, traces[name])
         for name in BENCHMARK_ORDER

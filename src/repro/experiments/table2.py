@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.data import benchmark_traces
 from repro.experiments.engine.graph import TargetSpec
 from repro.experiments.report import render_table
 from repro.metrics.space import counter_space
@@ -48,13 +47,8 @@ def table2_row(name: str, trace: PathTrace) -> Table2Row:
     )
 
 
-def build_table2(
-    traces: dict[str, PathTrace] | None = None,
-    flow_scale: float = 1.0,
-) -> list[Table2Row]:
-    """All nine rows, in the paper's order."""
-    if traces is None:
-        traces = benchmark_traces(flow_scale=flow_scale)
+def build_table2(traces: dict[str, PathTrace]) -> list[Table2Row]:
+    """One row per benchmark in ``traces``, in the paper's order."""
     return [
         table2_row(name, traces[name])
         for name in BENCHMARK_ORDER

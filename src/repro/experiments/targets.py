@@ -22,11 +22,15 @@ exactly the dirty subgraph:
    per node, one listing of the cache directory and eight render reads,
    and writes nothing.
 
+The graph is the only driver of the paper artifacts: ``repro run
+--no-cache`` runs it over a throwaway cache, where every node is dirty.
+
 Correctness stance: the graph never *invents* results.  Every computed
-cell goes through the same ``run_sweep``/builder code paths as a
-from-scratch run, and every served artifact is addressed by the Merkle
-key of its inputs — byte-identical to what a cold rebuild would print
-(locked down by the equivalence tests).
+cell goes through ``run_sweep`` and every render through its target's
+builder, and every served artifact is addressed by the Merkle key of
+its inputs — byte-identical to what a cold rebuild would print (locked
+down by the equivalence tests, whose from-scratch oracle lives in
+``tests/experiments/scratch_oracle.py``).
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import ExperimentError
 from repro.experiments.claims import TARGET as _CLAIMS_TARGET
+from repro.experiments.data import benchmark_traces
 from repro.experiments.engine import (
     CODE_VERSION,
     SweepCache,
@@ -67,9 +72,6 @@ from repro.experiments.table1 import TARGET as _TABLE1_TARGET
 from repro.experiments.table2 import TARGET as _TABLE2_TARGET
 from repro.obs.core import Registry, get_registry
 from repro.resilience import RetryPolicy
-from repro.trace.recorder import PathTrace
-from repro.workloads.base import load_benchmark
-from repro.workloads.spec import BENCHMARK_ORDER
 
 #: Every experiment's target declaration, in canonical artifact order.
 TARGETS: dict[str, TargetSpec] = {
@@ -85,6 +87,9 @@ TARGETS: dict[str, TargetSpec] = {
         _PHASES_TARGET,
     )
 }
+
+#: Public list of regenerable experiments (canonical artifact order).
+EXPERIMENT_IDS = tuple(TARGETS)
 
 
 def target_for(name: str) -> TargetSpec:
@@ -209,14 +214,10 @@ class TargetPlan:
 def plan_targets(
     names: list[str] | None,
     flow_scale: float = 1.0,
-    cache: SweepCache | None = None,
+    *,
+    cache: SweepCache,
 ) -> TargetPlan:
     """Build and plan without executing anything (the dry-run core)."""
-    if cache is None:
-        raise ExperimentError(
-            "the artifact graph needs a cache directory; "
-            "it cannot run with --no-cache"
-        )
     resolved = list(names) if names else list(TARGETS)
     built = build_graph(resolved, flow_scale)
     state = GraphState.load(graph_state_path(cache))
@@ -239,22 +240,12 @@ class TargetRun:
     executed_renders: int
 
 
-def _load_traces(
-    names: set[str], flow_scale: float
-) -> dict[str, PathTrace]:
-    """Materialize traces for ``names``, canonical order preserved."""
-    return {
-        name: load_benchmark(name, flow_scale=flow_scale).trace()
-        for name in BENCHMARK_ORDER
-        if name in names
-    }
-
-
 def run_targets(
     names: list[str] | None = None,
     flow_scale: float = 1.0,
+    *,
+    cache: SweepCache,
     workers: int = 0,
-    cache: SweepCache | None = None,
     obs: Registry | None = None,
     resilience: RetryPolicy | None = None,
 ) -> TargetRun:
@@ -269,7 +260,7 @@ def run_targets(
     """
     registry = get_registry(obs).child("graph")
     with registry.span("plan"):
-        planned = plan_targets(names, flow_scale, cache)
+        planned = plan_targets(names, flow_scale, cache=cache)
     built, state, renders, plan = (
         planned.built,
         planned.state,
@@ -330,7 +321,7 @@ def run_targets(
     # --- Execute cells -----------------------------------------------
     executed: dict[tuple[str, str, int], SweepPoint] = {}
     with registry.span("cells"):
-        traces = _load_traces(trace_benchmarks, flow_scale)
+        traces = benchmark_traces(trace_benchmarks, flow_scale)
         if run_benchmarks:
             sweep_traces = {
                 name: trace

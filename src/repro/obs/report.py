@@ -24,7 +24,7 @@ def render_summary(registry: Registry, wall_seconds: float | None = None) -> str
     Designed for stderr after a CLI run — informative but never more
     than one line, e.g.::
 
-        metrics: wall 4.21s | phases experiment:figure2 4.20s | sweep.cells_total 306, sweep.cache.hits 306
+        metrics: wall 4.21s | phases sweep:compress 4.20s | sweep.cells_total 34, sweep.cache.hits 34
     """
     snapshot = registry.snapshot()
     parts = []

@@ -87,6 +87,8 @@ class ReplayVM(DynamoVM):
             if len(trace) < 2:
                 return
             fragment = self._compile(trace, head_pc, final_target, steps)
+            if not fragment.steps:
+                return  # jmps only: nothing to execute, no fuel to spend
             stats.recorded_instructions += len(trace)
             stats.fragments_built += 1
             if occupancy + fragment.num_instructions > self.cache_budget:

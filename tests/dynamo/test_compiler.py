@@ -114,6 +114,38 @@ def test_compiled_respects_max_steps():
         assert outcomes["replay"] == outcomes["compiled"]
 
 
+#: A hot cycle of two jmps, entered once and never left.
+JMP_ONLY_LOOP = """
+.proc main
+    li r1, 0
+    li r2, 1
+    beq r1, r2, done
+a:
+    jmp b
+b:
+    jmp a
+done:
+    halt
+.endproc
+"""
+
+
+@pytest.mark.parametrize("scheme", ["net", "path-profile"])
+def test_jmp_only_trace_respects_max_steps(scheme):
+    """Regression: the recorded cycle straightens to a fragment with no
+    steps, whose passes spent no fuel, so the compiled tier spun forever
+    past ``max_steps``.  Such a trace stays interpreted now, and every
+    tier stops on the same step."""
+    program = assemble(JMP_ONLY_LOOP)
+    outcomes = {}
+    for tier in RUNS:
+        vm = make_vm(program, tier, delay=2, scheme=scheme)
+        with pytest.raises(MachineLimitExceeded) as err:
+            vm.run(max_steps=10_000)
+        outcomes[tier] = (err.value.args, vm.state_digest())
+    assert len(set(outcomes.values())) == 1, outcomes
+
+
 def test_checkpoints_sampled_inside_superblock_loops():
     """Regression: a self-looping superblock used to run past several
     2048-step checkpoints in one closure call, and to charge its

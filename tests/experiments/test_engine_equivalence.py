@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import (
+    FigureCurves,
     build_figure2,
     render_figure2,
     render_figure3,
@@ -76,8 +77,9 @@ def test_parallel_identical_across_chunk_sizes(
 
 def test_figure2_and_figure3_renders_byte_identical(all_small_traces):
     serial = build_figure2(traces=all_small_traces, delays=DELAYS)
-    parallel = build_figure2(
-        traces=all_small_traces, delays=DELAYS, workers=WORKERS
+    parallel = FigureCurves(
+        points=run_sweep(all_small_traces, delays=DELAYS, workers=WORKERS),
+        delays=DELAYS,
     )
     assert render_figure2(parallel) == render_figure2(serial)
     assert render_figure3(parallel) == render_figure3(serial)

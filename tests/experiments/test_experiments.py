@@ -13,11 +13,12 @@ from repro.experiments import (
     build_table2,
     evaluate_claims,
     interpolate_at_profiled,
-    run_experiment,
     scheme_curve,
     sweep_trace,
 )
 from repro.experiments.sweep import SweepPoint, average_curve, make_predictor
+from repro.experiments.targets import target_for
+from tests.experiments.scratch_oracle import run_experiment
 
 SMALL_DELAYS = (1, 10, 100, 1000, 10_000)
 
@@ -161,8 +162,8 @@ def test_registry_lists_all_experiments():
 
 
 def test_registry_rejects_unknown():
-    with pytest.raises(ExperimentError):
-        run_experiment("figure99")
+    with pytest.raises(ExperimentError, match="unknown experiment"):
+        target_for("figure99")
 
 
 def test_registry_renders_table2_text():

@@ -6,7 +6,7 @@ The tentpole guarantees under test:
 * a warm no-op run executes **zero** cells and zero renders;
 * ``--dry-run``'s plan lists exactly the nodes a real run executes;
 * every graph-served artifact is byte-identical to a from-scratch
-  :func:`~repro.experiments.run_experiment` computation;
+  computation (the oracle in ``tests/experiments/scratch_oracle.py``);
 * invalidation is surgical — one changed spec dirties one benchmark's
   subgraph, a vanished cache entry dirties one cell and *not* the
   render built from it.
@@ -23,7 +23,7 @@ from typing import NamedTuple
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import plan_targets, run_experiment, run_targets
+from repro.experiments import plan_targets, run_targets
 from repro.experiments.engine import SweepCache, graph as graph_mod
 from repro.experiments.engine.graph import (
     ArtifactGraph,
@@ -45,6 +45,7 @@ from repro.experiments.targets import (
 from repro.obs import Registry
 from repro.workloads.spec import BENCHMARKS
 from tests.conftest import ENGINE_TEST_SCALE
+from tests.experiments.scratch_oracle import run_experiment
 
 #: The targets the shared warm cache is primed with: one sweep-backed
 #: figure (306 cells) and one direct table (a single render node).
@@ -472,8 +473,3 @@ def test_unknown_target_is_loud(graph_root):
         run_targets(
             ["figure99"], flow_scale=SCALE, cache=_fresh_cache(graph_root)
         )
-
-
-def test_graph_requires_a_cache():
-    with pytest.raises(ExperimentError, match="--no-cache"):
-        plan_targets(["table2"], flow_scale=SCALE, cache=None)
