@@ -37,10 +37,11 @@ to collect metrics (phases, counters, timers, cache statistics — see
 one-line summary goes to stderr unless ``--quiet-metrics`` is given.
 Without the flag nothing is measured and nothing changes.
 
-Resilience: the sweep-running commands accept ``--max-retries`` (see
-``docs/resilience.md``).  Ctrl-C/SIGTERM exits with code 130 after
-draining completed work: every finished cell is already in the cache
-and the partial manifest is written with ``"interrupted": true``.
+Failures (see ``docs/resilience.md``): a sweep batch that raises stops
+the run with that exception, every batch finished before it already in
+the cache.  Ctrl-C/SIGTERM exits with code 130 after draining completed
+work: every finished cell is already in the cache and the partial
+manifest is written with ``"interrupted": true``.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from repro.experiments.extended import EXTENDED_IDS, run_extended
 from repro.experiments.report import render_table
 from repro.metrics import counter_space, hot_path_set
 from repro.obs import Registry, RunRecorder, get_registry, render_summary
-from repro.resilience import DEFAULT_POLICY, RetryPolicy
 from repro.serving import (
     ChaosConfig,
     LoadgenConfig,
@@ -122,11 +122,6 @@ def _metrics_registry(args: argparse.Namespace) -> Registry | None:
     registry = Registry() if getattr(args, "metrics_json", None) else None
     args.registry = registry
     return registry
-
-
-def _resilience_policy(args: argparse.Namespace) -> RetryPolicy:
-    """The sweep resilience policy the flags ask for."""
-    return RetryPolicy(max_retries=args.max_retries)
 
 
 def _run_recorder(args: argparse.Namespace) -> RunRecorder:
@@ -208,7 +203,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             workers=args.workers,
             cache=cache,
             obs=registry,
-            resilience=_resilience_policy(args),
         )
     for name in names:
         text = run.texts[name]
@@ -250,7 +244,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "workers": args.workers,
             "cache": cache,
             "obs": registry,
-            "resilience": _resilience_policy(args),
         }
         if args.delays:
             kwargs["delays"] = tuple(args.delays)
@@ -476,21 +469,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _retries_type(text: str) -> int:
-    """Parse ``--max-retries``; must be a non-negative count."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"max retries must be >= 0 (0 fails fast), got {value}"
-        )
-    return value
-
-
 def _program_type(name: str) -> str:
     """Parse one ``minidynamo`` program name.
 
@@ -564,16 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--no-cache",
             action="store_true",
             help="keep no sweep cache: recompute every cell",
-        )
-        p.add_argument(
-            "--max-retries",
-            type=_retries_type,
-            default=DEFAULT_POLICY.max_retries,
-            metavar="N",
-            help=(
-                "retries per failed sweep batch before the run "
-                f"fails (default: {DEFAULT_POLICY.max_retries})"
-            ),
         )
 
     def add_metrics_flags(p):

@@ -108,45 +108,6 @@ class ExperimentError(ReproError):
     """An experiment driver was configured inconsistently."""
 
 
-class SweepExecutionError(ExperimentError):
-    """A sweep batch could not be completed within the resilience policy.
-
-    Base class of the executor's failure taxonomy; carries enough
-    coordinates (benchmark, batch index, attempts used) to identify the
-    failing unit of work in logs and bug reports.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        benchmark: str | None = None,
-        batch_index: int | None = None,
-        attempts: int | None = None,
-    ):
-        self.benchmark = benchmark
-        self.batch_index = batch_index
-        self.attempts = attempts
-        parts = []
-        if benchmark is not None:
-            parts.append(f"benchmark={benchmark}")
-        if batch_index is not None:
-            parts.append(f"batch={batch_index}")
-        if attempts is not None:
-            parts.append(f"attempts={attempts}")
-        suffix = f" [{', '.join(parts)}]" if parts else ""
-        super().__init__(message + suffix)
-
-
-class WorkerCrashError(SweepExecutionError):
-    """A sweep batch crashed (or returned a corrupt result) past the
-    retry budget.
-
-    Raised after the executor has exhausted its
-    :class:`~repro.resilience.RetryPolicy` for one batch.  The original
-    failure is chained as ``__cause__``.
-    """
-
-
 class ServingError(ReproError):
     """The prediction server was misused or reached an invalid state."""
 

@@ -1,5 +1,4 @@
-"""Sweep execution: cache lookup, fault-tolerant replay, deterministic
-assembly.
+"""Sweep execution: cache lookup, replay, deterministic assembly.
 
 :func:`run_sweep` is the one entry point every delay sweep goes
 through.  It plans the (benchmark, scheme, τ) grid, serves whatever the
@@ -13,26 +12,25 @@ Determinism guarantee: each cell is a pure function of its trace and
 coordinates, computed by the same :func:`_run_cells` code path in both
 modes, and the output list is ordered by the planner's canonical index
 rather than by completion order.  Serial, threaded, cached and
-*retried* runs of the same sweep therefore return *equal* point lists,
+*resumed* runs of the same sweep therefore return *equal* point lists,
 and every rendered figure built from them is byte-identical — a
 property the equivalence test-suite locks down.
 
-Resilience (see :mod:`repro.resilience` and ``docs/resilience.md``):
-every completed batch is written to the cache *immediately*, so an
-interrupted multi-hour sweep leaves a resumable cache rather than
-losing all replayed-but-unstored cells.  A
-:class:`~repro.resilience.RetryPolicy` bounds per-batch retries, spaced
-by deterministic exponential backoff; a batch that fails every attempt
-fails the sweep with a :class:`~repro.errors.WorkerCrashError` naming
-it.  SIGINT/SIGTERM stop the sweep at the next batch boundary and raise
+Failures (see :mod:`repro.resilience` and ``docs/resilience.md``):
+every completed batch is written to the cache *immediately*, so a sweep
+that stops early leaves a resumable cache rather than losing all
+replayed-but-unstored cells.  A batch that raises stops the sweep at
+once with that batch's own exception: a cell is deterministic, so
+replaying it would fail the same way.  SIGINT/SIGTERM stop the sweep at
+the next batch boundary and raise
 :class:`~repro.errors.SweepInterrupted` carrying the partial results.
 A :class:`~repro.resilience.FaultPlan` threads deterministic fault
-injection through :func:`_run_cells`, so the failure matrix is
-testable without real failures.
+injection through :func:`_run_cells`, so both paths are testable
+without real failures.
 
 Observability: pass ``obs`` (a :class:`repro.obs.Registry`) and the
 engine accounts for itself under the ``sweep.`` prefix — cells planned
-/ cached / replayed, batches, workers, chunk size, retries, and replay /
+/ cached / replayed, batches, workers, chunk size, and replay /
 hot-set / per-cell timers.  Each batch measures into a local registry
 that travels back with its points and is merged as the batch completes,
 so threaded runs report the same totals as serial ones.  With no
@@ -46,12 +44,7 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
-from repro.errors import (
-    ExperimentError,
-    ReproError,
-    SweepInterrupted,
-    WorkerCrashError,
-)
+from repro.errors import ExperimentError, SweepInterrupted
 from repro.experiments.engine.cache import SweepCache, cache_key, trace_digest
 from repro.experiments.engine.planner import (
     SweepTask,
@@ -69,7 +62,7 @@ from repro.experiments.sweep import (
 from repro.metrics.hotpaths import HotPathSet, hot_path_set
 from repro.metrics.quality import evaluate_prediction
 from repro.obs.core import Registry, get_registry
-from repro.resilience import DEFAULT_POLICY, FaultPlan, RetryPolicy
+from repro.resilience import FaultPlan
 from repro.resilience.signals import InterruptFlag, interrupt_guard
 from repro.trace.recorder import PathTrace
 
@@ -125,7 +118,6 @@ def _run_cells(
     observe: bool = False,
     faults: FaultPlan | None = None,
     batch_index: int = 0,
-    attempt: int = 0,
 ) -> tuple[list[SweepPoint], dict | None, list[float]]:
     """Replay a batch of (scheme, τ) cells on one replay context.
 
@@ -144,12 +136,11 @@ def _run_cells(
     for the manifest's per-cell timers.
 
     ``faults`` is the deterministic fault-injection hook: planned
-    crashes and interrupts fire before the replay, corruption mangles
-    the returned points, all keyed by ``(batch_index, attempt)`` so a
-    faulted run replays identically every time.
+    crashes and interrupts fire before the replay, keyed by
+    ``batch_index`` so a faulted run replays identically every time.
     """
     if faults is not None:
-        faults.before(batch_index, attempt)
+        faults.before(batch_index)
     obs = Registry() if observe else get_registry(None)
     trace = context.trace
     with obs.span("hot_set"):
@@ -165,21 +156,7 @@ def _run_cells(
         obs.counter("cells_replayed").inc()
         outcome.publish(obs.child("prediction"))
         points.append(SweepPoint.from_quality(trace.name, quality))
-    if faults is not None:
-        points = faults.after(batch_index, attempt, points)
     return points, (obs.snapshot() if observe else None), cell_ms
-
-
-def _retryable(error: BaseException) -> bool:
-    """Whether a failed attempt is worth repeating.
-
-    Crashed batches and corrupt results are transient by assumption;
-    any other :class:`ReproError` is a deterministic configuration
-    problem that would fail identically on every retry.
-    """
-    if isinstance(error, WorkerCrashError):
-        return True
-    return not isinstance(error, ReproError)
 
 
 def _bucket_counter(ms: float) -> str:
@@ -190,38 +167,21 @@ def _bucket_counter(ms: float) -> str:
     return "cell_ms_le_inf"
 
 
-class _BatchRun:
-    """One batch of a benchmark's cells, and the attempts it has used."""
-
-    __slots__ = ("batch", "order", "attempt")
-
-    def __init__(self, batch: list[SweepTask], order: int):
-        self.batch = batch
-        self.order = order
-        self.attempt = 0
-
-    @property
-    def benchmark(self) -> str:
-        return self.batch[0].benchmark
-
-
 class _SweepRunner:
-    """Executes one sweep's pending batches under a retry policy.
+    """Executes one sweep's pending batches.
 
-    Every batch goes through :meth:`_attempt` — compute, validate,
-    retry with deterministic backoff — on the main thread when
+    Every batch goes through :meth:`_compute`, on the main thread when
     ``workers == 0`` and on a pool thread otherwise.  Only the main
     thread touches shared state: :meth:`_complete` merges a finished
     batch's metrics, writes it to the cache and places its points at
     their canonical indices as soon as the batch finishes, not after
-    the sweep.
+    the sweep.  A batch that raises ends the run with its exception.
     """
 
     def __init__(
         self,
         batches: list[list[SweepTask]],
         contexts: dict[str, ReplayContext],
-        policy: RetryPolicy,
         faults: FaultPlan | None,
         engine: Registry,
         cache: SweepCache | None,
@@ -229,11 +189,8 @@ class _SweepRunner:
         results: list[SweepPoint | None],
         flag: InterruptFlag,
     ):
-        self.runs = [
-            _BatchRun(batch, order) for order, batch in enumerate(batches)
-        ]
+        self.batches = batches
         self.contexts = contexts
-        self.policy = policy
         self.faults = faults
         self.engine = engine
         self.observe = engine.enabled
@@ -242,72 +199,32 @@ class _SweepRunner:
         self.results = results
         self.flag = flag
 
-    def _validate(self, run: _BatchRun, points: list) -> None:
-        """Reject a batch result whose cells do not match its plan."""
-        if len(points) != len(run.batch):
-            problem = f"{len(points)} points for {len(run.batch)} cells"
-        elif any(
-            point.scheme != task.scheme or point.delay != task.delay
-            for task, point in zip(run.batch, points)
-        ):
-            problem = "point coordinates do not match the plan"
-        else:
-            return
-        raise WorkerCrashError(
-            f"corrupt batch result: {problem}",
-            benchmark=run.benchmark,
-            batch_index=run.order,
-            attempts=run.attempt + 1,
-        )
-
-    def _attempt(self, run: _BatchRun) -> tuple[list, dict | None, list]:
-        """Compute one batch, retrying failures within the policy.
+    def _compute(self, order: int) -> tuple[list, dict | None, list]:
+        """Replay batch ``order``.
 
         Runs on whichever thread executes the batch and touches only the
         batch's own state, so pool threads never share anything mutable
         beyond the per-trace memos.
         """
-        context = self.contexts[run.benchmark]
-        cells = [task.cell for task in run.batch]
-        while True:
-            try:
-                points, snapshot, cell_ms = _run_cells(
-                    context,
-                    cells,
-                    self.observe,
-                    self.faults,
-                    run.order,
-                    run.attempt,
-                )
-                self._validate(run, points)
-                return points, snapshot, cell_ms
-            except Exception as error:
-                if not _retryable(error):
-                    raise
-                if run.attempt >= self.policy.max_retries:
-                    raise WorkerCrashError(
-                        "sweep batch failed on every attempt",
-                        benchmark=run.benchmark,
-                        batch_index=run.order,
-                        attempts=run.attempt + 1,
-                    ) from error
-                run.attempt += 1
-                time.sleep(
-                    self.policy.backoff_seconds(run.order, run.attempt)
-                )
+        batch = self.batches[order]
+        return _run_cells(
+            self.contexts[batch[0].benchmark],
+            [task.cell for task in batch],
+            self.observe,
+            self.faults,
+            order,
+        )
 
-    def _complete(self, run: _BatchRun, outcome) -> None:
-        """Collect a batch via ``outcome()``; merge, cache and place it."""
-        try:
-            points, snapshot, cell_ms = outcome()
-        finally:
-            self.engine.counter("retries").inc(run.attempt)
+    def _complete(self, order: int, outcome) -> None:
+        """Merge, cache and place batch ``order``'s computed outcome."""
+        points, snapshot, cell_ms = outcome
+        batch = self.batches[order]
         if snapshot is not None:
             # Batch measurements use relative names; merging through
             # the child view re-prefixes them.
             self.engine.merge(snapshot)
         if self.observe:
-            for task, ms in zip(run.batch, cell_ms):
+            for task, ms in zip(batch, cell_ms):
                 seconds = ms / 1000.0
                 self.engine.timer("cell_ms").observe(seconds)
                 self.engine.counter(_bucket_counter(ms)).inc()
@@ -315,7 +232,7 @@ class _SweepRunner:
                     CELL_TIMER_PREFIX
                     + cell_name(task.benchmark, task.scheme, task.delay)
                 ).observe(seconds)
-        for task, point in zip(run.batch, points):
+        for task, point in zip(batch, points):
             self.results[task.index] = point
             if self.cache is not None:
                 self.cache.put(self.keys[task.index], point)
@@ -335,16 +252,17 @@ class _SweepRunner:
 
     def run(self, workers: int) -> None:
         if workers == 0:
-            for run in self.runs:
+            for order in range(len(self.batches)):
                 self._check_interrupt()
-                self._complete(run, lambda: self._attempt(run))
+                self._complete(order, self._compute(order))
             return
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
             # Submitted in canonical plan order: the pool's FIFO queue
             # is the whole schedule.
             inflight = {
-                pool.submit(self._attempt, run): run for run in self.runs
+                pool.submit(self._compute, order): order
+                for order in range(len(self.batches))
             }
             while inflight:
                 self._check_interrupt()
@@ -353,8 +271,9 @@ class _SweepRunner:
                     timeout=_POLL_SECONDS,
                     return_when=FIRST_COMPLETED,
                 )
-                for future in sorted(done, key=lambda f: inflight[f].order):
-                    self._complete(inflight.pop(future), future.result)
+                for future in sorted(done, key=inflight.__getitem__):
+                    # result() re-raises a failed batch's own exception.
+                    self._complete(inflight.pop(future), future.result())
         finally:
             # Queued batches are dropped; running ones cannot be
             # stopped, so wait for them rather than leave them behind.
@@ -368,7 +287,6 @@ def run_sweep(
     workers: int = 0,
     cache: SweepCache | None = None,
     obs: Registry | None = None,
-    resilience: RetryPolicy | None = None,
     faults: FaultPlan | None = None,
 ) -> list[SweepPoint]:
     """Measure every (benchmark, scheme, τ) cell of a sweep.
@@ -393,9 +311,6 @@ def run_sweep(
         Optional observability registry; engine metrics land under its
         ``sweep.`` prefix (see the module docstring).  ``None`` runs
         uninstrumented at zero cost.
-    resilience:
-        Optional :class:`~repro.resilience.RetryPolicy`; ``None`` uses
-        :data:`~repro.resilience.DEFAULT_POLICY` (bounded retries).
     faults:
         Optional :class:`~repro.resilience.FaultPlan` for deterministic
         fault injection (tests and drills only); it fires inside
@@ -406,12 +321,12 @@ def run_sweep(
     SweepInterrupted
         On SIGINT/SIGTERM, after placing and caching every completed
         batch; carries the partial results.
-    WorkerCrashError
-        When one batch exhausts the policy's retry budget.
+    Exception
+        Whatever a batch raises, unchanged, after caching every batch
+        completed before it.
     """
     if workers < 0:
         raise ExperimentError(f"workers must be >= 0, got {workers}")
-    policy = resilience if resilience is not None else DEFAULT_POLICY
     engine = get_registry(obs).child("sweep")
     with engine.span("total"):
         tasks = plan_sweep(list(traces), schemes=schemes, delays=delays)
@@ -421,7 +336,6 @@ def run_sweep(
         # zeros included.
         engine.counter("cells_cached")
         engine.counter("cells_replayed")
-        engine.counter("retries")
         results: list[SweepPoint | None] = [None] * len(tasks)
 
         keys: dict[int, str] = {}
@@ -477,7 +391,6 @@ def run_sweep(
                 contexts={
                     name: ReplayContext(traces[name]) for name in groups
                 },
-                policy=policy,
                 faults=faults,
                 engine=engine,
                 cache=cache,

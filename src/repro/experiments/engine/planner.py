@@ -108,8 +108,8 @@ def chunk_tasks(
 
 #: Ceiling on the autotuned chunk size.  A thread-pool batch moves no
 #: data, so a large chunk saves almost nothing on dispatch but costs
-#: load balance (and retry granularity — a faulted batch re-replays its
-#: whole chunk).
+#: load balance, and a sweep that stops early caches nothing of a batch
+#: still running.
 AUTOTUNE_MAX_CHUNK = 32
 
 #: Batches the autotuner aims to give each worker per benchmark, so the

@@ -71,7 +71,6 @@ from repro.experiments.sweep import DEFAULT_DELAYS, SCHEMES, SweepPoint
 from repro.experiments.table1 import TARGET as _TABLE1_TARGET
 from repro.experiments.table2 import TARGET as _TABLE2_TARGET
 from repro.obs.core import Registry, get_registry
-from repro.resilience import RetryPolicy
 
 #: Every experiment's target declaration, in canonical artifact order.
 TARGETS: dict[str, TargetSpec] = {
@@ -247,13 +246,12 @@ def run_targets(
     cache: SweepCache,
     workers: int = 0,
     obs: Registry | None = None,
-    resilience: RetryPolicy | None = None,
 ) -> TargetRun:
     """Execute the dirty subgraph and return every requested artifact.
 
-    The engine parameters (``workers``, ``resilience``) reach the one
-    :func:`run_sweep` call that replays dirty cells; they never affect
-    results, only how the replay is run.  ``obs`` lands the graph
+    The engine parameter ``workers`` reaches the one :func:`run_sweep`
+    call that replays dirty cells; it never affects results, only how
+    the replay is run.  ``obs`` lands the graph
     accounting under its ``graph.`` prefix (``nodes_total`` /
     ``nodes_dirty`` / ``nodes_skipped`` / ``cells_executed`` /
     ``renders_executed`` / ``renders_served``).
@@ -333,7 +331,6 @@ def run_targets(
                 workers=workers,
                 cache=cache,
                 obs=obs,
-                resilience=resilience,
             )
             for point in points:
                 executed[(point.benchmark, point.scheme, point.delay)] = (

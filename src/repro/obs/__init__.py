@@ -9,7 +9,7 @@ manifest schema.
 * :mod:`repro.obs.core` — ``Counter``/``Gauge``/``Timer`` primitives,
   the hierarchical :class:`Registry` with ``span``/``phase`` timing, the
   zero-cost :class:`NullRegistry`, and snapshot/merge for combining
-  per-worker measurements.
+  per-batch measurements.
 * :mod:`repro.obs.manifest` — the machine-readable JSON run manifest
   (argv, git revision, wall times, per-phase counters).
 * :mod:`repro.obs.report` — the human-facing one-line summary.

@@ -16,8 +16,9 @@ Conventions
   accumulate total seconds and an observation count.
 * :meth:`Registry.snapshot` renders everything into plain dicts (JSON
   ready) and :meth:`Registry.merge` folds such a snapshot back in —
-  the mechanism used to combine per-worker measurements after a process
-  pool joins: counters and timers add, gauges last-write-win.
+  the mechanism the sweep engine uses to combine each batch's
+  measurements as the batch completes: counters and timers add, gauges
+  last-write-win.
 * Instrumented code should take an ``obs`` argument defaulting to
   ``None`` and normalize it with :func:`get_registry`; the null registry
   it falls back to makes every instrument call a no-op.
@@ -171,13 +172,13 @@ class Registry:
         }
 
     def merge(self, snapshot: dict) -> None:
-        """Fold a :meth:`snapshot` (e.g. from a pool worker) into this
+        """Fold a :meth:`snapshot` (e.g. from a sweep batch) into this
         registry: counters and timers accumulate, gauges take the
         snapshot's value, unseen phases append in snapshot order.
 
         Merging into a :meth:`child` view prefixes every merged name —
-        the way per-worker snapshots (whose names are relative to the
-        worker's local registry) are mounted at the right point of the
+        the way per-batch snapshots (whose names are relative to the
+        batch's local registry) are mounted at the right point of the
         parent's hierarchy.
         """
         for name, value in snapshot.get("counters", {}).items():

@@ -33,7 +33,7 @@ class InterruptFlag:
 
 
 @contextmanager
-def interrupt_guard(capture: tuple[int, ...] | None = None):
+def interrupt_guard():
     """Trap SIGINT/SIGTERM into an :class:`InterruptFlag` for a block.
 
     Yields the flag; callers poll ``flag.fired`` at safe points.  The
@@ -43,8 +43,6 @@ def interrupt_guard(capture: tuple[int, ...] | None = None):
     hatch).
     """
     flag = InterruptFlag()
-    if capture is None:
-        capture = (signal.SIGINT, signal.SIGTERM)
     if threading.current_thread() is not threading.main_thread():
         # Handlers are a main-thread privilege; run unguarded.
         yield flag
@@ -57,7 +55,7 @@ def interrupt_guard(capture: tuple[int, ...] | None = None):
 
     previous = {}
     try:
-        for signum in capture:
+        for signum in (signal.SIGINT, signal.SIGTERM):
             previous[signum] = signal.signal(signum, handler)
     except (ValueError, OSError):
         # Exotic embedding; restore whatever we managed and run unguarded.

@@ -446,7 +446,7 @@ def run_chaos(
             driver.open(tenant_id, stream)
         for step, (tenant_id, seq) in enumerate(schedule):
             for spec in config.faults.specs:
-                if not spec.fires(step, 0):
+                if not spec.fires(step):
                     continue
                 if spec.kind == "crash":
                     driver.kill()
@@ -462,7 +462,7 @@ def run_chaos(
                 faults_fired.append((spec.kind, step))
 
             lost_ack = any(
-                spec.kind == "hang" and spec.fires(step, 0)
+                spec.kind == "hang" and spec.fires(step)
                 for spec in config.faults.specs
             )
             sels, _ = driver.ingest(tenant_id, tenants[tenant_id], seq)

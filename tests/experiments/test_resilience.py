@@ -1,39 +1,27 @@
-"""Fault-injection suite for the resilient sweep executor.
+"""Fault-injection suite for the sweep executor's failure paths.
 
-Locks down the acceptance matrix of the resilience layer: a batch that
-crashes twice then succeeds yields a sweep byte-identical to a
-fault-free serial run; a corrupt result is caught and retried; a batch
-that fails every attempt fails the sweep with its coordinates; and an
-interrupt mid-sweep, serial or threaded, leaves a cache from which a
-rerun serves every completed cell without replay.  All of it
-deterministic — no real failures, no flaky sleeps as synchronization.
+Locks down what a sweep does when it cannot finish: a batch that raises
+fails the sweep at once with its own exception, every cell replayed
+once at most; a crash mid-sweep leaves every completed batch in the
+cache; and an interrupt mid-sweep, serial or threaded, leaves a cache
+from which a rerun serves every completed cell without replay.  All of
+it deterministic — no real failures, no flaky sleeps as
+synchronization.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from repro.errors import (
-    ExperimentError,
-    SweepInterrupted,
-    WorkerCrashError,
-)
+from repro.errors import ExperimentError, SweepInterrupted
 from repro.experiments import run_sweep
-from repro.experiments.engine import SweepCache
+from repro.experiments.engine import SweepCache, executor
 from repro.obs import Registry
-from repro.resilience import (
-    RetryPolicy,
-    corrupt_on,
-    crash_on,
-    interrupt_on,
-    plan,
-)
+from repro.resilience import InjectedFault, crash_on, interrupt_on, plan
 
 DELAYS = (10, 1_000)
-
-#: Fast backoff so retried runs stay test-speed; determinism does not
-#: depend on the delays, only on the (batch, attempt) decisions.
-FAST = {"backoff_base": 0.001, "backoff_cap": 0.01}
 
 
 @pytest.fixture(scope="module")
@@ -51,94 +39,31 @@ def baseline(trio):
     return run_sweep(trio, delays=DELAYS)
 
 
-def test_flaky_batch_serial_byte_identical(trio, baseline):
-    """Crashes twice, succeeds on the third attempt — same bytes."""
-    registry = Registry()
-    points = run_sweep(
-        trio,
-        delays=DELAYS,
-        resilience=RetryPolicy(max_retries=3, **FAST),
-        faults=plan(crash_on(batch=1, times=2)),
-        obs=registry,
-    )
-    assert points == baseline
-    counters = registry.snapshot()["counters"]
-    assert counters["sweep.retries"] == 2
-
-
-def test_flaky_batch_parallel_byte_identical(trio, baseline):
-    registry = Registry()
-    points = run_sweep(
-        trio,
-        delays=DELAYS,
-        workers=2,
-        resilience=RetryPolicy(max_retries=3, **FAST),
-        faults=plan(crash_on(batch=2, times=2)),
-        obs=registry,
-    )
-    assert points == baseline
-    assert registry.snapshot()["counters"]["sweep.retries"] == 2
-
-
 @pytest.mark.parametrize("workers", [0, 2])
-def test_crash_exhausts_retries(trio, workers):
-    """A batch that always crashes fails the sweep with coordinates."""
-    with pytest.raises(WorkerCrashError) as excinfo:
-        run_sweep(
-            trio,
-            delays=DELAYS,
-            workers=workers,
-            resilience=RetryPolicy(max_retries=1, **FAST),
-            faults=plan(crash_on(batch=0, times=None)),
-        )
-    error = excinfo.value
-    assert error.batch_index == 0
-    assert error.attempts == 2  # first try + one retry
-    assert error.benchmark in trio
+def test_failing_batch_raises_its_own_error(trio, workers, monkeypatch):
+    """A batch that raises stops the sweep with that very exception,
+    and no failing cell is replayed a second time."""
+    evaluate = executor.evaluate_prediction
+    failed = Counter()
 
+    def failing_for_go(trace, hot, outcome):
+        if trace.name == "go":
+            failed[(outcome.scheme, outcome.delay)] += 1
+            raise ValueError(f"defect in {outcome.scheme}:{outcome.delay}")
+        return evaluate(trace, hot, outcome)
 
-def test_corrupt_result_detected_and_retried(trio, baseline):
-    """A mangled batch result is rejected, retried, and recovered."""
-    registry = Registry()
-    points = run_sweep(
-        trio,
-        delays=DELAYS,
-        resilience=RetryPolicy(max_retries=2, **FAST),
-        faults=plan(corrupt_on(batch=0, times=1)),
-        obs=registry,
-    )
-    assert points == baseline
-    assert registry.snapshot()["counters"]["sweep.retries"] == 1
-
-
-def test_corrupt_result_exhausts_to_worker_crash(trio):
-    with pytest.raises(
-        WorkerCrashError, match="failed on every attempt"
-    ) as excinfo:
-        run_sweep(
-            trio,
-            delays=DELAYS,
-            resilience=RetryPolicy(max_retries=1, **FAST),
-            faults=plan(corrupt_on(batch=0, times=None)),
-        )
-    assert "corrupt batch result" in str(excinfo.value.__cause__)
+    monkeypatch.setattr(executor, "evaluate_prediction", failing_for_go)
+    with pytest.raises(ValueError, match="defect in") as excinfo:
+        run_sweep(trio, delays=DELAYS, workers=workers)
+    assert type(excinfo.value) is ValueError
+    assert failed and set(failed.values()) == {1}
 
 
 def test_configuration_errors_are_not_retried(trio):
-    """A deterministic ReproError fails fast instead of burning retries."""
-    registry = Registry()
-    with pytest.raises(
-        ExperimentError, match="unknown sweep scheme"
-    ) as excinfo:
-        run_sweep(
-            trio,
-            schemes=("no-such-scheme",),
-            delays=DELAYS,
-            resilience=RetryPolicy(max_retries=5, **FAST),
-            obs=registry,
-        )
-    assert not isinstance(excinfo.value, WorkerCrashError)
-    assert registry.snapshot()["counters"]["sweep.retries"] == 0
+    """A deterministic ReproError raised inside a batch fails the sweep
+    as itself."""
+    with pytest.raises(ExperimentError, match="unknown sweep scheme"):
+        run_sweep(trio, schemes=("no-such-scheme",), delays=DELAYS)
 
 
 def test_interrupt_mid_sweep_leaves_resumable_cache(
@@ -181,13 +106,12 @@ def test_mid_run_crash_leaves_resumable_cache(trio, baseline, tmp_path):
     """The incremental-write regression: a sweep killed mid-run must
     not lose the batches that already completed."""
     cache = SweepCache(tmp_path / "cache")
-    with pytest.raises(WorkerCrashError):
+    with pytest.raises(InjectedFault):
         run_sweep(
             trio,
             delays=DELAYS,
-            resilience=RetryPolicy(max_retries=0, **FAST),
             cache=cache,
-            faults=plan(crash_on(batch=2, times=None)),
+            faults=plan(crash_on(batch=2)),
         )
     completed = 2 * 2 * len(DELAYS)  # two benchmarks finished
     assert cache.stats.stores == completed
@@ -197,32 +121,6 @@ def test_mid_run_crash_leaves_resumable_cache(trio, baseline, tmp_path):
     assert points == baseline
     assert warm_cache.stats.hits == completed
     assert warm_cache.stats.misses == len(baseline) - completed
-
-
-def test_faulted_retried_parallel_serial_all_equal(trio, baseline):
-    """The equivalence guarantee under fire: serial, parallel, and a
-    parallel run riddled with recoverable faults return equal lists."""
-    parallel = run_sweep(trio, delays=DELAYS, workers=2)
-    faulted = run_sweep(
-        trio,
-        delays=DELAYS,
-        workers=2,
-        resilience=RetryPolicy(max_retries=4, **FAST),
-        faults=plan(
-            crash_on(batch=0, times=1),
-            corrupt_on(batch=1, times=1),
-        ),
-    )
-    assert parallel == baseline
-    assert faulted == baseline
-
-
-def test_clean_run_reports_zeroed_resilience_counters(trio):
-    """Healthy sweeps still intern the full counter set for manifests."""
-    registry = Registry()
-    run_sweep(trio, delays=DELAYS, obs=registry)
-    counters = registry.snapshot()["counters"]
-    assert counters["sweep.retries"] == 0
 
 
 def test_threaded_interrupt_leaves_resumable_cache(

@@ -329,38 +329,6 @@ def test_completed_run_manifest_is_not_interrupted(capsys, tmp_path):
     assert json.loads(manifest.read_text())["interrupted"] is False
 
 
-def test_resilience_flags_reach_the_sweep(capsys, monkeypatch):
-    seen = {}
-
-    def spying_sweep(traces, **kwargs):
-        seen.update(kwargs)
-        raise SweepInterrupted(
-            partial=[], completed=0, total=0, signal_name="SIGINT"
-        )
-
-    monkeypatch.setattr("repro.cli.run_sweep", spying_sweep)
-    main(
-        [
-            "sweep",
-            "deltablue",
-            "--flow-scale",
-            "0.05",
-            "--no-cache",
-            "--max-retries",
-            "4",
-        ]
-    )
-    capsys.readouterr()
-    policy = seen["resilience"]
-    assert policy.max_retries == 4
-
-
-def test_max_retries_rejects_negative_at_parse_time(capsys):
-    with pytest.raises(SystemExit):
-        main(["sweep", "deltablue", "--max-retries", "-1"])
-    assert "max retries must be >= 0" in capsys.readouterr().err
-
-
 def test_dynamo(capsys):
     assert main(
         ["dynamo", "deltablue", "--flow-scale", "0.05", "--delays", "10"]

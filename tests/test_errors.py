@@ -18,8 +18,6 @@ def test_all_errors_derive_from_repro_error():
         "WorkloadError",
         "DynamoError",
         "ExperimentError",
-        "SweepExecutionError",
-        "WorkerCrashError",
         "SweepInterrupted",
     ):
         cls = getattr(errors, name)
@@ -52,20 +50,6 @@ def test_single_except_clause_catches_everything():
     for cls in (errors.CFGError, errors.DynamoError, errors.TraceError):
         with pytest.raises(errors.ReproError):
             raise cls("boom")
-
-
-def test_sweep_execution_error_carries_coordinates():
-    error = errors.WorkerCrashError(
-        "worker died", benchmark="go", batch_index=3, attempts=2
-    )
-    assert error.benchmark == "go"
-    assert error.batch_index == 3
-    assert error.attempts == 2
-    assert "benchmark=go" in str(error)
-    assert "batch=3" in str(error)
-    bare = errors.WorkerCrashError("worker died")
-    assert bare.benchmark is None
-    assert str(bare) == "worker died"
 
 
 def test_sweep_interrupted_carries_partial_results():

@@ -20,9 +20,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
 CALLER_DIRS = ("examples", "benchmarks", "perfbench")
 
-#: Fault hooks: the tests arm them to crash, corrupt or interrupt a run
-#: on purpose, and no entry point does.
-TEST_HOOKS = frozenset({"crash_on", "corrupt_on", "interrupt_on"})
+#: Fault hooks: the tests arm them to crash or interrupt a run on
+#: purpose, and no entry point does.
+TEST_HOOKS = frozenset({"crash_on", "interrupt_on"})
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
