@@ -1,10 +1,10 @@
 """Golden-file regression tests for the experiment renders.
 
-``render_table1``/``render_table2``/``render_figure4`` output and the
-full Figure 5 artifact over the full benchmark set (at the reduced
-engine test scale) are compared byte-for-byte against files committed
-under ``tests/experiments/golden/``.  Engine and cost-model refactors
-therefore cannot silently change what an experiment prints.
+Every artifact ``repro run`` prints — the tables, Figures 2–5, the
+claims and the phases report — at the reduced engine test scale is
+compared byte-for-byte against a file committed under
+``tests/experiments/golden/``.  Generator, engine and cost-model
+refactors therefore cannot silently change what an experiment prints.
 
 When a change is intentional, regenerate the files with::
 
@@ -27,7 +27,10 @@ from repro.experiments import (
     render_table1,
     render_table2,
 )
+from repro.experiments.engine import run_sweep
 from repro.experiments.figure5 import _figure5_text
+from repro.experiments.sweep import DEFAULT_DELAYS
+from repro.experiments.targets import TARGETS
 from tests.conftest import ENGINE_TEST_SCALE
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -71,3 +74,21 @@ def test_figure5_matches_golden(all_small_traces, update_goldens):
         _figure5_text(all_small_traces, ENGINE_TEST_SCALE),
         update_goldens,
     )
+
+
+@pytest.fixture(scope="module")
+def sweep_points(all_small_traces):
+    """The benchmark × scheme × τ grid the sweep targets render."""
+    return run_sweep(all_small_traces)
+
+
+@pytest.mark.parametrize("name", ["figure2", "figure3", "claims"])
+def test_sweep_render_matches_golden(name, sweep_points, update_goldens):
+    text = TARGETS[name].render_points(sweep_points, DEFAULT_DELAYS)
+    _check_golden(name, text, update_goldens)
+
+
+def test_phases_matches_golden(update_goldens):
+    """The phases target renders from its own phased trace."""
+    text = TARGETS["phases"].build({}, ENGINE_TEST_SCALE)
+    _check_golden("phases", text, update_goldens)
