@@ -48,5 +48,5 @@ def counter_space(trace: PathTrace) -> CounterSpace:
     return CounterSpace(
         name=trace.name,
         num_paths=int((trace.freqs() > 0).sum()),
-        num_heads=len(trace.dynamic_head_uids()),
+        num_heads=trace.num_dynamic_heads(),
     )

@@ -30,7 +30,7 @@ import signal
 from dataclasses import dataclass
 from typing import ClassVar
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ReproError
 
 #: The misbehaviors a :class:`FaultSpec` can inject.
 FAULT_KINDS = ("crash", "interrupt")
@@ -46,18 +46,19 @@ class FaultSpec:
 
     ``batch`` is the batch's scheduling index (the executor numbers
     batches in canonical plan order).  ``kind`` must be one of
-    :attr:`kinds`; a harness with its own vocabulary subclasses and
-    overrides it.
+    :attr:`kinds`, or the spec raises :attr:`error`; a harness with its
+    own vocabulary subclasses and overrides both.
     """
 
     kinds: ClassVar[tuple[str, ...]] = FAULT_KINDS
+    error: ClassVar[type[ReproError]] = ExperimentError
 
     kind: str
     batch: int
 
     def __post_init__(self) -> None:
         if self.kind not in self.kinds:
-            raise ExperimentError(
+            raise self.error(
                 f"unknown fault kind {self.kind!r}; known: "
                 + ", ".join(self.kinds)
             )

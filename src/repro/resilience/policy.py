@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from repro.errors import ExperimentError
+from repro.errors import ServingError
 
 
 def _jitter_fraction(op_index: int, attempt: int) -> float:
@@ -47,11 +47,11 @@ class RetryPolicy:
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
-            raise ExperimentError(
+            raise ServingError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
         if self.backoff_base < 0 or self.backoff_cap < self.backoff_base:
-            raise ExperimentError(
+            raise ServingError(
                 "backoff must satisfy 0 <= backoff_base <= backoff_cap, "
                 f"got base={self.backoff_base}, cap={self.backoff_cap}"
             )

@@ -67,6 +67,7 @@ class ChaosFault(FaultSpec):
     """A fault spec in the serving harness's vocabulary."""
 
     kinds = SERVING_FAULT_KINDS
+    error = ServingError
 
 
 @dataclass(frozen=True)

@@ -132,14 +132,15 @@ class PathTrace:
 
         return self._cached("backward_arrival", build)
 
-    def dynamic_head_uids(self) -> set[int]:
+    def num_dynamic_heads(self) -> int:
         """Distinct targets of backward taken branches observed in the trace.
 
         This is the paper's "#Unique Path Heads" (Table 2): the number of
-        counters the NET scheme allocates during the run.
+        counters the NET scheme allocates during the run, read off the
+        per-head arrival totals NET's replay caches
+        (:meth:`head_arrival_ranks`).
         """
-        heads = self.head_sequence()[self.backward_arrival_mask()]
-        return set(int(uid) for uid in np.unique(heads))
+        return len(self.head_arrival_ranks()[1])
 
     def occurrence_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Occurrence indices grouped by path id (cached).

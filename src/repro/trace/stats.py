@@ -62,7 +62,7 @@ def summarize(trace: PathTrace) -> TraceSummary:
         name=trace.name,
         flow=flow,
         num_paths=int(executed.sum()),
-        num_unique_heads=len(trace.dynamic_head_uids()),
+        num_unique_heads=trace.num_dynamic_heads(),
         mean_path_blocks=mean_blocks,
         mean_path_instructions=mean_instr,
     )

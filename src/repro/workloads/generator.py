@@ -1,10 +1,16 @@
 """Assembly of path traces from region mixes and visit schedules.
 
 A workload is a set of regions plus a schedule of visits.  The generator
-interleaves region visits — each visit emitting that region's paths for
+interleaves region visits — each visit running that region's paths for
 one activation — until the target flow is reached.  Weights may change
 across *phases* (contiguous fractions of the flow), which is how the
 phased workloads of paper §6.1 are modelled.
+
+The schedule only needs each visit's length, so a visit draws and
+records, and the path ids are rendered in bulk once per batch of
+schedule choices (:class:`~repro.workloads.regions.VisitRenderer`):
+memory stays bounded by the batch, and the Python work per visit is two
+generator calls.
 
 Every region is visited once up front (the *coverage pass*) so a
 workload's dynamic path and head counts equal their design values; this
@@ -22,7 +28,7 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.trace.recorder import PathTrace
 from repro.workloads.pathmodel import PathFactory
-from repro.workloads.regions import RegionSpec, build_run
+from repro.workloads.regions import RegionSpec, VisitRenderer, build_run
 
 #: How many region choices to draw per RNG batch while scheduling.
 _CHOICE_BATCH = 4096
@@ -106,22 +112,22 @@ class WorkloadGenerator:
             regions.extend(
                 build_run(spec, factory, range(first, first + count))
             )
-
-        chunks: list[np.ndarray] = []
+        renderer = VisitRenderer(regions)
+        visits = [region.visit for region in regions]
+        pieces: list[np.ndarray] = []
         emitted = 0
 
         if config.coverage_pass:
             # Coverage pass: visit every region once, hottest first so
             # the kernels dominate the prefix the way warmed-up programs
             # do.
-            coverage_order = sorted(
+            order = sorted(
                 range(len(regions)),
                 key=lambda index: -config.regions[index].weight,
             )
-            for index in coverage_order:
-                chunk = regions[index].emit()
-                chunks.append(chunk)
-                emitted += len(chunk)
+            lengths = [visits[index]() for index in order]
+            pieces.append(renderer.render(order, lengths))
+            emitted = sum(lengths)
 
         phases = config.phases or [Phase(fraction=1.0)]
         base_weights = np.array(
@@ -132,17 +138,25 @@ class WorkloadGenerator:
             phase_goal = min(emitted + phase_budget, config.target_flow)
             weights = self._phase_weights(base_weights, phase)
             emitted = self._run_phase(
-                rng, regions, weights, chunks, emitted, phase_goal
+                rng, visits, renderer, weights, pieces, emitted, phase_goal
             )
 
         # Keep scheduling under the final phase's weights until the
         # target is reached (coverage may have eaten into early budgets).
         final_weights = self._phase_weights(base_weights, phases[-1])
         emitted = self._run_phase(
-            rng, regions, final_weights, chunks, emitted, config.target_flow
+            rng,
+            visits,
+            renderer,
+            final_weights,
+            pieces,
+            emitted,
+            config.target_flow,
         )
 
-        ids = np.concatenate(chunks)[: config.target_flow]
+        ids = np.concatenate(pieces)[: config.target_flow]
+        # Free the pieces before the path table is built.
+        del pieces
         return PathTrace(factory.table, ids, name=config.name)
 
     def _phase_weights(
@@ -162,22 +176,23 @@ class WorkloadGenerator:
     def _run_phase(
         self,
         rng: np.random.Generator,
-        regions: list,
+        visits: list,
+        renderer: VisitRenderer,
         weights: np.ndarray,
-        chunks: list[np.ndarray],
+        pieces: list[np.ndarray],
         emitted: int,
         goal: int,
     ) -> int:
-        indices = np.array([], dtype=np.int64)
-        cursor = 0
+        """Visit regions drawn by ``weights`` until ``emitted`` reaches
+        ``goal``, rendering one piece per batch of choices."""
         while emitted < goal:
-            if cursor >= len(indices):
-                indices = rng.choice(
-                    len(regions), size=_CHOICE_BATCH, p=weights
-                )
-                cursor = 0
-            chunk = regions[indices[cursor]].emit()
-            cursor += 1
-            chunks.append(chunk)
-            emitted += len(chunk)
+            indices = rng.choice(len(visits), size=_CHOICE_BATCH, p=weights)
+            lengths = []
+            for index in indices.tolist():
+                length = visits[index]()
+                lengths.append(length)
+                emitted += length
+                if emitted >= goal:
+                    break
+            pieces.append(renderer.render(indices[: len(lengths)], lengths))
         return emitted

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ServingError
 from repro.resilience import RetryPolicy
 
 
@@ -45,5 +45,6 @@ def test_backoff_zeroth_attempt_is_free():
     ],
 )
 def test_invalid_policies_rejected(kwargs):
-    with pytest.raises(ExperimentError):
+    """The serving client's policy fails as serving misuse."""
+    with pytest.raises(ServingError):
         RetryPolicy(**kwargs)

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.errors import ExperimentError, ServingError
 from repro.resilience import FaultSpec, plan
 from repro.serving import (
     ChaosConfig,
@@ -95,6 +96,15 @@ def test_unknown_fault_kind_rejected(tmp_path):
             _with_plan(plan(FaultSpec(kind="pool_break", batch=2))),
             tmp_path,
         )
+
+
+def test_unknown_chaos_fault_is_a_serving_error():
+    """A caller that catches ServingError sees a bad chaos plan; the
+    sweep's own fault specs keep raising ExperimentError."""
+    with pytest.raises(ServingError, match="meteor"):
+        ChaosFault(kind="meteor", batch=0)
+    with pytest.raises(ExperimentError, match="meteor"):
+        FaultSpec(kind="meteor", batch=0)
 
 
 def test_failed_tcp_run_stops_its_server(tmp_path, monkeypatch):

@@ -72,4 +72,4 @@ def test_benchmark_trace_round_trip(tmp_path, small_deltablue):
     loaded = load_trace(file)
     assert loaded.flow == small_deltablue.flow
     assert np.array_equal(loaded.freqs(), small_deltablue.freqs())
-    assert loaded.dynamic_head_uids() == small_deltablue.dynamic_head_uids()
+    assert loaded.num_dynamic_heads() == small_deltablue.num_dynamic_heads()

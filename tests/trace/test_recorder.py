@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TraceError
+from repro.experiments.phases import phases_config
 from repro.trace import (
     CFGWalker,
     PathTable,
@@ -11,7 +14,8 @@ from repro.trace import (
     record_path_trace,
 )
 from repro.trace.path import STATIC_COLUMN_KEYS
-from tests.conftest import make_path
+from repro.workloads import WorkloadGenerator
+from tests.conftest import ENGINE_TEST_SCALE, make_path
 from tests.trace.event_oracle import ScriptedOracle
 
 
@@ -63,13 +67,58 @@ def test_backward_arrival_mask_uses_previous_path():
     assert list(mask) == [False, True, False, True]
 
 
+def _unique_heads(trace: PathTrace) -> int:
+    """The head count's oracle: distinct heads of backward arrivals."""
+    heads = trace.head_sequence()[trace.backward_arrival_mask()]
+    return len(np.unique(heads))
+
+
 def test_dynamic_head_uids():
     table = PathTable()
     a = make_path(table, 0, "1", (0, 1))
     b = make_path(table, 40, "0", (10, 11))
     trace = PathTrace(table, [a, b, a, b])
     # Arrivals via backward branches land at heads 10, 0, 10.
-    assert trace.dynamic_head_uids() == {0, 10}
+    assert trace.num_dynamic_heads() == _unique_heads(trace) == 2
+    # The first occurrence is reached from the program entry.
+    assert PathTrace(table, [a]).num_dynamic_heads() == 0
+
+
+def test_dynamic_head_count_of_an_empty_trace():
+    table = PathTable()
+    make_path(table, 0, "1", (0, 1))
+    for trace in (PathTrace(table, []), PathTrace(PathTable(), [])):
+        assert trace.num_dynamic_heads() == _unique_heads(trace) == 0
+
+
+def test_dynamic_head_count_matches_oracle_on_workloads(all_small_traces):
+    traces = [*all_small_traces.values()]
+    traces.append(WorkloadGenerator(phases_config(ENGINE_TEST_SCALE)).generate())
+    for trace in traces:
+        assert trace.num_dynamic_heads() == _unique_heads(trace), trace.name
+
+
+@given(
+    heads=st.lists(st.integers(0, 6), min_size=1, max_size=8),
+    backward=st.lists(st.booleans(), min_size=8, max_size=8),
+    occurrences=st.lists(st.integers(0, 7), max_size=60),
+)
+@settings(max_examples=150, deadline=None)
+def test_dynamic_head_count_matches_oracle(heads, backward, occurrences):
+    """Paths sharing heads, some ending forward, in any order."""
+    table = PathTable()
+    ids = [
+        make_path(
+            table,
+            4 * head,
+            format(index, "b"),
+            (head, 100 + index),
+            ends_backward=backward[index],
+        )
+        for index, head in enumerate(heads)
+    ]
+    trace = PathTrace(table, [ids[i % len(ids)] for i in occurrences])
+    assert trace.num_dynamic_heads() == _unique_heads(trace)
 
 
 def test_slice_and_concat():

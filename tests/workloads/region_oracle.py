@@ -1,22 +1,28 @@
-"""Regions built one at a time: the oracle for ``build_run``.
+"""Regions built and visited one at a time: the generator's oracle.
 
-:func:`build_run` here builds each region of a run alone, the way the
-generator did before it built whole runs: ``default_rng(seed)`` per
-region, one uid allocation per loop level, and one :class:`Path`
-object per synthetic path, interned into the table one at a time.
-:class:`ReferenceFactory` stands in for
-:class:`~repro.workloads.pathmodel.PathFactory`, so swapping both into
-:mod:`repro.workloads.generator` generates a reference trace the
-columnar ``build_run`` must equal byte for byte.
+:func:`build_run` here builds each region of a run alone:
+``default_rng(seed)`` per region, its block counts from
+``Generator.integers``, one uid allocation per loop level, and one
+:class:`Path` object per synthetic path, interned into the table one at
+a time.  Its regions emit each visit's path ids as an array the moment
+they are visited, and :func:`generate` concatenates those arrays in
+schedule order.  Every trace :class:`~repro.workloads.WorkloadGenerator`
+makes, which records visits and renders them in bulk, must equal
+:func:`generate`'s byte for byte.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
+from repro.errors import WorkloadError
 from repro.trace.path import Path, PathSignature, PathTable
+from repro.trace.recorder import PathTrace
+from repro.workloads.generator import _CHOICE_BATCH, Phase, WorkloadConfig
 from repro.workloads.pathmodel import zipf_probabilities
-from repro.workloads.regions import LoopRegion, NestedRegion, RegionSpec
+from repro.workloads.regions import RegionSpec
 
 #: Address stride between consecutive synthetic blocks.
 BLOCK_SPACING = 4
@@ -87,6 +93,82 @@ class ReferenceFactory:
         return self.table.intern(path)
 
 
+class LoopRegion:
+    """A single loop with ``J`` tail variants, emitting per visit.
+
+    ``tail_cdf`` is the normalized cumulative tail distribution.
+    """
+
+    def __init__(
+        self,
+        spec: RegionSpec,
+        rng: np.random.Generator,
+        tail_ids: np.ndarray,
+        exit_id: int,
+        tail_cdf: np.ndarray,
+    ):
+        self.spec = spec
+        self._rng = rng
+        self.tail_ids = tail_ids
+        self.exit_id = exit_id
+        self._tail_cdf = tail_cdf
+        self._visited = False
+
+    def emit(self) -> np.ndarray:
+        """Path ids for one visit: iterations then the exit path.
+
+        The first visit additionally walks every tail once (the
+        coverage sweep).
+        """
+        spec = self.spec
+        iterations = 1 + self._rng.poisson(max(spec.iters_mean - 1.0, 0.0))
+        draws = self._rng.random(int(iterations))
+        sampled = self.tail_ids[
+            self._tail_cdf.searchsorted(draws, side="right")
+        ]
+        parts = [sampled]
+        if not self._visited:
+            self._visited = True
+            parts.insert(0, self.tail_ids)
+        parts.append(np.array([self.exit_id], dtype=np.int64))
+        return np.concatenate(parts)
+
+
+class NestedRegion:
+    """``D`` perfectly nested loops, emitting per visit."""
+
+    def __init__(
+        self,
+        spec: RegionSpec,
+        rng: np.random.Generator,
+        descend_ids: np.ndarray,
+        inner_tail_id: int,
+        inner_exit_id: int,
+    ):
+        self.spec = spec
+        self._rng = rng
+        self.descend_ids = descend_ids
+        self.inner_tail_id = inner_tail_id
+        self.inner_exit_id = inner_exit_id
+
+    def emit(self) -> np.ndarray:
+        """Path ids for one visit: per outer iteration ``descend ×
+        (D−1), inner × n, exit``, one inner trip count drawn each."""
+        spec = self.spec
+        outer = 1 + self._rng.poisson(max(spec.outer_iters_mean - 1.0, 0.0))
+        chunks: list[np.ndarray] = []
+        for _ in range(int(outer)):
+            inner = 1 + self._rng.poisson(max(spec.iters_mean - 1.0, 0.0))
+            chunks.append(self.descend_ids)
+            chunks.append(
+                np.full(int(inner), self.inner_tail_id, dtype=np.int64)
+            )
+            chunks.append(
+                np.array([self.inner_exit_id], dtype=np.int64)
+            )
+        return np.concatenate(chunks)
+
+
 def build_region(spec: RegionSpec, factory: ReferenceFactory, seed: int):
     """One region of ``spec``, built alone from ``default_rng(seed)``."""
     rng = np.random.default_rng(seed)
@@ -127,3 +209,69 @@ def build_region(spec: RegionSpec, factory: ReferenceFactory, seed: int):
 def build_run(spec: RegionSpec, factory: ReferenceFactory, seeds) -> list:
     """The regions of a run, each built alone."""
     return [build_region(spec, factory, seed) for seed in seeds]
+
+
+def generate(config: WorkloadConfig) -> PathTrace:
+    """The workload's trace, one ``emit`` per visit in schedule order."""
+    rng = np.random.default_rng(config.seed)
+    factory = ReferenceFactory()
+    regions: list = []
+    for spec, run in itertools.groupby(config.regions):
+        first = config.seed * 1_000_003 + len(regions)
+        count = sum(1 for _ in run)
+        regions.extend(build_run(spec, factory, range(first, first + count)))
+    chunks: list[np.ndarray] = []
+    emitted = 0
+    if config.coverage_pass:
+        coverage_order = sorted(
+            range(len(regions)), key=lambda index: -config.regions[index].weight
+        )
+        for index in coverage_order:
+            chunk = regions[index].emit()
+            chunks.append(chunk)
+            emitted += len(chunk)
+    phases = config.phases or [Phase(fraction=1.0)]
+    base = np.array([spec.weight for spec in config.regions], dtype=np.float64)
+    for phase in phases:
+        budget = int(round(phase.fraction * config.target_flow))
+        goal = min(emitted + budget, config.target_flow)
+        emitted = _run_phase(
+            rng, regions, _weights(base, phase), chunks, emitted, goal
+        )
+    emitted = _run_phase(
+        rng,
+        regions,
+        _weights(base, phases[-1]),
+        chunks,
+        emitted,
+        config.target_flow,
+    )
+    ids = np.concatenate(chunks)[: config.target_flow]
+    return PathTrace(factory.table, ids, name=config.name)
+
+
+def _weights(base: np.ndarray, phase: Phase) -> np.ndarray:
+    if phase.weights is None:
+        weights = base.copy()
+    else:
+        weights = np.zeros(len(base), dtype=np.float64)
+        for index, weight in phase.weights.items():
+            weights[index] = weight
+    total = weights.sum()
+    if total <= 0:
+        raise WorkloadError("phase weights sum to zero")
+    return weights / total
+
+
+def _run_phase(rng, regions, weights, chunks, emitted, goal) -> int:
+    indices = np.array([], dtype=np.int64)
+    cursor = 0
+    while emitted < goal:
+        if cursor >= len(indices):
+            indices = rng.choice(len(regions), size=_CHOICE_BATCH, p=weights)
+            cursor = 0
+        chunk = regions[indices[cursor]].emit()
+        cursor += 1
+        chunks.append(chunk)
+        emitted += len(chunk)
+    return emitted
