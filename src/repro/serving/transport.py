@@ -384,8 +384,10 @@ def serve_until_drained(
     :class:`~repro.errors.ServingError`.
     """
     prediction = server.prediction_server
-    thread = start_background(server)
     with interrupt_guard() as flag:
+        # Serve only once the handlers are in: a client that got a reply
+        # may signal at once, and must get a drain, not the default exit.
+        thread = start_background(server)
         try:
             while not flag.fired:
                 time.sleep(poll_interval)

@@ -1,6 +1,7 @@
 """TCP transport: framing, request dispatch, error and backpressure
 replies, client behavior."""
 
+import signal
 import threading
 
 import numpy as np
@@ -21,7 +22,9 @@ from repro.serving import (
     ServerConfig,
     ServingClient,
     ServingTCPServer,
+    serve_until_drained,
     start_background,
+    transport,
 )
 from repro.serving.loadgen import build_stream, standalone_outcome
 from repro.serving.transport import (
@@ -269,6 +272,31 @@ def test_draining_travels_as_a_typed_reply(stream):
             assert excinfo.value.retry_after_seconds > 0
     finally:
         server.shutdown()
+        server.server_close()
+
+
+def test_serve_accepts_only_once_the_drain_handler_is_in(
+    stream, monkeypatch
+):
+    # A client the server has answered may signal it at once: that
+    # signal must find the drain handler, not the default exit.
+    prediction = PredictionServer(ServerConfig(num_shards=1, delay=DELAY))
+    server = ServingTCPServer(
+        ("127.0.0.1", 0), prediction, {stream.name: stream.program}
+    )
+    unguarded = signal.getsignal(signal.SIGTERM)
+
+    def start_then_signal(server):
+        handler = signal.getsignal(signal.SIGTERM)
+        assert handler != unguarded, "accepting before the drain handler"
+        thread = start_background(server)
+        handler(signal.SIGTERM, None)
+        return thread
+
+    monkeypatch.setattr(transport, "start_background", start_then_signal)
+    try:
+        assert serve_until_drained(server, poll_interval=0.01) == 0
+    finally:
         server.server_close()
 
 
