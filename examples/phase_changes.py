@@ -10,17 +10,21 @@ Run:  python examples/phase_changes.py
 """
 
 from repro.experiments.phases import (
+    phases_config,
     prediction_rate_series,
     render_phase_report,
     run_phase_experiment,
 )
-from repro.workloads.phased import load_phased, phase_boundaries
+from repro.workloads import Workload
+from repro.workloads.phased import phase_boundaries
 
 
 def main() -> None:
-    workload = load_phased(num_phases=4, flow=400_000)
-    trace = workload.trace()
-    boundaries = phase_boundaries(workload.config)
+    # The phases target's recipe at full scale: four phases, 400,000
+    # occurrences.
+    config = phases_config(1.0)
+    trace = Workload(config).trace()
+    boundaries = phase_boundaries(config)
     print(f"phased workload: flow={trace.flow:,}, "
           f"boundaries at {boundaries}\n")
 
@@ -36,7 +40,7 @@ def main() -> None:
         print(f"  {start:>8,}: {count:>4} {bar}{marker}")
 
     print()
-    report = run_phase_experiment(flow=400_000)
+    report = run_phase_experiment(config)
     print(render_phase_report(report))
     print(
         "\nWithout flushing, fragments from finished phases linger as "

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ReproError
-from repro.metrics.hotpaths import HotPathSet, hot_path_set
+from repro.metrics.hotpaths import hot_path_set
 from repro.trace.recorder import PathTrace
 
 
@@ -94,27 +94,14 @@ class ShowdownResult:
             return 0.0
         return 100.0 * self.recovered / self.true_hot
 
-    def render(self) -> str:
-        """One-line report form."""
-        return (
-            f"{self.benchmark:>10s}: edges recover {self.recovered}/"
-            f"{self.true_hot} hot paths "
-            f"({self.recovery_percent:.1f}%), "
-            f"{self.hot_flow_coverage_percent:.1f}% of hot flow, "
-            f"overestimate×{1 + self.mean_overestimate:.2f}"
-        )
-
 
 def edge_vs_path_showdown(
-    trace: PathTrace,
-    hot: HotPathSet | None = None,
-    fraction: float = 0.001,
+    trace: PathTrace, fraction: float = 0.001
 ) -> ShowdownResult:
     """Run the BMS-style comparison on ``trace``."""
     if trace.num_paths == 0:
         raise ReproError("cannot compare profiles of an empty trace")
-    if hot is None:
-        hot = hot_path_set(trace, fraction)
+    hot = hot_path_set(trace, fraction)
     freqs = trace.freqs()
     edges = edge_profile_of(trace)
     estimates = estimate_path_freqs(trace, edges)

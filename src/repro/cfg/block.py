@@ -39,10 +39,6 @@ class BranchKind(enum.Enum):
     HALT = "halt"
 
 
-#: Terminator kinds whose target is chosen at run time.
-INDIRECT_KINDS = frozenset({BranchKind.INDIRECT, BranchKind.ICALL})
-
-
 @dataclass
 class Terminator:
     """The control transfer ending a basic block.
@@ -93,16 +89,6 @@ class Terminator:
                 f"terminator of kind {self.kind.value!r} is missing operands"
             )
 
-    @property
-    def is_conditional(self) -> bool:
-        """Whether the terminator contributes a history bit to a signature."""
-        return self.kind is BranchKind.COND
-
-    @property
-    def is_indirect(self) -> bool:
-        """Whether the terminator's target is chosen at run time."""
-        return self.kind in INDIRECT_KINDS
-
 
 @dataclass
 class BasicBlock:
@@ -148,11 +134,6 @@ class BasicBlock:
     def branch_address(self) -> int:
         """Address of the terminator instruction (the block's last slot)."""
         return self.address + self.size - 1
-
-    @property
-    def end_address(self) -> int:
-        """First address past the block."""
-        return self.address + self.size
 
     @property
     def kind(self) -> BranchKind:

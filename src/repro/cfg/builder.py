@@ -139,9 +139,8 @@ class ProcedureBuilder:
 class ProgramBuilder:
     """Top-level builder producing a finalized, validated :class:`Program`."""
 
-    def __init__(self, name: str = "program", entry_proc: str = "main"):
+    def __init__(self, name: str = "program"):
         self._name = name
-        self._entry_proc = entry_proc
         self._procedures: dict[str, ProcedureBuilder] = {}
 
     def procedure(self, name: str) -> ProcedureBuilder:
@@ -152,7 +151,7 @@ class ProgramBuilder:
 
     def build(self, validate: bool = True) -> Program:
         """Finalize every procedure, lay out the program and validate it."""
-        program = Program(name=self._name, entry_proc=self._entry_proc)
+        program = Program(name=self._name)
         for proc_builder in self._procedures.values():
             program.add_procedure(proc_builder.done())
         program.finalize()

@@ -211,7 +211,6 @@ def generate_procedure(
 
 def generate_program(
     seed: int,
-    name: str = "generated",
     num_procedures: int = 3,
     params: GeneratorParams | None = None,
 ) -> Program:
@@ -223,7 +222,7 @@ def generate_program(
     """
     rng = random.Random(seed)
     base = params or GeneratorParams()
-    builder = ProgramBuilder(name=name)
+    builder = ProgramBuilder(name="generated")
 
     helper_names = [f"proc{i}" for i in range(1, num_procedures)]
     for index in range(num_procedures - 1, -1, -1):

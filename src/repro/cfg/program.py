@@ -33,7 +33,6 @@ class Program:
 
     def __post_init__(self) -> None:
         self._blocks_by_uid: list[BasicBlock] = []
-        self._blocks_by_address: dict[int, BasicBlock] = {}
         self._edges: list[Edge] = []
         self._edges_by_src: dict[int, list[Edge]] = {}
         self._call_sites: dict[str, list[BasicBlock]] = {}
@@ -80,7 +79,6 @@ class Program:
                 block.uid = uid
                 block.address = address
                 self._blocks_by_uid.append(block)
-                self._blocks_by_address[address] = block
                 uid += 1
                 address += block.size
 
@@ -254,14 +252,6 @@ class Program:
             raise CFGError(f"no block with uid {uid!r}")
         return self._blocks_by_uid[uid]
 
-    def block_at(self, address: int) -> BasicBlock:
-        """Look a block up by its start address."""
-        self._require_finalized()
-        try:
-            return self._blocks_by_address[address]
-        except KeyError:
-            raise CFGError(f"no block starts at address {address}") from None
-
     @property
     def edges(self) -> list[Edge]:
         """Every control-flow edge, including call and return edges."""
@@ -282,15 +272,6 @@ class Program:
         """
         self._require_finalized()
         return {edge.dst for edge in self._edges if edge.backward}
-
-    def conditional_branch_count(self) -> int:
-        """Number of conditional branches — the bit-tracing profile points."""
-        self._require_finalized()
-        return sum(
-            1
-            for block in self._blocks_by_uid
-            if block.terminator.kind is BranchKind.COND
-        )
 
     def describe(self) -> str:
         """One-line structural summary, for logs and reports."""

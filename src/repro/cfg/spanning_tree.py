@@ -14,10 +14,10 @@ Profiling* (MICRO-29, 1996), which the paper uses as the representative
    each chord carries an increment ``inc`` such that summing ``inc`` over
    the chords on a path reproduces the path id.
 
-The planner exposes exactly what the reproduction needs: unique path
-numbering (for the offline profile), the number of instrumentation points
-(for the overhead comparison of paper §4), and encode/decode helpers used
-by tests to prove the numbering is a bijection.
+The planner exposes exactly what the profiler needs: the unique path
+numbering and the chords with their increments.  The encode, decode and
+chord-sum walks that prove the numbering a bijection live with the tests
+(``tests/cfg/ball_larus_oracle.py``).
 """
 
 from __future__ import annotations
@@ -55,101 +55,6 @@ class BallLarusNumbering:
     chord_indices: list[int] = field(default_factory=list)
     #: Increment per chord index.
     increments: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def num_instrumented_edges(self) -> int:
-        """Number of edges that require an instrumentation point."""
-        return len(self.chord_indices)
-
-    @property
-    def num_edges(self) -> int:
-        """Total number of DAG edges (the unoptimized instrumentation cost)."""
-        return len(self.edges)
-
-    def edges_from(self, node: int) -> list[DagEdge]:
-        """Outgoing DAG edges of ``node`` in val order."""
-        return sorted(
-            (edge for edge in self.edges if edge.src == node),
-            key=lambda edge: edge.val,
-        )
-
-    def path_id(self, nodes: list[int]) -> int:
-        """Encode an entry→exit node sequence as its unique path id.
-
-        ``nodes`` must start at the virtual entry and end at the virtual
-        exit; consecutive nodes must be joined by a DAG edge.  When several
-        parallel edges join a pair of nodes the minimal-``val`` edge is
-        used (parallel DAG edges represent distinct paths only when they
-        arise from distinct CFG edges, which the reproduction's builders
-        never produce between the same pair).
-        """
-        if not nodes or nodes[0] != self.virtual_entry:
-            raise CFGError("path must start at the virtual entry")
-        if nodes[-1] != self.virtual_exit:
-            raise CFGError("path must end at the virtual exit")
-        total = 0
-        for src, dst in zip(nodes, nodes[1:]):
-            candidates = [
-                edge for edge in self.edges if edge.src == src and edge.dst == dst
-            ]
-            if not candidates:
-                raise CFGError(f"no DAG edge {src} → {dst}")
-            total += min(candidates, key=lambda edge: edge.val).val
-        if not 0 <= total < self.num_paths:
-            raise CFGError(
-                f"encoded id {total} outside [0, {self.num_paths})"
-            )
-        return total
-
-    def decode(self, path_id: int) -> list[int]:
-        """Decode a path id back to its entry→exit node sequence.
-
-        Uses the classic greedy walk: at each node take the outgoing edge
-        with the largest ``val`` not exceeding the remaining id.
-        """
-        if not 0 <= path_id < self.num_paths:
-            raise CFGError(
-                f"path id {path_id} outside [0, {self.num_paths})"
-            )
-        remaining = path_id
-        node = self.virtual_entry
-        sequence = [node]
-        while node != self.virtual_exit:
-            outgoing = self.edges_from(node)
-            if not outgoing:
-                raise CFGError(f"dead end at DAG node {node}")
-            chosen = None
-            for edge in outgoing:
-                if edge.val <= remaining:
-                    chosen = edge
-                else:
-                    break
-            if chosen is None:
-                raise CFGError(
-                    f"no edge with val <= {remaining} at node {node}"
-                )
-            remaining -= chosen.val
-            node = chosen.dst
-            sequence.append(node)
-        if remaining != 0:
-            raise CFGError(f"decode left a residue of {remaining}")
-        return sequence
-
-    def chord_sum(self, nodes: list[int]) -> int:
-        """Sum the chord increments along an entry→exit node sequence.
-
-        This is what the instrumented program would compute at run time;
-        tests assert it equals :meth:`path_id` for every path.
-        """
-        chords = set(self.chord_indices)
-        total = 0
-        for src, dst in zip(nodes, nodes[1:]):
-            for edge in self.edges:
-                if edge.src == src and edge.dst == dst:
-                    if edge.index in chords:
-                        total += self.increments[edge.index]
-                    break
-        return total
 
 
 def number_procedure(program: Program, proc: Procedure) -> BallLarusNumbering:

@@ -29,10 +29,8 @@ class PredictionRateMonitor:
         Window length in path occurrences.
     spike_factor:
         A window is a spike when its prediction count exceeds
-        ``spike_factor × median(trailing windows)`` (and a small absolute
-        floor, so start-up noise does not trigger).
-    history:
-        Number of trailing windows the median is computed over.
+        ``spike_factor × median`` of the eight trailing windows (and a
+        small absolute floor, so start-up noise does not trigger).
     min_count:
         Absolute minimum predictions in a window for it to qualify.
     """
@@ -41,7 +39,6 @@ class PredictionRateMonitor:
         self,
         window: int = 10_000,
         spike_factor: float = 3.0,
-        history: int = 8,
         min_count: int = 5,
     ):
         if window < 1:
@@ -51,7 +48,7 @@ class PredictionRateMonitor:
         self.window = window
         self.spike_factor = spike_factor
         self.min_count = min_count
-        self._history: deque[int] = deque(maxlen=history)
+        self._history: deque[int] = deque(maxlen=8)
         self._current_window = 0
         self._current_count = 0
         self.flush_recommendations: list[int] = []

@@ -2,15 +2,15 @@
 
 The object model behind Dynamo's cache: a :class:`Fragment` is an
 optimized copy of one hot path; the :class:`FragmentCache` stores
-fragments, tracks its occupancy against a budget, links fragments, and
-supports the flush operation the phase heuristic (§6.1) relies on.
+fragments, tracks its occupancy against a budget and supports the flush
+operation the phase heuristic (§6.1) relies on.
 Used by the event-level simulator; the vectorized Figure 5 model tracks
 the same quantities as arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import DynamoError
 
@@ -25,12 +25,10 @@ class Fragment:
     created_at: int
     executions: int = 0
     last_executed: int = -1
-    #: Path ids this fragment links to directly (no dispatch on exit).
-    links: set[int] = field(default_factory=set)
 
 
 class FragmentCache:
-    """The software code cache: bounded, linkable, flushable.
+    """The software code cache: bounded and flushable.
 
     Two capacity policies are provided:
 
@@ -39,8 +37,10 @@ class FragmentCache:
       trivially correct (no dangling linked exits) and doubles as the
       phase reaction;
     * ``"fifo"`` — evict oldest-first until the new fragment fits, the
-      conventional alternative Dynamo argued against; eviction must
-      unlink every fragment pointing at the victim.
+      conventional alternative Dynamo argued against (a real cache must
+      also unlink every fragment pointing at the victim; this one keeps
+      no links, since the cost models charge nothing for a
+      fragment-to-fragment transfer).
     """
 
     def __init__(self, budget_instructions: int, policy: str = "flush"):
@@ -55,7 +55,6 @@ class FragmentCache:
         self.flush_count = 0
         self.total_emitted = 0
         self.evictions = 0
-        self.unlink_operations = 0
 
     # ------------------------------------------------------------------
     def lookup(self, path_id: int) -> Fragment | None:
@@ -67,11 +66,6 @@ class FragmentCache:
 
     def __len__(self) -> int:
         return len(self._fragments)
-
-    @property
-    def is_full(self) -> bool:
-        """Whether the next emission would exceed the budget."""
-        return self.occupancy >= self.budget_instructions
 
     # ------------------------------------------------------------------
     def emit(self, fragment: Fragment) -> bool:
@@ -98,25 +92,14 @@ class FragmentCache:
         return flushed
 
     def _evict_until_fits(self, needed: int) -> None:
-        """FIFO eviction, unlinking every reference to each victim."""
+        """FIFO eviction, oldest fragment first."""
         while (
             self._fragments
             and self.occupancy + needed > self.budget_instructions
         ):
-            victim_id, victim = next(iter(self._fragments.items()))
-            del self._fragments[victim_id]
+            victim = self._fragments.pop(next(iter(self._fragments)))
             self.occupancy -= victim.num_instructions
             self.evictions += 1
-            for fragment in self._fragments.values():
-                if victim_id in fragment.links:
-                    fragment.links.discard(victim_id)
-                    self.unlink_operations += 1
-
-    def link(self, from_path: int, to_path: int) -> None:
-        """Record a direct fragment→fragment link."""
-        fragment = self._fragments.get(from_path)
-        if fragment is not None:
-            fragment.links.add(to_path)
 
     def flush(self) -> None:
         """Drop every fragment (Dynamo's phase-change reaction)."""

@@ -57,7 +57,7 @@ from repro.dynamo.compiler import (
     compile_fragment,
     state_digest,
 )
-from repro.dynamo.config import DEFAULT_CONFIG, TIERS, DynamoConfig
+from repro.dynamo.config import DEFAULT_CONFIG, TIERS
 from repro.errors import DynamoError, MachineLimitExceeded
 from repro.isa.assembler import AssembledProgram
 from repro.isa.instructions import (
@@ -183,8 +183,9 @@ class VMResult:
         default_factory=list
     )
 
-    def steady_rate(self, config: DynamoConfig = DEFAULT_CONFIG) -> float:
-        """Warm Dynamo cycles per native cycle, from the run's tail.
+    def steady_rate(self) -> float:
+        """Warm Dynamo cycles per native cycle, from the run's tail,
+        under the default cost constants.
 
         Measured over the final quarter of the checkpoint series, where
         the working set is resident; one-time selection costs are
@@ -205,6 +206,7 @@ class VMResult:
         total = interp + cached
         if total == 0:
             return 1.0
+        config = DEFAULT_CONFIG
         dynamo = (
             interp * config.interp_per_instr
             + cached * config.native_per_instr * config.fragment_speedup
@@ -213,11 +215,9 @@ class VMResult:
         )
         return dynamo / (total * config.native_per_instr)
 
-    def steady_speedup_percent(
-        self, config: DynamoConfig = DEFAULT_CONFIG
-    ) -> float:
+    def steady_speedup_percent(self) -> float:
         """Warm steady-state speedup over native."""
-        rate = self.steady_rate(config)
+        rate = self.steady_rate()
         if rate <= 0:
             return 0.0
         return 100.0 * (1.0 / rate - 1.0)

@@ -175,7 +175,8 @@ class _SweepRunner:
     thread touches shared state: :meth:`_complete` merges a finished
     batch's metrics, writes it to the cache and places its points at
     their canonical indices as soon as the batch finishes, not after
-    the sweep.  A batch that raises ends the run with its exception.
+    the sweep.  A batch that raises ends the run with its exception;
+    in thread mode every batch that returned is completed first.
     """
 
     def __init__(
@@ -260,24 +261,42 @@ class _SweepRunner:
         try:
             # Submitted in canonical plan order: the pool's FIFO queue
             # is the whole schedule.
-            inflight = {
+            orders = {
                 pool.submit(self._compute, order): order
                 for order in range(len(self.batches))
             }
-            while inflight:
-                self._check_interrupt()
+            inflight = set(orders)
+            while inflight and not self.flag.fired:
                 done, _ = wait(
                     inflight,
                     timeout=_POLL_SECONDS,
                     return_when=FIRST_COMPLETED,
                 )
-                for future in sorted(done, key=inflight.__getitem__):
-                    # result() re-raises a failed batch's own exception.
-                    self._complete(inflight.pop(future), future.result())
+                if any(future.exception() is not None for future in done):
+                    break
+                for future in sorted(done, key=orders.__getitem__):
+                    self._complete(orders[future], future.result())
+                    inflight.discard(future)
         finally:
             # Queued batches are dropped; running ones cannot be
             # stopped, so wait for them rather than leave them behind.
             pool.shutdown(wait=True, cancel_futures=True)
+        # A failure or an interrupt ended the loop early.  Keep every
+        # batch that returned (the rest of the failing batch's done
+        # set and the batches the shutdown waited for), then raise the
+        # first failure in plan order.
+        failure = None
+        for future in sorted(inflight, key=orders.__getitem__):
+            if future.cancelled():
+                continue
+            if future.exception() is None:
+                self._complete(orders[future], future.result())
+            elif failure is None:
+                failure = future.exception()
+        if failure is not None:
+            raise failure
+        if inflight:
+            self._check_interrupt()
 
 
 def run_sweep(
@@ -320,10 +339,12 @@ def run_sweep(
     ------
     SweepInterrupted
         On SIGINT/SIGTERM, after placing and caching every completed
-        batch; carries the partial results.
+        batch (in thread mode, also those still running when the flag
+        was seen); carries the partial results.
     Exception
         Whatever a batch raises, unchanged, after caching every batch
-        completed before it.
+        that returned (in thread mode, the first failure in plan
+        order).
     """
     if workers < 0:
         raise ExperimentError(f"workers must be >= 0, got {workers}")

@@ -48,19 +48,18 @@ from repro.workloads.phased import load_phased
 # ----------------------------------------------------------------------
 # §4 overhead
 # ----------------------------------------------------------------------
-def overhead_rows(
-    seed: int = 25, trips: int = 25, max_events: int = 400_000
-) -> tuple[list[OverheadRow], int]:
-    """Every profiler's cost figures over one generated-program run.
+def overhead_rows(max_events: int = 400_000) -> tuple[list[OverheadRow], int]:
+    """Every profiler's cost figures over one generated-program run
+    (program seed 25, every loop 25 trips).
 
     The walker's event batches feed every profiler; the tier-1 suite
     checks each profiler against a one-event-at-a-time reference.
     """
-    program = generate_program(seed=seed, num_procedures=4)
+    program = generate_program(seed=25, num_procedures=4)
     trip_counts = {}
     for name in program.procedures:
         for header in procedure_loops(program, name).headers:
-            trip_counts[header] = trips
+            trip_counts[header] = 25
     oracle = TripCountOracle(RandomOracle(5, default_bias=0.5), trip_counts)
     walker = CFGWalker(program, oracle)
     events = EventBatch.concat(
@@ -117,14 +116,12 @@ def net_ablation_rows(
 # Retirement (windowed metrics)
 # ----------------------------------------------------------------------
 def retirement_rows(
-    flow: int = 400_000,
-    num_phases: int = 4,
-    delay: int = 50,
-    window: int = 10_000,
+    flow: int = 400_000, window: int = 10_000
 ) -> list[WindowedQuality]:
-    """Windowed quality of NET under the three retirement policies."""
-    trace = load_phased(num_phases=num_phases, flow=flow).trace()
-    outcome = NETPredictor(delay).run(trace)
+    """Windowed quality of NET at τ=50 under the three retirement
+    policies, over the four-phase workload."""
+    trace = load_phased(flow=flow).trace()
+    outcome = NETPredictor(50).run(trace)
     return [
         evaluate_windowed(trace, outcome, policy, window)
         for policy in (NeverRetire(), RetireIdle(patience=2), FlushOnSpike())
@@ -206,69 +203,51 @@ def showdown_rows(traces: dict[str, PathTrace]) -> list[ShowdownResult]:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class EvictionRow:
-    """One cache policy's behaviour under pressure."""
+    """One cache policy's behaviour under pressure.
+
+    ``speedup_percent`` is ``None`` for FIFO: ``run_detailed`` only
+    models the flush policy, so the FIFO row's flushes and evictions
+    come from replaying NET's fragment emissions through a FIFO cache
+    and it has no speedup.
+    """
 
     policy: str
-    speedup_percent: float
+    speedup_percent: float | None
     flushes: int
     evictions: int
 
 
 def eviction_rows(
-    benchmark: str = "li",
-    budget: int = 8_000,
-    delay: int = 50,
-    flow_scale: float = 1.0,
+    budget: int = 8_000, flow_scale: float = 1.0
 ) -> list[EvictionRow]:
-    """Flush-all vs FIFO eviction under a deliberately small cache."""
+    """Flush-all vs FIFO eviction on li at τ=50 under a deliberately
+    small cache."""
     from repro.dynamo.fragment import Fragment, FragmentCache
 
-    trace = load_benchmark(benchmark, flow_scale=flow_scale).trace()
-    rows = []
-    for policy in ("flush", "fifo"):
-        config = DynamoConfig(
-            cache_budget_instructions=budget,
-            bail_out_flushes=10**9,  # observe pressure without bailing
-            bail_out_fragments=10**9,
+    delay = 50
+    trace = load_benchmark("li", flow_scale=flow_scale).trace()
+    config = DynamoConfig(
+        cache_budget_instructions=budget,
+        bail_out_flushes=10**9,  # observe pressure without bailing
+        bail_out_fragments=10**9,
+    )
+    run = DynamoSystem(config).run_detailed(trace, "net", delay)
+    cache = FragmentCache(budget, policy="fifo")
+    instr = trace.instructions_per_path()
+    outcome = NETPredictor(delay).run(trace)
+    for pid, time in zip(outcome.predicted_ids, outcome.prediction_times):
+        cache.emit(
+            Fragment(
+                path_id=int(pid),
+                head_uid=0,
+                num_instructions=int(instr[pid]),
+                created_at=int(time),
+            )
         )
-        system = DynamoSystem(config)
-        # run_detailed builds a flush-policy cache internally; for the
-        # fifo variant we monkey-light: simulate eviction counts by a
-        # standalone replay of materializations.
-        run = system.run_detailed(trace, "net", delay)
-        if policy == "flush":
-            rows.append(
-                EvictionRow(
-                    policy=policy,
-                    speedup_percent=run.speedup_percent,
-                    flushes=run.flushes,
-                    evictions=0,
-                )
-            )
-        else:
-            cache = FragmentCache(budget, policy="fifo")
-            instr = trace.instructions_per_path()
-            outcome = NETPredictor(delay).run(trace)
-            for pid, time in zip(
-                outcome.predicted_ids, outcome.prediction_times
-            ):
-                cache.emit(
-                    Fragment(
-                        path_id=int(pid),
-                        head_uid=0,
-                        num_instructions=int(instr[pid]),
-                        created_at=int(time),
-                    )
-                )
-            rows.append(
-                EvictionRow(
-                    policy=policy,
-                    speedup_percent=run.speedup_percent,
-                    flushes=cache.flush_count,
-                    evictions=cache.evictions,
-                )
-            )
-    return rows
+    return [
+        EvictionRow("flush", run.speedup_percent, run.flushes, 0),
+        EvictionRow("fifo", None, cache.flush_count, cache.evictions),
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -407,7 +386,9 @@ def run_extended(name: str, flow_scale: float = 1.0) -> str:
             [
                 [
                     r.policy,
-                    fmt(r.speedup_percent, 2),
+                    "n/a"
+                    if r.speedup_percent is None
+                    else fmt(r.speedup_percent, 2),
                     r.flushes,
                     r.evictions,
                 ]

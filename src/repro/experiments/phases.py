@@ -26,7 +26,9 @@ from repro.experiments.report import fmt, render_table
 from repro.metrics.hotpaths import hot_path_set
 from repro.prediction.net import NETPredictor
 from repro.trace.recorder import PathTrace
-from repro.workloads.phased import load_phased, phase_boundaries, phased_config
+from repro.workloads.base import Workload
+from repro.workloads.generator import WorkloadConfig
+from repro.workloads.phased import phase_boundaries, phased_config
 
 
 @dataclass(frozen=True)
@@ -63,57 +65,53 @@ class PhaseReport:
 
 
 def phase_local_hot_paths(
-    trace: PathTrace, boundaries: list[int], fraction: float = 0.001
+    trace: PathTrace, boundaries: list[int]
 ) -> tuple[int, int]:
     """(phase-hot-but-accumulated-cold count, accumulated-hot count).
 
-    A path is *phase hot* when it exceeds the threshold within one
-    phase's sub-trace; the paper's point is that accumulated profiles
-    miss such paths.
+    A path is *phase hot* when it exceeds the 0.1% hot threshold within
+    one phase's sub-trace; the paper's point is that accumulated
+    profiles miss such paths.
     """
-    accumulated = hot_path_set(trace, fraction)
+    accumulated = hot_path_set(trace)
     cuts = [0] + list(boundaries) + [trace.flow]
     phase_hot: set[int] = set()
     for start, stop in zip(cuts, cuts[1:]):
         sub = trace.slice(start, stop)
-        sub_hot = hot_path_set(sub, fraction)
+        sub_hot = hot_path_set(sub)
         phase_hot.update(int(p) for p in sub_hot.hot_ids())
     accumulated_ids = set(int(p) for p in accumulated.hot_ids())
     return len(phase_hot - accumulated_ids), len(accumulated_ids)
 
 
-def run_phase_experiment(
-    num_phases: int = 4,
-    flow: int = 400_000,
-    seed: int = 777,
-    config: DynamoConfig | None = None,
-    delay: int = 50,
-) -> PhaseReport:
-    """Run the full §6.1 experiment on a phased workload.
+def run_phase_experiment(workload_config: WorkloadConfig) -> PhaseReport:
+    """Run the full §6.1 experiment on the phased workload
+    ``workload_config`` describes, NET at τ=50.
 
-    Speedups are reported *raw* (no run-length amortization): a phased
-    run's tail is never representative of a steady state — that is the
-    experiment's very point — so extending it would mislead.  The
-    §6.1 payoff is cache hygiene (the dead-fragment fraction), not
-    throughput.
+    The phase count is the recipe's, and the flush monitor's window is
+    1% of its target flow (at least 1,000 occurrences).  Speedups are
+    reported *raw* (no run-length amortization): a phased run's tail is
+    never representative of a steady state — that is the experiment's
+    very point — so extending it would mislead.  The §6.1 payoff is
+    cache hygiene (the dead-fragment fraction), not throughput.
     """
-    if config is None:
-        config = DynamoConfig(amortization=1.0)
-    workload = load_phased(num_phases=num_phases, flow=flow, seed=seed)
-    trace = workload.trace()
-    boundaries = phase_boundaries(workload.config)
+    trace = Workload(workload_config).trace()
+    boundaries = phase_boundaries(workload_config)
 
     missed, accumulated = phase_local_hot_paths(trace, boundaries)
 
-    system = DynamoSystem(config)
+    delay = 50
+    system = DynamoSystem(DynamoConfig(amortization=1.0))
     run_plain = system.run_detailed(trace, "net", delay)
-    monitor = PredictionRateMonitor(window=max(flow // 100, 1000))
+    monitor = PredictionRateMonitor(
+        window=max(workload_config.target_flow // 100, 1000)
+    )
     run_flush = system.run_detailed(
         trace, "net", delay, flush_on_phase_change=True, monitor=monitor
     )
 
     return PhaseReport(
-        num_phases=num_phases,
+        num_phases=len(workload_config.phases),
         true_boundaries=boundaries,
         detected_flushes=list(monitor.flush_recommendations),
         phase_hot_accum_cold=missed,
@@ -183,14 +181,15 @@ def _phases_flow(flow_scale: float) -> int:
     return max(int(400_000 * flow_scale), 20_000)
 
 
-def phases_config(flow_scale: float):
-    """The workload recipe the phases target consumes (for spec digests)."""
+def phases_config(flow_scale: float) -> WorkloadConfig:
+    """The workload recipe the phases target consumes: the node key
+    hashes it, and the experiment runs on it."""
     return phased_config(flow=_phases_flow(flow_scale))
 
 
 def _phases_text(traces, flow_scale: float) -> str:
     """Run and render the §6.1 experiment (artifact-graph entry)."""
-    return render_phase_report(run_phase_experiment(flow=_phases_flow(flow_scale)))
+    return render_phase_report(run_phase_experiment(phases_config(flow_scale)))
 
 
 #: Artifact-graph declaration: no benchmark traces — the input is the

@@ -42,6 +42,6 @@ def fmt(value: float, digits: int = 1) -> str:
     return f"{value:.{digits}f}"
 
 
-def fmt_signed_pct(value: float, digits: int = 1) -> str:
-    """Format a signed percentage (speedups)."""
-    return f"{value:+.{digits}f}%"
+def fmt_signed_pct(value: float) -> str:
+    """Format a signed percentage (speedups) to one decimal."""
+    return f"{value:+.1f}%"

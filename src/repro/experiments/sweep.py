@@ -88,14 +88,13 @@ def make_predictor(scheme: str, delay: int):
 def sweep_trace(
     trace: PathTrace,
     hot: HotPathSet | None = None,
-    schemes: tuple[str, ...] = SCHEMES,
     delays: tuple[int, ...] = DEFAULT_DELAYS,
 ) -> list[SweepPoint]:
     """Measure every (scheme, delay) cell for one trace."""
     if hot is None:
         hot = hot_path_set(trace)
     points = []
-    for scheme in schemes:
+    for scheme in SCHEMES:
         for delay in delays:
             outcome = make_predictor(scheme, delay).run(trace)
             quality = evaluate_prediction(trace, hot, outcome)

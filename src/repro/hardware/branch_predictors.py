@@ -40,14 +40,6 @@ class BranchPredictionStats:
             return 0.0
         return 100.0 * self.correct / self.conditional_branches
 
-    def render(self) -> str:
-        """One-line report form."""
-        return (
-            f"{self.scheme:>12s}: accuracy={self.accuracy_percent:6.2f}% "
-            f"({self.correct:,}/{self.conditional_branches:,}), "
-            f"state={self.table_bits:,} bits"
-        )
-
 
 class _SaturatingCounter:
     """A 2-bit saturating counter, the workhorse of 1990s predictors."""

@@ -57,14 +57,6 @@ class TraceCacheStats:
             return 0.0
         return 100.0 * self.hits / self.fetches
 
-    def render(self) -> str:
-        """One-line report form."""
-        return (
-            f"trace-cache: hit={self.hit_rate_percent:6.2f}% "
-            f"({self.hits:,}/{self.fetches:,} fetches), "
-            f"lines={self.resident_lines} installed={self.lines_installed}"
-        )
-
 
 class TraceCache:
     """Direct-mapped trace cache over basic-block sequences.

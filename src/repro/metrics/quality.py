@@ -64,18 +64,12 @@ class PredictionQuality:
         near 100% at τ→0 — both consistent only with normalization by the
         cold flow (the §3 formula's ``/ freq(HotPath_h)`` denominator
         would bound compress's noise to 0.4%).  This property follows the
-        figures; :attr:`noise_rate_vs_hot` implements the literal formula.
+        figures; ``tests/metrics/test_metrics.py::test_noise_normalizations``
+        computes the literal formula.
         """
         if self.cold_flow == 0:
             return 0.0
         return 100.0 * self.noise_flow / self.cold_flow
-
-    @property
-    def noise_rate_vs_hot(self) -> float:
-        """``NoiseRate(P) = Noise(P) / freq(HotPath_h) × 100`` (literal §3)."""
-        if self.hot_flow == 0:
-            return 0.0
-        return 100.0 * self.noise_flow / self.hot_flow
 
     @property
     def predicted_flow(self) -> int:

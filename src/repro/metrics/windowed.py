@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ReproError
-from repro.metrics.hotpaths import hot_path_set_absolute
+from repro.metrics.hotpaths import DEFAULT_HOT_FRACTION, hot_path_set_absolute
 from repro.prediction.base import PredictionOutcome
 from repro.trace.recorder import PathTrace
 
@@ -98,15 +98,15 @@ class RetireIdle(RetirementPolicy):
 
 
 class FlushOnSpike(RetirementPolicy):
-    """Dynamo's heuristic: flush everything when predictions spike."""
+    """Dynamo's heuristic: flush everything when predictions spike
+    above ``spike_factor`` times the median of the last six windows."""
 
     name = "flush-on-spike"
 
-    def __init__(self, spike_factor: float = 3.0, history: int = 6):
+    def __init__(self, spike_factor: float = 3.0):
         if spike_factor <= 1.0:
             raise ReproError("spike_factor must exceed 1")
         self.spike_factor = spike_factor
-        self.history = history
         self._rates: list[int] = []
         self.flush_windows: list[int] = []
 
@@ -116,7 +116,7 @@ class FlushOnSpike(RetirementPolicy):
             baseline = sorted(self._rates)[len(self._rates) // 2]
             spike = new_predictions > self.spike_factor * max(baseline, 1)
         self._rates.append(new_predictions)
-        if len(self._rates) > self.history:
+        if len(self._rates) > 6:
             self._rates.pop(0)
         if spike:
             self.flush_windows.append(window_index)
@@ -169,30 +169,19 @@ class WindowedQuality:
             return 0.0
         return sum(self.resident_per_window) / len(self.resident_per_window)
 
-    def render(self) -> str:
-        """One-line report form."""
-        return (
-            f"{self.policy:>15s}: windowed hit={self.windowed_hit_rate:6.2f}% "
-            f"phase-noise={self.phase_noise_rate:6.2f}% "
-            f"resident≈{self.mean_resident:8.1f} "
-            f"retired={self.retired_total} "
-            f"(mistimed {self.useful_retired})"
-        )
-
 
 def evaluate_windowed(
     trace: PathTrace,
     outcome: PredictionOutcome,
     policy: RetirementPolicy | None = None,
     window: int = 20_000,
-    hot_fraction: float = 0.001,
 ) -> WindowedQuality:
     """Score a prediction outcome window by window under a policy.
 
     A path enters the resident set at its prediction time and stays
     until the policy retires it.  In each window, resident paths that
-    are hot *in that window* (frequency above ``hot_fraction × window``)
-    count their window flow as hits; resident paths executing below the
+    are hot *in that window* (frequency above 0.1% of the window) count
+    their window flow as hits; resident paths executing below the
     threshold contribute their window flow as phase noise.
     """
     if window < 1:
@@ -200,7 +189,7 @@ def evaluate_windowed(
     policy = policy or NeverRetire()
     n = trace.flow
     num_windows = max(-(-n // window), 1)
-    threshold = hot_fraction * window
+    threshold = DEFAULT_HOT_FRACTION * window
 
     # Predictions grouped by the window they fire in.
     predictions_by_window: dict[int, list[int]] = {}

@@ -69,13 +69,6 @@ class Timer:
         self.total_seconds += seconds
         self.count += 1
 
-    @property
-    def mean_seconds(self) -> float:
-        """Average seconds per observation (0.0 before the first)."""
-        if self.count == 0:
-            return 0.0
-        return self.total_seconds / self.count
-
 
 class Registry:
     """A named, hierarchical collection of instruments.
@@ -239,7 +232,6 @@ class _NullInstrument:
     value = 0
     total_seconds = 0.0
     count = 0
-    mean_seconds = 0.0
 
     def inc(self, amount: int = 1) -> None:
         pass

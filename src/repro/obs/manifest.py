@@ -43,15 +43,15 @@ from repro.obs.core import Registry
 MANIFEST_FORMAT = 1
 
 
-def git_revision(cwd: str | pathlib.Path | None = None) -> str | None:
-    """The current git commit hash, or ``None`` when unavailable."""
+def git_revision() -> str | None:
+    """The current directory's git commit hash, or ``None`` when
+    unavailable."""
     try:
         result = subprocess.run(
             ["git", "rev-parse", "HEAD"],
             capture_output=True,
             text=True,
             timeout=5,
-            cwd=cwd,
         )
     except (OSError, subprocess.SubprocessError):
         return None

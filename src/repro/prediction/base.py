@@ -79,10 +79,6 @@ class PredictionOutcome:
         """Total flow captured across all predictions."""
         return int(self.captured.sum())
 
-    def predicted_set(self) -> set[int]:
-        """The predicted path ids as a set."""
-        return set(int(p) for p in self.predicted_ids)
-
     def publish(self, obs: Registry | None) -> None:
         """Accumulate this outcome's accounting into an obs registry.
 

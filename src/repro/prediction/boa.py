@@ -35,15 +35,11 @@ class BoaPredictor(OnlinePredictor):
     ----------
     delay:
         Prediction delay τ for the head counters, as in NET.
-    max_blocks:
-        Length cap for constructed paths.
+
+    Constructed paths are capped at 256 blocks, the extractor's default.
     """
 
     name = "boa"
-
-    def __init__(self, delay: int, max_blocks: int = 256):
-        super().__init__(delay)
-        self.max_blocks = max_blocks
 
     def run(self, trace: PathTrace) -> PredictionOutcome:
         tau = self.delay
@@ -134,7 +130,7 @@ class BoaPredictor(OnlinePredictor):
         """
         sequence = [head]
         seen = {head}
-        while len(sequence) < self.max_blocks:
+        while len(sequence) < 256:
             current = sequence[-1]
             best_succ = None
             best_count = end_counts.get(current, 0)

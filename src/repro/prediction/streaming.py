@@ -215,7 +215,7 @@ class NETSession:
         """Dynamic profiling operations so far (paper §4 cost measure)."""
         return self._increments + self._collection_blocks
 
-    def outcome(self, scheme: str = "net") -> PredictionOutcome:
+    def outcome(self) -> PredictionOutcome:
         """The session's state as a :class:`PredictionOutcome`.
 
         After a complete stream this equals (array for array, field for
@@ -224,7 +224,7 @@ class NETSession:
         """
         predicted = np.asarray(self._predicted, dtype=np.int64)
         return PredictionOutcome(
-            scheme=scheme,
+            scheme="net",
             delay=self.delay,
             predicted_ids=predicted,
             prediction_times=np.asarray(self._times, dtype=np.int64),

@@ -271,23 +271,3 @@ class BallLarusProfiler(Profiler):
             counter_space=self._counters.high_water,
             profiling_ops=self._increment_ops + self._counters.updates,
         )
-
-    # ------------------------------------------------------------------
-    def decode(self, key: tuple[str, int]) -> list[int]:
-        """Block uids of the profiled path ``(procedure, path_id)``.
-
-        The virtual entry/exit nodes are stripped from the result.
-        """
-        proc_name, path_id = key
-        numbering = self._numberings[proc_name]
-        sequence = numbering.decode(path_id)
-        return [
-            uid
-            for uid in sequence
-            if uid not in (numbering.virtual_entry, numbering.virtual_exit)
-        ]
-
-    @property
-    def static_path_space(self) -> int:
-        """Total static Ball–Larus path count across procedures."""
-        return sum(n.num_paths for n in self._numberings.values())

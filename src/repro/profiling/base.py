@@ -34,11 +34,6 @@ class ProfileReport:
         """Distinct profiled units."""
         return len(self.frequencies)
 
-    @property
-    def total_count(self) -> int:
-        """Sum over all unit counts."""
-        return sum(self.frequencies.values())
-
 
 class Profiler(abc.ABC):
     """Base class: feed event batches, then ask for the report."""

@@ -40,15 +40,15 @@ class BitTracingProfiler(Profiler):
     ----------
     program:
         Supplies block addresses for the signatures.
-    max_blocks:
-        Path-length cap, matching the extractor's.
+
+    Paths are capped at 256 blocks, the extractor's default.
     """
 
     name = "bit-tracing"
 
-    def __init__(self, program: Program, max_blocks: int | None = 256):
+    def __init__(self, program: Program):
         self._program = program
-        self._max_blocks = max_blocks
+        self._max_blocks = 256
         self._counters = CounterTable("paths")
         self._shift_ops = 0
         self._started = False

@@ -30,23 +30,19 @@ class CounterTable:
         self.updates = 0
         self.high_water = 0
 
-    def bump(self, key: Hashable, amount: int = 1) -> int:
-        """Increment ``key``'s counter; returns the new value."""
-        if amount < 0:
-            raise ProfilingError("cannot bump a counter by a negative amount")
-        new_value = self._counts.get(key, 0) + amount
-        self._counts[key] = new_value
+    def bump(self, key: Hashable) -> None:
+        """Increment ``key``'s counter by one."""
+        self._counts[key] = self._counts.get(key, 0) + 1
         self.updates += 1
         if len(self._counts) > self.high_water:
             self.high_water = len(self._counts)
-        return new_value
 
     def bump_many(
         self, keys: Iterable[Hashable], amounts: Iterable[int]
     ) -> None:
         """Apply many increments in one call, with per-bump accounting.
 
-        Equivalent to ``bump(key, 1)`` repeated ``amount`` times for
+        Equivalent to ``bump(key)`` repeated ``amount`` times for
         each pair — ``updates`` grows by the *total* increment count and
         ``high_water`` by the final table size (exact, because a bump
         sequence only ever grows the table) — so a batched profiler
@@ -65,28 +61,6 @@ class CounterTable:
         if len(counts) > self.high_water:
             self.high_water = len(counts)
 
-    def get(self, key: Hashable) -> int:
-        """Current count for ``key`` (0 if never bumped)."""
-        return self._counts.get(key, 0)
-
-    def remove(self, key: Hashable) -> None:
-        """Retire a counter (NET retires head counters after prediction)."""
-        self._counts.pop(key, None)
-
     def items(self) -> Iterator[tuple[Hashable, int]]:
         """Iterate over (key, count) pairs."""
         return iter(self._counts.items())
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._counts
-
-    def total(self) -> int:
-        """Sum of all counters."""
-        return sum(self._counts.values())
-
-    def top(self, n: int) -> list[tuple[Hashable, int]]:
-        """The ``n`` highest counters, descending."""
-        return sorted(self._counts.items(), key=lambda kv: -kv[1])[:n]

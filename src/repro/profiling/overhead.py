@@ -34,13 +34,6 @@ class OverheadRow:
     profiling_ops: int
     num_units: int
 
-    def render(self) -> str:
-        """One-line report form."""
-        return (
-            f"{self.scheme:>12s}: counters={self.counter_space:>8,} "
-            f"ops={self.profiling_ops:>10,} units={self.num_units:>8,}"
-        )
-
 
 class HeadCounterProfiler(Profiler):
     """NET's profiling component alone: counters at backward-branch targets."""
@@ -70,7 +63,6 @@ class HeadCounterProfiler(Profiler):
 def compare_schemes(
     program: Program,
     events: EventBatch | Iterable[EventBatch],
-    k: int = 8,
 ) -> list[OverheadRow]:
     """Run every profiling scheme over ``events`` and tabulate costs.
 
@@ -84,7 +76,7 @@ def compare_schemes(
     profilers = [
         BitTracingProfiler(program),
         BallLarusProfiler(program),
-        KBoundedPathProfiler(k=k),
+        KBoundedPathProfiler(k=8),
         EdgeProfiler(),
         BlockProfiler(entry_uid=program.entry_block.uid),
         HeadCounterProfiler(),

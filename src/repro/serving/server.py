@@ -287,8 +287,6 @@ class PredictionServer:
         state_dir: str,
         programs: dict[str, Program],
         config: ServerConfig | None = None,
-        admit_hook: Callable[[str, int], None] | None = None,
-        apply_hook: Callable[[str, EventBatch], None] | None = None,
     ) -> "PredictionServer":
         """Rebuild a server from ``state_dir`` after a crash or drain.
 
@@ -301,12 +299,7 @@ class PredictionServer:
         ``programs`` maps registered program names to programs; a
         recovered tenant naming an unknown program is an error.
         """
-        server = cls(
-            config,
-            admit_hook=admit_hook,
-            apply_hook=apply_hook,
-            state_dir=state_dir,
-        )
+        server = cls(config, state_dir=state_dir)
         for shard, tenants in zip(
             server._shards, server._store.recover()
         ):
@@ -351,11 +344,6 @@ class PredictionServer:
         return server
 
     @property
-    def draining(self) -> bool:
-        """Whether :meth:`drain` has begun (admissions are rejected)."""
-        return self._draining
-
-    @property
     def durable(self) -> bool:
         """Whether the server persists checkpoints to a state dir."""
         return self._store is not None
@@ -381,11 +369,9 @@ class PredictionServer:
     ) -> None:
         """Register ``tenant_id`` with its program ahead of ingesting.
 
-        Optional — ``ingest`` with ``program=`` performs the same
-        registration on first contact.  ``program_name`` is the
-        registry name checkpoints record so a restored server can
-        re-associate the tenant with its program; required (here or at
-        first ingest) when durability is enabled.
+        ``program_name`` is the registry name checkpoints record so a
+        restored server can re-associate the tenant with its program;
+        required when durability is enabled.
         """
         shard = self._shard(tenant_id)
         with shard.cond:
@@ -395,7 +381,7 @@ class PredictionServer:
         self,
         shard: _Shard,
         tenant_id: str,
-        program: Program | None,
+        program: Program | None = None,
         program_name: str | None = None,
     ) -> _Tenant:
         if self._draining:
@@ -404,8 +390,7 @@ class PredictionServer:
         if tenant is None:
             if program is None:
                 raise ServingError(
-                    f"unknown tenant {tenant_id!r}; open it first (or "
-                    "pass its program with the first ingest)"
+                    f"unknown tenant {tenant_id!r}; open it first"
                 )
             if self._store is not None and program_name is None:
                 raise ServingError(
@@ -447,8 +432,6 @@ class PredictionServer:
         self,
         tenant_id: str,
         payload: EventBatch | bytes | bytearray | memoryview,
-        program: Program | None = None,
-        program_name: str | None = None,
         seq: int | None = None,
     ) -> IngestResult:
         """Apply one batch to ``tenant_id``'s stream.
@@ -488,9 +471,7 @@ class PredictionServer:
         )
 
         with shard.cond:
-            tenant = self._admit_tenant(
-                shard, tenant_id, program, program_name
-            )
+            tenant = self._admit_tenant(shard, tenant_id)
             if seq is None:
                 seq = tenant.next_seq
             elif seq < tenant.next_seq:
@@ -897,13 +878,6 @@ class PredictionServer:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def tenant_queue_depth(self, tenant_id: str) -> int:
-        """Events admitted but not yet applied for ``tenant_id``."""
-        shard = self._shard(tenant_id)
-        with shard.cond:
-            tenant = shard.tenants.get(tenant_id)
-            return tenant.queued_events if tenant is not None else 0
-
     def resident_tenants(self) -> int:
         """Tenants currently holding live predictor state."""
         total = 0

@@ -132,16 +132,6 @@ class EventBatch:
         )
 
     # ------------------------------------------------------------------
-    @property
-    def nbytes(self) -> int:
-        """Total memory footprint of the columns."""
-        return (
-            self.src.nbytes
-            + self.dst.nbytes
-            + self.kind.nbytes
-            + self.backward.nbytes
-        )
-
     def __len__(self) -> int:
         return len(self.src)
 

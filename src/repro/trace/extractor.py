@@ -106,9 +106,7 @@ class PathExtractor:
         self._segment_memo: dict[tuple, int] = {}
 
     def extract_batch_ids(
-        self,
-        batches: EventBatch | Iterable[EventBatch],
-        start_uid: int | None = None,
+        self, batches: EventBatch | Iterable[EventBatch]
     ) -> np.ndarray:
         """Path ids for a columnar stream, one entry per occurrence.
 
@@ -122,7 +120,7 @@ class PathExtractor:
         """
         if isinstance(batches, EventBatch):
             batches = (batches,)
-        stream = self.stream(start_uid=start_uid)
+        stream = self.stream()
         ids: list[int] = []
         for batch in batches:
             ids.extend(stream.feed(batch))
@@ -378,16 +376,6 @@ class PathStream:
         self._extractor = extractor
         self._cursor = cursor
         self._finished = False
-
-    @property
-    def halted(self) -> bool:
-        """Whether the stream saw a halt event (further feeds are no-ops)."""
-        return self._cursor.halted
-
-    @property
-    def finished(self) -> bool:
-        """Whether :meth:`finish` has been called."""
-        return self._finished
 
     @property
     def position(self) -> int:

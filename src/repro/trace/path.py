@@ -62,21 +62,6 @@ class PathSignature:
             text += f",[{targets}]"
         return text
 
-    @staticmethod
-    def from_bits(
-        start_address: int,
-        bits: str,
-        indirect_targets: tuple[int, ...] = (),
-    ) -> "PathSignature":
-        """Build a signature from a ``"0101"``-style bit string."""
-        history = int(bits, 2) if bits else 0
-        return PathSignature(
-            start_address=start_address,
-            history=history,
-            bit_count=len(bits),
-            indirect_targets=indirect_targets,
-        )
-
 
 class SignatureRegister:
     """The run-time shift register that builds signatures incrementally.
@@ -155,16 +140,6 @@ class Path:
     def num_blocks(self) -> int:
         """Number of blocks on the path."""
         return len(self.blocks)
-
-    @property
-    def head(self) -> int:
-        """Alias for :attr:`start_uid` (NET terminology)."""
-        return self.start_uid
-
-    @property
-    def tail(self) -> tuple[int, ...]:
-        """The path minus its head block (NET terminology)."""
-        return self.blocks[1:]
 
     def describe(self) -> str:
         """Compact human-readable rendering."""
@@ -526,10 +501,6 @@ class PathTable:
 
     def __iter__(self):
         return (self.path(row) for row in range(self._size))
-
-    def paths(self) -> list[Path]:
-        """All registered paths in id order."""
-        return list(self)
 
     def hash_into(self, hasher) -> None:
         """Feed the table's content to ``hasher`` (a :mod:`hashlib` object).

@@ -108,10 +108,6 @@ class PathTrace:
     # ------------------------------------------------------------------
     # Derived sequences (one entry per occurrence)
     # ------------------------------------------------------------------
-    def head_sequence(self) -> np.ndarray:
-        """Head block uid of every occurrence, in execution order."""
-        return self.start_uids()[self.path_ids]
-
     def backward_arrival_mask(self) -> np.ndarray:
         """Whether each occurrence was *entered via* a backward taken branch.
 

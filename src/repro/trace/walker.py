@@ -46,25 +46,15 @@ class BranchOracle(Protocol):
 
 
 class RandomOracle:
-    """Seeded random decisions with optional per-block taken bias.
+    """Seeded random decisions: every conditional branch is taken with
+    probability ``default_bias``."""
 
-    ``bias`` maps block uids to the probability that the conditional
-    branch is taken; blocks not in the map use ``default_bias``.
-    """
-
-    def __init__(
-        self,
-        seed: int,
-        bias: dict[int, float] | None = None,
-        default_bias: float = 0.5,
-    ):
+    def __init__(self, seed: int, default_bias: float = 0.5):
         self._rng = random.Random(seed)
-        self._bias = dict(bias or {})
         self._default_bias = default_bias
 
     def decide_cond(self, block: BasicBlock) -> bool:
-        probability = self._bias.get(block.uid, self._default_bias)
-        return self._rng.random() < probability
+        return self._rng.random() < self._default_bias
 
     def decide_multiway(self, block: BasicBlock, arity: int) -> int:
         return self._rng.randrange(arity)

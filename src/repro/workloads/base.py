@@ -30,11 +30,6 @@ class Workload:
             self._trace = WorkloadGenerator(self.config).generate()
         return self._trace
 
-    def regenerate(self) -> PathTrace:
-        """Drop the cache and generate a fresh trace (same seed → same data)."""
-        self._trace = None
-        return self.trace()
-
 
 _CACHE: dict[tuple[str, float], Workload] = {}
 

@@ -81,16 +81,6 @@ class WorkloadConfig:
                     f"phase fractions must sum to 1, got {total}"
                 )
 
-    @property
-    def design_heads(self) -> int:
-        """Path heads the region mix contributes by design."""
-        return sum(spec.num_heads for spec in self.regions)
-
-    @property
-    def design_paths(self) -> int:
-        """Dynamic paths the region mix contributes by design."""
-        return sum(spec.num_paths for spec in self.regions)
-
 
 class WorkloadGenerator:
     """Materializes a :class:`PathTrace` from a :class:`WorkloadConfig`."""

@@ -18,32 +18,28 @@ from repro.workloads.regions import RegionSpec
 
 
 def phased_config(
-    name: str = "phased",
-    seed: int = 777,
-    num_phases: int = 4,
-    regions_per_phase: int = 150,
-    background_regions: int = 8,
-    flow: int = 400_000,
-    iters_mean: float = 60.0,
-    tails: int = 2,
+    seed: int = 777, num_phases: int = 4, flow: int = 400_000
 ) -> WorkloadConfig:
     """Build a phased workload configuration.
 
-    Phase ``p`` draws almost all its flow from its own
-    ``regions_per_phase`` regions; a small always-on background (10% of
-    the weight) keeps some paths hot across every phase so the hot set is
-    not perfectly partitioned.
+    Phase ``p`` draws almost all its flow from its own 150 regions; a
+    small always-on background of 8 regions (10% of the weight) keeps
+    some paths hot across every phase so the hot set is not perfectly
+    partitioned.  Every region is a two-tail loop of 60 iterations on
+    average.
     """
     if num_phases < 2:
         raise WorkloadError("a phased workload needs at least two phases")
+    regions_per_phase = 150
+    background_regions = 8
 
     # One shared (frozen) spec for every region.
     regions = [
         RegionSpec(
             kind="loop",
-            num_tails=tails,
+            num_tails=2,
             tail_skew=0.7,
-            iters_mean=iters_mean,
+            iters_mean=60.0,
             weight=1.0,
         )
     ] * (num_phases * regions_per_phase + background_regions)
@@ -60,7 +56,7 @@ def phased_config(
         phases.append(Phase(fraction=1.0 / num_phases, weights=weights))
 
     return WorkloadConfig(
-        name=name,
+        name="phased",
         seed=seed,
         target_flow=flow,
         regions=regions,

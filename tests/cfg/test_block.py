@@ -33,17 +33,6 @@ def test_return_and_halt_need_no_operands():
     assert Terminator(BranchKind.HALT).kind is BranchKind.HALT
 
 
-def test_is_conditional_and_is_indirect():
-    cond = Terminator(BranchKind.COND, taken_label="a", fallthrough_label="b")
-    assert cond.is_conditional and not cond.is_indirect
-    ind = Terminator(BranchKind.INDIRECT, targets=("a",))
-    assert ind.is_indirect and not ind.is_conditional
-    icall = Terminator(
-        BranchKind.ICALL, callees=("f",), fallthrough_label="n"
-    )
-    assert icall.is_indirect
-
-
 def test_block_size_must_be_positive():
     with pytest.raises(CFGError):
         BasicBlock(
@@ -63,5 +52,4 @@ def test_block_addresses():
     )
     block.address = 10
     assert block.branch_address == 13
-    assert block.end_address == 14
     assert block.key() == ("p", "b")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cfg import BranchKind, EdgeKind, ProgramBuilder
 from repro.errors import CFGError, CFGValidationError
+from tests.conftest import block_at
 
 
 def test_fig1_layout_addresses(fig1_program):
@@ -99,17 +100,13 @@ def test_entry_block_is_main_entry(call_program):
 
 
 def test_block_at_and_block_by_uid(fig1_program):
-    a = fig1_program.block_at(0)
+    a = block_at(fig1_program, 0)
     assert a.label == "A"
     assert fig1_program.block_by_uid(a.uid) is a
     with pytest.raises(CFGError):
-        fig1_program.block_at(1)  # inside A, not a block start
+        block_at(fig1_program, 1)  # inside A, not a block start
     with pytest.raises(CFGError):
         fig1_program.block_by_uid(999)
-
-
-def test_conditional_branch_count(fig1_program):
-    assert fig1_program.conditional_branch_count() == 2
 
 
 def test_describe_mentions_counts(fig1_program):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.cfg import ProgramBuilder
+from repro.errors import CFGError
 from repro.experiments.data import benchmark_traces
 from repro.trace import CFGWalker, EventBatch
 from repro.trace.path import Path, PathSignature, PathTable
@@ -112,10 +113,40 @@ def call_program():
     return builder.build()
 
 
+def block_at(program, address: int):
+    """The block of ``program`` that starts at ``address``.
+
+    The reference for the address lookups the tests make; raises
+    ``CFGError`` when no block starts there.
+    """
+    for block in program.blocks:
+        if block.address == address:
+            return block
+    raise CFGError(f"no block starts at address {address}")
+
+
 def walk_batch(program, oracle, max_events: int | None = None) -> EventBatch:
     """The walker's whole event stream under ``oracle``, as one batch."""
     walker = CFGWalker(program, oracle)
     return EventBatch.concat(list(walker.walk_batched(max_events)))
+
+
+def signature_from_bits(
+    start_address: int, bits: str, indirect_targets: tuple[int, ...] = ()
+) -> PathSignature:
+    """Build a signature from a ``"0101"``-style bit string."""
+    return PathSignature(
+        start_address=start_address,
+        history=int(bits, 2) if bits else 0,
+        bit_count=len(bits),
+        indirect_targets=indirect_targets,
+    )
+
+
+def head_sequence(trace: PathTrace) -> np.ndarray:
+    """Head block uid of every occurrence of ``trace``, in execution
+    order: the reference the head-counting tests compare against."""
+    return trace.start_uids()[trace.path_ids]
 
 
 def make_path(
@@ -128,7 +159,7 @@ def make_path(
 ) -> int:
     """Intern a synthetic path and return its id."""
     path = Path(
-        signature=PathSignature.from_bits(start_addr, bits),
+        signature=signature_from_bits(start_addr, bits),
         blocks=blocks,
         start_uid=blocks[0],
         num_instructions=instr_per_block * len(blocks),

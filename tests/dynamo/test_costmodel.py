@@ -18,10 +18,10 @@ from repro.dynamo import DynamoConfig, simulate_costs
 from repro.experiments.phases import phases_config
 from repro.prediction import NETPredictor, PathProfilePredictor
 from repro.prediction.base import PredictionOutcome
-from repro.trace.path import Path, PathSignature, PathTable
+from repro.trace.path import Path, PathTable
 from repro.trace.recorder import PathTrace
 from repro.workloads.base import Workload
-from tests.conftest import ENGINE_TEST_SCALE
+from tests.conftest import ENGINE_TEST_SCALE, signature_from_bits
 from tests.dynamo import costmodel_oracle as oracle
 
 #: The default, fragments left uninstrumented, and a raw short run with
@@ -75,7 +75,7 @@ def _case(paths, ids, predictions, scheme, config_index):
     for index, (head, instr, cond, indirect, backward) in enumerate(paths):
         table.intern(
             Path(
-                signature=PathSignature.from_bits(4 * head, format(index, "04b")),
+                signature=signature_from_bits(4 * head, format(index, "04b")),
                 blocks=(head, 100 + index),
                 start_uid=head,
                 num_instructions=instr,

@@ -184,7 +184,6 @@ def test_bail_out_on_fragment_explosion():
 def test_fragment_cache_capacity_flush():
     cache = FragmentCache(budget_instructions=10)
     cache.emit(Fragment(path_id=1, head_uid=0, num_instructions=6, created_at=0))
-    assert not cache.is_full
     flushed = cache.emit(
         Fragment(path_id=2, head_uid=1, num_instructions=6, created_at=1)
     )
@@ -201,14 +200,6 @@ def test_fragment_cache_duplicate_emit_is_noop():
     cache.emit(Fragment(path_id=1, head_uid=0, num_instructions=5, created_at=2))
     assert len(cache) == 1
     assert cache.occupancy == 5
-
-
-def test_fragment_cache_linking():
-    cache = FragmentCache(budget_instructions=100)
-    cache.emit(Fragment(path_id=1, head_uid=0, num_instructions=5, created_at=0))
-    cache.link(1, 2)
-    assert 2 in cache.lookup(1).links
-    cache.link(99, 2)  # unknown source is ignored
 
 
 def test_monitor_detects_spikes():

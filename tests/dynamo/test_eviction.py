@@ -40,16 +40,6 @@ def test_fifo_evicts_several_when_needed():
     assert cache.evictions == 2
 
 
-def test_fifo_unlinks_references_to_victims():
-    cache = FragmentCache(10, policy="fifo")
-    cache.emit(_fragment(1, 4))
-    cache.emit(_fragment(2, 4))
-    cache.link(2, 1)
-    cache.emit(_fragment(3, 4))  # evicts 1
-    assert 1 not in cache.lookup(2).links
-    assert cache.unlink_operations == 1
-
-
 def test_flush_policy_unchanged():
     cache = FragmentCache(10, policy="flush")
     cache.emit(_fragment(1, 6))

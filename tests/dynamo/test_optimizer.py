@@ -12,6 +12,7 @@ from repro.errors import ReproError
 from repro.isa import assemble, run_to_completion
 from repro.isa.programs import rle, stackvm
 from repro.trace import record_path_trace
+from tests.conftest import signature_from_bits
 
 
 def _trace_of(source, memory=None):
@@ -114,10 +115,10 @@ def test_unknown_block_rejected():
     program, trace = _trace_of(
         ".proc main\n    li r1, 1\n    halt\n.endproc"
     )
-    from repro.trace.path import Path, PathSignature
+    from repro.trace.path import Path
 
     alien = Path(
-        signature=PathSignature.from_bits(999, "1"),
+        signature=signature_from_bits(999, "1"),
         blocks=(42,),
         start_uid=42,
         num_instructions=1,
@@ -134,7 +135,7 @@ def test_measured_speedups_on_real_programs():
     trace = record_path_trace(program.cfg, events)
     optimizer = TraceOptimizer(program)
     fragments = {
-        path.blocks: optimizer.optimize(path) for path in trace.table.paths()
+        path.blocks: optimizer.optimize(path) for path in trace.table
     }
     assert len(fragments) == trace.num_paths
     for fragment in fragments.values():

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from repro.dynamo.system import DynamoSystem
 from repro.errors import ExperimentError
 from repro.experiments.extended import (
     EXTENDED_IDS,
@@ -125,11 +126,25 @@ def test_showdown_rows(small_deltablue):
     assert rows[0].benchmark == "deltablue"
 
 
-def test_eviction_rows():
+def test_eviction_rows(monkeypatch):
+    calls = []
+    run_detailed = DynamoSystem.run_detailed
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return run_detailed(self, *args, **kwargs)
+
+    monkeypatch.setattr(DynamoSystem, "run_detailed", counting)
     rows = eviction_rows(flow_scale=0.1, budget=4_000)
     policies = {row.policy for row in rows}
     assert policies == {"flush", "fifo"}
+    # One simulation, under the flush policy it models; the FIFO row is
+    # a replay of the emissions with no speedup of its own.
+    assert len(calls) == 1
+    flush = next(row for row in rows if row.policy == "flush")
     fifo = next(row for row in rows if row.policy == "fifo")
+    assert isinstance(flush.speedup_percent, float)
+    assert fifo.speedup_percent is None
     assert fifo.flushes == 0
 
 

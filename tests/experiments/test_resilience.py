@@ -123,6 +123,33 @@ def test_mid_run_crash_leaves_resumable_cache(trio, baseline, tmp_path):
     assert warm_cache.stats.misses == len(baseline) - completed
 
 
+@pytest.mark.parametrize("batch", [3, 9])
+def test_threaded_crash_caches_every_computed_cell(
+    trio, batch, tmp_path, monkeypatch
+):
+    """A crash under threads still completes every batch that returned:
+    the other batches finished alongside the failing one and the ones
+    the pool's shutdown waits for are placed and cached, so the cache
+    holds every cell a batch computed."""
+    run_cells = executor._run_cells
+    computed = []
+
+    def counting(*args):
+        outcome = run_cells(*args)
+        computed.append(len(outcome[0]))
+        return outcome
+
+    monkeypatch.setattr(executor, "_run_cells", counting)
+    cache = SweepCache(tmp_path / "cache")
+    with pytest.raises(InjectedFault, match=f"batch {batch}"):
+        run_sweep(
+            trio, workers=2, cache=cache, faults=plan(crash_on(batch=batch))
+        )
+    assert sum(computed) > 0
+    assert len(cache.entry_names()) == sum(computed)
+    assert cache.stats.stores == sum(computed)
+
+
 def test_threaded_interrupt_leaves_resumable_cache(
     all_small_traces, tmp_path
 ):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import AssemblerError
 from repro.isa import Op, assemble
+from tests.conftest import block_at
 
 MINIMAL = """
 .proc main
@@ -33,7 +34,7 @@ def test_cfg_addresses_equal_instruction_indices():
 def test_backward_branch_is_loop():
     program = assemble(MINIMAL)
     heads = program.cfg.backward_branch_targets()
-    loop_block = program.cfg.block_at(program.labels["loop"])
+    loop_block = block_at(program.cfg, program.labels["loop"])
     assert heads == {loop_block.uid}
 
 
@@ -130,7 +131,7 @@ def test_call_and_ret_cfg():
 """
     program = assemble(source)
     assert set(program.procs) == {"main", "helper"}
-    call_block = program.cfg.block_at(0)
+    call_block = block_at(program.cfg, 0)
     assert call_block.terminator.callee == "helper"
 
 

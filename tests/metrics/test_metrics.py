@@ -125,8 +125,11 @@ def test_noise_normalizations():
         trace, hot, PathProfilePredictor(0).run(trace)
     )
     assert quality.noise_rate == pytest.approx(100.0)
-    expected_vs_hot = 100.0 * quality.cold_flow / quality.hot_flow
-    assert quality.noise_rate_vs_hot == pytest.approx(expected_vs_hot)
+    # The literal §3 formula, Noise(P) / freq(HotPath_h) × 100, which the
+    # figures do not use: at τ = 0 it is the cold flow over the hot flow.
+    literal = 100.0 * quality.noise_flow / quality.hot_flow
+    expected = 100.0 * quality.cold_flow / quality.hot_flow
+    assert literal == pytest.approx(expected)
 
 
 def test_counter_space_measures():

@@ -97,7 +97,3 @@ def test_retired_hot_paths_counted_as_mistimed():
     )
     assert quality.useful_retired >= 1
 
-
-def test_render(phased_trace, phased_outcome):
-    quality = evaluate_windowed(phased_trace, phased_outcome, window=10_000)
-    assert "windowed hit" in quality.render()

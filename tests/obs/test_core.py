@@ -23,7 +23,6 @@ def test_counter_gauge_timer_basics():
     assert reg.gauge("g").value == 2.5
     assert reg.timer("t").total_seconds == 2.0
     assert reg.timer("t").count == 2
-    assert reg.timer("t").mean_seconds == 1.0
 
 
 def test_instruments_are_interned_by_name():

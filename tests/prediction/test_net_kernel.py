@@ -24,7 +24,7 @@ from repro.prediction import (
 )
 from repro.trace.path import PathTable
 from repro.trace.recorder import PathTrace
-from tests.conftest import make_path
+from tests.conftest import head_sequence, make_path
 
 MODES = [
     (backward_only, retire)
@@ -53,7 +53,7 @@ def reference_net(
 ) -> PredictionOutcome:
     """NET replayed from scratch at one delay (the per-τ oracle)."""
     n = trace.flow
-    head_seq = trace.head_sequence()
+    head_seq = head_sequence(trace)
     if count_backward_arrivals_only:
         counted = trace.backward_arrival_mask()
     else:
@@ -136,7 +136,7 @@ def check_kernel(trace: PathTrace, delays, backward_only, retire):
 
 def delays_for(trace: PathTrace) -> list[int]:
     """The sweep delays plus 0 and one past every head's arrivals."""
-    past_all = int(np.bincount(trace.head_sequence()).max(initial=0)) + 1
+    past_all = int(np.bincount(head_sequence(trace)).max(initial=0)) + 1
     return [0, *DEFAULT_DELAYS, past_all]
 
 

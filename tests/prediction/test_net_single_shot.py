@@ -43,7 +43,7 @@ def test_single_shot_captured_counts_from_the_cut_index():
     # Captured = b's executions at or after the cut: 3, 5, …, 19.
     assert list(outcome.captured) == [9]
     assert outcome.captured_flow == 9
-    assert a not in outcome.predicted_set()
+    assert a not in set(outcome.predicted_ids.tolist())
 
 
 def test_single_shot_equals_region_model_on_a_single_loop():

@@ -43,8 +43,9 @@ def test_path_profile_skips_paths_at_or_below_tau():
     ids = [hot] * 100 + [cold] * 10
     trace = PathTrace(table, ids)
     outcome = PathProfilePredictor(10).run(trace)
-    assert cold not in outcome.predicted_set()  # freq == tau is not > tau
-    assert hot in outcome.predicted_set()
+    predicted = set(outcome.predicted_ids.tolist())
+    assert cold not in predicted  # freq == tau is not > tau
+    assert hot in predicted
 
 
 def test_path_profile_delay_zero_predicts_everything():
@@ -53,7 +54,7 @@ def test_path_profile_delay_zero_predicts_everything():
     b = make_path(table, 40, "0", (10, 11))
     trace = PathTrace(table, [a, b, a])
     outcome = PathProfilePredictor(0).run(trace)
-    assert outcome.predicted_set() == {a, b}
+    assert set(outcome.predicted_ids.tolist()) == {a, b}
     assert outcome.captured_flow == trace.flow
 
 
@@ -90,7 +91,7 @@ def test_net_region_model_captures_sibling_tails():
     ids = [a] * 100 + [b] * 100
     trace = PathTrace(table, ids)
     outcome = NETPredictor(10).run(trace)
-    assert outcome.predicted_set() == {a, b}
+    assert set(outcome.predicted_ids.tolist()) == {a, b}
     captured = dict(zip(outcome.predicted_ids, outcome.captured))
     assert captured[b] == 100  # b materializes at its first post-hot exec
 
@@ -102,7 +103,8 @@ def test_net_single_shot_predicts_one_tail_per_head():
     ids = [a] * 100 + [b] * 100
     trace = PathTrace(table, ids)
     outcome = NETPredictor(10, retire_heads=True).run(trace)
-    assert outcome.predicted_set() == {a}  # only the next executing tail
+    # Only the next executing tail.
+    assert set(outcome.predicted_ids.tolist()) == {a}
 
 
 def test_net_cold_heads_never_predict():
@@ -112,7 +114,7 @@ def test_net_cold_heads_never_predict():
     ids = [hot] * 500 + [rare] * 3
     trace = PathTrace(table, ids)
     outcome = NETPredictor(50).run(trace)
-    assert rare not in outcome.predicted_set()
+    assert rare not in set(outcome.predicted_ids.tolist())
     assert outcome.counter_space == 2  # both heads got counters
 
 
@@ -146,7 +148,7 @@ def test_boa_predicts_dominant_tail():
     trace = PathTrace(table, ids)
     outcome = BoaPredictor(20).run(trace)
     # Edge frequencies favour a's blocks, so Boa constructs a.
-    assert a in outcome.predicted_set()
+    assert a in set(outcome.predicted_ids.tolist())
 
 
 def test_boa_constructed_path_may_not_exist():

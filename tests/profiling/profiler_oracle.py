@@ -67,8 +67,8 @@ class ScalarKBoundedPathProfiler(KBoundedPathProfiler):
 class ScalarBitTracingProfiler(BitTracingProfiler):
     """A signature register shifted per branch, flushed at path ends."""
 
-    def __init__(self, program, max_blocks: int | None = 256):
-        super().__init__(program, max_blocks)
+    def __init__(self, program):
+        super().__init__(program)
         self._register: SignatureRegister | None = None
         self._blocks_in_path = 1
         self._open_calls = 0

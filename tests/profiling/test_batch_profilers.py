@@ -64,7 +64,14 @@ def _profiler(name, program, scalar=False):
     cls, arguments = PROFILERS[name]
     if scalar:
         cls = SCALAR[cls]
-    return cls(**arguments(program))
+    arguments = arguments(program)
+    cap = arguments.pop("max_blocks", None)
+    profiler = cls(**arguments)
+    if cap is not None:
+        # Bit tracing caps paths at the extractor's 256 blocks; a short
+        # cap makes the cap cut this stream's paths.
+        profiler._max_blocks = cap
+    return profiler
 
 
 def _events(seed=11, trips=8):

@@ -12,6 +12,7 @@ from repro.cfg import (
     number_program,
 )
 from repro.isa.programs import ALL_PROGRAMS
+from tests.cfg.ball_larus_oracle import chord_sum, decode, path_id
 
 _settings = settings(
     max_examples=20,
@@ -29,10 +30,10 @@ def test_numbering_bijective_and_chords_consistent(seed):
         assert numbering.num_paths >= 1
         limit = min(numbering.num_paths, 100)
         decoded = set()
-        for path_id in range(limit):
-            sequence = numbering.decode(path_id)
-            assert numbering.path_id(sequence) == path_id, (seed, name)
-            assert numbering.chord_sum(sequence) == path_id, (seed, name)
+        for pid in range(limit):
+            sequence = decode(numbering, pid)
+            assert path_id(numbering, sequence) == pid, (seed, name)
+            assert chord_sum(numbering, sequence) == pid, (seed, name)
             decoded.add(tuple(sequence))
         assert len(decoded) == limit
 
@@ -53,7 +54,7 @@ def test_chord_count_at_most_edges_minus_tree(seed):
         # Tree over V vertices has V−1 edges, one of which is the forced
         # virtual exit→entry edge, so chords = E − (V − 2).
         expected_chords = len(numbering.edges) - (len(vertices) - 2)
-        assert numbering.num_instrumented_edges == expected_chords
+        assert len(numbering.chord_indices) == expected_chords
 
 
 def _charged_entry_chords(program):

@@ -26,6 +26,7 @@ from repro.experiments.sweep import SweepPoint
 from repro.trace.io import load_trace, save_trace
 from repro.trace.path import Path, PathSignature, PathTable
 from repro.trace.recorder import PathTrace
+from tests.conftest import signature_from_bits
 
 _settings = settings(max_examples=60, deadline=None)
 
@@ -38,7 +39,7 @@ def _build_trace(
     for index in range(num_paths):
         table.intern(
             Path(
-                signature=PathSignature.from_bits(
+                signature=signature_from_bits(
                     start_base + index * 4, format(index, "04b")
                 ),
                 blocks=(index, 100 + index),

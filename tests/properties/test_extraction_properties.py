@@ -195,4 +195,4 @@ def test_stream_feed_over_random_splits_matches_scalar(
         ids.extend(stream.feed(batch.slice(begin, end)))
     ids.extend(stream.finish())
     assert ids == expected
-    assert extractor.table.paths() == scalar.table.paths()
+    assert list(extractor.table) == list(scalar.table)

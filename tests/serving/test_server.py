@@ -64,9 +64,8 @@ def test_wire_payload_path_matches_in_process():
 def test_first_ingest_can_register_the_program():
     stream = _stream()
     server = PredictionServer(ServerConfig(delay=DELAY))
-    result = server.ingest(
-        "lazy", stream.batches[0], program=stream.program
-    )
+    server.open_tenant("lazy", stream.program)
+    result = server.ingest("lazy", stream.batches[0])
     assert result.seq == 0
     assert server.close_tenant("lazy").batches_ingested == 1
 
@@ -217,7 +216,6 @@ def test_drain_stops_admissions_with_typed_rejection():
     server.open_tenant("t0", stream.program)
     server.ingest("t0", stream.batches[0])
     server.drain(timeout=5.0)
-    assert server.draining
     with pytest.raises(DrainingError) as excinfo:
         server.ingest("t0", stream.batches[1])
     assert excinfo.value.retry_after_seconds == 0.25
@@ -234,4 +232,5 @@ def test_drain_is_idempotent():
     server = PredictionServer(ServerConfig(num_shards=1, delay=DELAY))
     server.drain(timeout=5.0)
     server.drain(timeout=5.0)
-    assert server.draining
+    with pytest.raises(DrainingError):
+        server.ingest("t0", EventBatch.empty())

@@ -1,13 +1,21 @@
-"""Every public top-level name in ``src/repro`` is named by a user.
+"""Every public name in ``src/repro`` is named by a user.
 
-A function, class or constant that no code outside the tests names is
-dead weight: it can be deleted without moving any artifact, CLI output
-or served prediction, and its tests go with it.  This check keeps such
-names from growing back.  A public name defined in a non-``__init__``
-module must be named somewhere besides its own definition: elsewhere in
-its own module, in another ``src/repro`` module, or in ``examples/``,
+A function, class, constant, method or property that no code outside
+the tests names is dead weight: it can be deleted without moving any
+artifact, CLI output or served prediction, and its tests go with it.
+These checks keep such names from growing back.
+
+A public top-level name defined in a non-``__init__`` module must be
+named somewhere besides its own definition: elsewhere in its own
+module, in another ``src/repro`` module, or in ``examples/``,
 ``benchmarks/`` or ``perfbench/``.  Package ``__init__`` re-exports do
 not count as users, and neither do the tests.
+
+A public method or property of a public top-level class is held to the
+same rule one level down.  It counts as named where any of those files,
+outside the member's own definition, spells it as an attribute
+(``x.name``), a keyword (``name=``) or a string (``"name"``, as
+``getattr`` and perfbench's patchers spell it).
 """
 
 from __future__ import annotations
@@ -20,9 +28,12 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
 CALLER_DIRS = ("examples", "benchmarks", "perfbench")
 
-#: Fault hooks: the tests arm them to crash or interrupt a run on
-#: purpose, and no entry point does.
-TEST_HOOKS = frozenset({"crash_on", "interrupt_on"})
+#: Names exempt from both checks, each with its reason: hooks that only
+#: the tests or the runtime call (a member as ``Class.member``).
+HOOKS = {
+    "crash_on": "fault hook: the tests arm it to crash a run on purpose",
+    "interrupt_on": "fault hook: the tests arm it to interrupt a run",
+}
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -72,7 +83,7 @@ def unreferenced_public_names() -> list[str]:
             *(named for other, named in words.items() if other != path)
         )
         for name, node in _public_definitions(ast.parse(text)).items():
-            if name in TEST_HOOKS or name in elsewhere:
+            if name in HOOKS or name in elsewhere:
                 continue
             decorators = getattr(node, "decorator_list", [])
             first = min([node.lineno, *(d.lineno for d in decorators)])
@@ -86,3 +97,64 @@ def unreferenced_public_names() -> list[str]:
 
 def test_every_public_name_has_a_user_outside_the_tests():
     assert unreferenced_public_names() == []
+
+
+def _public_members(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
+    """``(class, method)`` for each public method or property of each
+    public top-level class of ``tree``."""
+    return [
+        (node.name, item)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    ]
+
+
+def _mentions(tree: ast.Module) -> list[tuple[str, int]]:
+    """``(name, line)`` for each attribute, keyword and string."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            found.append((node.arg, node.value.lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.append((node.value, node.lineno))
+    return found
+
+
+def unreferenced_public_members() -> list[str]:
+    """``module:Class.member`` for each public member nothing names."""
+    paths = sorted((ROOT / "src").rglob("*.py"))
+    for directory in CALLER_DIRS:
+        paths += sorted((ROOT / directory).rglob("*.py"))
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8")) for path in paths
+    }
+    lines: dict[str, list[tuple[pathlib.Path, int]]] = {}
+    for path, tree in trees.items():
+        for name, line in _mentions(tree):
+            lines.setdefault(name, []).append((path, line))
+    missing = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(PACKAGE) or path.name == "__init__.py":
+            continue
+        module = path.relative_to(PACKAGE.parent).with_suffix("")
+        module = ".".join(module.parts)
+        for cls, node in _public_members(tree):
+            if f"{cls}.{node.name}" in HOOKS:
+                continue
+            decorators = node.decorator_list
+            first = min([node.lineno, *(d.lineno for d in decorators)])
+            if not any(
+                other != path or not first <= line <= node.end_lineno
+                for other, line in lines.get(node.name, [])
+            ):
+                missing.append(f"{module}:{cls}.{node.name}")
+    return missing
+
+
+def test_every_public_member_has_a_user_outside_the_tests():
+    assert unreferenced_public_members() == []

@@ -159,7 +159,7 @@ def test_extract_batch_occurrences_match_scalar(fig1_program):
     extractor = PathExtractor(fig1_program)
     ids = extractor.extract_batch_ids(events)
     assert ids.tolist() == scalar.path_ids.tolist()
-    assert extractor.table.paths() == scalar.table.paths()
+    assert list(extractor.table) == list(scalar.table)
 
 
 def test_forward_return_cut_in_a_client_stream():

@@ -5,9 +5,9 @@ import pytest
 
 from repro.errors import TraceError
 from repro.trace.io import load_trace, save_trace
-from repro.trace.path import PathSignature, PathTable
+from repro.trace.path import PathTable
 from repro.trace.recorder import PathTrace
-from tests.conftest import make_path
+from tests.conftest import make_path, signature_from_bits
 
 
 def _sample_trace():
@@ -42,7 +42,7 @@ def test_long_histories_round_trip(tmp_path):
     bits = "10" * 50  # 100-bit history
     pid = table.intern(
         __import__("repro.trace.path", fromlist=["Path"]).Path(
-            signature=PathSignature.from_bits(0, bits),
+            signature=signature_from_bits(0, bits),
             blocks=tuple(range(5)),
             start_uid=0,
             num_instructions=15,

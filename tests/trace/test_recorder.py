@@ -15,7 +15,7 @@ from repro.trace import (
 )
 from repro.trace.path import STATIC_COLUMN_KEYS
 from repro.workloads import WorkloadGenerator
-from tests.conftest import ENGINE_TEST_SCALE, make_path
+from tests.conftest import ENGINE_TEST_SCALE, head_sequence, make_path
 from tests.trace.event_oracle import ScriptedOracle
 
 
@@ -53,7 +53,7 @@ def test_per_path_arrays():
     assert list(trace.start_uids()) == [0, 10]
     assert list(trace.blocks_per_path()) == [3, 2]
     assert list(trace.instructions_per_path()) == [9, 6]
-    assert list(trace.head_sequence()) == [0, 10, 0]
+    assert list(head_sequence(trace)) == [0, 10, 0]
 
 
 def test_backward_arrival_mask_uses_previous_path():
@@ -69,7 +69,7 @@ def test_backward_arrival_mask_uses_previous_path():
 
 def _unique_heads(trace: PathTrace) -> int:
     """The head count's oracle: distinct heads of backward arrivals."""
-    heads = trace.head_sequence()[trace.backward_arrival_mask()]
+    heads = head_sequence(trace)[trace.backward_arrival_mask()]
     return len(np.unique(heads))
 
 

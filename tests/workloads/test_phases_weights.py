@@ -10,6 +10,7 @@ from repro.workloads import (
     WorkloadConfig,
     WorkloadGenerator,
 )
+from tests.conftest import head_sequence
 
 
 def _two_group_config(flow=60_000):
@@ -34,8 +35,8 @@ def _two_group_config(flow=60_000):
 def test_phase_weights_route_flow():
     trace = WorkloadGenerator(_two_group_config()).generate()
     half = trace.flow // 2
-    first_heads = set(map(int, np.unique(trace.head_sequence()[:half])))
-    second_heads = set(map(int, np.unique(trace.head_sequence()[half:])))
+    first_heads = set(map(int, np.unique(head_sequence(trace)[:half])))
+    second_heads = set(map(int, np.unique(head_sequence(trace)[half:])))
     # A region visit can straddle the boundary, so allow one overlap.
     assert len(first_heads & second_heads) <= 2
     assert first_heads and second_heads
@@ -57,7 +58,7 @@ def test_single_phase_default_weights():
         name="skewed", seed=1, target_flow=20_000, regions=regions
     )
     trace = WorkloadGenerator(config).generate()
-    heads = trace.head_sequence()
+    heads = head_sequence(trace)
     dominant_head = trace.table.path(0).start_uid
     share = float(np.mean(heads == dominant_head))
     assert share > 0.9  # the heavy region dominates the schedule
@@ -70,7 +71,7 @@ def test_coverage_pass_toggle_affects_prefix():
     config2 = _two_group_config()
     without = WorkloadGenerator(config2).generate()
     # With coverage, all 8 heads appear early; without, only phase 1's.
-    early_with = set(map(int, np.unique(with_coverage.head_sequence()[:5000])))
-    early_without = set(map(int, np.unique(without.head_sequence()[:5000])))
+    early_with = set(map(int, np.unique(head_sequence(with_coverage)[:5000])))
+    early_without = set(map(int, np.unique(head_sequence(without)[:5000])))
     assert len(early_with) >= len(early_without)
     assert len(early_with) == 8
