@@ -1,8 +1,8 @@
 """Benchmark: multi-tenant serving throughput and ingest latency.
 
 Replays the generated workload corpus as hundreds of interleaved tenant
-streams against an in-process :class:`PredictionServer` (wire
-encode/decode on every batch, as a deployment would pay), then writes
+streams against an in-process :class:`PredictionServer` (a wire
+decode on every batch, as a deployment would pay), then writes
 ``BENCH_serving.json`` with the tenant count, end-to-end events/sec and
 predictions/sec, and p50/p99/max ingest latency.
 
@@ -29,6 +29,7 @@ from repro.serving import (
     LoadgenConfig,
     PredictionServer,
     ServerConfig,
+    decode_batch,
     render_report,
     run_load,
     standalone_outcome,
@@ -69,7 +70,6 @@ def test_serving_load(results_dir):
         events_per_tenant=EVENTS_PER_TENANT,
         batch_events=256,
         workers=4,
-        wire=True,
         seed=SEED,
         server=ServerConfig(num_shards=8, delay=DELAY),
     )
@@ -96,7 +96,9 @@ def test_serving_load(results_dir):
     assert served.counter_space == offline.counter_space
     assert served.profiling_ops == offline.profiling_ops
     # ... and the offline trace itself must match on volume.
-    trace = record_path_trace(stream.program, iter(stream.batches))
+    trace = record_path_trace(
+        stream.program, map(decode_batch, stream.payloads)
+    )
     assert served.predicted_ids.size == NETPredictor(DELAY).run(
         trace
     ).predicted_ids.size

@@ -55,7 +55,12 @@ import tempfile
 import time
 
 from repro.dynamo import DEFAULT_CONFIG, TIERS, DynamoSystem
-from repro.errors import ExperimentError, ReproError, SweepInterrupted
+from repro.errors import (
+    ExperimentError,
+    ReproError,
+    ServingError,
+    SweepInterrupted,
+)
 from repro.experiments import EXPERIMENT_IDS, plan_targets, run_targets
 from repro.experiments.engine import SweepCache, run_sweep
 from repro.experiments.extended import EXTENDED_IDS, run_extended
@@ -449,6 +454,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_loadtest(args: argparse.Namespace) -> int:
     if args.chaos:
         return _cmd_chaos(args)
+    if args.no_wire:
+        raise ServingError(
+            "--no-wire picks the chaos harness's in-process driver; "
+            "it needs --chaos"
+        )
     registry = _metrics_registry(args)
     recorder = _run_recorder(args)
     obs = get_registry(registry)
@@ -458,7 +468,6 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         events_per_tenant=args.events,
         batch_events=args.batch_events,
         workers=args.workers,
-        wire=not args.no_wire,
         seed=args.seed,
         server=_server_config(args),
     )
@@ -785,7 +794,10 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument(
         "--no-wire",
         action="store_true",
-        help="skip wire encode/decode and hand batches in-process",
+        help=(
+            "with --chaos, drive the chaos harness's in-process driver "
+            "instead of TCP"
+        ),
     )
     loadtest.add_argument(
         "--state-dir",

@@ -201,11 +201,6 @@ class NETSession:
         return self._flow
 
     @property
-    def num_predictions(self) -> int:
-        """Hot-path selections announced so far."""
-        return len(self._predicted)
-
-    @property
     def counter_space(self) -> int:
         """Head counters allocated so far (paper §5.2 space measure)."""
         return len(self._counters)

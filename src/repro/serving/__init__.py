@@ -12,7 +12,8 @@ fleet scale.
 
 Layers, bottom up:
 
-- :mod:`repro.serving.wire` — the EventBatch network format.
+- :mod:`repro.serving.wire` — the batch payload every layer carries,
+  from client to WAL, and its digest.
 - :mod:`repro.serving.session` — one tenant's streaming
   extraction + NET pipeline and its memory meter.
 - :mod:`repro.serving.server` — sharded multi-tenant coordination:

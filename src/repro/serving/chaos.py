@@ -189,9 +189,7 @@ class _InProcessDriver:
     def ingest(
         self, tenant_id: str, stream: TenantStream, seq: int
     ) -> tuple[list[dict], bool]:
-        result = self.server.ingest(
-            tenant_id, stream.batches[seq], seq=seq
-        )
+        result = self.server.ingest(tenant_id, stream.payloads[seq], seq=seq)
         return (
             [_normalize_selection(s) for s in result.selections],
             result.duplicate,
@@ -335,12 +333,12 @@ def _build_schedule(
         f"chaos-{index}": corpus[index % len(corpus)]
         for index in range(config.num_tenants)
     }
-    longest = max(len(stream.batches) for stream in tenants.values())
+    longest = max(len(stream.payloads) for stream in tenants.values())
     schedule = [
         (tenant_id, round_index)
         for round_index in range(longest)
         for tenant_id, stream in tenants.items()
-        if round_index < len(stream.batches)
+        if round_index < len(stream.payloads)
     ]
     return corpus, tenants, schedule
 
@@ -359,7 +357,7 @@ def _run_baseline(
     }
     for tenant_id, seq in schedule:
         result = server.ingest(
-            tenant_id, tenants[tenant_id].batches[seq], seq=seq
+            tenant_id, tenants[tenant_id].payloads[seq], seq=seq
         )
         selections[tenant_id][seq] = [
             _normalize_selection(s) for s in result.selections

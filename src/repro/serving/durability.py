@@ -60,6 +60,45 @@ def _crc(payload: bytes) -> int:
     return zlib.crc32(payload) & 0xFFFFFFFF
 
 
+def _header(magic: bytes) -> bytes:
+    """The file header every WAL and snapshot file starts with."""
+    return _FILE_HEADER.pack(magic, STORE_VERSION)
+
+
+def _check_header(
+    data: bytes, magic: bytes, path: pathlib.Path, kind: str
+) -> None:
+    """Raise unless ``data`` starts with ``magic`` at this version."""
+    found, version = _FILE_HEADER.unpack_from(data, 0)
+    if found != magic:
+        raise CheckpointError(
+            f"{path} is not a serving {kind} (magic {found!r})"
+        )
+    if version != STORE_VERSION:
+        raise CheckpointError(
+            f"{path} has store version {version}; this build speaks "
+            f"version {STORE_VERSION}"
+        )
+
+
+def _frame(record: dict) -> bytes:
+    """``record`` as canonical JSON behind its length + CRC frame."""
+    payload = json.dumps(
+        record, separators=(",", ":"), sort_keys=True
+    ).encode("utf-8")
+    return _RECORD.pack(len(payload), _crc(payload)) + payload
+
+
+def _publish(target: pathlib.Path, data: bytes) -> None:
+    """Atomically replace ``target`` with ``data`` (fsync + rename)."""
+    tmp = target.with_name(target.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, target)
+
+
 def checkpoint_name(tenant_id: str) -> str:
     """Filesystem-safe snapshot file name for one tenant.
 
@@ -120,28 +159,13 @@ class ShardStore:
         :attr:`truncated_bytes`), exactly the semantics of a crash
         mid-append.
         """
-        if not self.wal_path.exists():
-            with open(self.wal_path, "wb") as handle:
-                handle.write(_FILE_HEADER.pack(WAL_MAGIC, STORE_VERSION))
-            return []
-        data = self.wal_path.read_bytes()
+        data = self.wal_path.read_bytes() if self.wal_path.exists() else b""
         if len(data) < _FILE_HEADER.size:
-            # Torn mid-header: start the log over.
+            # A new log, or one torn mid-header: start the log over.
             self.truncated_bytes += len(data)
-            with open(self.wal_path, "wb") as handle:
-                handle.write(_FILE_HEADER.pack(WAL_MAGIC, STORE_VERSION))
+            self.wal_path.write_bytes(_header(WAL_MAGIC))
             return []
-        magic, version = _FILE_HEADER.unpack_from(data, 0)
-        if magic != WAL_MAGIC:
-            raise CheckpointError(
-                f"{self.wal_path} is not a serving WAL "
-                f"(magic {magic!r})"
-            )
-        if version != STORE_VERSION:
-            raise CheckpointError(
-                f"{self.wal_path} has store version {version}; this "
-                f"build speaks version {STORE_VERSION}"
-            )
+        _check_header(data, WAL_MAGIC, self.wal_path, "WAL")
         records: list[dict] = []
         offset = _FILE_HEADER.size
         good_end = offset
@@ -175,11 +199,7 @@ class ShardStore:
 
     def append(self, record: dict, sync: bool = False) -> None:
         """Append one CRC-framed record, flushed to the OS."""
-        payload = json.dumps(
-            record, separators=(",", ":"), sort_keys=True
-        ).encode("utf-8")
-        self._handle.write(_RECORD.pack(len(payload), _crc(payload)))
-        self._handle.write(payload)
+        self._handle.write(_frame(record))
         self._handle.flush()
         if sync:
             os.fsync(self._handle.fileno())
@@ -192,21 +212,11 @@ class ShardStore:
 
     def rotate(self, live_records: list[dict]) -> None:
         """Atomically rewrite the WAL keeping only ``live_records``."""
-        tmp = self.wal_path.with_suffix(".log.tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(_FILE_HEADER.pack(WAL_MAGIC, STORE_VERSION))
-            for record in live_records:
-                payload = json.dumps(
-                    record, separators=(",", ":"), sort_keys=True
-                ).encode("utf-8")
-                handle.write(
-                    _RECORD.pack(len(payload), _crc(payload))
-                )
-                handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
+        _publish(
+            self.wal_path,
+            _header(WAL_MAGIC) + b"".join(map(_frame, live_records)),
+        )
         self._handle.close()
-        os.replace(tmp, self.wal_path)
         self._handle = open(self.wal_path, "ab")
         self.record_count = len(live_records)
 
@@ -215,18 +225,10 @@ class ShardStore:
     # ------------------------------------------------------------------
     def write_snapshot(self, tenant_id: str, payload: dict) -> None:
         """Atomically publish ``tenant_id``'s snapshot (fsync + rename)."""
-        target = self.directory / checkpoint_name(tenant_id)
-        body = json.dumps(
-            payload, separators=(",", ":"), sort_keys=True
-        ).encode("utf-8")
-        tmp = target.with_suffix(".ckpt.tmp")
-        with open(tmp, "wb") as handle:
-            handle.write(_FILE_HEADER.pack(CKPT_MAGIC, STORE_VERSION))
-            handle.write(_RECORD.pack(len(body), _crc(body)))
-            handle.write(body)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
+        _publish(
+            self.directory / checkpoint_name(tenant_id),
+            _header(CKPT_MAGIC) + _frame(payload),
+        )
         # The WAL records referenced by the snapshot must not outlive a
         # machine crash that the snapshot survives.
         self.sync()
@@ -240,16 +242,7 @@ class ShardStore:
                 f"{path} is {len(data)} bytes, shorter than the "
                 f"{minimum}-byte snapshot envelope"
             )
-        magic, version = _FILE_HEADER.unpack_from(data, 0)
-        if magic != CKPT_MAGIC:
-            raise CheckpointError(
-                f"{path} is not a serving snapshot (magic {magic!r})"
-            )
-        if version != STORE_VERSION:
-            raise CheckpointError(
-                f"{path} has store version {version}; this build "
-                f"speaks version {STORE_VERSION}"
-            )
+        _check_header(data, CKPT_MAGIC, path, "snapshot")
         length, crc = _RECORD.unpack_from(data, _FILE_HEADER.size)
         body = data[_FILE_HEADER.size + _RECORD.size :]
         if len(body) != length or _crc(body) != crc:
@@ -316,13 +309,8 @@ class DurabilityStore:
                     "find existing tenants"
                 )
         else:
-            tmp = meta_path.with_suffix(".json.tmp")
-            tmp.write_text(
-                json.dumps(
-                    {"version": STORE_VERSION, "num_shards": num_shards}
-                )
-            )
-            os.replace(tmp, meta_path)
+            meta = {"version": STORE_VERSION, "num_shards": num_shards}
+            _publish(meta_path, json.dumps(meta).encode("utf-8"))
         self.shards = [
             ShardStore(self.state_dir / f"shard-{index:02d}")
             for index in range(num_shards)

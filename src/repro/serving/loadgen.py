@@ -2,9 +2,9 @@
 
 Replays the workload corpus as many interleaved tenant streams: a small
 set of distinct *streams* (seeded generated programs walked into
-columnar event batches, optionally pre-encoded to the wire format) is
-fanned out across hundreds-to-thousands of tenants, driven by a pool of
-client threads.  Each worker owns a disjoint slice of the tenants and
+columnar event batches, held as their wire payloads) is fanned out
+across hundreds-to-thousands of tenants, driven by a pool of client
+threads.  Each worker owns a disjoint slice of the tenants and
 round-robins their batches, so the server sees the many-tenant
 interleaving a fleet would produce while every individual stream stays
 in order.
@@ -30,10 +30,22 @@ from repro.errors import BackpressureError, DrainingError, ServingError
 from repro.obs.core import Registry, get_registry
 from repro.prediction.net import NETPredictor
 from repro.serving.server import PredictionServer, ServerConfig
-from repro.serving.wire import encode_batch
+from repro.serving.wire import (
+    BYTES_PER_EVENT,
+    HEADER_BYTES,
+    decode_batch,
+    encode_batch,
+)
 from repro.trace import CFGWalker, RandomOracle, TripCountOracle
 from repro.trace.batch import EventBatch
 from repro.trace.recorder import record_path_trace
+
+#: Loop trip count hint for the corpus oracles.
+TRIPS = 25
+
+#: Retries a worker grants one batch under backpressure before counting
+#: it as shed.
+MAX_RETRIES = 50
 
 
 @dataclass(frozen=True)
@@ -51,16 +63,8 @@ class LoadgenConfig:
     batch_events: int = 256
     #: Client threads driving the replay.
     workers: int = 4
-    #: Encode/decode every batch through the wire format (as a real
-    #: network deployment would) instead of handing batches in-process.
-    wire: bool = True
     #: Base seed for corpus generation.
     seed: int = 7
-    #: Loop trip count hint for the corpus oracles.
-    trips: int = 25
-    #: Retries a worker grants one batch under backpressure before
-    #: counting the tenant as shed.
-    max_retries: int = 50
     #: Server configuration for the run.
     server: ServerConfig = field(default_factory=ServerConfig)
 
@@ -79,16 +83,18 @@ class LoadgenConfig:
 
 @dataclass(frozen=True)
 class TenantStream:
-    """One replayable stream: a program plus its pre-built batches."""
+    """One replayable stream: a program plus its batch payloads."""
 
     name: str
     program: Program
-    batches: tuple[EventBatch, ...]
     payloads: tuple[bytes, ...]
 
     @property
     def num_events(self) -> int:
-        return sum(len(batch) for batch in self.batches)
+        return sum(
+            (len(payload) - HEADER_BYTES) // BYTES_PER_EVENT
+            for payload in self.payloads
+        )
 
 
 @dataclass(frozen=True)
@@ -166,7 +172,7 @@ def _walk_seed(
 
 
 def build_stream(
-    seed: int, events: int, batch_events: int, trips: int = 25
+    seed: int, events: int, batch_events: int, trips: int = TRIPS
 ) -> TenantStream:
     """Generate one replayable stream from a seeded program walk.
 
@@ -189,12 +195,10 @@ def build_stream(
         if walked >= events:
             break
     program, batches = best
-    payloads = tuple(encode_batch(batch) for batch in batches)
     return TenantStream(
         name=f"gen:{seed_used}",
         program=program,
-        batches=batches,
-        payloads=payloads,
+        payloads=tuple(encode_batch(batch) for batch in batches),
     )
 
 
@@ -205,7 +209,6 @@ def build_corpus(config: LoadgenConfig) -> list[TenantStream]:
             seed=config.seed + index,
             events=config.events_per_tenant,
             batch_events=config.batch_events,
-            trips=config.trips,
         )
         for index in range(config.num_streams)
     ]
@@ -219,7 +222,9 @@ def standalone_outcome(stream: TenantStream, delay: int, max_blocks=256):
     spot check.
     """
     trace = record_path_trace(
-        stream.program, iter(stream.batches), max_blocks=max_blocks
+        stream.program,
+        map(decode_batch, stream.payloads),
+        max_blocks=max_blocks,
     )
     return NETPredictor(delay).run(trace)
 
@@ -240,7 +245,6 @@ class _WorkerState:
 
 def _replay_worker(
     server: PredictionServer,
-    config: LoadgenConfig,
     corpus: list[TenantStream],
     tenant_ids: list[str],
     state: _WorkerState,
@@ -267,14 +271,10 @@ def _replay_worker(
             for tid in live:
                 stream = streams[tid]
                 index = cursors[tid]
-                if index >= len(stream.batches):
+                if index >= len(stream.payloads):
                     finished.append(tid)
                     continue
-                payload = (
-                    stream.payloads[index]
-                    if config.wire
-                    else stream.batches[index]
-                )
+                payload = stream.payloads[index]
                 attempts = 0
                 while True:
                     started = time.perf_counter()
@@ -287,7 +287,7 @@ def _replay_worker(
                     except (BackpressureError, DrainingError) as pushback:
                         attempts += 1
                         state.retries += 1
-                        if attempts > config.max_retries:
+                        if attempts > MAX_RETRIES:
                             state.shed += 1
                             break
                         time.sleep(pushback.retry_after_seconds)
@@ -339,7 +339,7 @@ def run_load(
     threads = [
         threading.Thread(
             target=_replay_worker,
-            args=(server, config, corpus, slices[i], states[i], start_barrier),
+            args=(server, corpus, slices[i], states[i], start_barrier),
             name=f"loadgen-{i}",
             daemon=True,
         )

@@ -1,11 +1,11 @@
 """The multi-tenant online hot-path prediction server.
 
-:class:`PredictionServer` accepts columnar event batches (either
-:class:`~repro.trace.batch.EventBatch` objects or their wire encoding)
-from many concurrent tenants and answers each ingest with the
-:class:`~repro.serving.session.HotPathSelection` records that batch
-triggered.  One tenant is one running program; its predictor state is a
-private :class:`~repro.serving.session.TenantSession`.
+:class:`PredictionServer` accepts wire-encoded event batches (see
+:mod:`repro.serving.wire`) from many concurrent tenants and answers
+each ingest with the :class:`~repro.serving.session.HotPathSelection`
+records that batch triggered.  One tenant is one running program; its
+predictor state is a private
+:class:`~repro.serving.session.TenantSession`.
 
 Concurrency model
 -----------------
@@ -431,17 +431,16 @@ class PredictionServer:
     def ingest(
         self,
         tenant_id: str,
-        payload: EventBatch | bytes | bytearray | memoryview,
+        payload: bytes | bytearray | memoryview,
         seq: int | None = None,
     ) -> IngestResult:
         """Apply one batch to ``tenant_id``'s stream.
 
-        ``payload`` is either an in-process :class:`EventBatch` or its
-        wire encoding (decoded before any lock is taken).  Returns the
-        selections the batch triggered; raises
-        :class:`~repro.errors.BackpressureError` when the tenant's
-        ingest queue is full and a trace/serving error when the payload
-        or stream is invalid.
+        ``payload`` is the batch's wire encoding, decoded once before
+        any lock is taken.  Returns the selections the batch triggered;
+        raises :class:`~repro.errors.BackpressureError` when the
+        tenant's ingest queue is full and a trace/serving error when
+        the payload or stream is invalid.
 
         ``seq`` is the client-assigned sequence number driving
         exactly-once ingest.  ``None`` lets the server assign the next
@@ -453,11 +452,7 @@ class PredictionServer:
         :class:`~repro.errors.SequenceError` — so a client may retry
         any batch blindly until it is acknowledged.
         """
-        batch = (
-            payload
-            if isinstance(payload, EventBatch)
-            else decode_batch(payload)
-        )
+        batch = decode_batch(payload)
         n = len(batch)
         shard = self._shard(tenant_id)
         config = self.config
@@ -465,9 +460,7 @@ class PredictionServer:
         # Hashed outside any lock; only needed when the batch can be
         # compared against history (explicit seq) or must enter it.
         digest = (
-            batch_digest(batch)
-            if durable or seq is not None
-            else None
+            batch_digest(payload) if durable or seq is not None else None
         )
 
         with shard.cond:

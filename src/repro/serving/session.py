@@ -326,11 +326,6 @@ class TenantSession:
         return len(self._extractor.table)
 
     @property
-    def num_predictions(self) -> int:
-        """Selections announced so far."""
-        return self._net.num_predictions
-
-    @property
     def counter_space(self) -> int:
         """Head counters allocated so far."""
         return self._net.counter_space

@@ -11,8 +11,8 @@ length-prefixed frame::
     ...  tenant id (utf-8)
     ...  operand — open: program name (utf-8, resolved against the
          server's program registry); ingest: a u64 sequence number
-         (``SEQ_AUTO`` for server-assigned) followed by a wire-encoded
-         EventBatch (see repro.serving.wire); close and seq: empty
+         (``SEQ_AUTO`` for server-assigned) followed by one batch
+         payload (see repro.serving.wire); close and seq: empty
 
 Replies are a length-prefixed UTF-8 JSON object whose ``status`` field
 is the reply's type: ``"ok"`` with operation results,
@@ -61,8 +61,6 @@ from repro.errors import (
 from repro.resilience import RetryPolicy, interrupt_guard
 from repro.serving.server import PredictionServer, TenantReport
 from repro.serving.session import HotPathSelection
-from repro.serving.wire import encode_batch
-from repro.trace.batch import EventBatch
 
 OP_OPEN = 1
 OP_INGEST = 2
@@ -93,7 +91,9 @@ def encode_request(op: int, tenant_id: str, operand: bytes = b"") -> bytes:
 
 
 def encode_ingest(
-    tenant_id: str, payload: bytes, seq: int | None = None
+    tenant_id: str,
+    payload: bytes | bytearray | memoryview,
+    seq: int | None = None,
 ) -> bytes:
     """An ingest frame carrying ``seq`` (``None`` → :data:`SEQ_AUTO`)."""
     wire_seq = SEQ_AUTO if seq is None else seq
@@ -192,15 +192,11 @@ class ServingTCPServer(socketserver.ThreadingTCPServer):
     :class:`Program`).  ``max_frame_bytes`` caps how large a length
     prefix the server will honor.
 
-    The two ``chaos_*`` knobs are deterministic fault injection for the
-    serving chaos harness (production leaves them ``None``): counting
-    every frame read across all connections, ``chaos_drop_every=N``
-    abruptly closes the connection instead of handling every Nth frame
-    (the request is lost before dispatch), and
-    ``chaos_drop_reply_every=N`` closes it after dispatch but before
+    ``chaos_drop_next_reply`` is deterministic fault injection for the
+    serving chaos harness (production leaves it ``False``): once set,
+    the next request is dispatched but its connection is closed before
     the reply (the work happened, the ack is lost — the retried request
-    must be deduplicated).  ``chaos_drop_next_reply`` drops exactly one
-    reply and self-clears, for plan-keyed injection.
+    must be deduplicated), and the flag clears itself.
     """
 
     daemon_threads = True
@@ -216,34 +212,19 @@ class ServingTCPServer(socketserver.ThreadingTCPServer):
         self.prediction_server = server
         self.programs = dict(programs)
         self.max_frame_bytes = max_frame_bytes
-        self.chaos_drop_every: int | None = None
-        self.chaos_drop_reply_every: int | None = None
         self.chaos_drop_next_reply = False
         self._chaos_lock = threading.Lock()
-        self._frames_read = 0
-        self._replies_ready = 0
         super().__init__(address, _RequestHandler)
 
     @property
     def port(self) -> int:
         return self.server_address[1]
 
-    def _chaos_drop_request(self) -> bool:
-        if self.chaos_drop_every is None:
-            return False
-        with self._chaos_lock:
-            self._frames_read += 1
-            return self._frames_read % self.chaos_drop_every == 0
-
     def _chaos_drop_reply(self) -> bool:
         with self._chaos_lock:
-            if self.chaos_drop_next_reply:
-                self.chaos_drop_next_reply = False
-                return True
-            if self.chaos_drop_reply_every is None:
-                return False
-            self._replies_ready += 1
-            return self._replies_ready % self.chaos_drop_reply_every == 0
+            drop = self.chaos_drop_next_reply
+            self.chaos_drop_next_reply = False
+            return drop
 
 
 class _RequestHandler(socketserver.StreamRequestHandler):
@@ -270,8 +251,6 @@ class _RequestHandler(socketserver.StreamRequestHandler):
                 return  # peer vanished or spoke garbage framing
             if body is None:
                 return
-            if server._chaos_drop_request():
-                return  # injected fault: request lost before dispatch
             try:
                 reply = self._dispatch(server, prediction, body)
             except BackpressureError as pushback:
@@ -548,16 +527,11 @@ class ServingClient:
     def ingest(
         self,
         tenant_id: str,
-        batch: EventBatch | bytes,
+        payload: bytes | bytearray | memoryview,
         seq: int | None = None,
     ) -> dict:
-        operand = (
-            encode_batch(batch)
-            if isinstance(batch, EventBatch)
-            else bytes(batch)
-        )
         return self._roundtrip(
-            encode_ingest(tenant_id, operand, seq=seq),
+            encode_ingest(tenant_id, payload, seq=seq),
             idempotent=seq is not None,
         )
 

@@ -1,9 +1,10 @@
 """Wire serialization of :class:`~repro.trace.batch.EventBatch`.
 
 The columnar batch is already the in-memory exchange format of the
-event pipeline; this module makes it the *network* exchange format of
-the prediction server.  A payload is a fixed little-endian header
-followed by the four columns back to back::
+event pipeline; its wire encoding is the one form a batch takes in
+:mod:`repro.serving`, from the client to the server's WAL.  A payload
+is a fixed little-endian header followed by the four columns back to
+back::
 
     offset  size  field
     0       4     magic  b"RHPB"
@@ -48,25 +49,19 @@ HEADER_BYTES = _HEADER.size
 BYTES_PER_EVENT = 18
 
 
-def batch_digest(batch: EventBatch) -> int:
-    """Content digest of a batch as an unsigned 64-bit integer.
+def batch_digest(payload: bytes | bytearray | memoryview) -> int:
+    """Content digest of one payload as an unsigned 64-bit integer.
 
-    A pure function of the four event columns in canonical (wire)
-    byte order, so the same batch digests identically whether it
-    arrived in-process or over the network.  The serving durability
-    layer logs this digest per ingested batch: a retried batch must
-    re-present the same digest under the same sequence number, which is
-    how exactly-once ingest distinguishes a safe duplicate from an
-    attempt to rewrite stream history.
+    A blake2b hash of the payload body: the four event columns in wire
+    order, without the header.  The serving durability layer logs this
+    digest per ingested batch: a retried batch must re-present the same
+    digest under the same sequence number, which is how exactly-once
+    ingest distinguishes a safe duplicate from an attempt to rewrite
+    stream history.
     """
-    hasher = hashlib.blake2b(digest_size=8)
-    hasher.update(np.ascontiguousarray(batch.src, dtype="<i8").tobytes())
-    hasher.update(np.ascontiguousarray(batch.dst, dtype="<i8").tobytes())
-    hasher.update(
-        np.ascontiguousarray(batch.kind, dtype=np.uint8).tobytes()
-    )
-    hasher.update(batch.backward.astype(np.uint8).tobytes())
-    return int.from_bytes(hasher.digest(), "little")
+    body = memoryview(payload)[HEADER_BYTES:]
+    digest = hashlib.blake2b(body, digest_size=8).digest()
+    return int.from_bytes(digest, "little")
 
 
 def encode_batch(batch: EventBatch) -> bytes:

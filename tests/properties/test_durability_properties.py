@@ -45,12 +45,12 @@ def _schedule(num_tenants):
         f"t{index}": _CORPUS[index % len(_CORPUS)]
         for index in range(num_tenants)
     }
-    longest = max(len(stream.batches) for stream in tenants.values())
+    longest = max(len(stream.payloads) for stream in tenants.values())
     return tenants, [
         (tenant_id, seq)
         for seq in range(longest)
         for tenant_id, stream in tenants.items()
-        if seq < len(stream.batches)
+        if seq < len(stream.payloads)
     ]
 
 
@@ -59,7 +59,7 @@ def _baseline(tenants, schedule):
     for tenant_id, stream in tenants.items():
         server.open_tenant(tenant_id, stream.program)
     for tenant_id, seq in schedule:
-        server.ingest(tenant_id, tenants[tenant_id].batches[seq], seq=seq)
+        server.ingest(tenant_id, tenants[tenant_id].payloads[seq], seq=seq)
     return {
         tenant_id: _report_fingerprint(server.close_tenant(tenant_id))
         for tenant_id in tenants
@@ -90,7 +90,7 @@ def test_any_cadence_any_kill_point_recovers_identically(
         )
     cursors = dict.fromkeys(tenants, 0)
     for tenant_id, seq in schedule[:kill_at]:
-        server.ingest(tenant_id, tenants[tenant_id].batches[seq], seq=seq)
+        server.ingest(tenant_id, tenants[tenant_id].payloads[seq], seq=seq)
         cursors[tenant_id] = seq + 1
     server.close()  # cold kill: no drain, no final checkpoints
 
@@ -103,10 +103,10 @@ def test_any_cadence_any_kill_point_recovers_identically(
         assert cursors[tenant_id] - cadence <= resume <= cursors[tenant_id]
         for seq in range(resume, cursors[tenant_id]):
             server.ingest(
-                tenant_id, tenants[tenant_id].batches[seq], seq=seq
+                tenant_id, tenants[tenant_id].payloads[seq], seq=seq
             )
     for tenant_id, seq in schedule[kill_at:]:
-        server.ingest(tenant_id, tenants[tenant_id].batches[seq], seq=seq)
+        server.ingest(tenant_id, tenants[tenant_id].payloads[seq], seq=seq)
     for tenant_id in tenants:
         assert (
             _report_fingerprint(server.close_tenant(tenant_id))

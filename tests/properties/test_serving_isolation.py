@@ -59,18 +59,17 @@ def schedules(draw):
     multiset = [
         tenant
         for tenant, stream_index in enumerate(assignment)
-        for _ in _CORPUS[stream_index].batches
+        for _ in _CORPUS[stream_index].payloads
     ]
     order = draw(st.permutations(multiset))
-    wire = draw(st.booleans())
     num_shards = draw(st.sampled_from([1, 2, 7]))
-    return assignment, order, wire, num_shards
+    return assignment, order, num_shards
 
 
 @given(schedules())
 @settings(max_examples=120, deadline=None)
 def test_any_interleaving_matches_standalone_outcomes(schedule):
-    assignment, order, wire, num_shards = schedule
+    assignment, order, num_shards = schedule
     server = PredictionServer(
         ServerConfig(num_shards=num_shards, delay=DELAY)
     )
@@ -82,10 +81,7 @@ def test_any_interleaving_matches_standalone_outcomes(schedule):
         stream = _CORPUS[assignment[tenant]]
         index = cursors[tenant]
         cursors[tenant] = index + 1
-        payload = (
-            stream.payloads[index] if wire else stream.batches[index]
-        )
-        result = server.ingest(f"t{tenant}", payload)
+        result = server.ingest(f"t{tenant}", stream.payloads[index])
         selections[tenant].extend(result.selections)
 
     for tenant, stream_index in enumerate(assignment):

@@ -59,8 +59,8 @@ def test_sigterm_drains_and_restart_resumes(tmp_path):
     try:
         with ServingClient("127.0.0.1", port) as client:
             client.open("op-0", stream.name)
-            for seq, batch in enumerate(stream.batches):
-                client.ingest("op-0", batch, seq=seq)
+            for seq, payload in enumerate(stream.payloads):
+                client.ingest("op-0", payload, seq=seq)
         proc.send_signal(signal.SIGTERM)
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 0, err  # clean drain exits 0
@@ -73,7 +73,7 @@ def test_sigterm_drains_and_restart_resumes(tmp_path):
     proc, port = _spawn_serve(state_dir)
     try:
         with ServingClient("127.0.0.1", port) as client:
-            assert client.expected_seq("op-0") == len(stream.batches)
+            assert client.expected_seq("op-0") == len(stream.payloads)
         proc.send_signal(signal.SIGTERM)
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 0, err
@@ -96,7 +96,6 @@ def test_loadtest_durable_leg(tmp_path, capsys):
                 "128",
                 "--workers",
                 "2",
-                "--no-wire",
                 "--state-dir",
                 str(tmp_path / "state"),
             ]
@@ -105,6 +104,11 @@ def test_loadtest_durable_leg(tmp_path, capsys):
     )
     assert "events/sec" in capsys.readouterr().out
     assert (tmp_path / "state" / "meta.json").exists()
+
+
+def test_loadtest_no_wire_needs_chaos(capsys):
+    assert main(["loadtest", "--tenants", "1", "--no-wire"]) == 2
+    assert "--chaos" in capsys.readouterr().err
 
 
 def test_loadtest_chaos_leg(tmp_path, capsys):

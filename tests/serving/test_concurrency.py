@@ -15,6 +15,7 @@ import pytest
 from repro.errors import BackpressureError
 from repro.serving import PredictionServer, ServerConfig
 from repro.serving.loadgen import build_stream, standalone_outcome
+from tests.serving.wire_oracle import stream_batches
 
 DELAY = 10
 
@@ -52,8 +53,8 @@ def test_same_shard_concurrent_tenants_stay_isolated(stream, offline):
     def replay(tid):
         try:
             barrier.wait()
-            for batch in stream.batches:
-                server.ingest(tid, batch)
+            for payload in stream.payloads:
+                server.ingest(tid, payload)
         except BaseException as error:  # pragma: no cover - fail loud
             errors.append(error)
 
@@ -100,7 +101,7 @@ def test_turnstile_applies_one_tenants_batches_in_admission_order(
         apply_hook=apply_hook,
     )
     server.open_tenant("fifo", stream.program)
-    first, second = stream.batches[0], stream.batches[1]
+    first, second = stream.payloads[0], stream.payloads[1]
 
     t1 = threading.Thread(
         target=server.ingest, args=("fifo", first), daemon=True
@@ -115,9 +116,10 @@ def test_turnstile_applies_one_tenants_batches_in_admission_order(
     release.set()
     t1.join()
     t2.join()
-    assert apply_order == [len(first), len(second)]
-    for batch in stream.batches[2:]:
-        server.ingest("fifo", batch)
+    batches = stream_batches(stream)
+    assert apply_order == [len(batches[0]), len(batches[1])]
+    for payload in stream.payloads[2:]:
+        server.ingest("fifo", payload)
     outcome = server.close_tenant("fifo").outcome
     assert np.array_equal(outcome.predicted_ids, offline.predicted_ids)
 
@@ -129,8 +131,8 @@ def test_full_queue_rejects_immediately_while_apply_is_blocked(stream):
     """While one batch is wedged mid-apply, an ingest that would
     overflow the tenant's queue is rejected instantly (admission never
     waits on the state lock) with a typed retry-after error."""
-    first = stream.batches[0]
-    capacity = len(first)  # exactly one batch fits
+    first = stream.payloads[0]
+    capacity = len(stream_batches(stream)[0])  # exactly one batch fits
     applying = threading.Event()
     release = threading.Event()
 
@@ -155,7 +157,7 @@ def test_full_queue_rejects_immediately_while_apply_is_blocked(stream):
     assert applying.wait(timeout=60)
 
     with pytest.raises(BackpressureError) as rejected:
-        server.ingest("slow", stream.batches[1])
+        server.ingest("slow", stream.payloads[1])
     assert rejected.value.tenant_id == "slow"
     assert rejected.value.queued_events == capacity
     assert rejected.value.capacity == capacity
@@ -165,7 +167,7 @@ def test_full_queue_rejects_immediately_while_apply_is_blocked(stream):
     release.set()
     carrier.join()
     # The queue drained; the rejected batch is welcome on retry.
-    assert server.ingest("slow", stream.batches[1]).seq == 1
+    assert server.ingest("slow", stream.payloads[1]).seq == 1
     server.close_tenant("slow")
 
 
@@ -178,8 +180,8 @@ def test_backpressure_never_rejects_within_capacity(stream):
         )
     )
     server.open_tenant("fits", stream.program)
-    for batch in stream.batches:
-        server.ingest("fits", batch)
+    for payload in stream.payloads:
+        server.ingest("fits", payload)
     assert server.stats()["rejects"] == 0
     server.close_tenant("fits")
 
@@ -205,10 +207,10 @@ def test_eviction_and_readmission_while_other_tenant_applies(stream):
     )
     server.open_tenant("victim", stream.program)
     server.open_tenant("busy", stream.program)
-    server.ingest("victim", stream.batches[0])  # resident, then idle
+    server.ingest("victim", stream.payloads[0])  # resident, then idle
 
     carrier = threading.Thread(
-        target=server.ingest, args=("busy", stream.batches[0]), daemon=True
+        target=server.ingest, args=("busy", stream.payloads[0]), daemon=True
     )
     carrier.start()
     assert applying.wait(timeout=60)
@@ -220,13 +222,12 @@ def test_eviction_and_readmission_while_other_tenant_applies(stream):
     assert server.resident_tenants() == 1  # victim's session is gone
 
     # Readmission: the victim continues its stream mid-flight.
-    server.ingest("victim", stream.batches[1])
+    server.ingest("victim", stream.payloads[1])
     assert server.stats()["readmissions"] == 1
     report = server.close_tenant("victim")
     assert report.evictions == 1
-    assert report.events_ingested == len(stream.batches[0]) + len(
-        stream.batches[1]
-    )
+    batches = stream_batches(stream)
+    assert report.events_ingested == len(batches[0]) + len(batches[1])
     server.close_tenant("busy")
     assert server.state_bytes() == 0
 
@@ -243,18 +244,18 @@ def test_tenant_with_queued_work_is_never_evicted(stream):
     )
     server.open_tenant("queued", stream.program)
     server.open_tenant("inflight", stream.program)
-    server.ingest("queued", stream.batches[0])
+    server.ingest("queued", stream.payloads[0])
     shard = server._shards[0]
     with shard.cond:
         # Stage admitted-but-unapplied work on the LRU tenant.
         shard.tenants["queued"].queued_events = 64
     # The sibling's ingest runs the real post-apply eviction pass over
     # budget — the protected tenant must survive it.
-    server.ingest("inflight", stream.batches[0])
+    server.ingest("inflight", stream.payloads[0])
     assert server.stats()["evictions"] == 0, "soft budget under load"
     assert server.resident_tenants() == 2
     with shard.cond:
         shard.tenants["queued"].queued_events = 0  # work drained
-    server.ingest("inflight", stream.batches[1])
+    server.ingest("inflight", stream.payloads[1])
     assert server.stats()["evictions"] == 1
     assert server.resident_tenants() == 1

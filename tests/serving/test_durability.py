@@ -2,8 +2,9 @@
 
 Store level: CRC-framed WAL round trips, torn tails truncate instead of
 poisoning recovery, snapshots publish atomically, rotation keeps only
-live records, and a state dir written by a differently-sharded server is
-an error rather than silent misrouting.
+live records, a state dir written by a differently-sharded server is
+an error rather than silent misrouting, and the WAL and snapshot bytes
+of a fixed durable run are pinned.
 
 Server level: the exactly-once protocol (duplicates acked without
 effect, gaps and history rewrites rejected with typed errors), crash →
@@ -12,6 +13,8 @@ and final reports byte-identical to an uninterrupted run — including
 composed with LRU budget eviction — and drain → restore resuming with
 zero re-sends.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -27,6 +30,8 @@ from repro.serving import (
     PredictionServer,
     ServerConfig,
     batch_digest,
+    decode_batch,
+    encode_batch,
 )
 from repro.serving.durability import ShardStore, checkpoint_name
 from repro.serving.loadgen import build_stream
@@ -78,8 +83,8 @@ def _baseline(stream, config):
     server = PredictionServer(config)
     server.open_tenant("t0", stream.program)
     selections = {
-        seq: server.ingest("t0", batch, seq=seq).selections
-        for seq, batch in enumerate(stream.batches)
+        seq: server.ingest("t0", payload, seq=seq).selections
+        for seq, payload in enumerate(stream.payloads)
     }
     return selections, server.close_tenant("t0")
 
@@ -221,14 +226,76 @@ def test_recover_scans_open_batch_close(tmp_path):
 
 
 # ----------------------------------------------------------------------
+# Store: pinned bytes
+# ----------------------------------------------------------------------
+#: SHA-256 of every file a durable server leaves in its shard
+#: directories after the fixed run below.  Recovery reads logs and
+#: snapshots written by earlier builds, so a changed hash means the WAL
+#: framing, a record's JSON, a batch digest or the snapshot format
+#: changed.
+GOLDEN_STORE = {
+    "shard-00/t-1e61fe1e47593d783345.ckpt": (
+        "b56789bcc599dfd7305aaa02fdb00ef99e6072cc67ec37961d02dc4b03403cd1"
+    ),
+    "shard-00/wal.log": (
+        "95b4b26e35200cf9b8db9e92d3401e6bc3acd2cce53c581924b66a22144eb24a"
+    ),
+}
+
+
+def test_store_bytes_are_pinned(tmp_path, monkeypatch):
+    """Two tenants replay one stream through one shard; one is closed,
+    the other crashes with a snapshot on disk.  The WAL holds open,
+    batch and close records and has been rotated once."""
+    rotations = []
+    rotate = ShardStore.rotate
+
+    def counting_rotate(self, live_records):
+        rotations.append(len(live_records))
+        rotate(self, live_records)
+
+    monkeypatch.setattr(ShardStore, "rotate", counting_rotate)
+    stream = _stream()
+    server = PredictionServer(
+        _config(
+            num_shards=1, checkpoint_interval_batches=4, wal_rotate_records=20
+        ),
+        state_dir=tmp_path,
+    )
+    for tenant_id in ("kept", "closed"):
+        server.open_tenant(tenant_id, stream.program, program_name=stream.name)
+    for seq, payload in enumerate(stream.payloads):
+        for tenant_id in ("kept", "closed"):
+            server.ingest(tenant_id, payload, seq=seq)
+    server.close_tenant("closed")
+    server.close()
+
+    assert len(rotations) == 1
+    reopened = ShardStore(tmp_path / "shard-00")
+    assert {record["k"] for record in reopened.records()} == {
+        "open",
+        "batch",
+        "close",
+    }
+    reopened.close()
+    digests = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(
+            path.read_bytes()
+        ).hexdigest()
+        for path in tmp_path.glob("shard-*/*")
+    }
+    assert digests == GOLDEN_STORE
+
+
+# ----------------------------------------------------------------------
 # Server: exactly-once ingest
 # ----------------------------------------------------------------------
 def test_duplicate_acked_without_effect(tmp_path):
     stream = _stream()
     server = PredictionServer(_config(), state_dir=tmp_path)
     server.open_tenant("t0", stream.program, program_name=stream.name)
-    first = server.ingest("t0", stream.batches[0], seq=0)
-    again = server.ingest("t0", stream.batches[0], seq=0)
+    first = server.ingest("t0", stream.payloads[0], seq=0)
+    again = server.ingest("t0", stream.payloads[0], seq=0)
     assert again.duplicate and not first.duplicate
     assert again.selections == ()
     assert server.expected_seq("t0") == 1
@@ -242,9 +309,9 @@ def test_gap_rejected_with_typed_error(tmp_path):
     stream = _stream()
     server = PredictionServer(_config(), state_dir=tmp_path)
     server.open_tenant("t0", stream.program, program_name=stream.name)
-    server.ingest("t0", stream.batches[0], seq=0)
+    server.ingest("t0", stream.payloads[0], seq=0)
     with pytest.raises(SequenceError) as excinfo:
-        server.ingest("t0", stream.batches[2], seq=2)
+        server.ingest("t0", stream.payloads[2], seq=2)
     assert excinfo.value.expected == 1
     assert excinfo.value.got == 2
     assert excinfo.value.reason == "gap"
@@ -255,9 +322,9 @@ def test_history_rewrite_rejected(tmp_path):
     stream = _stream()
     server = PredictionServer(_config(), state_dir=tmp_path)
     server.open_tenant("t0", stream.program, program_name=stream.name)
-    server.ingest("t0", stream.batches[0], seq=0)
+    server.ingest("t0", stream.payloads[0], seq=0)
     with pytest.raises(SequenceError, match="differs"):
-        server.ingest("t0", stream.batches[1], seq=0)
+        server.ingest("t0", stream.payloads[1], seq=0)
     server.close()
 
 
@@ -280,7 +347,7 @@ def test_crash_restore_byte_identical(tmp_path, kill_at):
     selections = {}
     for seq in range(kill_at):
         selections[seq] = server.ingest(
-            "t0", stream.batches[seq], seq=seq
+            "t0", stream.payloads[seq], seq=seq
         ).selections
     server.close()  # crash: no drain, no final checkpoint
 
@@ -288,8 +355,8 @@ def test_crash_restore_byte_identical(tmp_path, kill_at):
     server = PredictionServer.restore(tmp_path, programs, config=config)
     resume = server.expected_seq("t0")
     assert resume <= kill_at  # rewound to the last snapshot
-    for seq in range(resume, len(stream.batches)):
-        result = server.ingest("t0", stream.batches[seq], seq=seq)
+    for seq in range(resume, len(stream.payloads)):
+        result = server.ingest("t0", stream.payloads[seq], seq=seq)
         # Replayed batches re-produce the originally returned selections.
         if seq in selections:
             assert result.selections == selections[seq]
@@ -307,21 +374,23 @@ def test_replayed_batch_must_be_byte_identical(tmp_path):
     config = _config(checkpoint_interval_batches=100)  # no snapshots
     server = PredictionServer(config, state_dir=tmp_path)
     server.open_tenant("t0", stream.program, program_name=stream.name)
-    server.ingest("t0", stream.batches[0], seq=0)
+    server.ingest("t0", stream.payloads[0], seq=0)
     server.close()
 
     server = PredictionServer.restore(
         tmp_path, {stream.name: stream.program}, config=config
     )
     assert server.expected_seq("t0") == 0
-    original = stream.batches[0]
-    tampered = EventBatch(
-        src=np.ascontiguousarray(original.src[::-1]),
-        dst=original.dst,
-        kind=original.kind,
-        backward=original.backward,
+    original = decode_batch(stream.payloads[0])
+    tampered = encode_batch(
+        EventBatch(
+            src=np.ascontiguousarray(original.src[::-1]),
+            dst=original.dst,
+            kind=original.kind,
+            backward=original.backward,
+        )
     )
-    assert batch_digest(tampered) != batch_digest(stream.batches[0])
+    assert batch_digest(tampered) != batch_digest(stream.payloads[0])
     with pytest.raises(SequenceError, match="digest"):
         server.ingest("t0", tampered, seq=0)
     server.close()
@@ -332,16 +401,16 @@ def test_drain_then_restore_resumes_with_zero_resends(tmp_path):
     config = _config(checkpoint_interval_batches=10_000)
     base_selections, base_report = _baseline(stream, config)
 
-    half = len(stream.batches) // 2
+    half = len(stream.payloads) // 2
     server = PredictionServer(config, state_dir=tmp_path)
     server.open_tenant("t0", stream.program, program_name=stream.name)
     selections = {
-        seq: server.ingest("t0", stream.batches[seq], seq=seq).selections
+        seq: server.ingest("t0", stream.payloads[seq], seq=seq).selections
         for seq in range(half)
     }
     server.drain(timeout=10.0)
     with pytest.raises(DrainingError):
-        server.ingest("t0", stream.batches[half], seq=half)
+        server.ingest("t0", stream.payloads[half], seq=half)
     server.close()
 
     server = PredictionServer.restore(
@@ -350,9 +419,9 @@ def test_drain_then_restore_resumes_with_zero_resends(tmp_path):
     # Drain checkpointed everything: the successor starts exactly where
     # the predecessor stopped, no batches re-sent.
     assert server.expected_seq("t0") == half
-    for seq in range(half, len(stream.batches)):
+    for seq in range(half, len(stream.payloads)):
         selections[seq] = server.ingest(
-            "t0", stream.batches[seq], seq=seq
+            "t0", stream.payloads[seq], seq=seq
         ).selections
     report = server.close_tenant("t0")
     assert selections == base_selections
@@ -366,7 +435,7 @@ def test_closed_tenant_stays_retired_after_restart(tmp_path):
     config = _config()
     server = PredictionServer(config, state_dir=tmp_path)
     server.open_tenant("t0", stream.program, program_name=stream.name)
-    server.ingest("t0", stream.batches[0], seq=0)
+    server.ingest("t0", stream.payloads[0], seq=0)
     server.close_tenant("t0")
     server.close()
 
@@ -375,7 +444,7 @@ def test_closed_tenant_stays_retired_after_restart(tmp_path):
     )
     assert server.expected_seq("t0") == 0
     with pytest.raises(ServingError):
-        server.ingest("t0", stream.batches[0], seq=1)
+        server.ingest("t0", stream.payloads[0], seq=1)
     server.close()
 
 
@@ -394,11 +463,11 @@ def test_eviction_and_crash_compose(tmp_path):
         server.open_tenant(
             f"t{index}", stream.program, program_name=stream.name
         )
-    half = len(streams[0].batches) // 2
+    half = len(streams[0].payloads) // 2
     for seq in range(half):
         for index, stream in enumerate(streams):
             selections[index][seq] = server.ingest(
-                f"t{index}", stream.batches[seq], seq=seq
+                f"t{index}", stream.payloads[seq], seq=seq
             ).selections
     stats = server.stats()
     assert stats["evictions"] > 0 and stats["restores"] > 0
@@ -408,8 +477,8 @@ def test_eviction_and_crash_compose(tmp_path):
     server = PredictionServer.restore(tmp_path, programs, config=config)
     for index, stream in enumerate(streams):
         tenant_id = f"t{index}"
-        for seq in range(server.expected_seq(tenant_id), len(stream.batches)):
-            result = server.ingest(tenant_id, stream.batches[seq], seq=seq)
+        for seq in range(server.expected_seq(tenant_id), len(stream.payloads)):
+            result = server.ingest(tenant_id, stream.payloads[seq], seq=seq)
             if seq in selections[index]:
                 assert result.selections == selections[index][seq]
             selections[index][seq] = result.selections
@@ -428,8 +497,8 @@ def test_wal_rotation_under_load_keeps_recovery_sound(tmp_path):
 
     server = PredictionServer(config, state_dir=tmp_path)
     server.open_tenant("t0", stream.program, program_name=stream.name)
-    for seq, batch in enumerate(stream.batches[:-1]):
-        server.ingest("t0", batch, seq=seq)
+    for seq, payload in enumerate(stream.payloads[:-1]):
+        server.ingest("t0", payload, seq=seq)
     assert server.stats()["wal_records"] <= 2 * config.wal_rotate_records
     server.close()
 
@@ -437,9 +506,9 @@ def test_wal_rotation_under_load_keeps_recovery_sound(tmp_path):
         tmp_path, {stream.name: stream.program}, config=config
     )
     selections = {}
-    for seq in range(server.expected_seq("t0"), len(stream.batches)):
+    for seq in range(server.expected_seq("t0"), len(stream.payloads)):
         selections[seq] = server.ingest(
-            "t0", stream.batches[seq], seq=seq
+            "t0", stream.payloads[seq], seq=seq
         ).selections
     report = server.close_tenant("t0")
     assert _report_fingerprint(report) == _report_fingerprint(base_report)
@@ -456,7 +525,7 @@ def test_corrupt_wal_tail_truncated_and_recovered(tmp_path):
     server = PredictionServer(config, state_dir=tmp_path)
     server.open_tenant("t0", stream.program, program_name=stream.name)
     for seq in range(3):
-        server.ingest("t0", stream.batches[seq], seq=seq)
+        server.ingest("t0", stream.payloads[seq], seq=seq)
     server.close()
     for wal in tmp_path.glob("shard-*/wal.log"):
         data = bytearray(wal.read_bytes())
@@ -471,9 +540,9 @@ def test_corrupt_wal_tail_truncated_and_recovered(tmp_path):
     resume = server.expected_seq("t0")
     assert resume < 3  # the torn record's batch must be re-sent
     selections = {}
-    for seq in range(resume, len(stream.batches)):
+    for seq in range(resume, len(stream.payloads)):
         selections[seq] = server.ingest(
-            "t0", stream.batches[seq], seq=seq
+            "t0", stream.payloads[seq], seq=seq
         ).selections
     report = server.close_tenant("t0")
     assert _report_fingerprint(report) == _report_fingerprint(base_report)

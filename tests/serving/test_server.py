@@ -9,9 +9,15 @@ from repro.errors import (
     TraceError,
     WireFormatError,
 )
-from repro.serving import PredictionServer, ServerConfig
+from repro.serving import (
+    PredictionServer,
+    ServerConfig,
+    TenantSession,
+    encode_batch,
+)
 from repro.serving.loadgen import build_stream, standalone_outcome
 from repro.trace.batch import EventBatch
+from tests.serving.wire_oracle import stream_batches
 
 DELAY = 10
 
@@ -20,10 +26,9 @@ def _stream(seed=11):
     return build_stream(seed=seed, events=2_000, batch_events=128, trips=20)
 
 
-def _replay(server, tenant_id, stream, wire=False):
-    payloads = stream.payloads if wire else stream.batches
+def _replay(server, tenant_id, stream):
     selections = []
-    for payload in payloads:
+    for payload in stream.payloads:
         selections.extend(server.ingest(tenant_id, payload).selections)
     report = server.close_tenant(tenant_id)
     return selections + list(report.selections), report
@@ -48,24 +53,29 @@ def test_single_tenant_matches_standalone():
 
 
 def test_wire_payload_path_matches_in_process():
+    """The server's decode-and-dispatch adds nothing to a session fed
+    the same batches in-process."""
     stream = _stream()
     server = PredictionServer(ServerConfig(num_shards=2, delay=DELAY))
-    server.open_tenant("obj", stream.program)
-    server.open_tenant("wire", stream.program)
-    _, object_report = _replay(server, "obj", stream, wire=False)
-    _, wire_report = _replay(server, "wire", stream, wire=True)
+    server.open_tenant("t", stream.program)
+    served, report = _replay(server, "t", stream)
+    session = TenantSession("t", stream.program, delay=DELAY)
+    direct = []
+    for batch in stream_batches(stream):
+        direct.extend(session.ingest(batch))
+    direct.extend(session.close())
+    assert served == direct
     assert np.array_equal(
-        object_report.outcome.predicted_ids,
-        wire_report.outcome.predicted_ids,
+        report.outcome.predicted_ids, session.outcome().predicted_ids
     )
-    assert object_report.events_ingested == wire_report.events_ingested
+    assert report.events_ingested == session.events_ingested
 
 
 def test_first_ingest_can_register_the_program():
     stream = _stream()
     server = PredictionServer(ServerConfig(delay=DELAY))
     server.open_tenant("lazy", stream.program)
-    result = server.ingest("lazy", stream.batches[0])
+    result = server.ingest("lazy", stream.payloads[0])
     assert result.seq == 0
     assert server.close_tenant("lazy").batches_ingested == 1
 
@@ -73,7 +83,7 @@ def test_first_ingest_can_register_the_program():
 def test_unknown_tenant_rejected():
     server = PredictionServer()
     with pytest.raises(ServingError, match="unknown tenant"):
-        server.ingest("ghost", EventBatch.empty())
+        server.ingest("ghost", encode_batch(EventBatch.empty()))
     with pytest.raises(ServingError, match="unknown tenant"):
         server.close_tenant("ghost")
 
@@ -82,14 +92,14 @@ def test_closed_tenant_rejects_reuse():
     stream = _stream()
     server = PredictionServer(ServerConfig(delay=DELAY))
     server.open_tenant("t", stream.program)
-    server.ingest("t", stream.batches[0])
+    server.ingest("t", stream.payloads[0])
     server.close_tenant("t")
     # The slot is released entirely: the id is unknown again and can be
     # reopened as a fresh tenant.
     with pytest.raises(ServingError, match="unknown tenant"):
-        server.ingest("t", stream.batches[0])
+        server.ingest("t", stream.payloads[0])
     server.open_tenant("t", stream.program)
-    assert server.ingest("t", stream.batches[0]).seq == 0
+    assert server.ingest("t", stream.payloads[0]).seq == 0
     server.close_tenant("t")
 
 
@@ -108,14 +118,14 @@ def test_poisoned_stream_rejects_after_apply_failure():
     stream = _stream()
     server = PredictionServer(ServerConfig(delay=DELAY))
     server.open_tenant("t", stream.program)
-    server.ingest("t", stream.batches[0])
+    server.ingest("t", stream.payloads[0])
     # Replaying from the start breaks stream continuity: the extractor
     # raises mid-apply and the tenant is poisoned, not wedged.
-    bogus = EventBatch([999_999], [999_998], [1], [False])
+    bogus = encode_batch(EventBatch([999_999], [999_998], [1], [False]))
     with pytest.raises(TraceError, match="does not match"):
         server.ingest("t", bogus)
     with pytest.raises(ServingError, match="poisoned"):
-        server.ingest("t", stream.batches[1])
+        server.ingest("t", stream.payloads[1])
     report = server.close_tenant("t")
     assert report.batches_ingested == 1
 
@@ -133,8 +143,8 @@ def test_stats_aggregate_across_shards():
     server = PredictionServer(ServerConfig(num_shards=4, delay=DELAY))
     for index, stream in enumerate(streams):
         server.open_tenant(f"t{index}", stream.program)
-        for batch in stream.batches:
-            server.ingest(f"t{index}", batch)
+        for payload in stream.payloads:
+            server.ingest(f"t{index}", payload)
     stats = server.stats()
     assert stats["tenants_opened"] == 2
     assert stats["ingested_events"] == sum(s.num_events for s in streams)
@@ -160,16 +170,16 @@ def test_idle_lru_tenant_evicted_over_budget_and_readmitted():
     )
     server.open_tenant("old", stream.program)
     server.open_tenant("new", stream.program)
-    server.ingest("old", stream.batches[0])
+    server.ingest("old", stream.payloads[0])
     assert server.resident_tenants() == 1
     # "new" ingests; "old" is idle and least recent -> evicted.
-    server.ingest("new", stream.batches[0])
+    server.ingest("new", stream.payloads[0])
     stats = server.stats()
     assert stats["evictions"] >= 1
     assert stats["evicted_bytes"] > 0
     assert server.resident_tenants() == 1
     # A later batch readmits "old" with a fresh session that re-warms.
-    server.ingest("old", stream.batches[1])
+    server.ingest("old", stream.payloads[1])
     assert server.stats()["readmissions"] >= 1
     report = server.close_tenant("old")
     assert report.evictions >= 1
@@ -182,7 +192,7 @@ def test_unlimited_budget_never_evicts():
     server = PredictionServer(ServerConfig(num_shards=1, delay=DELAY))
     for index in range(6):
         server.open_tenant(f"t{index}", stream.program)
-        server.ingest(f"t{index}", stream.batches[0])
+        server.ingest(f"t{index}", stream.payloads[0])
     assert server.resident_tenants() == 6
     assert server.stats()["evictions"] == 0
 
@@ -214,10 +224,10 @@ def test_drain_stops_admissions_with_typed_rejection():
         ServerConfig(num_shards=2, delay=DELAY, retry_after_seconds=0.25)
     )
     server.open_tenant("t0", stream.program)
-    server.ingest("t0", stream.batches[0])
+    server.ingest("t0", stream.payloads[0])
     server.drain(timeout=5.0)
     with pytest.raises(DrainingError) as excinfo:
-        server.ingest("t0", stream.batches[1])
+        server.ingest("t0", stream.payloads[1])
     assert excinfo.value.retry_after_seconds == 0.25
     with pytest.raises(DrainingError):
         server.open_tenant("late", stream.program)
@@ -233,4 +243,4 @@ def test_drain_is_idempotent():
     server.drain(timeout=5.0)
     server.drain(timeout=5.0)
     with pytest.raises(DrainingError):
-        server.ingest("t0", EventBatch.empty())
+        server.ingest("t0", encode_batch(EventBatch.empty()))

@@ -9,6 +9,7 @@ import pytest
 from repro.errors import CheckpointError, ServingError
 from repro.serving.loadgen import build_stream, standalone_outcome
 from repro.serving.session import TenantSession
+from tests.serving.wire_oracle import stream_batches
 
 DELAY = 10
 
@@ -21,7 +22,7 @@ def test_session_matches_standalone_predictor():
     stream = _stream()
     session = TenantSession("t", stream.program, delay=DELAY)
     selections = []
-    for batch in stream.batches:
+    for batch in stream_batches(stream):
         selections.extend(session.ingest(batch))
     selections.extend(session.close())
 
@@ -43,7 +44,7 @@ def test_selections_carry_fragments():
     stream = _stream()
     session = TenantSession("frag", stream.program, delay=2)
     selections = []
-    for batch in stream.batches:
+    for batch in stream_batches(stream):
         selections.extend(session.ingest(batch))
     selections.extend(session.close())
     assert selections, "delay=2 on a looping stream must select paths"
@@ -61,7 +62,7 @@ def test_state_bytes_grow_monotonically():
     session = TenantSession("meter", stream.program, delay=DELAY)
     assert session.state_bytes == 0
     seen = 0
-    for batch in stream.batches:
+    for batch in stream_batches(stream):
         session.ingest(batch)
         assert session.state_bytes >= seen
         seen = session.state_bytes
@@ -73,10 +74,11 @@ def test_state_bytes_grow_monotonically():
 def test_closed_session_rejects_further_use():
     stream = _stream()
     session = TenantSession("done", stream.program, delay=DELAY)
-    session.ingest(stream.batches[0])
+    batch = stream_batches(stream)[0]
+    session.ingest(batch)
     session.close()
     with pytest.raises(ServingError, match="closed"):
-        session.ingest(stream.batches[0])
+        session.ingest(batch)
     with pytest.raises(ServingError, match="closed"):
         session.close()
 
@@ -87,7 +89,7 @@ def test_closed_session_rejects_further_use():
 def _snapshot_after(batches: int):
     stream = _stream()
     session = TenantSession("snap", stream.program, delay=DELAY)
-    for batch in stream.batches[:batches]:
+    for batch in stream_batches(stream)[:batches]:
         session.ingest(batch)
     return stream.program, session.snapshot()
 
@@ -166,8 +168,9 @@ def test_snapshot_bytes_are_pinned(config):
         max_blocks=max_blocks,
         count_backward_arrivals_only=backward_only,
     )
+    batches = stream_batches(stream)
     snapshots = {}
-    for number, batch in enumerate(stream.batches, start=1):
+    for number, batch in enumerate(batches, start=1):
         session.ingest(batch)
         if number in GOLDEN_SNAPSHOTS[config]:
             assert _snapshot_sha(session) == GOLDEN_SNAPSHOTS[config][number]
@@ -177,7 +180,7 @@ def test_snapshot_bytes_are_pinned(config):
 
     for number, snapshot in snapshots.items():
         restored = TenantSession.restore(stream.program, snapshot)
-        for batch in stream.batches[number:]:
+        for batch in batches[number:]:
             restored.ingest(batch)
         restored.close()
         outcome = restored.outcome()

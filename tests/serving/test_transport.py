@@ -22,6 +22,7 @@ from repro.serving import (
     ServerConfig,
     ServingClient,
     ServingTCPServer,
+    decode_batch,
     serve_until_drained,
     start_background,
     transport,
@@ -95,12 +96,14 @@ def test_tcp_stream_matches_standalone(tcp, stream):
     assert reply["report"]["counter_space"] == offline.counter_space
 
 
-def test_ingest_accepts_batch_objects(tcp, stream):
+def test_ingest_accepts_bytes_like_payloads(tcp, stream):
     with _client(tcp) as client:
-        client.open("obj", stream.name)
-        reply = client.ingest("obj", stream.batches[0])
-        assert reply["events"] == len(stream.batches[0])
-        client.close_tenant("obj")
+        client.open("buf", stream.name)
+        first = client.ingest("buf", bytearray(stream.payloads[0]))
+        second = client.ingest("buf", memoryview(stream.payloads[1]))
+        assert (first["seq"], second["seq"]) == (0, 1)
+        assert first["events"] == len(decode_batch(stream.payloads[0]))
+        client.close_tenant("buf")
 
 
 def test_unknown_program_is_an_error_reply(tcp):
@@ -134,7 +137,7 @@ def test_unknown_opcode_is_an_error_reply(tcp):
 
 
 def test_backpressure_travels_as_a_typed_reply(stream):
-    capacity = len(stream.batches[0])
+    capacity = len(decode_batch(stream.payloads[0]))
     applying = threading.Event()
     release = threading.Event()
 

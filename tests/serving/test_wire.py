@@ -1,10 +1,13 @@
 """Wire format: lossless round trips, typed rejection of malformed
-payloads, cross-version header rejection."""
+payloads, cross-version header rejection, and the payload digest
+against its column-form reference."""
 
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WireFormatError
 from repro.serving.wire import (
@@ -12,10 +15,12 @@ from repro.serving.wire import (
     HEADER_BYTES,
     WIRE_MAGIC,
     WIRE_VERSION,
+    batch_digest,
     decode_batch,
     encode_batch,
 )
 from repro.trace.batch import CODE_KIND, HALT_DST, EventBatch
+from tests.serving.wire_oracle import column_digest
 
 
 def _batches_equal(a: EventBatch, b: EventBatch) -> bool:
@@ -130,3 +135,21 @@ def test_bad_backward_byte_rejected():
     payload[HEADER_BYTES + 17 * 4] = 2
     with pytest.raises(WireFormatError, match="backward column"):
         decode_batch(bytes(payload))
+
+
+# ----------------------------------------------------------------------
+# Digest
+# ----------------------------------------------------------------------
+@given(
+    n=st.integers(min_value=0, max_value=5_000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=0, seed=0)
+@example(n=5_000, seed=1)
+@settings(max_examples=60, deadline=None)
+def test_payload_digest_matches_column_reference(n, seed):
+    batch = _sample_batch(n, seed=seed)
+    payload = encode_batch(batch)
+    assert batch_digest(payload) == column_digest(batch)
+    assert batch_digest(bytearray(payload)) == batch_digest(payload)
+    assert batch_digest(memoryview(payload)) == batch_digest(payload)
