@@ -30,6 +30,11 @@ Commands
     Replay the generated workload corpus as many interleaved tenant
     streams against an in-process server and report throughput and
     ingest latency percentiles.
+``chaos``
+    Break a durable server over TCP mid-load (crash, torn WAL tail,
+    lost ack, rolling restart) and check every tenant's recovered
+    predictions byte-for-byte against an uninterrupted run; exit 1 on
+    any mismatch.
 
 Observability: the work-running commands accept ``--metrics-json PATH``
 to collect metrics (phases, counters, timers, cache statistics — see
@@ -55,12 +60,7 @@ import tempfile
 import time
 
 from repro.dynamo import DEFAULT_CONFIG, TIERS, DynamoSystem
-from repro.errors import (
-    ExperimentError,
-    ReproError,
-    ServingError,
-    SweepInterrupted,
-)
+from repro.errors import ExperimentError, ReproError, SweepInterrupted
 from repro.experiments import EXPERIMENT_IDS, plan_targets, run_targets
 from repro.experiments.engine import SweepCache, run_sweep
 from repro.experiments.extended import EXTENDED_IDS, run_extended
@@ -117,53 +117,33 @@ def _engine_cache(root: str, registry: Registry | None) -> SweepCache:
     return SweepCache(root, obs=obs)
 
 
-def _metrics_registry(args: argparse.Namespace) -> Registry | None:
-    """A live registry when the invocation asked for metrics.
-
-    The registry (and its recorder, set alongside) is stashed on
-    ``args`` so an interrupt can still flush the partial manifest from
-    :func:`main`'s handler.
-    """
-    registry = Registry() if getattr(args, "metrics_json", None) else None
-    args.registry = registry
-    return registry
-
-
-def _run_recorder(args: argparse.Namespace) -> RunRecorder:
-    """A wall-clock recorder, stashed on ``args`` for interrupt flushes."""
-    recorder = RunRecorder(args.argv)
-    args.recorder = recorder
-    return recorder
-
-
 def _finish_metrics(
-    args: argparse.Namespace,
-    registry: Registry | None,
-    recorder: RunRecorder,
+    args: argparse.Namespace, recorder: RunRecorder
 ) -> None:
     """Write the run manifest and print the stderr summary line."""
-    if registry is None:
+    if args.registry is None:
         return
-    recorder.write(args.metrics_json, registry)
+    recorder.write(args.metrics_json, args.registry)
     if not args.quiet_metrics:
         print(
-            render_summary(registry, recorder.wall_seconds), file=sys.stderr
+            render_summary(args.registry, recorder.wall_seconds),
+            file=sys.stderr,
         )
 
 
-def _flush_interrupted_metrics(args: argparse.Namespace) -> None:
+def _flush_interrupted_metrics(
+    args: argparse.Namespace, recorder: RunRecorder
+) -> None:
     """Best-effort partial manifest after SIGINT/SIGTERM.
 
     Everything the run measured before the drain point is preserved,
     marked ``interrupted: true``.  A failure to write must not mask the
     interrupt exit.
     """
-    registry = getattr(args, "registry", None)
-    recorder = getattr(args, "recorder", None)
-    if registry is None or recorder is None:
+    if args.registry is None:
         return
     try:
-        recorder.write(args.metrics_json, registry, interrupted=True)
+        recorder.write(args.metrics_json, args.registry, interrupted=True)
     except OSError:  # pragma: no cover - disk gone mid-interrupt
         pass
 
@@ -171,8 +151,6 @@ def _flush_interrupted_metrics(args: argparse.Namespace) -> None:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     out_dir = pathlib.Path(args.out) if args.out else None
     names = args.names or list(EXPERIMENT_IDS)
-    registry = _metrics_registry(args)
-    recorder = _run_recorder(args)
     if args.dry_run:
         if args.no_cache:
             raise ExperimentError(
@@ -185,12 +163,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         plan = plan_targets(
             args.names or None,
             args.flow_scale,
-            cache=_engine_cache(args.cache_dir, registry),
+            cache=_engine_cache(args.cache_dir, args.registry),
         ).plan
         for line in plan.explain_lines():
             print(line)
         print(plan.summary(), file=sys.stderr)
-        _finish_metrics(args, registry, recorder)
         return 0
     # Recompute only the dirty subgraph; serve everything else from the
     # cell cache and render store.  --no-cache runs the graph over a
@@ -201,13 +178,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         else contextlib.nullcontext(args.cache_dir)
     )
     with root as cache_dir:
-        cache = _engine_cache(cache_dir, registry)
+        cache = _engine_cache(cache_dir, args.registry)
         run = run_targets(
             args.names or None,
             flow_scale=args.flow_scale,
             workers=args.workers,
             cache=cache,
-            obs=registry,
+            obs=args.registry,
         )
     for name in names:
         text = run.texts[name]
@@ -222,7 +199,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             print(line, file=sys.stderr)
     if cache.stats.lookups:
         print(cache.stats.render(), file=sys.stderr)
-    _finish_metrics(args, registry, recorder)
     return 0
 
 
@@ -235,20 +211,19 @@ def _cmd_extended(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    registry = _metrics_registry(args)
-    recorder = _run_recorder(args)
-    obs = get_registry(registry)
-    with obs.phase(f"sweep:{args.benchmark}"):
+    with get_registry(args.registry).phase(f"sweep:{args.benchmark}"):
         trace = load_benchmark(
             args.benchmark, flow_scale=args.flow_scale
         ).trace()
         cache = (
-            None if args.no_cache else _engine_cache(args.cache_dir, registry)
+            None
+            if args.no_cache
+            else _engine_cache(args.cache_dir, args.registry)
         )
         kwargs = {
             "workers": args.workers,
             "cache": cache,
-            "obs": registry,
+            "obs": args.registry,
         }
         if args.delays:
             kwargs["delays"] = tuple(args.delays)
@@ -280,32 +255,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     if cache is not None and cache.stats.lookups:
         print(cache.stats.render(), file=sys.stderr)
-    _finish_metrics(args, registry, recorder)
     return 0
 
 
 def _cmd_dynamo(args: argparse.Namespace) -> int:
-    registry = _metrics_registry(args)
-    recorder = _run_recorder(args)
-    obs = get_registry(registry)
-    with obs.phase(f"dynamo:{args.benchmark}"):
+    with get_registry(args.registry).phase(f"dynamo:{args.benchmark}"):
         trace = load_benchmark(
             args.benchmark, flow_scale=args.flow_scale
         ).trace()
-        system = DynamoSystem(obs=registry)
+        system = DynamoSystem(obs=args.registry)
         for scheme in ("net", "path-profile"):
             for delay in args.delays or (10, 50, 100):
                 print(system.run(trace, scheme, delay).render())
-    _finish_metrics(args, registry, recorder)
     return 0
 
 
 def _cmd_minidynamo(args: argparse.Namespace) -> int:
-    registry = _metrics_registry(args)
-    recorder = _run_recorder(args)
-    obs = get_registry(registry)
+    obs = get_registry(args.registry)
     config = dataclasses.replace(DEFAULT_CONFIG, tier=args.tier)
-    system = DynamoSystem(config=config, obs=registry)
+    system = DynamoSystem(config=config, obs=args.registry)
     names = args.programs or sorted(ALL_PROGRAMS)
     rows = []
     for name in names:
@@ -359,7 +327,6 @@ def _cmd_minidynamo(args: argparse.Namespace) -> int:
             ),
         )
     )
-    _finish_metrics(args, registry, recorder)
     return 0
 
 
@@ -383,11 +350,7 @@ def _server_config(args: argparse.Namespace) -> ServerConfig:
         max_queued_events=args.max_queued_events,
         memory_budget_bytes=args.memory_budget,
         retry_after_seconds=args.retry_after,
-        checkpoint_interval_batches=(
-            args.checkpoint_interval
-            if args.checkpoint_interval is not None
-            else ServerConfig.checkpoint_interval_batches
-        ),
+        checkpoint_interval_batches=args.checkpoint_interval,
     )
 
 
@@ -422,46 +385,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    """The ``loadtest --chaos`` leg: faults injected mid-load, recovered
-    predictions checked byte-for-byte against an uninterrupted run."""
-    registry = _metrics_registry(args)
-    recorder = _run_recorder(args)
-    obs = get_registry(registry)
+    """Faults injected mid-load, recovered predictions checked
+    byte-for-byte against an uninterrupted run."""
     config = ChaosConfig(
         seed=args.seed,
         delay=args.delay,
         num_shards=args.shards,
-        tcp=not args.no_wire,
+        checkpoint_interval_batches=args.checkpoint_interval,
     )
-    if args.checkpoint_interval is not None:
-        config = dataclasses.replace(
-            config, checkpoint_interval_batches=args.checkpoint_interval
-        )
     config = dataclasses.replace(
         config, faults=default_plan(schedule_steps(config))
     )
-    with obs.phase("chaos"):
+    with get_registry(args.registry).phase("chaos"):
         if args.state_dir is not None:
-            report = run_chaos(config, args.state_dir, obs=registry)
+            report = run_chaos(config, args.state_dir, obs=args.registry)
         else:
             with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-                report = run_chaos(config, tmp, obs=registry)
+                report = run_chaos(config, tmp, obs=args.registry)
     print(render_chaos_report(report))
-    _finish_metrics(args, registry, recorder)
     return 0 if report.equivalent else 1
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
-    if args.chaos:
-        return _cmd_chaos(args)
-    if args.no_wire:
-        raise ServingError(
-            "--no-wire picks the chaos harness's in-process driver; "
-            "it needs --chaos"
-        )
-    registry = _metrics_registry(args)
-    recorder = _run_recorder(args)
-    obs = get_registry(registry)
     config = LoadgenConfig(
         num_tenants=args.tenants,
         num_streams=args.streams,
@@ -471,10 +416,11 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         seed=args.seed,
         server=_server_config(args),
     )
-    with obs.phase("loadtest"):
-        report = run_load(config, obs=registry, state_dir=args.state_dir)
+    with get_registry(args.registry).phase("loadtest"):
+        report = run_load(
+            config, obs=args.registry, state_dir=args.state_dir
+        )
     print(render_report(report))
-    _finish_metrics(args, registry, recorder)
     return 0
 
 
@@ -715,12 +661,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--checkpoint-interval",
             type=int,
-            default=None,
+            default=ServerConfig.checkpoint_interval_batches,
             metavar="BATCHES",
             help=(
                 "durable session snapshot cadence in applied batches "
-                "(default 64, or 3 under --chaos; only meaningful "
-                "with --state-dir or --chaos)"
+                "(default %(default)s; only meaningful with --state-dir)"
             ),
         )
         p.add_argument(
@@ -792,37 +737,66 @@ def build_parser() -> argparse.ArgumentParser:
         help="client threads driving the replay (default 4)",
     )
     loadtest.add_argument(
-        "--no-wire",
-        action="store_true",
-        help=(
-            "with --chaos, drive the chaos harness's in-process driver "
-            "instead of TCP"
-        ),
-    )
-    loadtest.add_argument(
         "--state-dir",
         default=None,
         metavar="DIR",
         help=(
             "run the durable leg: checkpoint/WAL state under DIR "
-            "(must be empty); with --chaos, where the harness keeps "
-            "the server-under-test's state"
-        ),
-    )
-    loadtest.add_argument(
-        "--chaos",
-        action="store_true",
-        help=(
-            "run the serving chaos harness instead of a throughput "
-            "replay: kill/corrupt/lost-ack/restart faults injected "
-            "mid-load, recovered predictions compared byte-for-byte "
-            "against an uninterrupted run (exit 1 on any mismatch); "
-            "--no-wire switches it from TCP to the in-process driver"
+            "(must be empty)"
         ),
     )
     add_server_flags(loadtest)
     add_metrics_flags(loadtest)
     loadtest.set_defaults(handler=_cmd_loadtest)
+
+    chaos = sub.add_parser(
+        "chaos",
+        help=(
+            "break a durable server over TCP mid-load (crash, torn WAL "
+            "tail, lost ack, rolling restart) and compare its recovered "
+            "predictions byte-for-byte with an uninterrupted run "
+            "(exit 1 on any mismatch)"
+        ),
+    )
+    chaos.add_argument(
+        "--seed",
+        type=int,
+        default=ChaosConfig.seed,
+        help="corpus generation seed (default %(default)s)",
+    )
+    chaos.add_argument(
+        "--delay",
+        type=int,
+        default=ChaosConfig.delay,
+        help="NET prediction delay tau (default %(default)s)",
+    )
+    chaos.add_argument(
+        "--shards",
+        type=int,
+        default=ChaosConfig.num_shards,
+        help="predictor-state shards (default %(default)s)",
+    )
+    chaos.add_argument(
+        "--checkpoint-interval",
+        type=int,
+        default=ChaosConfig.checkpoint_interval_batches,
+        metavar="BATCHES",
+        help=(
+            "durable session snapshot cadence in applied batches "
+            "(default %(default)s)"
+        ),
+    )
+    chaos.add_argument(
+        "--state-dir",
+        default=None,
+        metavar="DIR",
+        help=(
+            "where the server under test keeps its state (must be "
+            "empty; default: a temporary directory)"
+        ),
+    )
+    add_metrics_flags(chaos)
+    chaos.set_defaults(handler=_cmd_chaos)
 
     return parser
 
@@ -831,24 +805,30 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    # The raw invocation, recorded verbatim in run manifests.
-    args.argv = list(argv) if argv is not None else sys.argv[1:]
+    # Commands with --metrics-json measure into one registry, which
+    # handlers read as args.registry; the recorder times the whole
+    # invocation and records it verbatim in the manifest.
+    metrics_json = getattr(args, "metrics_json", None)
+    args.registry = Registry() if metrics_json else None
+    recorder = RunRecorder(list(argv) if argv is not None else sys.argv[1:])
     try:
-        return args.handler(args)
+        code = args.handler(args)
     except SweepInterrupted as stop:
         # Graceful Ctrl-C/SIGTERM: completed cells are in the cache, the
         # partial manifest is flushed, and the exit code is the shell
         # convention for death-by-SIGINT (128 + 2) — no traceback.
         print(f"interrupted: {stop}", file=sys.stderr)
-        _flush_interrupted_metrics(args)
+        _flush_interrupted_metrics(args, recorder)
         return 130
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
-        _flush_interrupted_metrics(args)
+        _flush_interrupted_metrics(args, recorder)
         return 130
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    _finish_metrics(args, recorder)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -5,9 +5,9 @@ durable server, followed by a restore and a client re-send from the
 expected sequence number, yields per-tenant predictions byte-identical
 to an uninterrupted run.  This module turns that contract into an
 executable experiment: a deterministic single-driver replay of a small
-tenant corpus, with faults injected at planned schedule steps, whose
-final per-tenant fingerprints are compared against a fault-free
-baseline.
+tenant corpus over real TCP, with faults injected at planned schedule
+steps, whose final per-tenant fingerprints are compared against a
+fault-free baseline.
 
 Fault vocabulary — a :class:`~repro.resilience.FaultPlan` keyed by the
 global schedule step, reusing the sweep executor's spec machinery with
@@ -24,10 +24,10 @@ sweep executor does not know):
     A crash *plus* a flipped byte at the tail of every shard WAL before
     the restore — the torn-tail scenario recovery truncates.
 ``hang``
-    A lost acknowledgement: the step's batch is delivered twice.  Over
-    TCP the server drops the first reply on the floor and the client's
-    retry policy re-sends; in-process the driver re-ingests directly.
-    Either way the second delivery must be acked without effect.
+    A lost acknowledgement: the step's batch is delivered twice.  The
+    server drops the first reply on the floor and the client's retry
+    policy reconnects and re-sends; the second delivery must be acked
+    without effect.
 ``interrupt``
     A rolling restart: :meth:`~repro.serving.server.PredictionServer.
     drain` (every tenant checkpointed), then restore — the graceful
@@ -45,12 +45,12 @@ import json
 import pathlib
 from dataclasses import dataclass, field
 
+from repro.cfg.program import Program
 from repro.errors import ServingError
 from repro.obs.core import Registry, get_registry
 from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
 from repro.serving.loadgen import TenantStream, build_stream
 from repro.serving.server import PredictionServer, ServerConfig
-from repro.serving.session import HotPathSelection
 from repro.serving.transport import (
     ServingClient,
     ServingTCPServer,
@@ -72,7 +72,7 @@ class ChaosFault(FaultSpec):
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """Shape of one chaos experiment."""
+    """Shape of one chaos experiment; the defaults are ``repro chaos``'s."""
 
     #: Tenants replayed (stream ``i % num_streams`` each).
     num_tenants: int = 6
@@ -85,18 +85,15 @@ class ChaosConfig:
     #: Loop trip count hint for corpus generation.
     trips: int = 15
     #: Corpus seed.
-    seed: int = 23
+    seed: int = 7
     #: NET prediction delay.
-    delay: int = 20
+    delay: int = 50
     #: Shards of the server under test.
-    num_shards: int = 2
+    num_shards: int = 8
     #: Checkpoint cadence (small, so kills land between checkpoints).
     checkpoint_interval_batches: int = 3
     #: The faults to inject, keyed by global schedule step.
     faults: FaultPlan = field(default_factory=FaultPlan)
-    #: Drive the schedule over real TCP (connection-drop faults become
-    #: actual dropped sockets) instead of the in-process API.
-    tcp: bool = False
 
     def server_config(self) -> ServerConfig:
         return ServerConfig(
@@ -131,18 +128,6 @@ class ChaosReport:
 # ----------------------------------------------------------------------
 # Fingerprints
 # ----------------------------------------------------------------------
-def _normalize_selection(selection) -> dict:
-    if isinstance(selection, HotPathSelection):
-        return _selection_record(selection)
-    return {
-        "path_id": int(selection["path_id"]),
-        "time": int(selection["time"]),
-        "head_uid": int(selection["head_uid"]),
-        "blocks": [int(b) for b in selection["blocks"]],
-        "num_instructions": int(selection["num_instructions"]),
-    }
-
-
 def tenant_fingerprint(
     selections_by_seq: dict[int, list[dict]],
     close_selections: list[dict],
@@ -167,112 +152,53 @@ def tenant_fingerprint(
 
 
 # ----------------------------------------------------------------------
-# Drivers: the same schedule over the in-process API or real TCP
+# The driver: the server under test behind real TCP
 # ----------------------------------------------------------------------
-class _InProcessDriver:
+class _Driver:
+    """A durable server, its TCP listener and one client to it.
+
+    Replies come back as the wire's JSON records, the form the
+    baseline fingerprints too.  Every way of stopping the server stops
+    the listener first, so no request reaches a closed server.
+    """
+
     def __init__(
         self,
-        state_dir: str | None,
-        programs: dict[str, "object"],
+        state_dir: str,
+        programs: dict[str, Program],
         config: ServerConfig,
     ):
         self.state_dir = state_dir
         self.programs = programs
         self.config = config
-        self.server = PredictionServer(config, state_dir=state_dir)
-
-    def open(self, tenant_id: str, stream: TenantStream) -> None:
-        self.server.open_tenant(
-            tenant_id, stream.program, program_name=stream.name
-        )
-
-    def ingest(
-        self, tenant_id: str, stream: TenantStream, seq: int
-    ) -> tuple[list[dict], bool]:
-        result = self.server.ingest(tenant_id, stream.payloads[seq], seq=seq)
-        return (
-            [_normalize_selection(s) for s in result.selections],
-            result.duplicate,
-        )
-
-    def expected_seq(self, tenant_id: str) -> int:
-        return self.server.expected_seq(tenant_id)
-
-    def close_tenant(self, tenant_id: str) -> tuple[list[dict], dict]:
-        report = self.server.close_tenant(tenant_id)
-        return (
-            [_normalize_selection(s) for s in report.selections],
-            _report_record(report),
-        )
-
-    def kill(self) -> None:
-        """Abandon the instance as a crash would: no drain, no flush."""
-        self.server.close()
-
-    def drain(self) -> None:
-        self.server.drain(timeout=30.0)
-        self.server.close()
-
-    def restart(self) -> None:
-        self.server = PredictionServer.restore(
-            self.state_dir, self.programs, self.config
-        )
-
-    def drop_next_ack(self) -> bool:
-        return False  # in-process: the caller re-ingests directly
-
-    def shutdown(self) -> None:
-        """Release the instance; safe after a kill or drain."""
-        self.server.close()
-
-    def __enter__(self) -> "_InProcessDriver":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-
-class _TCPDriver(_InProcessDriver):
-    def __init__(self, state_dir, programs, config):
-        super().__init__(state_dir, programs, config)
         self._retry = RetryPolicy(
             max_retries=4, backoff_base=0.002, backoff_cap=0.05
         )
-        self._serve()
+        self._serve(PredictionServer(config, state_dir=state_dir))
 
-    def _serve(self) -> None:
-        self.tcp = ServingTCPServer(
-            ("127.0.0.1", 0), self.server, self.programs_by_name()
-        )
+    def _serve(self, server: PredictionServer) -> None:
+        self.server = server
+        self.tcp = ServingTCPServer(("127.0.0.1", 0), server, self.programs)
         start_background(self.tcp)
         self.client = ServingClient(
             "127.0.0.1", self.tcp.port, retry_policy=self._retry
         )
 
-    def programs_by_name(self) -> dict:
-        return dict(self.programs)
-
     def open(self, tenant_id: str, stream: TenantStream) -> None:
         self.client.open(tenant_id, stream.name)
 
-    def ingest(self, tenant_id, stream, seq):
-        reply = self.client.ingest(
-            tenant_id, stream.payloads[seq], seq=seq
-        )
-        return (
-            [_normalize_selection(s) for s in reply["selections"]],
-            bool(reply["duplicate"]),
-        )
+    def ingest(
+        self, tenant_id: str, stream: TenantStream, seq: int
+    ) -> tuple[list[dict], bool]:
+        reply = self.client.ingest(tenant_id, stream.payloads[seq], seq=seq)
+        return reply["selections"], reply["duplicate"]
 
     def expected_seq(self, tenant_id: str) -> int:
         return self.client.expected_seq(tenant_id)
 
-    def close_tenant(self, tenant_id):
+    def close_tenant(self, tenant_id: str) -> tuple[list[dict], dict]:
         reply = self.client.close_tenant(tenant_id)
-        return (
-            [_normalize_selection(s) for s in reply["selections"]],
-            dict(reply["report"]),
-        )
+        return reply["selections"], reply["report"]
 
     def _stop_tcp(self) -> None:
         if self.tcp is None:
@@ -283,6 +209,7 @@ class _TCPDriver(_InProcessDriver):
         self.tcp = None
 
     def kill(self) -> None:
+        """Abandon the instance as a crash would: no drain, no flush."""
         self._stop_tcp()
         self.server.close()
 
@@ -292,16 +219,20 @@ class _TCPDriver(_InProcessDriver):
         self.server.close()
 
     def restart(self) -> None:
-        super().restart()
-        self._serve()
+        self._serve(
+            PredictionServer.restore(
+                self.state_dir, self.programs, self.config
+            )
+        )
 
-    def drop_next_ack(self) -> bool:
+    def drop_next_ack(self) -> None:
         self.tcp.chaos_drop_next_reply = True
-        return True
 
-    def shutdown(self) -> None:
-        self._stop_tcp()
-        self.server.close()
+    def __enter__(self) -> "_Driver":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.kill()
 
 
 def _corrupt_wal_tails(state_dir: str) -> None:
@@ -360,14 +291,14 @@ def _run_baseline(
             tenant_id, tenants[tenant_id].payloads[seq], seq=seq
         )
         selections[tenant_id][seq] = [
-            _normalize_selection(s) for s in result.selections
+            _selection_record(s) for s in result.selections
         ]
     fingerprints = {}
     for tenant_id in tenants:
         report = server.close_tenant(tenant_id)
         fingerprints[tenant_id] = tenant_fingerprint(
             selections[tenant_id],
-            [_normalize_selection(s) for s in report.selections],
+            [_selection_record(s) for s in report.selections],
             _report_record(report),
         )
     return fingerprints
@@ -391,8 +322,7 @@ def run_chaos(
         baseline = _run_baseline(config, tenants, schedule)
 
     programs = {stream.name: stream.program for stream in corpus}
-    driver_cls = _TCPDriver if config.tcp else _InProcessDriver
-    driver = driver_cls(state_dir, programs, config.server_config())
+    driver = _Driver(state_dir, programs, config.server_config())
 
     selections: dict[str, dict[int, list[dict]]] = {
         tenant_id: {} for tenant_id in tenants
@@ -438,8 +368,8 @@ def run_chaos(
                     continue
                 record(tenant_id, seq, sels)
 
-    # The driver holds WAL handles (and, over TCP, a serving thread);
-    # leaving the block releases them however the run ends.
+    # The driver holds WAL handles and a serving thread; leaving the
+    # block releases them however the run ends.
     with registry.span("chaos.replay"), driver:
         for tenant_id, stream in tenants.items():
             driver.open(tenant_id, stream)
@@ -467,11 +397,10 @@ def run_chaos(
             sels, _ = driver.ingest(tenant_id, tenants[tenant_id], seq)
             record(tenant_id, seq, sels)
             if lost_ack:
-                # Deliver the batch a second time.  Over TCP the
-                # server also eats the next reply, so the client's
-                # retry policy reconnects and re-sends — two dropped
-                # duplicates server-side; in-process it is one direct
-                # re-ingest.  Either way: acked without effect.
+                # Deliver the batch a second time.  The server also
+                # eats the next reply, so the client's retry policy
+                # reconnects and re-sends: two dropped duplicates
+                # server-side, acked without effect.
                 driver.drop_next_ack()
                 before = int(driver.server.stats()["dropped"])
                 again, duplicate = driver.ingest(

@@ -89,6 +89,27 @@ def _frame(record: dict) -> bytes:
     return _RECORD.pack(len(payload), _crc(payload)) + payload
 
 
+def _read_frame(data: bytes, offset: int) -> tuple[dict, int] | None:
+    """The record framed at ``offset`` and the offset after it.
+
+    ``None`` when the frame is unreadable: a partial header, a short
+    payload, a CRC mismatch, or a CRC-valid payload that is not UTF-8
+    JSON.
+    """
+    begin = offset + _RECORD.size
+    if begin > len(data):
+        return None
+    length, crc = _RECORD.unpack_from(data, offset)
+    end = begin + length
+    payload = data[begin:end]
+    if end > len(data) or _crc(payload) != crc:
+        return None
+    try:
+        return json.loads(payload.decode("utf-8")), end
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+
+
 def _publish(target: pathlib.Path, data: bytes) -> None:
     """Atomically replace ``target`` with ``data`` (fsync + rename)."""
     tmp = target.with_name(target.name + ".tmp")
@@ -168,28 +189,14 @@ class ShardStore:
         _check_header(data, WAL_MAGIC, self.wal_path, "WAL")
         records: list[dict] = []
         offset = _FILE_HEADER.size
-        good_end = offset
-        while offset + _RECORD.size <= len(data):
-            length, crc = _RECORD.unpack_from(data, offset)
-            begin = offset + _RECORD.size
-            end = begin + length
-            if end > len(data):
-                break  # torn mid-payload
-            payload = data[begin:end]
-            if _crc(payload) != crc:
-                break  # corrupt frame
-            try:
-                record = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                break  # CRC-valid garbage cannot be trusted either
+        while (frame := _read_frame(data, offset)) is not None:
+            record, offset = frame
             records.append(record)
-            offset = end
-            good_end = end
-        if good_end < len(data):
+        if offset < len(data):
             self.truncated_records += 1
-            self.truncated_bytes += len(data) - good_end
+            self.truncated_bytes += len(data) - offset
             with open(self.wal_path, "r+b") as handle:
-                handle.truncate(good_end)
+                handle.truncate(offset)
         self.record_count = len(records)
         return records
 
@@ -243,16 +250,10 @@ class ShardStore:
                 f"{minimum}-byte snapshot envelope"
             )
         _check_header(data, CKPT_MAGIC, path, "snapshot")
-        length, crc = _RECORD.unpack_from(data, _FILE_HEADER.size)
-        body = data[_FILE_HEADER.size + _RECORD.size :]
-        if len(body) != length or _crc(body) != crc:
+        frame = _read_frame(data, _FILE_HEADER.size)
+        if frame is None or frame[1] != len(data):
             raise CheckpointError(f"{path} snapshot body is corrupt")
-        try:
-            return json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise CheckpointError(
-                f"{path} snapshot body is not valid JSON"
-            ) from error
+        return frame[0]
 
     def load_snapshots(self) -> dict[str, dict]:
         """All tenant snapshots in the shard, keyed by tenant id."""

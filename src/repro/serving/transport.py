@@ -79,6 +79,10 @@ SEQ_AUTO = 2**64 - 1
 #: before allocation (64 MiB is far beyond any sane batch).
 MAX_FRAME_BYTES = 64 << 20
 
+#: How often a background accept loop looks for ``shutdown()``
+#: (``socketserver``'s own default is 0.5 s).
+_ACCEPT_POLL_SECONDS = 0.05
+
 
 # ----------------------------------------------------------------------
 # Framing
@@ -385,9 +389,18 @@ def serve_until_drained(
 
 
 def start_background(server: ServingTCPServer) -> threading.Thread:
-    """Serve on a daemon thread (tests and the in-process loadgen)."""
+    """Serve on a daemon thread (``repro serve``, the chaos harness and
+    tests).
+
+    The accept loop checks for ``shutdown()`` every
+    :data:`_ACCEPT_POLL_SECONDS`, so the server stops within about that
+    long of being asked.
+    """
     thread = threading.Thread(
-        target=server.serve_forever, name="serving-tcp", daemon=True
+        target=server.serve_forever,
+        args=(_ACCEPT_POLL_SECONDS,),
+        name="serving-tcp",
+        daemon=True,
     )
     thread.start()
     return thread

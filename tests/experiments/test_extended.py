@@ -135,7 +135,9 @@ def test_eviction_rows(monkeypatch):
         return run_detailed(self, *args, **kwargs)
 
     monkeypatch.setattr(DynamoSystem, "run_detailed", counting)
-    rows = eviction_rows(flow_scale=0.1, budget=4_000)
+    # At this budget li's emissions overflow the cache: the flush row
+    # flushes and the FIFO replay evicts.
+    rows = eviction_rows(flow_scale=0.1, budget=2_000)
     policies = {row.policy for row in rows}
     assert policies == {"flush", "fifo"}
     # One simulation, under the flush policy it models; the FIFO row is
@@ -146,6 +148,8 @@ def test_eviction_rows(monkeypatch):
     assert isinstance(flush.speedup_percent, float)
     assert fifo.speedup_percent is None
     assert fifo.flushes == 0
+    assert flush.flushes > 0
+    assert fifo.evictions > 0
 
 
 def test_run_extended_renders_text(small_deltablue):

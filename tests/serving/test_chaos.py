@@ -2,6 +2,8 @@
 byte-for-byte against an uninterrupted run of the same schedule."""
 
 import dataclasses
+import hashlib
+import json
 import threading
 
 import pytest
@@ -31,8 +33,70 @@ _CONFIG = ChaosConfig(
 )
 
 
-def _with_plan(faults, **overrides):
-    return dataclasses.replace(_CONFIG, faults=faults, **overrides)
+def _with_plan(faults):
+    return dataclasses.replace(_CONFIG, faults=faults)
+
+
+#: Every ``ChaosReport`` field of two full-plan runs, and the SHA-256 of
+#: the canonical JSON of their per-tenant fingerprints.  ``cli`` is the
+#: run ``repro chaos`` makes with its defaults.
+GOLDEN_RUNS = {
+    "tests": (
+        _CONFIG,
+        {
+            "tenants": 4,
+            "steps": 28,
+            "faults_fired": (
+                ("crash", 7),
+                ("corrupt", 14),
+                ("hang", 18),
+                ("interrupt", 22),
+            ),
+            "restarts": 3,
+            "replayed_batches": 3,
+            "duplicates_acked": 1,
+            "truncated_bytes": 66,
+            "mismatched": (),
+        },
+        "0a69e5dadf5d06157a37ccbae09961a9c111444e3214b42d309f8467aa536052",
+    ),
+    "cli": (
+        ChaosConfig(
+            seed=7, delay=50, num_shards=8, checkpoint_interval_batches=3
+        ),
+        {
+            "tenants": 6,
+            "steps": 78,
+            "faults_fired": (
+                ("crash", 19),
+                ("corrupt", 39),
+                ("hang", 50),
+                ("interrupt", 62),
+            ),
+            "restarts": 3,
+            "replayed_batches": 4,
+            "duplicates_acked": 1,
+            "truncated_bytes": 392,
+            "mismatched": (),
+        },
+        "beba92ad7fd715a1c68b8450c34174a0b42691cbdd62589d2cdb6acb003862be",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_chaos_results_are_pinned(tmp_path, name):
+    config, fields, fingerprints_sha = GOLDEN_RUNS[name]
+    config = dataclasses.replace(
+        config, faults=default_plan(schedule_steps(config))
+    )
+    report = run_chaos(config, tmp_path)
+    observed = dataclasses.asdict(report)
+    canonical = json.dumps(
+        observed.pop("fingerprints"), sort_keys=True, separators=(",", ":")
+    )
+    assert observed == fields
+    assert hashlib.sha256(canonical.encode()).hexdigest() == fingerprints_sha
 
 
 def test_default_plan_covers_every_fault_kind():
@@ -45,7 +109,7 @@ def test_default_plan_covers_every_fault_kind():
     assert all(0 < s.batch < steps for s in fault_plan.specs)
 
 
-def test_full_plan_in_process(tmp_path):
+def test_full_plan_over_tcp(tmp_path):
     config = _with_plan(default_plan(schedule_steps(_CONFIG)))
     report = run_chaos(config, tmp_path)
     assert report.equivalent
@@ -60,16 +124,6 @@ def test_full_plan_in_process(tmp_path):
     rendered = render_chaos_report(report)
     assert "byte-identical" in rendered
     assert "crash@" in rendered
-
-
-def test_full_plan_over_tcp(tmp_path):
-    config = _with_plan(
-        default_plan(schedule_steps(_CONFIG)), tcp=True
-    )
-    report = run_chaos(config, tmp_path)
-    assert report.equivalent
-    assert report.restarts == 3
-    assert report.duplicates_acked >= 1
 
 
 def test_crash_only_plan_replays_since_snapshot(tmp_path):
@@ -112,11 +166,9 @@ def test_failed_tcp_run_stops_its_server(tmp_path, monkeypatch):
         raise RuntimeError("injected failure mid-run")
 
     # A lost-ack fault reaches the driver while its server is up.
-    monkeypatch.setattr(
-        "repro.serving.chaos._TCPDriver.drop_next_ack", fail
-    )
+    monkeypatch.setattr("repro.serving.chaos._Driver.drop_next_ack", fail)
     before = set(threading.enumerate())
-    config = _with_plan(plan(ChaosFault(kind="hang", batch=2)), tcp=True)
+    config = _with_plan(plan(ChaosFault(kind="hang", batch=2)))
     with pytest.raises(Exception, match="injected failure"):
         run_chaos(config, tmp_path)
     started = [

@@ -1,12 +1,15 @@
 """CLI operability: ``repro serve`` SIGTERM drain + rolling restart
-(real subprocesses, real signals) and the ``repro loadtest`` durable
-and chaos legs (in-process through ``main(argv)``)."""
+(real subprocesses, real signals), the ``repro loadtest`` durable leg
+and ``repro chaos`` (in-process through ``main(argv)``)."""
 
+import json
 import os
 import re
 import signal
 import subprocess
 import sys
+
+import pytest
 
 from repro.cli import main
 from repro.serving import LoadgenConfig, ServingClient, build_corpus
@@ -106,24 +109,35 @@ def test_loadtest_durable_leg(tmp_path, capsys):
     assert (tmp_path / "state" / "meta.json").exists()
 
 
-def test_loadtest_no_wire_needs_chaos(capsys):
-    assert main(["loadtest", "--tenants", "1", "--no-wire"]) == 2
-    assert "--chaos" in capsys.readouterr().err
+#: ``repro chaos``'s stdout with its defaults.
+CHAOS_STDOUT = """\
+tenants:            6
+schedule steps:     78
+faults fired:       crash@19, corrupt@39, hang@50, interrupt@62
+server restarts:    3
+batches replayed:   4
+duplicates acked:   1
+WAL bytes torn:     392
+equivalence:        byte-identical to the uninterrupted run
+"""
 
 
 def test_loadtest_chaos_leg(tmp_path, capsys):
-    assert (
-        main(
-            [
-                "loadtest",
-                "--chaos",
-                "--no-wire",
-                "--state-dir",
-                str(tmp_path / "state"),
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "byte-identical" in out
-    assert "faults fired" in out
+    """``repro chaos`` with its defaults: the report, and a manifest
+    that shows every fault fired."""
+    manifest = tmp_path / "chaos.json"
+    argv = ["chaos", "--state-dir", str(tmp_path / "state")]
+    metrics = ["--metrics-json", str(manifest), "--quiet-metrics"]
+    assert main(argv + metrics) == 0
+    assert capsys.readouterr().out == CHAOS_STDOUT
+    data = json.loads(manifest.read_text())
+    assert data["counters"]["chaos.restarts"] == 3
+    assert data["counters"]["chaos.duplicates_acked"] >= 1
+    assert data["gauges"]["chaos.equivalent"] == 1.0
+
+
+def test_chaos_rejects_flags_it_does_not_read(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["chaos", "--tenants", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --tenants 2" in capsys.readouterr().err

@@ -15,6 +15,7 @@ zero re-sends.
 """
 
 import hashlib
+import zlib
 
 import numpy as np
 import pytest
@@ -33,7 +34,16 @@ from repro.serving import (
     decode_batch,
     encode_batch,
 )
-from repro.serving.durability import ShardStore, checkpoint_name
+from repro.serving.durability import (
+    _FILE_HEADER,
+    _RECORD,
+    CKPT_MAGIC,
+    STORE_VERSION,
+    WAL_MAGIC,
+    ShardStore,
+    _frame,
+    checkpoint_name,
+)
 from repro.serving.loadgen import build_stream
 from repro.trace.batch import EventBatch
 
@@ -196,6 +206,88 @@ def test_corrupt_snapshot_is_an_error(tmp_path):
     with pytest.raises(CheckpointError, match="corrupt"):
         store.load_snapshots()
     store.close()
+
+
+def _framed(body):
+    """``body`` behind a valid length and CRC."""
+    return _RECORD.pack(len(body), zlib.crc32(body)) + body
+
+
+def _reheaded(frame, length_delta=0, crc_mask=0):
+    """``frame`` with its length shifted and bits of its CRC flipped."""
+    length, crc = _RECORD.unpack_from(frame, 0)
+    return (
+        _RECORD.pack(length + length_delta, crc ^ crc_mask)
+        + frame[_RECORD.size :]
+    )
+
+
+#: Damage to one frame, as the snapshot reader and the WAL scan meet it.
+#: Each maps an intact frame to the bytes left on disk in its place.
+FRAME_DAMAGE = {
+    "short-envelope": lambda frame: frame[: _RECORD.size - 1],
+    "length-one-too-long": lambda frame: _reheaded(frame, length_delta=1),
+    "length-one-too-short": lambda frame: _reheaded(frame, length_delta=-1),
+    "crc-mismatch": lambda frame: _reheaded(frame, crc_mask=1),
+    "body-not-utf8": lambda frame: _framed(b'{"k":"\xff"}'),
+    "body-not-json": lambda frame: _framed(b'{"k":'),
+    "trailing-byte": lambda frame: frame + b"\x00",
+}
+
+
+@pytest.mark.parametrize("damage", sorted(FRAME_DAMAGE))
+def test_damaged_snapshot_frame_is_an_error(tmp_path, damage):
+    store = ShardStore(tmp_path / "s")
+    store.write_snapshot("a", {"tenant_id": "a", "seq": 0, "session": {}})
+    store.close()
+    path = tmp_path / "s" / checkpoint_name("a")
+    data = path.read_bytes()
+    header, frame = data[: _FILE_HEADER.size], data[_FILE_HEADER.size :]
+    path.write_bytes(header + FRAME_DAMAGE[damage](frame))
+    message = "envelope" if damage == "short-envelope" else "corrupt"
+    with pytest.raises(CheckpointError, match=message):
+        store.load_snapshot(path)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (_FILE_HEADER.pack(WAL_MAGIC, STORE_VERSION), "magic"),
+        (_FILE_HEADER.pack(CKPT_MAGIC, STORE_VERSION + 1), "version"),
+    ],
+    ids=["magic", "version"],
+)
+def test_snapshot_header_is_checked(tmp_path, header, message):
+    store = ShardStore(tmp_path / "s")
+    store.write_snapshot("a", {"tenant_id": "a", "seq": 0, "session": {}})
+    store.close()
+    path = tmp_path / "s" / checkpoint_name("a")
+    path.write_bytes(header + path.read_bytes()[_FILE_HEADER.size :])
+    with pytest.raises(CheckpointError, match=message):
+        store.load_snapshot(path)
+
+
+@pytest.mark.parametrize("damage", sorted(FRAME_DAMAGE))
+def test_damaged_wal_frame_truncates_there(tmp_path, damage):
+    records = [{"k": "batch", "t": "a", "s": seq, "d": 0} for seq in range(3)]
+    store = ShardStore(tmp_path / "s")
+    for record in records:
+        store.append(record)
+    store.close()
+    data = store.wal_path.read_bytes()
+    last = len(data) - len(_frame(records[-1]))
+    damaged = FRAME_DAMAGE[damage](data[last:])
+    store.wal_path.write_bytes(data[:last] + damaged)
+
+    reopened = ShardStore(tmp_path / "s")
+    reopened.close()
+    # A trailing byte damages nothing before it: every record survives.
+    kept = records if damage == "trailing-byte" else records[:-1]
+    end = len(data) if damage == "trailing-byte" else last
+    assert reopened.records() == kept
+    assert reopened.truncated_records == 1
+    assert reopened.truncated_bytes == last + len(damaged) - end
+    assert store.wal_path.read_bytes() == data[:end]
 
 
 def test_shard_count_mismatch_is_an_error(tmp_path):
