@@ -11,14 +11,12 @@ for free while doing so.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.errors import MachineError, MachineLimitExceeded
 from repro.isa.assembler import AssembledProgram
 from repro.isa.instructions import COND_BRANCHES, NUM_REGISTERS, Op
-from repro.obs.core import Registry, get_registry
 from repro.trace.batch import (
     CODE_CALL,
     CODE_FALLTHROUGH,
@@ -85,7 +83,6 @@ class Machine:
         self,
         max_steps: int = 10_000_000,
         batch_size: int = 1 << 16,
-        obs: Registry | None = None,
     ) -> Iterator[EventBatch]:
         """Execute until HALT, yielding columnar event batches.
 
@@ -94,12 +91,10 @@ class Machine:
         :class:`MachineLimitExceeded` if the step budget runs out and
         :class:`MachineError` on faults (bad addresses, division by
         zero, a jump to a non-leader, …).  A return with an empty call
-        stack halts the program.  ``obs`` publishes the same
-        ``tracegen.*`` instruments as ``CFGWalker.walk_batched``.
+        stack halts the program.
         """
         if batch_size < 1:
             raise MachineError("batch_size must be positive")
-        registry = get_registry(obs)
         state = self.state
         program = self.program
         instructions = program.instructions
@@ -108,137 +103,114 @@ class Machine:
         memory = state.memory
 
         builder = EventBatchBuilder()
-        emitted = 0
-        batches = 0
-        started = time.perf_counter()
+        while True:
+            if state.steps >= max_steps:
+                raise MachineLimitExceeded(state.steps)
+            if not 0 <= state.pc < len(instructions):
+                raise MachineError(f"pc {state.pc} outside the program")
+            instr = instructions[state.pc]
+            state.steps += 1
+            op = instr.op
 
-        def flush() -> EventBatch:
-            nonlocal batches
-            batches += 1
-            return builder.build()
-
-        try:
-            while True:
-                if state.steps >= max_steps:
-                    raise MachineLimitExceeded(state.steps)
-                if not 0 <= state.pc < len(instructions):
-                    raise MachineError(f"pc {state.pc} outside the program")
-                instr = instructions[state.pc]
-                state.steps += 1
-                op = instr.op
-
-                if op in COND_BRANCHES:
-                    src = block_of[state.pc]
-                    if self._compare(op, regs[instr.rs], regs[instr.rt]):
-                        target = instr.target
-                        builder.append(
-                            src,
-                            block_of[target],
-                            CODE_TAKEN,
-                            target <= state.pc,
-                        )
-                        state.pc = target
-                    else:
-                        builder.append(
-                            src, block_of[state.pc + 1], CODE_FALLTHROUGH,
-                            False,
-                        )
-                        state.pc += 1
-                elif op is Op.JMP:
+            if op in COND_BRANCHES:
+                src = block_of[state.pc]
+                if self._compare(op, regs[instr.rs], regs[instr.rt]):
                     target = instr.target
                     builder.append(
-                        block_of[state.pc],
+                        src,
                         block_of[target],
-                        CODE_JUMP,
+                        CODE_TAKEN,
                         target <= state.pc,
                     )
                     state.pc = target
-                elif op is Op.JR:
-                    target = regs[instr.rs]
-                    self._check_leader(target, "jr")
+                else:
                     builder.append(
-                        block_of[state.pc],
-                        block_of[target],
-                        CODE_INDIRECT,
-                        target <= state.pc,
+                        src, block_of[state.pc + 1], CODE_FALLTHROUGH,
+                        False,
                     )
-                    state.pc = target
-                elif op is Op.CALL:
-                    target = instr.target
-                    state.call_stack.append(state.pc + 1)
-                    builder.append(
-                        block_of[state.pc],
-                        block_of[target],
-                        CODE_CALL,
-                        target <= state.pc,
-                    )
-                    state.pc = target
-                elif op is Op.CALLR:
-                    target = regs[instr.rs]
-                    self._check_leader(target, "callr")
-                    state.call_stack.append(state.pc + 1)
-                    builder.append(
-                        block_of[state.pc],
-                        block_of[target],
-                        CODE_CALL,
-                        target <= state.pc,
-                    )
-                    state.pc = target
-                elif op is Op.RET:
-                    if not state.call_stack:
-                        builder.append(
-                            block_of[state.pc], HALT_DST, CODE_JUMP, False
-                        )
-                        emitted += 1
-                        yield flush()
-                        return
-                    target = state.call_stack.pop()
-                    builder.append(
-                        block_of[state.pc],
-                        block_of[target],
-                        CODE_RETURN,
-                        target <= state.pc,
-                    )
-                    state.pc = target
-                elif op is Op.HALT:
+                    state.pc += 1
+            elif op is Op.JMP:
+                target = instr.target
+                builder.append(
+                    block_of[state.pc],
+                    block_of[target],
+                    CODE_JUMP,
+                    target <= state.pc,
+                )
+                state.pc = target
+            elif op is Op.JR:
+                target = regs[instr.rs]
+                self._check_leader(target, "jr")
+                builder.append(
+                    block_of[state.pc],
+                    block_of[target],
+                    CODE_INDIRECT,
+                    target <= state.pc,
+                )
+                state.pc = target
+            elif op is Op.CALL:
+                target = instr.target
+                state.call_stack.append(state.pc + 1)
+                builder.append(
+                    block_of[state.pc],
+                    block_of[target],
+                    CODE_CALL,
+                    target <= state.pc,
+                )
+                state.pc = target
+            elif op is Op.CALLR:
+                target = regs[instr.rs]
+                self._check_leader(target, "callr")
+                state.call_stack.append(state.pc + 1)
+                builder.append(
+                    block_of[state.pc],
+                    block_of[target],
+                    CODE_CALL,
+                    target <= state.pc,
+                )
+                state.pc = target
+            elif op is Op.RET:
+                if not state.call_stack:
                     builder.append(
                         block_of[state.pc], HALT_DST, CODE_JUMP, False
                     )
-                    emitted += 1
-                    yield flush()
+                    yield builder.build()
                     return
-                else:
-                    self._execute_straightline(instr, regs, memory)
-                    next_pc = state.pc + 1
-                    if next_pc >= len(instructions):
-                        raise MachineError(
-                            "execution ran past the last instruction"
-                        )
-                    if block_of[next_pc] != block_of[state.pc]:
-                        builder.append(
-                            block_of[state.pc],
-                            block_of[next_pc],
-                            CODE_STRAIGHT,
-                            False,
-                        )
-                    else:
-                        state.pc = next_pc
-                        continue
-                    state.pc = next_pc
-
-                emitted += 1
-                if len(builder) >= batch_size:
-                    yield flush()
-        finally:
-            if registry.enabled:
-                elapsed = time.perf_counter() - started
-                registry.counter("tracegen.events").inc(emitted)
-                registry.counter("tracegen.batches").inc(batches)
-                registry.timer("tracegen.generate").observe(elapsed)
-                if elapsed > 0:
-                    registry.gauge("tracegen.events_per_sec").set(
-                        emitted / elapsed
+                target = state.call_stack.pop()
+                builder.append(
+                    block_of[state.pc],
+                    block_of[target],
+                    CODE_RETURN,
+                    target <= state.pc,
+                )
+                state.pc = target
+            elif op is Op.HALT:
+                builder.append(
+                    block_of[state.pc], HALT_DST, CODE_JUMP, False
+                )
+                yield builder.build()
+                return
+            else:
+                self._execute_straightline(instr, regs, memory)
+                next_pc = state.pc + 1
+                if next_pc >= len(instructions):
+                    raise MachineError(
+                        "execution ran past the last instruction"
                     )
+                if block_of[next_pc] != block_of[state.pc]:
+                    builder.append(
+                        block_of[state.pc],
+                        block_of[next_pc],
+                        CODE_STRAIGHT,
+                        False,
+                    )
+                else:
+                    state.pc = next_pc
+                    continue
+                state.pc = next_pc
+
+            if len(builder) >= batch_size:
+                yield builder.build()
 
     # ------------------------------------------------------------------
     def _check_leader(self, target: int, what: str) -> None:

@@ -1,6 +1,7 @@
 """Path profiling schemes (paper §2) and baselines.
 
-* :class:`BitTracingProfiler` — on-the-fly path signatures;
+* :class:`BitTracingProfiler` — on-the-fly path signatures: the path
+  extractor's paths counted by signature, plus the register's shifts;
 * :class:`BallLarusProfiler` — spanning-tree instrumented path numbering;
 * :class:`KBoundedPathProfiler` — Young–Smith k-bounded general paths;
 * :class:`EdgeProfiler` / :class:`BlockProfiler` — classic baselines;

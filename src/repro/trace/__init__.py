@@ -14,7 +14,7 @@ from repro.trace.batch import HALT_DST, EventBatch, EventBatchBuilder
 from repro.trace.columnar import find_cuts
 from repro.trace.extractor import PathExtractor, PathStream
 from repro.trace.io import load_trace, save_trace
-from repro.trace.path import Path, PathSignature, PathTable, SignatureRegister
+from repro.trace.path import Path, PathSignature, PathTable
 from repro.trace.recorder import PathTrace, record_path_trace
 from repro.trace.stats import TraceSummary, summarize
 from repro.trace.walker import (
@@ -37,7 +37,6 @@ __all__ = [
     "PathTable",
     "PathTrace",
     "RandomOracle",
-    "SignatureRegister",
     "TraceSummary",
     "TripCountOracle",
     "find_cuts",

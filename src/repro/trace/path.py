@@ -47,61 +47,6 @@ class PathSignature:
                 f"{self.bit_count} bits"
             )
 
-    @property
-    def bits(self) -> str:
-        """The outcome bits as a string, oldest branch first."""
-        if self.bit_count == 0:
-            return ""
-        return format(self.history, f"0{self.bit_count}b")
-
-    def render(self) -> str:
-        """Human-readable form: ``<start>.<history>,<indirect targets>``."""
-        text = f"{self.start_address}.{self.bits or '-'}"
-        if self.indirect_targets:
-            targets = ",".join(str(t) for t in self.indirect_targets)
-            text += f",[{targets}]"
-        return text
-
-
-class SignatureRegister:
-    """The run-time shift register that builds signatures incrementally.
-
-    Mirrors the paper's description of bit tracing: "path signatures are
-    constructed as the program executes by shifting a 1 or 0 value into
-    the current signature register".
-    """
-
-    def __init__(self, start_address: int):
-        self._start_address = start_address
-        self._history = 0
-        self._bit_count = 0
-        self._indirect: list[int] = []
-
-    def shift(self, bit: int) -> None:
-        """Shift one conditional-branch outcome into the register."""
-        if bit not in (0, 1):
-            raise TraceError(f"history bit must be 0 or 1, got {bit!r}")
-        self._history = (self._history << 1) | bit
-        self._bit_count += 1
-
-    def record_indirect(self, target_address: int) -> None:
-        """Append an indirect-branch target to the signature."""
-        self._indirect.append(target_address)
-
-    @property
-    def bit_count(self) -> int:
-        """Number of bits shifted so far."""
-        return self._bit_count
-
-    def snapshot(self) -> PathSignature:
-        """Freeze the register into an immutable signature."""
-        return PathSignature(
-            start_address=self._start_address,
-            history=self._history,
-            bit_count=self._bit_count,
-            indirect_targets=tuple(self._indirect),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Path:
@@ -140,13 +85,6 @@ class Path:
     def num_blocks(self) -> int:
         """Number of blocks on the path."""
         return len(self.blocks)
-
-    def describe(self) -> str:
-        """Compact human-readable rendering."""
-        return (
-            f"Path[{self.signature.render()}] "
-            f"blocks={len(self.blocks)} instr={self.num_instructions}"
-        )
 
 
 #: Keys of the per-path static attribute columns a trace reads (see

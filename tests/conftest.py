@@ -143,6 +143,14 @@ def signature_from_bits(
     )
 
 
+def signature_bits(signature: PathSignature) -> str:
+    """A signature's outcome bits as a string, oldest branch first: the
+    inverse of :func:`signature_from_bits`."""
+    if signature.bit_count == 0:
+        return ""
+    return format(signature.history, f"0{signature.bit_count}b")
+
+
 def head_sequence(trace: PathTrace) -> np.ndarray:
     """Head block uid of every occurrence of ``trace``, in execution
     order: the reference the head-counting tests compare against."""

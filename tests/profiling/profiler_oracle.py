@@ -3,10 +3,13 @@
 Production profilers consume columnar batches only, through vectorized
 ``observe_batch`` paths.  Each class here adds back the smallest scalar
 form of one of them: an ``observe`` that processes a single event, as
-an instrumented binary would, over the production class's counters and
-``report``.  :func:`scalar_report` drives one over a whole stream; the
-equivalence tests require its report to equal the production one for
-every split of the stream into batches.
+an instrumented binary would.  Most reuse the production class's
+counters and ``report``; the bit-tracing reference, whose production
+class is the path extractor plus an operation count, stands alone on
+the scalar :class:`~tests.trace.event_oracle.SignatureRegister`.
+:func:`scalar_report` drives one over a whole stream; the equivalence
+tests require its report to equal the production one for every split
+of the stream into batches.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from repro.trace.batch import (
     HALT_DST,
     EventBatch,
 )
-from repro.trace.path import SignatureRegister
+from tests.trace.event_oracle import SignatureRegister
 
 
 class ScalarEdgeProfiler(EdgeProfiler):
@@ -64,12 +67,21 @@ class ScalarKBoundedPathProfiler(KBoundedPathProfiler):
             self._counters.bump(tuple(self._window))
 
 
-class ScalarBitTracingProfiler(BitTracingProfiler):
-    """A signature register shifted per branch, flushed at path ends."""
+class ScalarBitTracingProfiler:
+    """A signature register shifted per branch, flushed at path ends.
 
-    def __init__(self, program):
-        super().__init__(program)
+    Standalone: it applies the §3 path ends itself and counts signatures
+    in its own table, sharing no code with the extractor-backed
+    :class:`BitTracingProfiler` it checks.
+    """
+
+    def __init__(self, program, max_blocks: int | None = 256):
+        self._program = program
+        self._max_blocks = max_blocks
+        self._counts: dict = {}
+        self._shift_ops = 0
         self._register: SignatureRegister | None = None
+        self._started = False
         self._blocks_in_path = 1
         self._open_calls = 0
 
@@ -81,7 +93,8 @@ class ScalarBitTracingProfiler(BitTracingProfiler):
 
     def _finish(self) -> None:
         if self._register is not None:
-            self._counters.bump(self._register.snapshot())
+            signature = self._register.snapshot()
+            self._counts[signature] = self._counts.get(signature, 0) + 1
             self._register = None
 
     def observe(self, src, dst, kind, backward) -> None:
@@ -118,8 +131,15 @@ class ScalarBitTracingProfiler(BitTracingProfiler):
             self._blocks_in_path += 1
 
     def report(self) -> ProfileReport:
+        """One counter per signature; one update per path end plus one
+        register operation per conditional or indirect branch."""
         self._finish()
-        return super().report()
+        return ProfileReport(
+            scheme="bit-tracing",
+            frequencies=dict(self._counts),
+            counter_space=len(self._counts),
+            profiling_ops=self._shift_ops + sum(self._counts.values()),
+        )
 
 
 class ScalarBallLarusProfiler(BallLarusProfiler):

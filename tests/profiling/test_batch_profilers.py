@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.cfg import generate_program, number_program, procedure_loops
+from repro.errors import TraceError
 from repro.experiments.engine.cache import trace_digest
 from repro.isa import run_to_completion
 from repro.isa.programs import ALL_PROGRAMS, demo_memory
@@ -27,6 +28,7 @@ from repro.profiling.overhead import HeadCounterProfiler
 from repro.trace import (
     CFGWalker,
     EventBatch,
+    PathExtractor,
     RandomOracle,
     TripCountOracle,
     record_path_trace,
@@ -62,15 +64,16 @@ PROFILERS = {
 
 def _profiler(name, program, scalar=False):
     cls, arguments = PROFILERS[name]
-    if scalar:
-        cls = SCALAR[cls]
     arguments = arguments(program)
+    if scalar:
+        return SCALAR[cls](**arguments)
     cap = arguments.pop("max_blocks", None)
     profiler = cls(**arguments)
     if cap is not None:
-        # Bit tracing caps paths at the extractor's 256 blocks; a short
-        # cap makes the cap cut this stream's paths.
-        profiler._max_blocks = cap
+        # Bit tracing caps paths at its extractor's 256 blocks; a
+        # shorter cap on the extractor makes the cap cut this stream's
+        # paths.
+        profiler._extractor = PathExtractor(program, max_blocks=cap)
     return profiler
 
 
@@ -248,3 +251,20 @@ def test_bit_tracing_batch_ignores_events_after_halt(stream):
     # The stream halted; later batches must not change the profile.
     profiler.observe_batch(events.slice(0, 5))
     assert profiler.report() == scalar
+
+
+def test_bit_tracing_rejects_a_discontinuous_stream(stream):
+    """An event must leave the block the previous event entered; bit
+    tracing applies the extractor's continuity check, within a batch
+    and across batches."""
+    program, events = stream
+    head = events.slice(0, 100)
+    tail = events.slice(101, 200)
+    assert tail.src[0] != head.dst[-1]
+
+    profiler = BitTracingProfiler(program)
+    profiler.observe_batch(head)
+    with pytest.raises(TraceError, match="does not match"):
+        profiler.observe_batch(tail)
+    with pytest.raises(TraceError, match="does not match"):
+        BitTracingProfiler(program).run(EventBatch.concat([head, tail]))

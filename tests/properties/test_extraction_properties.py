@@ -3,7 +3,8 @@
 For arbitrary generated programs and random decision streams, the
 extractor must (a) partition every executed block into exactly one path,
 (b) start every non-initial path where the previous one handed off,
-(c) produce signatures that agree with the bit-tracing profiler, and
+(c) count, through the bit-tracing profiler, the signatures a scalar
+signature register builds, and
 (d) intern the same paths, in the same order, as the one-event-at-a-time
 segmenter of :mod:`tests.trace.event_oracle` for any split of the stream.
 """
@@ -23,6 +24,10 @@ from repro.trace import (
     record_path_trace,
 )
 from tests.conftest import walk_batch
+from tests.profiling.profiler_oracle import (
+    ScalarBitTracingProfiler,
+    scalar_report,
+)
 from tests.trace.event_oracle import segment_paths
 
 _settings = settings(
@@ -88,17 +93,15 @@ def test_consecutive_paths_chain(program_seed, oracle_seed, trips):
     trips=st.integers(0, 8),
 )
 @_settings
-def test_bit_tracing_equals_extractor_frequencies(
+def test_bit_tracing_equals_scalar_oracle(
     program_seed, oracle_seed, trips
 ):
+    """The extractor-backed profiler reports what a signature register
+    shifted one event at a time reports: the same signature counts,
+    counter space and operation count."""
     program, events = _bounded_events(program_seed, oracle_seed, trips)
-    trace = record_path_trace(program, events)
-    frequencies = {}
-    for path_id in trace.path_ids.tolist():
-        signature = trace.table.path(path_id).signature
-        frequencies[signature] = frequencies.get(signature, 0) + 1
-    report = BitTracingProfiler(program).run(events)
-    assert report.frequencies == frequencies
+    scalar = scalar_report(ScalarBitTracingProfiler(program), events)
+    assert BitTracingProfiler(program).run(events) == scalar
 
 
 @given(

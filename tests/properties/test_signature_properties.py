@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.profiling import CounterTable
-from repro.trace.path import SignatureRegister
-from tests.conftest import signature_from_bits
+from tests.conftest import signature_bits, signature_from_bits
+from tests.trace.event_oracle import SignatureRegister
 
 _settings = settings(max_examples=100, deadline=None)
 
@@ -27,7 +27,7 @@ def test_register_snapshot_round_trips(start, bits, targets):
         start, "".join(str(b) for b in bits), tuple(targets)
     )
     assert snapshot == expected
-    assert snapshot.bits == "".join(str(b) for b in bits)
+    assert signature_bits(snapshot) == "".join(str(b) for b in bits)
 
 
 @given(

@@ -13,7 +13,9 @@ compare production code against:
   program's block objects;
 * :func:`machine_events` steps a machine one instruction at a time;
 * :func:`segment_paths` applies the paper's §3 path rules event by
-  event through a signature register.
+  event through a :class:`SignatureRegister`, the bit-tracing
+  register the scalar profiler of
+  :mod:`tests.profiling.profiler_oracle` shifts too.
 
 Both producers derive every event's backward flag from one general
 rule: a transfer other than a fall-through is backward when its target
@@ -42,11 +44,46 @@ from repro.trace.batch import (
     EventBatch,
     EventBatchBuilder,
 )
-from repro.trace.path import Path, PathTable, SignatureRegister
+from repro.trace.path import Path, PathSignature, PathTable
 from repro.trace.recorder import PathTrace
 
 #: Codes whose transfers are never backward.
 _NEVER_BACKWARD = (CODE_FALLTHROUGH, CODE_STRAIGHT)
+
+
+class SignatureRegister:
+    """The run-time shift register that builds signatures incrementally.
+
+    Mirrors the paper's description of bit tracing: "path signatures are
+    constructed as the program executes by shifting a 1 or 0 value into
+    the current signature register".
+    """
+
+    def __init__(self, start_address: int):
+        self._start_address = start_address
+        self._history = 0
+        self._bit_count = 0
+        self._indirect: list[int] = []
+
+    def shift(self, bit: int) -> None:
+        """Shift one conditional-branch outcome into the register."""
+        if bit not in (0, 1):
+            raise TraceError(f"history bit must be 0 or 1, got {bit!r}")
+        self._history = (self._history << 1) | bit
+        self._bit_count += 1
+
+    def record_indirect(self, target_address: int) -> None:
+        """Append an indirect-branch target to the signature."""
+        self._indirect.append(target_address)
+
+    def snapshot(self) -> PathSignature:
+        """Freeze the register into an immutable signature."""
+        return PathSignature(
+            start_address=self._start_address,
+            history=self._history,
+            bit_count=self._bit_count,
+            indirect_targets=tuple(self._indirect),
+        )
 
 
 class ScriptedOracle:

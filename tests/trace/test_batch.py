@@ -221,14 +221,3 @@ def test_run_batched_rejects_bad_batch_size():
     program = assemble(".proc main\n    halt\n.endproc")
     with pytest.raises(MachineError, match="batch_size"):
         list(Machine(program).run_batched(batch_size=0))
-
-
-def test_run_batched_publishes_tracegen_instruments():
-    memory = rle.make_memory(seed=1, size=80)
-    machine = Machine(rle.build())
-    machine.load_memory(memory)
-    registry = Registry()
-    batches = list(machine.run_batched(obs=registry))
-    counters = registry.snapshot()["counters"]
-    assert counters["tracegen.events"] == sum(len(b) for b in batches)
-    assert counters["tracegen.batches"] == len(batches)

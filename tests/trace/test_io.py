@@ -7,7 +7,7 @@ from repro.errors import TraceError
 from repro.trace.io import load_trace, save_trace
 from repro.trace.path import PathTable
 from repro.trace.recorder import PathTrace
-from tests.conftest import make_path, signature_from_bits
+from tests.conftest import make_path, signature_bits, signature_from_bits
 
 
 def _sample_trace():
@@ -52,7 +52,7 @@ def test_long_histories_round_trip(tmp_path):
     )
     trace = PathTrace(table, [pid] * 3, name="long")
     loaded = load_trace(save_trace(trace, tmp_path / "long"))
-    assert loaded.table.path(0).signature.bits == bits
+    assert signature_bits(loaded.table.path(0).signature) == bits
 
 
 def test_missing_file(tmp_path):

@@ -6,22 +6,23 @@ import threading
 import pytest
 
 from repro.errors import TraceError
-from repro.trace.path import Path, PathSignature, PathTable, SignatureRegister
-from tests.conftest import signature_from_bits
+from repro.trace.path import Path, PathSignature, PathTable
+from tests.conftest import signature_bits, signature_from_bits
+from tests.trace.event_oracle import SignatureRegister
 
 
 def test_signature_from_bits_round_trip():
     signature = signature_from_bits(12, "0101")
     assert signature.history == 0b0101
     assert signature.bit_count == 4
-    assert signature.bits == "0101"
+    assert signature_bits(signature) == "0101"
 
 
 def test_signature_preserves_leading_zeros():
     a = signature_from_bits(0, "001")
     b = signature_from_bits(0, "01")
     assert a != b
-    assert a.bits == "001" and b.bits == "01"
+    assert signature_bits(a) == "001" and signature_bits(b) == "01"
 
 
 def test_signature_rejects_overflowing_history():
@@ -29,11 +30,6 @@ def test_signature_rejects_overflowing_history():
         PathSignature(start_address=0, history=4, bit_count=2)
     with pytest.raises(TraceError):
         PathSignature(start_address=0, history=1, bit_count=0)
-
-
-def test_signature_render_includes_indirect_targets():
-    signature = signature_from_bits(7, "11", indirect_targets=(40, 52))
-    assert signature.render() == "7.11,[40,52]"
 
 
 def test_register_builds_signature_like_the_paper():
