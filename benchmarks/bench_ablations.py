@@ -14,14 +14,12 @@ from repro.experiments.report import fmt, render_table
 from repro.workloads import load_benchmark
 
 
-def test_net_ablations(benchmark, results_dir):
+def test_net_ablations(results_dir):
     traces = {
         name: load_benchmark(name).trace()
         for name in ("compress", "li", "perl")
     }
-    rows = benchmark.pedantic(
-        net_ablation_rows, args=(traces,), rounds=1, iterations=1
-    )
+    rows = net_ablation_rows(traces)
     text = render_table(
         headers=[
             "benchmark",
@@ -52,18 +50,14 @@ def test_net_ablations(benchmark, results_dir):
         assert row.hit_region >= row.hit_single_shot - 1e-9, row.benchmark
 
 
-def test_fragment_speedup_sensitivity(benchmark, results_dir):
+def test_fragment_speedup_sensitivity(results_dir):
     trace = load_benchmark("compress").trace()
 
-    def sweep():
-        results = []
-        for s_opt in (0.7, 0.85, 1.0):
-            system = DynamoSystem(DynamoConfig(fragment_speedup=s_opt))
-            run = system.run(trace, "net", 50)
-            results.append((s_opt, run.speedup_percent))
-        return results
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = []
+    for s_opt in (0.7, 0.85, 1.0):
+        system = DynamoSystem(DynamoConfig(fragment_speedup=s_opt))
+        run = system.run(trace, "net", 50)
+        results.append((s_opt, run.speedup_percent))
     text = render_table(
         headers=["fragment_speedup", "net τ=50 speedup %"],
         rows=[[s, fmt(v, 2)] for s, v in results],

@@ -5,10 +5,8 @@ from conftest import emit
 from repro.experiments import evaluate_claims, render_claims
 
 
-def test_claims(benchmark, sweep_curves, results_dir):
-    results = benchmark.pedantic(
-        evaluate_claims, kwargs={"curves": sweep_curves}, rounds=1, iterations=1
-    )
+def test_claims(sweep_curves, results_dir):
+    results = evaluate_claims(curves=sweep_curves)
     emit(results_dir, "claims", render_claims(results))
 
     by_key = {(r.claim, r.scheme): r for r in results}

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 
-from conftest import BENCH_FLOW_SCALE, emit, emit_json
+from conftest import emit, emit_json
 
 from repro.cfg import generate_program, procedure_loops
 from repro.experiments.report import fmt, render_table
@@ -33,11 +33,8 @@ from repro.trace import (
     record_path_trace,
 )
 
-#: Full-scale event budget; matches the §4 overhead study's stream.
-FULL_EVENTS = 400_000
-
-#: Smallest stream worth timing — below this the fixed costs dominate.
-MIN_EVENTS = 20_000
+#: Event budget; matches the §4 overhead study's stream.
+MAX_EVENTS = 400_000
 
 #: Workload knobs, matching ``overhead_rows``.
 SEED = 25
@@ -55,8 +52,6 @@ def _make_walker() -> tuple:
 
 
 def test_event_pipeline(results_dir):
-    max_events = max(int(FULL_EVENTS * BENCH_FLOW_SCALE), MIN_EVENTS)
-
     # Batched walker, vectorized extractor, batched profilers — with
     # live metrics attached.
     registry = Registry()
@@ -64,7 +59,7 @@ def test_event_pipeline(results_dir):
     start = time.perf_counter()
     batches = list(
         walker.walk_batched(
-            max_events=max_events, truncate=True, obs=registry
+            max_events=MAX_EVENTS, truncate=True, obs=registry
         )
     )
     generate_s = time.perf_counter() - start
@@ -74,7 +69,7 @@ def test_event_pipeline(results_dir):
     consume_s = time.perf_counter() - start
 
     num_events = sum(len(batch) for batch in batches)
-    assert trace.flow > 0 and len(rows) == 6
+    assert num_events > 0 and trace.flow > 0 and len(rows) == 6
 
     counters = registry.snapshot()["counters"]
     assert counters["tracegen.events"] == num_events
@@ -110,7 +105,6 @@ def test_event_pipeline(results_dir):
         {
             "events": num_events,
             "batches": len(batches),
-            "flow_scale": BENCH_FLOW_SCALE,
             "modes": {
                 "columnar": {
                     "generate_seconds": generate_s,

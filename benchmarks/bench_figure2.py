@@ -1,6 +1,6 @@
 """Regenerates Figure 2: hit rates vs profiled flow, both schemes.
 
-The timed unit is the full prediction-delay sweep (9 benchmarks × 17
+The figure reads the full prediction-delay sweep (9 benchmarks × 17
 delays × 2 schemes); Figure 3 reuses the same sweep through the shared
 session fixture.
 """
@@ -15,10 +15,8 @@ from repro.experiments import (
 )
 
 
-def test_figure2(benchmark, full_traces, results_dir):
-    curves = benchmark.pedantic(
-        build_figure2, kwargs={"traces": full_traces}, rounds=1, iterations=1
-    )
+def test_figure2(full_traces, results_dir):
+    curves = build_figure2(traces=full_traces)
     emit(results_dir, "figure2", render_figure2(curves))
 
     # Shape assertions from the paper's reading of the figure.

@@ -9,11 +9,8 @@ from repro.experiments import (
 )
 
 
-def test_figure3(benchmark, full_traces, sweep_curves, results_dir):
-    text = benchmark.pedantic(
-        render_figure3, args=(sweep_curves,), rounds=1, iterations=1
-    )
-    emit(results_dir, "figure3", text)
+def test_figure3(full_traces, sweep_curves, results_dir):
+    emit(results_dir, "figure3", render_figure3(sweep_curves))
 
     points = sweep_curves.points
 

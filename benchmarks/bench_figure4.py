@@ -5,10 +5,8 @@ from conftest import emit
 from repro.experiments import build_figure4, render_figure4
 
 
-def test_figure4(benchmark, full_traces, results_dir):
-    bars = benchmark.pedantic(
-        build_figure4, kwargs={"traces": full_traces}, rounds=1, iterations=1
-    )
+def test_figure4(full_traces, results_dir):
+    bars = build_figure4(traces=full_traces)
     emit(results_dir, "figure4", render_figure4(bars))
 
     by_name = {bar.benchmark: bar for bar in bars}

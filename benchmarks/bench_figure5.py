@@ -3,38 +3,22 @@
 Each scheme runs with prediction delays 10, 50 and 100 over the
 non-bailing benchmarks; the excluded huge-path programs are demonstrated
 to bail out at the τ=50 operating point.
-
-``test_figure5_live_vm`` cross-checks the modeled story against *real*
-execution: the miniature Dynamo runs actual ISA programs at the
-``interp`` and ``compiled`` tiers, wall clock is measured, and the
-"fragment execution is fast" premise Figure 5 rests on is verified
-live (digest-identical results, compiled faster than interpretation).
 """
 
-import time
+from conftest import emit
 
-from conftest import BENCH_FLOW_SCALE, emit
-
-from repro.dynamo import DynamoVM
 from repro.experiments import bail_out_report, build_figure5, render_figure5
 from repro.experiments.figure5 import FIGURE5_SCHEMES
-from repro.isa.programs import ALL_PROGRAMS, demo_memory
 from repro.workloads import DYNAMO_BENCHMARKS
 
-#: Representative loop shapes: one dominant loop, interpreter dispatch,
-#: fixpoint sweeps.
-LIVE_VM_PROGRAMS = ("rle", "stackvm", "propagate")
 
-
-def test_figure5(benchmark, full_traces, results_dir):
+def test_figure5(full_traces, results_dir):
     dynamo_traces = {
         name: trace
         for name, trace in full_traces.items()
         if name in DYNAMO_BENCHMARKS
     }
-    cells = benchmark.pedantic(
-        build_figure5, kwargs={"traces": dynamo_traces}, rounds=1, iterations=1
-    )
+    cells = build_figure5(traces=dynamo_traces)
     excluded = {
         name: trace
         for name, trace in full_traces.items()
@@ -87,49 +71,3 @@ def test_figure5(benchmark, full_traces, results_dir):
 
     # The huge-path programs bail out.
     assert all(run.bailed_out for run in bails)
-
-
-def test_figure5_live_vm(results_dir):
-    """The live counterpart of Figure 5's premise.
-
-    The figure's speedups assume selected traces execute fast once
-    cached.  Here real programs run under the VM: the compiled tier
-    must produce bit-identical machine state and beat plain
-    interpretation on wall clock (in aggregate — per-program smoke
-    timings are noise at tiny scales).
-    """
-    lines = ["Live VM cross-check (τ=20, NET, wall clock):"]
-    total_interp = 0.0
-    total_compiled = 0.0
-    for name in LIVE_VM_PROGRAMS:
-        program = ALL_PROGRAMS[name].build()
-        memory = demo_memory(name, scale=BENCH_FLOW_SCALE)
-        timings = {}
-        digests = {}
-        for tier in ("interp", "compiled"):
-            vm = DynamoVM(program, delay=20, tier=tier)
-            vm.load_memory(memory)
-            start = time.perf_counter()
-            result = vm.run(max_steps=200_000_000)
-            timings[tier] = time.perf_counter() - start
-            digests[tier] = vm.state_digest()
-            assert result.output is not None
-        assert digests["interp"] == digests["compiled"], name
-        total_interp += timings["interp"]
-        total_compiled += timings["compiled"]
-        ratio = (
-            timings["interp"] / timings["compiled"]
-            if timings["compiled"] > 0
-            else float("inf")
-        )
-        lines.append(
-            f"  {name:10s} interp {timings['interp']:.3f}s · "
-            f"compiled {timings['compiled']:.3f}s · {ratio:.2f}x "
-            f"(digest-identical)"
-        )
-    lines.append(
-        f"  total      interp {total_interp:.3f}s · "
-        f"compiled {total_compiled:.3f}s"
-    )
-    emit(results_dir, "figure5_live_vm", "\n".join(lines))
-    assert total_compiled < total_interp

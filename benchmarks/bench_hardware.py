@@ -12,10 +12,8 @@ from repro.experiments.extended import hardware_rows
 from repro.experiments.report import fmt, render_table
 
 
-def test_hardware_comparison(benchmark, results_dir):
-    predictor_rows, cache_rows = benchmark.pedantic(
-        hardware_rows, rounds=1, iterations=1
-    )
+def test_hardware_comparison(results_dir):
+    predictor_rows, cache_rows = hardware_rows()
     text = render_table(
         headers=["program", "predictor", "accuracy %", "state bits"],
         rows=[

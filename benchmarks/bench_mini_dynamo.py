@@ -11,16 +11,23 @@ Two legs:
   path-profile steady-state speedups) on the default compiled tier;
 * ``test_tier_speedup`` — the *wall-clock* execution-tier comparison:
   plain interpretation vs closure-compiled superblocks, proven
-  digest-identical before any timing is trusted.  Emits
-  ``BENCH_dynamo.json`` and, at full scale, gates a real ≥2x
-  compiled-vs-interpreter floor the way ``BENCH_events.json`` gates the
-  columnar floor.  (The compiled tier's counters and checkpoints are
-  proven equal to a step-by-step fragment replay in the test suite.)
+  digest-identical before any timing is trusted.  Each program's two
+  tiers go through :func:`conftest.time_alternating`, and the ≥2x
+  compiled-vs-interpreter floor is judged on each program's median
+  per-round ratio.  Emits ``BENCH_dynamo.json``.  (The compiled tier's
+  counters and checkpoints are proven equal to a step-by-step fragment
+  replay in the test suite.)
 """
 
-import time
-
-from conftest import BENCH_FLOW_SCALE, emit, emit_json
+from conftest import (
+    ROUNDS,
+    emit,
+    emit_json,
+    pair_ratios,
+    quartiles,
+    render_spread,
+    time_alternating,
+)
 
 from repro.dynamo import TIERS, DynamoVM
 from repro.experiments.report import fmt, render_table
@@ -29,19 +36,17 @@ from repro.isa.programs import ALL_PROGRAMS, demo_memory
 
 MAX_STEPS = 200_000_000
 
-#: Full-scale wall-clock floor: the compiled tier must run at least this
-#: much faster than plain interpretation on every hot-loop program
-#: (measured 6.6–37x; the floor leaves margin for slow CI).
+#: Wall-clock floor: the compiled tier must run at least this much
+#: faster than plain interpretation on every bundled program, each
+#: loop-dominated enough to be gated (measured 6.6–37x; the floor
+#: leaves margin for slow CI).
 MIN_COMPILED_SPEEDUP = 2.0
-
-#: Every bundled program is loop-dominated enough to be gated.
-HOT_LOOP_PROGRAMS = tuple(sorted(ALL_PROGRAMS))
 
 
 def run_all():
     rows = []
     for name, module in ALL_PROGRAMS.items():
-        memory = demo_memory(name, scale=BENCH_FLOW_SCALE)
+        memory = demo_memory(name)
         program = module.build()
         _, machine = run_to_completion(program, memory, max_steps=MAX_STEPS)
         row = {"name": name}
@@ -59,8 +64,8 @@ def run_all():
     return rows
 
 
-def test_mini_dynamo(benchmark, results_dir):
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_mini_dynamo(results_dir):
+    rows = run_all()
     table_rows = []
     for row in rows:
         net, pp = row["net"], row["path-profile"]
@@ -98,152 +103,113 @@ def test_mini_dynamo(benchmark, results_dir):
         net, pp = row["net"], row["path-profile"]
         # Acceleration never changes program results, for either scheme.
         assert net["correct"] and pp["correct"], name
-    if BENCH_FLOW_SCALE >= 1.0:
-        for row in rows:
-            name = row["name"]
-            net, pp = row["net"], row["path-profile"]
-            # The working set lives in the fragment cache.
-            assert net["cached"] > 0.95, name
-            # NET beats native everywhere; path-profile prediction does
-            # not beat NET anywhere (its profiling never turns off).
-            assert net["steady"] > 0.0, name
-            assert net["steady"] > pp["steady"], name
-        assert net_avg > 10.0
-        assert pp_avg < 0.0
+        # The working set lives in the fragment cache.
+        assert net["cached"] > 0.95, name
+        # NET beats native everywhere; path-profile prediction does not
+        # beat NET anywhere (its profiling never turns off).
+        assert net["steady"] > 0.0, name
+        assert net["steady"] > pp["steady"], name
+    assert net_avg > 10.0
+    assert pp_avg < 0.0
 
 
-def _timed_run(program, memory, tier, reps=2):
-    """Best-of-``reps`` wall clock for one tier; returns (vm, result, s)."""
-    best = None
-    for _ in range(reps):
-        vm = DynamoVM(program, delay=20, tier=tier)
-        vm.load_memory(memory)
-        start = time.perf_counter()
-        result = vm.run(max_steps=MAX_STEPS)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best[2]:
-            best = (vm, result, elapsed)
-    return best
+def _run_tier(program, memory, tier):
+    vm = DynamoVM(program, delay=20, tier=tier)
+    vm.load_memory(memory)
+    return vm, vm.run(max_steps=MAX_STEPS)
 
 
-def run_tiers():
-    rows = []
-    for name, module in ALL_PROGRAMS.items():
-        memory = demo_memory(name, scale=BENCH_FLOW_SCALE)
-        program = module.build()
-        row = {"name": name, "tiers": {}}
-        for tier in TIERS:
-            vm, result, elapsed = _timed_run(program, memory, tier)
-            stats = result.stats
-            total = (
-                stats.interpreted_instructions
-                + stats.fragment_instructions
-            )
-            row["tiers"][tier] = {
-                "seconds": elapsed,
-                "instructions": total,
-                "mips": total / elapsed / 1e6 if elapsed > 0 else 0.0,
-                "digest": vm.state_digest(),
-                "stats": stats,
-            }
-        rows.append(row)
-    return rows
-
-
-def test_tier_speedup(benchmark, results_dir):
-    rows = benchmark.pedantic(run_tiers, rounds=1, iterations=1)
-
-    # Correctness first: no timing is reported unless the compiled tier
-    # is digest-identical to plain interpretation on every program.
-    for row in rows:
-        tiers = row["tiers"]
-        assert (
-            tiers["interp"]["digest"] == tiers["compiled"]["digest"]
-        ), row["name"]
-
+def test_tier_speedup(results_dir):
     table_rows = []
     payload_programs = {}
-    speedups = []
-    for row in rows:
-        name = row["name"]
-        tiers = row["tiers"]
-        interp_s = tiers["interp"]["seconds"]
-        comp_s = tiers["compiled"]["seconds"]
-        vs_interp = interp_s / comp_s if comp_s > 0 else float("inf")
-        speedups.append(vs_interp)
+    speedups = {}
+    total_seconds = {tier: 0.0 for tier in TIERS}
+    for name, module in ALL_PROGRAMS.items():
+        memory = demo_memory(name)
+        program = module.build()
+        runs, seconds = time_alternating(
+            {
+                tier: lambda tier=tier: _run_tier(program, memory, tier)
+                for tier in TIERS
+            }
+        )
+        # Correctness first: no timing counts unless the compiled tier
+        # is digest-identical to plain interpretation.
+        interp_vm, _ = runs["interp"]
+        compiled_vm, compiled = runs["compiled"]
+        assert interp_vm.state_digest() == compiled_vm.state_digest(), name
+
+        instructions = {
+            tier: result.stats.interpreted_instructions
+            + result.stats.fragment_instructions
+            for tier, (_, result) in runs.items()
+        }
+        times = {tier: quartiles(seconds[tier]) for tier in TIERS}
+        mips = {
+            tier: instructions[tier] / times[tier]["median"] / 1e6
+            for tier in TIERS
+        }
+        for tier in TIERS:
+            total_seconds[tier] += times[tier]["median"]
+        speedup = quartiles(
+            pair_ratios(seconds["interp"], seconds["compiled"])
+        )
+        speedups[name] = speedup["median"]
         table_rows.append(
             [
                 name,
-                f"{tiers['compiled']['instructions']:,}",
-                fmt(tiers["interp"]["mips"], 2),
-                fmt(tiers["compiled"]["mips"], 2),
-                fmt(vs_interp, 2) + "x",
+                f"{instructions['compiled']:,}",
+                fmt(mips["interp"], 2),
+                fmt(mips["compiled"], 2),
+                render_spread(speedup, 2),
             ]
         )
         payload_programs[name] = {
-            "instructions": tiers["compiled"]["instructions"],
+            "instructions": instructions["compiled"],
             "tiers": {
-                tier: {
-                    "seconds": tiers[tier]["seconds"],
-                    "mips": tiers[tier]["mips"],
-                }
+                tier: {"seconds": times[tier], "mips": mips[tier]}
                 for tier in TIERS
             },
-            "speedup_compiled_vs_interp": vs_interp,
+            "speedup_compiled_vs_interp": speedup,
             "digest_identical": True,
-            "compiled_fragments": (
-                tiers["compiled"]["stats"].fragments_compiled
-            ),
-            "link_patches": tiers["compiled"]["stats"].link_patches,
+            "compiled_fragments": compiled.stats.fragments_compiled,
+            "link_patches": compiled.stats.link_patches,
         }
 
-    min_speedup = min(speedups)
-    mean_speedup = sum(speedups) / len(speedups)
+    min_speedup = min(speedups.values())
+    mean_speedup = sum(speedups.values()) / len(speedups)
     text = render_table(
         headers=[
             "program",
             "instructions",
             "interp MIPS",
             "compiled MIPS",
-            "vs interp",
+            "vs interp (IQR)",
         ],
         rows=table_rows,
         title=(
-            "Execution tiers, wall clock (τ=20, scale="
-            f"{BENCH_FLOW_SCALE:g}) · min {min_speedup:.2f}x, "
+            f"Execution tiers, wall clock (τ=20), median of {ROUNDS} "
+            f"alternating rounds · min {min_speedup:.2f}x, "
             f"mean {mean_speedup:.2f}x compiled vs interp"
         ),
     )
     emit(results_dir, "dynamo_tiers", text)
-
-    gate_armed = BENCH_FLOW_SCALE >= 1.0
     emit_json(
         results_dir,
         "dynamo",
         {
-            "flow_scale": BENCH_FLOW_SCALE,
-            "gate_armed": gate_armed,
+            "rounds": ROUNDS,
             "min_compiled_speedup": MIN_COMPILED_SPEEDUP,
-            "hot_loop_programs": list(HOT_LOOP_PROGRAMS),
             "programs": payload_programs,
             "min_speedup_vs_interp": min_speedup,
             "mean_speedup_vs_interp": mean_speedup,
         },
     )
 
-    # At any scale the compiled tier must win in aggregate (per-program
-    # smoke timings are too small to be stable, totals are not).
-    total_interp = sum(r["tiers"]["interp"]["seconds"] for r in rows)
-    total_comp = sum(r["tiers"]["compiled"]["seconds"] for r in rows)
-    assert total_comp < total_interp, (total_comp, total_interp)
-
-    # Full scale: the real wall-clock floor, per hot-loop program.
-    if gate_armed:
-        for row in rows:
-            if row["name"] not in HOT_LOOP_PROGRAMS:
-                continue
-            tiers = row["tiers"]
-            vs_interp = (
-                tiers["interp"]["seconds"] / tiers["compiled"]["seconds"]
-            )
-            assert vs_interp >= MIN_COMPILED_SPEEDUP, (row["name"], vs_interp)
+    # The compiled tier wins in aggregate and clears the floor on every
+    # program.
+    assert total_seconds["compiled"] < total_seconds["interp"], (
+        total_seconds
+    )
+    for name, ratio in speedups.items():
+        assert ratio >= MIN_COMPILED_SPEEDUP, (name, ratio)

@@ -6,14 +6,9 @@ from repro.experiments import render_phase_report, run_phase_experiment
 from repro.experiments.phases import phases_config
 
 
-def test_phases(benchmark, results_dir):
+def test_phases(results_dir):
     # The phases target's recipe at full scale (400,000 occurrences).
-    report = benchmark.pedantic(
-        run_phase_experiment,
-        args=(phases_config(1.0),),
-        rounds=1,
-        iterations=1,
-    )
+    report = run_phase_experiment(phases_config(1.0))
     emit(results_dir, "phases", render_phase_report(report))
 
     # The prediction-rate heuristic finds every phase boundary.

@@ -12,8 +12,8 @@ from repro.experiments.extended import retirement_rows
 from repro.experiments.report import fmt, render_table
 
 
-def test_retirement_policies(benchmark, results_dir):
-    results = benchmark.pedantic(retirement_rows, rounds=1, iterations=1)
+def test_retirement_policies(results_dir):
+    results = retirement_rows()
     text = render_table(
         headers=[
             "policy",

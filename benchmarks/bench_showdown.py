@@ -12,10 +12,8 @@ from repro.experiments.extended import showdown_rows
 from repro.experiments.report import fmt, render_table
 
 
-def test_edge_vs_path_showdown(benchmark, full_traces, results_dir):
-    results = benchmark.pedantic(
-        showdown_rows, args=(full_traces,), rounds=1, iterations=1
-    )
+def test_edge_vs_path_showdown(full_traces, results_dir):
+    results = showdown_rows(full_traces)
     text = render_table(
         headers=[
             "benchmark",

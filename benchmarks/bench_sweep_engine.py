@@ -1,18 +1,18 @@
-"""Times the sweep engine on the Figure 2 sweep: cold-serial vs
-cold-parallel vs warm-cache, plus the observability overhead.
+"""Times the sweep engine on the Figure 2 sweep: serial vs parallel vs
+observed, plus a cache fill and a warm-cache rerun.
 
-One full-scale sweep is 9 benchmarks × 17 delays × 2 schemes = 306
-trace replays, historically the repo's hottest path.  This bench runs
-it three ways — serial replays, replays on a two-thread pool, and a
-rerun served entirely from the on-disk result cache — asserts all three
-produce identical points, and records the timings in
-``benchmarks/results/sweep_engine.txt``.
-
-A second measurement times the same serial sweep with a live metrics
-``Registry`` attached (the ``--metrics-json`` configuration) against
-the default null-registry run, and reports the overhead percentage.
-Observability is designed to publish at cell granularity, never per
-occurrence, so the overhead must stay in the low single digits.
+One sweep is 9 benchmarks × 17 delays × 2 schemes = 306 trace replays,
+historically the repo's hottest path.  Three ways to replay it go
+through :func:`conftest.time_alternating`: serial replays with the
+default null registry, the same with a live metrics ``Registry``
+attached (the ``--metrics-json`` configuration), and replays on a
+two-thread pool.  The parallel floor and the observed-overhead ceiling
+are judged on the median per-round ratio.  A cold cache fill (which
+also digests each trace) and a warm rerun served entirely from the
+on-disk result cache are timed once each; no gate reads them.  Every
+leg must produce identical points.  Observability is designed to
+publish at cell granularity, never per occurrence, so its overhead
+must stay in the low single digits.
 """
 
 from __future__ import annotations
@@ -20,18 +20,26 @@ from __future__ import annotations
 import os
 import time
 
-from conftest import BENCH_FLOW_SCALE, emit, emit_json
+from conftest import (
+    ROUNDS,
+    emit,
+    emit_json,
+    pair_ratios,
+    quartiles,
+    render_spread,
+    time_alternating,
+)
 
-from repro.experiments.engine import SweepCache, run_sweep, trace_digest
+from repro.experiments.engine import SweepCache, run_sweep
 from repro.experiments.report import fmt, render_table
 from repro.obs import Registry
 
-#: Thread-pool size for the cold-parallel leg.
+#: Thread-pool size for the parallel leg.
 WORKERS = 2
 
 #: On a multi-core box the thread pool must pay for itself: two threads
-#: at least 1.2x faster than cold serial.  Cells spend most of their
-#: time in NumPy, which releases the GIL.
+#: at least 1.2x faster than serial.  Cells spend most of their time in
+#: NumPy, which releases the GIL.
 MIN_PARALLEL_SPEEDUP_MULTI_CORE = 1.2
 
 #: On a single-core container true parallel speedup is physically
@@ -44,44 +52,41 @@ MIN_PARALLEL_SPEEDUP_SINGLE_CORE = 0.6
 MAX_OBS_OVERHEAD_PERCENT = 25.0
 
 
-def _timed(runner) -> tuple[float, list]:
-    start = time.perf_counter()
-    points = runner()
-    return time.perf_counter() - start, points
-
-
 def test_sweep_engine(full_traces, results_dir, engine_cache_dir):
     cache = SweepCache(engine_cache_dir / "figure2")
 
-    # Digests, NET's head-arrival ranks, the occurrence index and the
-    # per-path columns are memoized per trace: whichever leg computes
-    # them first would otherwise eat the whole bill and skew its timing
-    # (the cache legs need digests; every leg replays both schemes).
-    # Pay them once, as setup, so every leg measures only its own work.
-    for trace in full_traces.values():
-        trace_digest(trace)
-        trace.head_arrival_ranks()
-        trace.occurrence_index()
-        trace.static_columns()
+    def observed():
+        registry = Registry()
+        return run_sweep(full_traces, obs=registry), registry
 
-    serial_s, serial = _timed(lambda: run_sweep(full_traces))
-    registry = Registry()
-    observed_s, observed = _timed(
-        lambda: run_sweep(full_traces, obs=registry)
+    results, seconds = time_alternating(
+        {
+            "serial": lambda: run_sweep(full_traces),
+            "observed": observed,
+            "parallel": lambda: run_sweep(full_traces, workers=WORKERS),
+        }
     )
-    parallel_s, parallel = _timed(
-        lambda: run_sweep(full_traces, workers=WORKERS)
-    )
-    cold_s, cold = _timed(lambda: run_sweep(full_traces, cache=cache))
-    warm_s, warm = _timed(lambda: run_sweep(full_traces, cache=cache))
+    serial = results["serial"]
+    observed_points, registry = results["observed"]
+    start = time.perf_counter()
+    cold = run_sweep(full_traces, cache=cache)
+    cold_s = time.perf_counter() - start
+    start = time.perf_counter()
+    warm = run_sweep(full_traces, cache=cache)
+    warm_s = time.perf_counter() - start
 
-    assert observed == serial  # metrics never change results
-    assert parallel == serial
+    assert observed_points == serial  # metrics never change results
+    assert results["parallel"] == serial
     assert cold == serial
     assert warm == serial
 
-    overhead_percent = 100.0 * (observed_s / serial_s - 1.0)
-    assert overhead_percent < MAX_OBS_OVERHEAD_PERCENT
+    overhead = quartiles(
+        [
+            100.0 * (ratio - 1.0)
+            for ratio in pair_ratios(seconds["observed"], seconds["serial"])
+        ]
+    )
+    assert overhead["median"] < MAX_OBS_OVERHEAD_PERCENT
     counters = registry.snapshot()["counters"]
     assert counters["sweep.cells_replayed"] == len(serial)
     # The warm leg replayed nothing: every cell was a cache hit.
@@ -91,44 +96,49 @@ def test_sweep_engine(full_traces, results_dir, engine_cache_dir):
     assert cache.stats.stores == cells
 
     cpu_count = os.cpu_count() or 1
-    parallel_speedup = serial_s / parallel_s
+    speedups = {
+        name: quartiles(pair_ratios(seconds["serial"], seconds[name]))
+        for name in ("observed", "parallel")
+    }
+    speedup = speedups["parallel"]
     min_parallel_speedup = (
         MIN_PARALLEL_SPEEDUP_MULTI_CORE
         if cpu_count >= WORKERS
         else MIN_PARALLEL_SPEEDUP_SINGLE_CORE
     )
-    # Only hold the full calibrated workload to the speedup bar: at
-    # smoke scale per-batch overhead dominates the replay work.
-    if BENCH_FLOW_SCALE >= 1.0:
-        assert parallel_speedup >= min_parallel_speedup, (
-            f"cold parallel (workers={WORKERS}) ran at "
-            f"{parallel_speedup:.2f}x cold serial on {cpu_count} CPU(s); "
-            f"the floor is {min_parallel_speedup:.2f}x"
-        )
+    assert speedup["median"] >= min_parallel_speedup, (
+        f"parallel (workers={WORKERS}) ran at a median "
+        f"{speedup['median']:.2f}x serial on {cpu_count} CPU(s); "
+        f"the floor is {min_parallel_speedup:.2f}x"
+    )
 
+    modes = {name: quartiles(times) for name, times in seconds.items()}
+    serial_s = modes["serial"]["median"]
     rows = [
-        ["cold serial (null registry)", fmt(serial_s, 2), fmt(1.0, 2)],
-        ["cold serial + metrics", fmt(observed_s, 2),
-         fmt(serial_s / observed_s, 2)],
-        [f"cold parallel ({WORKERS} threads)", fmt(parallel_s, 2),
-         fmt(parallel_speedup, 2)],
-        ["cold serial + cache fill", fmt(cold_s, 2),
+        ["serial (null registry)", render_spread(modes["serial"], 3),
+         fmt(1.0, 2)],
+        ["serial + metrics", render_spread(modes["observed"], 3),
+         render_spread(speedups["observed"], 2)],
+        [f"parallel ({WORKERS} threads)", render_spread(modes["parallel"], 3),
+         render_spread(speedup, 2)],
+        ["serial + cache fill (once)", fmt(cold_s, 3),
          fmt(serial_s / cold_s, 2)],
-        ["warm cache", fmt(warm_s, 2), fmt(serial_s / warm_s, 2)],
+        ["warm cache (once)", fmt(warm_s, 3), fmt(serial_s / warm_s, 2)],
     ]
     emit(
         results_dir,
         "sweep_engine",
         render_table(
-            headers=["mode", "seconds", "speedup vs cold serial"],
+            headers=["mode", "seconds", "speedup vs serial"],
             rows=rows,
             title=(
-                f"Sweep engine: Figure 2 sweep ({cells} cells), "
-                "cold vs parallel vs warm-cache vs observed"
+                f"Sweep engine: Figure 2 sweep ({cells} cells), median "
+                f"(IQR) of {ROUNDS} alternating rounds unless run once"
             ),
         )
-        + f"\nmetrics overhead: {overhead_percent:+.2f}% "
-        "(observed vs null registry)"
+        + f"\nmetrics overhead: {overhead['median']:+.2f}% median "
+        f"({overhead['q1']:+.2f}% to {overhead['q3']:+.2f}%, "
+        "observed vs null registry, per round)"
         + f"\n{cache.stats.render()}",
     )
     emit_json(
@@ -137,29 +147,13 @@ def test_sweep_engine(full_traces, results_dir, engine_cache_dir):
         {
             "cells": cells,
             "cpu_count": cpu_count,
-            "flow_scale": BENCH_FLOW_SCALE,
             "workers": WORKERS,
+            "rounds": ROUNDS,
             "min_parallel_speedup": min_parallel_speedup,
-            "speedup_gate_applied": BENCH_FLOW_SCALE >= 1.0,
-            "modes": {
-                "cold_serial": {"seconds": serial_s, "speedup": 1.0},
-                "cold_serial_observed": {
-                    "seconds": observed_s,
-                    "speedup": serial_s / observed_s,
-                },
-                "cold_parallel": {
-                    "seconds": parallel_s,
-                    "speedup": parallel_speedup,
-                },
-                "cold_serial_cache_fill": {
-                    "seconds": cold_s,
-                    "speedup": serial_s / cold_s,
-                },
-                "warm_cache": {
-                    "seconds": warm_s,
-                    "speedup": serial_s / warm_s,
-                },
-            },
-            "overheads_percent": {"metrics": overhead_percent},
+            "max_obs_overhead_percent": MAX_OBS_OVERHEAD_PERCENT,
+            "seconds": modes,
+            "once_seconds": {"cache_fill": cold_s, "warm_cache": warm_s},
+            "parallel_speedup": speedup,
+            "metrics_overhead_percent": overhead,
         },
     )

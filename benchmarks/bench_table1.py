@@ -5,10 +5,8 @@ from conftest import emit
 from repro.experiments import build_table1, render_table1
 
 
-def test_table1(benchmark, full_traces, results_dir):
-    rows = benchmark.pedantic(
-        build_table1, kwargs={"traces": full_traces}, rounds=1, iterations=1
-    )
+def test_table1(full_traces, results_dir):
+    rows = build_table1(traces=full_traces)
     emit(results_dir, "table1", render_table1(rows))
 
     # Shape assertions: dynamic paths equal the paper's counts exactly

@@ -5,10 +5,8 @@ from conftest import emit
 from repro.experiments import build_table2, render_table2
 
 
-def test_table2(benchmark, full_traces, results_dir):
-    rows = benchmark.pedantic(
-        build_table2, kwargs={"traces": full_traces}, rounds=1, iterations=1
-    )
+def test_table2(full_traces, results_dir):
+    rows = build_table2(traces=full_traces)
     emit(results_dir, "table2", render_table2(rows))
 
     for row in rows:

@@ -114,12 +114,12 @@ class ReplayContext:
 
 def _run_cells(
     context: ReplayContext,
-    cells: list[tuple[str, int]],
+    tasks: list[SweepTask],
     observe: bool = False,
     faults: FaultPlan | None = None,
     batch_index: int = 0,
-) -> tuple[list[SweepPoint], dict | None, list[float]]:
-    """Replay a batch of (scheme, τ) cells on one replay context.
+) -> tuple[list[SweepPoint], dict | None]:
+    """Replay a batch of one benchmark's cells on its replay context.
 
     The context memoizes the per-trace precomputations (hot set,
     occurrence index): the first batch of a trace pays for them, every
@@ -128,12 +128,11 @@ def _run_cells(
 
     With ``observe`` the batch measures itself into a throwaway local
     registry and returns its snapshot alongside the points (relative
-    names; the caller mounts it wherever it belongs).  The points are
-    identical either way.
-
-    The third element of the payload is each cell's wall-clock cost in
-    milliseconds, measured unconditionally (two clock reads per cell)
-    for the manifest's per-cell timers.
+    names; the caller mounts it wherever it belongs).  Each cell's wall
+    time lands in the ``replay`` and ``cell_ms`` timers, a
+    ``cell_ms_le_*`` bucket counter and the cell's own
+    ``cell.<benchmark>:<scheme>:<τ>`` timer; without ``observe`` no
+    clock is read.  The points are identical either way.
 
     ``faults`` is the deterministic fault-injection hook: planned
     crashes and interrupts fire before the replay, keyed by
@@ -146,17 +145,17 @@ def _run_cells(
     with obs.span("hot_set"):
         hot = context.hot
     points = []
-    cell_ms: list[float] = []
-    for scheme, delay in cells:
-        started = time.perf_counter()
-        with obs.span("replay"):
-            outcome = make_predictor(scheme, delay).run(trace)
-            quality = evaluate_prediction(trace, hot, outcome)
-        cell_ms.append((time.perf_counter() - started) * 1000.0)
+    for task in tasks:
+        if observe:
+            started = time.perf_counter()
+        outcome = make_predictor(task.scheme, task.delay).run(trace)
+        quality = evaluate_prediction(trace, hot, outcome)
+        if observe:
+            _record_cell(obs, task, time.perf_counter() - started)
         obs.counter("cells_replayed").inc()
         outcome.publish(obs.child("prediction"))
         points.append(SweepPoint.from_quality(trace.name, quality))
-    return points, (obs.snapshot() if observe else None), cell_ms
+    return points, (obs.snapshot() if observe else None)
 
 
 def _bucket_counter(ms: float) -> str:
@@ -165,6 +164,16 @@ def _bucket_counter(ms: float) -> str:
         if ms <= bound:
             return f"cell_ms_le_{int(bound)}"
     return "cell_ms_le_inf"
+
+
+def _record_cell(obs: Registry, task: SweepTask, seconds: float) -> None:
+    """Record one replayed cell's wall time in a batch registry."""
+    obs.timer("replay").observe(seconds)
+    obs.timer("cell_ms").observe(seconds)
+    obs.counter(_bucket_counter(seconds * 1000.0)).inc()
+    obs.timer(
+        CELL_TIMER_PREFIX + cell_name(task.benchmark, task.scheme, task.delay)
+    ).observe(seconds)
 
 
 class _SweepRunner:
@@ -200,7 +209,7 @@ class _SweepRunner:
         self.results = results
         self.flag = flag
 
-    def _compute(self, order: int) -> tuple[list, dict | None, list]:
+    def _compute(self, order: int) -> tuple[list, dict | None]:
         """Replay batch ``order``.
 
         Runs on whichever thread executes the batch and touches only the
@@ -210,7 +219,7 @@ class _SweepRunner:
         batch = self.batches[order]
         return _run_cells(
             self.contexts[batch[0].benchmark],
-            [task.cell for task in batch],
+            batch,
             self.observe,
             self.faults,
             order,
@@ -218,22 +227,12 @@ class _SweepRunner:
 
     def _complete(self, order: int, outcome) -> None:
         """Merge, cache and place batch ``order``'s computed outcome."""
-        points, snapshot, cell_ms = outcome
-        batch = self.batches[order]
+        points, snapshot = outcome
         if snapshot is not None:
             # Batch measurements use relative names; merging through
             # the child view re-prefixes them.
             self.engine.merge(snapshot)
-        if self.observe:
-            for task, ms in zip(batch, cell_ms):
-                seconds = ms / 1000.0
-                self.engine.timer("cell_ms").observe(seconds)
-                self.engine.counter(_bucket_counter(ms)).inc()
-                self.engine.timer(
-                    CELL_TIMER_PREFIX
-                    + cell_name(task.benchmark, task.scheme, task.delay)
-                ).observe(seconds)
-        for task, point in zip(batch, points):
+        for task, point in zip(self.batches[order], points):
             self.results[task.index] = point
             if self.cache is not None:
                 self.cache.put(self.keys[task.index], point)

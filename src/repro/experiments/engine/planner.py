@@ -35,11 +35,6 @@ class SweepTask:
     #: executor writes this task's result at ``results[index]``.
     index: int
 
-    @property
-    def cell(self) -> tuple[str, int]:
-        """The (scheme, delay) coordinates within the task's benchmark."""
-        return (self.scheme, self.delay)
-
 
 def plan_sweep(
     benchmarks: Sequence[str],

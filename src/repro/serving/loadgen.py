@@ -319,7 +319,7 @@ def run_load(
     accounting is published under ``serving.*`` and the client-side
     measurements under ``loadgen.*``.  With ``state_dir``, the server
     runs durably (checkpoints + WAL) and batches carry explicit
-    sequence numbers — the durable leg the serving benchmark gates.
+    sequence numbers.
     """
     config = config if config is not None else LoadgenConfig()
     registry = get_registry(obs)

@@ -46,22 +46,14 @@ def test_worker_metrics_merge_to_serial_totals(all_small_traces):
     assert run_sweep(traces, delays=DELAYS, obs=serial) == run_sweep(
         traces, delays=DELAYS, workers=2, obs=parallel
     )
-    # Scheduling and transport accounting differs by mode (batch count,
-    # data-plane publishes, per-worker context installs, which backend
-    # ran, steal counts, wall-clock histogram buckets); the *work*
-    # counters — replays, predictions, captured flow — must not.
+    # The batch count and the wall-clock histogram buckets differ by
+    # mode; the *work* counters — replays, predictions, captured flow —
+    # must not.
     def work_counters(registry: Registry) -> dict:
-        transport = (
-            "sweep.batches",
-            "sweep.contexts_installed",
-            "sweep.steals",
-        )
         return {
             name: value
             for name, value in registry.snapshot()["counters"].items()
-            if name not in transport
-            and not name.startswith("sweep.dataplane.")
-            and not name.startswith("sweep.backend_")
+            if name != "sweep.batches"
             and not name.startswith("sweep.cell_ms_le_")
         }
 
