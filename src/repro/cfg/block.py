@@ -140,9 +140,5 @@ class BasicBlock:
         """Shorthand for the terminator kind."""
         return self.terminator.kind
 
-    def key(self) -> tuple[str, str]:
-        """The (procedure, label) pair identifying this block symbolically."""
-        return (self.proc_name, self.label)
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"{self.proc_name}.{self.label}@{self.address}"

@@ -31,11 +31,6 @@ class Procedure:
             raise CFGError(f"procedure {self.name!r} has no blocks")
         return self.blocks[0]
 
-    @property
-    def size(self) -> int:
-        """Total number of instructions in the procedure."""
-        return sum(block.size for block in self.blocks)
-
     def add(self, block: BasicBlock) -> BasicBlock:
         """Append ``block`` to the layout, enforcing label uniqueness."""
         if block.proc_name != self.name:

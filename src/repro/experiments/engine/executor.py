@@ -24,9 +24,8 @@ once with that batch's own exception: a cell is deterministic, so
 replaying it would fail the same way.  SIGINT/SIGTERM stop the sweep at
 the next batch boundary and raise
 :class:`~repro.errors.SweepInterrupted` carrying the partial results.
-A :class:`~repro.resilience.FaultPlan` threads deterministic fault
-injection through :func:`_run_cells`, so both paths are testable
-without real failures.
+Every batch starts in :meth:`_SweepRunner._compute`, on whichever
+thread runs it, so a test arms a crash or an interrupt there.
 
 Observability: pass ``obs`` (a :class:`repro.obs.Registry`) and the
 engine accounts for itself under the ``sweep.`` prefix — cells planned
@@ -62,7 +61,6 @@ from repro.experiments.sweep import (
 from repro.metrics.hotpaths import HotPathSet, hot_path_set
 from repro.metrics.quality import evaluate_prediction
 from repro.obs.core import Registry, get_registry
-from repro.resilience import FaultPlan
 from repro.resilience.signals import InterruptFlag, interrupt_guard
 from repro.trace.recorder import PathTrace
 
@@ -116,8 +114,6 @@ def _run_cells(
     context: ReplayContext,
     tasks: list[SweepTask],
     observe: bool = False,
-    faults: FaultPlan | None = None,
-    batch_index: int = 0,
 ) -> tuple[list[SweepPoint], dict | None]:
     """Replay a batch of one benchmark's cells on its replay context.
 
@@ -133,13 +129,7 @@ def _run_cells(
     ``cell_ms_le_*`` bucket counter and the cell's own
     ``cell.<benchmark>:<scheme>:<τ>`` timer; without ``observe`` no
     clock is read.  The points are identical either way.
-
-    ``faults`` is the deterministic fault-injection hook: planned
-    crashes and interrupts fire before the replay, keyed by
-    ``batch_index`` so a faulted run replays identically every time.
     """
-    if faults is not None:
-        faults.before(batch_index)
     obs = Registry() if observe else get_registry(None)
     trace = context.trace
     with obs.span("hot_set"):
@@ -192,7 +182,6 @@ class _SweepRunner:
         self,
         batches: list[list[SweepTask]],
         contexts: dict[str, ReplayContext],
-        faults: FaultPlan | None,
         engine: Registry,
         cache: SweepCache | None,
         keys: dict[int, str],
@@ -201,7 +190,6 @@ class _SweepRunner:
     ):
         self.batches = batches
         self.contexts = contexts
-        self.faults = faults
         self.engine = engine
         self.observe = engine.enabled
         self.cache = cache
@@ -218,11 +206,7 @@ class _SweepRunner:
         """
         batch = self.batches[order]
         return _run_cells(
-            self.contexts[batch[0].benchmark],
-            batch,
-            self.observe,
-            self.faults,
-            order,
+            self.contexts[batch[0].benchmark], batch, self.observe
         )
 
     def _complete(self, order: int, outcome) -> None:
@@ -305,7 +289,6 @@ def run_sweep(
     workers: int = 0,
     cache: SweepCache | None = None,
     obs: Registry | None = None,
-    faults: FaultPlan | None = None,
 ) -> list[SweepPoint]:
     """Measure every (benchmark, scheme, τ) cell of a sweep.
 
@@ -329,10 +312,6 @@ def run_sweep(
         Optional observability registry; engine metrics land under its
         ``sweep.`` prefix (see the module docstring).  ``None`` runs
         uninstrumented at zero cost.
-    faults:
-        Optional :class:`~repro.resilience.FaultPlan` for deterministic
-        fault injection (tests and drills only); it fires inside
-        :func:`_run_cells` in both modes.
 
     Raises
     ------
@@ -411,7 +390,6 @@ def run_sweep(
                 contexts={
                     name: ReplayContext(traces[name]) for name in groups
                 },
-                faults=faults,
                 engine=engine,
                 cache=cache,
                 keys=keys,

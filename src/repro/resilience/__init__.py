@@ -6,8 +6,6 @@ split from them so policy and mechanism stay testable on their own:
 * :mod:`repro.resilience.policy` — :class:`RetryPolicy`: the serving
   client's bounded reconnect-retries with exponential backoff and
   deterministic jitter.
-* :mod:`repro.resilience.faults` — :class:`FaultPlan`/:class:`FaultSpec`:
-  deterministic injection of crashes and interrupts, keyed by batch.
 * :mod:`repro.resilience.signals` — :func:`interrupt_guard`: cooperative
   SIGINT/SIGTERM shutdown.
 
@@ -15,27 +13,11 @@ See ``docs/resilience.md`` for the failure-mode tour and the guarantees
 the executor builds on these pieces.
 """
 
-from repro.resilience.faults import (
-    FAULT_KINDS,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    crash_on,
-    interrupt_on,
-    plan,
-)
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.signals import InterruptFlag, interrupt_guard
 
 __all__ = [
-    "FAULT_KINDS",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
     "InterruptFlag",
     "RetryPolicy",
-    "crash_on",
     "interrupt_guard",
-    "interrupt_on",
-    "plan",
 ]

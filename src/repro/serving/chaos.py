@@ -9,10 +9,8 @@ tenant corpus over real TCP, with faults injected at planned schedule
 steps, whose final per-tenant fingerprints are compared against a
 fault-free baseline.
 
-Fault vocabulary — a :class:`~repro.resilience.FaultPlan` keyed by the
-global schedule step, reusing the sweep executor's spec machinery with
-serving-specific meanings (:class:`ChaosFault` adds ``hang``, which the
-sweep executor does not know):
+Fault vocabulary — a plan is a tuple of :class:`ChaosFault`, each a
+kind and the global schedule step it fires before:
 
 ``crash``
     Kill the server before the step (no drain, no final checkpoint —
@@ -43,12 +41,12 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cfg.program import Program
 from repro.errors import ServingError
 from repro.obs.core import Registry, get_registry
-from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
+from repro.resilience import RetryPolicy
 from repro.serving.loadgen import TenantStream, build_stream
 from repro.serving.server import PredictionServer, ServerConfig
 from repro.serving.transport import (
@@ -60,14 +58,22 @@ from repro.serving.transport import (
 )
 
 #: The fault kinds the serving harness knows how to inject.
-SERVING_FAULT_KINDS = ("crash", "corrupt", "hang", "interrupt")
+CHAOS_KINDS = ("crash", "corrupt", "hang", "interrupt")
 
 
-class ChaosFault(FaultSpec):
-    """A fault spec in the serving harness's vocabulary."""
+@dataclass(frozen=True)
+class ChaosFault:
+    """One planned fault: ``kind`` fires before schedule step ``step``."""
 
-    kinds = SERVING_FAULT_KINDS
-    error = ServingError
+    kind: str
+    step: int
+
+    def __post_init__(self) -> None:
+        if self.kind not in CHAOS_KINDS:
+            raise ServingError(
+                f"unknown fault kind {self.kind!r}; known: "
+                + ", ".join(CHAOS_KINDS)
+            )
 
 
 @dataclass(frozen=True)
@@ -93,7 +99,7 @@ class ChaosConfig:
     #: Checkpoint cadence (small, so kills land between checkpoints).
     checkpoint_interval_batches: int = 3
     #: The faults to inject, keyed by global schedule step.
-    faults: FaultPlan = field(default_factory=FaultPlan)
+    faults: tuple[ChaosFault, ...] = ()
 
     def server_config(self) -> ServerConfig:
         return ServerConfig(
@@ -374,26 +380,22 @@ def run_chaos(
         for tenant_id, stream in tenants.items():
             driver.open(tenant_id, stream)
         for step, (tenant_id, seq) in enumerate(schedule):
-            for spec in config.faults.specs:
-                if not spec.fires(step):
-                    continue
-                if spec.kind == "crash":
+            due = [fault for fault in config.faults if fault.step == step]
+            for fault in due:
+                if fault.kind == "crash":
                     driver.kill()
                     recover()
-                elif spec.kind == "corrupt":
+                elif fault.kind == "corrupt":
                     driver.kill()
                     _corrupt_wal_tails(state_dir)
                     recover()
-                elif spec.kind == "interrupt":
+                elif fault.kind == "interrupt":
                     driver.drain()
                     recover()
                 # A "hang" is handled below, around the step's ingest.
-                faults_fired.append((spec.kind, step))
+                faults_fired.append((fault.kind, step))
 
-            lost_ack = any(
-                spec.kind == "hang" and spec.fires(step)
-                for spec in config.faults.specs
-            )
+            lost_ack = any(fault.kind == "hang" for fault in due)
             sels, _ = driver.ingest(tenant_id, tenants[tenant_id], seq)
             record(tenant_id, seq, sels)
             if lost_ack:
@@ -461,7 +463,7 @@ def schedule_steps(config: ChaosConfig) -> int:
     return len(_build_schedule(config)[2])
 
 
-def default_plan(steps: int) -> FaultPlan:
+def default_plan(steps: int) -> tuple[ChaosFault, ...]:
     """A representative plan scaled to the schedule length: a kill at
     ~25%, a torn tail at ~50%, a lost ack at ~65% and a rolling restart
     at ~80% of the run."""
@@ -471,11 +473,9 @@ def default_plan(steps: int) -> FaultPlan:
         "hang": max(3, (steps * 13) // 20),
         "interrupt": max(4, (steps * 4) // 5),
     }
-    return FaultPlan(
-        tuple(
-            ChaosFault(kind=kind, batch=step)
-            for kind, step in sorted(points.items())
-        )
+    return tuple(
+        ChaosFault(kind=kind, step=step)
+        for kind, step in sorted(points.items())
     )
 
 

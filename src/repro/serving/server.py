@@ -107,9 +107,6 @@ class ServerConfig:
         ``1/num_shards`` share.  ``None`` disables eviction.
     retry_after_seconds:
         Base retry-after hint attached to backpressure rejections.
-    count_backward_arrivals_only:
-        Forwarded to every tenant's NET session (Dynamo counts only
-        backward arrivals; see :class:`~repro.prediction.net.NETPredictor`).
     checkpoint_interval_batches:
         With durability enabled, snapshot a tenant's session every this
         many applied batches (eviction and drain snapshot regardless).
@@ -124,7 +121,6 @@ class ServerConfig:
     max_queued_events: int = 1 << 16
     memory_budget_bytes: int | None = None
     retry_after_seconds: float = 0.05
-    count_backward_arrivals_only: bool = True
     checkpoint_interval_batches: int = 64
     wal_rotate_records: int = 8192
 
@@ -665,9 +661,6 @@ class PredictionServer:
                     program=tenant.program,
                     delay=self.config.delay,
                     max_blocks=self.config.max_blocks,
-                    count_backward_arrivals_only=(
-                        self.config.count_backward_arrivals_only
-                    ),
                     start_uid=tenant.resume_uid,
                 )
             tenant.session = session

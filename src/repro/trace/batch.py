@@ -178,11 +178,6 @@ class EventBatchBuilder:
         self._backward = np.empty(capacity, dtype=bool)
         self._length = 0
 
-    @property
-    def capacity(self) -> int:
-        """Current number of allocated event slots."""
-        return len(self._src)
-
     def _grow(self) -> None:
         for name in ("_src", "_dst", "_kind", "_backward"):
             column = getattr(self, name)

@@ -98,18 +98,6 @@ class RegionSpec:
                 " at most 2**32 values"
             )
 
-    @property
-    def num_heads(self) -> int:
-        """Path heads this region contributes."""
-        return self.depth if self.kind == "nest" else 1
-
-    @property
-    def num_paths(self) -> int:
-        """Dynamic paths this region contributes once fully covered."""
-        if self.kind == "nest":
-            return self.depth + 1
-        return self.num_tails + 1
-
 
 class LoopRegion:
     """One loop with ``J`` tail variants: its stream and first path id.

@@ -52,4 +52,3 @@ def test_block_addresses():
     )
     block.address = 10
     assert block.branch_address == 13
-    assert block.key() == ("p", "b")

@@ -11,6 +11,8 @@ synchronization.
 
 from __future__ import annotations
 
+import os
+import signal
 from collections import Counter
 
 import pytest
@@ -19,9 +21,40 @@ from repro.errors import ExperimentError, SweepInterrupted
 from repro.experiments import run_sweep
 from repro.experiments.engine import SweepCache, executor
 from repro.obs import Registry
-from repro.resilience import InjectedFault, crash_on, interrupt_on, plan
 
 DELAYS = (10, 1_000)
+
+
+class InjectedFault(RuntimeError):
+    """The stand-in exception an armed crash raises inside a batch."""
+
+
+@pytest.fixture
+def arm_fault(monkeypatch):
+    """``arm_fault(kind, batch)`` plans one fault for batch ``batch``
+    (the executor numbers batches in canonical plan order).
+
+    It fires once, before the batch computes, on whichever thread runs
+    it: a ``"crash"`` raises :class:`InjectedFault`, an ``"interrupt"``
+    sends SIGINT to this process as Ctrl-C would.  Later sweeps in the
+    same test, such as a warm rerun, run clean.
+    """
+    compute = executor._SweepRunner._compute
+    armed: dict[int, str] = {}
+
+    def faulty(runner, order):
+        kind = armed.pop(order, None)
+        if kind == "crash":
+            raise InjectedFault(f"injected crash: batch {order}")
+        if kind == "interrupt":
+            os.kill(os.getpid(), signal.SIGINT)
+        return compute(runner, order)
+
+    def arm(kind: str, batch: int) -> None:
+        armed[batch] = kind
+
+    monkeypatch.setattr(executor._SweepRunner, "_compute", faulty)
+    return arm
 
 
 @pytest.fixture(scope="module")
@@ -67,18 +100,14 @@ def test_configuration_errors_are_not_retried(trio):
 
 
 def test_interrupt_mid_sweep_leaves_resumable_cache(
-    trio, baseline, tmp_path
+    trio, baseline, tmp_path, arm_fault
 ):
     """Ctrl-C mid-sweep: partial results are structured, cached cells
     are served on rerun without a single replay of them."""
     cache = SweepCache(tmp_path / "cache")
+    arm_fault("interrupt", 1)
     with pytest.raises(SweepInterrupted) as excinfo:
-        run_sweep(
-            trio,
-            delays=DELAYS,
-            cache=cache,
-            faults=plan(interrupt_on(batch=1)),
-        )
+        run_sweep(trio, delays=DELAYS, cache=cache)
     stop = excinfo.value
     # Serial mode runs one batch per benchmark: batches 0 and 1 finish
     # (the interrupting batch completes before the flag is polled).
@@ -102,17 +131,15 @@ def test_interrupt_mid_sweep_leaves_resumable_cache(
     )
 
 
-def test_mid_run_crash_leaves_resumable_cache(trio, baseline, tmp_path):
+def test_mid_run_crash_leaves_resumable_cache(
+    trio, baseline, tmp_path, arm_fault
+):
     """The incremental-write regression: a sweep killed mid-run must
     not lose the batches that already completed."""
     cache = SweepCache(tmp_path / "cache")
+    arm_fault("crash", 2)
     with pytest.raises(InjectedFault):
-        run_sweep(
-            trio,
-            delays=DELAYS,
-            cache=cache,
-            faults=plan(crash_on(batch=2)),
-        )
+        run_sweep(trio, delays=DELAYS, cache=cache)
     completed = 2 * 2 * len(DELAYS)  # two benchmarks finished
     assert cache.stats.stores == completed
 
@@ -125,7 +152,7 @@ def test_mid_run_crash_leaves_resumable_cache(trio, baseline, tmp_path):
 
 @pytest.mark.parametrize("batch", [3, 9])
 def test_threaded_crash_caches_every_computed_cell(
-    trio, batch, tmp_path, monkeypatch
+    trio, batch, tmp_path, monkeypatch, arm_fault
 ):
     """A crash under threads still completes every batch that returned:
     the other batches finished alongside the failing one and the ones
@@ -141,17 +168,16 @@ def test_threaded_crash_caches_every_computed_cell(
 
     monkeypatch.setattr(executor, "_run_cells", counting)
     cache = SweepCache(tmp_path / "cache")
+    arm_fault("crash", batch)
     with pytest.raises(InjectedFault, match=f"batch {batch}"):
-        run_sweep(
-            trio, workers=2, cache=cache, faults=plan(crash_on(batch=batch))
-        )
+        run_sweep(trio, workers=2, cache=cache)
     assert sum(computed) > 0
     assert len(cache.entry_names()) == sum(computed)
     assert cache.stats.stores == sum(computed)
 
 
 def test_threaded_interrupt_leaves_resumable_cache(
-    all_small_traces, tmp_path
+    all_small_traces, tmp_path, arm_fault
 ):
     """Ctrl-C under threads.  Which batches finish before the main
     thread polls the flag depends on timing, so this checks invariants:
@@ -164,14 +190,9 @@ def test_threaded_interrupt_leaves_resumable_cache(
         for position, point in enumerate(baseline)
     }
     cache = SweepCache(tmp_path / "cache")
+    arm_fault("interrupt", 1)
     with pytest.raises(SweepInterrupted) as excinfo:
-        run_sweep(
-            all_small_traces,
-            delays=DELAYS,
-            workers=2,
-            cache=cache,
-            faults=plan(interrupt_on(batch=1)),
-        )
+        run_sweep(all_small_traces, delays=DELAYS, workers=2, cache=cache)
     stop = excinfo.value
     assert stop.total == len(baseline)
     assert stop.completed == len(stop.partial) < stop.total

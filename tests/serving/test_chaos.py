@@ -8,8 +8,7 @@ import threading
 
 import pytest
 
-from repro.errors import ExperimentError, ServingError
-from repro.resilience import FaultSpec, plan
+from repro.errors import ServingError
 from repro.serving import (
     ChaosConfig,
     default_plan,
@@ -17,7 +16,7 @@ from repro.serving import (
     run_chaos,
     schedule_steps,
 )
-from repro.serving.chaos import SERVING_FAULT_KINDS, ChaosFault
+from repro.serving.chaos import CHAOS_KINDS, ChaosFault
 
 #: Small but non-trivial: 4 tenants x ~7 batches each.
 _CONFIG = ChaosConfig(
@@ -103,10 +102,8 @@ def test_default_plan_covers_every_fault_kind():
     steps = schedule_steps(_CONFIG)
     assert steps > 8
     fault_plan = default_plan(steps)
-    assert sorted(s.kind for s in fault_plan.specs) == sorted(
-        SERVING_FAULT_KINDS
-    )
-    assert all(0 < s.batch < steps for s in fault_plan.specs)
+    assert sorted(f.kind for f in fault_plan) == sorted(CHAOS_KINDS)
+    assert all(0 < f.step < steps for f in fault_plan)
 
 
 def test_full_plan_over_tcp(tmp_path):
@@ -115,7 +112,7 @@ def test_full_plan_over_tcp(tmp_path):
     assert report.equivalent
     assert report.mismatched == ()
     assert [kind for kind, _ in report.faults_fired] == [
-        s.kind for s in sorted(config.faults.specs, key=lambda s: s.batch)
+        f.kind for f in sorted(config.faults, key=lambda f: f.step)
     ]
     assert report.restarts == 3  # crash, corrupt, interrupt
     assert report.duplicates_acked >= 1  # the lost-ack redelivery
@@ -128,7 +125,7 @@ def test_full_plan_over_tcp(tmp_path):
 
 def test_crash_only_plan_replays_since_snapshot(tmp_path):
     steps = schedule_steps(_CONFIG)
-    config = _with_plan(plan(FaultSpec(kind="crash", batch=steps // 2)))
+    config = _with_plan((ChaosFault(kind="crash", step=steps // 2),))
     report = run_chaos(config, tmp_path)
     assert report.equivalent
     assert report.restarts == 1
@@ -144,21 +141,11 @@ def test_no_faults_is_a_clean_durable_run(tmp_path):
     assert report.faults_fired == ()
 
 
-def test_unknown_fault_kind_rejected(tmp_path):
-    with pytest.raises(Exception, match="pool_break"):
-        run_chaos(
-            _with_plan(plan(FaultSpec(kind="pool_break", batch=2))),
-            tmp_path,
-        )
-
-
-def test_unknown_chaos_fault_is_a_serving_error():
-    """A caller that catches ServingError sees a bad chaos plan; the
-    sweep's own fault specs keep raising ExperimentError."""
-    with pytest.raises(ServingError, match="meteor"):
-        ChaosFault(kind="meteor", batch=0)
-    with pytest.raises(ExperimentError, match="meteor"):
-        FaultSpec(kind="meteor", batch=0)
+@pytest.mark.parametrize("kind", ["meteor", "pool_break"])
+def test_unknown_chaos_fault_is_a_serving_error(kind):
+    """A caller that catches ServingError sees a bad chaos plan."""
+    with pytest.raises(ServingError, match=kind):
+        ChaosFault(kind=kind, step=0)
 
 
 def test_failed_tcp_run_stops_its_server(tmp_path, monkeypatch):
@@ -168,7 +155,7 @@ def test_failed_tcp_run_stops_its_server(tmp_path, monkeypatch):
     # A lost-ack fault reaches the driver while its server is up.
     monkeypatch.setattr("repro.serving.chaos._Driver.drop_next_ack", fail)
     before = set(threading.enumerate())
-    config = _with_plan(plan(ChaosFault(kind="hang", batch=2)))
+    config = _with_plan((ChaosFault(kind="hang", step=2),))
     with pytest.raises(Exception, match="injected failure"):
         run_chaos(config, tmp_path)
     started = [

@@ -16,6 +16,9 @@ same rule one level down.  It counts as named where any of those files,
 outside the member's own definition, spells it as an attribute
 (``x.name``), a keyword (``name=``) or a string (``"name"``, as
 ``getattr`` and perfbench's patchers spell it).
+
+Neither check has an allowlist: a name only the tests need lives in
+``tests/``.
 """
 
 from __future__ import annotations
@@ -27,13 +30,6 @@ import re
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
 CALLER_DIRS = ("examples", "benchmarks", "perfbench")
-
-#: Names exempt from both checks, each with its reason: hooks that only
-#: the tests or the runtime call (a member as ``Class.member``).
-HOOKS = {
-    "crash_on": "fault hook: the tests arm it to crash a run on purpose",
-    "interrupt_on": "fault hook: the tests arm it to interrupt a run",
-}
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -83,7 +79,7 @@ def unreferenced_public_names() -> list[str]:
             *(named for other, named in words.items() if other != path)
         )
         for name, node in _public_definitions(ast.parse(text)).items():
-            if name in HOOKS or name in elsewhere:
+            if name in elsewhere:
                 continue
             decorators = getattr(node, "decorator_list", [])
             first = min([node.lineno, *(d.lineno for d in decorators)])
@@ -144,8 +140,6 @@ def unreferenced_public_members() -> list[str]:
         module = path.relative_to(PACKAGE.parent).with_suffix("")
         module = ".".join(module.parts)
         for cls, node in _public_members(tree):
-            if f"{cls}.{node.name}" in HOOKS:
-                continue
             decorators = node.decorator_list
             first = min([node.lineno, *(d.lineno for d in decorators)])
             if not any(

@@ -38,9 +38,9 @@ def test_zipf_probabilities():
 
 def test_region_spec_counts():
     loop = RegionSpec(kind="loop", num_tails=3)
-    assert loop.num_heads == 1 and loop.num_paths == 4
+    assert spec_heads(loop) == 1 and spec_paths(loop) == 4
     nest = RegionSpec(kind="nest", depth=3)
-    assert nest.num_heads == 3 and nest.num_paths == 4
+    assert spec_heads(nest) == 3 and spec_paths(nest) == 4
     with pytest.raises(WorkloadError):
         RegionSpec(kind="mystery")
     with pytest.raises(WorkloadError):
@@ -137,14 +137,24 @@ def test_phase_weights_validation():
         )
 
 
+def spec_heads(spec: RegionSpec) -> int:
+    """Path heads one region contributes."""
+    return spec.depth if spec.kind == "nest" else 1
+
+
+def spec_paths(spec: RegionSpec) -> int:
+    """Dynamic paths one region contributes once fully covered."""
+    return spec.depth + 1 if spec.kind == "nest" else spec.num_tails + 1
+
+
 def design_heads(config: WorkloadConfig) -> int:
     """Path heads the region mix contributes by design."""
-    return sum(spec.num_heads for spec in config.regions)
+    return sum(spec_heads(spec) for spec in config.regions)
 
 
 def design_paths(config: WorkloadConfig) -> int:
     """Dynamic paths the region mix contributes by design."""
-    return sum(spec.num_paths for spec in config.regions)
+    return sum(spec_paths(spec) for spec in config.regions)
 
 
 def test_design_counts_match_paper_for_all_benchmarks():
