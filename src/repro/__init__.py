@@ -33,6 +33,45 @@ Quickstart::
     outcome = NETPredictor(delay=50).run(trace)
     quality = evaluate_prediction(trace, hot, outcome)
     print(quality.hit_rate, quality.noise_rate)
+
+Most packages re-export their public names lazily (see
+:func:`lazy_exports`): importing a package runs none of its modules, so
+a process loads only the modules whose names it reads.
 """
 
+import importlib
+import sys
+
 __version__ = "1.0.0"
+
+
+def lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
+    """A PEP 562 module ``__getattr__`` and ``__dir__`` for ``package``.
+
+    ``exports`` maps each submodule, relative to ``package``, to the
+    public names the package re-exports from it.  Reading one of those
+    names imports its submodule and binds the value in the package, so
+    the next read is a plain attribute lookup; ``from package import *``
+    reads every name in the package's ``__all__``.
+    """
+    origins = {
+        name: f"{package}.{module}"
+        for module, names in exports.items()
+        for name in names
+    }
+
+    def __getattr__(name: str):
+        try:
+            origin = origins[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(origin), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(vars(sys.modules[package])) | origins.keys())
+
+    return __getattr__, __dir__

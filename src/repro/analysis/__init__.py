@@ -1,10 +1,17 @@
 """Offline profile analyses (paper §7's edge-vs-path showdown)."""
 
-from repro.analysis.edge_vs_path import (
-    ShowdownResult,
-    edge_profile_of,
-    edge_vs_path_showdown,
-    estimate_path_freqs,
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "edge_vs_path": (
+            "ShowdownResult",
+            "edge_profile_of",
+            "edge_vs_path_showdown",
+            "estimate_path_freqs",
+        ),
+    },
 )
 
 __all__ = [

@@ -7,27 +7,34 @@ binary-level view of the paper's Dynamo system.  See
 :mod:`repro.cfg.generators` for seeded random program generation.
 """
 
-from repro.cfg.analysis import (
-    LoopForest,
-    NaturalLoop,
-    compute_dominators,
-    dominator_back_edges,
-    intraprocedural_successors,
-    natural_loops,
-    procedure_loops,
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "analysis": (
+            "LoopForest",
+            "NaturalLoop",
+            "compute_dominators",
+            "dominator_back_edges",
+            "intraprocedural_successors",
+            "natural_loops",
+            "procedure_loops",
+        ),
+        "block": ("BasicBlock", "BranchKind", "Terminator"),
+        "builder": ("ProgramBuilder",),
+        "edge": ("Edge", "EdgeKind"),
+        "generators": ("GeneratorParams", "generate_program"),
+        "procedure": ("Procedure",),
+        "program": ("Program",),
+        "spanning_tree": (
+            "BallLarusNumbering",
+            "number_procedure",
+            "number_program",
+        ),
+        "validate": ("validate_program",),
+    },
 )
-from repro.cfg.block import BasicBlock, BranchKind, Terminator
-from repro.cfg.builder import ProgramBuilder
-from repro.cfg.edge import Edge, EdgeKind
-from repro.cfg.generators import GeneratorParams, generate_program
-from repro.cfg.procedure import Procedure
-from repro.cfg.program import Program
-from repro.cfg.spanning_tree import (
-    BallLarusNumbering,
-    number_procedure,
-    number_program,
-)
-from repro.cfg.validate import validate_program
 
 __all__ = [
     "BasicBlock",

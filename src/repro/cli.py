@@ -58,37 +58,23 @@ import pathlib
 import sys
 import tempfile
 import time
+from typing import TYPE_CHECKING
 
-from repro.dynamo import DEFAULT_CONFIG, TIERS, DynamoSystem
 from repro.errors import ExperimentError, ReproError, SweepInterrupted
-from repro.experiments import EXPERIMENT_IDS, plan_targets, run_targets
-from repro.experiments.engine import SweepCache, run_sweep
-from repro.experiments.extended import EXTENDED_IDS, run_extended
-from repro.experiments.report import render_table
-from repro.metrics import counter_space, hot_path_set
-from repro.obs import Registry, RunRecorder, get_registry, render_summary
-from repro.serving import (
-    ChaosConfig,
-    LoadgenConfig,
-    PredictionServer,
-    ServerConfig,
-    ServingTCPServer,
-    build_corpus,
-    default_plan,
-    render_chaos_report,
-    render_report,
-    run_chaos,
-    run_load,
-    schedule_steps,
-    serve_until_drained,
-)
-from repro.isa.programs import ALL_PROGRAMS, demo_memory
-from repro.trace.io import load_trace, save_trace
-from repro.trace.stats import summarize
-from repro.workloads import BENCHMARK_ORDER, load_benchmark
+from repro.obs.core import Registry, get_registry
+from repro.obs.manifest import RunRecorder
+from repro.obs.report import render_summary
+
+if TYPE_CHECKING:
+    from repro.experiments.engine.cache import SweepCache
+    from repro.serving.server import ServerConfig
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.experiments.extended import EXTENDED_IDS
+    from repro.experiments.targets import EXPERIMENT_IDS
+    from repro.workloads.spec import BENCHMARK_ORDER
+
     print("benchmarks: " + ", ".join(BENCHMARK_ORDER))
     print("experiments: " + ", ".join(EXPERIMENT_IDS))
     print("extended: " + ", ".join(EXTENDED_IDS))
@@ -96,6 +82,11 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
+    from repro.metrics.hotpaths import hot_path_set
+    from repro.metrics.space import counter_space
+    from repro.trace.stats import summarize
+    from repro.workloads.base import load_benchmark
+
     trace = load_benchmark(args.benchmark, flow_scale=args.flow_scale).trace()
     print(summarize(trace).render())
     hot = hot_path_set(trace)
@@ -113,6 +104,8 @@ def _engine_cache(root: str, registry: Registry | None) -> SweepCache:
     With a live metrics registry the cache's accounting is mounted at
     ``sweep.cache.*`` so it lands in the run manifest.
     """
+    from repro.experiments.engine.cache import SweepCache
+
     obs = registry.child("sweep.cache") if registry is not None else None
     return SweepCache(root, obs=obs)
 
@@ -149,6 +142,12 @@ def _flush_interrupted_metrics(
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.experiments.targets import (
+        EXPERIMENT_IDS,
+        plan_targets,
+        run_targets,
+    )
+
     out_dir = pathlib.Path(args.out) if args.out else None
     names = args.names or list(EXPERIMENT_IDS)
     if args.dry_run:
@@ -203,6 +202,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_extended(args: argparse.Namespace) -> int:
+    from repro.experiments.extended import EXTENDED_IDS, run_extended
+
     names = args.names or list(EXTENDED_IDS)
     for name in names:
         print(run_extended(name, flow_scale=args.flow_scale))
@@ -211,6 +212,10 @@ def _cmd_extended(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.engine.executor import run_sweep
+    from repro.experiments.report import render_table
+    from repro.workloads.base import load_benchmark
+
     with get_registry(args.registry).phase(f"sweep:{args.benchmark}"):
         trace = load_benchmark(
             args.benchmark, flow_scale=args.flow_scale
@@ -259,6 +264,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_dynamo(args: argparse.Namespace) -> int:
+    from repro.dynamo.system import DynamoSystem
+    from repro.workloads.base import load_benchmark
+
     with get_registry(args.registry).phase(f"dynamo:{args.benchmark}"):
         trace = load_benchmark(
             args.benchmark, flow_scale=args.flow_scale
@@ -271,6 +279,11 @@ def _cmd_dynamo(args: argparse.Namespace) -> int:
 
 
 def _cmd_minidynamo(args: argparse.Namespace) -> int:
+    from repro.dynamo.config import DEFAULT_CONFIG
+    from repro.dynamo.system import DynamoSystem
+    from repro.experiments.report import render_table
+    from repro.isa.programs import ALL_PROGRAMS, demo_memory
+
     obs = get_registry(args.registry)
     config = dataclasses.replace(DEFAULT_CONFIG, tier=args.tier)
     system = DynamoSystem(config=config, obs=args.registry)
@@ -331,6 +344,9 @@ def _cmd_minidynamo(args: argparse.Namespace) -> int:
 
 
 def _cmd_save_trace(args: argparse.Namespace) -> int:
+    from repro.trace.io import save_trace
+    from repro.workloads.base import load_benchmark
+
     trace = load_benchmark(args.benchmark, flow_scale=args.flow_scale).trace()
     target = save_trace(trace, args.file)
     print(f"saved {trace.name} ({trace.flow:,} occurrences) to {target}")
@@ -338,12 +354,17 @@ def _cmd_save_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_info(args: argparse.Namespace) -> int:
+    from repro.trace.io import load_trace
+    from repro.trace.stats import summarize
+
     trace = load_trace(args.file)
     print(summarize(trace).render())
     return 0
 
 
 def _server_config(args: argparse.Namespace) -> ServerConfig:
+    from repro.serving.server import ServerConfig
+
     return ServerConfig(
         num_shards=args.shards,
         delay=args.delay,
@@ -355,6 +376,10 @@ def _server_config(args: argparse.Namespace) -> ServerConfig:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.serving.loadgen import LoadgenConfig, build_corpus
+    from repro.serving.server import PredictionServer
+    from repro.serving.transport import ServingTCPServer, serve_until_drained
+
     corpus = build_corpus(
         LoadgenConfig(
             num_streams=args.streams,
@@ -387,6 +412,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Faults injected mid-load, recovered predictions checked
     byte-for-byte against an uninterrupted run."""
+    from repro.serving.chaos import (
+        ChaosConfig,
+        default_plan,
+        render_chaos_report,
+        run_chaos,
+        schedule_steps,
+    )
+
     config = ChaosConfig(
         seed=args.seed,
         delay=args.delay,
@@ -407,6 +440,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
+    from repro.serving.loadgen import LoadgenConfig, render_report, run_load
+
     config = LoadgenConfig(
         num_tenants=args.tenants,
         num_streams=args.streams,
@@ -431,6 +466,8 @@ def _program_type(name: str) -> str:
     an empty ``nargs="*"`` list against ``choices`` as one value and
     rejects it.
     """
+    from repro.isa.programs import ALL_PROGRAMS
+
     if name not in ALL_PROGRAMS:
         raise argparse.ArgumentTypeError(
             f"invalid choice: {name!r} (choose from "
@@ -458,6 +495,27 @@ def _workers_type(text: str) -> int:
     return value
 
 
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser whose arguments may be declared on first use.
+
+    ``declare(parser)``, if given, adds the subcommand's arguments and
+    handler; it runs when the subcommand is parsed (its ``--help``
+    included).  The top-level parser lists each subcommand by name and
+    help line only, so building it reads no subcommand's choices or
+    defaults and imports none of their modules.
+    """
+
+    def __init__(self, *args, declare=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._declare = declare
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._declare is not None:
+            declare, self._declare = self._declare, None
+            declare(self)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -467,11 +525,18 @@ def build_parser() -> argparse.ArgumentParser:
             "Prediction: Less is More' (Duesterwald & Bala, ASPLOS 2000)"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Command
+    )
 
     sub.add_parser("list", help="benchmarks and experiments").set_defaults(
         handler=_cmd_list
     )
+
+    def add_benchmark(p):
+        from repro.workloads.spec import BENCHMARK_ORDER
+
+        p.add_argument("benchmark", choices=BENCHMARK_ORDER)
 
     def add_flow_scale(p):
         p.add_argument(
@@ -514,111 +579,154 @@ def build_parser() -> argparse.ArgumentParser:
             help="suppress the one-line metrics summary on stderr",
         )
 
-    inspect = sub.add_parser("inspect", help="summarize one benchmark")
-    inspect.add_argument("benchmark", choices=BENCHMARK_ORDER)
-    add_flow_scale(inspect)
-    inspect.set_defaults(handler=_cmd_inspect)
+    def declare_inspect(p):
+        add_benchmark(p)
+        add_flow_scale(p)
+        p.set_defaults(handler=_cmd_inspect)
 
-    experiment = sub.add_parser(
+    sub.add_parser(
+        "inspect", help="summarize one benchmark", declare=declare_inspect
+    )
+
+    def declare_experiment(p):
+        from repro.experiments.targets import EXPERIMENT_IDS
+
+        p.add_argument(
+            "names",
+            nargs="*",
+            help=(
+                "experiments to run (default: all of "
+                f"{', '.join(EXPERIMENT_IDS)})"
+            ),
+        )
+        p.add_argument("--out", help="directory for .txt artifacts")
+        p.add_argument(
+            "--dry-run",
+            action="store_true",
+            help=(
+                "plan only: list the graph nodes a real run would execute "
+                "and why (stdout is empty when everything is up to date)"
+            ),
+        )
+        p.add_argument(
+            "--explain",
+            action="store_true",
+            help="after running, print why each executed node was dirty",
+        )
+        add_flow_scale(p)
+        add_engine_flags(p)
+        add_metrics_flags(p)
+        p.set_defaults(handler=_cmd_experiment)
+
+    sub.add_parser(
         "experiment",
         aliases=["run"],
         help="regenerate paper tables/figures",
+        declare=declare_experiment,
     )
-    experiment.add_argument(
-        "names",
-        nargs="*",
-        help=f"experiments to run (default: all of {', '.join(EXPERIMENT_IDS)})",
-    )
-    experiment.add_argument("--out", help="directory for .txt artifacts")
-    experiment.add_argument(
-        "--dry-run",
-        action="store_true",
-        help=(
-            "plan only: list the graph nodes a real run would execute "
-            "and why (stdout is empty when everything is up to date)"
-        ),
-    )
-    experiment.add_argument(
-        "--explain",
-        action="store_true",
-        help="after running, print why each executed node was dirty",
-    )
-    add_flow_scale(experiment)
-    add_engine_flags(experiment)
-    add_metrics_flags(experiment)
-    experiment.set_defaults(handler=_cmd_experiment)
 
-    extended = sub.add_parser(
-        "extended", help="extension studies (overhead, ablations, …)"
+    def declare_extended(p):
+        from repro.experiments.extended import EXTENDED_IDS
+
+        p.add_argument(
+            "names",
+            nargs="*",
+            help=(
+                "studies to run (default: all of "
+                f"{', '.join(EXTENDED_IDS)})"
+            ),
+        )
+        add_flow_scale(p)
+        p.set_defaults(handler=_cmd_extended)
+
+    sub.add_parser(
+        "extended",
+        help="extension studies (overhead, ablations, …)",
+        declare=declare_extended,
     )
-    extended.add_argument(
-        "names",
-        nargs="*",
-        help=f"studies to run (default: all of {', '.join(EXTENDED_IDS)})",
+
+    def declare_sweep(p):
+        add_benchmark(p)
+        p.add_argument("--delays", type=int, nargs="+")
+        add_flow_scale(p)
+        add_engine_flags(p)
+        add_metrics_flags(p)
+        p.set_defaults(handler=_cmd_sweep)
+
+    sub.add_parser(
+        "sweep", help="delay sweep on one benchmark", declare=declare_sweep
     )
-    add_flow_scale(extended)
-    extended.set_defaults(handler=_cmd_extended)
 
-    sweep = sub.add_parser("sweep", help="delay sweep on one benchmark")
-    sweep.add_argument("benchmark", choices=BENCHMARK_ORDER)
-    sweep.add_argument("--delays", type=int, nargs="+")
-    add_flow_scale(sweep)
-    add_engine_flags(sweep)
-    add_metrics_flags(sweep)
-    sweep.set_defaults(handler=_cmd_sweep)
+    def declare_dynamo(p):
+        add_benchmark(p)
+        p.add_argument("--delays", type=int, nargs="+")
+        add_flow_scale(p)
+        add_metrics_flags(p)
+        p.set_defaults(handler=_cmd_dynamo)
 
-    dynamo = sub.add_parser("dynamo", help="Dynamo simulation cells")
-    dynamo.add_argument("benchmark", choices=BENCHMARK_ORDER)
-    dynamo.add_argument("--delays", type=int, nargs="+")
-    add_flow_scale(dynamo)
-    add_metrics_flags(dynamo)
-    dynamo.set_defaults(handler=_cmd_dynamo)
+    sub.add_parser(
+        "dynamo", help="Dynamo simulation cells", declare=declare_dynamo
+    )
 
-    minidynamo = sub.add_parser(
+    def declare_minidynamo(p):
+        from repro.dynamo.config import DEFAULT_CONFIG, TIERS
+        from repro.isa.programs import ALL_PROGRAMS
+
+        p.add_argument(
+            "programs",
+            nargs="*",
+            type=_program_type,
+            metavar="PROGRAM",
+            help=f"programs to run: {', '.join(sorted(ALL_PROGRAMS))} "
+            "(default: all)",
+        )
+        p.add_argument(
+            "--tier",
+            choices=TIERS,
+            default=DEFAULT_CONFIG.tier,
+            help="execution tier (default: %(default)s)",
+        )
+        p.add_argument(
+            "--scheme", choices=("net", "path-profile"), default="net"
+        )
+        p.add_argument(
+            "--delay", type=int, default=20, help="prediction delay τ"
+        )
+        p.add_argument(
+            "--scale",
+            type=float,
+            default=1.0,
+            help="input-size multiplier (default 1.0 = benchmark scale)",
+        )
+        p.add_argument("--max-steps", type=int, default=200_000_000)
+        add_metrics_flags(p)
+        p.set_defaults(handler=_cmd_minidynamo)
+
+    sub.add_parser(
         "minidynamo",
         help="run real ISA programs through the miniature Dynamo VM",
+        declare=declare_minidynamo,
     )
-    minidynamo.add_argument(
-        "programs",
-        nargs="*",
-        type=_program_type,
-        metavar="PROGRAM",
-        help=f"programs to run: {', '.join(sorted(ALL_PROGRAMS))} "
-        "(default: all)",
-    )
-    minidynamo.add_argument(
-        "--tier",
-        choices=TIERS,
-        default=DEFAULT_CONFIG.tier,
-        help="execution tier (default: %(default)s)",
-    )
-    minidynamo.add_argument(
-        "--scheme", choices=("net", "path-profile"), default="net"
-    )
-    minidynamo.add_argument(
-        "--delay", type=int, default=20, help="prediction delay τ"
-    )
-    minidynamo.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="input-size multiplier (default 1.0 = benchmark scale)",
-    )
-    minidynamo.add_argument("--max-steps", type=int, default=200_000_000)
-    add_metrics_flags(minidynamo)
-    minidynamo.set_defaults(handler=_cmd_minidynamo)
 
-    save = sub.add_parser("save-trace", help="persist a benchmark trace")
-    save.add_argument("benchmark", choices=BENCHMARK_ORDER)
-    save.add_argument("file")
-    add_flow_scale(save)
-    save.set_defaults(handler=_cmd_save_trace)
+    def declare_save_trace(p):
+        add_benchmark(p)
+        p.add_argument("file")
+        add_flow_scale(p)
+        p.set_defaults(handler=_cmd_save_trace)
+
+    sub.add_parser(
+        "save-trace",
+        help="persist a benchmark trace",
+        declare=declare_save_trace,
+    )
 
     info = sub.add_parser("trace-info", help="summarize a saved trace")
     info.add_argument("file")
     info.set_defaults(handler=_cmd_trace_info)
 
     def add_server_flags(p):
+        from repro.serving.server import ServerConfig
+
         p.add_argument(
             "--shards",
             type=int,
@@ -687,69 +795,121 @@ def build_parser() -> argparse.ArgumentParser:
             help="corpus generation seed (default 7)",
         )
 
-    serve = sub.add_parser(
-        "serve", help="run the multi-tenant prediction server over TCP"
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0, help="0 picks a free port")
-    serve.add_argument(
-        "--state-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "durable checkpoint/WAL directory; if it already holds "
-            "server state the sessions are restored from it"
-        ),
-    )
-    serve.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "bound on waiting for in-flight batches during SIGTERM "
-            "drain (default: wait indefinitely)"
-        ),
-    )
-    add_server_flags(serve)
-    serve.set_defaults(handler=_cmd_serve)
+    def declare_serve(p):
+        p.add_argument("--host", default="127.0.0.1")
+        p.add_argument(
+            "--port", type=int, default=0, help="0 picks a free port"
+        )
+        p.add_argument(
+            "--state-dir",
+            default=None,
+            metavar="DIR",
+            help=(
+                "durable checkpoint/WAL directory; if it already holds "
+                "server state the sessions are restored from it"
+            ),
+        )
+        p.add_argument(
+            "--drain-timeout",
+            type=float,
+            default=None,
+            metavar="SECONDS",
+            help=(
+                "bound on waiting for in-flight batches during SIGTERM "
+                "drain (default: wait indefinitely)"
+            ),
+        )
+        add_server_flags(p)
+        p.set_defaults(handler=_cmd_serve)
 
-    loadtest = sub.add_parser(
+    sub.add_parser(
+        "serve",
+        help="run the multi-tenant prediction server over TCP",
+        declare=declare_serve,
+    )
+
+    def declare_loadtest(p):
+        p.add_argument(
+            "--tenants",
+            type=int,
+            default=200,
+            help="concurrent tenants to replay (default 200)",
+        )
+        p.add_argument(
+            "--batch-events",
+            type=int,
+            default=256,
+            help="events per ingest batch (default 256)",
+        )
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=4,
+            help="client threads driving the replay (default 4)",
+        )
+        p.add_argument(
+            "--state-dir",
+            default=None,
+            metavar="DIR",
+            help=(
+                "run the durable leg: checkpoint/WAL state under DIR "
+                "(must be empty)"
+            ),
+        )
+        add_server_flags(p)
+        add_metrics_flags(p)
+        p.set_defaults(handler=_cmd_loadtest)
+
+    sub.add_parser(
         "loadtest",
         help="replay interleaved tenant streams against the server",
+        declare=declare_loadtest,
     )
-    loadtest.add_argument(
-        "--tenants",
-        type=int,
-        default=200,
-        help="concurrent tenants to replay (default 200)",
-    )
-    loadtest.add_argument(
-        "--batch-events",
-        type=int,
-        default=256,
-        help="events per ingest batch (default 256)",
-    )
-    loadtest.add_argument(
-        "--workers",
-        type=int,
-        default=4,
-        help="client threads driving the replay (default 4)",
-    )
-    loadtest.add_argument(
-        "--state-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "run the durable leg: checkpoint/WAL state under DIR "
-            "(must be empty)"
-        ),
-    )
-    add_server_flags(loadtest)
-    add_metrics_flags(loadtest)
-    loadtest.set_defaults(handler=_cmd_loadtest)
 
-    chaos = sub.add_parser(
+    def declare_chaos(p):
+        from repro.serving.chaos import ChaosConfig
+
+        p.add_argument(
+            "--seed",
+            type=int,
+            default=ChaosConfig.seed,
+            help="corpus generation seed (default %(default)s)",
+        )
+        p.add_argument(
+            "--delay",
+            type=int,
+            default=ChaosConfig.delay,
+            help="NET prediction delay tau (default %(default)s)",
+        )
+        p.add_argument(
+            "--shards",
+            type=int,
+            default=ChaosConfig.num_shards,
+            help="predictor-state shards (default %(default)s)",
+        )
+        p.add_argument(
+            "--checkpoint-interval",
+            type=int,
+            default=ChaosConfig.checkpoint_interval_batches,
+            metavar="BATCHES",
+            help=(
+                "durable session snapshot cadence in applied batches "
+                "(default %(default)s)"
+            ),
+        )
+        p.add_argument(
+            "--state-dir",
+            default=None,
+            metavar="DIR",
+            help=(
+                "where the server under test keeps its state (must be "
+                "empty; default: a temporary directory)"
+            ),
+        )
+        add_metrics_flags(p)
+        p.set_defaults(handler=_cmd_chaos)
+
+    sub.add_parser(
         "chaos",
         help=(
             "break a durable server over TCP mid-load (crash, torn WAL "
@@ -757,46 +917,8 @@ def build_parser() -> argparse.ArgumentParser:
             "predictions byte-for-byte with an uninterrupted run "
             "(exit 1 on any mismatch)"
         ),
+        declare=declare_chaos,
     )
-    chaos.add_argument(
-        "--seed",
-        type=int,
-        default=ChaosConfig.seed,
-        help="corpus generation seed (default %(default)s)",
-    )
-    chaos.add_argument(
-        "--delay",
-        type=int,
-        default=ChaosConfig.delay,
-        help="NET prediction delay tau (default %(default)s)",
-    )
-    chaos.add_argument(
-        "--shards",
-        type=int,
-        default=ChaosConfig.num_shards,
-        help="predictor-state shards (default %(default)s)",
-    )
-    chaos.add_argument(
-        "--checkpoint-interval",
-        type=int,
-        default=ChaosConfig.checkpoint_interval_batches,
-        metavar="BATCHES",
-        help=(
-            "durable session snapshot cadence in applied batches "
-            "(default %(default)s)"
-        ),
-    )
-    chaos.add_argument(
-        "--state-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "where the server under test keeps its state (must be "
-            "empty; default: a temporary directory)"
-        ),
-    )
-    add_metrics_flags(chaos)
-    chaos.set_defaults(handler=_cmd_chaos)
 
     return parser
 

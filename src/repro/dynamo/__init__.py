@@ -6,24 +6,31 @@ execution that Figure 5 plots.  The fragment cache, flush heuristic and
 bail-out policy model the behaviours §6/§6.1 describe.
 """
 
-from repro.dynamo.compiler import (
-    CompiledCache,
-    CompiledFragment,
-    compile_fragment,
-    state_digest,
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "compiler": (
+            "CompiledCache",
+            "CompiledFragment",
+            "compile_fragment",
+            "state_digest",
+        ),
+        "config": ("DEFAULT_CONFIG", "TIERS", "DynamoConfig"),
+        "costmodel": ("native_cycles", "simulate_costs"),
+        "flush": ("PredictionRateMonitor",),
+        "fragment": ("Fragment", "FragmentCache"),
+        "optimizer": (
+            "OptimizedFragment",
+            "TraceInstruction",
+            "TraceOptimizer",
+        ),
+        "stats": ("CycleBreakdown", "DynamoRun"),
+        "system": ("SCHEMES", "DynamoSystem", "measured_fragment_sizes"),
+        "vm": ("DynamoVM", "VMFragment", "VMResult", "VMStats"),
+    },
 )
-from repro.dynamo.config import DEFAULT_CONFIG, TIERS, DynamoConfig
-from repro.dynamo.costmodel import native_cycles, simulate_costs
-from repro.dynamo.flush import PredictionRateMonitor
-from repro.dynamo.fragment import Fragment, FragmentCache
-from repro.dynamo.optimizer import (
-    OptimizedFragment,
-    TraceInstruction,
-    TraceOptimizer,
-)
-from repro.dynamo.stats import CycleBreakdown, DynamoRun
-from repro.dynamo.system import SCHEMES, DynamoSystem, measured_fragment_sizes
-from repro.dynamo.vm import DynamoVM, VMFragment, VMResult, VMStats
 
 __all__ = [
     "DEFAULT_CONFIG",

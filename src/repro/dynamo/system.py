@@ -12,18 +12,22 @@ Two entry points:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.dynamo.config import DEFAULT_CONFIG, DynamoConfig
 from repro.dynamo.costmodel import native_cycles, simulate_costs
 from repro.dynamo.flush import PredictionRateMonitor
 from repro.dynamo.fragment import Fragment, FragmentCache
 from repro.dynamo.stats import CycleBreakdown, DynamoRun
-from repro.dynamo.vm import DynamoVM, VMResult
 from repro.errors import DynamoError
-from repro.isa.assembler import AssembledProgram
 from repro.obs.core import Registry, get_registry
 from repro.prediction.net import NETPredictor
 from repro.prediction.path_profile import PathProfilePredictor
 from repro.trace.recorder import PathTrace
+
+if TYPE_CHECKING:
+    from repro.dynamo.vm import VMResult
+    from repro.isa.assembler import AssembledProgram
 
 #: Scheme names accepted by the simulator.
 SCHEMES = ("net", "path-profile")
@@ -77,7 +81,12 @@ class DynamoSystem:
         and the execution tier come from this system's
         :class:`DynamoConfig`, and the VM's accounting lands under
         ``dynamo.vm.*``.
+
+        The VM and the ISA modules it runs on are imported here, on the
+        first call: the trace-level entry points never load them.
         """
+        from repro.dynamo.vm import DynamoVM
+
         vm = DynamoVM(
             program,
             delay=delay,

@@ -278,6 +278,12 @@ class DynamoVM:
         self.cache_budget = cache_budget_instructions
         self._machine = Machine(program, memory_words=memory_words)
         self._obs = get_registry(obs).child("vm")
+        # Per-pc opcode classes, computed once: the dispatch loops index
+        # these instead of testing ``op in <set>``, which would run Op's
+        # Python-level ``Enum.__hash__`` on every interpreted instruction.
+        ops = [instr.op for instr in program.instructions]
+        self._ends_block = [op in BLOCK_TERMINATORS for op in ops]
+        self._is_cond = [op in COND_BRANCHES for op in ops]
 
     # ------------------------------------------------------------------
     def load_memory(self, values: list[int], base: int = 0) -> None:
@@ -323,8 +329,8 @@ class DynamoVM:
         memory = state.memory
         execute = machine._execute_straightline
         interpret = self._interpret
-        terminators = BLOCK_TERMINATORS
-        cond_branches = COND_BRANCHES
+        ends_block = self._ends_block
+        is_cond = self._is_cond
         max_trace = self.max_trace_instructions
         stats = VMStats()
         ccache = CompiledCache()
@@ -519,8 +525,7 @@ class DynamoVM:
             instr = instructions[pc]
             steps += 1
             stats.interpreted_instructions += 1
-            op = instr.op
-            if op in terminators:
+            if ends_block[pc]:
                 next_pc, taken, halted = interpret(instr, pc)
                 if halted:
                     if recording is not None:
@@ -542,7 +547,7 @@ class DynamoVM:
             backward_taken = taken and next_pc <= pc
             if path_profile:
                 segment.append((pc, taken, next_pc))
-                if op in cond_branches:
+                if is_cond[pc]:
                     segment_bits.append(int(taken))
                     stats.shift_ops += 1
                 if backward_taken or len(segment) >= max_trace:
@@ -570,7 +575,7 @@ class DynamoVM:
         memory = state.memory
         execute = machine._execute_straightline
         interpret = self._interpret
-        terminators = BLOCK_TERMINATORS
+        ends_block = self._ends_block
         stats = VMStats()
         steps = 0
         checkpoints: list[tuple[int, int, int, int]] = []
@@ -587,7 +592,7 @@ class DynamoVM:
             instr = instructions[pc]
             steps += 1
             stats.interpreted_instructions += 1
-            if instr.op in terminators:
+            if ends_block[pc]:
                 next_pc, _taken, halted = interpret(instr, pc)
                 if halted:
                     return VMResult(
@@ -611,7 +616,7 @@ class DynamoVM:
         regs = state.registers
         op = instr.op
 
-        if op in COND_BRANCHES:
+        if self._is_cond[pc]:
             if machine._compare(op, regs[instr.rs], regs[instr.rt]):
                 return instr.target, True, False
             return pc + 1, False, False
@@ -661,7 +666,7 @@ class DynamoVM:
             op = instr.op
             if op is Op.JMP:
                 continue  # the layout is the trace
-            if op in COND_BRANCHES:
+            if self._is_cond[pc]:
                 steps.append(
                     VMStep(
                         pc=pc,

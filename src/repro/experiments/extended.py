@@ -12,14 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis import ShowdownResult, edge_vs_path_showdown
-from repro.cfg import generate_program, procedure_loops
+from repro.analysis.edge_vs_path import ShowdownResult, edge_vs_path_showdown
+from repro.cfg.analysis import procedure_loops
+from repro.cfg.generators import generate_program
 from repro.dynamo.config import DynamoConfig
 from repro.dynamo.system import DynamoSystem
 from repro.errors import ExperimentError
 from repro.experiments.report import fmt, render_table
-from repro.hardware import TraceCache, compare_branch_predictors
-from repro.isa import run_to_completion
+from repro.hardware.branch_predictors import compare_branch_predictors
+from repro.hardware.trace_cache import TraceCache
+from repro.isa.machine import run_to_completion
 from repro.isa.programs import (
     ALL_PROGRAMS,
     demo_memory,
@@ -27,21 +29,21 @@ from repro.isa.programs import (
     lexer,
     sort,
 )
-from repro.metrics import (
+from repro.metrics.hotpaths import hot_path_set
+from repro.metrics.quality import evaluate_prediction
+from repro.metrics.windowed import (
     FlushOnSpike,
     NeverRetire,
     RetireIdle,
     WindowedQuality,
-    evaluate_prediction,
     evaluate_windowed,
-    hot_path_set,
 )
-from repro.prediction import NETPredictor
-from repro.profiling import OverheadRow, compare_schemes
-from repro.trace import CFGWalker, RandomOracle, TripCountOracle, record_path_trace
+from repro.prediction.net import NETPredictor
+from repro.profiling.overhead import OverheadRow, compare_schemes
 from repro.trace.batch import EventBatch
-from repro.trace.recorder import PathTrace
-from repro.workloads import load_benchmark
+from repro.trace.recorder import PathTrace, record_path_trace
+from repro.trace.walker import CFGWalker, RandomOracle, TripCountOracle
+from repro.workloads.base import load_benchmark
 from repro.workloads.phased import load_phased
 
 

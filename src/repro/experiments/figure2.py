@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.engine import run_sweep
+from repro.experiments.engine.executor import run_sweep
 from repro.experiments.engine.graph import TargetSpec
 from repro.experiments.report import fmt, render_table
 from repro.experiments.sweep import (

@@ -41,13 +41,13 @@ from dataclasses import dataclass, field
 from repro.errors import ExperimentError
 from repro.experiments.claims import TARGET as _CLAIMS_TARGET
 from repro.experiments.data import benchmark_traces
-from repro.experiments.engine import (
+from repro.experiments.engine.cache import (
     CODE_VERSION,
     SweepCache,
     cache_key,
-    run_sweep,
     trace_digest,
 )
+from repro.experiments.engine.executor import run_sweep
 from repro.experiments.engine.graph import (
     ArtifactGraph,
     GraphNode,

@@ -8,16 +8,23 @@ quality, making the paper's "different problem, invisible state"
 argument measurable.
 """
 
-from repro.hardware.branch_predictors import (
-    BimodalPredictor,
-    BranchPredictionStats,
-    BranchPredictor,
-    GSharePredictor,
-    StaticTakenPredictor,
-    TwoLevelAdaptivePredictor,
-    compare_branch_predictors,
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "branch_predictors": (
+            "BimodalPredictor",
+            "BranchPredictionStats",
+            "BranchPredictor",
+            "GSharePredictor",
+            "StaticTakenPredictor",
+            "TwoLevelAdaptivePredictor",
+            "compare_branch_predictors",
+        ),
+        "trace_cache": ("TraceCache", "TraceCacheStats", "TraceLine"),
+    },
 )
-from repro.hardware.trace_cache import TraceCache, TraceCacheStats, TraceLine
 
 __all__ = [
     "BimodalPredictor",

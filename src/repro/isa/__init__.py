@@ -5,20 +5,27 @@ which emits the branch-event stream the trace subsystem consumes — the
 "emulation" profiling channel of the paper's Dynamo system.
 """
 
-from repro.isa.assembler import AssembledProgram, Assembler, assemble
-from repro.isa.instructions import (
-    ALU_OPS,
-    BLOCK_TERMINATORS,
-    COND_BRANCHES,
-    NUM_REGISTERS,
-    Instruction,
-    Op,
-)
-from repro.isa.machine import (
-    DEFAULT_MEMORY_WORDS,
-    Machine,
-    MachineState,
-    run_to_completion,
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "assembler": ("AssembledProgram", "Assembler", "assemble"),
+        "instructions": (
+            "ALU_OPS",
+            "BLOCK_TERMINATORS",
+            "COND_BRANCHES",
+            "NUM_REGISTERS",
+            "Instruction",
+            "Op",
+        ),
+        "machine": (
+            "DEFAULT_MEMORY_WORDS",
+            "Machine",
+            "MachineState",
+            "run_to_completion",
+        ),
+    },
 )
 
 __all__ = [

@@ -5,21 +5,28 @@ Hot sets (:func:`hot_path_set`), hit/noise/MOC scoring
 (:func:`counter_space`).
 """
 
-from repro.metrics.hotpaths import (
-    DEFAULT_HOT_FRACTION,
-    HotPathSet,
-    hot_path_set,
-    hot_path_set_absolute,
-)
-from repro.metrics.quality import PredictionQuality, evaluate_prediction
-from repro.metrics.space import CounterSpace, counter_space
-from repro.metrics.windowed import (
-    FlushOnSpike,
-    NeverRetire,
-    RetireIdle,
-    RetirementPolicy,
-    WindowedQuality,
-    evaluate_windowed,
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "hotpaths": (
+            "DEFAULT_HOT_FRACTION",
+            "HotPathSet",
+            "hot_path_set",
+            "hot_path_set_absolute",
+        ),
+        "quality": ("PredictionQuality", "evaluate_prediction"),
+        "space": ("CounterSpace", "counter_space"),
+        "windowed": (
+            "FlushOnSpike",
+            "NeverRetire",
+            "RetireIdle",
+            "RetirementPolicy",
+            "WindowedQuality",
+            "evaluate_windowed",
+        ),
+    },
 )
 
 __all__ = [

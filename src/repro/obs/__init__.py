@@ -15,23 +15,30 @@ manifest schema.
 * :mod:`repro.obs.report` — the human-facing one-line summary.
 """
 
-from repro.obs.core import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    NullRegistry,
-    Registry,
-    Timer,
-    get_registry,
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "core": (
+            "NULL_REGISTRY",
+            "Counter",
+            "Gauge",
+            "NullRegistry",
+            "Registry",
+            "Timer",
+            "get_registry",
+        ),
+        "manifest": (
+            "MANIFEST_FORMAT",
+            "RunRecorder",
+            "build_manifest",
+            "git_revision",
+            "write_manifest",
+        ),
+        "report": ("render_summary",),
+    },
 )
-from repro.obs.manifest import (
-    MANIFEST_FORMAT,
-    RunRecorder,
-    build_manifest,
-    git_revision,
-    write_manifest,
-)
-from repro.obs.report import render_summary
 
 __all__ = [
     "MANIFEST_FORMAT",

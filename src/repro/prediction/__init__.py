@@ -12,16 +12,23 @@ All schemes share the :class:`OnlinePredictor` interface and produce
 :class:`PredictionOutcome` records scored by :mod:`repro.metrics`.
 """
 
-from repro.prediction.base import (
-    OnlinePredictor,
-    PredictionOutcome,
-    occurrence_index_arrays,
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "base": (
+            "OnlinePredictor",
+            "PredictionOutcome",
+            "occurrence_index_arrays",
+        ),
+        "boa": ("BoaPredictor",),
+        "first_execution": ("FirstExecutionPredictor",),
+        "net": ("NETPredictor",),
+        "path_profile": ("PathProfilePredictor",),
+        "streaming": ("NETSession",),
+    },
 )
-from repro.prediction.boa import BoaPredictor
-from repro.prediction.first_execution import FirstExecutionPredictor
-from repro.prediction.net import NETPredictor
-from repro.prediction.path_profile import PathProfilePredictor
-from repro.prediction.streaming import NETSession
 
 __all__ = [
     "BoaPredictor",

@@ -8,17 +8,20 @@
 * :func:`compare_schemes` — the §4 overhead comparison.
 """
 
-from repro.profiling.ball_larus import BallLarusProfiler
-from repro.profiling.base import Profiler, ProfileReport
-from repro.profiling.bit_tracing import BitTracingProfiler
-from repro.profiling.block_profile import BlockProfiler
-from repro.profiling.counters import CounterTable
-from repro.profiling.edge_profile import EdgeProfiler
-from repro.profiling.kpaths import KBoundedPathProfiler
-from repro.profiling.overhead import (
-    HeadCounterProfiler,
-    OverheadRow,
-    compare_schemes,
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ball_larus": ("BallLarusProfiler",),
+        "base": ("Profiler", "ProfileReport"),
+        "bit_tracing": ("BitTracingProfiler",),
+        "block_profile": ("BlockProfiler",),
+        "counters": ("CounterTable",),
+        "edge_profile": ("EdgeProfiler",),
+        "kpaths": ("KBoundedPathProfiler",),
+        "overhead": ("HeadCounterProfiler", "OverheadRow", "compare_schemes"),
+    },
 )
 
 __all__ = [

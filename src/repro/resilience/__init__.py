@@ -13,8 +13,15 @@ See ``docs/resilience.md`` for the failure-mode tour and the guarantees
 the executor builds on these pieces.
 """
 
-from repro.resilience.policy import RetryPolicy
-from repro.resilience.signals import InterruptFlag, interrupt_guard
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "policy": ("RetryPolicy",),
+        "signals": ("InterruptFlag", "interrupt_guard"),
+    },
+)
 
 __all__ = [
     "InterruptFlag",

@@ -29,47 +29,54 @@ Layers, bottom up:
   predictions byte-identical to an uninterrupted run.
 """
 
-from repro.serving.chaos import (
-    ChaosConfig,
-    ChaosReport,
-    default_plan,
-    render_chaos_report,
-    run_chaos,
-    schedule_steps,
-)
-from repro.serving.durability import DurabilityStore, TenantRecovery
-from repro.serving.loadgen import (
-    LoadgenConfig,
-    LoadReport,
-    TenantStream,
-    build_corpus,
-    build_stream,
-    render_report,
-    run_load,
-    standalone_outcome,
-)
-from repro.serving.server import (
-    IngestResult,
-    PredictionServer,
-    ServerConfig,
-    TenantReport,
-)
-from repro.serving.session import HotPathSelection, TenantSession
-from repro.serving.transport import (
-    SEQ_AUTO,
-    ServingClient,
-    ServingTCPServer,
-    serve_until_drained,
-    start_background,
-)
-from repro.serving.wire import (
-    BYTES_PER_EVENT,
-    HEADER_BYTES,
-    WIRE_MAGIC,
-    WIRE_VERSION,
-    batch_digest,
-    decode_batch,
-    encode_batch,
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "chaos": (
+            "ChaosConfig",
+            "ChaosReport",
+            "default_plan",
+            "render_chaos_report",
+            "run_chaos",
+            "schedule_steps",
+        ),
+        "durability": ("DurabilityStore", "TenantRecovery"),
+        "loadgen": (
+            "LoadgenConfig",
+            "LoadReport",
+            "TenantStream",
+            "build_corpus",
+            "build_stream",
+            "render_report",
+            "run_load",
+            "standalone_outcome",
+        ),
+        "server": (
+            "IngestResult",
+            "PredictionServer",
+            "ServerConfig",
+            "TenantReport",
+        ),
+        "session": ("HotPathSelection", "TenantSession"),
+        "transport": (
+            "SEQ_AUTO",
+            "ServingClient",
+            "ServingTCPServer",
+            "serve_until_drained",
+            "start_background",
+        ),
+        "wire": (
+            "BYTES_PER_EVENT",
+            "HEADER_BYTES",
+            "WIRE_MAGIC",
+            "WIRE_VERSION",
+            "batch_digest",
+            "decode_batch",
+            "encode_batch",
+        ),
+    },
 )
 
 __all__ = [

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from repro.cfg.program import Program
 from repro.errors import ServingError
 from repro.obs.core import Registry, get_registry
-from repro.resilience import RetryPolicy
+from repro.resilience.policy import RetryPolicy
 from repro.serving.loadgen import TenantStream, build_stream
 from repro.serving.server import PredictionServer, ServerConfig
 from repro.serving.transport import (

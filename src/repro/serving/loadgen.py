@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cfg import generate_program, procedure_loops
+from repro.cfg.analysis import procedure_loops
+from repro.cfg.generators import generate_program
 from repro.cfg.program import Program
 from repro.errors import BackpressureError, DrainingError, ServingError
 from repro.obs.core import Registry, get_registry
@@ -36,9 +37,9 @@ from repro.serving.wire import (
     decode_batch,
     encode_batch,
 )
-from repro.trace import CFGWalker, RandomOracle, TripCountOracle
 from repro.trace.batch import EventBatch
 from repro.trace.recorder import record_path_trace
+from repro.trace.walker import CFGWalker, RandomOracle, TripCountOracle
 
 #: Loop trip count hint for the corpus oracles.
 TRIPS = 25

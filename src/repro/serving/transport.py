@@ -58,7 +58,8 @@ from repro.errors import (
     ServingError,
     WireFormatError,
 )
-from repro.resilience import RetryPolicy, interrupt_guard
+from repro.resilience.policy import RetryPolicy
+from repro.resilience.signals import interrupt_guard
 from repro.serving.server import PredictionServer, TenantReport
 from repro.serving.session import HotPathSelection
 

@@ -10,18 +10,25 @@ Workload surrogates may synthesize a :class:`PathTrace` directly from a
 stochastic path model; everything downstream is agnostic to the origin.
 """
 
-from repro.trace.batch import HALT_DST, EventBatch, EventBatchBuilder
-from repro.trace.columnar import find_cuts
-from repro.trace.extractor import PathExtractor, PathStream
-from repro.trace.io import load_trace, save_trace
-from repro.trace.path import Path, PathSignature, PathTable
-from repro.trace.recorder import PathTrace, record_path_trace
-from repro.trace.stats import TraceSummary, summarize
-from repro.trace.walker import (
-    BranchOracle,
-    CFGWalker,
-    RandomOracle,
-    TripCountOracle,
+from repro import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "batch": ("HALT_DST", "EventBatch", "EventBatchBuilder"),
+        "columnar": ("find_cuts",),
+        "extractor": ("PathExtractor", "PathStream"),
+        "io": ("load_trace", "save_trace"),
+        "path": ("Path", "PathSignature", "PathTable"),
+        "recorder": ("PathTrace", "record_path_trace"),
+        "stats": ("TraceSummary", "summarize"),
+        "walker": (
+            "BranchOracle",
+            "CFGWalker",
+            "RandomOracle",
+            "TripCountOracle",
+        ),
+    },
 )
 
 __all__ = [

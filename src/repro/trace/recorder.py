@@ -11,14 +11,16 @@ stochastic path model.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cfg.program import Program
 from repro.errors import TraceError
-from repro.trace.batch import EventBatch
-from repro.trace.extractor import PathExtractor
 from repro.trace.path import PathTable
+
+if TYPE_CHECKING:
+    from repro.cfg.program import Program
+    from repro.trace.batch import EventBatch
 
 
 class PathTrace:
@@ -261,6 +263,8 @@ def record_path_trace(
     ``CFGWalker.walk_batched``); any split of the same stream records
     the same trace.
     """
+    from repro.trace.extractor import PathExtractor
+
     extractor = PathExtractor(program, table=table, max_blocks=max_blocks)
     ids = extractor.extract_batch_ids(events)
     return PathTrace(extractor.table, ids, name=name)

@@ -272,7 +272,9 @@ def test_interrupt_exits_130_with_partial_manifest(
             partial=[], completed=2, total=4, signal_name="SIGINT"
         )
 
-    monkeypatch.setattr("repro.cli.run_sweep", interrupted_sweep)
+    monkeypatch.setattr(
+        "repro.experiments.engine.executor.run_sweep", interrupted_sweep
+    )
     manifest = tmp_path / "partial.json"
     code = main(
         [
@@ -299,7 +301,9 @@ def test_keyboard_interrupt_exits_130(capsys, monkeypatch):
     def impatient_sweep(traces, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr("repro.cli.run_sweep", impatient_sweep)
+    monkeypatch.setattr(
+        "repro.experiments.engine.executor.run_sweep", impatient_sweep
+    )
     code = main(
         ["sweep", "deltablue", "--flow-scale", "0.05", "--no-cache"]
     )
