@@ -11,40 +11,27 @@ harness asserts on and renders these; the CLI exposes them through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.analysis.edge_vs_path import ShowdownResult, edge_vs_path_showdown
-from repro.cfg.analysis import procedure_loops
-from repro.cfg.generators import generate_program
 from repro.dynamo.config import DynamoConfig
 from repro.dynamo.system import DynamoSystem
 from repro.errors import ExperimentError
 from repro.experiments.report import fmt, render_table
-from repro.hardware.branch_predictors import compare_branch_predictors
-from repro.hardware.trace_cache import TraceCache
-from repro.isa.machine import run_to_completion
-from repro.isa.programs import (
-    ALL_PROGRAMS,
-    demo_memory,
-    hashtable,
-    lexer,
-    sort,
-)
 from repro.metrics.hotpaths import hot_path_set
 from repro.metrics.quality import evaluate_prediction
-from repro.metrics.windowed import (
-    FlushOnSpike,
-    NeverRetire,
-    RetireIdle,
-    WindowedQuality,
-    evaluate_windowed,
-)
 from repro.prediction.net import NETPredictor
-from repro.profiling.overhead import OverheadRow, compare_schemes
-from repro.trace.batch import EventBatch
 from repro.trace.recorder import PathTrace, record_path_trace
-from repro.trace.walker import CFGWalker, RandomOracle, TripCountOracle
 from repro.workloads.base import load_benchmark
 from repro.workloads.phased import load_phased
+
+if TYPE_CHECKING:
+    from repro.analysis.edge_vs_path import ShowdownResult
+    from repro.metrics.windowed import WindowedQuality
+    from repro.profiling.overhead import OverheadRow
+
+# Each study imports the modules only it runs (the CFG, the ISA, the
+# hardware models, the profilers), so that reading ``EXTENDED_IDS``
+# loads none of them.
 
 
 # ----------------------------------------------------------------------
@@ -57,6 +44,12 @@ def overhead_rows(max_events: int = 400_000) -> tuple[list[OverheadRow], int]:
     The walker's event batches feed every profiler; the tier-1 suite
     checks each profiler against a one-event-at-a-time reference.
     """
+    from repro.cfg.analysis import procedure_loops
+    from repro.cfg.generators import generate_program
+    from repro.profiling.overhead import compare_schemes
+    from repro.trace.batch import EventBatch
+    from repro.trace.walker import CFGWalker, RandomOracle, TripCountOracle
+
     program = generate_program(seed=25, num_procedures=4)
     trip_counts = {}
     for name in program.procedures:
@@ -122,6 +115,13 @@ def retirement_rows(
 ) -> list[WindowedQuality]:
     """Windowed quality of NET at τ=50 under the three retirement
     policies, over the four-phase workload."""
+    from repro.metrics.windowed import (
+        FlushOnSpike,
+        NeverRetire,
+        RetireIdle,
+        evaluate_windowed,
+    )
+
     trace = load_phased(flow=flow).trace()
     outcome = NETPredictor(50).run(trace)
     return [
@@ -156,6 +156,11 @@ class TraceCacheRow:
 
 def hardware_rows() -> tuple[list[HardwareRow], list[TraceCacheRow]]:
     """Branch-predictor accuracies and trace-cache/NET comparisons."""
+    from repro.hardware.branch_predictors import compare_branch_predictors
+    from repro.hardware.trace_cache import TraceCache
+    from repro.isa.machine import run_to_completion
+    from repro.isa.programs import hashtable, lexer, sort
+
     predictor_rows: list[HardwareRow] = []
     cache_rows: list[TraceCacheRow] = []
     for module, kwargs in (
@@ -197,6 +202,8 @@ def hardware_rows() -> tuple[list[HardwareRow], list[TraceCacheRow]]:
 # ----------------------------------------------------------------------
 def showdown_rows(traces: dict[str, PathTrace]) -> list[ShowdownResult]:
     """The BMS-style comparison across a trace set."""
+    from repro.analysis.edge_vs_path import edge_vs_path_showdown
+
     return [edge_vs_path_showdown(trace) for trace in traces.values()]
 
 
@@ -357,6 +364,9 @@ def run_extended(name: str, flow_scale: float = 1.0) -> str:
             title="Edge vs path profiles (§7 showdown)",
         )
     if name == "mini-dynamo":
+        from repro.isa.machine import run_to_completion
+        from repro.isa.programs import ALL_PROGRAMS, demo_memory
+
         system = DynamoSystem()
         rows = []
         for bench, module in ALL_PROGRAMS.items():

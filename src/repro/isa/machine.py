@@ -101,6 +101,9 @@ class Machine:
         block_of = program.block_of
         regs = state.registers
         memory = state.memory
+        # Per-pc flags, so the loop never tests ``op in COND_BRANCHES``:
+        # that runs Op's Python-level ``Enum.__hash__`` per instruction.
+        is_cond = [instr.op in COND_BRANCHES for instr in instructions]
 
         builder = EventBatchBuilder()
         while True:
@@ -112,7 +115,7 @@ class Machine:
             state.steps += 1
             op = instr.op
 
-            if op in COND_BRANCHES:
+            if is_cond[state.pc]:
                 src = block_of[state.pc]
                 if self._compare(op, regs[instr.rs], regs[instr.rt]):
                     target = instr.target

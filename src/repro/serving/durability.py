@@ -40,6 +40,7 @@ import pathlib
 import struct
 import zlib
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from repro.errors import CheckpointError
 
@@ -86,6 +87,26 @@ def _frame(record: dict) -> bytes:
     payload = json.dumps(
         record, separators=(",", ":"), sort_keys=True
     ).encode("utf-8")
+    return _RECORD.pack(len(payload), _crc(payload)) + payload
+
+
+#: A ``batch`` record's payload as :func:`_frame` writes it (sorted
+#: keys, no spaces), with holes for its digest, seq and tenant id.
+_BATCH_PAYLOAD = b'{"d":%d,"k":"batch","s":%d,"t":%s}'
+
+
+def _batch_frame(tenant_id: str, seq: int, digest: int) -> bytes:
+    """:func:`_frame` of one ``batch`` record, from the template.
+
+    ``json.dumps`` writes a string through ``encode_basestring_ascii``,
+    so the tenant id's text is the same bytes; the seq and digest are
+    plain ints.
+    """
+    payload = _BATCH_PAYLOAD % (
+        digest,
+        seq,
+        encode_basestring_ascii(tenant_id).encode("ascii"),
+    )
     return _RECORD.pack(len(payload), _crc(payload)) + payload
 
 
@@ -205,8 +226,16 @@ class ShardStore:
         return list(self._records)
 
     def append(self, record: dict, sync: bool = False) -> None:
-        """Append one CRC-framed record, flushed to the OS."""
-        self._handle.write(_frame(record))
+        """Append one CRC-framed record, flushed to the OS.
+
+        A ``batch`` record, one per applied batch, is framed from a
+        template rather than through ``json.dumps``.
+        """
+        if record["k"] == "batch":
+            frame = _batch_frame(record["t"], record["s"], record["d"])
+        else:
+            frame = _frame(record)
+        self._handle.write(frame)
         self._handle.flush()
         if sync:
             os.fsync(self._handle.fileno())

@@ -131,4 +131,4 @@ def decode_batch(payload: bytes | bytearray | memoryview) -> EventBatch:
         raise WireFormatError(
             "backward column contains a byte other than 0 or 1"
         )
-    return EventBatch(src, dst, kind, backward.view(bool))
+    return EventBatch._from_checked(src, dst, kind, backward.view(bool))

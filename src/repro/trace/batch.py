@@ -94,6 +94,25 @@ class EventBatch:
         if n and self.kind.max() >= len(CODE_KIND):
             raise TraceError("event batch contains an unknown kind code")
 
+    @classmethod
+    def _from_checked(
+        cls,
+        src: np.ndarray,
+        dst: np.ndarray,
+        kind: np.ndarray,
+        backward: np.ndarray,
+    ) -> "EventBatch":
+        """A batch over columns the caller has already checked as
+        :meth:`__init__` would: 1-D, of equal length, of the column
+        dtypes, every kind code known (the wire decoder checks each as
+        it parses)."""
+        batch = cls.__new__(cls)
+        batch.src = src
+        batch.dst = dst
+        batch.kind = kind
+        batch.backward = backward
+        return batch
+
     # ------------------------------------------------------------------
     # Combinators
     # ------------------------------------------------------------------

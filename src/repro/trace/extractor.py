@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -48,26 +49,45 @@ from repro.trace.batch import (
 from repro.trace.columnar import find_cuts
 from repro.trace.path import Path, PathSignature, PathTable
 
+#: One event as a segment-memo key holds it: the kind code, the
+#: backward flag, then the target uid.  Unaligned, so a row is 10 bytes.
+_ROW = np.dtype([("kind", "u1"), ("backward", "?"), ("dst", "<i8")])
+_ROW_BYTES = _ROW.itemsize
 
-#: Segment-memo markers distinguishing how a segment ended (two
-#: segments with identical event columns but different endings resolve
-#: to different paths: a cut segment excludes the cut event's target
-#: from its block list, the unterminated tail includes every target).
-_END_FORWARD = 0
-_END_BACKWARD = 1
-_END_TAIL = 2
+#: Bytes of the start uid that opens every key (a ``dst`` field's width).
+_UID_BYTES = 8
+
+
+def _uid_bytes(uid: int) -> bytes:
+    return uid.to_bytes(_UID_BYTES, "little", signed=True)
+
+
+def _pack_rows(
+    dst: np.ndarray, kind: np.ndarray, backward: np.ndarray
+) -> bytes:
+    """Event columns as packed rows, one after another."""
+    rows = np.empty(len(dst), _ROW)
+    rows["kind"] = kind
+    rows["backward"] = backward
+    rows["dst"] = dst
+    return rows.tobytes()
+
+
+def _unpack(key: bytes) -> tuple[int, np.ndarray]:
+    """A key's start uid and its events' rows."""
+    uid = int.from_bytes(key[:_UID_BYTES], "little", signed=True)
+    return uid, np.frombuffer(key, _ROW, offset=_UID_BYTES)
 
 
 @dataclass(slots=True)
 class _BatchCursor:
     """Streaming state while extracting a sequence of batches."""
 
-    uid: int  # start uid of the open segment
     expect_src: int  # src the next event must carry (continuity check)
+    #: The open segment's memo key so far: its start uid, then one row
+    #: per carried event.
+    open_segment: bytes
     halted: bool = False
-    carry_dst: np.ndarray | None = None
-    carry_kind: np.ndarray | None = None
-    carry_backward: np.ndarray | None = None
     ids: list[int] = field(default_factory=list)
 
 
@@ -98,12 +118,15 @@ class PathExtractor:
         self._program = program
         self.table = table if table is not None else PathTable()
         self._max_blocks = max_blocks
-        # Extraction interns whole segments through this memo: a
-        # segment's path (and thus its table id) is a pure function of
-        # (start uid, event targets, event kinds, how it ended), so a
-        # byte-string key resolves repeated segments without rebuilding
-        # Path objects.  See :meth:`extract_batch_ids`.
-        self._segment_memo: dict[tuple, int] = {}
+        # Extraction interns whole segments through this memo, keyed by
+        # one byte string: the segment's start uid, then a packed row
+        # (kind, backward, dst) per event.  A backward event always
+        # ends its segment, so every backward byte but the last is 0 and
+        # the last records how the segment ended.  The key fixes the
+        # path's signature, and so its table id: repeated segments
+        # resolve without rebuilding Path objects.  See
+        # :meth:`extract_batch_ids`.
+        self._segment_memo: dict[bytes, int] = {}
 
     def extract_batch_ids(
         self, batches: EventBatch | Iterable[EventBatch]
@@ -142,7 +165,9 @@ class PathExtractor:
             if start_uid is not None
             else self._program.entry_block.uid
         )
-        return PathStream(self, _BatchCursor(uid=uid, expect_src=uid))
+        return PathStream(
+            self, _BatchCursor(expect_src=uid, open_segment=_uid_bytes(uid))
+        )
 
     def resume_stream(self, state: dict) -> "PathStream":
         """Rebuild a :class:`PathStream` from a :meth:`PathStream.checkpoint`.
@@ -168,14 +193,11 @@ class PathExtractor:
         if np.any((carry_backward != 0) & (carry_backward != 1)):
             raise TraceError("carried backward flags must be 0 or 1")
         cursor = _BatchCursor(
-            uid=int(state["uid"]),
             expect_src=int(state["expect_src"]),
+            open_segment=_uid_bytes(int(state["uid"]))
+            + _pack_rows(carry_dst, carry_kind, carry_backward),
             halted=bool(state["halted"]),
         )
-        if len(carry_dst):
-            cursor.carry_dst = carry_dst
-            cursor.carry_kind = carry_kind.astype(np.uint8)
-            cursor.carry_backward = carry_backward.astype(bool)
         stream = PathStream(self, cursor)
         stream._finished = bool(state.get("finished", False))
         return stream
@@ -190,7 +212,7 @@ class PathExtractor:
 
         # Truncate at the first halt: the stream ends there, and events
         # beyond it are never even validated.
-        halts = np.flatnonzero(dst == HALT_DST)
+        halts = (dst == HALT_DST).nonzero()[0]
         if halts.size:
             end = int(halts[0]) + 1
             src = src[:end]
@@ -207,7 +229,7 @@ class PathExtractor:
                 f"block {cursor.expect_src}"
             )
         if len(src) > 1:
-            mismatch = np.flatnonzero(src[1:] != dst[:-1])
+            mismatch = (src[1:] != dst[:-1]).nonzero()[0]
             if mismatch.size:
                 at = int(mismatch[0])
                 raise TraceError(
@@ -216,101 +238,75 @@ class PathExtractor:
                 )
         cursor.expect_src = int(dst[-1])
 
-        # Prepend the open segment's carried events (bounded by
-        # max_blocks: a length cut fires before the carry can grow past
-        # it) so cuts are found with full segment context.
-        if cursor.carry_dst is not None and len(cursor.carry_dst):
-            dst = np.concatenate((cursor.carry_dst, dst))
-            kind = np.concatenate((cursor.carry_kind, kind))
-            backward = np.concatenate((cursor.carry_backward, backward))
-        cursor.carry_dst = None
-        cursor.carry_kind = None
-        cursor.carry_backward = None
-
+        # Pack the batch behind the open segment (its start uid and
+        # carried events; bounded by max_blocks, as a length cut fires
+        # before the carry can grow past it).  Each segment's memo key
+        # is then one slice: from the start uid it took from the
+        # previous cut's dst through its own last row.
+        packed = cursor.open_segment + _pack_rows(dst, kind, backward)
+        if len(cursor.open_segment) > _UID_BYTES:
+            # Cuts are found with the whole open segment in view.
+            _, rows = _unpack(packed)
+            dst, kind, backward = rows["dst"], rows["kind"], rows["backward"]
         cuts = find_cuts(dst, kind, backward, self._max_blocks)
 
-        # Memo keys are slices of one byte copy of each column: the
-        # same bytes per-segment ``tobytes`` calls would produce.
-        width = dst.itemsize
-        dst_bytes = dst.tobytes()
-        kind_bytes = kind.tobytes()
-        begin = 0
-        uid = cursor.uid
+        # Event i's row ends at byte _UID_BYTES + _ROW_BYTES * (i + 1),
+        # so a segment's key ends there and the next one's starts
+        # _UID_BYTES earlier, at that event's dst.
+        bounds = ((cuts + 1) * _ROW_BYTES).tolist()
+        keys = [
+            packed[start : stop + _UID_BYTES]
+            for start, stop in pairwise([0, *bounds])
+        ]
         memo = self._segment_memo
-        intern = self._intern_segment
-        ids = cursor.ids
-        for cut, ends_backward, target in zip(
-            cuts.tolist(), backward[cuts].tolist(), dst[cuts].tolist()
-        ):
-            end = cut + 1
-            marker = _END_BACKWARD if ends_backward else _END_FORWARD
-            key = (
-                uid,
-                dst_bytes[begin * width : end * width],
-                kind_bytes[begin:end],
-                marker,
-            )
-            path_id = memo.get(key)
-            if path_id is None:
-                path_id = intern(uid, dst[begin:end], kind[begin:end], marker)
-                memo[key] = path_id
-            ids.append(path_id)
-            begin = end
-            uid = target
-
-        cursor.uid = uid
-        if not cursor.halted and begin < len(dst):
-            # Events after the last cut stay buffered as the open
-            # segment (copied: the slices would pin the whole batch).
-            cursor.carry_dst = dst[begin:].copy()
-            cursor.carry_kind = kind[begin:].copy()
-            cursor.carry_backward = backward[begin:].copy()
+        ids = list(map(memo.get, keys))
+        if None in ids:
+            for index, key in enumerate(keys):
+                if ids[index] is None:
+                    # An earlier miss in this batch may have added it.
+                    path_id = memo.get(key)
+                    if path_id is None:
+                        path_id = memo[key] = self._intern_segment(key)
+                    ids[index] = path_id
+        cursor.ids.extend(ids)
+        # The rest is the open segment (after a halt, only its start
+        # uid: the halt's dst).
+        cursor.open_segment = packed[bounds[-1] :] if bounds else packed
 
     def _flush_tail(self, cursor: _BatchCursor) -> None:
         """Emit the final, unterminated segment (a stream always has one
-        unless it halted)."""
-        if cursor.carry_dst is None:
-            dst_slice = np.empty(0, dtype=np.int64)
-            kind_slice = np.empty(0, dtype=np.uint8)
-        else:
-            dst_slice = cursor.carry_dst
-            kind_slice = cursor.carry_kind
-        key = (
-            cursor.uid,
-            dst_slice.tobytes(),
-            kind_slice.tobytes(),
-            _END_TAIL,
-        )
+        unless it halted).
+
+        Its key is the open segment as carried.  No cut segment shares
+        it: the rules that left these events open would have cut the
+        other segment at the same place, and a shared entry would still
+        hold the right id, since the key fixes the signature.
+        """
+        key = cursor.open_segment
         path_id = self._segment_memo.get(key)
         if path_id is None:
-            path_id = self._intern_segment(
-                cursor.uid, dst_slice, kind_slice, _END_TAIL
+            path_id = self._segment_memo[key] = self._intern_segment(
+                key, tail=True
             )
-            self._segment_memo[key] = path_id
         cursor.ids.append(path_id)
 
-    def _intern_segment(
-        self,
-        uid: int,
-        dst_slice: np.ndarray,
-        kind_slice: np.ndarray,
-        marker: int,
-    ) -> int:
-        """Rebuild one segment's Path and intern it.
+    def _intern_segment(self, key: bytes, tail: bool = False) -> int:
+        """Rebuild one segment's Path from its memo key and intern it.
 
         Runs once per *distinct* segment (memo misses only): the block
         list, signature bits and indirect targets are replayed event by
         event, exactly as a signature register shifts them in.
         """
         program = self._program
-        dsts = dst_slice.tolist()
-        kinds = kind_slice.tolist()
+        uid, rows = _unpack(key)
+        dsts = rows["dst"].tolist()
+        kinds = rows["kind"].tolist()
         # A cut segment's final event belongs to it (its history bit is
         # shifted in) but its target opens the next segment; the tail
         # segment keeps every target.
-        block_dsts = dsts if marker == _END_TAIL else dsts[:-1]
         blocks = [uid]
-        blocks.extend(block_dsts)
+        blocks.extend(dsts if tail else dsts[:-1])
+        ends_backward = not tail and bool(rows["backward"][-1])
         history = 0
         bit_count = 0
         indirect: list[int] = []
@@ -329,7 +325,7 @@ class PathExtractor:
             bit_count=bit_count,
             indirect_targets=tuple(indirect),
         )
-        path = self._make_path(blocks, signature, marker == _END_BACKWARD)
+        path = self._make_path(blocks, signature, ends_backward)
         return self.table.intern(path)
 
     def _make_path(
@@ -432,18 +428,13 @@ class PathStream:
             raise TraceError(
                 "cannot checkpoint a path stream with undrained segments"
             )
-        carry = cursor.carry_dst is not None and len(cursor.carry_dst) > 0
+        uid, carried = _unpack(cursor.open_segment)
         return {
-            "uid": int(cursor.uid),
+            "uid": uid,
             "expect_src": int(cursor.expect_src),
             "halted": bool(cursor.halted),
             "finished": self._finished,
-            "carry_dst": cursor.carry_dst.tolist() if carry else [],
-            "carry_kind": cursor.carry_kind.tolist() if carry else [],
-            "carry_backward": (
-                cursor.carry_backward.astype(np.uint8).tolist()
-                if carry
-                else []
-            ),
+            "carry_dst": carried["dst"].tolist(),
+            "carry_kind": carried["kind"].tolist(),
+            "carry_backward": carried["backward"].astype(np.uint8).tolist(),
         }
-

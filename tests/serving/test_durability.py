@@ -15,10 +15,13 @@ zero re-sends.
 """
 
 import hashlib
+import tempfile
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     CheckpointError,
@@ -112,6 +115,34 @@ def test_wal_records_survive_reopen(tmp_path):
     assert reopened.records() == records
     assert reopened.truncated_records == 0
     reopened.close()
+
+
+_U64 = st.integers(0, 2**64 - 1)
+
+
+@given(
+    tenant_id=st.text(st.characters(blacklist_categories=())),
+    seq=_U64,
+    digest=_U64,
+)
+@example(tenant_id='say "hi"', seq=0, digest=0)
+@example(tenant_id="back\\slash\\", seq=2**64 - 1, digest=2**64 - 1)
+@example(tenant_id="\x00\x1f\n\t\x7f\u2028", seq=1, digest=2**63)
+@example(tenant_id="t\u00e9nant-\u2603-\U0001f600-\ud800", seq=7, digest=9)
+@settings(max_examples=200, deadline=None)
+def test_appended_batch_record_is_its_canonical_frame(tenant_id, seq, digest):
+    """``append`` frames a ``batch`` record from a template: the bytes
+    it writes are ``_frame``'s, and they read back as the record."""
+    record = {"k": "batch", "t": tenant_id, "s": seq, "d": digest}
+    with tempfile.TemporaryDirectory() as root:
+        store = ShardStore(root)
+        store.append(record)
+        store.close()
+        written = store.wal_path.read_bytes()[_FILE_HEADER.size :]
+        reopened = ShardStore(root)
+        assert reopened.records() == [record]
+        reopened.close()
+    assert written == _frame(record)
 
 
 def test_torn_tail_truncated_not_fatal(tmp_path):

@@ -230,6 +230,38 @@ def test_cli_run_dry_run_loads_neither_serving_nor_the_vm(tmp_path):
     ) == []
 
 
+#: ``repro list``: the CLI, the target list's modules and the extension
+#: studies' registry.  No study's own modules (the CFG, the ISA, the
+#: hardware models, the profilers, the walker).
+LIST_MODULES = sorted(
+    [
+        *TARGETS_MODULES,
+        "repro.cli",
+        "repro.experiments.extended",
+        "repro.obs.manifest",
+        "repro.obs.report",
+    ]
+)
+
+
+def test_cli_list_loads_the_pinned_modules():
+    modules = _repro_modules(
+        "from repro.cli import main\nassert main(['list']) == 0\n"
+    )
+    assert modules == LIST_MODULES
+
+
+def test_parsing_extended_loads_no_study_module():
+    """The ``extended`` subcommand's help lists ``EXTENDED_IDS``: parsing
+    it loads what ``repro list`` loads."""
+    modules = _repro_modules(
+        "from repro.cli import build_parser\n"
+        "args = build_parser().parse_args(['extended', 'overhead'])\n"
+        "assert args.names == ['overhead']\n"
+    )
+    assert modules == LIST_MODULES
+
+
 def test_importing_the_cli_loads_only_what_main_reads():
     assert _repro_modules("import repro.cli") == [
         "repro",

@@ -4,9 +4,16 @@ import pytest
 
 from repro.errors import TraceError
 from repro.trace import EventBatch, PathExtractor, record_path_trace
-from repro.trace.batch import CODE_JUMP
+from repro.trace.batch import (
+    CODE_CALL,
+    CODE_FALLTHROUGH,
+    CODE_JUMP,
+    CODE_RETURN,
+    CODE_TAKEN,
+    HALT_DST,
+)
 from tests.conftest import signature_bits, walk_batch
-from tests.trace.event_oracle import ScriptedOracle
+from tests.trace.event_oracle import ScriptedOracle, segment_paths
 
 
 def _run(program, decisions, max_blocks=256):
@@ -107,3 +114,145 @@ def test_same_paths_intern_to_same_ids(fig1_program):
     occurrences, _ = _run(fig1_program, decisions)
     # Two identical loop iterations -> same path id twice.
     assert occurrences[0] == occurrences[1]
+
+
+# ----------------------------------------------------------------------
+# The segment memo's key
+# ----------------------------------------------------------------------
+# fig1's block uids: A=0, B=1, C=2, D=3, exit=4.  The columns below are
+# written by hand (the extractor checks only that each event leaves the
+# block the previous one entered), so two segments can share their
+# ``dst`` bytes and differ in exactly one other thing.  A memo key that
+# dropped the start uid or a kind code would hand the second segment
+# the first one's id.  The ending enters no signature, so segments that
+# differ only there share an id, and the table keeps the path of the
+# first: its blocks and its ``ends_with_backward_branch``.
+_A, _C, _D = 0, 2, 3
+_J, _T, _F = CODE_JUMP, CODE_TAKEN, CODE_FALLTHROUGH
+
+
+def _events(start, steps):
+    """A batch of ``(dst, kind, backward)`` steps leaving ``start``."""
+    src = [start] + [dst for dst, _, _ in steps[:-1]]
+    return EventBatch(
+        src,
+        [dst for dst, _, _ in steps],
+        [kind for _, kind, _ in steps],
+        [backward for _, _, backward in steps],
+    )
+
+
+def _assert_matches_segmenter(program, events, max_blocks, splits=()):
+    """The stream fed in pieces cut at ``splits`` interns the paths the
+    one-event-at-a-time segmenter gives, in its order."""
+    scalar = segment_paths(program, events, max_blocks=max_blocks)
+    extractor = PathExtractor(program, max_blocks=max_blocks)
+    stream = extractor.stream()
+    ids = []
+    bounds = [0, *splits, len(events)]
+    for start, stop in zip(bounds, bounds[1:]):
+        ids.extend(stream.feed(events.slice(start, stop)))
+    ids.extend(stream.finish())
+    assert ids == scalar.path_ids.tolist()
+    assert list(extractor.table) == list(scalar.table)
+    return ids
+
+
+#: name -> (steps from A, max_blocks, whether the second and third
+#: occurrences, which share their dst bytes, are different paths).
+_MEMO_CASES = {
+    # A -> C -> D, then D -> C -> D: only the start uid differs.
+    "start_uid": (
+        [(_A, _J, True), (_C, _J, False), (_D, _J, True), (_C, _J, False),
+         (_D, _J, True), (HALT_DST, _J, False)],
+        256,
+        True,
+    ),
+    # D -> C -> D twice, leaving D taken once and falling through once.
+    "first_kind": (
+        [(_D, _J, True), (_C, _T, False), (_D, _J, True),
+         (_C, _F, False), (_D, _J, True)],
+        256,
+        True,
+    ),
+    # D -> C -> D twice, closed by a taken branch once and a jump once.
+    "last_kind": (
+        [(_D, _J, True), (_C, _J, False), (_D, _T, True),
+         (_C, _J, False), (_D, _J, True)],
+        256,
+        True,
+    ),
+    # A call from D returns to D: backward, then forward (a forward
+    # return closes the call made inside the path).
+    "backward_then_return_cut": (
+        [(_D, _J, True), (_C, CODE_CALL, False), (_D, CODE_RETURN, True),
+         (_C, CODE_CALL, False), (_D, CODE_RETURN, False)],
+        256,
+        False,
+    ),
+    "return_then_backward_cut": (
+        [(_D, _J, True), (_C, CODE_CALL, False), (_D, CODE_RETURN, False),
+         (_C, CODE_CALL, False), (_D, CODE_RETURN, True)],
+        256,
+        False,
+    ),
+    # D -> C -> D ending backward, and cut at two blocks.
+    "backward_then_length_cut": (
+        [(_D, _J, True), (_C, _J, False), (_D, _J, True),
+         (_C, _J, False), (_D, _J, False)],
+        2,
+        False,
+    ),
+    "length_then_backward_cut": (
+        [(_D, _J, True), (_C, _J, False), (_D, _J, False),
+         (_C, _J, False), (_D, _J, True)],
+        2,
+        False,
+    ),
+    # D -> C -> D ending backward, then the same events left open.
+    "cut_then_tail": (
+        [(_D, _J, True), (_C, _J, False), (_D, _J, True),
+         (_C, _J, False), (_D, _J, False)],
+        256,
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MEMO_CASES))
+def test_segments_sharing_dst_bytes_intern_the_segmenters_paths(
+    fig1_program, case
+):
+    steps, max_blocks, distinct = _MEMO_CASES[case]
+    events = _events(_A, steps)
+    ids = _assert_matches_segmenter(fig1_program, events, max_blocks)
+    assert (ids[1] != ids[2]) == distinct
+    # One event per batch: the second segment meets the first one's
+    # memo entry after batch boundaries, from carried events.
+    _assert_matches_segmenter(
+        fig1_program, events, max_blocks, splits=range(1, len(events))
+    )
+
+
+def test_segment_carried_across_three_batches_hits_its_memo_entry(
+    fig1_program,
+):
+    # A -> D backward, then D -> C -> D -> C -> D twice, each closed by
+    # a backward jump: first inside one batch, then open across three
+    # batch boundaries (events 5 | 6 | 7 | 8).
+    loop = [(_C, _T, False), (_D, _J, False), (_C, _F, False),
+            (_D, _J, True)]
+    events = _events(_A, [(_D, _J, True)] + loop + loop)
+    ids = _assert_matches_segmenter(
+        fig1_program, events, 256, splits=(6, 7, 8)
+    )
+    assert len(ids) == 4
+    assert ids[1] == ids[2] != ids[0]
+
+
+def test_open_tail_keeps_its_last_target(fig1_program):
+    # A -> C -> D, never cut: unlike a cut segment, whose last target
+    # opens the next one, the tail's path ends at D.
+    events = _events(_A, [(_C, _J, False), (_D, _J, False)])
+    for splits in ((), (1,)):
+        _assert_matches_segmenter(fig1_program, events, 256, splits)
