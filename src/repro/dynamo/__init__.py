@@ -2,8 +2,11 @@
 
 :class:`DynamoSystem` runs a path trace under a prediction scheme and a
 cycle cost model; :class:`DynamoRun` reports the speedup over native
-execution that Figure 5 plots.  The fragment cache, flush heuristic and
-bail-out policy model the behaviours §6/§6.1 describe.
+execution that Figure 5 plots.  Its event-level loop models the
+fragment cache's flush-all capacity policy, the §6.1 flush heuristic
+(:class:`PredictionRateMonitor`) and the bail-out policy that §6/§6.1
+describe; :class:`DynamoVM` runs real ISA programs under a miniature
+Dynamo.
 """
 
 from repro import lazy_exports
@@ -20,7 +23,6 @@ __getattr__, __dir__ = lazy_exports(
         "config": ("DEFAULT_CONFIG", "TIERS", "DynamoConfig"),
         "costmodel": ("native_cycles", "simulate_costs"),
         "flush": ("PredictionRateMonitor",),
-        "fragment": ("Fragment", "FragmentCache"),
         "optimizer": (
             "OptimizedFragment",
             "TraceInstruction",
@@ -43,8 +45,6 @@ __all__ = [
     "DynamoConfig",
     "DynamoRun",
     "DynamoSystem",
-    "Fragment",
-    "FragmentCache",
     "PredictionRateMonitor",
     "SCHEMES",
     "OptimizedFragment",

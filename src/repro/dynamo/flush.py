@@ -6,10 +6,11 @@ working set changed, so previously-unseen paths turn hot).  Reacting with
 a cache flush removes the phase-induced noise — fragments that were hot
 in the old phase but are now dead weight.
 
-:class:`PredictionRateMonitor` implements the heuristic: prediction
-events are bucketed into fixed windows of path occurrences, and a window
-whose count exceeds ``spike_factor`` × the trailing-median rate (after a
-minimum history) recommends a flush.
+:class:`PredictionRateMonitor` holds the heuristic's rule: the simulator
+counts predictions over fixed windows of path occurrences and hands the
+monitor each window's count as the window closes; a count above
+``spike_factor`` × the trailing-median rate (after a minimum history)
+calls for a flush.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.errors import DynamoError
 
 
 class PredictionRateMonitor:
-    """Windowed spike detector over prediction (materialization) events.
+    """Windowed spike detector over prediction (materialization) counts.
 
     Parameters
     ----------
@@ -49,44 +50,25 @@ class PredictionRateMonitor:
         self.spike_factor = spike_factor
         self.min_count = min_count
         self._history: deque[int] = deque(maxlen=8)
-        self._current_window = 0
-        self._current_count = 0
+        #: Occurrence indices at which a flush was called for.
         self.flush_recommendations: list[int] = []
 
-    def record_prediction(self, time: int) -> None:
-        """Note a prediction made at occurrence index ``time``."""
-        self._advance_to(time)
-        self._current_count += 1
+    def close_window(self, count: int, time: int) -> bool:
+        """Close a window that saw ``count`` predictions; ``time`` is
+        the occurrence index that opens the next one.
 
-    def observe(self, time: int) -> bool:
-        """Advance to ``time``; True when a flush is recommended now.
-
-        A recommendation is issued at most once per window, when the
-        *previous* window closed as a spike.
+        True when the window is a spike: ``time`` joins
+        :attr:`flush_recommendations` and the history restarts, as the
+        flush that follows restarts the simulator's counters.
         """
-        return self._advance_to(time)
-
-    def _advance_to(self, time: int) -> bool:
-        window_index = time // self.window
-        recommended = False
-        while self._current_window < window_index:
-            recommended = self._close_window() or recommended
-            self._current_window += 1
-        if recommended:
+        history = self._history
+        if (
+            len(history) >= 3
+            and count >= self.min_count
+            and count > self.spike_factor * max(median(history), 1.0)
+        ):
             self.flush_recommendations.append(time)
-        return recommended
-
-    def _close_window(self) -> bool:
-        count = self._current_count
-        self._current_count = 0
-        spike = False
-        if len(self._history) >= 3 and count >= self.min_count:
-            baseline = median(self._history)
-            spike = count > self.spike_factor * max(baseline, 1.0)
-        self._history.append(count)
-        return spike
-
-    def reset(self) -> None:
-        """Forget history (called after an actual flush)."""
-        self._history.clear()
-        self._current_count = 0
+            history.clear()
+            return True
+        history.append(count)
+        return False

@@ -1,13 +1,17 @@
 """The Dynamo simulator façade.
 
-Two entry points:
+Three entry points:
 
 * :meth:`DynamoSystem.run` — the vectorized cost model used at Figure 5
   scale (millions of path occurrences);
-* :meth:`DynamoSystem.run_detailed` — the event-level object model
-  (fragment cache, head/path counters, linking, optional phase-flush
-  heuristic) used on ISA traces and the §6.1 phase experiments, and to
-  cross-validate the vectorized model.
+* :meth:`DynamoSystem.run_detailed` — the event-level model, one loop
+  over the path occurrences with plain state (the fragment cache as a
+  dict, head or path counters, linked fragment-to-fragment transfers,
+  the optional §6.1 phase-flush heuristic), used on ISA traces with
+  measured fragment sizes, by the §6.1 phase and eviction studies, and
+  to cross-validate the vectorized model;
+* :meth:`DynamoSystem.run_vm` — a real ISA program under the miniature
+  Dynamo VM.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from typing import TYPE_CHECKING
 from repro.dynamo.config import DEFAULT_CONFIG, DynamoConfig
 from repro.dynamo.costmodel import native_cycles, simulate_costs
 from repro.dynamo.flush import PredictionRateMonitor
-from repro.dynamo.fragment import Fragment, FragmentCache
 from repro.dynamo.stats import CycleBreakdown, DynamoRun
 from repro.errors import DynamoError
 from repro.obs.core import Registry, get_registry
@@ -116,11 +119,10 @@ class DynamoSystem:
         trace: PathTrace,
         scheme: str = "net",
         delay: int = 50,
-        flush_on_phase_change: bool = False,
         monitor: PredictionRateMonitor | None = None,
         fragment_sizes: dict[int, int] | None = None,
     ) -> DynamoRun:
-        """Event-level simulation with an explicit fragment cache.
+        """Event-level simulation, one path occurrence at a time.
 
         Charges the execution modes of :meth:`run`'s cost model.  When
         neither bails out (and without the flush heuristic or measured
@@ -131,9 +133,11 @@ class DynamoSystem:
         already hot bumps no counter, where the cost model charges one
         when it arrives by a backward branch (see
         ``docs/cost_model.md``).  Additionally models Dynamo's capacity
-        flushes through the real :class:`FragmentCache` and, when
-        ``flush_on_phase_change`` is set, the §6.1 prediction-rate flush
-        heuristic (counters and cache restart after each flush).
+        policy (an emission that overflows the cache budget flushes the
+        whole cache) and, when ``monitor`` is given, the §6.1
+        prediction-rate flush heuristic: the monitor sees each window's
+        prediction count as the window closes, and a spike flushes the
+        cache and restarts the counters.  ``flushes`` counts both kinds.
 
         ``fragment_sizes`` maps path id → *measured* optimized
         instruction count (see :func:`measured_fragment_sizes`); when
@@ -144,12 +148,7 @@ class DynamoSystem:
         """
         with self._obs.span("run_detailed"):
             result = self._run_detailed(
-                trace,
-                scheme,
-                delay,
-                flush_on_phase_change,
-                monitor,
-                fragment_sizes,
+                trace, scheme, delay, monitor, fragment_sizes
             )
         result.publish(self._obs)
         return result
@@ -159,7 +158,6 @@ class DynamoSystem:
         trace: PathTrace,
         scheme: str,
         delay: int,
-        flush_on_phase_change: bool,
         monitor: PredictionRateMonitor | None,
         fragment_sizes: dict[int, int] | None,
     ) -> DynamoRun:
@@ -168,8 +166,6 @@ class DynamoSystem:
                 f"unknown scheme {scheme!r}; expected one of {SCHEMES}"
             )
         config = self.config
-        cache = FragmentCache(config.cache_budget_instructions)
-        monitor = monitor or PredictionRateMonitor()
 
         instr = trace.instructions_per_path()
         profile_units = (
@@ -184,6 +180,10 @@ class DynamoSystem:
         tail_start = int(len(path_ids) * (1.0 - config.steady_state_fraction))
         snapshot: dict[str, float] = {}
 
+        # The fragment cache: path id -> index of the fragment's last
+        # execution (-1 until it runs); ``occupancy`` is what it holds.
+        resident: dict[int, int] = {}
+        occupancy = emitted = flushes = 0
         head_counters: dict[int, int] = {}
         hot_heads: set[int] = set()
         path_counters: dict[int, int] = {}
@@ -191,12 +191,11 @@ class DynamoSystem:
         num_fragments = 0
         bailed = False
         native_so_far = 0.0
-
-        def full_reset() -> None:
-            head_counters.clear()
-            hot_heads.clear()
-            path_counters.clear()
-            monitor.reset()
+        # Predictions in the open monitor window, which closes at
+        # ``window_end`` (never without a monitor).
+        window = monitor.window if monitor is not None else 0
+        window_end = window if monitor is not None else -1
+        window_count = 0
 
         for index in range(len(path_ids)):
             pid = int(path_ids[index])
@@ -213,15 +212,20 @@ class DynamoSystem:
                 }
             native_so_far += n * config.native_per_instr
 
-            if flush_on_phase_change and monitor.observe(index):
-                cache.flush()
-                full_reset()
-                flush_cycles += config.flush_penalty
+            if index == window_end:
+                window_end += window
+                if monitor.close_window(window_count, index):
+                    resident.clear()
+                    occupancy = 0
+                    flushes += 1
+                    head_counters.clear()
+                    hot_heads.clear()
+                    path_counters.clear()
+                    flush_cycles += config.flush_penalty
+                window_count = 0
 
-            fragment = cache.lookup(pid)
-            if fragment is not None:
-                fragment.executions += 1
-                fragment.last_executed = index
+            if pid in resident:
+                resident[pid] = index
                 if fragment_sizes is not None:
                     fragment_execution += (
                         fragment_sizes.get(pid, n) * config.native_per_instr
@@ -269,27 +273,27 @@ class DynamoSystem:
                 selection += n * (
                     config.select_per_instr + config.emit_per_instr
                 )
-                emitted_size = (
+                size = (
                     fragment_sizes.get(pid, n)
                     if fragment_sizes is not None
                     else n
                 )
-                flushed = cache.emit(
-                    Fragment(
-                        path_id=pid,
-                        head_uid=int(start_uids[pid]),
-                        num_instructions=emitted_size,
-                        created_at=index,
-                    )
-                )
-                num_fragments += 1
-                monitor.record_prediction(index)
+                # Dynamo's capacity policy: a fragment that does not fit
+                # flushes the whole cache.
+                flushed = occupancy + size > config.cache_budget_instructions
                 if flushed:
+                    resident.clear()
+                    occupancy = 0
+                    flushes += 1
                     flush_cycles += config.flush_penalty
-                    if cache.flush_count > config.bail_out_flushes:
-                        bailed = True
-                        break
-                if num_fragments > config.bail_out_fragments:
+                resident[pid] = -1
+                occupancy += size
+                emitted += size
+                num_fragments += 1
+                window_count += 1
+                if (flushed and flushes > config.bail_out_flushes) or (
+                    num_fragments > config.bail_out_fragments
+                ):
                     bailed = True
                     break
             previous_cached = False
@@ -326,14 +330,9 @@ class DynamoSystem:
         if bailed:
             dynamo_total = native_total * (1.0 + config.bail_out_overhead)
 
-        resident = cache.fragments()
         recent_cutoff = int(len(path_ids) * 0.9)
-        dead = [
-            fragment
-            for fragment in resident
-            if fragment.last_executed < recent_cutoff
-        ]
-        dead_fraction = len(dead) / len(resident) if resident else 0.0
+        dead = sum(1 for last in resident.values() if last < recent_cutoff)
+        dead_fraction = dead / len(resident) if resident else 0.0
 
         return DynamoRun(
             benchmark=trace.name,
@@ -343,8 +342,8 @@ class DynamoSystem:
             dynamo_cycles=dynamo_total,
             breakdown=breakdown,
             num_fragments=num_fragments,
-            emitted_instructions=cache.total_emitted,
-            flushes=cache.flush_count + len(monitor.flush_recommendations),
+            emitted_instructions=emitted,
+            flushes=flushes,
             bailed_out=bailed,
             steady_rate=steady_rate,
             amortization=config.amortization,

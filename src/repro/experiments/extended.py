@@ -10,6 +10,7 @@ harness asserts on and renders these; the CLI exposes them through
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -215,9 +216,9 @@ class EvictionRow:
     """One cache policy's behaviour under pressure.
 
     ``speedup_percent`` is ``None`` for FIFO: ``run_detailed`` only
-    models the flush policy, so the FIFO row's flushes and evictions
-    come from replaying NET's fragment emissions through a FIFO cache
-    and it has no speedup.
+    models the flush policy, so the FIFO row's evictions come from
+    replaying NET's fragment emissions through a FIFO cache and it has
+    no speedup.
     """
 
     policy: str
@@ -226,13 +227,34 @@ class EvictionRow:
     evictions: int
 
 
+def _fifo_replay(
+    emissions: Iterable[tuple[int, int]], budget: int
+) -> tuple[dict[int, int], int]:
+    """Emit ``(path id, size)`` fragments, in order, into a cache of
+    ``budget`` instructions that evicts the oldest fragments until a new
+    one fits.
+
+    Returns the resident fragments (path id → size, oldest first) and
+    the number of evictions.  A real cache would also unlink every
+    fragment jumping into a victim; the cost models charge nothing for a
+    linked transfer, so this one keeps no links.
+    """
+    resident: dict[int, int] = {}
+    occupancy = evictions = 0
+    for path_id, size in emissions:
+        while resident and occupancy + size > budget:
+            occupancy -= resident.pop(next(iter(resident)))
+            evictions += 1
+        resident[path_id] = size
+        occupancy += size
+    return resident, evictions
+
+
 def eviction_rows(
     budget: int = 8_000, flow_scale: float = 1.0
 ) -> list[EvictionRow]:
     """Flush-all vs FIFO eviction on li at τ=50 under a deliberately
     small cache."""
-    from repro.dynamo.fragment import Fragment, FragmentCache
-
     delay = 50
     trace = load_benchmark("li", flow_scale=flow_scale).trace()
     config = DynamoConfig(
@@ -241,21 +263,15 @@ def eviction_rows(
         bail_out_fragments=10**9,
     )
     run = DynamoSystem(config).run_detailed(trace, "net", delay)
-    cache = FragmentCache(budget, policy="fifo")
     instr = trace.instructions_per_path()
     outcome = NETPredictor(delay).run(trace)
-    for pid, time in zip(outcome.predicted_ids, outcome.prediction_times):
-        cache.emit(
-            Fragment(
-                path_id=int(pid),
-                head_uid=0,
-                num_instructions=int(instr[pid]),
-                created_at=int(time),
-            )
-        )
+    _, evictions = _fifo_replay(
+        ((int(pid), int(instr[pid])) for pid in outcome.predicted_ids),
+        budget,
+    )
     return [
         EvictionRow("flush", run.speedup_percent, run.flushes, 0),
-        EvictionRow("fifo", None, cache.flush_count, cache.evictions),
+        EvictionRow("fifo", None, 0, evictions),
     ]
 
 

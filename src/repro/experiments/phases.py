@@ -106,9 +106,7 @@ def run_phase_experiment(workload_config: WorkloadConfig) -> PhaseReport:
     monitor = PredictionRateMonitor(
         window=max(workload_config.target_flow // 100, 1000)
     )
-    run_flush = system.run_detailed(
-        trace, "net", delay, flush_on_phase_change=True, monitor=monitor
-    )
+    run_flush = system.run_detailed(trace, "net", delay, monitor=monitor)
 
     return PhaseReport(
         num_phases=len(workload_config.phases),

@@ -1,4 +1,4 @@
-"""Dynamo simulator: config validation, cost model, fragment cache."""
+"""Dynamo simulator: config validation, cost model, flush monitor."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,6 @@ import pytest
 from repro.dynamo import (
     DynamoConfig,
     DynamoSystem,
-    Fragment,
-    FragmentCache,
     PredictionRateMonitor,
     native_cycles,
     simulate_costs,
@@ -181,39 +179,17 @@ def test_bail_out_on_fragment_explosion():
     assert det.bailed_out
 
 
-def test_fragment_cache_capacity_flush():
-    cache = FragmentCache(budget_instructions=10)
-    cache.emit(Fragment(path_id=1, head_uid=0, num_instructions=6, created_at=0))
-    flushed = cache.emit(
-        Fragment(path_id=2, head_uid=1, num_instructions=6, created_at=1)
-    )
-    assert flushed
-    assert cache.flush_count == 1
-    assert 1 not in cache and 2 in cache
-    assert cache.total_emitted == 12
-
-
-def test_fragment_cache_duplicate_emit_is_noop():
-    cache = FragmentCache(budget_instructions=100)
-    fragment = Fragment(path_id=1, head_uid=0, num_instructions=5, created_at=0)
-    cache.emit(fragment)
-    cache.emit(Fragment(path_id=1, head_uid=0, num_instructions=5, created_at=2))
-    assert len(cache) == 1
-    assert cache.occupancy == 5
-
-
 def test_monitor_detects_spikes():
     monitor = PredictionRateMonitor(window=100, spike_factor=3.0, min_count=5)
     # Quiet baseline: one prediction per window for 6 windows.
-    time = 0
-    for _ in range(6):
-        monitor.record_prediction(time)
-        time += 100
+    for end in range(100, 700, 100):
+        assert not monitor.close_window(1, end)
     # Burst: 30 predictions in one window.
-    for offset in range(30):
-        monitor.record_prediction(time + offset)
-    assert monitor.observe(time + 150)  # next window -> spike seen
-    assert monitor.flush_recommendations
+    assert monitor.close_window(30, 700)
+    assert monitor.flush_recommendations == [700]
+    # The flush restarts the history: no baseline yet, so no spike.
+    assert not monitor.close_window(30, 800)
+    assert monitor.flush_recommendations == [700]
 
 
 def test_monitor_validation():

@@ -38,7 +38,6 @@ TARGETS_MODULES = [
     "repro.dynamo.config",
     "repro.dynamo.costmodel",
     "repro.dynamo.flush",
-    "repro.dynamo.fragment",
     "repro.dynamo.stats",
     "repro.dynamo.system",
     "repro.errors",
