@@ -46,13 +46,15 @@ __version__ = "1.0.0"
 
 
 def lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
-    """A PEP 562 module ``__getattr__`` and ``__dir__`` for ``package``.
+    """A PEP 562 module ``__getattr__``, ``__dir__`` and ``__all__`` for
+    ``package``.
 
     ``exports`` maps each submodule, relative to ``package``, to the
     public names the package re-exports from it.  Reading one of those
     names imports its submodule and binds the value in the package, so
-    the next read is a plain attribute lookup; ``from package import *``
-    reads every name in the package's ``__all__``.
+    the next read is a plain attribute lookup.  The third value is the
+    table's names sorted, the package's ``__all__``: ``from package
+    import *`` reads every one of them.
     """
     origins = {
         name: f"{package}.{module}"
@@ -74,4 +76,4 @@ def lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
     def __dir__() -> list[str]:
         return sorted(set(vars(sys.modules[package])) | origins.keys())
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, sorted(origins)

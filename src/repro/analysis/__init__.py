@@ -2,7 +2,7 @@
 
 from repro import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "edge_vs_path": (
@@ -13,10 +13,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "ShowdownResult",
-    "edge_profile_of",
-    "edge_vs_path_showdown",
-    "estimate_path_freqs",
-]

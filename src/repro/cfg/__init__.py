@@ -9,7 +9,7 @@ binary-level view of the paper's Dynamo system.  See
 
 from repro import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "analysis": (
@@ -35,27 +35,3 @@ __getattr__, __dir__ = lazy_exports(
         "validate": ("validate_program",),
     },
 )
-
-__all__ = [
-    "BasicBlock",
-    "BallLarusNumbering",
-    "BranchKind",
-    "Edge",
-    "EdgeKind",
-    "GeneratorParams",
-    "LoopForest",
-    "NaturalLoop",
-    "Procedure",
-    "Program",
-    "ProgramBuilder",
-    "Terminator",
-    "compute_dominators",
-    "dominator_back_edges",
-    "generate_program",
-    "intraprocedural_successors",
-    "natural_loops",
-    "number_procedure",
-    "number_program",
-    "procedure_loops",
-    "validate_program",
-]

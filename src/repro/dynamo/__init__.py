@@ -11,7 +11,7 @@ Dynamo.
 
 from repro import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "compiler": (
@@ -33,28 +33,3 @@ __getattr__, __dir__ = lazy_exports(
         "vm": ("DynamoVM", "VMFragment", "VMResult", "VMStats"),
     },
 )
-
-__all__ = [
-    "DEFAULT_CONFIG",
-    "TIERS",
-    "CompiledCache",
-    "CompiledFragment",
-    "compile_fragment",
-    "state_digest",
-    "CycleBreakdown",
-    "DynamoConfig",
-    "DynamoRun",
-    "DynamoSystem",
-    "PredictionRateMonitor",
-    "SCHEMES",
-    "OptimizedFragment",
-    "TraceInstruction",
-    "TraceOptimizer",
-    "DynamoVM",
-    "VMFragment",
-    "VMResult",
-    "VMStats",
-    "measured_fragment_sizes",
-    "native_cycles",
-    "simulate_costs",
-]

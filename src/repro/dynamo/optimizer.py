@@ -58,7 +58,6 @@ class TraceInstruction:
 class OptimizedFragment:
     """The optimizer's result for one path."""
 
-    path_blocks: tuple[int, ...]
     original_instructions: int
     instructions: list[TraceInstruction] = field(default_factory=list)
 
@@ -94,7 +93,6 @@ class TraceOptimizer:
         """Run all passes over ``path``'s concatenated blocks."""
         entries = self._collect(path)
         fragment = OptimizedFragment(
-            path_blocks=path.blocks,
             original_instructions=len(entries),
             instructions=entries,
         )

@@ -95,7 +95,6 @@ class VMFragment:
     steps: list[VMStep]
     #: Where execution continues after the last step.
     final_target: int
-    created_at_step: int
     executions: int = 0
     #: Executions that passed every guard and reached ``final_target``.
     #: An execution that halts mid-body counts in ``executions`` but
@@ -387,7 +386,7 @@ class DynamoVM:
             nonlocal occupancy, flushed
             if len(trace) < 2:
                 return
-            fragment = self._compile(trace, head_pc, final_target, steps)
+            fragment = self._compile(trace, head_pc, final_target)
             if not fragment.steps:
                 # A trace of jmps only straightens to nothing: a pass
                 # would spend no fuel, so the chain would never return.
@@ -655,7 +654,6 @@ class DynamoVM:
         trace: list[tuple[int, bool, int]],
         head_pc: int,
         final_target: int,
-        at_step: int,
     ) -> VMFragment:
         """Straighten a recorded trace into a guarded fragment."""
         instructions = self.program.instructions
@@ -724,6 +722,5 @@ class DynamoVM:
             head_pc=head_pc,
             steps=steps,
             final_target=final_target,
-            created_at_step=at_step,
         )
 

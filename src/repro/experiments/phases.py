@@ -51,9 +51,7 @@ class PhaseReport:
             return 0.0
         if not self.detected_flushes:
             return 0.0
-        half_phase = (
-            self.true_boundaries[0] if self.true_boundaries else 1
-        ) // 2
+        half_phase = self.true_boundaries[0] // 2
         hits = 0
         for boundary in self.true_boundaries:
             if any(
@@ -102,11 +100,17 @@ def run_phase_experiment(workload_config: WorkloadConfig) -> PhaseReport:
 
     delay = 50
     system = DynamoSystem(DynamoConfig(amortization=1.0))
-    run_plain = system.run_detailed(trace, "net", delay)
     monitor = PredictionRateMonitor(
         window=max(workload_config.target_flow // 100, 1000)
     )
     run_flush = system.run_detailed(trace, "net", delay, monitor=monitor)
+    # A monitor that never fires changes nothing: its run is the run
+    # without it.
+    run_plain = (
+        system.run_detailed(trace, "net", delay)
+        if monitor.flush_recommendations
+        else run_flush
+    )
 
     return PhaseReport(
         num_phases=len(workload_config.phases),
@@ -126,11 +130,11 @@ def prediction_rate_series(
     outcome = NETPredictor(delay).run(trace)
     if window is None:
         window = max(trace.flow // 100, 1)
-    num_windows = -(-trace.flow // window)
-    counts = np.zeros(num_windows, dtype=np.int64)
-    for time in outcome.prediction_times:
-        counts[int(time) // window] += 1
-    return [(int(i * window), int(c)) for i, c in enumerate(counts)]
+    counts = np.bincount(
+        outcome.prediction_times // window,
+        minlength=-(-trace.flow // window),
+    )
+    return [(i * window, int(c)) for i, c in enumerate(counts)]
 
 
 def render_phase_report(report: PhaseReport) -> str:

@@ -10,7 +10,7 @@ argument measurable.
 
 from repro import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "branch_predictors": (
@@ -25,16 +25,3 @@ __getattr__, __dir__ = lazy_exports(
         "trace_cache": ("TraceCache", "TraceCacheStats", "TraceLine"),
     },
 )
-
-__all__ = [
-    "BimodalPredictor",
-    "BranchPredictionStats",
-    "BranchPredictor",
-    "GSharePredictor",
-    "StaticTakenPredictor",
-    "TraceCache",
-    "TraceCacheStats",
-    "TraceLine",
-    "TwoLevelAdaptivePredictor",
-    "compare_branch_predictors",
-]

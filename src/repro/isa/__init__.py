@@ -7,7 +7,7 @@ which emits the branch-event stream the trace subsystem consumes — the
 
 from repro import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "assembler": ("AssembledProgram", "Assembler", "assemble"),
@@ -27,19 +27,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "ALU_OPS",
-    "AssembledProgram",
-    "Assembler",
-    "BLOCK_TERMINATORS",
-    "COND_BRANCHES",
-    "DEFAULT_MEMORY_WORDS",
-    "Instruction",
-    "Machine",
-    "MachineState",
-    "NUM_REGISTERS",
-    "Op",
-    "assemble",
-    "run_to_completion",
-]

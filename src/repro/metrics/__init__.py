@@ -7,7 +7,7 @@ Hot sets (:func:`hot_path_set`), hit/noise/MOC scoring
 
 from repro import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "hotpaths": (
@@ -28,20 +28,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "DEFAULT_HOT_FRACTION",
-    "CounterSpace",
-    "FlushOnSpike",
-    "HotPathSet",
-    "NeverRetire",
-    "PredictionQuality",
-    "RetireIdle",
-    "RetirementPolicy",
-    "WindowedQuality",
-    "counter_space",
-    "evaluate_prediction",
-    "evaluate_windowed",
-    "hot_path_set",
-    "hot_path_set_absolute",
-]

@@ -130,7 +130,6 @@ class WindowedQuality:
     """Per-window scores plus run-level aggregates."""
 
     window: int
-    num_windows: int
     policy: str
     #: Hot flow captured by resident predictions, per window.
     hits_per_window: list[int] = field(default_factory=list)
@@ -198,9 +197,7 @@ def evaluate_windowed(
             int(path_id)
         )
 
-    quality = WindowedQuality(
-        window=window, num_windows=num_windows, policy=policy.name
-    )
+    quality = WindowedQuality(window=window, policy=policy.name)
     resident: set[int] = set()
     retired_ever: set[int] = set()
 

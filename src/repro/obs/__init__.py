@@ -17,7 +17,7 @@ manifest schema.
 
 from repro import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "core": (
@@ -39,19 +39,3 @@ __getattr__, __dir__ = lazy_exports(
         "report": ("render_summary",),
     },
 )
-
-__all__ = [
-    "MANIFEST_FORMAT",
-    "NULL_REGISTRY",
-    "Counter",
-    "Gauge",
-    "NullRegistry",
-    "Registry",
-    "RunRecorder",
-    "Timer",
-    "build_manifest",
-    "get_registry",
-    "git_revision",
-    "render_summary",
-    "write_manifest",
-]

@@ -14,7 +14,7 @@ All schemes share the :class:`OnlinePredictor` interface and produce
 
 from repro import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "base": (
@@ -29,14 +29,3 @@ __getattr__, __dir__ = lazy_exports(
         "streaming": ("NETSession",),
     },
 )
-
-__all__ = [
-    "BoaPredictor",
-    "FirstExecutionPredictor",
-    "NETPredictor",
-    "NETSession",
-    "OnlinePredictor",
-    "PathProfilePredictor",
-    "PredictionOutcome",
-    "occurrence_index_arrays",
-]

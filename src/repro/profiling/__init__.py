@@ -10,7 +10,7 @@
 
 from repro import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "ball_larus": ("BallLarusProfiler",),
@@ -23,17 +23,3 @@ __getattr__, __dir__ = lazy_exports(
         "overhead": ("HeadCounterProfiler", "OverheadRow", "compare_schemes"),
     },
 )
-
-__all__ = [
-    "BallLarusProfiler",
-    "BitTracingProfiler",
-    "BlockProfiler",
-    "CounterTable",
-    "EdgeProfiler",
-    "HeadCounterProfiler",
-    "KBoundedPathProfiler",
-    "OverheadRow",
-    "ProfileReport",
-    "Profiler",
-    "compare_schemes",
-]

@@ -15,16 +15,10 @@ the executor builds on these pieces.
 
 from repro import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "policy": ("RetryPolicy",),
         "signals": ("InterruptFlag", "interrupt_guard"),
     },
 )
-
-__all__ = [
-    "InterruptFlag",
-    "RetryPolicy",
-    "interrupt_guard",
-]

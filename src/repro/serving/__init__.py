@@ -31,7 +31,7 @@ Layers, bottom up:
 
 from repro import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "chaos": (
@@ -78,40 +78,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "BYTES_PER_EVENT",
-    "HEADER_BYTES",
-    "SEQ_AUTO",
-    "WIRE_MAGIC",
-    "WIRE_VERSION",
-    "ChaosConfig",
-    "ChaosReport",
-    "DurabilityStore",
-    "HotPathSelection",
-    "IngestResult",
-    "LoadReport",
-    "LoadgenConfig",
-    "PredictionServer",
-    "ServerConfig",
-    "ServingClient",
-    "ServingTCPServer",
-    "TenantRecovery",
-    "TenantReport",
-    "TenantSession",
-    "TenantStream",
-    "batch_digest",
-    "build_corpus",
-    "build_stream",
-    "decode_batch",
-    "default_plan",
-    "encode_batch",
-    "render_chaos_report",
-    "render_report",
-    "run_chaos",
-    "run_load",
-    "schedule_steps",
-    "serve_until_drained",
-    "standalone_outcome",
-    "start_background",
-]

@@ -12,7 +12,7 @@ stochastic path model; everything downstream is agnostic to the origin.
 
 from repro import lazy_exports
 
-__getattr__, __dir__ = lazy_exports(
+__getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "batch": ("HALT_DST", "EventBatch", "EventBatchBuilder"),
@@ -30,25 +30,3 @@ __getattr__, __dir__ = lazy_exports(
         ),
     },
 )
-
-__all__ = [
-    "HALT_DST",
-    "BranchOracle",
-    "CFGWalker",
-    "EventBatch",
-    "EventBatchBuilder",
-    "Path",
-    "PathExtractor",
-    "PathSignature",
-    "PathStream",
-    "PathTable",
-    "PathTrace",
-    "RandomOracle",
-    "TraceSummary",
-    "TripCountOracle",
-    "find_cuts",
-    "load_trace",
-    "save_trace",
-    "record_path_trace",
-    "summarize",
-]

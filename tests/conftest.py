@@ -8,6 +8,7 @@ per session.
 
 from __future__ import annotations
 
+import ast
 import signal
 import threading
 
@@ -123,6 +124,18 @@ def block_at(program, address: int):
         if block.address == address:
             return block
     raise CFGError(f"no block starts at address {address}")
+
+
+def target_names(target: ast.expr) -> list[str]:
+    """The names an assignment target binds, through tuple and list
+    unpacking (``a, (b, *c) = ...`` binds ``a``, ``b`` and ``c``)."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, ast.Starred):
+        return target_names(target.value)
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for elt in target.elts for name in target_names(elt)]
+    return []
 
 
 def walk_batch(program, oracle, max_events: int | None = None) -> EventBatch:

@@ -86,7 +86,7 @@ class ReplayVM(DynamoVM):
             nonlocal occupancy
             if len(trace) < 2:
                 return
-            fragment = self._compile(trace, head_pc, final_target, steps)
+            fragment = self._compile(trace, head_pc, final_target)
             if not fragment.steps:
                 return  # jmps only: nothing to execute, no fuel to spend
             stats.recorded_instructions += len(trace)

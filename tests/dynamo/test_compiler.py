@@ -366,7 +366,6 @@ def _make_compiled(machine, cache, head_pc, final_target, n_ops=2):
         head_pc=head_pc,
         steps=steps,
         final_target=final_target,
-        created_at_step=0,
     )
     return compile_fragment(machine, fragment, cache)
 

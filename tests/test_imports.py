@@ -26,6 +26,7 @@ import types
 import pytest
 
 import repro
+from tests.conftest import target_names
 
 PACKAGE_ROOT = pathlib.Path(repro.__file__).parent
 
@@ -133,6 +134,14 @@ LAZY_PACKAGES = [
     "repro.resilience",
     "repro.serving",
     "repro.trace",
+]
+
+#: Packages whose ``__init__`` imports its modules eagerly.
+PLAIN_PACKAGES = [
+    "repro.experiments",
+    "repro.experiments.engine",
+    "repro.isa.programs",
+    "repro.workloads",
 ]
 
 
@@ -297,9 +306,8 @@ def _bound_names(tree: ast.Module) -> set[str]:
         ):
             names.add(node.name)
         elif isinstance(node, ast.Assign):
-            names.update(
-                t.id for t in node.targets if isinstance(t, ast.Name)
-            )
+            for target in node.targets:
+                names.update(target_names(target))
         elif isinstance(node, ast.AnnAssign) and isinstance(
             node.target, ast.Name
         ):
@@ -319,6 +327,10 @@ def _definers(package: str, name: str) -> list[str]:
                 parts = parts[:-1]
             found.append(".".join(parts))
     return found
+
+
+def test_package_list_matches_the_sources():
+    assert _packages() == sorted([*LAZY_PACKAGES, *PLAIN_PACKAGES])
 
 
 def test_lazy_package_list_matches_the_sources():

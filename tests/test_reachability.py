@@ -27,6 +27,8 @@ import ast
 import pathlib
 import re
 
+from tests.conftest import target_names
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
 CALLER_DIRS = ("examples", "benchmarks", "perfbench")
@@ -43,7 +45,9 @@ def _public_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
         ):
             targets = [node.name]
         elif isinstance(node, ast.Assign):
-            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            targets = [
+                name for t in node.targets for name in target_names(t)
+            ]
         elif isinstance(node, ast.AnnAssign) and isinstance(
             node.target, ast.Name
         ):
