@@ -27,7 +27,6 @@ from repro.trace.batch import (
     CODE_TAKEN,
     HALT_DST,
     EventBatch,
-    EventBatchBuilder,
 )
 
 #: Default data memory size in words.
@@ -105,115 +104,84 @@ class Machine:
         # that runs Op's Python-level ``Enum.__hash__`` per instruction.
         is_cond = [instr.op in COND_BRANCHES for instr in instructions]
 
-        builder = EventBatchBuilder()
+        srcs: list[int] = []
+        dsts: list[int] = []
+        codes: list[int] = []
+        backwards: list[bool] = []
         while True:
             if state.steps >= max_steps:
                 raise MachineLimitExceeded(state.steps)
-            if not 0 <= state.pc < len(instructions):
-                raise MachineError(f"pc {state.pc} outside the program")
-            instr = instructions[state.pc]
+            pc = state.pc
+            if not 0 <= pc < len(instructions):
+                raise MachineError(f"pc {pc} outside the program")
+            instr = instructions[pc]
             state.steps += 1
             op = instr.op
 
-            if is_cond[state.pc]:
-                src = block_of[state.pc]
+            if is_cond[pc]:
                 if self._compare(op, regs[instr.rs], regs[instr.rt]):
                     target = instr.target
-                    builder.append(
-                        src,
-                        block_of[target],
-                        CODE_TAKEN,
-                        target <= state.pc,
-                    )
-                    state.pc = target
+                    code = CODE_TAKEN
+                    backward = target <= pc
                 else:
-                    builder.append(
-                        src, block_of[state.pc + 1], CODE_FALLTHROUGH,
-                        False,
-                    )
-                    state.pc += 1
+                    target = pc + 1
+                    code = CODE_FALLTHROUGH
+                    backward = False
             elif op is Op.JMP:
                 target = instr.target
-                builder.append(
-                    block_of[state.pc],
-                    block_of[target],
-                    CODE_JUMP,
-                    target <= state.pc,
-                )
-                state.pc = target
+                code = CODE_JUMP
+                backward = target <= pc
             elif op is Op.JR:
                 target = regs[instr.rs]
                 self._check_leader(target, "jr")
-                builder.append(
-                    block_of[state.pc],
-                    block_of[target],
-                    CODE_INDIRECT,
-                    target <= state.pc,
-                )
-                state.pc = target
+                code = CODE_INDIRECT
+                backward = target <= pc
             elif op is Op.CALL:
                 target = instr.target
-                state.call_stack.append(state.pc + 1)
-                builder.append(
-                    block_of[state.pc],
-                    block_of[target],
-                    CODE_CALL,
-                    target <= state.pc,
-                )
-                state.pc = target
+                state.call_stack.append(pc + 1)
+                code = CODE_CALL
+                backward = target <= pc
             elif op is Op.CALLR:
                 target = regs[instr.rs]
                 self._check_leader(target, "callr")
-                state.call_stack.append(state.pc + 1)
-                builder.append(
-                    block_of[state.pc],
-                    block_of[target],
-                    CODE_CALL,
-                    target <= state.pc,
-                )
-                state.pc = target
-            elif op is Op.RET:
-                if not state.call_stack:
-                    builder.append(
-                        block_of[state.pc], HALT_DST, CODE_JUMP, False
-                    )
-                    yield builder.build()
-                    return
+                state.call_stack.append(pc + 1)
+                code = CODE_CALL
+                backward = target <= pc
+            elif op is Op.RET and state.call_stack:
                 target = state.call_stack.pop()
-                builder.append(
-                    block_of[state.pc],
-                    block_of[target],
-                    CODE_RETURN,
-                    target <= state.pc,
-                )
-                state.pc = target
-            elif op is Op.HALT:
-                builder.append(
-                    block_of[state.pc], HALT_DST, CODE_JUMP, False
-                )
-                yield builder.build()
+                code = CODE_RETURN
+                backward = target <= pc
+            elif op is Op.RET or op is Op.HALT:
+                srcs.append(block_of[pc])
+                dsts.append(HALT_DST)
+                codes.append(CODE_JUMP)
+                backwards.append(False)
+                yield EventBatch(srcs, dsts, codes, backwards)
                 return
             else:
                 self._execute_straightline(instr, regs, memory)
-                next_pc = state.pc + 1
-                if next_pc >= len(instructions):
+                target = pc + 1
+                if target >= len(instructions):
                     raise MachineError(
                         "execution ran past the last instruction"
                     )
-                if block_of[next_pc] != block_of[state.pc]:
-                    builder.append(
-                        block_of[state.pc],
-                        block_of[next_pc],
-                        CODE_STRAIGHT,
-                        False,
-                    )
-                else:
-                    state.pc = next_pc
+                if block_of[target] == block_of[pc]:
+                    state.pc = target
                     continue
-                state.pc = next_pc
+                code = CODE_STRAIGHT
+                backward = False
 
-            if len(builder) >= batch_size:
-                yield builder.build()
+            srcs.append(block_of[pc])
+            dsts.append(block_of[target])
+            codes.append(code)
+            backwards.append(backward)
+            state.pc = target
+            if len(srcs) >= batch_size:
+                yield EventBatch(srcs, dsts, codes, backwards)
+                srcs.clear()
+                dsts.clear()
+                codes.clear()
+                backwards.clear()
 
     # ------------------------------------------------------------------
     def _check_leader(self, target: int, what: str) -> None:

@@ -15,7 +15,7 @@ from repro import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "batch": ("HALT_DST", "EventBatch", "EventBatchBuilder"),
+        "batch": ("HALT_DST", "EventBatch"),
         "columnar": ("find_cuts",),
         "extractor": ("PathExtractor", "PathStream"),
         "io": ("load_trace", "save_trace"),

@@ -9,10 +9,12 @@ conditional branches are explicit events (they carry the 0 history
 bit); straight-line execution inside a block produces no events.
 
 :class:`EventBatch` stores a run of events as four contiguous numpy
-columns (``src``, ``dst``, ``kind``, ``backward``), so producers
-(``Machine.run_batched``, ``CFGWalker.walk_batched``) fill flat buffers
-in a tight loop and consumers (the path extractor, the §4 profilers,
-the hardware models) segment and count with vectorized masks.  Edge
+columns (``src``, ``dst``, ``kind``, ``backward``).  The producers
+(``Machine.run_batched``, ``CFGWalker.walk_batched``) append each
+event's four scalars to plain lists in a tight loop and convert a whole
+batch at once through the checked constructor; consumers (the path
+extractor, the §4 profilers, the hardware models) segment and count
+with vectorized masks.  Edge
 kinds travel as small integer codes (``CODE_*`` / :data:`CODE_KIND`);
 the codes are an in-memory encoding, not a serialization format.
 """
@@ -166,70 +168,3 @@ class EventBatch:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EventBatch(events={len(self)})"
-
-
-class EventBatchBuilder:
-    """Append-only buffer the batched producers fill in their hot loop.
-
-    Appends write directly into preallocated numpy columns; when the
-    buffer is full it doubles (the growth path preserves every column's
-    dtype).  :meth:`build` publishes the filled prefix as an
-    :class:`EventBatch` and resets the cursor so the same storage is
-    reused for the next batch — which is exactly why the published batch
-    *copies* the prefix: a view would alias storage that later appends
-    overwrite, silently corrupting batches already handed to consumers.
-    The no-alias contract is pinned by a regression test.
-
-    Parameters
-    ----------
-    capacity:
-        Initial number of event slots (grows by doubling as needed).
-    """
-
-    __slots__ = ("_src", "_dst", "_kind", "_backward", "_length")
-
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity < 1:
-            raise TraceError("builder capacity must be positive")
-        self._src = np.empty(capacity, dtype=np.int64)
-        self._dst = np.empty(capacity, dtype=np.int64)
-        self._kind = np.empty(capacity, dtype=np.uint8)
-        self._backward = np.empty(capacity, dtype=bool)
-        self._length = 0
-
-    def _grow(self) -> None:
-        for name in ("_src", "_dst", "_kind", "_backward"):
-            column = getattr(self, name)
-            grown = np.empty(2 * len(column), dtype=column.dtype)
-            grown[: len(column)] = column
-            setattr(self, name, grown)
-
-    def append(self, src: int, dst: int, kind_code: int, backward: bool) -> None:
-        index = self._length
-        if index == len(self._src):
-            self._grow()
-        self._src[index] = src
-        self._dst[index] = dst
-        self._kind[index] = kind_code
-        self._backward[index] = backward
-        self._length = index + 1
-
-    def __len__(self) -> int:
-        return self._length
-
-    def build(self) -> EventBatch:
-        """Freeze the buffered events into a batch and reset.
-
-        The returned batch owns copies of the filled prefix; the
-        builder's storage is retained and reused, so no sequence of
-        later appends or builds can mutate a batch already published.
-        """
-        n = self._length
-        batch = EventBatch(
-            self._src[:n].copy(),
-            self._dst[:n].copy(),
-            self._kind[:n].copy(),
-            self._backward[:n].copy(),
-        )
-        self._length = 0
-        return batch

@@ -31,7 +31,6 @@ from repro.trace.batch import (
     CODE_TAKEN,
     HALT_DST,
     EventBatch,
-    EventBatchBuilder,
 )
 
 
@@ -137,15 +136,17 @@ class CFGWalker:
         one event per executed terminator.  A return from the entry
         procedure with an empty call stack is treated as program
         termination (a halt event is emitted).  The hot loop appends
-        four scalars to flat buffers, with per-block terminator data
-        resolved once up front; every batch but the last holds
-        ``batch_size`` events.
+        each event's four scalars to plain lists, with per-block
+        terminator data resolved once up front, and converts each
+        full batch into one :class:`EventBatch`; every batch but the
+        last holds ``batch_size`` events.
 
         Raises :class:`MachineLimitExceeded` when ``max_events`` run
         out before the program halts; ``truncate=True`` instead ends
         the stream cleanly after ``max_events`` events.  ``obs``
         publishes ``tracegen.*`` instruments: events and batches
-        produced, generation time, and events/second.
+        produced, the walker's own time (not the time its consumer
+        spends between batches), and events/second over that time.
         """
         if batch_size < 1:
             raise TraceError("batch_size must be positive")
@@ -161,93 +162,114 @@ class CFGWalker:
         target_backward = tables.target_backward
         address = tables.address
         branch_address = tables.branch_address
+        # Terminator kinds as locals, tested most frequent first: a
+        # fall-through ends about half of the blocks a walk executes.
+        FALLTHROUGH = BranchKind.FALLTHROUGH
+        COND = BranchKind.COND
+        JUMP = BranchKind.JUMP
+        CALL = BranchKind.CALL
+        RETURN = BranchKind.RETURN
+        INDIRECT = BranchKind.INDIRECT
+        ICALL = BranchKind.ICALL
+        HALT = BranchKind.HALT
 
-        builder = EventBatchBuilder()
+        srcs: list[int] = []
+        dsts: list[int] = []
+        codes: list[int] = []
+        backwards: list[bool] = []
         uid = self._program.entry_block.uid
         call_stack: list[int] = []
-        emitted = 0
+        emitted = 0  # events before the current batch
         batches = 0
-        started = time.perf_counter()
+        elapsed = 0.0  # the walker's own time, its consumer's excluded
+        resumed: float | None = time.perf_counter()
         try:
             while True:
-                if max_events is not None and emitted >= max_events:
-                    if truncate:
-                        if len(builder):
-                            batches += 1
-                            yield builder.build()
-                        return
-                    raise MachineLimitExceeded(emitted)
-
-                term = kind[uid]
-                halt = False
-                if term is BranchKind.COND:
-                    if oracle.decide_cond(blocks[uid]):
-                        dst = taken[uid]
-                        code = CODE_TAKEN
-                        backward = taken_backward[uid]
-                    else:
+                room = batch_size
+                if max_events is not None:
+                    room = min(room, max_events - emitted)
+                halted = False
+                for _ in range(room):
+                    term = kind[uid]
+                    if term is FALLTHROUGH:
                         dst = fall[uid]
-                        code = CODE_FALLTHROUGH
+                        code = CODE_STRAIGHT
                         backward = False
-                elif term is BranchKind.JUMP:
-                    dst = taken[uid]
-                    code = CODE_JUMP
-                    backward = taken_backward[uid]
-                elif term is BranchKind.INDIRECT:
-                    index = oracle.decide_multiway(
-                        blocks[uid], len(targets[uid])
-                    )
-                    dst = targets[uid][index]
-                    code = CODE_INDIRECT
-                    backward = target_backward[uid][index]
-                elif term is BranchKind.CALL:
-                    call_stack.append(fall[uid])
-                    dst = taken[uid]
-                    code = CODE_CALL
-                    backward = taken_backward[uid]
-                elif term is BranchKind.ICALL:
-                    index = oracle.decide_multiway(
-                        blocks[uid], len(targets[uid])
-                    )
-                    call_stack.append(fall[uid])
-                    dst = targets[uid][index]
-                    code = CODE_CALL
-                    backward = target_backward[uid][index]
-                elif term is BranchKind.RETURN:
-                    if call_stack:
+                    elif term is COND:
+                        if oracle.decide_cond(blocks[uid]):
+                            dst = taken[uid]
+                            code = CODE_TAKEN
+                            backward = taken_backward[uid]
+                        else:
+                            dst = fall[uid]
+                            code = CODE_FALLTHROUGH
+                            backward = False
+                    elif term is JUMP:
+                        dst = taken[uid]
+                        code = CODE_JUMP
+                        backward = taken_backward[uid]
+                    elif term is CALL:
+                        call_stack.append(fall[uid])
+                        dst = taken[uid]
+                        code = CODE_CALL
+                        backward = taken_backward[uid]
+                    elif term is RETURN and call_stack:
                         dst = call_stack.pop()
                         code = CODE_RETURN
                         backward = address[dst] <= branch_address[uid]
+                    elif term is INDIRECT:
+                        index = oracle.decide_multiway(
+                            blocks[uid], len(targets[uid])
+                        )
+                        dst = targets[uid][index]
+                        code = CODE_INDIRECT
+                        backward = target_backward[uid][index]
+                    elif term is ICALL:
+                        index = oracle.decide_multiway(
+                            blocks[uid], len(targets[uid])
+                        )
+                        call_stack.append(fall[uid])
+                        dst = targets[uid][index]
+                        code = CODE_CALL
+                        backward = target_backward[uid][index]
+                    elif term is HALT or term is RETURN:
+                        srcs.append(uid)
+                        dsts.append(HALT_DST)
+                        codes.append(CODE_JUMP)
+                        backwards.append(False)
+                        halted = True
+                        break
                     else:
-                        dst = HALT_DST
-                        code = CODE_JUMP
-                        backward = False
-                        halt = True
-                elif term is BranchKind.FALLTHROUGH:
-                    dst = fall[uid]
-                    code = CODE_STRAIGHT
-                    backward = False
-                elif term is BranchKind.HALT:
-                    dst = HALT_DST
-                    code = CODE_JUMP
-                    backward = False
-                    halt = True
-                else:
-                    raise TraceError(f"unknown terminator kind {term!r}")
+                        raise TraceError(f"unknown terminator kind {term!r}")
+                    srcs.append(uid)
+                    dsts.append(dst)
+                    codes.append(code)
+                    backwards.append(backward)
+                    uid = dst
 
-                builder.append(uid, dst, code, backward)
-                emitted += 1
-                if halt:
+                if halted or len(srcs) == batch_size or (truncate and srcs):
                     batches += 1
-                    yield builder.build()
-                    return
-                if len(builder) >= batch_size:
-                    batches += 1
-                    yield builder.build()
-                uid = dst
+                    batch = EventBatch(srcs, dsts, codes, backwards)
+                    elapsed += time.perf_counter() - resumed
+                    resumed = None  # a close() here is the consumer's time
+                    yield batch
+                    resumed = time.perf_counter()
+                    if halted:
+                        return
+                emitted += len(srcs)
+                srcs.clear()
+                dsts.clear()
+                codes.clear()
+                backwards.clear()
+                if max_events is not None and emitted >= max_events:
+                    if truncate:
+                        return
+                    raise MachineLimitExceeded(emitted)
         finally:
             if registry.enabled:
-                elapsed = time.perf_counter() - started
+                if resumed is not None:
+                    elapsed += time.perf_counter() - resumed
+                emitted += len(srcs)
                 registry.counter("tracegen.events").inc(emitted)
                 registry.counter("tracegen.batches").inc(batches)
                 registry.timer("tracegen.generate").observe(elapsed)

@@ -1,5 +1,7 @@
 """Replay load generator: corpus determinism, end-to-end runs, metrics."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import ServingError
@@ -29,6 +31,32 @@ def test_build_stream_probes_past_short_walks():
     # builder must land on a derived seed that sustains the load.
     stream = build_stream(seed=2, events=1_000, batch_events=64, trips=10)
     assert stream.num_events == 1_000
+
+
+#: SHA-256 of each stream's name and wire payloads, in order, for
+#: ``build_stream(seed=1000 + i, events=66 * 256, batch_events=256)``.
+#: The server's outcomes are checked against ``standalone_outcome`` of
+#: the same corpus, so a changed walk would pass that check unseen; a
+#: changed hash here means the walker, the oracle draws, the program
+#: generator or the wire encoding changed.
+GOLDEN_STREAMS = (
+    "0ec81ddf89ee1db358cf97aa1295a733b5a123fb1ec41298eee9c861d4259bf5",
+    "c0c5c2c53a962eaef4a07b2da49a04b7aed96b110b18024fc42533ca21dcb24f",
+    "bfdacac514dc9bffb45ffc804405e9a7cd45439c2ff11a0c4d91e4b9bca0b30c",
+)
+
+
+def test_stream_bytes_are_pinned():
+    digests = []
+    for index in range(len(GOLDEN_STREAMS)):
+        stream = build_stream(
+            seed=1000 + index, events=66 * 256, batch_events=256
+        )
+        digest = hashlib.sha256(stream.name.encode())
+        for payload in stream.payloads:
+            digest.update(payload)
+        digests.append(digest.hexdigest())
+    assert tuple(digests) == GOLDEN_STREAMS
 
 
 def test_run_load_replays_every_tenant(tmp_path):

@@ -1,9 +1,8 @@
 """Reference oracles for the columnar event pipeline.
 
 Production code produces and consumes branch events as columns:
-``CFGWalker.walk_batched`` and ``Machine.run_batched`` fill an
-:class:`~repro.trace.batch.EventBatchBuilder` from per-program dense
-tables and per-opcode rules, and
+``CFGWalker.walk_batched`` and ``Machine.run_batched`` append to plain
+column lists from per-program dense tables and per-opcode rules, and
 :class:`~repro.trace.extractor.PathExtractor` segments with
 ``find_cuts`` and a segment memo.  The smallest one-transfer-at-a-time
 form of each is kept here as the reference the equivalence tests
@@ -17,9 +16,10 @@ compare production code against:
   register the scalar profiler of
   :mod:`tests.profiling.profiler_oracle` shifts too.
 
-Both producers derive every event's backward flag from one general
-rule: a transfer other than a fall-through is backward when its target
-does not lie after the branch.
+Both producer oracles buffer their events in an
+:class:`EventBatchBuilder` and derive every event's backward flag from
+one general rule: a transfer other than a fall-through is backward
+when its target does not lie after the branch.
 
 :class:`ScriptedOracle` replays a fixed list of decisions, for tests
 that force an exact control-flow sequence.
@@ -42,13 +42,37 @@ from repro.trace.batch import (
     CODE_TAKEN,
     HALT_DST,
     EventBatch,
-    EventBatchBuilder,
 )
 from repro.trace.path import Path, PathSignature, PathTable
 from repro.trace.recorder import PathTrace
 
 #: Codes whose transfers are never backward.
 _NEVER_BACKWARD = (CODE_FALLTHROUGH, CODE_STRAIGHT)
+
+
+class EventBatchBuilder:
+    """The oracles' event buffer: events appended one at a time, then
+    published once as an :class:`EventBatch`."""
+
+    def __init__(self) -> None:
+        self._src: list[int] = []
+        self._dst: list[int] = []
+        self._kind: list[int] = []
+        self._backward: list[bool] = []
+
+    def append(
+        self, src: int, dst: int, kind_code: int, backward: bool
+    ) -> None:
+        self._src.append(src)
+        self._dst.append(dst)
+        self._kind.append(kind_code)
+        self._backward.append(backward)
+
+    def __len__(self) -> int:
+        return len(self._src)
+
+    def build(self) -> EventBatch:
+        return EventBatch(self._src, self._dst, self._kind, self._backward)
 
 
 class SignatureRegister:

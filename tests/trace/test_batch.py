@@ -1,8 +1,10 @@
-"""Columnar event batches: validation, builders, batched producers.
+"""Columnar event batches: validation and the batched producers.
 
 The producers are checked against the one-transfer-at-a-time walker
 and machine loop of :mod:`tests.trace.event_oracle`.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from repro.trace import (
     HALT_DST,
     CFGWalker,
     EventBatch,
-    EventBatchBuilder,
     RandomOracle,
     TripCountOracle,
 )
@@ -37,6 +38,29 @@ def _bounded_walker(program_seed=3, oracle_seed=7, trips=4):
         RandomOracle(oracle_seed, default_bias=0.5), trip_counts
     )
     return program, CFGWalker(program, oracle)
+
+
+#: Column dtypes of every batch a producer yields.
+COLUMN_DTYPES = (np.int64, np.int64, np.uint8, np.bool_)
+
+
+def _columns(batch):
+    return (batch.src, batch.dst, batch.kind, batch.backward)
+
+
+def _drain(stream):
+    """Every batch of ``stream``.  Each batch must carry the column
+    dtypes, and the first one must be unchanged once the stream is
+    exhausted: a producer that reused its storage for later batches
+    would rewrite it."""
+    first = next(stream)
+    kept = EventBatch(*(column.copy() for column in _columns(first)))
+    batches = [first, *stream]
+    assert len(batches) > 1
+    for batch in batches:
+        assert tuple(c.dtype for c in _columns(batch)) == COLUMN_DTYPES
+    assert first == kept
+    return batches
 
 
 # ----------------------------------------------------------------------
@@ -68,65 +92,6 @@ def test_concat_slice_empty():
     assert len(EventBatch.empty()) == 0
 
 
-def test_builder_resets_after_build():
-    builder = EventBatchBuilder()
-    builder.append(0, 1, 0, False)
-    builder.append(1, 2, 1, False)
-    first = builder.build()
-    assert len(first) == 2
-    assert len(builder) == 0
-    builder.append(2, 0, 3, True)
-    second = builder.build()
-    assert len(second) == 1
-    assert int(second.src[0]) == 2
-
-
-def test_builder_growth_preserves_dtypes():
-    # Regression: growing past the initial capacity must keep the
-    # columnar dtypes (int64/int64/uint8/bool) instead of letting numpy
-    # re-infer them during reallocation.
-    builder = EventBatchBuilder(capacity=2)
-    for index in range(197):
-        builder.append(index, index + 1, index % 4, index % 3 == 0)
-    batch = builder.build()
-    assert len(batch) == 197
-    assert batch.src.dtype == np.int64
-    assert batch.dst.dtype == np.int64
-    assert batch.kind.dtype == np.uint8
-    assert batch.backward.dtype == np.bool_
-    assert batch.src[0] == 0 and batch.src[196] == 196
-    assert batch.dst[196] == 197
-    assert bool(batch.backward[0]) and not bool(batch.backward[1])
-
-
-def test_builder_build_does_not_alias_storage():
-    # Regression: a published batch must not share memory with the
-    # builder's reusable buffers — later appends would rewrite history.
-    builder = EventBatchBuilder(capacity=4)
-    builder.append(10, 11, 0, False)
-    builder.append(11, 12, 1, True)
-    first = builder.build()
-    for column in ("src", "dst", "kind", "backward"):
-        assert not np.shares_memory(
-            getattr(first, column), getattr(builder, f"_{column}")
-        ), column
-    builder.append(99, 100, 2, False)
-    second = builder.build()
-    assert list(first.src) == [10, 11]
-    assert list(first.dst) == [11, 12]
-    assert list(second.src) == [99]
-    # Batches built before a growth cycle stay intact through it.
-    for index in range(64):
-        builder.append(index, index, 0, False)
-    builder.build()
-    assert list(first.src) == [10, 11]
-
-
-def test_builder_rejects_bad_capacity():
-    with pytest.raises(TraceError, match="capacity"):
-        EventBatchBuilder(capacity=0)
-
-
 # ----------------------------------------------------------------------
 # Batched CFG walking
 # ----------------------------------------------------------------------
@@ -144,7 +109,7 @@ def test_walk_batched_matches_walk():
 
     events = walk_events(program, oracle(), 500_000)
     walker = CFGWalker(program, oracle())
-    batches = list(walker.walk_batched(max_events=500_000, batch_size=997))
+    batches = _drain(walker.walk_batched(max_events=500_000, batch_size=997))
     assert EventBatch.concat(batches) == events
     assert batches[-1].dst[-1] == HALT_DST
     returns = events.kind == CODE_RETURN
@@ -192,6 +157,28 @@ def test_walk_batched_publishes_tracegen_instruments():
     assert counters["tracegen.batches"] == len(batches)
 
 
+def test_walk_batched_times_only_the_walker():
+    """Time the consumer spends between batches is not generation time:
+    the walker's own stretches and the consumer's sleeps are disjoint
+    parts of the wall time."""
+    _, walker = _bounded_walker()
+    registry = Registry()
+    slept = 0.0
+    started = time.perf_counter()
+    for _ in walker.walk_batched(batch_size=32, obs=registry):
+        before = time.perf_counter()
+        time.sleep(0.02)
+        slept += time.perf_counter() - before
+    wall = time.perf_counter() - started
+    snapshot = registry.snapshot()
+    generate = snapshot["timers"]["tracegen.generate"]["total_seconds"]
+    assert snapshot["counters"]["tracegen.batches"] == 5
+    assert 0 < generate <= wall - slept
+    assert snapshot["gauges"]["tracegen.events_per_sec"] == pytest.approx(
+        snapshot["counters"]["tracegen.events"] / generate
+    )
+
+
 # ----------------------------------------------------------------------
 # Batched ISA machine
 # ----------------------------------------------------------------------
@@ -203,7 +190,7 @@ def test_run_batched_matches_run():
 
     batched = Machine(rle.build())
     batched.load_memory(memory)
-    batches = list(batched.run_batched(batch_size=997))
+    batches = _drain(batched.run_batched(batch_size=97))
     assert EventBatch.concat(batches) == events
     assert batched.state.output == scalar.state.output
 
